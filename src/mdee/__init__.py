@@ -6,11 +6,10 @@ they are compared against, Monte-Carlo oracles that verify the underlying
 identities, and a reproducible experiment harness.
 """
 
-from .baselines import BaselineKind, adj, caic, fpe, kfold_cv
+from .baselines import adj, caic, fpe, kfold_cv
 from .core import (
     BasisSpec,
     BlockPartition,
-    DesignMatrix,
     FittedModel,
     LabeledSet,
     ModelPath,

@@ -6,7 +6,6 @@ over a path stays total even when a criterion is undefined at some d.
 
 from __future__ import annotations
 
-import enum
 import math
 
 import numpy as np
@@ -23,13 +22,6 @@ from .core import (
 )
 
 RHO_FLOOR = 1e-12
-
-
-class BaselineKind(enum.Enum):
-    FPE = "FPE"
-    CAIC = "cAIC"
-    CV5 = "CV5"
-    ADJ = "ADJ"
 
 
 def fpe(train_loss: float, n: int, d: int) -> float:
@@ -65,7 +57,7 @@ def kfold_cv(
         raise ValueError(f"need n >= k folds, got n={n}, k={k}")
     rng = np.random.default_rng(seed)
     folds = np.array_split(rng.permutation(n), k)
-    design = build_design(basis, data.X, d).values
+    design = build_design(basis, data.X, d)
     fold_errors = []
     for held in folds:
         mask = np.ones(n, dtype=bool)
@@ -91,8 +83,8 @@ def adj(path: ModelPath, labeled_X, unlabeled: UnlabeledSet, d: int) -> float:
     if d == 1:
         return loss
     labeled_X = np.atleast_2d(np.asarray(labeled_X, dtype=float))
-    design_l = build_design(path.basis, labeled_X, d).values
-    design_u = build_design(path.basis, unlabeled.X, d).values
+    design_l = build_design(path.basis, labeled_X, d)
+    design_u = build_design(path.basis, unlabeled.X, d)
     pred_l_d = design_l @ path.model(d).alpha
     pred_u_d = design_u @ path.model(d).alpha
     ratios = []

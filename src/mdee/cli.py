@@ -21,6 +21,7 @@ def _cmd_run(args) -> int:
         cfg.repetitions = args.reps
     if args.threads is not None:
         cfg.threads = args.threads
+    cfg.validate()
     out = harness.run_to_dir(cfg, args.out)
     print(f"wrote {out / 'summary.csv'}, {out / 'trials.csv'}, {out / 'meta.json'}")
     return 0
@@ -80,11 +81,7 @@ def _cmd_report(args) -> int:
         harness.write_summary_csv(args.out, summaries)
         print(f"wrote {args.out}")
     else:
-        keys = list(summaries[0].cell.keys())
-        print(",".join(keys + ["criterion", "median", "iqr", "n_trials"]))
-        for s in summaries:
-            cells = [str(s.cell[k]) for k in keys]
-            print(",".join(cells + [s.criterion, f"{s.median:.6g}", f"{s.iqr:.6g}", str(s.n_trials)]))
+        harness.write_summary(sys.stdout, summaries)
     return 0
 
 

@@ -75,23 +75,6 @@ class UnlabeledSet:
 
 
 @dataclass
-class DesignMatrix:
-    """Feature matrix of a truncated additive model.
-
-    Entry (i, k) is sum_m phi_k(X[i, m]); the first column is therefore
-    constantly equal to the covariate dimension M.
-    """
-
-    values: np.ndarray
-    d: int
-    basis: BasisSpec
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass
 class FittedModel:
     d: int
     alpha: np.ndarray
@@ -142,12 +125,6 @@ class BlockPartition:
         return np.stack(self.blocks)
 
 
-def _design_values(phi) -> np.ndarray:
-    if isinstance(phi, DesignMatrix):
-        return phi.values
-    return np.atleast_2d(np.asarray(phi, dtype=float))
-
-
 def _fourier_column(k: int, t: np.ndarray) -> np.ndarray:
     """k-th Fourier function evaluated elementwise: 1, sqrt(2)cos(pt), sqrt(2)sin(pt)."""
     if k == 1:
@@ -165,11 +142,13 @@ def basis_eval(basis: BasisSpec, k: int, t: float) -> float:
     return float(_fourier_column(k, np.asarray(t, dtype=float)))
 
 
-def build_design(basis: BasisSpec, X, d: int) -> DesignMatrix:
-    """Design matrix of the size-d additive model over covariate rows X.
+def build_design(basis: BasisSpec, X, d: int) -> np.ndarray:
+    """Design matrix (rows x d) of the size-d additive model over covariate rows X.
 
     Column k holds sum_m phi_k(X[i, m]); coefficients are shared across
-    covariate coordinates, so M > 1 sums the feature over coordinates.
+    covariate coordinates, so M > 1 sums the feature over coordinates and
+    the first column is constantly M. The columns of a smaller model are
+    the leading columns of a larger one.
     """
     if d < 1:
         raise ValueError("model size d must be >= 1")
@@ -177,14 +156,13 @@ def build_design(basis: BasisSpec, X, d: int) -> DesignMatrix:
     if X.shape[0] < 1:
         raise ValueError("design requires at least one covariate row")
     cols = [_fourier_column(k, X).sum(axis=1) for k in range(1, d + 1)]
-    return DesignMatrix(values=np.column_stack(cols), d=d, basis=basis)
+    return np.column_stack(cols)
 
 
 def predict(basis: BasisSpec, X, alpha: np.ndarray) -> np.ndarray:
     """Model predictions sum_k alpha_k sum_m phi_k(x_m) for each row of X."""
     alpha = np.asarray(alpha, dtype=float).reshape(-1)
-    design = build_design(basis, X, len(alpha))
-    return design.values @ alpha
+    return build_design(basis, X, len(alpha)) @ alpha
 
 
 def ridge_lse(phi, y, ridge_lambda: float = DEFAULT_RIDGE) -> FittedModel:
@@ -194,7 +172,7 @@ def ridge_lse(phi, y, ridge_lambda: float = DEFAULT_RIDGE) -> FittedModel:
     (Cholesky) factorization. Scaling the penalty by n keeps lambda
     comparable with the per-row correlation matrix regardless of n.
     """
-    v = _design_values(phi)
+    v = np.atleast_2d(np.asarray(phi, dtype=float))
     y = np.asarray(y, dtype=float).reshape(-1)
     n, d = v.shape
     if n != y.shape[0]:
@@ -217,7 +195,7 @@ def ridge_lse(phi, y, ridge_lambda: float = DEFAULT_RIDGE) -> FittedModel:
 
 def empirical_loss(phi, y, alpha) -> float:
     """Mean squared residual (1/n) ||y - Phi alpha||^2."""
-    v = _design_values(phi)
+    v = np.atleast_2d(np.asarray(phi, dtype=float))
     y = np.asarray(y, dtype=float).reshape(-1)
     alpha = np.asarray(alpha, dtype=float).reshape(-1)
     resid = y - v @ alpha
@@ -226,7 +204,7 @@ def empirical_loss(phi, y, alpha) -> float:
 
 def correlation_matrix(phi) -> np.ndarray:
     """Empirical correlation matrix (1/rows) Phi^T Phi, symmetrized."""
-    v = _design_values(phi)
+    v = np.atleast_2d(np.asarray(phi, dtype=float))
     C = v.T @ v / v.shape[0]
     return 0.5 * (C + C.T)
 
@@ -243,9 +221,8 @@ def fit_model_path(
     full = build_design(basis, data.X, d_max)
     models = []
     for d in range(1, d_max + 1):
-        sub = DesignMatrix(values=full.values[:, :d], d=d, basis=basis)
         try:
-            models.append(ridge_lse(sub, data.y, ridge_lambda))
+            models.append(ridge_lse(full[:, :d], data.y, ridge_lambda))
         except SingularDesignError as exc:
             raise SingularDesignError(f"model size d={d}: {exc}") from exc
     return ModelPath(models=models, d_max=d_max, basis=basis)

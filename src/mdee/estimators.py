@@ -125,8 +125,7 @@ def block_corr_stack(blocks: BlockPartition, basis: BasisSpec, d: int) -> np.nda
     """Per-block empirical correlation matrices as a (B, d, d) stack."""
     stacked = blocks.stacked()
     B, n, _ = stacked.shape
-    design = build_design(basis, stacked.reshape(B * n, -1), d).values
-    design = design.reshape(B, n, d)
+    design = build_design(basis, stacked.reshape(B * n, -1), d).reshape(B, n, d)
     corrs = np.einsum("bij,bik->bjk", design, design) / n
     return 0.5 * (corrs + np.swapaxes(corrs, 1, 2))
 

@@ -9,11 +9,13 @@ of the same config produce byte-identical output files.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -23,24 +25,30 @@ from . import baselines, datagen, estimators, ingest
 from .core import (
     DEFAULT_RIDGE,
     BasisSpec,
+    BlockPartition,
     FittedModel,
     LabeledSet,
+    ModelPath,
     SingularDesignError,
     UnlabeledSet,
     block_partition,
+    build_design,
+    correlation_matrix,
     fit_model_path,
     predict,
 )
-
-DEE_FAMILY = {k.value for k in estimators.CriterionKind}
-BASELINE_FAMILY = {k.value for k in baselines.BaselineKind}
-ALL_CRITERIA = DEE_FAMILY | BASELINE_FAMILY
+from .estimators import CriterionKind
 
 BLOCK_CRITERIA = {"mDEE1", "mDEE2", "mDEE3", "rmDEE"}
+SPLIT_CRITERIA = {"mDEE1", "mDEE2"}  # block criteria that need the mDEE1 split b1
 
 # Candidate-count rule for the synthetic protocol; other n need an explicit
 # d_max in the config.
 SYNTHETIC_DBAR = {10: 8, 20: 15, 50: 23}
+
+# Columns after the cell keys in summary.csv and trials.csv.
+SUMMARY_FIELDS = ["criterion", "median", "iqr", "n_trials"]
+TRIAL_FIELDS = ["trial", "criterion", "d_hat", "regret", "flags"]
 
 SYNTHETIC_CAVEAT = (
     "synthetic covariate_var is a free choice of this harness; regret "
@@ -89,13 +97,19 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
+        """Reject settings no run can use; call again after changing fields."""
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
         if not self.criteria:
             raise ValueError("criteria must be nonempty")
-        unknown = [c for c in self.criteria if c not in ALL_CRITERIA]
+        unknown = [c for c in self.criteria if c not in CRITERIA]
         if unknown:
-            raise ValueError(f"unknown criteria {unknown}; valid: {sorted(ALL_CRITERIA)}")
+            raise ValueError(f"unknown criteria {unknown}; valid: {sorted(CRITERIA)}")
 
 
 @dataclass
@@ -141,6 +155,11 @@ def aggregate(regrets) -> tuple[float, float]:
     return float(np.median(values)), float(q3 - q1)
 
 
+def _summarize(cell: dict, criterion: str, regrets: list[float]) -> CriterionSummary:
+    median, iqr = aggregate(regrets)
+    return CriterionSummary(cell, criterion, median, iqr, len(regrets))
+
+
 def _seed_int(*keys: int) -> int:
     return int(np.random.SeedSequence([int(k) for k in keys]).generate_state(1)[0])
 
@@ -157,50 +176,119 @@ def _auto_d_max(cfg: ExperimentConfig, n: int, m: int) -> int:
     )
 
 
-def _criterion_risks(
-    name: str,
-    path,
-    train: LabeledSet,
-    unlabeled: UnlabeledSet,
-    blocks,
-    b1: int | None,
-    cfg: ExperimentConfig,
-    cv_seed: int,
-) -> tuple[list[float], list[str]]:
-    """Per-d risk values for one criterion; failures become +inf sentinels."""
-    risks = []
-    tokens = []
-    for d in range(1, path.d_max + 1):
-        try:
-            if name == "DEE":
-                risks.append(estimators.dee(path, train.X, unlabeled, d, cfg.ridge).risk)
-            elif name in ("mDEE1", "mDEE2", "mDEE3"):
-                variant = estimators.CriterionKind(name)
-                est = estimators.mdee(path, blocks, variant, b1, d, cfg.ridge)
-                if est.flagged_blocks:
-                    tokens.append(f"cond@d{d}={len(est.flagged_blocks)}")
-                risks.append(est.risk)
-            elif name == "rmDEE":
-                est = estimators.rmdee(path, blocks, train.X, d, cfg.ridge)
-                if est.flagged_blocks:
-                    tokens.append(f"cond@d{d}={len(est.flagged_blocks)}")
-                risks.append(est.risk)
-            elif name == "FPE":
-                risks.append(baselines.fpe(path.train_loss(d), train.n, d))
-            elif name == "cAIC":
-                risks.append(baselines.caic(path.train_loss(d), train.n, d))
-            elif name == "CV5":
-                risks.append(
-                    baselines.kfold_cv(train, path.basis, d, 5, cfg.ridge, cv_seed)
-                )
-            elif name == "ADJ":
-                risks.append(baselines.adj(path, train.X, unlabeled, d))
-            else:  # pragma: no cover - validated in config
-                raise ValueError(f"unknown criterion {name}")
-        except (SingularDesignError, ValueError):
-            risks.append(math.inf)
-            tokens.append(f"inf@d{d}")
-    return risks, tokens
+@dataclass
+class TrialState:
+    """What the criteria of one trial read, each part built once at d_max and sliced.
+
+    The models are nested: a size-d design is the first d columns of the d_max
+    one, a size-d block correlation matrix the leading d x d corner of the d_max
+    stack. Labeled and pool correlation matrices are formed per d from the sliced
+    design, since a corner of the d_max product can differ in the last bit, which
+    the DEE solve amplifies near d = n. `block_flags` says why `blocks` (pool
+    smaller than one block) or `b1` (no split selected) is None.
+    """
+
+    train: LabeledSet
+    unlabeled: UnlabeledSet
+    path: ModelPath
+    ridge: float
+    cv_seed: int
+    blocks: BlockPartition | None = None
+    b1: int | None = None
+    block_flags: list[str] = field(default_factory=list)
+
+    @cached_property
+    def train_design(self) -> np.ndarray:
+        return build_design(self.path.basis, self.train.X, self.path.d_max)
+
+    @cached_property
+    def pool_design(self) -> np.ndarray:
+        return build_design(self.path.basis, self.unlabeled.X, self.path.d_max)
+
+    @cached_property
+    def block_corrs(self) -> np.ndarray:
+        return estimators.block_corr_stack(self.blocks, self.path.basis, self.path.d_max)
+
+    def corrected(self, tr: float, d: int) -> float:
+        """Training loss at d times the multiplicative correction for trace tr."""
+        return estimators.correction_factor(tr, self.train.n, d) * self.path.train_loss(d)
+
+
+# A criterion maps (state, d) to (risk, number of flagged blocks), or to None where its
+# risk is undefined at d. evaluate_trial records None and SingularDesignError as the
+# inf@d sentinel; an infinite risk returned as a value carries no sentinel.
+
+
+def _dee_risk(state: TrialState, d: int):
+    if state.unlabeled.n < 1 or d >= state.train.n:
+        return None
+    c_hat = correlation_matrix(state.train_design[:, :d])
+    c_tilde = correlation_matrix(state.pool_design[:, :d])
+    return state.corrected(estimators.dee_trace(c_hat, c_tilde, state.ridge), d), 0
+
+
+def _block_risk(variant: CriterionKind, state: TrialState, d: int):
+    if state.blocks is None or (variant.value in SPLIT_CRITERIA and state.b1 is None):
+        return math.inf, 0
+    if d >= state.train.n:
+        return None
+    corrs = state.block_corrs[:, :d, :d]
+    if variant is CriterionKind.RMDEE:
+        c_hat = correlation_matrix(state.train_design[:, :d])
+        tr, flagged = estimators.rmdee_trace(corrs, c_hat, state.ridge)
+    else:
+        tr, flagged = estimators.mdee_trace(corrs, variant, state.b1, state.ridge)
+    return state.corrected(tr, d), len(flagged)
+
+
+def _cv5_risk(state: TrialState, d: int):
+    if state.train.n < 5:
+        return None
+    return baselines.kfold_cv(state.train, state.path.basis, d, 5, state.ridge, state.cv_seed), 0
+
+
+def _adj_risk(state: TrialState, d: int):
+    if d > 1 and state.unlabeled.n < 1:
+        return None
+    return baselines.adj(state.path, state.train.X, state.unlabeled, d), 0
+
+
+CRITERIA = {
+    "DEE": _dee_risk,
+    "mDEE1": partial(_block_risk, CriterionKind.MDEE1),
+    "mDEE2": partial(_block_risk, CriterionKind.MDEE2),
+    "mDEE3": partial(_block_risk, CriterionKind.MDEE3),
+    "rmDEE": partial(_block_risk, CriterionKind.RMDEE),
+    "FPE": lambda state, d: (baselines.fpe(state.path.train_loss(d), state.train.n, d), 0),
+    "cAIC": lambda state, d: (baselines.caic(state.path.train_loss(d), state.train.n, d), 0),
+    "CV5": _cv5_risk,
+    "ADJ": _adj_risk,
+}
+
+
+def trial_state(
+    train: LabeledSet, unlabeled: UnlabeledSet, path: ModelPath, cfg: ExperimentConfig, cv_seed: int
+) -> TrialState:
+    """Shared state of one trial, with blocks and b1 where a requested criterion needs them."""
+    state = TrialState(train, unlabeled, path, cfg.ridge, cv_seed)
+    if BLOCK_CRITERIA & set(cfg.criteria):
+        if unlabeled.n < train.n:
+            state.block_flags.append("no_blocks")
+        else:
+            state.blocks = block_partition(unlabeled, train.n)
+            if SPLIT_CRITERIA & set(cfg.criteria):
+                if state.blocks.n_blocks >= 2:
+                    state.b1, _ = estimators.select_b1(state.blocks, path.basis, path.d_max, cfg.ridge)
+                else:
+                    state.block_flags.append("b1_unavailable")
+    return state
+
+
+def path_test_errors(path: ModelPath, test: LabeledSet) -> list[float]:
+    """`test_error` of every model on the path, from one d_max test design."""
+    design = build_design(path.basis, test.X, path.d_max)
+    resids = [test.y - design[:, : model.d] @ model.alpha for model in path.models]
+    return [float(resid @ resid / test.n) for resid in resids]
 
 
 def evaluate_trial(
@@ -214,42 +302,31 @@ def evaluate_trial(
     cv_seed: int,
 ) -> TrialResult:
     """Score every requested criterion on one shared data split."""
-    basis = BasisSpec("fourier", train.X.shape[1])
-    path = fit_model_path(train, basis, d_max, cfg.ridge)
-    errors = [test_error(m, test, basis) for m in path.models]
-
-    blocks = None
-    b1 = None
-    block_flags: list[str] = []
-    if BLOCK_CRITERIA & set(cfg.criteria):
-        try:
-            blocks = block_partition(unlabeled, train.n)
-        except ValueError:
-            block_flags.append("no_blocks")
-        if blocks is not None and {"mDEE1", "mDEE2"} & set(cfg.criteria):
-            if blocks.n_blocks >= 2:
-                b1, _ = estimators.select_b1(blocks, basis, d_max, cfg.ridge)
-            else:
-                block_flags.append("b1_unavailable")
+    path = fit_model_path(train, BasisSpec("fourier", train.X.shape[1]), d_max, cfg.ridge)
+    errors = path_test_errors(path, test)
+    state = trial_state(train, unlabeled, path, cfg, cv_seed)
 
     d_hat: dict[str, int] = {}
     regrets: dict[str, float] = {}
     flags: dict[str, str] = {}
     for name in cfg.criteria:
-        tokens = list(block_flags) if name in BLOCK_CRITERIA else []
-        if name in BLOCK_CRITERIA and blocks is None:
-            risks = [math.inf] * d_max
-        elif name in ("mDEE1", "mDEE2") and b1 is None:
-            risks = [math.inf] * d_max
-        else:
-            risks, risk_tokens = _criterion_risks(
-                name, path, train, unlabeled, blocks, b1, cfg, cv_seed
-            )
-            tokens.extend(risk_tokens)
+        tokens = list(state.block_flags) if name in BLOCK_CRITERIA else []
+        risks = []
+        for d in range(1, d_max + 1):
+            try:
+                scored = CRITERIA[name](state, d)
+            except SingularDesignError:
+                scored = None
+            if scored is None:
+                scored = (math.inf, 0)
+                tokens.append(f"inf@d{d}")
+            elif scored[1]:
+                tokens.append(f"cond@d{d}={scored[1]}")
+            risks.append(scored[0])
         if all(math.isinf(r) for r in risks):
             tokens.append("all_infinite")
-        if name in ("mDEE1", "mDEE2") and b1 is not None:
-            tokens.append(f"b1={b1}")
+        if name in SPLIT_CRITERIA and state.b1 is not None:
+            tokens.append(f"b1={state.b1}")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             chosen = estimators.select_model(risks)
@@ -267,36 +344,31 @@ def evaluate_trial(
         regret=regrets,
         test_errors=errors,
         flags=flags,
-        b1_used=b1,
+        b1_used=state.b1,
     )
 
 
-def _synthetic_trial(cfg, cell, cell_idx, trial) -> TrialResult:
-    scen: SyntheticScenario = cfg.scenario
-    data_cfg = datagen.SyntheticConfig(
-        target=scen.target,
-        n=cell["n"],
-        n_prime=scen.n_unlabeled,
-        n_test=scen.n_test,
-        noise_var=cell["noise_var"],
-        covariate_var=scen.covariate_var,
-        seed=_seed_int(cfg.master_seed, cell_idx, trial, 0),
-    )
-    train, unlabeled, test = datagen.generate(data_cfg)
-    d_max = _auto_d_max(cfg, cell["n"], 1)
-    cv_seed = _seed_int(cfg.master_seed, cell_idx, trial, 1)
-    return evaluate_trial(trial, cell, train, unlabeled, test, d_max, cfg, cv_seed)
-
-
-def _real_trial(cfg, table, cell, cell_idx, trial) -> TrialResult:
-    scen: RealScenario = cfg.scenario
-    spec = ingest.SplitSpec(
-        n=cell["n"],
-        n_prime=scen.n_unlabeled,
-        seed=_seed_int(cfg.master_seed, cell_idx, trial, 0),
-        standardize=scen.standardize,
-    )
-    train, unlabeled, test = ingest.split(table, spec)
+def _trial(cfg, table, cell, cell_idx, trial) -> TrialResult:
+    """One trial of a grid cell: synthetic data when table is None, else a split of it."""
+    data_seed = _seed_int(cfg.master_seed, cell_idx, trial, 0)
+    scen = cfg.scenario
+    if table is None:
+        train, unlabeled, test = datagen.generate(
+            datagen.SyntheticConfig(
+                target=scen.target,
+                n=cell["n"],
+                n_prime=scen.n_unlabeled,
+                n_test=scen.n_test,
+                noise_var=cell["noise_var"],
+                covariate_var=scen.covariate_var,
+                seed=data_seed,
+            )
+        )
+    else:
+        spec = ingest.SplitSpec(
+            n=cell["n"], n_prime=scen.n_unlabeled, seed=data_seed, standardize=scen.standardize
+        )
+        train, unlabeled, test = ingest.split(table, spec)
     d_max = _auto_d_max(cfg, cell["n"], train.X.shape[1])
     cv_seed = _seed_int(cfg.master_seed, cell_idx, trial, 1)
     return evaluate_trial(trial, cell, train, unlabeled, test, d_max, cfg, cv_seed)
@@ -315,10 +387,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[TrialResult], list[Crite
     trials: list[TrialResult] = []
     summaries: list[CriterionSummary] = []
     for cell_idx, cell in enumerate(cfg.scenario.cells()):
-        if table is None:
-            runner = lambda t: _synthetic_trial(cfg, cell, cell_idx, t)
-        else:
-            runner = lambda t: _real_trial(cfg, table, cell, cell_idx, t)
+        runner = lambda t: _trial(cfg, table, cell, cell_idx, t)
         indices = range(cfg.repetitions)
         if cfg.threads > 1:
             with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
@@ -327,16 +396,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[TrialResult], list[Crite
             cell_trials = [runner(t) for t in indices]
         trials.extend(cell_trials)
         for name in cfg.criteria:
-            median, iqr = aggregate([t.regret[name] for t in cell_trials])
-            summaries.append(
-                CriterionSummary(
-                    cell=cell,
-                    criterion=name,
-                    median=median,
-                    iqr=iqr,
-                    n_trials=len(cell_trials),
-                )
-            )
+            summaries.append(_summarize(cell, name, [t.regret[name] for t in cell_trials]))
     return trials, summaries
 
 
@@ -350,35 +410,31 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _cell_keys(cell: dict) -> list[str]:
-    return list(cell.keys())
+def write_summary(handle, summaries: list[CriterionSummary]) -> None:
+    """Write summary rows, header first, as CSV to an open text stream."""
+    keys = list(summaries[0].cell)
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(keys + SUMMARY_FIELDS)
+    for s in summaries:
+        row = [_fmt(s.cell[k]) for k in keys]
+        writer.writerow(row + [s.criterion, _fmt(s.median), _fmt(s.iqr), str(s.n_trials)])
 
 
 def write_summary_csv(path, summaries: list[CriterionSummary]) -> None:
-    keys = _cell_keys(summaries[0].cell)
-    lines = [",".join(keys + ["criterion", "median", "iqr", "n_trials"])]
-    for s in summaries:
-        row = [_fmt(s.cell[k]) for k in keys]
-        row += [s.criterion, _fmt(s.median), _fmt(s.iqr), str(s.n_trials)]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w", newline="") as handle:
+        write_summary(handle, summaries)
 
 
 def write_trials_csv(path, trials: list[TrialResult], criteria: list[str]) -> None:
-    keys = _cell_keys(trials[0].cell)
-    lines = [",".join(keys + ["trial", "criterion", "d_hat", "regret", "flags"])]
-    for t in trials:
-        prefix = [_fmt(t.cell[k]) for k in keys]
-        for name in criteria:
-            row = prefix + [
-                str(t.trial),
-                name,
-                str(t.d_hat[name]),
-                _fmt(t.regret[name]),
-                t.flags.get(name, ""),
-            ]
-            lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    keys = list(trials[0].cell)
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(keys + TRIAL_FIELDS)
+        for t in trials:
+            prefix = [_fmt(t.cell[k]) for k in keys]
+            for name in criteria:
+                row = [str(t.trial), name, str(t.d_hat[name]), _fmt(t.regret[name]), t.flags.get(name, "")]
+                writer.writerow(prefix + row)
 
 
 def run_to_dir(cfg: ExperimentConfig, out_dir=None) -> Path:
@@ -473,8 +529,9 @@ def load_config(path) -> ExperimentConfig:
     d_max = raw.get("d_max", "auto")
     return ExperimentConfig(
         scenario=scenario,
-        criteria=[str(c) for c in raw["criteria"]],
-        repetitions=int(raw["repetitions"]),
+        # missing keys fall through to validate(), which names them
+        criteria=[str(c) for c in raw.get("criteria") or []],
+        repetitions=int(raw.get("repetitions", 0)),
         d_max=None if d_max in ("auto", None) else int(d_max),
         ridge=float(raw.get("ridge", DEFAULT_RIDGE)),
         master_seed=int(raw.get("master_seed", 0)),
@@ -485,34 +542,11 @@ def load_config(path) -> ExperimentConfig:
 
 def reaggregate_trials(path) -> list[CriterionSummary]:
     """Rebuild per-cell summaries from a trials.csv file."""
-    text = Path(path).read_text().splitlines()
-    header = text[0].split(",")
-    fixed = ["trial", "criterion", "d_hat", "regret", "flags"]
-    keys = header[: len(header) - len(fixed)]
-    groups: dict[tuple, list[float]] = {}
-    order: list[tuple] = []
-    for line in text[1:]:
-        parts = line.split(",")
-        cell = tuple(parts[: len(keys)])
-        criterion = parts[len(keys) + 1]
-        value = float(parts[len(keys) + 3])
-        group = cell + (criterion,)
-        if group not in groups:
-            groups[group] = []
-            order.append(group)
-        groups[group].append(value)
-    summaries = []
-    for group in order:
-        values = groups[group]
-        median, iqr = aggregate(values)
-        cell = dict(zip(keys, group[:-1]))
-        summaries.append(
-            CriterionSummary(
-                cell=cell,
-                criterion=group[-1],
-                median=median,
-                iqr=iqr,
-                n_trials=len(values),
-            )
-        )
-    return summaries
+    with open(path, newline="") as handle:
+        reader = csv.DictReader(handle)
+        keys = reader.fieldnames[: -len(TRIAL_FIELDS)]
+        groups: dict[tuple, list[float]] = {}
+        for row in reader:
+            group = tuple(row[k] for k in keys) + (row["criterion"],)
+            groups.setdefault(group, []).append(float(row["regret"]))
+    return [_summarize(dict(zip(keys, g[:-1])), g[-1], values) for g, values in groups.items()]

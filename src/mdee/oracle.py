@@ -91,7 +91,7 @@ def _aux_rng(seed: int, tag: int, index: int = 0) -> np.random.Generator:
 
 
 def _design(cfg: OracleConfig, X: np.ndarray) -> np.ndarray:
-    return build_design(cfg.basis, X, cfg.d).values
+    return build_design(cfg.basis, X, cfg.d)
 
 
 def _covariates(rng, count: int, cfg: OracleConfig) -> np.ndarray:
@@ -306,6 +306,28 @@ class MomentInputs:
     n_blocks: int
 
 
+def _vectorized_blocks(cfg: OracleConfig, tag: int, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized correlation matrices and inverses of n_blocks independent blocks.
+
+    Blocks are drawn in chunks; chunk k comes from the auxiliary stream
+    (cfg.seed, tag, k), so each caller's tag gives it its own draws.
+    """
+    dim = cfg.d * cfg.d
+    mu_b = np.empty((n_blocks, dim))
+    nu_b = np.empty((n_blocks, dim))
+    done = 0
+    chunk_idx = 0
+    while done < n_blocks:
+        count = min(_CHUNK // max(cfg.n, 1), n_blocks - done) or 1
+        rng = _aux_rng(cfg.seed, tag, chunk_idx)
+        corrs, invs = _block_stats(cfg, rng, count)
+        mu_b[done : done + count] = corrs.reshape(count, dim)
+        nu_b[done : done + count] = invs.reshape(count, dim)
+        done += count
+        chunk_idx += 1
+    return mu_b, nu_b
+
+
 def _moment_inputs_from(mu_b: np.ndarray, nu_b: np.ndarray) -> MomentInputs:
     count = mu_b.shape[0]
     mu = mu_b.mean(axis=0)
@@ -331,20 +353,7 @@ def mc_moment_inputs(cfg: OracleConfig, n_blocks: int) -> MomentInputs:
     this route independent of the centered-trace shortcuts used by the block
     split rule.
     """
-    dim = cfg.d * cfg.d
-    mu_b = np.empty((n_blocks, dim))
-    nu_b = np.empty((n_blocks, dim))
-    done = 0
-    chunk_idx = 0
-    while done < n_blocks:
-        count = min(_CHUNK // max(cfg.n, 1), n_blocks - done) or 1
-        rng = _aux_rng(cfg.seed, 2, chunk_idx)
-        corrs, invs = _block_stats(cfg, rng, count)
-        mu_b[done : done + count] = corrs.reshape(count, dim)
-        nu_b[done : done + count] = invs.reshape(count, dim)
-        done += count
-        chunk_idx += 1
-    return _moment_inputs_from(mu_b, nu_b)
+    return _moment_inputs_from(*_vectorized_blocks(cfg, 2, n_blocks))
 
 
 def closed_form_h1_variance(inputs: MomentInputs, B1: int, B2: int) -> float:
@@ -368,19 +377,7 @@ def mc_h1_variance_closed_form(
     B2 = B - B1
     if B2 < 1 or B1 < 1:
         raise ValueError("need 1 <= B1 <= B-1")
-    dim = cfg.d * cfg.d
-    mu_b = np.empty((n_blocks, dim))
-    nu_b = np.empty((n_blocks, dim))
-    done = 0
-    chunk_idx = 0
-    while done < n_blocks:
-        count = min(_CHUNK // max(cfg.n, 1), n_blocks - done) or 1
-        rng = _aux_rng(cfg.seed, 3, chunk_idx)
-        corrs, invs = _block_stats(cfg, rng, count)
-        mu_b[done : done + count] = corrs.reshape(count, dim)
-        nu_b[done : done + count] = invs.reshape(count, dim)
-        done += count
-        chunk_idx += 1
+    mu_b, nu_b = _vectorized_blocks(cfg, 3, n_blocks)
     full = closed_form_h1_variance(_moment_inputs_from(mu_b, nu_b), B1, B2)
     group_vals = []
     bounds = np.linspace(0, n_blocks, n_groups + 1, dtype=int)

@@ -50,7 +50,7 @@ class TestKfoldCv:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(30, 1))
         alpha_star = np.array([1.0, -0.5, 0.25])
-        y = build_design(BASIS, X, 3).values @ alpha_star
+        y = build_design(BASIS, X, 3) @ alpha_star
         data = LabeledSet(X=X, y=y)
         assert kfold_cv(data, BASIS, 3, k=5, seed=7) <= 1e-6
 
@@ -66,7 +66,7 @@ class TestKfoldCv:
         y = rng.normal(size=8)
         data = LabeledSet(X=X, y=y)
         d = 2
-        design = build_design(BASIS, X, d).values
+        design = build_design(BASIS, X, d)
         errors = []
         for i in range(8):
             mask = np.arange(8) != i
@@ -140,8 +140,8 @@ class TestAdj:
         path = fit_model_path(data, BASIS, 4)
         pool = UnlabeledSet(X=rng.normal(size=(200, 1)))
         for d in range(2, 5):
-            design_l = build_design(BASIS, data.X, d).values
-            design_u = build_design(BASIS, pool.X, d).values
+            design_l = build_design(BASIS, data.X, d)
+            design_u = build_design(BASIS, pool.X, d)
             ratios = []
             for j in range(1, d):
                 diff_l = design_l[:, :j] @ path.model(j).alpha - design_l @ path.model(d).alpha

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from mdee.core import (
     BasisSpec,
-    DesignMatrix,
     LabeledSet,
     SingularDesignError,
     UnlabeledSet,
@@ -52,30 +51,30 @@ class TestBasisEval:
 
 class TestBuildDesign:
     def test_single_point_at_zero(self):
-        row = build_design(BASIS, [[0.0]], 3).values[0]
+        row = build_design(BASIS, [[0.0]], 3)[0]
         np.testing.assert_allclose(row, [1.0, SQRT2, 0.0], atol=1e-15)
 
     def test_additive_sum_over_coordinates(self):
         basis2 = BasisSpec("fourier", 2)
-        row = build_design(basis2, [[0.0, 0.0]], 3).values[0]
+        row = build_design(basis2, [[0.0, 0.0]], 3)[0]
         np.testing.assert_allclose(row, [2.0, 2 * SQRT2, 0.0], atol=1e-15)
 
     def test_cos_pi(self):
-        row = build_design(BASIS, [[np.pi]], 2).values[0]
+        row = build_design(BASIS, [[np.pi]], 2)[0]
         np.testing.assert_allclose(row, [1.0, -SQRT2], atol=1e-14)
 
     def test_constant_column_equals_m(self):
         basis3 = BasisSpec("fourier", 3)
         X = np.random.default_rng(0).normal(size=(20, 3))
         design = build_design(basis3, X, 5)
-        np.testing.assert_allclose(design.values[:, 0], 3.0)
+        np.testing.assert_allclose(design[:, 0], 3.0)
 
     def test_row_permutation_equivariance(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(12, 1))
         perm = rng.permutation(12)
-        direct = build_design(BASIS, X[perm], 4).values
-        permuted = build_design(BASIS, X, 4).values[perm]
+        direct = build_design(BASIS, X[perm], 4)
+        permuted = build_design(BASIS, X, 4)[perm]
         np.testing.assert_array_equal(direct, permuted)
 
 
@@ -90,7 +89,7 @@ class TestRidgeLse:
         X = rng.normal(size=(30, 1))
         design = build_design(BASIS, X, 4)
         alpha_star = np.array([0.5, -1.0, 0.25, 2.0])
-        y = design.values @ alpha_star
+        y = design @ alpha_star
         fit = ridge_lse(design, y, 1e-9)
         np.testing.assert_allclose(fit.alpha, alpha_star, atol=1e-6)
 
@@ -178,7 +177,7 @@ class TestFitModelPath:
         rng = np.random.default_rng(9)
         X = rng.normal(size=(40, 1))
         alpha_star = np.array([1.0, -0.5, 0.7])
-        y = build_design(BASIS, X, 3).values @ alpha_star
+        y = build_design(BASIS, X, 3) @ alpha_star
         path = fit_model_path(LabeledSet(X=X, y=y), BASIS, 5, 1e-9)
         for d in (3, 4, 5):
             assert path.train_loss(d) < 1e-10
@@ -233,5 +232,5 @@ class TestPredict:
         rng = np.random.default_rng(11)
         X = rng.normal(size=(7, 1))
         alpha = rng.normal(size=4)
-        expected = build_design(BASIS, X, 4).values @ alpha
+        expected = build_design(BASIS, X, 4) @ alpha
         np.testing.assert_allclose(predict(BASIS, X, alpha), expected)

@@ -11,6 +11,7 @@ from mdee.harness import (
     ExperimentConfig,
     RealScenario,
     SyntheticScenario,
+    TrialResult,
     aggregate,
     evaluate_trial,
     load_config,
@@ -19,6 +20,7 @@ from mdee.harness import (
     run_experiment,
     run_to_dir,
     write_summary_csv,
+    write_trials_csv,
 )
 from mdee.harness import test_error as model_test_error
 from mdee.ingest import DatasetManifest
@@ -31,7 +33,7 @@ class TestTestError:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(9, 1))
         alpha = np.array([0.2, -0.4])
-        y = build_design(BASIS, X, 2).values @ alpha
+        y = build_design(BASIS, X, 2) @ alpha
         model = FittedModel(d=2, alpha=alpha, train_loss=0.0, ridge_lambda=0)
         assert model_test_error(model, LabeledSet(X=X, y=y), BASIS) == 0.0
 
@@ -48,7 +50,7 @@ class TestTestError:
         y = rng.normal(size=11)
         alpha = rng.normal(size=3)
         model = FittedModel(d=3, alpha=alpha, train_loss=0.0, ridge_lambda=0)
-        design = build_design(BASIS, X, 3).values
+        design = build_design(BASIS, X, 3)
         total = sum((y[i] - design[i] @ alpha) ** 2 for i in range(11))
         got = model_test_error(model, LabeledSet(X=X, y=y), BASIS)
         assert got == pytest.approx(total / 11, abs=1e-12)
@@ -123,9 +125,9 @@ class TestRunExperiment:
         rng = np.random.default_rng(7)
         alpha_star = np.array([0.5, -1.0, 0.8])
         X = rng.normal(size=(20, 1))
-        y = build_design(BASIS, X, 3).values @ alpha_star
+        y = build_design(BASIS, X, 3) @ alpha_star
         X_test = rng.normal(size=(200, 1))
-        y_test = build_design(BASIS, X_test, 3).values @ alpha_star
+        y_test = build_design(BASIS, X_test, 3) @ alpha_star
         result = evaluate_trial(
             trial=0,
             cell={"n": 20},
@@ -236,6 +238,20 @@ class TestOutputs:
             # medians agree to output precision
             assert float(a_parts[4]) == pytest.approx(float(b_parts[4]), rel=1e-5)
 
+    def test_quoted_dataset_name_round_trip(self, tmp_path):
+        cell = {"dataset": "abalone, rings", "n": 20}
+        trials = [
+            TrialResult(trial=t, cell=cell, d_hat={"DEE": 2}, regret={"DEE": r}, test_errors=[])
+            for t, r in enumerate([0.1, 0.3, 0.2])
+        ]
+        write_trials_csv(tmp_path / "trials.csv", trials, ["DEE"])
+        assert (tmp_path / "trials.csv").read_text().splitlines()[1] == '"abalone, rings",20,0,DEE,2,0.1,'
+        (summary,) = reaggregate_trials(tmp_path / "trials.csv")
+        assert summary.cell == {"dataset": "abalone, rings", "n": "20"}
+        assert (summary.criterion, summary.median, summary.n_trials) == ("DEE", 0.2, 3)
+        write_summary_csv(tmp_path / "summary.csv", [summary])
+        assert (tmp_path / "summary.csv").read_text().splitlines()[1] == '"abalone, rings",20,DEE,0.2,0.1,3'
+
 
 class TestRealScenario:
     @pytest.fixture
@@ -314,6 +330,14 @@ real:
         cfg = load_config(path)
         assert cfg.scenario.manifest.name == "toy"
         assert cfg.scenario.n_values == [20]
+
+    def test_missing_criteria_named(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(
+            "scenario: synthetic\nrepetitions: 1\nsynthetic:\n  target: step\n  n: 10\n  noise_var: 0.1\n"
+        )
+        with pytest.raises(ValueError, match="criteria"):
+            load_config(path)
 
     def test_bad_scenario(self, tmp_path):
         path = tmp_path / "cfg.yaml"

@@ -104,12 +104,12 @@ class TestMcTraceTarget:
         # fully separate route and stream
         rng = np.random.default_rng(987654)
         C = None
-        v = build_design(BASIS, rng.normal(size=(400_000, 1)), 3).values
+        v = build_design(BASIS, rng.normal(size=(400_000, 1)), 3)
         C = v.T @ v / v.shape[0]
         trs = []
         for _ in range(2000):
             x = rng.normal(size=(20, 1))
-            phi = build_design(BASIS, x, 3).values
+            phi = build_design(BASIS, x, 3)
             trs.append(np.trace(C @ np.linalg.inv(phi.T @ phi / 20)))
         ref = float(np.mean(trs))
         se_ref = float(np.std(trs, ddof=1) / np.sqrt(len(trs)))
