@@ -6,6 +6,8 @@ they are compared against, Monte-Carlo oracles that verify the underlying
 identities, and a reproducible experiment harness.
 """
 
+__version__ = "0.1.0"  # set before the submodules import it
+
 from .baselines import adj, caic, fpe, kfold_cv
 from .core import (
     BasisSpec,
@@ -53,4 +55,3 @@ from .harness import (
 from .ingest import DatasetManifest, SplitSpec, dbar_for, load_csv, split
 from .oracle import OracleConfig, mc_H_moments, mc_risk_ratio, mc_trace_target
 
-__version__ = "0.1.0"

@@ -52,21 +52,31 @@ def kfold_cv(
     keeps the partition shared across the model path. A fold that fails to
     fit yields the +inf sentinel.
     """
-    n = data.n
+    return kfold_cv_design(build_design(basis, data.X, d), data.y, k, ridge_lambda, seed)
+
+
+def kfold_cv_design(
+    design: np.ndarray,
+    y: np.ndarray,
+    k: int = 5,
+    ridge_lambda: float = DEFAULT_RIDGE,
+    seed: int = 0,
+) -> float:
+    """`kfold_cv` from the labeled design matrix and responses."""
+    n = design.shape[0]
     if n < k:
         raise ValueError(f"need n >= k folds, got n={n}, k={k}")
     rng = np.random.default_rng(seed)
     folds = np.array_split(rng.permutation(n), k)
-    design = build_design(basis, data.X, d)
     fold_errors = []
     for held in folds:
         mask = np.ones(n, dtype=bool)
         mask[held] = False
         try:
-            fit = ridge_lse(design[mask], data.y[mask], ridge_lambda)
+            fit = ridge_lse(design[mask], y[mask], ridge_lambda)
         except SingularDesignError:
             return math.inf
-        resid = data.y[held] - design[held] @ fit.alpha
+        resid = y[held] - design[held] @ fit.alpha
         fold_errors.append(float(resid @ resid / held.size))
     return float(np.mean(fold_errors))
 
@@ -79,12 +89,16 @@ def adj(path: ModelPath, labeled_X, unlabeled: UnlabeledSet, d: int) -> float:
     labeled distance falls below RHO_FLOOR are skipped; with no usable ratio
     (in particular at d = 1) the factor is 1.
     """
-    loss = path.train_loss(d)
     if d == 1:
-        return loss
+        return path.train_loss(d)
     labeled_X = np.atleast_2d(np.asarray(labeled_X, dtype=float))
     design_l = build_design(path.basis, labeled_X, d)
-    design_u = build_design(path.basis, unlabeled.X, d)
+    return adj_design(path, design_l, build_design(path.basis, unlabeled.X, d), d)
+
+
+def adj_design(path: ModelPath, design_l: np.ndarray, design_u: np.ndarray, d: int) -> float:
+    """`adj` from the size-d labeled and unlabeled design matrices."""
+    loss = path.train_loss(d)
     pred_l_d = design_l @ path.model(d).alpha
     pred_u_d = design_u @ path.model(d).alpha
     ratios = []

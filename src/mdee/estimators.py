@@ -84,11 +84,74 @@ def correction_factor(tr_h: float, n: int, d: int) -> float:
 
 
 def _jitter_cond(mats: np.ndarray) -> np.ndarray:
-    """2-norm condition numbers of a (B, d, d) stack of symmetric matrices."""
-    s = np.linalg.svd(mats, compute_uv=False)
+    """2-norm condition numbers of a (B, d, d) stack of symmetric matrices.
+
+    An SVD that does not converge raises SingularDesignError, so the caller's
+    risk becomes the inf@d sentinel like any other numerical failure.
+    """
+    try:
+        s = np.linalg.svd(mats, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise SingularDesignError(f"condition check failed: {exc}") from exc
     smin = s[..., -1]
     with np.errstate(divide="ignore"):
         return np.where(smin > 0, s[..., 0] / smin, np.inf)
+
+
+@dataclass(frozen=True)
+class BlockInverses:
+    """Jittered inverses of a (B, d, d) block stack.
+
+    `flagged` lists the blocks whose jittered matrix has condition number above
+    COND_LIMIT (kept, but flagged for diagnostics). `singular` lists the blocks
+    whose inverse raised even with the jitter; their entries in `invs` are NaN, and
+    `side` refuses to hand them out, so only a criterion that reads one fails.
+    """
+
+    invs: np.ndarray
+    flagged: tuple[int, ...]
+    singular: tuple[int, ...] = ()
+
+    def side(self, start: int = 0) -> tuple[np.ndarray, tuple[int, ...]]:
+        """Inverses and flagged indices of blocks start..B-1."""
+        for b in self.singular:
+            if b >= start:
+                raise SingularDesignError(
+                    f"block {b}: correlation matrix singular even with ridge jitter"
+                )
+        return self.invs[start:], tuple(b for b in self.flagged if b >= start)
+
+
+def block_inverses(
+    corrs: np.ndarray, ridge: float = DEFAULT_RIDGE, check=None
+) -> BlockInverses:
+    """Invert each matrix in a (B, d, d) stack after adding ridge*I.
+
+    Condition-checks the blocks whose indices are in `check` (every block when
+    None); the others are taken to be below COND_LIMIT.
+    """
+    corrs = np.asarray(corrs, dtype=float)
+    if corrs.ndim == 2:
+        corrs = corrs[None]
+    d = corrs.shape[-1]
+    jittered = corrs + ridge * np.eye(d)
+    checked = np.arange(jittered.shape[0]) if check is None else np.asarray(check, dtype=int)
+    flagged: tuple[int, ...] = ()
+    if checked.size:
+        cond = _jitter_cond(jittered if check is None else jittered[checked])
+        flagged = tuple(int(b) for b in checked[~(cond <= COND_LIMIT)])
+    singular = []
+    try:
+        invs = np.linalg.inv(jittered)
+    except np.linalg.LinAlgError:
+        # Retry one by one so the failing blocks can be named.
+        invs = np.full_like(jittered, np.nan)
+        for b in range(jittered.shape[0]):
+            try:
+                invs[b] = np.linalg.inv(jittered[b])
+            except np.linalg.LinAlgError:
+                singular.append(b)
+    return BlockInverses(invs, flagged, tuple(singular))
 
 
 def invert_blocks(
@@ -98,27 +161,34 @@ def invert_blocks(
 
     Returns the inverses and the indices of blocks whose jittered matrix has
     condition number above COND_LIMIT (kept, but flagged for diagnostics).
+    Raises SingularDesignError when a block cannot be inverted.
     """
-    corrs = np.asarray(corrs, dtype=float)
-    if corrs.ndim == 2:
-        corrs = corrs[None]
-    d = corrs.shape[-1]
-    jittered = corrs + ridge * np.eye(d)
-    cond = _jitter_cond(jittered)
-    flagged = tuple(int(i) for i in np.nonzero(~(cond <= COND_LIMIT))[0])
-    try:
-        invs = np.linalg.inv(jittered)
-    except np.linalg.LinAlgError:
-        # Retry one by one so the failing block can be named.
-        invs = np.empty_like(jittered)
-        for b in range(jittered.shape[0]):
-            try:
-                invs[b] = np.linalg.inv(jittered[b])
-            except np.linalg.LinAlgError as exc:
-                raise SingularDesignError(
-                    f"block {b}: correlation matrix singular even with ridge jitter"
-                ) from exc
-    return invs, flagged
+    return block_inverses(corrs, ridge).side()
+
+
+def block_inverse_path(block_corrs: np.ndarray, ridge: float = DEFAULT_RIDGE):
+    """Block inverses at every model size, from one (B, d_max, d_max) stack.
+
+    Returns a function of d that gives `block_inverses` of the leading d x d
+    corners, built on first use and kept. The stack is condition-checked once,
+    at d_max; at smaller d only the blocks near or above COND_LIMIT there are
+    checked again. By Cauchy interlacing the eigenvalues of a leading corner of
+    a symmetric matrix lie within the range of the whole matrix's, so a corner's
+    condition number is at most the whole matrix's. The factor-2 margin covers
+    the SVD's rounding of the smallest singular value near the limit.
+    """
+    corrs = np.asarray(block_corrs, dtype=float)
+    d_max = corrs.shape[-1]
+    cond = _jitter_cond(corrs + ridge * np.eye(d_max))
+    near = np.nonzero(~(cond <= COND_LIMIT / 2))[0]
+    built: dict[int, BlockInverses] = {}
+
+    def at(d: int) -> BlockInverses:
+        if d not in built:
+            built[d] = block_inverses(corrs[:, :d, :d], ridge, near)
+        return built[d]
+
+    return at
 
 
 def block_corr_stack(blocks: BlockPartition, basis: BasisSpec, d: int) -> np.ndarray:
@@ -208,27 +278,33 @@ def mdee_trace(
     mDEE3 feeds both sides from every block.
     """
     corrs = np.asarray(block_corrs, dtype=float)
+    return mdee_trace_from(corrs, block_inverses(corrs, ridge), variant, b1)
+
+
+def mdee_trace_from(
+    corrs: np.ndarray,
+    inverses: BlockInverses,
+    variant: CriterionKind,
+    b1: int | None,
+) -> tuple[float, tuple[int, ...]]:
+    """`mdee_trace` from the block inverses; only the V-side blocks are read."""
     B = corrs.shape[0]
     if variant is CriterionKind.MDEE1:
         if b1 is None or not 1 <= b1 <= B - 1:
             raise ValueError(f"mDEE1 needs 1 <= b1 <= B-1, got b1={b1}, B={B}")
-        c_side, v_side = corrs[:b1], corrs[b1:]
-        v_offset = b1
+        c_stop, v_start = b1, b1
     elif variant is CriterionKind.MDEE2:
         if b1 is None or not 1 <= b1 <= B:
             raise ValueError(f"mDEE2 needs 1 <= b1 <= B, got b1={b1}, B={B}")
-        c_side, v_side = corrs[:b1], corrs
-        v_offset = 0
+        c_stop, v_start = b1, 0
     elif variant is CriterionKind.MDEE3:
-        c_side, v_side = corrs, corrs
-        v_offset = 0
+        c_stop, v_start = B, 0
     else:
         raise ValueError(f"not an mDEE variant: {variant}")
-    c_plus = c_side.mean(axis=0)
-    invs, flagged = invert_blocks(v_side, ridge)
+    c_plus = corrs[:c_stop].mean(axis=0)
+    invs, flagged = inverses.side(v_start)
     v_hat = invs.mean(axis=0)
-    tr = float(np.trace(c_plus @ v_hat))
-    return tr, tuple(v_offset + i for i in flagged)
+    return float(np.trace(c_plus @ v_hat)), flagged
 
 
 def mdee(
@@ -268,18 +344,24 @@ def rmdee_trace(
     statistics.
     """
     corrs = np.asarray(block_corrs, dtype=float)
+    return rmdee_trace_from(corrs, block_inverses(corrs, ridge), labeled_corr, ridge)
+
+
+def rmdee_trace_from(
+    corrs: np.ndarray,
+    inverses: BlockInverses,
+    labeled_corr: np.ndarray | None,
+    ridge: float = DEFAULT_RIDGE,
+) -> tuple[float, tuple[int, ...]]:
+    """`rmdee_trace` from the unlabeled block inverses; the labeled block is inverted here."""
     c_plus = corrs.mean(axis=0)
-    invs, flagged = invert_blocks(corrs, ridge)
+    invs, flagged = inverses.side()
     traces = np.einsum("ij,bji->b", c_plus, invs)
-    offset = 0
     if labeled_corr is not None:
         inv0, flagged0 = invert_blocks(np.asarray(labeled_corr, float)[None], ridge)
         tr0 = float(np.trace(c_plus @ inv0[0]))
         traces = np.concatenate(([tr0], traces))
-        offset = 1
-        flagged = tuple(flagged0) + tuple(i + offset for i in flagged)
-    else:
-        flagged = tuple(flagged)
+        flagged = tuple(flagged0) + tuple(i + 1 for i in flagged)
     return float(np.median(traces)), flagged
 
 
@@ -313,10 +395,16 @@ def rmdee(
 
 
 def continuous_split(a1: float, a2: float, n_blocks: int) -> float:
-    """Continuous minimizer of a1/B1 + a2/(B - B1) on (0, B)."""
+    """Continuous minimizer of a1/B1 + a2/(B - B1) on (0, B).
+
+    That is B sqrt(a1) / (sqrt(a1) + sqrt(a2)); the form
+    (a1 - sqrt(a1 a2)) / (a1 - a2) B is equal but cancels catastrophically
+    when a1 and a2 are nearly equal.
+    """
     if a1 == a2:
         return n_blocks / 2.0
-    return (a1 - np.sqrt(a1 * a2)) / (a1 - a2) * n_blocks
+    r1 = np.sqrt(a1)
+    return float(n_blocks * r1 / (r1 + np.sqrt(a2)))
 
 
 def _split_objective(a1: float, a2: float, n_blocks: int, b1: int) -> float:
@@ -363,11 +451,16 @@ def select_b1(
         Tr(Var(mu) nu nu^T) = sum_b (u_b^T nu_bar)^2 / (B-1)
         Tr(Var(nu) mu mu^T) = sum_b (v_b^T mu_bar)^2 / (B-1)
     """
-    B = blocks.n_blocks
-    if B < 2:
+    if blocks.n_blocks < 2:
         raise ValueError("cannot split fewer than two blocks")
     corrs = block_corr_stack(blocks, basis, d)
     invs, _ = invert_blocks(corrs, ridge)
+    return moment_split(corrs, invs)
+
+
+def moment_split(corrs: np.ndarray, invs: np.ndarray) -> tuple[int, MomentSummary]:
+    """`select_b1` from the (B, d, d) block correlation stack and its jittered inverses."""
+    B, d, _ = corrs.shape
     mu = corrs.reshape(B, d * d)
     nu = invs.reshape(B, d * d)
     mu_bar = mu.mean(axis=0)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import platform
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import baselines, datagen, estimators, ingest
+from . import __version__, baselines, datagen, estimators, ingest
 from .core import (
     DEFAULT_RIDGE,
     BasisSpec,
@@ -184,7 +185,9 @@ class TrialState:
     one, a size-d block correlation matrix the leading d x d corner of the d_max
     stack. Labeled and pool correlation matrices are formed per d from the sliced
     design, since a corner of the d_max product can differ in the last bit, which
-    the DEE solve amplifies near d = n. `block_flags` says why `blocks` (pool
+    the DEE solve amplifies near d = n. `block_inverses(d)` gives the jittered
+    inverses of the size-d blocks, computed once per d and read by every block
+    criterion and by the b1 split. `block_flags` says why `blocks` (pool
     smaller than one block) or `b1` (no split selected) is None.
     """
 
@@ -208,6 +211,11 @@ class TrialState:
     @cached_property
     def block_corrs(self) -> np.ndarray:
         return estimators.block_corr_stack(self.blocks, self.path.basis, self.path.d_max)
+
+    @cached_property
+    def block_inverses(self):
+        """Function of d giving the `estimators.BlockInverses` of `block_corrs` at size d."""
+        return estimators.block_inverse_path(self.block_corrs, self.ridge)
 
     def corrected(self, tr: float, d: int) -> float:
         """Training loss at d times the multiplicative correction for trace tr."""
@@ -233,24 +241,27 @@ def _block_risk(variant: CriterionKind, state: TrialState, d: int):
     if d >= state.train.n:
         return None
     corrs = state.block_corrs[:, :d, :d]
+    inverses = state.block_inverses(d)
     if variant is CriterionKind.RMDEE:
         c_hat = correlation_matrix(state.train_design[:, :d])
-        tr, flagged = estimators.rmdee_trace(corrs, c_hat, state.ridge)
+        tr, flagged = estimators.rmdee_trace_from(corrs, inverses, c_hat, state.ridge)
     else:
-        tr, flagged = estimators.mdee_trace(corrs, variant, state.b1, state.ridge)
+        tr, flagged = estimators.mdee_trace_from(corrs, inverses, variant, state.b1)
     return state.corrected(tr, d), len(flagged)
 
 
 def _cv5_risk(state: TrialState, d: int):
     if state.train.n < 5:
         return None
-    return baselines.kfold_cv(state.train, state.path.basis, d, 5, state.ridge, state.cv_seed), 0
+    return baselines.kfold_cv_design(state.train_design[:, :d], state.train.y, 5, state.ridge, state.cv_seed), 0
 
 
 def _adj_risk(state: TrialState, d: int):
-    if d > 1 and state.unlabeled.n < 1:
+    if d == 1:
+        return state.path.train_loss(1), 0  # no smaller model to compare with
+    if state.unlabeled.n < 1:
         return None
-    return baselines.adj(state.path, state.train.X, state.unlabeled, d), 0
+    return baselines.adj_design(state.path, state.train_design[:, :d], state.pool_design[:, :d], d), 0
 
 
 CRITERIA = {
@@ -278,7 +289,8 @@ def trial_state(
             state.blocks = block_partition(unlabeled, train.n)
             if SPLIT_CRITERIA & set(cfg.criteria):
                 if state.blocks.n_blocks >= 2:
-                    state.b1, _ = estimators.select_b1(state.blocks, path.basis, path.d_max, cfg.ridge)
+                    invs, _ = state.block_inverses(path.d_max).side()
+                    state.b1, _ = estimators.moment_split(state.block_corrs, invs)
                 else:
                     state.block_flags.append("b1_unavailable")
     return state
@@ -451,11 +463,44 @@ def run_to_dir(cfg: ExperimentConfig, out_dir=None) -> Path:
         "ridge": cfg.ridge,
         "d_max": cfg.d_max,
         "scenario": _scenario_dict(cfg.scenario),
+        "versions": _versions(),
+        "flag_counts": flag_counts(trials, cfg.criteria),
     }
     if isinstance(cfg.scenario, SyntheticScenario):
         meta["caveat"] = SYNTHETIC_CAVEAT
     (out / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return out
+
+
+# Flag tokens counted per criterion in meta.json; "inf@d" and "cond@d" count
+# one per model size they mark.
+COUNTED_FLAGS = ("inf@d", "cond@d", "all_infinite", "degenerate_regret")
+
+
+def flag_counts(trials: list[TrialResult], criteria: list[str]) -> dict[str, dict[str, int]]:
+    """Per criterion, how many of its trial flag tokens start with each COUNTED_FLAGS entry."""
+    counts = {name: dict.fromkeys(COUNTED_FLAGS, 0) for name in criteria}
+    for t in trials:
+        for name in criteria:
+            for token in t.flags.get(name, "").split(";"):
+                for kind in COUNTED_FLAGS:
+                    if token.startswith(kind):
+                        counts[name][kind] += 1
+    return counts
+
+
+def _versions() -> dict[str, str]:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_version = f"{blas.get('name')} {blas.get('version')}"
+    except TypeError:  # numpy < 1.26: show_config has no dict mode
+        blas_version = "unknown"
+    return {
+        "mdee": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas_version,
+    }
 
 
 def _scenario_dict(scenario) -> dict:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdee.core import (
@@ -164,6 +164,7 @@ class TestSplitRule:
         st.floats(min_value=1e-3, max_value=1e3),
         st.integers(min_value=2, max_value=120),
     )
+    @example(a1=0.001, a2=0.0010000000000000002, n_blocks=4)  # nearly equal coefficients
     def test_matches_exhaustive_grid(self, a1, a2, n_blocks):
         grid = np.arange(1, n_blocks)
         objective = a1 / grid + a2 / (n_blocks - grid)

@@ -1,13 +1,17 @@
+import csv
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mdee import __version__, baselines, harness
 from mdee.core import BasisSpec, FittedModel, LabeledSet, UnlabeledSet, build_design
 from mdee.harness import (
+    CRITERIA,
     ExperimentConfig,
     RealScenario,
     SyntheticScenario,
@@ -223,6 +227,39 @@ class TestOutputs:
         meta = json.loads((out / "meta.json").read_text())
         assert "caveat" in meta
         assert meta["scenario"]["kind"] == "synthetic"
+
+    def test_meta_flag_counts_match_trials_csv(self, tmp_path, monkeypatch):
+        # An empty pool gives DEE inf@d at every d (all_infinite), a stand-in FPE
+        # flags blocks at odd d, and a zero test error on every other trial
+        # makes its regrets degenerate.
+        errors = harness.path_test_errors
+        calls = []
+
+        def zero_every_other(path, test):
+            calls.append(None)
+            return [0.0] * path.d_max if len(calls) % 2 else errors(path, test)
+
+        fpe = lambda state, d: (baselines.fpe(state.path.train_loss(d), state.train.n, d), d % 2)
+        monkeypatch.setitem(CRITERIA, "FPE", fpe)
+        monkeypatch.setattr(harness, "path_test_errors", zero_every_other)
+        scenario = SyntheticScenario(target="sinc", n_values=[10], noise_vars=[0.1], n_unlabeled=0, n_test=50)
+        cfg = small_config(scenario=scenario, criteria=["DEE", "FPE", "cAIC"], repetitions=4)
+        out = run_to_dir(cfg, tmp_path / "run")
+        meta = json.loads((out / "meta.json").read_text())
+
+        recount = {name: dict.fromkeys(harness.COUNTED_FLAGS, 0) for name in cfg.criteria}
+        with open(out / "trials.csv", newline="") as handle:
+            for row in csv.DictReader(handle):
+                for token in filter(None, row["flags"].split(";")):
+                    kind = token.split("=")[0].rstrip("0123456789")
+                    if kind in recount[row["criterion"]]:
+                        recount[row["criterion"]][kind] += 1
+        assert meta["flag_counts"] == recount
+        assert all(any(counts[kind] for counts in recount.values()) for kind in harness.COUNTED_FLAGS)
+        assert meta["versions"]["mdee"] == __version__
+        assert meta["versions"]["python"] == sys.version.split()[0]
+        assert meta["versions"]["numpy"] == np.__version__
+        assert meta["versions"]["blas"]
 
     def test_reaggregation_round_trip(self, tmp_path):
         cfg = small_config(repetitions=6)

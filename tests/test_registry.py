@@ -1,18 +1,24 @@
 """The criterion registry against the per-d reference routines.
 
-The registry scores each size d from correlation matrices built once at
-d_max and sliced; `dee`, `mdee`, `rmdee` and `test_error` rebuild every
-design at size d. Both routes must agree on the risk, on the flagged-block
-count and on where the risk is undefined.
+The registry scores each size d from designs and correlation matrices built
+once at d_max and sliced, and from block inverses shared by every block
+criterion; `dee`, `mdee`, `rmdee`, `kfold_cv`, `adj` and `test_error` rebuild
+every design at size d, and `invert_blocks` checks every block's condition
+at every d. Both routes must agree on the risk, on the flagged-block count
+and on where the risk is undefined.
 """
 
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdee import harness
+from mdee.baselines import adj, kfold_cv
 from mdee.core import (
     BasisSpec,
     FittedModel,
@@ -20,8 +26,16 @@ from mdee.core import (
     ModelPath,
     SingularDesignError,
     UnlabeledSet,
+    correlation_matrix,
 )
-from mdee.estimators import CriterionKind, dee, mdee, rmdee
+from mdee.estimators import (
+    CriterionKind,
+    block_corr_stack,
+    dee,
+    invert_blocks,
+    mdee,
+    rmdee,
+)
 from mdee.harness import (
     CRITERIA,
     ExperimentConfig,
@@ -39,11 +53,12 @@ BLOCK_VARIANTS = {
 }
 
 
-def config(ridge=1e-9, criteria=None):
+def config(ridge=1e-9, criteria=None, d_max=None):
     return ExperimentConfig(
         scenario=SyntheticScenario(target="step", n_values=[10], noise_vars=[0.1]),
         criteria=criteria or sorted(CRITERIA),
         repetitions=1,
+        d_max=d_max,
         ridge=ridge,
     )
 
@@ -71,15 +86,19 @@ def trials(draw):
         pool[:n] = 0.7
         ridge = 1e-13
     basis = BasisSpec("fourier", m)
-    # d_max = n covers d = n - 1 and d = n; a hand-built path keeps every
-    # size fittable, since only the training losses and basis enter the risks
-    models = [
-        FittedModel(d=d, alpha=rng.normal(size=d), train_loss=float(rng.uniform(0.1, 2.0)), ridge_lambda=ridge)
-        for d in range(1, n + 1)
-    ]
-    path = ModelPath(models=models, d_max=n, basis=basis)
+    # d_max = n covers d = n - 1 and d = n
+    path = random_path(rng, basis, n, ridge)
     test = LabeledSet(X=rng.normal(size=(15, m)), y=rng.normal(size=15))
     return kind, train, UnlabeledSet(X=pool), path, test, ridge
+
+
+def random_path(rng, basis, d_max, ridge):
+    """A hand-built path keeps every size fittable; only its losses, coefficients and basis enter the risks."""
+    models = [
+        FittedModel(d=d, alpha=rng.normal(size=d), train_loss=float(rng.uniform(0.1, 2.0)), ridge_lambda=ridge)
+        for d in range(1, d_max + 1)
+    ]
+    return ModelPath(models=models, d_max=d_max, basis=basis)
 
 
 def registry_score(name, state, d):
@@ -95,6 +114,13 @@ def reference_score(estimate):
     except ValueError:  # SingularDesignError included
         return None
     return est.risk, len(est.flagged_blocks)
+
+
+def reference_value(compute):
+    try:
+        return compute(), 0
+    except ValueError:
+        return None
 
 
 def assert_same(got, want):
@@ -118,6 +144,14 @@ def test_registry_matches_per_d_reference(case):
         assert_same(
             registry_score("DEE", state, d),
             reference_score(lambda: dee(path, train.X, pool, d, ridge)),
+        )
+        assert_same(
+            registry_score("CV5", state, d),
+            reference_value(lambda: kfold_cv(train, path.basis, d, 5, ridge, seed=0)),
+        )
+        assert_same(
+            registry_score("ADJ", state, d),
+            reference_value(lambda: adj(path, train.X, pool, d)),
         )
         for name, variant in BLOCK_VARIANTS.items():
             got = registry_score(name, state, d)
@@ -177,3 +211,120 @@ def test_singular_design_error_becomes_sentinel(monkeypatch):
     )
     assert result.flags["FPE"] == "inf@d2"
     assert result.d_hat["FPE"] == 3
+
+
+@st.composite
+def flag_trials(draw):
+    """Pools whose blocks are flagged at some sizes, for a path fittable at every size."""
+    n = draw(st.integers(6, 12))
+    m = draw(st.integers(1, 2))
+    kind = draw(st.sampled_from(["discrete", "constant_block", "late_flag", "small_pool"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d_max = n - 1
+    ridge = draw(st.sampled_from([1e-9, 1e-13]))
+    pool_rows = draw(st.integers(n - 2, n - 1)) if kind == "small_pool" else draw(st.integers(2 * n, 6 * n))
+    labeled_kind = "discrete" if kind == "discrete" and ridge == 1e-9 else "gauss"
+    train = LabeledSet(X=covariates(rng, n, m, labeled_kind), y=rng.normal(size=n))
+    pool = covariates(rng, pool_rows, m, "discrete" if kind == "discrete" else "gauss")
+    if kind == "constant_block":
+        # rank one: flagged for every d >= 2 at ridge 1e-13
+        pool[:n] = 0.7
+    elif kind == "late_flag":
+        # d_max - 2 distinct rows: rank-deficient only near d_max
+        pool[:n] = rng.normal(size=(d_max - 2, m))[np.arange(n) % (d_max - 2)]
+    path = random_path(rng, BasisSpec("fourier", m), d_max, ridge)
+    test = LabeledSet(X=rng.normal(size=(15, m)), y=rng.normal(size=15))
+    return kind, train, UnlabeledSet(X=pool), path, test, ridge
+
+
+def cond_counts(flags):
+    return {int(d): int(k) for d, k in re.findall(r"cond@d(\d+)=(\d+)", flags)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(flag_trials())
+def test_shared_block_flags_match_per_d_invert_blocks(case):
+    kind, train, pool, path, test, ridge = case
+    cfg = config(ridge, criteria=["mDEE1", "mDEE2", "mDEE3", "rmDEE"], d_max=path.d_max)
+    state = trial_state(train, pool, path, cfg, cv_seed=0)
+    with mock.patch.object(harness, "fit_model_path", lambda *args: path):
+        result = evaluate_trial(0, {"n": train.n}, train, pool, test, path.d_max, cfg, cv_seed=0)
+    if kind == "small_pool":
+        assert state.blocks is None
+        assert all(not cond_counts(flags) for flags in result.flags.values())
+        return
+
+    b1 = state.b1
+    want = {name: {} for name in result.flags}
+    flagged_at = {}
+    for d in range(1, path.d_max + 1):
+        flagged = invert_blocks(block_corr_stack(state.blocks, path.basis, d), ridge)[1]
+        flagged_at[d] = flagged
+        assert state.block_inverses(d).flagged == flagged
+        labeled = invert_blocks(correlation_matrix(state.train_design[:, :d]), ridge)[1]
+        counts = {
+            "mDEE1": sum(b >= b1 for b in flagged),
+            "mDEE2": len(flagged),
+            "mDEE3": len(flagged),
+            "rmDEE": len(labeled) + len(flagged),
+        }
+        for name, count in counts.items():
+            if count:
+                want[name][d] = count
+    for name, flags in result.flags.items():
+        assert cond_counts(flags) == want[name], name
+    if kind in ("constant_block", "late_flag") and ridge == 1e-13:
+        assert 0 in flagged_at[path.d_max]
+    if kind == "late_flag" and ridge == 1e-13:
+        assert 0 not in flagged_at[path.d_max - 3]
+
+
+def test_singular_block_fails_only_the_criteria_that_read_it():
+    # Rows at x = 0 make every sine feature 0, so at ridge 0 block 0 has a zero
+    # row and column from d = 3 on and its inverse raises.
+    rng = np.random.default_rng(3)
+    n, ridge = 8, 0.0
+    train = LabeledSet(X=rng.normal(size=(n, 1)), y=rng.normal(size=n))
+    pool = rng.normal(size=(4 * n, 1))
+    pool[:n] = 0.0
+    pool = UnlabeledSet(X=pool)
+    path = random_path(rng, BasisSpec("fourier", 1), n - 1, ridge)
+    state = trial_state(train, pool, path, config(ridge, criteria=["mDEE3"]), cv_seed=0)
+    state.b1 = 2  # block 0 feeds only the C side of mDEE1
+    for d in range(1, n):
+        got = registry_score("mDEE1", state, d)
+        assert got is not None and math.isfinite(got[0])
+        assert_same(got, reference_score(lambda: mdee(path, state.blocks, CriterionKind.MDEE1, 2, d, ridge)))
+        for name in ("mDEE2", "mDEE3", "rmDEE"):
+            if d < 3:
+                assert registry_score(name, state, d) is not None
+                continue
+            for _ in range(2):  # a failure is not kept as a result
+                with pytest.raises(SingularDesignError, match="block 0"):
+                    CRITERIA[name](state, d)
+        if d >= 3:
+            for variant in (CriterionKind.MDEE2, CriterionKind.MDEE3):
+                with pytest.raises(SingularDesignError, match="block 0"):
+                    mdee(path, state.blocks, variant, 2, d, ridge)
+            with pytest.raises(SingularDesignError, match="block 0"):
+                rmdee(path, state.blocks, train.X, d, ridge)
+
+
+def test_svd_failure_becomes_sentinel(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    rng = np.random.default_rng(4)
+    train = LabeledSet(X=rng.normal(size=(10, 1)), y=rng.normal(size=10))
+    pool = UnlabeledSet(X=rng.normal(size=(40, 1)))
+    test = LabeledSet(X=rng.normal(size=(20, 1)), y=rng.normal(size=20))
+    path = random_path(rng, BasisSpec("fourier", 1), 4, 1e-9)
+    cfg = config(criteria=["DEE", "mDEE3", "rmDEE", "FPE"], d_max=4)
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    with pytest.raises(SingularDesignError, match="SVD did not converge"):
+        invert_blocks(np.eye(2)[None])
+    monkeypatch.setattr(harness, "fit_model_path", lambda *args: path)
+    result = evaluate_trial(0, {"n": 10}, train, pool, test, 4, cfg, cv_seed=0)
+    for name in ("DEE", "mDEE3", "rmDEE"):
+        assert result.flags[name] == "inf@d1;inf@d2;inf@d3;inf@d4;all_infinite"
+    assert result.flags["FPE"] == ""
