@@ -62,9 +62,9 @@ def _cmd_oracle(args) -> int:
     else:
         print(f"blockwise trace moment checks (n={cfg.n}, d={cfg.d}, reps={cfg.reps})")
         b, b1 = args.blocks, args.b1
-        res1 = oracle.mc_H_moments(cfg, CriterionKind.MDEE1, b, b1)
+        moments = oracle.mc_block_moments(cfg, [CriterionKind.MDEE1, CriterionKind.MDEE3], b, b1)
+        res1, res3 = moments[CriterionKind.MDEE1], moments[CriterionKind.MDEE3]
         all_ok &= _check("disjoint-split bias", res1.bias, 0.0, res1.se_bias)
-        res3 = oracle.mc_H_moments(cfg, CriterionKind.MDEE3, b)
         target = (cfg.d - res3.tr_cv_ref) / b
         se = np.hypot(res3.se_mean, (1 - 1 / b) * res3.se_ref)
         all_ok &= _check("shared-pool bias", res3.mean_tr - res3.tr_cv_ref, target, se)

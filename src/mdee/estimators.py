@@ -265,18 +265,33 @@ def estimate_V(block_corrs, indices=None, ridge: float = DEFAULT_RIDGE) -> np.nd
     return invs.mean(axis=0)
 
 
+def block_sides(variant: CriterionKind, b1: int | None, B: int) -> tuple[int, int]:
+    """Which of B blocks feed each side of an mDEE variant, as (c_stop, v_start).
+
+    C_plus averages blocks 0..c_stop-1 and V_hat blocks v_start..B-1: mDEE1
+    splits the blocks at b1, mDEE2 takes the first b1 for C_plus and every
+    block for V_hat, mDEE3 takes every block for both.
+    """
+    if variant is CriterionKind.MDEE1:
+        if b1 is None or not 1 <= b1 <= B - 1:
+            raise ValueError(f"mDEE1 needs 1 <= b1 <= B-1, got b1={b1}, B={B}")
+        return b1, b1
+    if variant is CriterionKind.MDEE2:
+        if b1 is None or not 1 <= b1 <= B:
+            raise ValueError(f"mDEE2 needs 1 <= b1 <= B, got b1={b1}, B={B}")
+        return b1, 0
+    if variant is CriterionKind.MDEE3:
+        return B, 0
+    raise ValueError(f"not an mDEE variant: {variant}")
+
+
 def mdee_trace(
     block_corrs: np.ndarray,
     variant: CriterionKind,
     b1: int | None,
     ridge: float = DEFAULT_RIDGE,
 ) -> tuple[float, tuple[int, ...]]:
-    """Tr(C_plus V_hat) from a stack of block correlation matrices.
-
-    mDEE1 feeds C_plus from the first b1 blocks and V_hat from the rest,
-    mDEE2 feeds C_plus from the first b1 blocks and V_hat from every block,
-    mDEE3 feeds both sides from every block.
-    """
+    """Tr(C_plus V_hat) from a stack of block correlation matrices, sides per `block_sides`."""
     corrs = np.asarray(block_corrs, dtype=float)
     return mdee_trace_from(corrs, block_inverses(corrs, ridge), variant, b1)
 
@@ -288,19 +303,7 @@ def mdee_trace_from(
     b1: int | None,
 ) -> tuple[float, tuple[int, ...]]:
     """`mdee_trace` from the block inverses; only the V-side blocks are read."""
-    B = corrs.shape[0]
-    if variant is CriterionKind.MDEE1:
-        if b1 is None or not 1 <= b1 <= B - 1:
-            raise ValueError(f"mDEE1 needs 1 <= b1 <= B-1, got b1={b1}, B={B}")
-        c_stop, v_start = b1, b1
-    elif variant is CriterionKind.MDEE2:
-        if b1 is None or not 1 <= b1 <= B:
-            raise ValueError(f"mDEE2 needs 1 <= b1 <= B, got b1={b1}, B={B}")
-        c_stop, v_start = b1, 0
-    elif variant is CriterionKind.MDEE3:
-        c_stop, v_start = B, 0
-    else:
-        raise ValueError(f"not an mDEE variant: {variant}")
+    c_stop, v_start = block_sides(variant, b1, corrs.shape[0])
     c_plus = corrs[:c_stop].mean(axis=0)
     invs, flagged = inverses.side(v_start)
     v_hat = invs.mean(axis=0)

@@ -121,7 +121,6 @@ class TrialResult:
     regret: dict[str, float]
     test_errors: list[float]
     flags: dict[str, str] = field(default_factory=dict)
-    b1_used: int | None = None
 
 
 @dataclass
@@ -188,7 +187,8 @@ class TrialState:
     the DEE solve amplifies near d = n. `block_inverses(d)` gives the jittered
     inverses of the size-d blocks, computed once per d and read by every block
     criterion and by the b1 split. `block_flags` says why `blocks` (pool
-    smaller than one block) or `b1` (no split selected) is None.
+    smaller than one block) or `b1` (fewer than two blocks, or a block that
+    cannot be inverted at d_max) is None.
     """
 
     train: LabeledSet
@@ -289,9 +289,13 @@ def trial_state(
             state.blocks = block_partition(unlabeled, train.n)
             if SPLIT_CRITERIA & set(cfg.criteria):
                 if state.blocks.n_blocks >= 2:
-                    invs, _ = state.block_inverses(path.d_max).side()
-                    state.b1, _ = estimators.moment_split(state.block_corrs, invs)
-                else:
+                    try:
+                        invs, _ = state.block_inverses(path.d_max).side()
+                    except SingularDesignError:
+                        pass  # a block cannot be inverted at d_max
+                    else:
+                        state.b1, _ = estimators.moment_split(state.block_corrs, invs)
+                if state.b1 is None:
                     state.block_flags.append("b1_unavailable")
     return state
 
@@ -356,7 +360,6 @@ def evaluate_trial(
         regret=regrets,
         test_errors=errors,
         flags=flags,
-        b1_used=state.b1,
     )
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BasisSpec, build_design
-from .estimators import CriterionKind
+from .estimators import CriterionKind, block_sides
 
 _C_CACHE: dict[tuple, np.ndarray] = {}
 
@@ -98,11 +98,21 @@ def _covariates(rng, count: int, cfg: OracleConfig) -> np.ndarray:
     return rng.normal(0.0, cfg.covariate_sd, (count, cfg.basis.covariate_dim))
 
 
+def _population_designs(cfg: OracleConfig):
+    """Designs of the cfg.c_draws population rows, in chunks, from one fixed child of cfg.seed."""
+    rng = _aux_rng(cfg.seed, 1)
+    remaining = cfg.c_draws
+    while remaining > 0:
+        count = min(_CHUNK, remaining)
+        yield _design(cfg, _covariates(rng, count, cfg))
+        remaining -= count
+
+
 def true_corr(cfg: OracleConfig) -> np.ndarray:
     """Population feature correlation matrix estimated from cfg.c_draws draws.
 
-    Cached per configuration; the generating stream is a fixed child of
-    cfg.seed so repeated calls agree bit for bit.
+    Cached per configuration; the rows come from `_population_designs`, so
+    repeated calls agree bit for bit.
     """
     key = (
         cfg.basis.kind,
@@ -113,36 +123,31 @@ def true_corr(cfg: OracleConfig) -> np.ndarray:
         int(cfg.c_draws),
     )
     if key not in _C_CACHE:
-        rng = _aux_rng(cfg.seed, 1)
         total = np.zeros((cfg.d, cfg.d))
-        remaining = cfg.c_draws
-        while remaining > 0:
-            count = min(_CHUNK, remaining)
-            v = _design(cfg, _covariates(rng, count, cfg))
+        for v in _population_designs(cfg):
             total += v.T @ v
-            remaining -= count
         C = total / cfg.c_draws
         _C_CACHE[key] = 0.5 * (C + C.T)
     return _C_CACHE[key]
 
 
 def _quadratic_form_var(cfg: OracleConfig, mat: np.ndarray) -> float:
-    """Variance of phi(x)^T mat phi(x) over the same stream used for true_corr."""
-    rng = _aux_rng(cfg.seed, 1)
-    count_total = 0
-    acc_sum = 0.0
-    acc_sq = 0.0
-    remaining = cfg.c_draws
-    while remaining > 0:
-        count = min(_CHUNK, remaining)
-        v = _design(cfg, _covariates(rng, count, cfg))
+    """Variance of phi(x)^T mat phi(x) over the population rows of true_corr."""
+    acc_sum = acc_sq = 0.0
+    for v in _population_designs(cfg):
         t = np.einsum("ij,jk,ik->i", v, mat, v)
         acc_sum += t.sum()
         acc_sq += (t * t).sum()
-        count_total += count
-        remaining -= count
-    mean = acc_sum / count_total
-    return max(acc_sq / count_total - mean * mean, 0.0)
+    mean = acc_sum / cfg.c_draws
+    return max(acc_sq / cfg.c_draws - mean * mean, 0.0)
+
+
+def _trace_summary(cfg: OracleConfig, trs: np.ndarray, inv_sum: np.ndarray) -> tuple[float, float]:
+    """Mean of the replications' Tr(C C_hat^{-1}) and its SE, C's sampling error included."""
+    v_bar = inv_sum / cfg.reps
+    se_rep = trs.std(ddof=1) / np.sqrt(cfg.reps)
+    se_c = np.sqrt(_quadratic_form_var(cfg, v_bar) / cfg.c_draws)
+    return float(trs.mean()), float(np.hypot(se_rep, se_c))
 
 
 def mc_risk_ratio(cfg: OracleConfig) -> RiskRatioResult:
@@ -196,9 +201,7 @@ def mc_risk_ratio(cfg: OracleConfig) -> RiskRatioResult:
             - 2.0 * ratio * cov
         ) / (e_train**2 * cfg.reps)
         se_ratio = float(np.sqrt(max(var_ratio, 0.0)))
-    v_bar = inv_sum / cfg.reps
-    se_c_side = float(np.sqrt(_quadratic_form_var(cfg, v_bar) / cfg.c_draws))
-    se_tr = float(np.hypot(trs.std(ddof=1) / np.sqrt(cfg.reps), se_c_side))
+    mean_tr, se_tr = _trace_summary(cfg, trs, inv_sum)
     return RiskRatioResult(
         e_loss=e_loss,
         se_loss=se_loss,
@@ -206,7 +209,7 @@ def mc_risk_ratio(cfg: OracleConfig) -> RiskRatioResult:
         se_train_loss=se_train,
         ratio=ratio,
         se_ratio=se_ratio,
-        mean_tr_ccinv=float(trs.mean()),
+        mean_tr_ccinv=mean_tr,
         se_tr_ccinv=se_tr,
         degenerate=degenerate,
         reps=cfg.reps,
@@ -230,12 +233,8 @@ def mc_trace_target(cfg: OracleConfig) -> TraceTargetResult:
         inv = np.linalg.inv(design.T @ design / cfg.n)
         inv_sum += inv
         trs[rep] = np.trace(C @ inv)
-    v_bar = inv_sum / cfg.reps
-    se_rep = trs.std(ddof=1) / np.sqrt(cfg.reps)
-    se_c = np.sqrt(_quadratic_form_var(cfg, v_bar) / cfg.c_draws)
-    return TraceTargetResult(
-        tr_cv=float(trs.mean()), se=float(np.hypot(se_rep, se_c)), reps=cfg.reps
-    )
+    tr_cv, se = _trace_summary(cfg, trs, inv_sum)
+    return TraceTargetResult(tr_cv=tr_cv, se=se, reps=cfg.reps)
 
 
 def _block_stats(cfg: OracleConfig, rng, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
@@ -246,54 +245,46 @@ def _block_stats(cfg: OracleConfig, rng, n_blocks: int) -> tuple[np.ndarray, np.
     return corrs, np.linalg.inv(corrs)
 
 
-def mc_H_moments(
-    cfg: OracleConfig, variant, B: int, B1: int | None = None
-) -> HMomentsResult:
-    """Bias and variance of the blockwise trace estimator of Tr(CV).
-
-    Each replication draws an independent pool of B*n covariate rows, forms
-    the per-block correlation matrices and their exact inverses, and combines
-    them per the requested variant. The bias is reported against the
-    mc_trace_target reference with both standard errors propagated.
-    """
-    variant = CriterionKind(variant) if not isinstance(variant, CriterionKind) else variant
-    if B < 2:
-        raise ValueError("mc_H_moments needs B >= 2")
-    if variant is CriterionKind.MDEE1 and (B1 is None or not 1 <= B1 <= B - 1):
-        raise ValueError(f"variant {variant.value} needs 1 <= B1 <= B-1")
-    trs = np.empty(cfg.reps)
-    for rep in range(cfg.reps):
-        rng = _rep_rng(cfg.seed, rep)
-        corrs, invs = _block_stats(cfg, rng, B)
-        if variant is CriterionKind.MDEE1:
-            c_plus = corrs[:B1].mean(axis=0)
-            v_hat = invs[B1:].mean(axis=0)
-        elif variant is CriterionKind.MDEE2:
-            c_plus = corrs[:B1].mean(axis=0)
-            v_hat = invs.mean(axis=0)
-        elif variant is CriterionKind.MDEE3:
-            c_plus = corrs.mean(axis=0)
-            v_hat = invs.mean(axis=0)
-        else:
-            raise ValueError(f"not a blockwise variant: {variant}")
-        trs[rep] = np.trace(c_plus @ v_hat)
+def _h_moments(trs: np.ndarray, ref: TraceTargetResult) -> HMomentsResult:
+    """Mean and variance of one variant's per-replication traces, and their bias against ref."""
     mean_tr = float(trs.mean())
-    se_mean = float(trs.std(ddof=1) / np.sqrt(cfg.reps))
+    se_mean = float(trs.std(ddof=1) / np.sqrt(trs.size))
     var = float(trs.var(ddof=1))
     m4 = float(np.mean((trs - mean_tr) ** 4))
-    se_var = float(np.sqrt(max(m4 - var**2, 0.0) / cfg.reps))
-    ref = mc_trace_target(cfg)
+    se_var = float(np.sqrt(max(m4 - var**2, 0.0) / trs.size))
     return HMomentsResult(
-        mean_tr=mean_tr,
-        se_mean=se_mean,
-        var=var,
-        se_var=se_var,
-        bias=mean_tr - ref.tr_cv,
-        se_bias=float(np.hypot(se_mean, ref.se)),
-        tr_cv_ref=ref.tr_cv,
-        se_ref=ref.se,
-        reps=cfg.reps,
+        mean_tr=mean_tr, se_mean=se_mean, var=var, se_var=se_var, bias=mean_tr - ref.tr_cv,
+        se_bias=float(np.hypot(se_mean, ref.se)), tr_cv_ref=ref.tr_cv, se_ref=ref.se, reps=trs.size,
     )
+
+
+def mc_block_moments(
+    cfg: OracleConfig, variants, B: int, B1: int | None = None
+) -> dict[CriterionKind, HMomentsResult]:
+    """Bias and variance of the blockwise trace estimators of Tr(CV), per variant.
+
+    Each replication draws an independent pool of B*n covariate rows, forms the
+    per-block correlation matrices and their exact inverses, and feeds every
+    requested variant its `block_sides` of them. The bias is reported against
+    one mc_trace_target reference with both standard errors propagated.
+    """
+    if B < 2:
+        raise ValueError("mc_block_moments needs B >= 2")
+    sides = {v: block_sides(v, B1, B) for v in map(CriterionKind, variants)}
+    trs = {variant: np.empty(cfg.reps) for variant in sides}
+    for rep in range(cfg.reps):
+        corrs, invs = _block_stats(cfg, _rep_rng(cfg.seed, rep), B)
+        for variant, (c_stop, v_start) in sides.items():
+            c_plus = corrs[:c_stop].mean(axis=0)
+            v_hat = invs[v_start:].mean(axis=0)
+            trs[variant][rep] = np.trace(c_plus @ v_hat)
+    ref = mc_trace_target(cfg)
+    return {variant: _h_moments(t, ref) for variant, t in trs.items()}
+
+
+def mc_H_moments(cfg: OracleConfig, variant, B: int, B1: int | None = None) -> HMomentsResult:
+    """`mc_block_moments` of one variant."""
+    return mc_block_moments(cfg, [variant], B, B1)[CriterionKind(variant)]
 
 
 @dataclass

@@ -91,3 +91,5 @@ class TestOracleCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "disjoint-split bias" in out
+        assert "shared-pool bias" in out
+        assert "disjoint-split variance vs closed form" in out

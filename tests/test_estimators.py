@@ -19,6 +19,7 @@ from mdee.estimators import (
     CorrectionEstimate,
     CriterionKind,
     block_corr_stack,
+    block_sides,
     continuous_split,
     correction_factor,
     dee,
@@ -254,6 +255,15 @@ class TestMdee:
             mdee_trace(corrs, CriterionKind.MDEE2, b1=5)
         with pytest.raises(ValueError):
             mdee_trace(corrs, CriterionKind.MDEE1, b1=0)
+
+    def test_block_sides(self):
+        assert block_sides(CriterionKind.MDEE1, 2, 5) == (2, 2)
+        assert block_sides(CriterionKind.MDEE2, 2, 5) == (2, 0)
+        assert block_sides(CriterionKind.MDEE2, 5, 5) == (5, 0)
+        assert block_sides(CriterionKind.MDEE3, None, 5) == (5, 0)
+        for variant, b1 in [(CriterionKind.MDEE1, None), (CriterionKind.MDEE2, None), (CriterionKind.RMDEE, 2)]:
+            with pytest.raises(ValueError):
+                block_sides(variant, b1, 5)
 
     def test_within_block_row_permutation_invariant(self):
         rng = np.random.default_rng(11)

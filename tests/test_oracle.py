@@ -6,6 +6,7 @@ from mdee.estimators import CriterionKind
 from mdee.oracle import (
     OracleConfig,
     closed_form_h1_variance,
+    mc_block_moments,
     mc_H_moments,
     mc_h1_variance_closed_form,
     mc_moment_inputs,
@@ -149,6 +150,23 @@ class TestMcHMoments:
             mc_H_moments(make_cfg(), CriterionKind.MDEE1, B=10, B1=10)
         with pytest.raises(ValueError):
             mc_H_moments(make_cfg(), CriterionKind.MDEE1, B=1, B1=0)
+        with pytest.raises(ValueError):
+            mc_H_moments(make_cfg(), CriterionKind.MDEE1, B=10)
+        # mDEE2 without a valid split would silently be mDEE3
+        with pytest.raises(ValueError):
+            mc_H_moments(make_cfg(), CriterionKind.MDEE2, B=10)
+        with pytest.raises(ValueError):
+            mc_H_moments(make_cfg(), CriterionKind.MDEE2, B=10, B1=11)
+        with pytest.raises(ValueError):
+            mc_H_moments(make_cfg(), CriterionKind.RMDEE, B=10)
+
+    def test_shared_pass_equals_single_variant_runs(self):
+        cfg = make_cfg(reps=500)
+        variants = [CriterionKind.MDEE1, CriterionKind.MDEE2, CriterionKind.MDEE3]
+        shared = mc_block_moments(cfg, variants, B=10, B1=3)
+        assert list(shared) == variants
+        for variant in variants:
+            assert shared[variant] == mc_H_moments(cfg, variant, B=10, B1=3)
 
 
 class TestMomentInputs:

@@ -310,6 +310,24 @@ def test_singular_block_fails_only_the_criteria_that_read_it():
                 rmdee(path, state.blocks, train.X, d, ridge)
 
 
+def test_singular_split_block_leaves_b1_unavailable(monkeypatch):
+    # As above, block 0 is singular at ridge 0 from d = 3 on, so the b1 split
+    # at d_max cannot be formed; the run records that instead of stopping.
+    rng = np.random.default_rng(3)
+    n, ridge = 8, 0.0
+    train = LabeledSet(X=rng.normal(size=(n, 1)), y=rng.normal(size=n))
+    pool = rng.normal(size=(4 * n, 1))
+    pool[:n] = 0.0
+    test = LabeledSet(X=rng.normal(size=(20, 1)), y=rng.normal(size=20))
+    path = random_path(rng, BasisSpec("fourier", 1), n - 1, ridge)
+    cfg = config(ridge, criteria=["mDEE1", "mDEE3", "FPE"], d_max=n - 1)
+    monkeypatch.setattr(harness, "fit_model_path", lambda *args: path)
+    result = evaluate_trial(0, {"n": n}, train, UnlabeledSet(X=pool), test, n - 1, cfg, cv_seed=0)
+    assert result.flags["mDEE1"] == "b1_unavailable;all_infinite"
+    assert "inf@d3" in result.flags["mDEE3"].split(";")
+    assert result.flags["FPE"] == ""
+
+
 def test_svd_failure_becomes_sentinel(monkeypatch):
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
