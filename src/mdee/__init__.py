@@ -11,7 +11,6 @@ __version__ = "0.1.0"  # set before the submodules import it
 from .baselines import adj, caic, fpe, kfold_cv
 from .core import (
     BasisSpec,
-    BlockPartition,
     FittedModel,
     LabeledSet,
     ModelPath,

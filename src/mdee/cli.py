@@ -19,8 +19,6 @@ def _cmd_run(args) -> int:
         cfg.master_seed = args.seed
     if args.reps is not None:
         cfg.repetitions = args.reps
-    if args.threads is not None:
-        cfg.threads = args.threads
     cfg.validate()
     out = harness.run_to_dir(cfg, args.out)
     print(f"wrote {out / 'summary.csv'}, {out / 'trials.csv'}, {out / 'meta.json'}")
@@ -96,7 +94,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--seed", type=int, default=None, help="override master_seed")
     p_run.add_argument("--reps", type=int, default=None, help="override repetitions")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--threads", type=int, default=None, help="worker threads for trials")
     p_run.set_defaults(func=_cmd_run)
 
     p_oracle = sub.add_parser("oracle", help="run Monte-Carlo identity checks")

@@ -104,27 +104,6 @@ class ModelPath:
         return self.models[d - 1].train_loss
 
 
-@dataclass
-class BlockPartition:
-    """Unlabeled pool cut into disjoint blocks of exactly `block_size` rows."""
-
-    blocks: list[np.ndarray]
-    block_size: int
-
-    def __post_init__(self):
-        self.blocks = [np.atleast_2d(np.asarray(b, dtype=float)) for b in self.blocks]
-        if any(b.shape[0] != self.block_size for b in self.blocks):
-            raise ValueError("every block must have exactly block_size rows")
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
-
-    def stacked(self) -> np.ndarray:
-        """All blocks as one (B, n, M) array."""
-        return np.stack(self.blocks)
-
-
 def _fourier_column(k: int, t: np.ndarray) -> np.ndarray:
     """k-th Fourier function evaluated elementwise: 1, sqrt(2)cos(pt), sqrt(2)sin(pt)."""
     if k == 1:
@@ -228,17 +207,16 @@ def fit_model_path(
     return ModelPath(models=models, d_max=d_max, basis=basis)
 
 
-def block_partition(pool: UnlabeledSet, n: int) -> BlockPartition:
+def block_partition(pool: UnlabeledSet, n: int) -> np.ndarray:
     """Cut the pool into B = floor(n'/n) disjoint blocks of n rows, in pool order.
 
-    Remainder rows are discarded so every block is a same-sized i.i.d. copy
-    of the training covariate set.
+    Returns a (B, n, M) array; remainder rows are discarded so every block is
+    a same-sized i.i.d. copy of the training covariate set.
     """
     if n < 1:
         raise ValueError("block size must be >= 1")
-    n_pool = pool.X.shape[0]
+    n_pool, m = pool.X.shape
     n_blocks = n_pool // n
     if n_blocks == 0:
         raise ValueError("unlabeled pool smaller than one block")
-    blocks = [pool.X[b * n : (b + 1) * n] for b in range(n_blocks)]
-    return BlockPartition(blocks=blocks, block_size=n)
+    return pool.X[: n_blocks * n].reshape(n_blocks, n, m)

@@ -27,7 +27,6 @@ from .core import (
     COND_LIMIT,
     DEFAULT_RIDGE,
     BasisSpec,
-    BlockPartition,
     ModelPath,
     SingularDesignError,
     UnlabeledSet,
@@ -191,11 +190,10 @@ def block_inverse_path(block_corrs: np.ndarray, ridge: float = DEFAULT_RIDGE):
     return at
 
 
-def block_corr_stack(blocks: BlockPartition, basis: BasisSpec, d: int) -> np.ndarray:
-    """Per-block empirical correlation matrices as a (B, d, d) stack."""
-    stacked = blocks.stacked()
-    B, n, _ = stacked.shape
-    design = build_design(basis, stacked.reshape(B * n, -1), d).reshape(B, n, d)
+def block_corr_stack(blocks: np.ndarray, basis: BasisSpec, d: int) -> np.ndarray:
+    """Per-block empirical correlation matrices of (B, n, M) blocks as a (B, d, d) stack."""
+    B, n, _ = blocks.shape
+    design = build_design(basis, blocks.reshape(B * n, -1), d).reshape(B, n, d)
     corrs = np.einsum("bij,bik->bjk", design, design) / n
     return 0.5 * (corrs + np.swapaxes(corrs, 1, 2))
 
@@ -312,7 +310,7 @@ def mdee_trace_from(
 
 def mdee(
     path: ModelPath,
-    blocks: BlockPartition,
+    blocks: np.ndarray,
     variant: CriterionKind,
     b1: int | None,
     d: int,
@@ -321,7 +319,7 @@ def mdee(
     """Block-partitioned risk estimate for one of the mDEE variants."""
     corrs = block_corr_stack(blocks, path.basis, d)
     tr, flagged = mdee_trace(corrs, variant, b1, ridge)
-    n = blocks.block_size
+    n = blocks.shape[1]
     factor = correction_factor(tr, n, d)
     used = b1 if variant in (CriterionKind.MDEE1, CriterionKind.MDEE2) else None
     return CorrectionEstimate(
@@ -370,23 +368,19 @@ def rmdee_trace_from(
 
 def rmdee(
     path: ModelPath,
-    blocks: BlockPartition,
+    blocks: np.ndarray,
     labeled_X,
     d: int,
     ridge: float = DEFAULT_RIDGE,
-    include_labeled: bool = True,
 ) -> CorrectionEstimate:
     """Robust mDEE: median of per-block traces instead of their mean.
 
-    The labeled covariates enter as block 0 by default; set
-    `include_labeled=False` to take the median over unlabeled blocks only.
+    The labeled covariates enter the median as block 0.
     """
     corrs = block_corr_stack(blocks, path.basis, d)
-    labeled_corr = None
-    if include_labeled:
-        labeled_corr = estimate_C_plus(labeled_X, path.basis, d)
+    labeled_corr = estimate_C_plus(labeled_X, path.basis, d)
     tr, flagged = rmdee_trace(corrs, labeled_corr, ridge)
-    n = blocks.block_size
+    n = blocks.shape[1]
     factor = correction_factor(tr, n, d)
     return CorrectionEstimate(
         d=d,
@@ -433,7 +427,7 @@ def optimal_split(a1: float, a2: float, n_blocks: int) -> int:
 
 
 def select_b1(
-    blocks: BlockPartition,
+    blocks: np.ndarray,
     basis: BasisSpec,
     d: int,
     ridge: float = DEFAULT_RIDGE,
@@ -454,7 +448,7 @@ def select_b1(
         Tr(Var(mu) nu nu^T) = sum_b (u_b^T nu_bar)^2 / (B-1)
         Tr(Var(nu) mu mu^T) = sum_b (v_b^T mu_bar)^2 / (B-1)
     """
-    if blocks.n_blocks < 2:
+    if len(blocks) < 2:
         raise ValueError("cannot split fewer than two blocks")
     corrs = block_corr_stack(blocks, basis, d)
     invs, _ = invert_blocks(corrs, ridge)

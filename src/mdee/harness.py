@@ -14,7 +14,6 @@ import json
 import math
 import platform
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from pathlib import Path
@@ -26,7 +25,6 @@ from . import __version__, baselines, datagen, estimators, ingest
 from .core import (
     DEFAULT_RIDGE,
     BasisSpec,
-    BlockPartition,
     FittedModel,
     LabeledSet,
     ModelPath,
@@ -95,7 +93,6 @@ class ExperimentConfig:
     ridge: float = DEFAULT_RIDGE
     master_seed: int = 0
     output_dir: str = "results"
-    threads: int = 1
 
     def __post_init__(self):
         self.validate()
@@ -104,8 +101,6 @@ class ExperimentConfig:
         """Reject settings no run can use; call again after changing fields."""
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         if not self.criteria:
             raise ValueError("criteria must be nonempty")
         unknown = [c for c in self.criteria if c not in CRITERIA]
@@ -186,9 +181,8 @@ class TrialState:
     design, since a corner of the d_max product can differ in the last bit, which
     the DEE solve amplifies near d = n. `block_inverses(d)` gives the jittered
     inverses of the size-d blocks, computed once per d and read by every block
-    criterion and by the b1 split. `block_flags` says why `blocks` (pool
-    smaller than one block) or `b1` (fewer than two blocks, or a block that
-    cannot be inverted at d_max) is None.
+    criterion and by the b1 split. Each part is built the first time a criterion
+    reads it, so a trial builds only what its criteria need.
     """
 
     train: LabeledSet
@@ -196,9 +190,6 @@ class TrialState:
     path: ModelPath
     ridge: float
     cv_seed: int
-    blocks: BlockPartition | None = None
-    b1: int | None = None
-    block_flags: list[str] = field(default_factory=list)
 
     @cached_property
     def train_design(self) -> np.ndarray:
@@ -209,6 +200,13 @@ class TrialState:
         return build_design(self.path.basis, self.unlabeled.X, self.path.d_max)
 
     @cached_property
+    def blocks(self) -> np.ndarray | None:
+        """The pool as (B, n, M) blocks of the training size; None when it has fewer than n rows."""
+        if self.unlabeled.n < self.train.n:
+            return None
+        return block_partition(self.unlabeled, self.train.n)
+
+    @cached_property
     def block_corrs(self) -> np.ndarray:
         return estimators.block_corr_stack(self.blocks, self.path.basis, self.path.d_max)
 
@@ -216,6 +214,17 @@ class TrialState:
     def block_inverses(self):
         """Function of d giving the `estimators.BlockInverses` of `block_corrs` at size d."""
         return estimators.block_inverse_path(self.block_corrs, self.ridge)
+
+    @cached_property
+    def b1(self) -> int | None:
+        """The mDEE1 split at d_max; None with fewer than two blocks or a block singular at d_max."""
+        if self.blocks is None or len(self.blocks) < 2:
+            return None
+        try:
+            invs, _ = self.block_inverses(self.path.d_max).side()
+        except SingularDesignError:
+            return None
+        return estimators.moment_split(self.block_corrs, invs)[0]
 
     def corrected(self, tr: float, d: int) -> float:
         """Training loss at d times the multiplicative correction for trace tr."""
@@ -236,7 +245,8 @@ def _dee_risk(state: TrialState, d: int):
 
 
 def _block_risk(variant: CriterionKind, state: TrialState, d: int):
-    if state.blocks is None or (variant.value in SPLIT_CRITERIA and state.b1 is None):
+    split = variant.value in SPLIT_CRITERIA
+    if state.blocks is None or (split and state.b1 is None):
         return math.inf, 0
     if d >= state.train.n:
         return None
@@ -246,7 +256,7 @@ def _block_risk(variant: CriterionKind, state: TrialState, d: int):
         c_hat = correlation_matrix(state.train_design[:, :d])
         tr, flagged = estimators.rmdee_trace_from(corrs, inverses, c_hat, state.ridge)
     else:
-        tr, flagged = estimators.mdee_trace_from(corrs, inverses, variant, state.b1)
+        tr, flagged = estimators.mdee_trace_from(corrs, inverses, variant, state.b1 if split else None)
     return state.corrected(tr, d), len(flagged)
 
 
@@ -277,29 +287,6 @@ CRITERIA = {
 }
 
 
-def trial_state(
-    train: LabeledSet, unlabeled: UnlabeledSet, path: ModelPath, cfg: ExperimentConfig, cv_seed: int
-) -> TrialState:
-    """Shared state of one trial, with blocks and b1 where a requested criterion needs them."""
-    state = TrialState(train, unlabeled, path, cfg.ridge, cv_seed)
-    if BLOCK_CRITERIA & set(cfg.criteria):
-        if unlabeled.n < train.n:
-            state.block_flags.append("no_blocks")
-        else:
-            state.blocks = block_partition(unlabeled, train.n)
-            if SPLIT_CRITERIA & set(cfg.criteria):
-                if state.blocks.n_blocks >= 2:
-                    try:
-                        invs, _ = state.block_inverses(path.d_max).side()
-                    except SingularDesignError:
-                        pass  # a block cannot be inverted at d_max
-                    else:
-                        state.b1, _ = estimators.moment_split(state.block_corrs, invs)
-                if state.b1 is None:
-                    state.block_flags.append("b1_unavailable")
-    return state
-
-
 def path_test_errors(path: ModelPath, test: LabeledSet) -> list[float]:
     """`test_error` of every model on the path, from one d_max test design."""
     design = build_design(path.basis, test.X, path.d_max)
@@ -320,13 +307,17 @@ def evaluate_trial(
     """Score every requested criterion on one shared data split."""
     path = fit_model_path(train, BasisSpec("fourier", train.X.shape[1]), d_max, cfg.ridge)
     errors = path_test_errors(path, test)
-    state = trial_state(train, unlabeled, path, cfg, cv_seed)
+    state = TrialState(train, unlabeled, path, cfg.ridge, cv_seed)
 
     d_hat: dict[str, int] = {}
     regrets: dict[str, float] = {}
     flags: dict[str, str] = {}
     for name in cfg.criteria:
-        tokens = list(state.block_flags) if name in BLOCK_CRITERIA else []
+        tokens = []
+        if name in BLOCK_CRITERIA and state.blocks is None:
+            tokens.append("no_blocks")
+        elif name in SPLIT_CRITERIA and state.b1 is None:
+            tokens.append("b1_unavailable")
         risks = []
         for d in range(1, d_max + 1):
             try:
@@ -392,8 +383,8 @@ def _trial(cfg, table, cell, cell_idx, trial) -> TrialResult:
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[TrialResult], list[CriterionSummary]]:
     """Run every (grid cell, repetition) pair and aggregate per criterion.
 
-    Trials own independent seed streams, so any execution order (including
-    threaded) yields the same results; aggregation folds over trial index.
+    Each trial draws from its own seed streams, so its result does not depend
+    on the trials run before it; aggregation folds over trial index.
     """
     table = None
     if isinstance(cfg.scenario, RealScenario):
@@ -402,13 +393,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[TrialResult], list[Crite
     trials: list[TrialResult] = []
     summaries: list[CriterionSummary] = []
     for cell_idx, cell in enumerate(cfg.scenario.cells()):
-        runner = lambda t: _trial(cfg, table, cell, cell_idx, t)
-        indices = range(cfg.repetitions)
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                cell_trials = list(pool.map(runner, indices))
-        else:
-            cell_trials = [runner(t) for t in indices]
+        cell_trials = [_trial(cfg, table, cell, cell_idx, t) for t in range(cfg.repetitions)]
         trials.extend(cell_trials)
         for name in cfg.criteria:
             summaries.append(_summarize(cell, name, [t.regret[name] for t in cell_trials]))
@@ -531,8 +516,28 @@ def _scenario_dict(scenario) -> dict:
 # Config files
 
 
+# Every key load_config reads, per section; any other key is rejected, so a
+# misspelled one cannot silently fall back to its default.
+CONFIG_KEYS = {
+    "top level": {
+        "scenario", "criteria", "repetitions", "d_max", "ridge", "master_seed", "output_dir", "synthetic", "real"
+    },
+    "synthetic": {"target", "n", "noise_var", "covariate_var", "n_unlabeled", "n_test"},
+    "real": {
+        "name", "path", "response_column", "covariate_columns", "delimiter", "has_header", "n", "n_unlabeled",
+        "standardize",
+    },
+}
+
+
 def _as_list(value) -> list:
     return value if isinstance(value, list) else [value]
+
+
+def _check_keys(section: dict, name: str) -> None:
+    unknown = sorted(str(k) for k in section if k not in CONFIG_KEYS[name])
+    if unknown:
+        raise ValueError(f"unknown config key(s) {unknown} in {name}; valid: {sorted(CONFIG_KEYS[name])}")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -541,11 +546,13 @@ def load_config(path) -> ExperimentConfig:
         raw = yaml.safe_load(handle)
     if not isinstance(raw, dict):
         raise ValueError("config must be a mapping")
+    _check_keys(raw, "top level")
     kind = raw.get("scenario")
     if kind == "synthetic":
         section = raw.get("synthetic")
         if not isinstance(section, dict):
             raise ValueError("scenario 'synthetic' needs a 'synthetic' section")
+        _check_keys(section, "synthetic")
         scenario = SyntheticScenario(
             target=section["target"],
             n_values=[int(v) for v in _as_list(section["n"])],
@@ -558,6 +565,7 @@ def load_config(path) -> ExperimentConfig:
         section = raw.get("real")
         if not isinstance(section, dict):
             raise ValueError("scenario 'real' needs a 'real' section")
+        _check_keys(section, "real")
         manifest = ingest.DatasetManifest(
             name=section["name"],
             path=section["path"],
@@ -584,7 +592,6 @@ def load_config(path) -> ExperimentConfig:
         ridge=float(raw.get("ridge", DEFAULT_RIDGE)),
         master_seed=int(raw.get("master_seed", 0)),
         output_dir=str(raw.get("output_dir", "results")),
-        threads=int(raw.get("threads", 1)),
     )
 
 

@@ -71,6 +71,18 @@ class TraceTargetResult:
 
 @dataclass
 class HMomentsResult:
+    """Moments of one blockwise trace estimator and its bias against the mc_trace_target reference.
+
+    `se_bias` is hypot(se_mean, se_ref), which treats the two estimates as
+    independent. They are not: replication r of both reads the same stream, so
+    its first n rows are shared (block 0 here, the reference sample there). The
+    sign of the correlation depends on the side block 0 feeds. At n=20, d=3,
+    B=30, B1=10 (3000 replications) the per-replication traces correlated
+    +0.21 for mDEE3, where block 0 is on both sides, so `se_bias` overstates
+    the true error and the check is conservative; and -0.13 for mDEE1, where
+    block 0 feeds only C_plus, so `se_bias` understates it, by about 3%.
+    """
+
     mean_tr: float
     se_mean: float
     var: float
@@ -266,7 +278,10 @@ def mc_block_moments(
     Each replication draws an independent pool of B*n covariate rows, forms the
     per-block correlation matrices and their exact inverses, and feeds every
     requested variant its `block_sides` of them. The bias is reported against
-    one mc_trace_target reference with both standard errors propagated.
+    one mc_trace_target reference with both standard errors propagated as if
+    independent. Replication r here and there read the same stream, so block 0
+    is that replication's reference sample and the two are correlated (see
+    `HMomentsResult` for the size and sign).
     """
     if B < 2:
         raise ValueError("mc_block_moments needs B >= 2")

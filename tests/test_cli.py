@@ -41,10 +41,6 @@ class TestRunCommand:
         with pytest.raises(ValueError, match="repetitions"):
             main(["run", str(config_path), "--out", str(tmp_path / "r"), "--reps", "0"])
 
-    def test_zero_threads_rejected(self, config_path, tmp_path):
-        with pytest.raises(ValueError, match="threads"):
-            main(["run", str(config_path), "--out", str(tmp_path / "r"), "--threads", "0"])
-
     def test_seed_override_changes_output(self, config_path, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         main(["run", str(config_path), "--out", str(out_a)])

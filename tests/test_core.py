@@ -202,18 +202,18 @@ class TestBlockPartition:
     def test_exact_division(self):
         pool = UnlabeledSet(X=np.arange(6.0).reshape(6, 1))
         part = block_partition(pool, 2)
-        assert part.n_blocks == 3
-        np.testing.assert_array_equal(part.blocks[1], [[2.0], [3.0]])
+        assert part.shape == (3, 2, 1)
+        np.testing.assert_array_equal(part[1], [[2.0], [3.0]])
 
     def test_remainder_discarded(self):
         pool = UnlabeledSet(X=np.arange(7.0).reshape(7, 1))
         part = block_partition(pool, 2)
-        assert part.n_blocks == 3
-        assert all(b.shape == (2, 1) for b in part.blocks)
+        assert part.shape == (3, 2, 1)
+        np.testing.assert_array_equal(part.reshape(6, 1), pool.X[:6])
 
     def test_floor_count(self):
         pool = UnlabeledSet(X=np.zeros((1499, 1)))
-        assert block_partition(pool, 50).n_blocks == 29
+        assert len(block_partition(pool, 50)) == 29
 
     def test_pool_too_small(self):
         pool = UnlabeledSet(X=np.zeros((3, 1)))
@@ -221,10 +221,10 @@ class TestBlockPartition:
             block_partition(pool, 4)
 
     def test_blocks_are_disjoint_slices(self):
-        pool = UnlabeledSet(X=np.arange(12.0).reshape(12, 1))
+        pool = UnlabeledSet(X=np.arange(24.0).reshape(12, 2))
         part = block_partition(pool, 3)
-        stacked = np.concatenate(part.blocks)
-        np.testing.assert_array_equal(stacked, pool.X)
+        for b in range(4):
+            np.testing.assert_array_equal(part[b], pool.X[3 * b : 3 * b + 3])
 
 
 class TestPredict:

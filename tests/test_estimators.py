@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from mdee.core import (
     BasisSpec,
-    BlockPartition,
     FittedModel,
     LabeledSet,
     ModelPath,
@@ -180,13 +179,13 @@ class TestSelectB1:
     def test_degenerate_blocks_take_half(self):
         # with a constant feature every block correlation matrix is exactly 1,
         # both coefficients vanish and the split falls back to B/2
-        blocks = BlockPartition(blocks=[np.full((4, 1), v) for v in range(6)], block_size=4)
+        blocks = np.stack([np.full((4, 1), v) for v in range(6)])
         b1, summary = select_b1(blocks, BASIS, 1)
         assert summary.a1 == summary.a2 == 0.0
         assert b1 == 3
 
     def test_b_less_than_two_rejected(self):
-        blocks = BlockPartition(blocks=[np.zeros((4, 1))], block_size=4)
+        blocks = np.zeros((1, 4, 1))
         with pytest.raises(ValueError):
             select_b1(blocks, BASIS, 1)
 
@@ -222,7 +221,7 @@ class TestMdee:
     def test_identical_blocks_give_trace_d(self):
         rng = np.random.default_rng(8)
         rows = rng.normal(size=(6, 1))
-        blocks = BlockPartition(blocks=[rows.copy() for _ in range(5)], block_size=6)
+        blocks = np.stack([rows] * 5)
         path = path_with_losses([0.5] * 3)
         for variant in (CriterionKind.MDEE1, CriterionKind.MDEE2, CriterionKind.MDEE3):
             est = mdee(path, blocks, variant, b1=2, d=3)
@@ -238,9 +237,7 @@ class TestMdee:
         assert est2.risk == pytest.approx(est3.risk, rel=1e-14)
 
     def test_scalar_constant_basis(self):
-        blocks = BlockPartition(
-            blocks=[np.array([[0.1], [0.2]]), np.array([[0.5], [0.9]])], block_size=2
-        )
+        blocks = np.array([[[0.1], [0.2]], [[0.5], [0.9]]])
         path = path_with_losses([1.0])
         est = mdee(path, blocks, CriterionKind.MDEE3, b1=None, d=1)
         assert est.tr_H == pytest.approx(1.0, rel=1e-8)
@@ -268,9 +265,7 @@ class TestMdee:
     def test_within_block_row_permutation_invariant(self):
         rng = np.random.default_rng(11)
         blocks = gaussian_blocks(rng, n_blocks=4, n=7)
-        shuffled = BlockPartition(
-            blocks=[b[rng.permutation(7)] for b in blocks.blocks], block_size=7
-        )
+        shuffled = np.stack([b[rng.permutation(7)] for b in blocks])
         path = path_with_losses([0.5] * 2)
         for variant in (CriterionKind.MDEE1, CriterionKind.MDEE3):
             a = mdee(path, blocks, variant, b1=2, d=2)
@@ -313,12 +308,9 @@ class TestRmdee:
         blocks = gaussian_blocks(rng, n_blocks=5, n=8)
         labeled_X = rng.normal(size=(8, 1))
         path = path_with_losses([0.5] * 2)
-        with_labeled = rmdee(path, blocks, labeled_X, 2)
-        without = rmdee(path, blocks, labeled_X, 2, include_labeled=False)
         corrs = block_corr_stack(blocks, BASIS, 2)
-        expected_without, _ = rmdee_trace(corrs, None)
-        assert without.tr_H == pytest.approx(expected_without)
-        assert with_labeled.tr_H != pytest.approx(without.tr_H)
+        expected, _ = rmdee_trace(corrs, estimate_C_plus(labeled_X, BASIS, 2))
+        assert rmdee(path, blocks, labeled_X, 2).tr_H == expected
 
 
 class TestSelectModel:

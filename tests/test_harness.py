@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,14 +162,6 @@ class TestRunExperiment:
         cells = {(s.cell["n"], s.cell["noise_var"]) for s in summaries}
         assert cells == {(10, 0.1), (10, 0.3)}
 
-    def test_threads_match_serial(self):
-        serial_trials, serial_summaries = run_experiment(small_config())
-        threaded_trials, threaded_summaries = run_experiment(small_config(threads=3))
-        for a, b in zip(serial_trials, threaded_trials):
-            assert a.regret == b.regret and a.d_hat == b.d_hat
-        for a, b in zip(serial_summaries, threaded_summaries):
-            assert a.median == b.median and a.iqr == b.iqr
-
     def test_unknown_criterion_rejected(self):
         with pytest.raises(ValueError, match="unknown criteria"):
             small_config(criteria=["AICc"])
@@ -325,9 +318,7 @@ class TestRealScenario:
         assert {s.criterion for s in summaries} == {"mDEE3", "cAIC"}
 
 
-class TestConfigFile:
-    def test_synthetic_round_trip(self, tmp_path):
-        text = """
+SYNTHETIC_YAML = """
 scenario: synthetic
 criteria: [DEE, mDEE1, FPE]
 repetitions: 4
@@ -341,16 +332,8 @@ synthetic:
   n_unlabeled: 300
   n_test: 100
 """
-        path = tmp_path / "cfg.yaml"
-        path.write_text(text)
-        cfg = load_config(path)
-        assert cfg.repetitions == 4
-        assert cfg.d_max is None
-        assert cfg.scenario.n_values == [10, 20]
-        assert cfg.scenario.noise_vars == [0.1, 0.3]
 
-    def test_real_config(self, tmp_path):
-        text = """
+REAL_YAML = """
 scenario: real
 criteria: [rmDEE]
 repetitions: 2
@@ -362,8 +345,23 @@ real:
   n: 20
   n_unlabeled: 50
 """
+
+CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+class TestConfigFile:
+    def test_synthetic_round_trip(self, tmp_path):
         path = tmp_path / "cfg.yaml"
-        path.write_text(text)
+        path.write_text(SYNTHETIC_YAML)
+        cfg = load_config(path)
+        assert cfg.repetitions == 4
+        assert cfg.d_max is None
+        assert cfg.scenario.n_values == [10, 20]
+        assert cfg.scenario.noise_vars == [0.1, 0.3]
+
+    def test_real_config(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(REAL_YAML)
         cfg = load_config(path)
         assert cfg.scenario.manifest.name == "toy"
         assert cfg.scenario.n_values == [20]
@@ -375,6 +373,26 @@ real:
         )
         with pytest.raises(ValueError, match="criteria"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "text, key, section",
+        [
+            (SYNTHETIC_YAML.replace("n_unlabeled", "n_unlabled"), "n_unlabled", "synthetic"),
+            (SYNTHETIC_YAML + "threads: 2\n", "threads", "top level"),
+            (REAL_YAML + "  delimeter: ';'\n", "delimeter", "real"),
+        ],
+        ids=["synthetic", "top level", "real"],
+    )
+    def test_unknown_key_rejected(self, tmp_path, text, key, section):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"'{key}'.* in {section}"):
+            load_config(path)
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS_DIR.glob("*.yaml")), ids=lambda p: p.name)
+    def test_shipped_configs_load(self, path):
+        cfg = load_config(path)
+        assert cfg.criteria and cfg.repetitions >= 1
 
     def test_bad_scenario(self, tmp_path):
         path = tmp_path / "cfg.yaml"

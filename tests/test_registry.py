@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdee import harness
+from mdee import estimators, harness
 from mdee.baselines import adj, kfold_cv
 from mdee.core import (
     BasisSpec,
@@ -40,9 +40,9 @@ from mdee.harness import (
     CRITERIA,
     ExperimentConfig,
     SyntheticScenario,
+    TrialState,
     evaluate_trial,
     path_test_errors,
-    trial_state,
 )
 from mdee.harness import test_error as model_test_error
 
@@ -136,7 +136,7 @@ def assert_same(got, want):
 @given(trials())
 def test_registry_matches_per_d_reference(case):
     kind, train, pool, path, test, ridge = case
-    state = trial_state(train, pool, path, config(ridge), cv_seed=0)
+    state = TrialState(train, pool, path, ridge, cv_seed=0)
     blocks, b1 = state.blocks, state.b1
     assert (blocks is None) == (pool.n < train.n)
     flagged_seen = 0
@@ -246,7 +246,7 @@ def cond_counts(flags):
 def test_shared_block_flags_match_per_d_invert_blocks(case):
     kind, train, pool, path, test, ridge = case
     cfg = config(ridge, criteria=["mDEE1", "mDEE2", "mDEE3", "rmDEE"], d_max=path.d_max)
-    state = trial_state(train, pool, path, cfg, cv_seed=0)
+    state = TrialState(train, pool, path, ridge, cv_seed=0)
     with mock.patch.object(harness, "fit_model_path", lambda *args: path):
         result = evaluate_trial(0, {"n": train.n}, train, pool, test, path.d_max, cfg, cv_seed=0)
     if kind == "small_pool":
@@ -289,7 +289,7 @@ def test_singular_block_fails_only_the_criteria_that_read_it():
     pool[:n] = 0.0
     pool = UnlabeledSet(X=pool)
     path = random_path(rng, BasisSpec("fourier", 1), n - 1, ridge)
-    state = trial_state(train, pool, path, config(ridge, criteria=["mDEE3"]), cv_seed=0)
+    state = TrialState(train, pool, path, ridge, cv_seed=0)
     state.b1 = 2  # block 0 feeds only the C side of mDEE1
     for d in range(1, n):
         got = registry_score("mDEE1", state, d)
@@ -346,3 +346,32 @@ def test_svd_failure_becomes_sentinel(monkeypatch):
     for name in ("DEE", "mDEE3", "rmDEE"):
         assert result.flags[name] == "inf@d1;inf@d2;inf@d3;inf@d4;all_infinite"
     assert result.flags["FPE"] == ""
+
+
+def test_b1_unavailable_only_on_split_criteria():
+    # n_unlabeled 15 at n = 10 gives one block: no split, but mDEE3 and rmDEE still score it.
+    rng = np.random.default_rng(5)
+    n = 10
+    train = LabeledSet(X=rng.normal(size=(n, 1)), y=rng.normal(size=n))
+    pool = UnlabeledSet(X=rng.normal(size=(15, 1)))
+    test = LabeledSet(X=rng.normal(size=(20, 1)), y=rng.normal(size=20))
+    cfg = config(criteria=["mDEE1", "mDEE3", "rmDEE"])
+    result = evaluate_trial(0, {"n": n}, train, pool, test, 8, cfg, cv_seed=0)
+    assert result.flags["mDEE1"] == "b1_unavailable;all_infinite"
+    for name in ("mDEE3", "rmDEE"):
+        assert "b1_unavailable" not in result.flags[name].split(";")
+        assert "all_infinite" not in result.flags[name].split(";")
+
+
+def test_b1_not_built_without_a_split_criterion(monkeypatch):
+    def no_split(*args):
+        raise AssertionError("b1 split built for criteria that do not read it")
+
+    monkeypatch.setattr(estimators, "moment_split", no_split)
+    rng = np.random.default_rng(6)
+    train = LabeledSet(X=rng.normal(size=(10, 1)), y=rng.normal(size=10))
+    pool = UnlabeledSet(X=rng.normal(size=(60, 1)))
+    test = LabeledSet(X=rng.normal(size=(20, 1)), y=rng.normal(size=20))
+    cfg = config(criteria=["DEE", "mDEE3", "rmDEE"])
+    result = evaluate_trial(0, {"n": 10}, train, pool, test, 8, cfg, cv_seed=0)
+    assert set(result.d_hat) == {"DEE", "mDEE3", "rmDEE"}
