@@ -47,6 +47,8 @@ def _check(label: str, value: float, target: float, se: float) -> bool:
 
 def _cmd_oracle(args) -> int:
     cfg = _oracle_config(args)
+    if args.theorem == 4 and not 1 <= args.b1 <= args.blocks - 1:
+        raise ValueError(f"theorem 4 needs 1 <= --b1 <= --blocks - 1, got --b1 {args.b1}, --blocks {args.blocks}")
     t0 = time.time()
     all_ok = True
     if args.theorem == 2:

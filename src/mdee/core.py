@@ -144,6 +144,75 @@ def predict(basis: BasisSpec, X, alpha: np.ndarray) -> np.ndarray:
     return build_design(basis, X, len(alpha)) @ alpha
 
 
+def condition_numbers(mats) -> np.ndarray:
+    """2-norm condition numbers of a symmetric matrix or a (..., d, d) stack of them.
+
+    A zero smallest singular value gives inf. An SVD that does not converge
+    raises SingularDesignError, so the caller's risk becomes the inf@d sentinel
+    like any other numerical failure.
+    """
+    try:
+        s = np.linalg.svd(mats, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise SingularDesignError(f"condition check failed: {exc}") from exc
+    smin = s[..., -1]
+    with np.errstate(divide="ignore"):
+        return np.where(smin > 0, s[..., 0] / smin, np.inf)
+
+
+def check_condition(mat: np.ndarray, what: str) -> None:
+    """Raise SingularDesignError when the condition number of `mat` is above COND_LIMIT."""
+    cond = float(condition_numbers(mat))
+    if not cond <= COND_LIMIT:
+        raise SingularDesignError(f"{what} condition {cond:.3g} exceeds {COND_LIMIT:.0e}")
+
+
+def interlacing_gate(top: np.ndarray) -> np.ndarray:
+    """Which nested families need a condition check below COND_LIMIT at each size.
+
+    `top` is the d_max x d_max member of a family of symmetric matrices whose
+    size-d member is its leading d x d corner (a normal or correlation matrix
+    of the first d design columns, plus a ridge), or a (B, d_max, d_max) stack
+    of such tops. By Cauchy interlacing the eigenvalues of a leading corner lie
+    within the range of the whole matrix's, so a corner's condition number is at
+    most the whole matrix's. A family whose top is at most COND_LIMIT / 2 thus
+    passes the check at every size, d_max included, and only the others (True
+    in the returned mask) are checked again. The factor-2 margin covers the
+    SVD's rounding of the smallest singular value near the limit and the last
+    bits in which a member formed at its own size differs from the corner.
+    Every family is checked when the top's SVD fails.
+    """
+    try:
+        cond = condition_numbers(top)
+    except SingularDesignError:
+        return np.ones(np.shape(top)[:-2], dtype=bool)
+    return ~(cond <= COND_LIMIT / 2)
+
+
+def normal_matrix(v: np.ndarray, ridge_lambda: float) -> np.ndarray:
+    """Ridge-augmented normal matrix Phi^T Phi + n*lambda*I of a (n, d) design, symmetrized."""
+    n, d = v.shape
+    A = v.T @ v + n * ridge_lambda * np.eye(d)
+    return 0.5 * (A + A.T)
+
+
+def solve_normal(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b for a normal matrix A through its Cholesky factor."""
+    try:
+        return cho_solve(cho_factor(A, lower=True), b)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - condition check first
+        raise SingularDesignError(f"normal matrix factorization failed: {exc}") from exc
+
+
+def _ridge_fit(v: np.ndarray, y: np.ndarray, ridge_lambda: float, check: bool) -> FittedModel:
+    A = normal_matrix(v, ridge_lambda)
+    if check:
+        check_condition(A, "normal matrix")
+    alpha = solve_normal(A, v.T @ y)
+    loss = empirical_loss(v, y, alpha)
+    return FittedModel(d=v.shape[1], alpha=alpha, train_loss=loss, ridge_lambda=ridge_lambda)
+
+
 def ridge_lse(phi, y, ridge_lambda: float = DEFAULT_RIDGE) -> FittedModel:
     """Least squares fit through the ridge-augmented normal equations.
 
@@ -153,23 +222,9 @@ def ridge_lse(phi, y, ridge_lambda: float = DEFAULT_RIDGE) -> FittedModel:
     """
     v = np.atleast_2d(np.asarray(phi, dtype=float))
     y = np.asarray(y, dtype=float).reshape(-1)
-    n, d = v.shape
-    if n != y.shape[0]:
+    if v.shape[0] != y.shape[0]:
         raise ValueError("design rows and response length differ")
-    A = v.T @ v + n * ridge_lambda * np.eye(d)
-    A = 0.5 * (A + A.T)
-    cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularDesignError(
-            f"normal matrix condition {cond:.3g} exceeds {COND_LIMIT:.0e}"
-        )
-    try:
-        factor = cho_factor(A, lower=True)
-        alpha = cho_solve(factor, v.T @ y)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - cond guard first
-        raise SingularDesignError(f"normal matrix factorization failed: {exc}") from exc
-    loss = empirical_loss(v, y, alpha)
-    return FittedModel(d=d, alpha=alpha, train_loss=loss, ridge_lambda=ridge_lambda)
+    return _ridge_fit(v, y, ridge_lambda, check=True)
 
 
 def empirical_loss(phi, y, alpha) -> float:
@@ -194,14 +249,19 @@ def fit_model_path(
     d_max: int,
     ridge_lambda: float = DEFAULT_RIDGE,
 ) -> ModelPath:
-    """Fit the LSE for every model size d = 1..d_max on the full labeled set."""
+    """Fit the LSE for every model size d = 1..d_max on the full labeled set.
+
+    Each fit equals `ridge_lse` on the first d design columns; the normal
+    matrices are condition-checked as `interlacing_gate` allows.
+    """
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
     full = build_design(basis, data.X, d_max)
+    recheck = interlacing_gate(normal_matrix(full, ridge_lambda))
     models = []
     for d in range(1, d_max + 1):
         try:
-            models.append(ridge_lse(full[:, :d], data.y, ridge_lambda))
+            models.append(_ridge_fit(full[:, :d], data.y, ridge_lambda, recheck))
         except SingularDesignError as exc:
             raise SingularDesignError(f"model size d={d}: {exc}") from exc
     return ModelPath(models=models, d_max=d_max, basis=basis)

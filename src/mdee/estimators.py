@@ -31,7 +31,10 @@ from .core import (
     SingularDesignError,
     UnlabeledSet,
     build_design,
+    check_condition,
+    condition_numbers,
     correlation_matrix,
+    interlacing_gate,
 )
 
 
@@ -82,21 +85,6 @@ def correction_factor(tr_h: float, n: int, d: int) -> float:
     return (1.0 + tr_h / n) / (1.0 - d / n)
 
 
-def _jitter_cond(mats: np.ndarray) -> np.ndarray:
-    """2-norm condition numbers of a (B, d, d) stack of symmetric matrices.
-
-    An SVD that does not converge raises SingularDesignError, so the caller's
-    risk becomes the inf@d sentinel like any other numerical failure.
-    """
-    try:
-        s = np.linalg.svd(mats, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesignError(f"condition check failed: {exc}") from exc
-    smin = s[..., -1]
-    with np.errstate(divide="ignore"):
-        return np.where(smin > 0, s[..., 0] / smin, np.inf)
-
-
 @dataclass(frozen=True)
 class BlockInverses:
     """Jittered inverses of a (B, d, d) block stack.
@@ -137,7 +125,7 @@ def block_inverses(
     checked = np.arange(jittered.shape[0]) if check is None else np.asarray(check, dtype=int)
     flagged: tuple[int, ...] = ()
     if checked.size:
-        cond = _jitter_cond(jittered if check is None else jittered[checked])
+        cond = condition_numbers(jittered if check is None else jittered[checked])
         flagged = tuple(int(b) for b in checked[~(cond <= COND_LIMIT)])
     singular = []
     try:
@@ -169,17 +157,12 @@ def block_inverse_path(block_corrs: np.ndarray, ridge: float = DEFAULT_RIDGE):
     """Block inverses at every model size, from one (B, d_max, d_max) stack.
 
     Returns a function of d that gives `block_inverses` of the leading d x d
-    corners, built on first use and kept. The stack is condition-checked once,
-    at d_max; at smaller d only the blocks near or above COND_LIMIT there are
-    checked again. By Cauchy interlacing the eigenvalues of a leading corner of
-    a symmetric matrix lie within the range of the whole matrix's, so a corner's
-    condition number is at most the whole matrix's. The factor-2 margin covers
-    the SVD's rounding of the smallest singular value near the limit.
+    corners, built on first use and kept. Each size checks the condition of
+    only the blocks that `interlacing_gate` names at d_max.
     """
     corrs = np.asarray(block_corrs, dtype=float)
     d_max = corrs.shape[-1]
-    cond = _jitter_cond(corrs + ridge * np.eye(d_max))
-    near = np.nonzero(~(cond <= COND_LIMIT / 2))[0]
+    near = np.nonzero(interlacing_gate(corrs + ridge * np.eye(d_max)))[0]
     built: dict[int, BlockInverses] = {}
 
     def at(d: int) -> BlockInverses:
@@ -205,15 +188,15 @@ def dee_trace(c_hat: np.ndarray, c_tilde: np.ndarray, ridge: float = DEFAULT_RID
     is numerically singular (condition above COND_LIMIT).
     """
     c_hat = np.asarray(c_hat, dtype=float)
-    c_tilde = np.asarray(c_tilde, dtype=float)
     jittered = c_hat + ridge * np.eye(c_hat.shape[0])
-    cond = float(_jitter_cond(jittered[None])[0])
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularDesignError(
-            f"labeled correlation matrix condition {cond:.3g} exceeds {COND_LIMIT:.0e}"
-        )
+    check_condition(jittered, "labeled correlation matrix")
+    return solve_trace(jittered, c_tilde)
+
+
+def solve_trace(jittered: np.ndarray, c_tilde: np.ndarray) -> float:
+    """`dee_trace` from the jittered labeled correlation matrix, without its condition check."""
     try:
-        solved = np.linalg.solve(jittered, c_tilde)
+        solved = np.linalg.solve(jittered, np.asarray(c_tilde, dtype=float))
     except np.linalg.LinAlgError as exc:
         raise SingularDesignError("labeled correlation matrix singular") from exc
     return float(np.trace(solved))
@@ -345,21 +328,23 @@ def rmdee_trace(
     statistics.
     """
     corrs = np.asarray(block_corrs, dtype=float)
-    return rmdee_trace_from(corrs, block_inverses(corrs, ridge), labeled_corr, ridge)
+    labeled = None
+    if labeled_corr is not None:
+        labeled = block_inverses(np.asarray(labeled_corr, float)[None], ridge)
+    return rmdee_trace_from(corrs, block_inverses(corrs, ridge), labeled)
 
 
 def rmdee_trace_from(
     corrs: np.ndarray,
     inverses: BlockInverses,
-    labeled_corr: np.ndarray | None,
-    ridge: float = DEFAULT_RIDGE,
+    labeled: BlockInverses | None,
 ) -> tuple[float, tuple[int, ...]]:
-    """`rmdee_trace` from the unlabeled block inverses; the labeled block is inverted here."""
+    """`rmdee_trace` from the unlabeled block inverses and the labeled block's (a stack of one)."""
     c_plus = corrs.mean(axis=0)
     invs, flagged = inverses.side()
     traces = np.einsum("ij,bji->b", c_plus, invs)
-    if labeled_corr is not None:
-        inv0, flagged0 = invert_blocks(np.asarray(labeled_corr, float)[None], ridge)
+    if labeled is not None:
+        inv0, flagged0 = labeled.side()
         tr0 = float(np.trace(c_plus @ inv0[0]))
         traces = np.concatenate(([tr0], traces))
         flagged = tuple(flagged0) + tuple(i + 1 for i in flagged)

@@ -32,8 +32,10 @@ from .core import (
     UnlabeledSet,
     block_partition,
     build_design,
+    check_condition,
     correlation_matrix,
     fit_model_path,
+    interlacing_gate,
     predict,
 )
 from .estimators import CriterionKind
@@ -179,7 +181,9 @@ class TrialState:
     one, a size-d block correlation matrix the leading d x d corner of the d_max
     stack. Labeled and pool correlation matrices are formed per d from the sliced
     design, since a corner of the d_max product can differ in the last bit, which
-    the DEE solve amplifies near d = n. `block_inverses(d)` gives the jittered
+    the DEE solve amplifies near d = n; `labeled_corr(d)` is built once per d for
+    DEE and rmDEE, and `labeled_recheck` says whether its size-d condition checks
+    are needed (`interlacing_gate`). `block_inverses(d)` gives the jittered
     inverses of the size-d blocks, computed once per d and read by every block
     criterion and by the b1 split. Each part is built the first time a criterion
     reads it, so a trial builds only what its criteria need.
@@ -198,6 +202,25 @@ class TrialState:
     @cached_property
     def pool_design(self) -> np.ndarray:
         return build_design(self.path.basis, self.unlabeled.X, self.path.d_max)
+
+    @cached_property
+    def labeled_corr(self):
+        """Function of d giving the correlation matrix of the first d labeled design columns, built once per d."""
+        design = self.train_design  # not self: a cycle would keep each trial's state alive until a full collection
+        built: dict[int, np.ndarray] = {}
+
+        def at(d: int) -> np.ndarray:
+            if d not in built:
+                built[d] = correlation_matrix(design[:, :d])
+            return built[d]
+
+        return at
+
+    @cached_property
+    def labeled_recheck(self) -> bool:
+        """Whether the jittered labeled correlation matrix needs a condition check below d_max (`interlacing_gate`)."""
+        d_max = self.path.d_max
+        return bool(interlacing_gate(self.labeled_corr(d_max) + self.ridge * np.eye(d_max)))
 
     @cached_property
     def blocks(self) -> np.ndarray | None:
@@ -231,17 +254,35 @@ class TrialState:
         return estimators.correction_factor(tr, self.train.n, d) * self.path.train_loss(d)
 
 
-# A criterion maps (state, d) to (risk, number of flagged blocks), or to None where its
-# risk is undefined at d. evaluate_trial records None and SingularDesignError as the
-# inf@d sentinel; an infinite risk returned as a value carries no sentinel.
+# A criterion maps the state to its risk path: for each d = 1..d_max, (risk, number
+# of flagged blocks), or None where its risk is undefined at d. evaluate_trial
+# records None as the inf@d sentinel; an infinite risk returned as a value carries
+# no sentinel.
+
+
+def _per_d(score):
+    """The criterion that runs `score(state, d)` at each d; a SingularDesignError makes only that d None."""
+
+    def risk_path(state: TrialState) -> list:
+        scored = []
+        for d in range(1, state.path.d_max + 1):
+            try:
+                scored.append(score(state, d))
+            except SingularDesignError:
+                scored.append(None)
+        return scored
+
+    return risk_path
 
 
 def _dee_risk(state: TrialState, d: int):
     if state.unlabeled.n < 1 or d >= state.train.n:
         return None
-    c_hat = correlation_matrix(state.train_design[:, :d])
+    jittered = state.labeled_corr(d) + state.ridge * np.eye(d)
+    if state.labeled_recheck:
+        check_condition(jittered, "labeled correlation matrix")
     c_tilde = correlation_matrix(state.pool_design[:, :d])
-    return state.corrected(estimators.dee_trace(c_hat, c_tilde, state.ridge), d), 0
+    return state.corrected(estimators.solve_trace(jittered, c_tilde), d), 0
 
 
 def _block_risk(variant: CriterionKind, state: TrialState, d: int):
@@ -253,37 +294,37 @@ def _block_risk(variant: CriterionKind, state: TrialState, d: int):
     corrs = state.block_corrs[:, :d, :d]
     inverses = state.block_inverses(d)
     if variant is CriterionKind.RMDEE:
-        c_hat = correlation_matrix(state.train_design[:, :d])
-        tr, flagged = estimators.rmdee_trace_from(corrs, inverses, c_hat, state.ridge)
+        check = [0] if state.labeled_recheck else []
+        labeled = estimators.block_inverses(state.labeled_corr(d)[None], state.ridge, check)
+        tr, flagged = estimators.rmdee_trace_from(corrs, inverses, labeled)
     else:
         tr, flagged = estimators.mdee_trace_from(corrs, inverses, variant, state.b1 if split else None)
     return state.corrected(tr, d), len(flagged)
 
 
-def _cv5_risk(state: TrialState, d: int):
+def _cv5_path(state: TrialState) -> list:
     if state.train.n < 5:
-        return None
-    return baselines.kfold_cv_design(state.train_design[:, :d], state.train.y, 5, state.ridge, state.cv_seed), 0
+        return [None] * state.path.d_max
+    risks = baselines.kfold_cv_path(state.train_design, state.train.y, 5, state.ridge, state.cv_seed)
+    return [(risk, 0) for risk in risks]
 
 
-def _adj_risk(state: TrialState, d: int):
-    if d == 1:
-        return state.path.train_loss(1), 0  # no smaller model to compare with
-    if state.unlabeled.n < 1:
-        return None
-    return baselines.adj_design(state.path, state.train_design[:, :d], state.pool_design[:, :d], d), 0
+def _adj_path(state: TrialState) -> list:
+    if state.unlabeled.n < 1:  # only d = 1, which has no smaller model to compare with, is defined
+        return [(state.path.train_loss(1), 0)] + [None] * (state.path.d_max - 1)
+    return [(risk, 0) for risk in baselines.adj_path(state.path, state.train_design, state.pool_design)]
 
 
 CRITERIA = {
-    "DEE": _dee_risk,
-    "mDEE1": partial(_block_risk, CriterionKind.MDEE1),
-    "mDEE2": partial(_block_risk, CriterionKind.MDEE2),
-    "mDEE3": partial(_block_risk, CriterionKind.MDEE3),
-    "rmDEE": partial(_block_risk, CriterionKind.RMDEE),
-    "FPE": lambda state, d: (baselines.fpe(state.path.train_loss(d), state.train.n, d), 0),
-    "cAIC": lambda state, d: (baselines.caic(state.path.train_loss(d), state.train.n, d), 0),
-    "CV5": _cv5_risk,
-    "ADJ": _adj_risk,
+    "DEE": _per_d(_dee_risk),
+    "mDEE1": _per_d(partial(_block_risk, CriterionKind.MDEE1)),
+    "mDEE2": _per_d(partial(_block_risk, CriterionKind.MDEE2)),
+    "mDEE3": _per_d(partial(_block_risk, CriterionKind.MDEE3)),
+    "rmDEE": _per_d(partial(_block_risk, CriterionKind.RMDEE)),
+    "FPE": _per_d(lambda state, d: (baselines.fpe(state.path.train_loss(d), state.train.n, d), 0)),
+    "cAIC": _per_d(lambda state, d: (baselines.caic(state.path.train_loss(d), state.train.n, d), 0)),
+    "CV5": _cv5_path,
+    "ADJ": _adj_path,
 }
 
 
@@ -319,11 +360,7 @@ def evaluate_trial(
         elif name in SPLIT_CRITERIA and state.b1 is None:
             tokens.append("b1_unavailable")
         risks = []
-        for d in range(1, d_max + 1):
-            try:
-                scored = CRITERIA[name](state, d)
-            except SingularDesignError:
-                scored = None
+        for d, scored in enumerate(CRITERIA[name](state), start=1):
             if scored is None:
                 scored = (math.inf, 0)
                 tokens.append(f"inf@d{d}")
@@ -530,6 +567,13 @@ CONFIG_KEYS = {
 }
 
 
+# Keys a section must set; every other key has a default.
+REQUIRED_KEYS = {
+    "synthetic": ("target", "n", "noise_var"),
+    "real": ("name", "path", "response_column", "covariate_columns", "n", "n_unlabeled"),
+}
+
+
 def _as_list(value) -> list:
     return value if isinstance(value, list) else [value]
 
@@ -538,6 +582,9 @@ def _check_keys(section: dict, name: str) -> None:
     unknown = sorted(str(k) for k in section if k not in CONFIG_KEYS[name])
     if unknown:
         raise ValueError(f"unknown config key(s) {unknown} in {name}; valid: {sorted(CONFIG_KEYS[name])}")
+    missing = [k for k in REQUIRED_KEYS.get(name, ()) if k not in section]
+    if missing:
+        raise ValueError(f"missing required config key(s) {missing} in {name}")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -599,7 +646,11 @@ def reaggregate_trials(path) -> list[CriterionSummary]:
     """Rebuild per-cell summaries from a trials.csv file."""
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
-        keys = reader.fieldnames[: -len(TRIAL_FIELDS)]
+        fields = reader.fieldnames or []
+        if fields[-len(TRIAL_FIELDS) :] != TRIAL_FIELDS:
+            missing = [f for f in TRIAL_FIELDS if f not in fields]
+            raise ValueError(f"{path}: the last columns of a trials.csv are {TRIAL_FIELDS}; missing {missing}")
+        keys = fields[: -len(TRIAL_FIELDS)]
         groups: dict[tuple, list[float]] = {}
         for row in reader:
             group = tuple(row[k] for k in keys) + (row["criterion"],)

@@ -37,6 +37,8 @@ class OracleConfig:
     c_draws: int = 1_000_000
 
     def __post_init__(self):
+        if not 1 <= self.d < self.n:
+            raise ValueError(f"oracle needs 1 <= d < n, got d={self.d}, n={self.n}")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.noise_sd < 0:

@@ -1,5 +1,6 @@
 import pytest
 
+from mdee import oracle
 from mdee.cli import main
 
 CONFIG = """
@@ -59,6 +60,12 @@ class TestReportCommand:
         assert printed[0] == original[0]
         assert len(printed) == len(original)
 
+    def test_missing_columns_named(self, tmp_path):
+        path = tmp_path / "trials.csv"
+        path.write_text("a,b\n1,2\n")
+        with pytest.raises(ValueError, match="missing .*'criterion'"):
+            main(["report", str(path)])
+
 
 class TestOracleCommand:
     def test_theorem_2(self, capsys):
@@ -89,3 +96,17 @@ class TestOracleCommand:
         assert "disjoint-split bias" in out
         assert "shared-pool bias" in out
         assert "disjoint-split variance vs closed form" in out
+
+    @pytest.mark.parametrize("args", [["--n", "3", "--d", "3"], ["--d", "0"]], ids=["d=n", "d=0"])
+    def test_model_size_rejected(self, args):
+        with pytest.raises(ValueError, match="1 <= d < n"):
+            main(["oracle", "--theorem", "2", "--reps", "300"] + args)
+
+    def test_b1_checked_before_the_block_loop(self, monkeypatch):
+        def no_loop(*args, **kwargs):
+            raise AssertionError("block loop started")
+
+        monkeypatch.setattr(oracle, "mc_block_moments", no_loop)
+        for b1 in ("0", "30"):
+            with pytest.raises(ValueError, match="--b1"):
+                main(["oracle", "--theorem", "4", "--reps", "400", "--b1", b1])

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mdee.core import (
+    COND_LIMIT,
     BasisSpec,
     LabeledSet,
     SingularDesignError,
@@ -11,9 +12,12 @@ from mdee.core import (
     basis_eval,
     block_partition,
     build_design,
+    check_condition,
     correlation_matrix,
     empirical_loss,
     fit_model_path,
+    interlacing_gate,
+    normal_matrix,
     predict,
     ridge_lse,
 )
@@ -196,6 +200,31 @@ class TestFitModelPath:
         data = LabeledSet(X=[[0.5]] * 6, y=[1.0] * 6)
         with pytest.raises(SingularDesignError, match="d=2"):
             fit_model_path(data, BASIS, 2, 0.0)
+
+
+class TestInterlacingGate:
+    def test_well_conditioned_tops_not_rechecked(self):
+        assert not interlacing_gate(np.eye(3))
+        assert not interlacing_gate(np.stack([np.eye(3), 2.0 * np.eye(3)])).any()
+
+    def test_tops_above_half_the_limit_rechecked(self):
+        # the second top passes its own check but is within a factor 2 of the limit
+        tops = np.stack([np.eye(2), np.diag([1.0, 1.0 / (0.75 * COND_LIMIT)])])
+        check_condition(tops[1], "top")
+        np.testing.assert_array_equal(interlacing_gate(tops), [False, True])
+
+    def test_svd_failure_rechecks(self):
+        assert interlacing_gate(np.full((2, 2), np.nan))
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1e-9, 1e-13]))
+    def test_no_recheck_means_every_corner_passes(self, seed, ridge):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 12))
+        design = build_design(BASIS, rng.normal(size=(n, 1)), n)
+        if interlacing_gate(normal_matrix(design, ridge)):
+            return
+        for d in range(1, n + 1):
+            check_condition(normal_matrix(design[:, :d], ridge), "corner")
 
 
 class TestBlockPartition:

@@ -232,7 +232,10 @@ class TestOutputs:
             calls.append(None)
             return [0.0] * path.d_max if len(calls) % 2 else errors(path, test)
 
-        fpe = lambda state, d: (baselines.fpe(state.path.train_loss(d), state.train.n, d), d % 2)
+        def fpe(state):
+            d_range = range(1, state.path.d_max + 1)
+            return [(baselines.fpe(state.path.train_loss(d), state.train.n, d), d % 2) for d in d_range]
+
         monkeypatch.setitem(CRITERIA, "FPE", fpe)
         monkeypatch.setattr(harness, "path_test_errors", zero_every_other)
         scenario = SyntheticScenario(target="sinc", n_values=[10], noise_vars=[0.1], n_unlabeled=0, n_test=50)
@@ -267,6 +270,12 @@ class TestOutputs:
             assert a_parts[:4] == b_parts[:4]
             # medians agree to output precision
             assert float(a_parts[4]) == pytest.approx(float(b_parts[4]), rel=1e-5)
+
+    def test_reaggregation_names_missing_columns(self, tmp_path):
+        path = tmp_path / "trials.csv"
+        path.write_text("a,b\n1,2\n")
+        with pytest.raises(ValueError, match=r"missing \['trial', 'criterion', 'd_hat', 'regret', 'flags'\]"):
+            reaggregate_trials(path)
 
     def test_quoted_dataset_name_round_trip(self, tmp_path):
         cell = {"dataset": "abalone, rings", "n": 20}
@@ -387,6 +396,20 @@ class TestConfigFile:
         path = tmp_path / "cfg.yaml"
         path.write_text(text)
         with pytest.raises(ValueError, match=rf"'{key}'.* in {section}"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "text, key, section",
+        [
+            (SYNTHETIC_YAML.replace("  target: step\n", ""), "target", "synthetic"),
+            (REAL_YAML.replace("  n_unlabeled: 50\n", ""), "n_unlabeled", "real"),
+        ],
+        ids=["synthetic", "real"],
+    )
+    def test_missing_required_key_named(self, tmp_path, text, key, section):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"missing .*'{key}'.* in {section}"):
             load_config(path)
 
     @pytest.mark.parametrize("path", sorted(CONFIGS_DIR.glob("*.yaml")), ids=lambda p: p.name)

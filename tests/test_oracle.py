@@ -40,6 +40,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             make_cfg(reps=0)
 
+    @pytest.mark.parametrize("d, n", [(0, 20), (-1, 20), (3, 3), (4, 3)])
+    def test_model_size_below_n(self, d, n):
+        with pytest.raises(ValueError, match="1 <= d < n"):
+            make_cfg(d=d, n=n)
+
     def test_inside_model_flag(self):
         assert make_cfg().inside_model()
         assert not make_cfg(truth="sinc").inside_model()

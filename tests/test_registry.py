@@ -10,6 +10,7 @@ and on where the risk is undefined.
 
 import math
 import re
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdee import estimators, harness
-from mdee.baselines import adj, kfold_cv
+from mdee.baselines import adj, adj_path, kfold_cv, kfold_cv_path
 from mdee.core import (
     BasisSpec,
     FittedModel,
@@ -26,15 +27,23 @@ from mdee.core import (
     ModelPath,
     SingularDesignError,
     UnlabeledSet,
+    build_design,
     correlation_matrix,
+    fit_model_path,
+    interlacing_gate,
+    normal_matrix,
+    ridge_lse,
 )
 from mdee.estimators import (
     CriterionKind,
     block_corr_stack,
     dee,
+    dee_trace,
     invert_blocks,
     mdee,
+    mdee_trace,
     rmdee,
+    rmdee_trace,
 )
 from mdee.harness import (
     CRITERIA,
@@ -51,6 +60,7 @@ BLOCK_VARIANTS = {
     "mDEE2": CriterionKind.MDEE2,
     "mDEE3": CriterionKind.MDEE3,
 }
+BLOCK_KINDS = {**BLOCK_VARIANTS, "rmDEE": CriterionKind.RMDEE}
 
 
 def config(ridge=1e-9, criteria=None, d_max=None):
@@ -101,11 +111,8 @@ def random_path(rng, basis, d_max, ridge):
     return ModelPath(models=models, d_max=d_max, basis=basis)
 
 
-def registry_score(name, state, d):
-    try:
-        return CRITERIA[name](state, d)
-    except SingularDesignError:
-        return None
+def registry_paths(state, names=None):
+    return {name: CRITERIA[name](state) for name in names or CRITERIA}
 
 
 def reference_score(estimate):
@@ -139,27 +146,29 @@ def test_registry_matches_per_d_reference(case):
     state = TrialState(train, pool, path, ridge, cv_seed=0)
     blocks, b1 = state.blocks, state.b1
     assert (blocks is None) == (pool.n < train.n)
+    paths = registry_paths(state)
+    assert all(len(scored) == path.d_max for scored in paths.values())
     flagged_seen = 0
     for d in range(1, path.d_max + 1):
         assert_same(
-            registry_score("DEE", state, d),
+            paths["DEE"][d - 1],
             reference_score(lambda: dee(path, train.X, pool, d, ridge)),
         )
         assert_same(
-            registry_score("CV5", state, d),
+            paths["CV5"][d - 1],
             reference_value(lambda: kfold_cv(train, path.basis, d, 5, ridge, seed=0)),
         )
         assert_same(
-            registry_score("ADJ", state, d),
+            paths["ADJ"][d - 1],
             reference_value(lambda: adj(path, train.X, pool, d)),
         )
         for name, variant in BLOCK_VARIANTS.items():
-            got = registry_score(name, state, d)
+            got = paths[name][d - 1]
             if blocks is None or (variant is not CriterionKind.MDEE3 and b1 is None):
                 assert got == (math.inf, 0)
                 continue
             assert_same(got, reference_score(lambda: mdee(path, blocks, variant, b1, d, ridge)))
-        got = registry_score("rmDEE", state, d)
+        got = paths["rmDEE"][d - 1]
         if blocks is None:
             assert got == (math.inf, 0)
             continue
@@ -176,7 +185,7 @@ def test_value_error_in_a_criterion_propagates(monkeypatch):
     def broken(state, d):
         raise ValueError("a bug, not a numerical failure")
 
-    monkeypatch.setitem(CRITERIA, "FPE", broken)
+    monkeypatch.setitem(CRITERIA, "FPE", harness._per_d(broken))
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="a bug"):
         evaluate_trial(
@@ -197,7 +206,7 @@ def test_singular_design_error_becomes_sentinel(monkeypatch):
             raise SingularDesignError("numerically singular")
         return 1.0 / d, 0
 
-    monkeypatch.setitem(CRITERIA, "FPE", singular)
+    monkeypatch.setitem(CRITERIA, "FPE", harness._per_d(singular))
     rng = np.random.default_rng(1)
     result = evaluate_trial(
         trial=0,
@@ -230,8 +239,10 @@ def flag_trials(draw):
         # rank one: flagged for every d >= 2 at ridge 1e-13
         pool[:n] = 0.7
     elif kind == "late_flag":
-        # d_max - 2 distinct rows: rank-deficient only near d_max
-        pool[:n] = rng.normal(size=(d_max - 2, m))[np.arange(n) % (d_max - 2)]
+        # d_max - 2 distinct rows, evenly spaced over one period so that no two
+        # nearly coincide: rank-deficient only near d_max
+        levels = np.linspace(-np.pi, np.pi, d_max - 2, endpoint=False) + rng.uniform(0.0, 0.3)
+        pool[:n] = levels[np.arange(n) % (d_max - 2), None]
     path = random_path(rng, BasisSpec("fourier", m), d_max, ridge)
     test = LabeledSet(X=rng.normal(size=(15, m)), y=rng.normal(size=15))
     return kind, train, UnlabeledSet(X=pool), path, test, ridge
@@ -291,17 +302,20 @@ def test_singular_block_fails_only_the_criteria_that_read_it():
     path = random_path(rng, BasisSpec("fourier", 1), n - 1, ridge)
     state = TrialState(train, pool, path, ridge, cv_seed=0)
     state.b1 = 2  # block 0 feeds only the C side of mDEE1
+    names = ("mDEE1", "mDEE2", "mDEE3", "rmDEE")
+    paths = registry_paths(state, names)
     for d in range(1, n):
-        got = registry_score("mDEE1", state, d)
+        got = paths["mDEE1"][d - 1]
         assert got is not None and math.isfinite(got[0])
         assert_same(got, reference_score(lambda: mdee(path, state.blocks, CriterionKind.MDEE1, 2, d, ridge)))
-        for name in ("mDEE2", "mDEE3", "rmDEE"):
+        for name in names[1:]:
             if d < 3:
-                assert registry_score(name, state, d) is not None
+                assert paths[name][d - 1] is not None
                 continue
+            assert paths[name][d - 1] is None
             for _ in range(2):  # a failure is not kept as a result
                 with pytest.raises(SingularDesignError, match="block 0"):
-                    CRITERIA[name](state, d)
+                    harness._block_risk(BLOCK_KINDS[name], state, d)
         if d >= 3:
             for variant in (CriterionKind.MDEE2, CriterionKind.MDEE3):
                 with pytest.raises(SingularDesignError, match="block 0"):
@@ -375,3 +389,138 @@ def test_b1_not_built_without_a_split_criterion(monkeypatch):
     cfg = config(criteria=["DEE", "mDEE3", "rmDEE"])
     result = evaluate_trial(0, {"n": 10}, train, pool, test, 8, cfg, cv_seed=0)
     assert set(result.d_hat) == {"DEE", "mDEE3", "rmDEE"}
+
+
+# ---------------------------------------------------------------------------
+# Path-valued routes against their per-d references, exactly (==, inf included)
+
+
+@st.composite
+def labeled_paths(draw):
+    """Labeled sets with d_max up to n + 2; some repeat rows, some have fewer distinct rows than d_max."""
+    n = draw(st.integers(5, 14))
+    m = draw(st.integers(1, 2))
+    kind = draw(st.sampled_from(["gauss", "discrete", "late_singular"]))
+    d_max = draw(st.integers(1, n + 2))
+    ridge = draw(st.sampled_from([1e-9, 1e-13, 0.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = covariates(rng, n, m, "discrete" if kind == "discrete" else "gauss")
+    if kind == "late_singular" and d_max > 3:
+        # d_max - 2 distinct rows: singular only at the largest sizes
+        X = X[np.arange(n) % min(d_max - 2, n)]
+    return LabeledSet(X=X, y=rng.normal(size=n)), BasisSpec("fourier", m), d_max, ridge, rng
+
+
+@settings(max_examples=120, deadline=None)
+@given(labeled_paths(), st.integers(0, 2**16))
+def test_cv5_path_equals_per_d_kfold_cv(case, seed):
+    data, basis, d_max, ridge, _ = case
+    got = kfold_cv_path(build_design(basis, data.X, d_max), data.y, 5, ridge, seed)
+    assert got == [kfold_cv(data, basis, d, 5, ridge, seed) for d in range(1, d_max + 1)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(labeled_paths())
+def test_gated_fit_model_path_equals_per_d_ridge_lse(case):
+    data, basis, d_max, ridge, _ = case
+    full = build_design(basis, data.X, d_max)
+    want = []
+    for d in range(1, d_max + 1):
+        try:
+            want.append(ridge_lse(full[:, :d], data.y, ridge))
+        except SingularDesignError:
+            with pytest.raises(SingularDesignError, match=f"model size d={d}:"):
+                fit_model_path(data, basis, d_max, ridge)
+            return
+    got = fit_model_path(data, basis, d_max, ridge).models
+    for g, w in zip(got, want, strict=True):
+        assert g.d == w.d
+        assert np.array_equal(g.alpha, w.alpha)
+        assert g.train_loss == w.train_loss
+
+
+@settings(max_examples=120, deadline=None)
+@given(labeled_paths(), st.sampled_from([1, 7, 40, 300]), st.booleans())
+def test_adj_path_equals_per_d_adj(case, pool_rows, repeat_models):
+    data, basis, d_max, ridge, rng = case
+    path = random_path(rng, basis, d_max, ridge)
+    if repeat_models:
+        # a zero trailing coefficient: some models predict like the next smaller
+        # one, so rho_l falls below RHO_FLOOR and the ratio is skipped
+        for smaller, model in zip(path.models[::2], path.models[1::2]):
+            model.alpha[:] = np.append(smaller.alpha, 0.0)
+    pool = UnlabeledSet(X=covariates(rng, pool_rows, basis.covariate_dim, "discrete"))
+    got = adj_path(path, build_design(basis, data.X, d_max), build_design(basis, pool.X, d_max))
+    assert got == [adj(path, data.X, pool, d) for d in range(1, d_max + 1)]
+
+
+def per_d_check(compute):
+    """The per-d reference score, each condition checked at its own size; None where it raises."""
+    try:
+        tr, flagged = compute()
+    except SingularDesignError:
+        return None
+    return tr, len(flagged)
+
+
+@settings(max_examples=120, deadline=None)
+@given(labeled_paths(), st.sampled_from(["gauss", "discrete"]))
+def test_dee_and_block_paths_equal_per_d_checks(case, pool_kind):
+    data, basis, d_max, ridge, rng = case
+    pool = UnlabeledSet(X=covariates(rng, 4 * data.n, basis.covariate_dim, pool_kind))
+    path = random_path(rng, basis, d_max, ridge)
+    state = TrialState(data, pool, path, ridge, cv_seed=0)
+    paths = registry_paths(state, ["DEE", *BLOCK_KINDS])
+    scored_names = ["DEE", "mDEE3", "rmDEE"]
+    if state.b1 is None:  # a block singular at d_max leaves no split
+        assert paths["mDEE1"] == paths["mDEE2"] == [(math.inf, 0)] * d_max
+    else:
+        scored_names += ["mDEE1", "mDEE2"]
+    for d in range(1, d_max + 1):
+        if d >= data.n:
+            assert all(paths[name][d - 1] is None for name in scored_names)
+            continue
+        c_hat = correlation_matrix(state.train_design[:, :d])
+        c_tilde = correlation_matrix(state.pool_design[:, :d])
+        corners = state.block_corrs[:, :d, :d]
+        references = {
+            "DEE": lambda: (dee_trace(c_hat, c_tilde, ridge), ()),
+            "rmDEE": lambda: rmdee_trace(corners, c_hat, ridge),
+        }
+        for name, variant in BLOCK_VARIANTS.items():
+            references[name] = partial(mdee_trace, corners, variant, state.b1, ridge)
+        for name in scored_names:
+            scored = per_d_check(references[name])
+            if scored is not None:
+                scored = state.corrected(scored[0], d), scored[1]
+            assert paths[name][d - 1] == scored, name
+
+
+def late_singular_labeled(n=12, distinct=6):
+    """Labeled rows at `distinct` levels: at ridge 1e-13 the matrices are singular above size `distinct` only."""
+    rng = np.random.default_rng(7)
+    X = (0.7 * (np.arange(n) % distinct))[:, None]
+    return LabeledSet(X=X, y=rng.normal(size=n))
+
+
+def test_cv5_gate_rechecks_a_fold_singular_near_d_max():
+    data, d_max, ridge = late_singular_labeled(), 9, 1e-13
+    design = build_design(BasisSpec("fourier", 1), data.X, d_max)
+    mask = np.ones(data.n, dtype=bool)
+    mask[np.array_split(np.random.default_rng(3).permutation(data.n), 5)[0]] = False
+    assert interlacing_gate(normal_matrix(design[mask], ridge))
+    got = kfold_cv_path(design, data.y, 5, ridge, seed=3)
+    assert got == [kfold_cv(data, BasisSpec("fourier", 1), d, 5, ridge, seed=3) for d in range(1, d_max + 1)]
+    assert all(math.isfinite(r) for r in got[:5]) and all(math.isinf(r) for r in got[6:])
+
+
+def test_labeled_gate_rechecks_near_d_max():
+    data, d_max, ridge = late_singular_labeled(), 9, 1e-13
+    rng = np.random.default_rng(8)
+    pool = UnlabeledSet(X=rng.normal(size=(60, 1)))
+    path = random_path(rng, BasisSpec("fourier", 1), d_max, ridge)
+    state = TrialState(data, pool, path, ridge, cv_seed=0)
+    assert state.labeled_recheck
+    dee_path, rmdee_path = registry_paths(state, ["DEE", "rmDEE"]).values()
+    assert [d for d, s in enumerate(dee_path, 1) if s is None] == [7, 8, 9]
+    assert [d for d, s in enumerate(rmdee_path, 1) if s[1]] == [7, 8, 9]
