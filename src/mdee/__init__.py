@@ -29,11 +29,9 @@ from .datagen import SyntheticConfig, generate, target_eval
 from .estimators import (
     CorrectionEstimate,
     CriterionKind,
-    MomentSummary,
     correction_factor,
     dee,
     estimate_C_plus,
-    estimate_V,
     mdee,
     rmdee,
     select_b1,

@@ -18,11 +18,10 @@ from .core import (
     SingularDesignError,
     UnlabeledSet,
     build_design,
-    check_condition,
     interlacing_gate,
     normal_matrix,
     ridge_lse,
-    solve_normal,
+    solve_ridge,
 )
 
 RHO_FLOOR = 1e-12
@@ -42,6 +41,13 @@ def caic(train_loss: float, n: int, d: int) -> float:
     return n * math.log(train_loss) + n * (n + d) / (n - d - 2)
 
 
+def _folds(n: int, k: int, seed: int) -> list[np.ndarray]:
+    if n < k:
+        raise ValueError(f"need n >= k folds, got n={n}, k={k}")
+    rng = np.random.default_rng(seed)
+    return np.array_split(rng.permutation(n), k)
+
+
 def kfold_cv(
     data: LabeledSet,
     basis: BasisSpec,
@@ -56,28 +62,10 @@ def kfold_cv(
     keeps the partition shared across the model path. A fold that fails to
     fit yields the +inf sentinel.
     """
-    return kfold_cv_design(build_design(basis, data.X, d), data.y, k, ridge_lambda, seed)
-
-
-def _folds(n: int, k: int, seed: int) -> list[np.ndarray]:
-    if n < k:
-        raise ValueError(f"need n >= k folds, got n={n}, k={k}")
-    rng = np.random.default_rng(seed)
-    return np.array_split(rng.permutation(n), k)
-
-
-def kfold_cv_design(
-    design: np.ndarray,
-    y: np.ndarray,
-    k: int = 5,
-    ridge_lambda: float = DEFAULT_RIDGE,
-    seed: int = 0,
-) -> float:
-    """`kfold_cv` from the labeled design matrix and responses."""
-    n = design.shape[0]
+    design, y = build_design(basis, data.X, d), data.y
     fold_errors = []
-    for held in _folds(n, k, seed):
-        mask = np.ones(n, dtype=bool)
+    for held in _folds(data.n, k, seed):
+        mask = np.ones(data.n, dtype=bool)
         mask[held] = False
         try:
             fit = ridge_lse(design[mask], y[mask], ridge_lambda)
@@ -95,12 +83,12 @@ def kfold_cv_path(
     ridge_lambda: float = DEFAULT_RIDGE,
     seed: int = 0,
 ) -> list[float]:
-    """`kfold_cv_design(design[:, :d], ...)` for every d = 1..d_max, from the d_max design.
+    """`kfold_cv` at every d = 1..d_max, from the labeled d_max design and responses.
 
-    Each fold is fitted along the whole path, with its normal matrices
-    condition-checked as `interlacing_gate` allows. A fold fits on
-    `design[:, :d][mask]`, the rows `kfold_cv_design` gets; taking the rows
-    first and the columns after would change the last bits of the fits.
+    Each fold is fitted along the whole path by `solve_ridge`, with its normal
+    matrices condition-checked as `interlacing_gate` allows. A fold fits on
+    `design[:, :d][mask]`, the rows `kfold_cv` fits on; taking the rows first
+    and the columns after would change the last bits of the fits.
     """
     n, d_max = design.shape
     folds = _folds(n, k, seed)
@@ -112,12 +100,8 @@ def kfold_cv_path(
         y_fit, y_held = y[mask], y[held]
         recheck = interlacing_gate(normal_matrix(design[mask], ridge_lambda))
         for d in range(1, d_max + 1):
-            v = design[:, :d][mask]
-            A = normal_matrix(v, ridge_lambda)
             try:
-                if recheck:
-                    check_condition(A, "normal matrix")
-                alpha = solve_normal(A, v.T @ y_fit)
+                alpha = solve_ridge(design[:, :d][mask], y_fit, ridge_lambda, recheck)
             except SingularDesignError:
                 failed[d - 1] = True
                 continue
@@ -136,16 +120,11 @@ def adj(path: ModelPath, labeled_X, unlabeled: UnlabeledSet, d: int) -> float:
     labeled distance falls below RHO_FLOOR are skipped; with no usable ratio
     (in particular at d = 1) the factor is 1.
     """
-    if d == 1:
-        return path.train_loss(d)
-    labeled_X = np.atleast_2d(np.asarray(labeled_X, dtype=float))
-    design_l = build_design(path.basis, labeled_X, d)
-    return adj_design(path, design_l, build_design(path.basis, unlabeled.X, d), d)
-
-
-def adj_design(path: ModelPath, design_l: np.ndarray, design_u: np.ndarray, d: int) -> float:
-    """`adj` from the size-d labeled and unlabeled design matrices."""
     loss = path.train_loss(d)
+    if d == 1:
+        return loss
+    design_l = build_design(path.basis, np.atleast_2d(np.asarray(labeled_X, dtype=float)), d)
+    design_u = build_design(path.basis, unlabeled.X, d)
     pred_l_d = design_l @ path.model(d).alpha
     pred_u_d = design_u @ path.model(d).alpha
     ratios = []
@@ -163,7 +142,7 @@ def adj_design(path: ModelPath, design_l: np.ndarray, design_u: np.ndarray, d: i
 
 
 def adj_path(path: ModelPath, design_l: np.ndarray, design_u: np.ndarray) -> list[float]:
-    """`adj_design(path, design_l[:, :d], design_u[:, :d], d)` for every d = 1..d_max.
+    """`adj` at every d = 1..d_max, from the labeled and pool d_max designs.
 
     Each model's labeled and pool predictions are formed once and stacked, so
     every rho(j, d) is the RMS difference of two rows.

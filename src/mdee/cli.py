@@ -12,14 +12,29 @@ from . import harness, oracle
 from .core import BasisSpec
 from .estimators import CriterionKind
 
+# Fewest replications per oracle check: two for theorem 2's standard errors.
+MIN_REPS = {2: 2, 4: oracle.MIN_TRACE_REPS}
+# mc_h1_variance_closed_form's error bar takes the spread over 10 groups of
+# the moment blocks, and each group's variances need two blocks.
+MIN_MOMENT_BLOCKS = 20
+
+
+def _input_error(exc: Exception) -> int:
+    """Report a bad input as one stderr line, before any work, with argparse's exit status."""
+    print(f"mdee: error: {exc}", file=sys.stderr)
+    return 2
+
 
 def _cmd_run(args) -> int:
-    cfg = harness.load_config(args.config)
-    if args.seed is not None:
-        cfg.master_seed = args.seed
-    if args.reps is not None:
-        cfg.repetitions = args.reps
-    cfg.validate()
+    try:
+        cfg = harness.load_config(args.config)
+        if args.seed is not None:
+            cfg.master_seed = args.seed
+        if args.reps is not None:
+            cfg.repetitions = args.reps
+        cfg.validate()
+    except (OSError, ValueError) as exc:
+        return _input_error(exc)
     out = harness.run_to_dir(cfg, args.out)
     print(f"wrote {out / 'summary.csv'}, {out / 'trials.csv'}, {out / 'meta.json'}")
     return 0
@@ -45,10 +60,21 @@ def _check(label: str, value: float, target: float, se: float) -> bool:
     return ok
 
 
-def _cmd_oracle(args) -> int:
-    cfg = _oracle_config(args)
+def _check_oracle_args(args) -> None:
+    if args.reps < MIN_REPS[args.theorem]:
+        raise ValueError(f"theorem {args.theorem} needs --reps >= {MIN_REPS[args.theorem]}, got {args.reps}")
     if args.theorem == 4 and not 1 <= args.b1 <= args.blocks - 1:
         raise ValueError(f"theorem 4 needs 1 <= --b1 <= --blocks - 1, got --b1 {args.b1}, --blocks {args.blocks}")
+    if args.theorem == 4 and args.moment_blocks < MIN_MOMENT_BLOCKS:
+        raise ValueError(f"theorem 4 needs --moment-blocks >= {MIN_MOMENT_BLOCKS}, got {args.moment_blocks}")
+
+
+def _cmd_oracle(args) -> int:
+    try:
+        cfg = _oracle_config(args)
+        _check_oracle_args(args)
+    except ValueError as exc:
+        return _input_error(exc)
     t0 = time.time()
     all_ok = True
     if args.theorem == 2:
@@ -76,7 +102,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    summaries = harness.reaggregate_trials(args.trials)
+    try:
+        summaries = harness.reaggregate_trials(args.trials)
+    except (OSError, ValueError) as exc:
+        return _input_error(exc)
     if args.out:
         harness.write_summary_csv(args.out, summaries)
         print(f"wrote {args.out}")

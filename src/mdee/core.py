@@ -196,19 +196,23 @@ def normal_matrix(v: np.ndarray, ridge_lambda: float) -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
-def solve_normal(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for a normal matrix A through its Cholesky factor."""
+def solve_ridge(v: np.ndarray, y: np.ndarray, ridge_lambda: float, check: bool) -> np.ndarray:
+    """Coefficients of the ridge-augmented normal equations of design v and response y.
+
+    Forms `normal_matrix(v, ridge_lambda)`, condition-checks it when `check` is
+    set (as `interlacing_gate` says), and solves through its Cholesky factor.
+    """
+    A = normal_matrix(v, ridge_lambda)
+    if check:
+        check_condition(A, "normal matrix")
     try:
-        return cho_solve(cho_factor(A, lower=True), b)
+        return cho_solve(cho_factor(A, lower=True), v.T @ y)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - condition check first
         raise SingularDesignError(f"normal matrix factorization failed: {exc}") from exc
 
 
 def _ridge_fit(v: np.ndarray, y: np.ndarray, ridge_lambda: float, check: bool) -> FittedModel:
-    A = normal_matrix(v, ridge_lambda)
-    if check:
-        check_condition(A, "normal matrix")
-    alpha = solve_normal(A, v.T @ y)
+    alpha = solve_ridge(v, y, ridge_lambda, check)
     loss = empirical_loss(v, y, alpha)
     return FittedModel(d=v.shape[1], alpha=alpha, train_loss=loss, ridge_lambda=ridge_lambda)
 

@@ -59,23 +59,7 @@ class CorrectionEstimate:
     tr_H: float
     factor: float
     risk: float
-    b1_used: int | None = None
     flagged_blocks: tuple[int, ...] = ()
-
-
-@dataclass
-class MomentSummary:
-    """Empirical moments of vectorized block matrices used by the split rule.
-
-    mu_bar / nu_bar average the vectorized block correlation matrices and
-    their inverses; a1 and a2 are the two variance-objective coefficients.
-    """
-
-    mu_bar: np.ndarray
-    nu_bar: np.ndarray
-    a1: float
-    a2: float
-    n_blocks: int
 
 
 def correction_factor(tr_h: float, n: int, d: int) -> float:
@@ -83,6 +67,12 @@ def correction_factor(tr_h: float, n: int, d: int) -> float:
     if d >= n:
         raise ValueError(f"correction factor undefined for d={d} >= n={n}")
     return (1.0 + tr_h / n) / (1.0 - d / n)
+
+
+def _estimate(path: ModelPath, tr: float, n: int, d: int, flagged: tuple[int, ...] = ()) -> CorrectionEstimate:
+    """The estimate at size d for trace tr: the training loss times `correction_factor`."""
+    factor = correction_factor(tr, n, d)
+    return CorrectionEstimate(d=d, tr_H=tr, factor=factor, risk=factor * path.train_loss(d), flagged_blocks=flagged)
 
 
 @dataclass(frozen=True)
@@ -216,34 +206,12 @@ def dee(
     n = labeled_X.shape[0]
     c_hat = correlation_matrix(build_design(path.basis, labeled_X, d))
     c_tilde = correlation_matrix(build_design(path.basis, unlabeled.X, d))
-    tr = dee_trace(c_hat, c_tilde, ridge)
-    factor = correction_factor(tr, n, d)
-    return CorrectionEstimate(
-        d=d, tr_H=tr, factor=factor, risk=factor * path.train_loss(d)
-    )
+    return _estimate(path, dee_trace(c_hat, c_tilde, ridge), n, d)
 
 
 def estimate_C_plus(rows, basis: BasisSpec, d: int) -> np.ndarray:
     """Empirical correlation matrix of basis features over the given rows."""
     return correlation_matrix(build_design(basis, rows, d))
-
-
-def estimate_V(block_corrs, indices=None, ridge: float = DEFAULT_RIDGE) -> np.ndarray:
-    """Average of jittered block-correlation inverses over the named blocks.
-
-    `block_corrs` is a sequence (or stack) of per-block d x d correlation
-    matrices; `indices=None` averages every block.
-    """
-    corrs = np.asarray(block_corrs, dtype=float)
-    if corrs.ndim == 2:
-        corrs = corrs[None]
-    if indices is not None:
-        indices = list(indices)
-        if not indices:
-            raise ValueError("estimate_V needs a nonempty block index set")
-        corrs = corrs[indices]
-    invs, _ = invert_blocks(corrs, ridge)
-    return invs.mean(axis=0)
 
 
 def block_sides(variant: CriterionKind, b1: int | None, B: int) -> tuple[int, int]:
@@ -302,17 +270,7 @@ def mdee(
     """Block-partitioned risk estimate for one of the mDEE variants."""
     corrs = block_corr_stack(blocks, path.basis, d)
     tr, flagged = mdee_trace(corrs, variant, b1, ridge)
-    n = blocks.shape[1]
-    factor = correction_factor(tr, n, d)
-    used = b1 if variant in (CriterionKind.MDEE1, CriterionKind.MDEE2) else None
-    return CorrectionEstimate(
-        d=d,
-        tr_H=tr,
-        factor=factor,
-        risk=factor * path.train_loss(d),
-        b1_used=used,
-        flagged_blocks=flagged,
-    )
+    return _estimate(path, tr, blocks.shape[1], d, flagged)
 
 
 def rmdee_trace(
@@ -365,15 +323,7 @@ def rmdee(
     corrs = block_corr_stack(blocks, path.basis, d)
     labeled_corr = estimate_C_plus(labeled_X, path.basis, d)
     tr, flagged = rmdee_trace(corrs, labeled_corr, ridge)
-    n = blocks.shape[1]
-    factor = correction_factor(tr, n, d)
-    return CorrectionEstimate(
-        d=d,
-        tr_H=tr,
-        factor=factor,
-        risk=factor * path.train_loss(d),
-        flagged_blocks=flagged,
-    )
+    return _estimate(path, tr, blocks.shape[1], d, flagged)
 
 
 def continuous_split(a1: float, a2: float, n_blocks: int) -> float:
@@ -389,10 +339,6 @@ def continuous_split(a1: float, a2: float, n_blocks: int) -> float:
     return float(n_blocks * r1 / (r1 + np.sqrt(a2)))
 
 
-def _split_objective(a1: float, a2: float, n_blocks: int, b1: int) -> float:
-    return a1 / b1 + a2 / (n_blocks - b1)
-
-
 def optimal_split(a1: float, a2: float, n_blocks: int) -> int:
     """Integer minimizer of a1/B1 + a2/(B - B1) over 1..B-1.
 
@@ -402,13 +348,8 @@ def optimal_split(a1: float, a2: float, n_blocks: int) -> int:
     if n_blocks < 2:
         raise ValueError("cannot split fewer than two blocks")
     b_star = continuous_split(a1, a2, n_blocks)
-    candidates = sorted(
-        {
-            int(min(max(np.floor(b_star), 1), n_blocks - 1)),
-            int(min(max(np.ceil(b_star), 1), n_blocks - 1)),
-        }
-    )
-    return min(candidates, key=lambda b: (_split_objective(a1, a2, n_blocks, b), b))
+    candidates = {int(min(max(r(b_star), 1), n_blocks - 1)) for r in (np.floor, np.ceil)}
+    return min(candidates, key=lambda b: (a1 / b + a2 / (n_blocks - b), b))
 
 
 def select_b1(
@@ -416,8 +357,8 @@ def select_b1(
     basis: BasisSpec,
     d: int,
     ridge: float = DEFAULT_RIDGE,
-) -> tuple[int, MomentSummary]:
-    """Variance-minimizing block split for mDEE1.
+) -> tuple[int, float, float]:
+    """Variance-minimizing block split for mDEE1, as (B1, a1, a2).
 
     Estimates the moment quantities of the vectorized block correlation
     matrices (mu) and their inverses (nu) across all B blocks, assembles
@@ -425,8 +366,8 @@ def select_b1(
         a1 = Tr(Var(mu) Var(nu))/B + Tr(Var(mu) nu nu^T)
         a2 = Tr(Var(mu) Var(nu))/B + Tr(Var(nu) mu mu^T)
 
-    with the plug-ins mu ~ mu_bar, nu ~ nu_bar, and returns the integer B1
-    minimizing a1/B1 + a2/(B - B1). The trace quantities are computed from
+    with the plug-ins mu ~ mu_bar, nu ~ nu_bar, and returns them with the
+    integer B1 minimizing a1/B1 + a2/(B - B1). The trace quantities are computed from
     centered vectors without materializing any d^2 x d^2 matrix:
 
         Tr(Var(mu) Var(nu)) = sum_{b,b'} (u_b^T v_b')^2 / (B-1)^2
@@ -440,7 +381,7 @@ def select_b1(
     return moment_split(corrs, invs)
 
 
-def moment_split(corrs: np.ndarray, invs: np.ndarray) -> tuple[int, MomentSummary]:
+def moment_split(corrs: np.ndarray, invs: np.ndarray) -> tuple[int, float, float]:
     """`select_b1` from the (B, d, d) block correlation stack and its jittered inverses."""
     B, d, _ = corrs.shape
     mu = corrs.reshape(B, d * d)
@@ -454,30 +395,20 @@ def moment_split(corrs: np.ndarray, invs: np.ndarray) -> tuple[int, MomentSummar
     tr_varnu_mumu = float(np.sum((v @ mu_bar) ** 2)) / (B - 1)
     a1 = tr_varmu_varnu / B + tr_varmu_nunu
     a2 = tr_varmu_varnu / B + tr_varnu_mumu
-    b1 = optimal_split(a1, a2, B)
-    return b1, MomentSummary(mu_bar=mu_bar, nu_bar=nu_bar, a1=a1, a2=a2, n_blocks=B)
+    return optimal_split(a1, a2, B), a1, a2
 
 
-def select_model(estimates) -> int:
-    """Model size minimizing the estimated risk.
+def select_model(risks) -> int:
+    """Model size minimizing the estimated risk; position i of `risks` is d = i + 1.
 
-    Accepts CorrectionEstimate objects or bare risk values (then position i
-    maps to d = i + 1). Ties break toward the smallest d; infinite risks never
-    win unless every entry is infinite, in which case d = 1 is returned and a
-    warning is issued.
+    Ties break toward the smallest d and NaN counts as infinite. Infinite
+    risks never win unless every entry is infinite, in which case d = 1 is
+    returned and a warning is issued.
     """
-    if len(estimates) == 0:
+    if len(risks) == 0:
         raise ValueError("select_model needs at least one estimate")
-    pairs = []
-    for i, e in enumerate(estimates):
-        if isinstance(e, CorrectionEstimate):
-            d, risk = e.d, e.risk
-        else:
-            d, risk = i + 1, float(e)
-        if np.isnan(risk):
-            risk = np.inf
-        pairs.append((risk, d))
+    pairs = [(np.inf if np.isnan(r) else r, d) for d, r in enumerate(map(float, risks), start=1)]
     if all(np.isinf(r) for r, _ in pairs):
         warnings.warn("all candidate risks are infinite; falling back to d=1")
-        return min(d for _, d in pairs)
+        return 1
     return min(pairs)[1]

@@ -21,6 +21,8 @@ from .estimators import CriterionKind, block_sides
 _C_CACHE: dict[tuple, np.ndarray] = {}
 
 _CHUNK = 100_000
+# Fewest replications mc_trace_target accepts for its reference trace.
+MIN_TRACE_REPS = 100
 
 
 @dataclass
@@ -236,8 +238,8 @@ def mc_trace_target(cfg: OracleConfig) -> TraceTargetResult:
     C comes from the cached large-sample estimate; its sampling error and the
     replication spread both enter the reported standard error.
     """
-    if cfg.reps < 100:
-        raise ValueError("mc_trace_target needs reps >= 100")
+    if cfg.reps < MIN_TRACE_REPS:
+        raise ValueError(f"mc_trace_target needs reps >= {MIN_TRACE_REPS}")
     C = true_corr(cfg)
     trs = np.empty(cfg.reps)
     inv_sum = np.zeros((cfg.d, cfg.d))
@@ -309,9 +311,6 @@ class MomentInputs:
     tr_varmu_varnu: float
     tr_varnu_mumu: float
     tr_varmu_nunu: float
-    mu: np.ndarray
-    nu: np.ndarray
-    n_blocks: int
 
 
 def _vectorized_blocks(cfg: OracleConfig, tag: int, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
@@ -348,9 +347,6 @@ def _moment_inputs_from(mu_b: np.ndarray, nu_b: np.ndarray) -> MomentInputs:
         tr_varmu_varnu=float(np.trace(var_mu @ var_nu)),
         tr_varnu_mumu=float(mu @ var_nu @ mu),
         tr_varmu_nunu=float(nu @ var_mu @ nu),
-        mu=mu,
-        nu=nu,
-        n_blocks=count,
     )
 
 

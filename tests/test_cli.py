@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import mdee
 from mdee import oracle
 from mdee.cli import main
 
@@ -24,6 +30,20 @@ def config_path(tmp_path):
     return path
 
 
+def no_draws(*args, **kwargs):
+    raise AssertionError("oracle draws started")
+
+
+def assert_input_error(capsys, argv, needle):
+    """`mdee argv` exits 2 with one `mdee: error:` line on stderr naming `needle`."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("mdee: error: ")
+    assert needle in err
+    assert "Traceback" not in err
+
+
 class TestRunCommand:
     def test_writes_outputs(self, config_path, tmp_path, capsys):
         out = tmp_path / "results"
@@ -38,9 +58,15 @@ class TestRunCommand:
         lines = (out / "trials.csv").read_text().splitlines()
         assert len(lines) == 1 + 2  # header + one trial x two criteria
 
-    def test_zero_reps_rejected(self, config_path, tmp_path):
-        with pytest.raises(ValueError, match="repetitions"):
-            main(["run", str(config_path), "--out", str(tmp_path / "r"), "--reps", "0"])
+    def test_zero_reps_rejected(self, config_path, tmp_path, capsys):
+        argv = ["run", str(config_path), "--out", str(tmp_path / "r"), "--reps", "0"]
+        assert_input_error(capsys, argv, "repetitions")
+
+    def test_missing_key_rejected(self, tmp_path, capsys):
+        path = tmp_path / "exp.yaml"
+        path.write_text(CONFIG.replace("  target: step\n", ""))
+        assert_input_error(capsys, ["run", str(path), "--out", str(tmp_path / "r")], "'target'")
+        assert not (tmp_path / "r").exists()
 
     def test_seed_override_changes_output(self, config_path, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -60,11 +86,10 @@ class TestReportCommand:
         assert printed[0] == original[0]
         assert len(printed) == len(original)
 
-    def test_missing_columns_named(self, tmp_path):
+    def test_missing_columns_named(self, tmp_path, capsys):
         path = tmp_path / "trials.csv"
         path.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError, match="missing .*'criterion'"):
-            main(["report", str(path)])
+        assert_input_error(capsys, ["report", str(path)], "'criterion'")
 
 
 class TestOracleCommand:
@@ -98,15 +123,43 @@ class TestOracleCommand:
         assert "disjoint-split variance vs closed form" in out
 
     @pytest.mark.parametrize("args", [["--n", "3", "--d", "3"], ["--d", "0"]], ids=["d=n", "d=0"])
-    def test_model_size_rejected(self, args):
-        with pytest.raises(ValueError, match="1 <= d < n"):
-            main(["oracle", "--theorem", "2", "--reps", "300"] + args)
+    def test_model_size_rejected(self, args, capsys):
+        assert_input_error(capsys, ["oracle", "--theorem", "2", "--reps", "300"] + args, "1 <= d < n")
 
-    def test_b1_checked_before_the_block_loop(self, monkeypatch):
-        def no_loop(*args, **kwargs):
-            raise AssertionError("block loop started")
-
-        monkeypatch.setattr(oracle, "mc_block_moments", no_loop)
+    def test_b1_checked_before_the_block_loop(self, monkeypatch, capsys):
+        monkeypatch.setattr(oracle, "mc_block_moments", no_draws)
         for b1 in ("0", "30"):
-            with pytest.raises(ValueError, match="--b1"):
-                main(["oracle", "--theorem", "4", "--reps", "400", "--b1", b1])
+            assert_input_error(capsys, ["oracle", "--theorem", "4", "--reps", "400", "--b1", b1], "--b1")
+
+    def test_theorem_2_needs_two_reps(self, monkeypatch, capsys):
+        monkeypatch.setattr(oracle, "mc_risk_ratio", no_draws)
+        assert_input_error(capsys, ["oracle", "--theorem", "2", "--reps", "1"], "--reps >= 2")
+
+    def test_theorem_4_reps_checked_before_the_block_loop(self, monkeypatch, capsys):
+        monkeypatch.setattr(oracle, "mc_block_moments", no_draws)
+        assert_input_error(capsys, ["oracle", "--theorem", "4", "--reps", "50"], "--reps >= 100")
+
+    def test_moment_blocks_checked_before_the_block_loop(self, monkeypatch, capsys):
+        monkeypatch.setattr(oracle, "mc_block_moments", no_draws)
+        argv = ["oracle", "--theorem", "4", "--reps", "400", "--moment-blocks", "1"]
+        assert_input_error(capsys, argv, "--moment-blocks >= 20")
+
+    def test_value_error_after_work_starts_propagates(self, monkeypatch):
+        def failing_check(cfg):
+            raise ValueError("late failure")
+
+        monkeypatch.setattr(oracle, "mc_risk_ratio", failing_check)
+        with pytest.raises(ValueError, match="late failure"):
+            main(["oracle", "--theorem", "2", "--reps", "300"])
+
+
+def test_entry_point_prints_one_line_without_traceback():
+    src = str(Path(mdee.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mdee.cli", "oracle", "--theorem", "2", "--d", "0"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["mdee: error: oracle needs 1 <= d < n, got d=0, n=20"]
+    assert proc.stdout == ""

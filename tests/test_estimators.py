@@ -15,7 +15,6 @@ from mdee.core import (
     fit_model_path,
 )
 from mdee.estimators import (
-    CorrectionEstimate,
     CriterionKind,
     block_corr_stack,
     block_sides,
@@ -24,7 +23,6 @@ from mdee.estimators import (
     dee,
     dee_trace,
     estimate_C_plus,
-    estimate_V,
     mdee,
     mdee_trace,
     optimal_split,
@@ -103,33 +101,6 @@ class TestDee:
         assert est.risk == pytest.approx(est.factor * path.train_loss(3), rel=1e-12)
 
 
-class TestEstimateV:
-    def test_identity_blocks(self):
-        corrs = np.stack([np.eye(3)] * 4)
-        np.testing.assert_allclose(estimate_V(corrs, ridge=0.0), np.eye(3))
-
-    def test_singleton_average(self):
-        rng = np.random.default_rng(3)
-        corr = correlation_matrix(rng.normal(size=(10, 3)))
-        np.testing.assert_allclose(
-            estimate_V(corr[None], ridge=0.0), np.linalg.inv(corr), rtol=1e-10
-        )
-
-    def test_scalar_average(self):
-        corrs = np.array([[[2.0]], [[4.0]]])
-        assert estimate_V(corrs, ridge=0.0)[0, 0] == pytest.approx(0.375)
-
-    def test_index_subset(self):
-        corrs = np.array([[[2.0]], [[4.0]], [[8.0]]])
-        assert estimate_V(corrs, indices=[1, 2], ridge=0.0)[0, 0] == pytest.approx(
-            (0.25 + 0.125) / 2
-        )
-
-    def test_empty_indices_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_V(np.stack([np.eye(2)]), indices=[])
-
-
 class TestEstimateCPlus:
     def test_matches_correlation_matrix(self):
         rng = np.random.default_rng(4)
@@ -180,8 +151,8 @@ class TestSelectB1:
         # with a constant feature every block correlation matrix is exactly 1,
         # both coefficients vanish and the split falls back to B/2
         blocks = np.stack([np.full((4, 1), v) for v in range(6)])
-        b1, summary = select_b1(blocks, BASIS, 1)
-        assert summary.a1 == summary.a2 == 0.0
+        b1, a1_hat, a2_hat = select_b1(blocks, BASIS, 1)
+        assert a1_hat == a2_hat == 0.0
         assert b1 == 3
 
     def test_b_less_than_two_rejected(self):
@@ -194,7 +165,7 @@ class TestSelectB1:
         rng = np.random.default_rng(6)
         blocks = gaussian_blocks(rng, n_blocks=12, n=9)
         d = 3
-        _, summary = select_b1(blocks, BASIS, d, ridge=0.0)
+        _, a1_hat, a2_hat = select_b1(blocks, BASIS, d, ridge=0.0)
         corrs = block_corr_stack(blocks, BASIS, d)
         invs = np.linalg.inv(corrs)
         mu_b = corrs.reshape(12, d * d)
@@ -205,15 +176,15 @@ class TestSelectB1:
         t1 = np.trace(var_mu @ var_nu)
         a1 = t1 / 12 + nu @ var_mu @ nu
         a2 = t1 / 12 + mu @ var_nu @ mu
-        assert summary.a1 == pytest.approx(a1, rel=1e-10)
-        assert summary.a2 == pytest.approx(a2, rel=1e-10)
+        assert a1_hat == pytest.approx(a1, rel=1e-10)
+        assert a2_hat == pytest.approx(a2, rel=1e-10)
 
     def test_selected_split_minimizes_objective(self):
         rng = np.random.default_rng(7)
         blocks = gaussian_blocks(rng, n_blocks=20, n=8)
-        b1, summary = select_b1(blocks, BASIS, 2)
+        b1, a1, a2 = select_b1(blocks, BASIS, 2)
         grid = np.arange(1, 20)
-        objective = summary.a1 / grid + summary.a2 / (20 - grid)
+        objective = a1 / grid + a2 / (20 - grid)
         assert b1 == int(grid[np.argmin(objective)])
 
 
@@ -272,13 +243,6 @@ class TestMdee:
             b = mdee(path, shuffled, variant, b1=2, d=2)
             assert a.tr_H == pytest.approx(b.tr_H, rel=1e-12)
 
-    def test_b1_recorded(self):
-        rng = np.random.default_rng(12)
-        blocks = gaussian_blocks(rng, 5, 6)
-        path = path_with_losses([0.5] * 2)
-        assert mdee(path, blocks, CriterionKind.MDEE1, 2, 2).b1_used == 2
-        assert mdee(path, blocks, CriterionKind.MDEE3, None, 2).b1_used is None
-
 
 class TestRmdee:
     def test_equal_traces(self):
@@ -326,13 +290,6 @@ class TestSelectModel:
     def test_all_infinite_warns(self):
         with pytest.warns(UserWarning, match="infinite"):
             assert select_model([np.inf, np.inf]) == 1
-
-    def test_accepts_estimates(self):
-        ests = [
-            CorrectionEstimate(d=1, tr_H=1.0, factor=1.0, risk=2.0),
-            CorrectionEstimate(d=2, tr_H=1.0, factor=1.0, risk=0.5),
-        ]
-        assert select_model(ests) == 2
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
