@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .core import (
     DEFAULT_RIDGE,
@@ -18,10 +19,10 @@ from .core import (
     SingularDesignError,
     UnlabeledSet,
     build_design,
+    check_condition,
     interlacing_gate,
     normal_matrix,
     ridge_lse,
-    solve_ridge,
 )
 
 RHO_FLOOR = 1e-12
@@ -85,28 +86,39 @@ def kfold_cv_path(
 ) -> list[float]:
     """`kfold_cv` at every d = 1..d_max, from the labeled d_max design and responses.
 
-    Each fold is fitted along the whole path by `solve_ridge`, with its normal
-    matrices condition-checked as `interlacing_gate` allows. A fold fits on
-    `design[:, :d][mask]`, the rows `kfold_cv` fits on; taking the rows first
-    and the columns after would change the last bits of the fits.
+    Each fold is factored once. The leading d x d block of the lower Cholesky
+    factor L of the fold's d_max normal matrix is the factor of its size-d
+    normal matrix, so with z = L^{-1} V^T y and W = V_held L^{-T} the size-d
+    fit predicts the held-out rows as the sum of the first d columns of W * z.
+    Where LAPACK finds leading minor k not positive definite, sizes k and up
+    are +inf. When `interlacing_gate` flags the fold, each size's own normal
+    matrix, of `design[:, :d][mask]` as in `kfold_cv`, is condition-checked,
+    and sizes above the limit are +inf. The finite risks differ from
+    `kfold_cv` in the last bits only.
     """
     n, d_max = design.shape
-    folds = _folds(n, k, seed)
     errors = np.zeros((k, d_max))
     failed = np.zeros(d_max, dtype=bool)
-    for f, held in enumerate(folds):
+    for f, held in enumerate(_folds(n, k, seed)):
         mask = np.ones(n, dtype=bool)
         mask[held] = False
-        y_fit, y_held = y[mask], y[held]
-        recheck = interlacing_gate(normal_matrix(design[mask], ridge_lambda))
-        for d in range(1, d_max + 1):
-            try:
-                alpha = solve_ridge(design[:, :d][mask], y_fit, ridge_lambda, recheck)
-            except SingularDesignError:
-                failed[d - 1] = True
-                continue
-            resid = y_held - design[:, :d][held] @ alpha
-            errors[f, d - 1] = resid @ resid / held.size
+        fit = design[mask]
+        normal = normal_matrix(fit, ridge_lambda)
+        factor, info = dpotrf(normal, lower=1)
+        top = info - 1 if info else d_max
+        failed[top:] = True
+        if interlacing_gate(normal):
+            for d in range(1, top + 1):
+                try:
+                    check_condition(normal_matrix(design[:, :d][mask], ridge_lambda), "normal matrix")
+                except SingularDesignError:
+                    failed[d - 1] = True
+        if top < 1:
+            continue
+        inv = dtrtri(factor[:top, :top], lower=1)[0]
+        z = inv @ (fit[:, :top].T @ y[mask])
+        preds = np.cumsum(design[held, :top] @ inv.T * z, axis=1)
+        errors[f, :top] = np.mean((y[held, None] - preds) ** 2, axis=0)
     risks = np.mean(errors, axis=0)
     risks[failed] = math.inf
     return risks.tolist()

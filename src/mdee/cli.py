@@ -25,6 +25,14 @@ def _input_error(exc: Exception) -> int:
     return 2
 
 
+def _check_readable(path) -> None:
+    """Open a real-data table once, so a missing or unreadable file fails before any output exists."""
+    try:
+        open(path).close()
+    except OSError as exc:
+        raise ValueError(f"real.path {str(path)!r} cannot be read: {exc.strerror or exc}") from exc
+
+
 def _cmd_run(args) -> int:
     try:
         cfg = harness.load_config(args.config)
@@ -33,6 +41,8 @@ def _cmd_run(args) -> int:
         if args.reps is not None:
             cfg.repetitions = args.reps
         cfg.validate()
+        if isinstance(cfg.scenario, harness.RealScenario):
+            _check_readable(cfg.scenario.manifest.path)
     except (OSError, ValueError) as exc:
         return _input_error(exc)
     out = harness.run_to_dir(cfg, args.out)

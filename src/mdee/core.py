@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -201,14 +201,16 @@ def solve_ridge(v: np.ndarray, y: np.ndarray, ridge_lambda: float, check: bool) 
 
     Forms `normal_matrix(v, ridge_lambda)`, condition-checks it when `check` is
     set (as `interlacing_gate` says), and solves through its Cholesky factor.
+    LAPACK's potrf/potrs are called directly, with the arguments scipy's
+    `cho_factor`/`cho_solve` pass them, without that wrapper's per-call cost.
     """
     A = normal_matrix(v, ridge_lambda)
     if check:
         check_condition(A, "normal matrix")
-    try:
-        return cho_solve(cho_factor(A, lower=True), v.T @ y)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - condition check first
-        raise SingularDesignError(f"normal matrix factorization failed: {exc}") from exc
+    factor, info = dpotrf(A, lower=1, clean=0)
+    if info:  # pragma: no cover - condition check first
+        raise SingularDesignError(f"normal matrix factorization failed: leading minor {info} not positive definite")
+    return dpotrs(factor, v.T @ y, lower=1)[0]
 
 
 def _ridge_fit(v: np.ndarray, y: np.ndarray, ridge_lambda: float, check: bool) -> FittedModel:

@@ -13,6 +13,11 @@ block-level inverses (for V); they differ only in which blocks feed each side.
 rmDEE replaces the mean of per-block traces with their median, which survives
 near-singular blocks. The block split for mDEE1 is chosen by the closed-form
 variance-minimizing rule implemented in `select_b1`.
+
+`mdee_trace_path` and `rmdee_trace_path` give the traces at every model size
+from one Cholesky factor per block at the largest size (`inverse_factors`);
+`mdee_trace` and `rmdee_trace` compute one size from the size-d inverses and
+are their references.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dtrtri
 
 from .core import (
     COND_LIMIT,
@@ -34,7 +40,6 @@ from .core import (
     check_condition,
     condition_numbers,
     correlation_matrix,
-    interlacing_gate,
 )
 
 
@@ -99,6 +104,18 @@ class BlockInverses:
         return self.invs[start:], tuple(b for b in self.flagged if b >= start)
 
 
+def flagged_blocks(corrs: np.ndarray, ridge: float, check=None) -> tuple[int, ...]:
+    """Indices of the blocks of a (B, d, d) stack whose matrix plus ridge*I has condition above COND_LIMIT.
+
+    Only the blocks whose indices are in `check` (every block when None) are checked.
+    """
+    checked = np.arange(corrs.shape[0]) if check is None else np.asarray(check, dtype=int)
+    if not checked.size:
+        return ()
+    cond = condition_numbers(corrs[checked] + ridge * np.eye(corrs.shape[-1]))
+    return tuple(int(b) for b in checked[~(cond <= COND_LIMIT)])
+
+
 def block_inverses(
     corrs: np.ndarray, ridge: float = DEFAULT_RIDGE, check=None
 ) -> BlockInverses:
@@ -110,13 +127,8 @@ def block_inverses(
     corrs = np.asarray(corrs, dtype=float)
     if corrs.ndim == 2:
         corrs = corrs[None]
-    d = corrs.shape[-1]
-    jittered = corrs + ridge * np.eye(d)
-    checked = np.arange(jittered.shape[0]) if check is None else np.asarray(check, dtype=int)
-    flagged: tuple[int, ...] = ()
-    if checked.size:
-        cond = condition_numbers(jittered if check is None else jittered[checked])
-        flagged = tuple(int(b) for b in checked[~(cond <= COND_LIMIT)])
+    flagged = flagged_blocks(corrs, ridge, check)
+    jittered = corrs + ridge * np.eye(corrs.shape[-1])
     singular = []
     try:
         invs = np.linalg.inv(jittered)
@@ -143,24 +155,25 @@ def invert_blocks(
     return block_inverses(corrs, ridge).side()
 
 
-def block_inverse_path(block_corrs: np.ndarray, ridge: float = DEFAULT_RIDGE):
-    """Block inverses at every model size, from one (B, d_max, d_max) stack.
+def inverse_factors(mats: np.ndarray) -> np.ndarray:
+    """L^{-1} for the lower Cholesky factor L of each matrix in a (B, d, d) stack.
 
-    Returns a function of d that gives `block_inverses` of the leading d x d
-    corners, built on first use and kept. Each size checks the condition of
-    only the blocks that `interlacing_gate` names at d_max.
+    A leading block of L is the factor of the matrix's leading corner (Golub
+    and Van Loan, Matrix Computations, 4.2), so the leading d x d block of
+    L^{-1} is the inverse factor of the leading d x d corner. Raises
+    np.linalg.LinAlgError when a matrix is not numerically positive definite.
     """
-    corrs = np.asarray(block_corrs, dtype=float)
-    d_max = corrs.shape[-1]
-    near = np.nonzero(interlacing_gate(corrs + ridge * np.eye(d_max)))[0]
-    built: dict[int, BlockInverses] = {}
+    return np.stack([dtrtri(low, lower=1)[0] for low in np.linalg.cholesky(mats)])
 
-    def at(d: int) -> BlockInverses:
-        if d not in built:
-            built[d] = block_inverses(corrs[:, :d, :d], ridge, near)
-        return built[d]
 
-    return at
+def quadratic_forms(factors: np.ndarray, c_plus: np.ndarray) -> np.ndarray:
+    """w C_plus w^T for each row w of each inverse factor in a (B, d, d) stack, as (B, d).
+
+    With W = L^{-1} and K = L L^T, Tr(C_plus K^{-1}) = Tr(W C_plus W^T). Row i
+    of W vanishes beyond column i, so the sum over rows i < d is the trace for
+    the leading d x d corners of C_plus and K.
+    """
+    return ((factors @ c_plus) * factors).sum(axis=-1)
 
 
 def block_corr_stack(blocks: np.ndarray, basis: BasisSpec, d: int) -> np.ndarray:
@@ -259,6 +272,18 @@ def mdee_trace_from(
     return float(np.trace(c_plus @ v_hat)), flagged
 
 
+def mdee_trace_path(
+    corrs: np.ndarray,
+    factors: np.ndarray,
+    variant: CriterionKind,
+    b1: int | None,
+) -> np.ndarray:
+    """`mdee_trace` at every size d = 1..D from a (B, D, D) stack and its `inverse_factors`, flags aside."""
+    c_stop, v_start = block_sides(variant, b1, corrs.shape[0])
+    forms = quadratic_forms(factors[v_start:], corrs[:c_stop].mean(axis=0))
+    return np.cumsum(forms.mean(axis=0))
+
+
 def mdee(
     path: ModelPath,
     blocks: np.ndarray,
@@ -307,6 +332,15 @@ def rmdee_trace_from(
         traces = np.concatenate(([tr0], traces))
         flagged = tuple(flagged0) + tuple(i + 1 for i in flagged)
     return float(np.median(traces)), flagged
+
+
+def rmdee_trace_path(corrs: np.ndarray, factors: np.ndarray, labeled: np.ndarray) -> np.ndarray:
+    """`rmdee_trace` at every size d = 1..D from a (B, D, D) stack and its `inverse_factors`, flags aside.
+
+    `labeled` holds the labeled block's inverse factor as a stack of one.
+    """
+    forms = quadratic_forms(np.concatenate((labeled, factors)), corrs.mean(axis=0))
+    return np.median(np.cumsum(forms, axis=1), axis=0)
 
 
 def rmdee(

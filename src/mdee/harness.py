@@ -15,7 +15,7 @@ import math
 import platform
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -183,10 +183,13 @@ class TrialState:
     design, since a corner of the d_max product can differ in the last bit, which
     the DEE solve amplifies near d = n; `labeled_corr(d)` is built once per d for
     DEE and rmDEE, and `labeled_recheck` says whether its size-d condition checks
-    are needed (`interlacing_gate`). `block_inverses(d)` gives the jittered
-    inverses of the size-d blocks, computed once per d and read by every block
-    criterion and by the b1 split. Each part is built the first time a criterion
-    reads it, so a trial builds only what its criteria need.
+    are needed (`interlacing_gate`). The block criteria read every size from one
+    set of inverse Cholesky factors at `top` (`block_factors`, `labeled_factor`)
+    and take their flags from `block_flags(d)`; `block_inverses(d)` gives the
+    jittered inverses of the size-d blocks for the b1 split and for the per-d
+    route that flagged sizes, and trials whose factorization fails, fall back
+    to. Each part is built the first time a criterion reads it, so a trial
+    builds only what its criteria need.
     """
 
     train: LabeledSet
@@ -203,24 +206,27 @@ class TrialState:
     def pool_design(self) -> np.ndarray:
         return build_design(self.path.basis, self.unlabeled.X, self.path.d_max)
 
+    @property
+    def top(self) -> int:
+        """The largest size at which a DEE-family risk is defined: d_max, or n - 1 when smaller."""
+        return min(self.path.d_max, self.train.n - 1)
+
     @cached_property
     def labeled_corr(self):
         """Function of d giving the correlation matrix of the first d labeled design columns, built once per d."""
         design = self.train_design  # not self: a cycle would keep each trial's state alive until a full collection
-        built: dict[int, np.ndarray] = {}
-
-        def at(d: int) -> np.ndarray:
-            if d not in built:
-                built[d] = correlation_matrix(design[:, :d])
-            return built[d]
-
-        return at
+        return cache(lambda d: correlation_matrix(design[:, :d]))
 
     @cached_property
     def labeled_recheck(self) -> bool:
         """Whether the jittered labeled correlation matrix needs a condition check below d_max (`interlacing_gate`)."""
         d_max = self.path.d_max
         return bool(interlacing_gate(self.labeled_corr(d_max) + self.ridge * np.eye(d_max)))
+
+    @cached_property
+    def labeled_factor(self) -> np.ndarray | None:
+        """The inverse Cholesky factor of the jittered labeled correlation matrix at `top`, as a stack of one; None when it fails."""
+        return _inverse_factors(self.labeled_corr(self.top)[None], self.ridge, self.top)
 
     @cached_property
     def blocks(self) -> np.ndarray | None:
@@ -234,9 +240,27 @@ class TrialState:
         return estimators.block_corr_stack(self.blocks, self.path.basis, self.path.d_max)
 
     @cached_property
+    def block_gate(self) -> np.ndarray:
+        """Indices of the blocks whose condition is checked below d_max: those `interlacing_gate` names at d_max."""
+        d_max = self.path.d_max
+        return np.nonzero(interlacing_gate(self.block_corrs + self.ridge * np.eye(d_max)))[0]
+
+    @cached_property
+    def block_factors(self) -> np.ndarray | None:
+        """The inverse Cholesky factors of the jittered blocks at `top`; None when one fails."""
+        return _inverse_factors(self.block_corrs, self.ridge, self.top)
+
+    @cached_property
+    def block_flags(self):
+        """Function of d giving the blocks whose jittered size-d corner is above COND_LIMIT, as `block_inverses(d)` flags them."""
+        corrs, ridge, gate = self.block_corrs, self.ridge, self.block_gate
+        return cache(lambda d: estimators.flagged_blocks(corrs[:, :d, :d], ridge, gate))
+
+    @cached_property
     def block_inverses(self):
-        """Function of d giving the `estimators.BlockInverses` of `block_corrs` at size d."""
-        return estimators.block_inverse_path(self.block_corrs, self.ridge)
+        """Function of d giving the `estimators.BlockInverses` of the size-d corners, built once per d."""
+        corrs, ridge, gate = self.block_corrs, self.ridge, self.block_gate
+        return cache(lambda d: estimators.block_inverses(corrs[:, :d, :d], ridge, gate))
 
     @cached_property
     def b1(self) -> int | None:
@@ -252,6 +276,16 @@ class TrialState:
     def corrected(self, tr: float, d: int) -> float:
         """Training loss at d times the multiplicative correction for trace tr."""
         return estimators.correction_factor(tr, self.train.n, d) * self.path.train_loss(d)
+
+
+def _inverse_factors(corrs: np.ndarray, ridge: float, top: int) -> np.ndarray | None:
+    """`estimators.inverse_factors` of the jittered leading top x top corners of a stack; None when one fails."""
+    if top < 1:
+        return None
+    try:
+        return estimators.inverse_factors(corrs[:, :top, :top] + ridge * np.eye(top))
+    except np.linalg.LinAlgError:
+        return None
 
 
 # A criterion maps the state to its risk path: for each d = 1..d_max, (risk, number
@@ -286,6 +320,7 @@ def _dee_risk(state: TrialState, d: int):
 
 
 def _block_risk(variant: CriterionKind, state: TrialState, d: int):
+    """A block criterion at size d from the size-d block inverses: the per-d route."""
     split = variant.value in SPLIT_CRITERIA
     if state.blocks is None or (split and state.b1 is None):
         return math.inf, 0
@@ -300,6 +335,41 @@ def _block_risk(variant: CriterionKind, state: TrialState, d: int):
     else:
         tr, flagged = estimators.mdee_trace_from(corrs, inverses, variant, state.b1 if split else None)
     return state.corrected(tr, d), len(flagged)
+
+
+def _block_path(variant: CriterionKind, state: TrialState) -> list:
+    """A block criterion at every size from the inverse factors at `state.top`.
+
+    Sizes with a flagged matrix, and every size of a trial whose blocks or
+    labeled matrix cannot be factored at `state.top`, run `_block_risk`.
+    """
+    split = variant.value in SPLIT_CRITERIA
+    d_max = state.path.d_max
+    if state.blocks is None or (split and state.b1 is None):
+        return [(math.inf, 0)] * d_max
+    rmdee = variant is CriterionKind.RMDEE
+    factors = state.block_factors
+    if factors is None or (rmdee and state.labeled_factor is None):
+        return _per_d(partial(_block_risk, variant))(state)
+    corrs = state.block_corrs[:, : state.top, : state.top]
+    if rmdee:
+        traces, v_start = estimators.rmdee_trace_path(corrs, factors, state.labeled_factor), 0
+    else:
+        b1 = state.b1 if split else None
+        traces = estimators.mdee_trace_path(corrs, factors, variant, b1)
+        v_start = estimators.block_sides(variant, b1, len(corrs))[1]
+    scored = []
+    for d, tr in enumerate(traces.tolist(), start=1):
+        try:
+            flagged = sum(b >= v_start for b in state.block_flags(d))
+            if rmdee and state.labeled_recheck:
+                flagged += len(estimators.flagged_blocks(state.labeled_corr(d)[None], state.ridge))
+            # A matrix above COND_LIMIT leaves the prefix's error bound, and its
+            # inverse may not exist: such a size is scored as the per-d route does.
+            scored.append(_block_risk(variant, state, d) if flagged else (state.corrected(tr, d), 0))
+        except SingularDesignError:
+            scored.append(None)
+    return scored + [None] * (d_max - state.top)
 
 
 def _cv5_path(state: TrialState) -> list:
@@ -317,10 +387,10 @@ def _adj_path(state: TrialState) -> list:
 
 CRITERIA = {
     "DEE": _per_d(_dee_risk),
-    "mDEE1": _per_d(partial(_block_risk, CriterionKind.MDEE1)),
-    "mDEE2": _per_d(partial(_block_risk, CriterionKind.MDEE2)),
-    "mDEE3": _per_d(partial(_block_risk, CriterionKind.MDEE3)),
-    "rmDEE": _per_d(partial(_block_risk, CriterionKind.RMDEE)),
+    "mDEE1": partial(_block_path, CriterionKind.MDEE1),
+    "mDEE2": partial(_block_path, CriterionKind.MDEE2),
+    "mDEE3": partial(_block_path, CriterionKind.MDEE3),
+    "rmDEE": partial(_block_path, CriterionKind.RMDEE),
     "FPE": _per_d(lambda state, d: (baselines.fpe(state.path.train_loss(d), state.train.n, d), 0)),
     "cAIC": _per_d(lambda state, d: (baselines.caic(state.path.train_loss(d), state.train.n, d), 0)),
     "CV5": _cv5_path,
@@ -590,7 +660,10 @@ def _check_keys(section: dict, name: str) -> None:
 def load_config(path) -> ExperimentConfig:
     """Parse a YAML experiment config; see the repository README for the schema."""
     with open(path) as handle:
-        raw = yaml.safe_load(handle)
+        try:
+            raw = yaml.safe_load(handle)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"{path}: not valid YAML: {' '.join(str(exc).split())}") from exc
     if not isinstance(raw, dict):
         raise ValueError("config must be a mapping")
     _check_keys(raw, "top level")

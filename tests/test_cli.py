@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import mdee
-from mdee import oracle
+from mdee import harness, oracle
 from mdee.cli import main
 
 CONFIG = """
@@ -20,6 +20,20 @@ synthetic:
   noise_var: 0.1
   n_unlabeled: 150
   n_test: 40
+"""
+
+
+REAL_CONFIG = """
+scenario: real
+criteria: [FPE]
+repetitions: 1
+real:
+  name: toy
+  path: {path}
+  response_column: y
+  covariate_columns: [x]
+  n: 10
+  n_unlabeled: 20
 """
 
 
@@ -66,6 +80,22 @@ class TestRunCommand:
         path = tmp_path / "exp.yaml"
         path.write_text(CONFIG.replace("  target: step\n", ""))
         assert_input_error(capsys, ["run", str(path), "--out", str(tmp_path / "r")], "'target'")
+        assert not (tmp_path / "r").exists()
+
+    def test_invalid_yaml_rejected(self, tmp_path, capsys):
+        path = tmp_path / "exp.yaml"
+        path.write_text("scenario: [synthetic\n")
+        assert_input_error(capsys, ["run", str(path), "--out", str(tmp_path / "r")], "not valid YAML")
+        assert not (tmp_path / "r").exists()
+
+    def test_missing_data_file_rejected(self, tmp_path, capsys, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("a trial started")
+
+        monkeypatch.setattr(harness, "_trial", no_trials)
+        path = tmp_path / "exp.yaml"
+        path.write_text(REAL_CONFIG.format(path=tmp_path / "missing.csv"))
+        assert_input_error(capsys, ["run", str(path), "--out", str(tmp_path / "r")], "missing.csv")
         assert not (tmp_path / "r").exists()
 
     def test_seed_override_changes_output(self, config_path, tmp_path):
