@@ -15,9 +15,12 @@ near-singular blocks. The block split for mDEE1 is chosen by the closed-form
 variance-minimizing rule implemented in `select_b1`.
 
 `mdee_trace_path` and `rmdee_trace_path` give the traces at every model size
-from one Cholesky factor per block at the largest size (`inverse_factors`);
-`mdee_trace` and `rmdee_trace` compute one size from the size-d inverses and
-are their references.
+from one Cholesky factor per block at the largest size (`inverse_factors`).
+A block's trace is +inf from the size at which its factorization stops, the
+limit of Tr(C_plus C_b^{-1}) as C_b turns singular: the mean over blocks is
+then +inf and the median may stay finite. `mdee_trace` and `rmdee_trace`
+compute one size from the size-d LU inverses and are their references; they
+apply the same rule to a block whose inverse does not exist.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .core import (
     COND_LIMIT,
@@ -80,30 +83,6 @@ def _estimate(path: ModelPath, tr: float, n: int, d: int, flagged: tuple[int, ..
     return CorrectionEstimate(d=d, tr_H=tr, factor=factor, risk=factor * path.train_loss(d), flagged_blocks=flagged)
 
 
-@dataclass(frozen=True)
-class BlockInverses:
-    """Jittered inverses of a (B, d, d) block stack.
-
-    `flagged` lists the blocks whose jittered matrix has condition number above
-    COND_LIMIT (kept, but flagged for diagnostics). `singular` lists the blocks
-    whose inverse raised even with the jitter; their entries in `invs` are NaN, and
-    `side` refuses to hand them out, so only a criterion that reads one fails.
-    """
-
-    invs: np.ndarray
-    flagged: tuple[int, ...]
-    singular: tuple[int, ...] = ()
-
-    def side(self, start: int = 0) -> tuple[np.ndarray, tuple[int, ...]]:
-        """Inverses and flagged indices of blocks start..B-1."""
-        for b in self.singular:
-            if b >= start:
-                raise SingularDesignError(
-                    f"block {b}: correlation matrix singular even with ridge jitter"
-                )
-        return self.invs[start:], tuple(b for b in self.flagged if b >= start)
-
-
 def flagged_blocks(corrs: np.ndarray, ridge: float, check=None) -> tuple[int, ...]:
     """Indices of the blocks of a (B, d, d) stack whose matrix plus ridge*I has condition above COND_LIMIT.
 
@@ -116,31 +95,11 @@ def flagged_blocks(corrs: np.ndarray, ridge: float, check=None) -> tuple[int, ..
     return tuple(int(b) for b in checked[~(cond <= COND_LIMIT)])
 
 
-def block_inverses(
-    corrs: np.ndarray, ridge: float = DEFAULT_RIDGE, check=None
-) -> BlockInverses:
-    """Invert each matrix in a (B, d, d) stack after adding ridge*I.
-
-    Condition-checks the blocks whose indices are in `check` (every block when
-    None); the others are taken to be below COND_LIMIT.
-    """
-    corrs = np.asarray(corrs, dtype=float)
-    if corrs.ndim == 2:
-        corrs = corrs[None]
-    flagged = flagged_blocks(corrs, ridge, check)
-    jittered = corrs + ridge * np.eye(corrs.shape[-1])
-    singular = []
+def _inverse(jittered: np.ndarray, b: int) -> np.ndarray:
     try:
-        invs = np.linalg.inv(jittered)
-    except np.linalg.LinAlgError:
-        # Retry one by one so the failing blocks can be named.
-        invs = np.full_like(jittered, np.nan)
-        for b in range(jittered.shape[0]):
-            try:
-                invs[b] = np.linalg.inv(jittered[b])
-            except np.linalg.LinAlgError:
-                singular.append(b)
-    return BlockInverses(invs, flagged, tuple(singular))
+        return np.linalg.inv(jittered)
+    except np.linalg.LinAlgError as exc:
+        raise SingularDesignError(f"block {b}: correlation matrix singular even with ridge jitter") from exc
 
 
 def invert_blocks(
@@ -150,20 +109,48 @@ def invert_blocks(
 
     Returns the inverses and the indices of blocks whose jittered matrix has
     condition number above COND_LIMIT (kept, but flagged for diagnostics).
-    Raises SingularDesignError when a block cannot be inverted.
+    Raises SingularDesignError naming a block that cannot be inverted.
     """
-    return block_inverses(corrs, ridge).side()
+    corrs = np.asarray(corrs, dtype=float)
+    if corrs.ndim == 2:
+        corrs = corrs[None]
+    flagged = flagged_blocks(corrs, ridge)
+    jittered = corrs + ridge * np.eye(corrs.shape[-1])
+    try:
+        invs = np.linalg.inv(jittered)
+    except np.linalg.LinAlgError:
+        # Invert one by one so the failing block can be named.
+        invs = np.stack([_inverse(mat, b) for b, mat in enumerate(jittered)])
+    return invs, flagged
 
 
-def inverse_factors(mats: np.ndarray) -> np.ndarray:
-    """L^{-1} for the lower Cholesky factor L of each matrix in a (B, d, d) stack.
+def inverse_factors(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """L^{-1} for the lower Cholesky factor L of each matrix in a (B, D, D) stack, and the size each factor reaches.
 
     A leading block of L is the factor of the matrix's leading corner (Golub
     and Van Loan, Matrix Computations, 4.2), so the leading d x d block of
-    L^{-1} is the inverse factor of the leading d x d corner. Raises
-    np.linalg.LinAlgError when a matrix is not numerically positive definite.
+    L^{-1} is the inverse factor of the leading d x d corner. When a matrix is
+    not numerically positive definite, LAPACK's potrf stops at the first
+    leading minor k that is not: its factor reaches size k - 1, and the rows
+    from k - 1 on of its L^{-1} are zero. Returns the (B, D, D) inverse
+    factors and the (B,) sizes, D for each matrix that factors whole.
     """
-    return np.stack([dtrtri(low, lower=1)[0] for low in np.linalg.cholesky(mats)])
+    B, D, _ = mats.shape
+    try:
+        lows, sizes = np.linalg.cholesky(mats), np.full(B, D)
+    except np.linalg.LinAlgError:
+        # Factor one by one only here: potrf and the batched cholesky can
+        # differ in the last bit, and the batch that factors keeps its bits.
+        lows, sizes = np.zeros_like(mats), np.empty(B, dtype=int)
+        for b, mat in enumerate(mats):
+            low, info = dpotrf(mat, lower=1)
+            size = sizes[b] = info - 1 if info else D
+            lows[b, :size, :size] = low[:size, :size]
+    factors = np.zeros_like(mats)
+    for low, size, factor in zip(lows, sizes, factors):
+        if size:
+            factor[:size, :size] = dtrtri(low[:size, :size], lower=1)[0]
+    return factors, sizes
 
 
 def quadratic_forms(factors: np.ndarray, c_plus: np.ndarray) -> np.ndarray:
@@ -253,35 +240,35 @@ def mdee_trace(
     b1: int | None,
     ridge: float = DEFAULT_RIDGE,
 ) -> tuple[float, tuple[int, ...]]:
-    """Tr(C_plus V_hat) from a stack of block correlation matrices, sides per `block_sides`."""
+    """Tr(C_plus V_hat) from a stack of block correlation matrices, sides per `block_sides`.
+
+    Only the V-side blocks are inverted; a SingularDesignError names a block by
+    its index among them.
+    """
     corrs = np.asarray(block_corrs, dtype=float)
-    return mdee_trace_from(corrs, block_inverses(corrs, ridge), variant, b1)
-
-
-def mdee_trace_from(
-    corrs: np.ndarray,
-    inverses: BlockInverses,
-    variant: CriterionKind,
-    b1: int | None,
-) -> tuple[float, tuple[int, ...]]:
-    """`mdee_trace` from the block inverses; only the V-side blocks are read."""
     c_stop, v_start = block_sides(variant, b1, corrs.shape[0])
     c_plus = corrs[:c_stop].mean(axis=0)
-    invs, flagged = inverses.side(v_start)
+    invs, flagged = invert_blocks(corrs[v_start:], ridge)
     v_hat = invs.mean(axis=0)
-    return float(np.trace(c_plus @ v_hat)), flagged
+    return float(np.trace(c_plus @ v_hat)), tuple(b + v_start for b in flagged)
 
 
 def mdee_trace_path(
     corrs: np.ndarray,
-    factors: np.ndarray,
+    factors: tuple[np.ndarray, np.ndarray],
     variant: CriterionKind,
     b1: int | None,
 ) -> np.ndarray:
-    """`mdee_trace` at every size d = 1..D from a (B, D, D) stack and its `inverse_factors`, flags aside."""
+    """`mdee_trace` at every size d = 1..D from a (B, D, D) stack and its `inverse_factors`, flags aside.
+
+    The trace is +inf from the first size at which a V-side factor stops.
+    """
+    invs, sizes = factors
     c_stop, v_start = block_sides(variant, b1, corrs.shape[0])
-    forms = quadratic_forms(factors[v_start:], corrs[:c_stop].mean(axis=0))
-    return np.cumsum(forms.mean(axis=0))
+    forms = quadratic_forms(invs[v_start:], corrs[:c_stop].mean(axis=0))
+    traces = np.cumsum(forms.mean(axis=0))
+    traces[sizes[v_start:].min() :] = np.inf
+    return traces
 
 
 def mdee(
@@ -307,40 +294,39 @@ def rmdee_trace(
 
     C_plus averages every unlabeled block. When `labeled_corr` is given it
     joins the trace list as block 0 (flag indices then start at 1 for the
-    unlabeled blocks). An even count takes the mean of the two central order
+    unlabeled blocks). A block whose jittered matrix cannot be inverted has
+    trace +inf. An even count takes the mean of the two central order
     statistics.
     """
     corrs = np.asarray(block_corrs, dtype=float)
-    labeled = None
-    if labeled_corr is not None:
-        labeled = block_inverses(np.asarray(labeled_corr, float)[None], ridge)
-    return rmdee_trace_from(corrs, block_inverses(corrs, ridge), labeled)
-
-
-def rmdee_trace_from(
-    corrs: np.ndarray,
-    inverses: BlockInverses,
-    labeled: BlockInverses | None,
-) -> tuple[float, tuple[int, ...]]:
-    """`rmdee_trace` from the unlabeled block inverses and the labeled block's (a stack of one)."""
     c_plus = corrs.mean(axis=0)
-    invs, flagged = inverses.side()
-    traces = np.einsum("ij,bji->b", c_plus, invs)
-    if labeled is not None:
-        inv0, flagged0 = labeled.side()
-        tr0 = float(np.trace(c_plus @ inv0[0]))
-        traces = np.concatenate(([tr0], traces))
-        flagged = tuple(flagged0) + tuple(i + 1 for i in flagged)
+    if labeled_corr is not None:
+        corrs = np.concatenate((np.asarray(labeled_corr, dtype=float)[None], corrs))
+    flagged = flagged_blocks(corrs, ridge)
+    traces = []
+    for mat in corrs + ridge * np.eye(corrs.shape[-1]):
+        try:
+            traces.append(float(np.trace(c_plus @ np.linalg.inv(mat))))
+        except np.linalg.LinAlgError:
+            traces.append(np.inf)
     return float(np.median(traces)), flagged
 
 
-def rmdee_trace_path(corrs: np.ndarray, factors: np.ndarray, labeled: np.ndarray) -> np.ndarray:
+def rmdee_trace_path(
+    corrs: np.ndarray,
+    factors: tuple[np.ndarray, np.ndarray],
+    labeled: tuple[np.ndarray, np.ndarray],
+) -> np.ndarray:
     """`rmdee_trace` at every size d = 1..D from a (B, D, D) stack and its `inverse_factors`, flags aside.
 
-    `labeled` holds the labeled block's inverse factor as a stack of one.
+    `labeled` holds the labeled block's `inverse_factors` as a stack of one.
+    Each block's trace is +inf from the size at which its factor stops.
     """
-    forms = quadratic_forms(np.concatenate((labeled, factors)), corrs.mean(axis=0))
-    return np.median(np.cumsum(forms, axis=1), axis=0)
+    invs = np.concatenate((labeled[0], factors[0]))
+    sizes = np.concatenate((labeled[1], factors[1]))
+    traces = np.cumsum(quadratic_forms(invs, corrs.mean(axis=0)), axis=1)
+    traces[np.arange(traces.shape[1]) >= sizes[:, None]] = np.inf
+    return np.median(traces, axis=0)
 
 
 def rmdee(

@@ -74,6 +74,18 @@ class SyntheticScenario:
             for nv in self.noise_vars
         ]
 
+    def data_config(self, cell: dict, seed: int = 0) -> datagen.SyntheticConfig:
+        """The `datagen.SyntheticConfig` of one cell's trial; raises ValueError on values it cannot draw from."""
+        return datagen.SyntheticConfig(
+            target=self.target,
+            n=cell["n"],
+            n_prime=self.n_unlabeled,
+            n_test=self.n_test,
+            noise_var=cell["noise_var"],
+            covariate_var=self.covariate_var,
+            seed=seed,
+        )
+
 
 @dataclass
 class RealScenario:
@@ -108,6 +120,19 @@ class ExperimentConfig:
         unknown = [c for c in self.criteria if c not in CRITERIA]
         if unknown:
             raise ValueError(f"unknown criteria {unknown}; valid: {sorted(CRITERIA)}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        if self.d_max is not None and self.d_max < 1:
+            raise ValueError(f"d_max must be >= 1, got {self.d_max}")
+        if not self.ridge >= 0:
+            raise ValueError(f"ridge must be >= 0, got {self.ridge}")
+        if any(n < 1 for n in self.scenario.n_values):
+            raise ValueError(f"every n must be >= 1, got {self.scenario.n_values}")
+        if isinstance(self.scenario, SyntheticScenario):
+            if self.scenario.n_test < 1:
+                raise ValueError(f"n_test must be >= 1, got {self.scenario.n_test}")
+            for cell in self.scenario.cells():
+                self.scenario.data_config(cell)
 
 
 @dataclass
@@ -184,12 +209,11 @@ class TrialState:
     the DEE solve amplifies near d = n; `labeled_corr(d)` is built once per d for
     DEE and rmDEE, and `labeled_recheck` says whether its size-d condition checks
     are needed (`interlacing_gate`). The block criteria read every size from one
-    set of inverse Cholesky factors at `top` (`block_factors`, `labeled_factor`)
-    and take their flags from `block_flags(d)`; `block_inverses(d)` gives the
-    jittered inverses of the size-d blocks for the b1 split and for the per-d
-    route that flagged sizes, and trials whose factorization fails, fall back
-    to. Each part is built the first time a criterion reads it, so a trial
-    builds only what its criteria need.
+    set of inverse Cholesky factors at `top` (`block_factors`, `labeled_factor`),
+    each with the size at which its factorization stops, and take their flags
+    from `block_flags(d)`. `b1` inverts the d_max blocks for the mDEE1 split.
+    Each part is built the first time a criterion reads it, so a trial builds
+    only what its criteria need.
     """
 
     train: LabeledSet
@@ -224,9 +248,9 @@ class TrialState:
         return bool(interlacing_gate(self.labeled_corr(d_max) + self.ridge * np.eye(d_max)))
 
     @cached_property
-    def labeled_factor(self) -> np.ndarray | None:
-        """The inverse Cholesky factor of the jittered labeled correlation matrix at `top`, as a stack of one; None when it fails."""
-        return _inverse_factors(self.labeled_corr(self.top)[None], self.ridge, self.top)
+    def labeled_factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """The `estimators.inverse_factors` of the jittered labeled correlation matrix at `top`, as a stack of one."""
+        return estimators.inverse_factors(self.labeled_corr(self.top)[None] + self.ridge * np.eye(self.top))
 
     @cached_property
     def blocks(self) -> np.ndarray | None:
@@ -246,21 +270,16 @@ class TrialState:
         return np.nonzero(interlacing_gate(self.block_corrs + self.ridge * np.eye(d_max)))[0]
 
     @cached_property
-    def block_factors(self) -> np.ndarray | None:
-        """The inverse Cholesky factors of the jittered blocks at `top`; None when one fails."""
-        return _inverse_factors(self.block_corrs, self.ridge, self.top)
+    def block_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The `estimators.inverse_factors` of the jittered blocks' leading `top` x `top` corners."""
+        top = self.top
+        return estimators.inverse_factors(self.block_corrs[:, :top, :top] + self.ridge * np.eye(top))
 
     @cached_property
     def block_flags(self):
-        """Function of d giving the blocks whose jittered size-d corner is above COND_LIMIT, as `block_inverses(d)` flags them."""
+        """Function of d giving the blocks whose jittered size-d corner is above COND_LIMIT, built once per d, checking `block_gate` only."""
         corrs, ridge, gate = self.block_corrs, self.ridge, self.block_gate
         return cache(lambda d: estimators.flagged_blocks(corrs[:, :d, :d], ridge, gate))
-
-    @cached_property
-    def block_inverses(self):
-        """Function of d giving the `estimators.BlockInverses` of the size-d corners, built once per d."""
-        corrs, ridge, gate = self.block_corrs, self.ridge, self.block_gate
-        return cache(lambda d: estimators.block_inverses(corrs[:, :d, :d], ridge, gate))
 
     @cached_property
     def b1(self) -> int | None:
@@ -268,24 +287,14 @@ class TrialState:
         if self.blocks is None or len(self.blocks) < 2:
             return None
         try:
-            invs, _ = self.block_inverses(self.path.d_max).side()
-        except SingularDesignError:
+            invs = np.linalg.inv(self.block_corrs + self.ridge * np.eye(self.path.d_max))
+        except np.linalg.LinAlgError:
             return None
         return estimators.moment_split(self.block_corrs, invs)[0]
 
     def corrected(self, tr: float, d: int) -> float:
         """Training loss at d times the multiplicative correction for trace tr."""
         return estimators.correction_factor(tr, self.train.n, d) * self.path.train_loss(d)
-
-
-def _inverse_factors(corrs: np.ndarray, ridge: float, top: int) -> np.ndarray | None:
-    """`estimators.inverse_factors` of the jittered leading top x top corners of a stack; None when one fails."""
-    if top < 1:
-        return None
-    try:
-        return estimators.inverse_factors(corrs[:, :top, :top] + ridge * np.eye(top))
-    except np.linalg.LinAlgError:
-        return None
 
 
 # A criterion maps the state to its risk path: for each d = 1..d_max, (risk, number
@@ -319,56 +328,38 @@ def _dee_risk(state: TrialState, d: int):
     return state.corrected(estimators.solve_trace(jittered, c_tilde), d), 0
 
 
-def _block_risk(variant: CriterionKind, state: TrialState, d: int):
-    """A block criterion at size d from the size-d block inverses: the per-d route."""
-    split = variant.value in SPLIT_CRITERIA
-    if state.blocks is None or (split and state.b1 is None):
-        return math.inf, 0
-    if d >= state.train.n:
-        return None
-    corrs = state.block_corrs[:, :d, :d]
-    inverses = state.block_inverses(d)
-    if variant is CriterionKind.RMDEE:
-        check = [0] if state.labeled_recheck else []
-        labeled = estimators.block_inverses(state.labeled_corr(d)[None], state.ridge, check)
-        tr, flagged = estimators.rmdee_trace_from(corrs, inverses, labeled)
-    else:
-        tr, flagged = estimators.mdee_trace_from(corrs, inverses, variant, state.b1 if split else None)
-    return state.corrected(tr, d), len(flagged)
-
-
 def _block_path(variant: CriterionKind, state: TrialState) -> list:
     """A block criterion at every size from the inverse factors at `state.top`.
 
-    Sizes with a flagged matrix, and every size of a trial whose blocks or
-    labeled matrix cannot be factored at `state.top`, run `_block_risk`.
+    A size is None where the trace is +inf, from the first size at which a
+    factor it reads stops, or where a condition check's SVD fails. A flagged
+    size keeps its prefix value and counts its flagged blocks.
     """
     split = variant.value in SPLIT_CRITERIA
     d_max = state.path.d_max
     if state.blocks is None or (split and state.b1 is None):
         return [(math.inf, 0)] * d_max
     rmdee = variant is CriterionKind.RMDEE
-    factors = state.block_factors
-    if factors is None or (rmdee and state.labeled_factor is None):
-        return _per_d(partial(_block_risk, variant))(state)
     corrs = state.block_corrs[:, : state.top, : state.top]
     if rmdee:
-        traces, v_start = estimators.rmdee_trace_path(corrs, factors, state.labeled_factor), 0
+        traces, v_start = estimators.rmdee_trace_path(corrs, state.block_factors, state.labeled_factor), 0
     else:
         b1 = state.b1 if split else None
-        traces = estimators.mdee_trace_path(corrs, factors, variant, b1)
+        traces = estimators.mdee_trace_path(corrs, state.block_factors, variant, b1)
         v_start = estimators.block_sides(variant, b1, len(corrs))[1]
     scored = []
     for d, tr in enumerate(traces.tolist(), start=1):
+        if math.isinf(tr):
+            scored.append(None)
+            continue
         try:
             flagged = sum(b >= v_start for b in state.block_flags(d))
             if rmdee and state.labeled_recheck:
                 flagged += len(estimators.flagged_blocks(state.labeled_corr(d)[None], state.ridge))
-            # A matrix above COND_LIMIT leaves the prefix's error bound, and its
-            # inverse may not exist: such a size is scored as the per-d route does.
-            scored.append(_block_risk(variant, state, d) if flagged else (state.corrected(tr, d), 0))
         except SingularDesignError:
             scored.append(None)
+            continue
+        scored.append((state.corrected(tr, d), flagged))
     return scored + [None] * (d_max - state.top)
 
 
@@ -466,17 +457,7 @@ def _trial(cfg, table, cell, cell_idx, trial) -> TrialResult:
     data_seed = _seed_int(cfg.master_seed, cell_idx, trial, 0)
     scen = cfg.scenario
     if table is None:
-        train, unlabeled, test = datagen.generate(
-            datagen.SyntheticConfig(
-                target=scen.target,
-                n=cell["n"],
-                n_prime=scen.n_unlabeled,
-                n_test=scen.n_test,
-                noise_var=cell["noise_var"],
-                covariate_var=scen.covariate_var,
-                seed=data_seed,
-            )
-        )
+        train, unlabeled, test = datagen.generate(scen.data_config(cell, data_seed))
     else:
         spec = ingest.SplitSpec(
             n=cell["n"], n_prime=scen.n_unlabeled, seed=data_seed, standardize=scen.standardize

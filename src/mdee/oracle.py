@@ -45,6 +45,8 @@ class OracleConfig:
             raise ValueError("reps must be >= 1")
         if self.noise_sd < 0:
             raise ValueError("noise_sd must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not isinstance(self.truth, str):
             self.truth = np.asarray(self.truth, dtype=float).reshape(-1)
 

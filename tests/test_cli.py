@@ -105,6 +105,39 @@ class TestRunCommand:
         assert (out_a / "trials.csv").read_text() != (out_b / "trials.csv").read_text()
 
 
+RUN = ["run", "{config}", "--out", "{out}"]
+
+
+@pytest.mark.parametrize(
+    "old, new, argv, needle",
+    [
+        pytest.param("target: step", "target: foo", RUN, "'foo'", id="target"),
+        pytest.param("noise_var: 0.1", "noise_var: [-0.1]", RUN, "noise_var", id="noise_var"),
+        pytest.param("n_test: 40", "n_test: 40\n  covariate_var: 0", RUN, "covariate_var", id="covariate_var"),
+        pytest.param("n_unlabeled: 150", "n_unlabeled: -5", RUN, "nonnegative", id="n_unlabeled"),
+        pytest.param("n_test: 40", "n_test: 0", RUN, "n_test", id="n_test"),
+        pytest.param("n: 10", "n: [0]", RUN, "every n", id="n"),
+        pytest.param("repetitions: 2", "repetitions: 2\nd_max: 0", RUN, "d_max", id="d_max"),
+        pytest.param("repetitions: 2", "repetitions: 2\nridge: -1.0", RUN, "ridge", id="ridge"),
+        pytest.param("master_seed: 21", "master_seed: -1", RUN, "master_seed", id="master_seed"),
+        pytest.param(None, None, RUN + ["--seed", "-5"], "master_seed", id="run --seed"),
+        pytest.param(None, None, ["oracle", "--theorem", "2", "--reps", "300", "--seed", "-1"], "seed", id="oracle --seed"),
+    ],
+)
+def test_bad_value_rejected_before_any_output(old, new, argv, needle, tmp_path, capsys, monkeypatch):
+    def no_trials(*args):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(harness, "_trial", no_trials)
+    monkeypatch.setattr(oracle, "mc_risk_ratio", no_draws)
+    path, out = tmp_path / "exp.yaml", tmp_path / "r"
+    if old is not None:
+        assert old in CONFIG
+    path.write_text(CONFIG if old is None else CONFIG.replace(old, new))
+    assert_input_error(capsys, [arg.format(config=path, out=out) for arg in argv], needle)
+    assert not out.exists()
+
+
 class TestReportCommand:
     def test_round_trip(self, config_path, tmp_path, capsys):
         out = tmp_path / "results"

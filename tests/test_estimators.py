@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dpotrf
 
 from mdee.core import (
     BasisSpec,
@@ -23,6 +24,7 @@ from mdee.estimators import (
     dee,
     dee_trace,
     estimate_C_plus,
+    inverse_factors,
     mdee,
     mdee_trace,
     optimal_split,
@@ -275,6 +277,22 @@ class TestRmdee:
         corrs = block_corr_stack(blocks, BASIS, 2)
         expected, _ = rmdee_trace(corrs, estimate_C_plus(labeled_X, BASIS, 2))
         assert rmdee(path, blocks, labeled_X, 2).tr_H == expected
+
+
+class TestInverseFactors:
+    def test_a_failing_block_stops_where_potrf_does(self):
+        rng = np.random.default_rng(16)
+        a = rng.normal(size=(3, 5, 8))
+        mats = a @ a.transpose(0, 2, 1) / 8
+        mats[1, 3, 3] = -1.0  # leading minor 4 is not positive definite
+        mats[2, 0, 0] = -1.0  # nor is leading minor 1
+        assert [dpotrf(mat, lower=1)[1] for mat in mats] == [0, 4, 1]
+        factors, sizes = inverse_factors(mats)
+        assert sizes.tolist() == [5, 4 - 1, 1 - 1]
+        for factor, size, mat in zip(factors, sizes, mats):
+            want = np.linalg.inv(np.linalg.cholesky(mat[:size, :size]))
+            np.testing.assert_allclose(factor[:size, :size], want, rtol=1e-12, atol=1e-12)
+            assert not factor[size:].any()
 
 
 class TestSelectModel:

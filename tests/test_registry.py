@@ -4,16 +4,18 @@ The registry scores each size d from designs and correlation matrices built
 once at d_max and sliced; CV5 and the block criteria read every size from one
 Cholesky factor per fold or per block. `dee`, `mdee`, `rmdee`, `kfold_cv`,
 `adj` and `test_error` rebuild every design at size d, and `invert_blocks`
-checks every block's condition at every d. Both routes must agree exactly on
-the flagged-block count and on where the risk is undefined or infinite. DEE,
-ADJ and the path fit agree on the risk to the last bit (or to 1e-12 against
-the references that rebuild designs); CV5 and the block criteria agree within
-`prefix_bound`.
+checks every block's condition and takes its LU inverse at every d. Both
+routes must agree exactly on the flagged-block count and on where the risk is
+undefined or infinite. DEE, ADJ and the path fit agree on the risk to the last
+bit (or to 1e-12 against the references that rebuild designs); CV5 and the
+block criteria agree within `prefix_bound`. A block criterion's risk is None
+from the first size at which a Cholesky factor it reads stops; where LU and
+Cholesky disagree on whether a matrix read can be factored, only that rule is
+checked.
 """
 
 import math
 import re
-from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -121,15 +123,13 @@ def registry_paths(state, names=None):
     return {name: CRITERIA[name](state) for name in names or CRITERIA}
 
 
-def per_d_route(name):
-    """The per-d route a block criterion falls back to."""
-    return harness._per_d(partial(harness._block_risk, BLOCK_KINDS[name]))
-
-
 def reference_score(estimate):
+    """The reference's (risk, flag count); None where it raises or its trace is infinite, as the registry records it."""
     try:
         est = estimate()
     except ValueError:  # SingularDesignError included
+        return None
+    if math.isinf(est.tr_H):
         return None
     return est.risk, len(est.flagged_blocks)
 
@@ -139,6 +139,35 @@ def reference_value(compute):
         return compute(), 0
     except ValueError:
         return None
+
+
+def per_d_check(compute):
+    """The per-d reference score, each condition checked at its own size; None where it raises."""
+    try:
+        tr, flagged = compute()
+    except SingularDesignError:
+        return None
+    return tr, len(flagged)
+
+
+def per_d_route(state, name):
+    """A block criterion at every size from the LU references on the state's size-d corners; None where infinite."""
+    variant, d_max = BLOCK_KINDS[name], state.path.d_max
+    split = name in harness.SPLIT_CRITERIA
+    if state.blocks is None or (split and state.b1 is None):
+        return [(math.inf, 0)] * d_max
+    scored = []
+    for d in range(1, d_max + 1):
+        if d >= state.train.n:
+            scored.append(None)
+            continue
+        corners = state.block_corrs[:, :d, :d]
+        if variant is CriterionKind.RMDEE:
+            score = per_d_check(lambda: rmdee_trace(corners, state.labeled_corr(d), state.ridge))
+        else:
+            score = per_d_check(lambda: mdee_trace(corners, variant, state.b1 if split else None, state.ridge))
+        scored.append(None if score is None or math.isinf(score[0]) else (state.corrected(score[0], d), score[1]))
+    return scored
 
 
 def assert_same(got, want):
@@ -166,9 +195,11 @@ def assert_same(got, want):
 # are not small against the predictions (the responses here are noise). The
 # constant covers both routes and the few eps of their summations; on 2,100
 # random states like these the largest |got - ref| / (d kappa eps |ref|) was
-# 1.95, at d = 1 and kappa = 1. A size with a matrix flagged above COND_LIMIT
-# leaves the first-order regime; the registry scores it by the per-d route, so
-# it is compared as the other criteria are.
+# 1.95, at d = 1 and kappa = 1. At a size with a matrix flagged above
+# COND_LIMIT the bound is at least 16 * 1e12 * eps, 0.35% of the score, per
+# unit of d; at 9,059 flagged sizes of 3,000 random states from the generators
+# below, where LU and Cholesky agree on which matrices read can be factored,
+# the largest |got - ref| / prefix_bound was 0.013.
 PREFIX_C = 16
 EPS = float(np.finfo(float).eps)
 
@@ -180,29 +211,62 @@ def prefix_bound(want: float, kappa: float, d: int) -> float:
 def assert_prefix_close(got, want, kappa, d):
     """A prefix-route score against the per-d one, within `prefix_bound` of it.
 
-    None placement and flag counts must match, and an infinite or flagged risk is
-    compared as in `assert_same`; `kappa()` gives the largest condition number read at d.
+    None placement and flag counts must match, and an infinite risk is compared
+    as in `assert_same`; `kappa()` gives the largest condition number read at d.
     """
-    if want is None or want[1] or math.isinf(want[0]):
+    if want is None or math.isinf(want[0]):
         assert_same(got, want)
         return
-    assert got is not None and got[1] == 0
+    assert got is not None and got[1] == want[1]
     bound = prefix_bound(want[0], kappa(), d)
     assert abs(got[0] - want[0]) <= bound, (got[0], want[0], bound, d)
 
 
-def block_kappa(state, variant, d):
-    """Largest condition number of the jittered size-d matrices a block criterion inverts."""
+def read_matrices(state, variant, d):
+    """The jittered size-d matrices a block criterion reads, with the sizes their Cholesky factors reach."""
     if variant is CriterionKind.RMDEE:
         v_start = 0
     else:
         split = variant is not CriterionKind.MDEE3
         v_start = block_sides(variant, state.b1 if split else None, len(state.blocks))[1]
-    jitter = state.ridge * np.eye(d)
-    kappa = condition_numbers(state.block_corrs[v_start:, :d, :d] + jitter).max()
+    mats, sizes = state.block_corrs[v_start:, :d, :d], state.block_factors[1][v_start:]
     if variant is CriterionKind.RMDEE:
-        kappa = max(kappa, condition_numbers(state.labeled_corr(d) + jitter))
-    return float(kappa)
+        mats = np.concatenate((state.labeled_corr(d)[None], mats))
+        sizes = np.concatenate((state.labeled_factor[1], sizes))
+    return mats + state.ridge * np.eye(d), sizes
+
+
+def block_kappa(state, variant, d):
+    """Largest condition number of the jittered size-d matrices a block criterion reads."""
+    return float(condition_numbers(read_matrices(state, variant, d)[0]).max())
+
+
+def lu_inverts(mat):
+    try:
+        np.linalg.inv(mat)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def assert_block_close(state, name, d, got, want):
+    """A block criterion's score at d against its per-d LU reference `want`.
+
+    The score is None exactly where the rule puts +inf: from the first size at
+    which a factor read stops for a mean, or at which at least half of them have
+    stopped for rmDEE's median. Where LU and Cholesky agree on which matrices
+    read can be factored, the score is also `assert_prefix_close` to `want`.
+    """
+    variant = BLOCK_KINDS[name]
+    if d > state.top:
+        assert got is None and want is None
+        return
+    mats, sizes = read_matrices(state, variant, d)
+    stopped = sizes < d
+    infinite = 2 * stopped.sum() >= len(stopped) if variant is CriterionKind.RMDEE else stopped.any()
+    assert (got is None) == infinite, (name, d, got)
+    if all(lu_inverts(mat) != stop for mat, stop in zip(mats, stopped)):
+        assert_prefix_close(got, want, lambda: block_kappa(state, variant, d), d)
 
 
 def cv5_kappa(design, seed, d, ridge):
@@ -247,13 +311,13 @@ def test_registry_matches_per_d_reference(case):
                 assert got == (math.inf, 0)
                 continue
             want = reference_score(lambda: mdee(path, blocks, variant, b1, d, ridge))
-            assert_prefix_close(got, want, lambda: block_kappa(state, variant, d), d)
+            assert_block_close(state, name, d, got, want)
         got = paths["rmDEE"][d - 1]
         if blocks is None:
             assert got == (math.inf, 0)
             continue
         want = reference_score(lambda: rmdee(path, blocks, train.X, d, ridge))
-        assert_prefix_close(got, want, lambda: block_kappa(state, CriterionKind.RMDEE, d), d)
+        assert_block_close(state, "rmDEE", d, got, want)
         flagged_seen += got[1] if got else 0
     if kind == "flagged_block" and blocks is not None:
         assert flagged_seen > 0
@@ -347,12 +411,13 @@ def test_shared_block_flags_match_per_d_invert_blocks(case):
         return
 
     b1 = state.b1
+    paths = registry_paths(state, result.flags)
     want = {name: {} for name in result.flags}
     flagged_at = {}
     for d in range(1, path.d_max + 1):
         flagged = invert_blocks(block_corr_stack(state.blocks, path.basis, d), ridge)[1]
         flagged_at[d] = flagged
-        assert state.block_inverses(d).flagged == flagged
+        assert state.block_flags(d) == flagged
         labeled = invert_blocks(correlation_matrix(state.train_design[:, :d]), ridge)[1]
         counts = {
             "mDEE1": sum(b >= b1 for b in flagged),
@@ -361,8 +426,9 @@ def test_shared_block_flags_match_per_d_invert_blocks(case):
             "rmDEE": len(labeled) + len(flagged),
         }
         for name, count in counts.items():
-            if count:
+            if count and paths[name][d - 1] is not None:  # an infinite size carries inf@d instead
                 want[name][d] = count
+            assert_block_close(state, name, d, paths[name][d - 1], per_d_route(state, name)[d - 1])
     for name, flags in result.flags.items():
         assert cond_counts(flags) == want[name], name
     if kind in ("constant_block", "late_flag") and ridge == 1e-13:
@@ -372,8 +438,11 @@ def test_shared_block_flags_match_per_d_invert_blocks(case):
 
 
 def test_singular_block_fails_only_the_criteria_that_read_it():
-    # Rows at x = 0 make every sine feature 0, so at ridge 0 block 0 has a zero
-    # row and column from d = 3 on and its inverse raises.
+    # Rows at x = 0 make every sine feature 0 and every cosine feature constant,
+    # so at ridge 0 block 0 is rank one at d = 2, where its factor stops and its
+    # LU inverse is flagged, and has a zero row and column from d = 3 on, where
+    # its inverse raises. The means that read it fail from d = 2 on; mDEE1 does
+    # not read it, and rmDEE's median takes its trace as +inf and stays finite.
     rng = np.random.default_rng(3)
     n, ridge = 8, 0.0
     train = LabeledSet(X=rng.normal(size=(n, 1)), y=rng.normal(size=n))
@@ -385,27 +454,24 @@ def test_singular_block_fails_only_the_criteria_that_read_it():
     state.b1 = 2  # block 0 feeds only the C side of mDEE1
     names = ("mDEE1", "mDEE2", "mDEE3", "rmDEE")
     paths = registry_paths(state, names)
-    assert state.block_factors is None  # no factor at d_max: the trial runs the per-d route
-    for name in names:
-        assert paths[name] == per_d_route(name)(state)
+    assert state.block_factors[1].tolist() == [1, n - 1, n - 1, n - 1]
     for d in range(1, n):
-        got = paths["mDEE1"][d - 1]
-        assert got is not None and math.isfinite(got[0])
-        assert_same(got, reference_score(lambda: mdee(path, state.blocks, CriterionKind.MDEE1, 2, d, ridge)))
-        for name in names[1:]:
-            if d < 3:
-                assert paths[name][d - 1] is not None
-                continue
-            assert paths[name][d - 1] is None
-            for _ in range(2):  # a failure is not kept as a result
-                with pytest.raises(SingularDesignError, match="block 0"):
-                    harness._block_risk(BLOCK_KINDS[name], state, d)
+        for name in names:
+            assert_block_close(state, name, d, paths[name][d - 1], per_d_route(state, name)[d - 1])
+        assert_prefix_close(
+            paths["mDEE1"][d - 1],
+            reference_score(lambda: mdee(path, state.blocks, CriterionKind.MDEE1, 2, d, ridge)),
+            lambda: block_kappa(state, CriterionKind.MDEE1, d),
+            d,
+        )
+        assert paths["rmDEE"][d - 1] is not None and math.isfinite(paths["rmDEE"][d - 1][0])
+        for name in ("mDEE2", "mDEE3"):
+            assert (paths[name][d - 1] is None) == (d >= 2)
         if d >= 3:
             for variant in (CriterionKind.MDEE2, CriterionKind.MDEE3):
                 with pytest.raises(SingularDesignError, match="block 0"):
                     mdee(path, state.blocks, variant, 2, d, ridge)
-            with pytest.raises(SingularDesignError, match="block 0"):
-                rmdee(path, state.blocks, train.X, d, ridge)
+            assert math.isfinite(rmdee(path, state.blocks, train.X, d, ridge).risk)
 
 
 def test_singular_split_block_leaves_b1_unavailable(monkeypatch):
@@ -542,15 +608,6 @@ def test_adj_path_equals_per_d_adj(case, pool_rows, repeat_models):
     assert got == [adj(path, data.X, pool, d) for d in range(1, d_max + 1)]
 
 
-def per_d_check(compute):
-    """The per-d reference score, each condition checked at its own size; None where it raises."""
-    try:
-        tr, flagged = compute()
-    except SingularDesignError:
-        return None
-    return tr, len(flagged)
-
-
 @settings(max_examples=120, deadline=None)
 @given(labeled_paths(), st.sampled_from(["gauss", "discrete"]))
 def test_dee_and_block_paths_equal_per_d_checks(case, pool_kind):
@@ -564,27 +621,17 @@ def test_dee_and_block_paths_equal_per_d_checks(case, pool_kind):
         assert paths["mDEE1"] == paths["mDEE2"] == [(math.inf, 0)] * d_max
     else:
         scored_names += ["mDEE1", "mDEE2"]
+    references = {name: per_d_route(state, name) for name in scored_names[1:]}
     for d in range(1, d_max + 1):
         if d >= data.n:
             assert all(paths[name][d - 1] is None for name in scored_names)
             continue
         c_hat = correlation_matrix(state.train_design[:, :d])
         c_tilde = correlation_matrix(state.pool_design[:, :d])
-        corners = state.block_corrs[:, :d, :d]
-        references = {
-            "DEE": lambda: (dee_trace(c_hat, c_tilde, ridge), ()),
-            "rmDEE": lambda: rmdee_trace(corners, c_hat, ridge),
-        }
-        for name, variant in BLOCK_VARIANTS.items():
-            references[name] = partial(mdee_trace, corners, variant, state.b1, ridge)
-        for name in scored_names:
-            scored = per_d_check(references[name])
-            if scored is not None:
-                scored = state.corrected(scored[0], d), scored[1]
-            if name == "DEE":
-                assert paths[name][d - 1] == scored, name
-            else:
-                assert_prefix_close(paths[name][d - 1], scored, lambda: block_kappa(state, BLOCK_KINDS[name], d), d)
+        scored = per_d_check(lambda: (dee_trace(c_hat, c_tilde, ridge), ()))
+        assert paths["DEE"][d - 1] == (None if scored is None else (state.corrected(scored[0], d), 0))
+        for name, want in references.items():
+            assert_block_close(state, name, d, paths[name][d - 1], want[d - 1])
 
 
 def late_singular_labeled(n=12, distinct=6):
@@ -651,23 +698,55 @@ def test_block_prefix_paths_match_the_per_d_route(case):
         assert state.blocks is None
     if state.b1 is not None:
         assert state.b1 == select_b1(state.blocks, state.path.basis, state.path.d_max, state.ridge)[0]
-    for name, variant in BLOCK_KINDS.items():
-        got, want = CRITERIA[name](state), per_d_route(name)(state)
+    for name in BLOCK_KINDS:
+        got, want = CRITERIA[name](state), per_d_route(state, name)
         assert len(got) == len(want) == state.path.d_max
+        if state.blocks is None or (name in harness.SPLIT_CRITERIA and state.b1 is None):
+            assert got == want
+            continue
         for d, (g, w) in enumerate(zip(got, want), start=1):
-            assert_prefix_close(g, w, lambda: block_kappa(state, variant, d), d)
+            assert_block_close(state, name, d, g, w)
 
 
-def test_rmdee_prefix_falls_back_when_the_labeled_factor_fails():
-    # Five labeled rows at one level: at ridge 0 the labeled matrix is singular from d = 2 on.
+def test_rmdee_median_survives_a_labeled_factor_that_stops():
+    # Five labeled rows at one level: at ridge 0 the labeled matrix is singular
+    # from d = 2 on, so its factor stops there; the six unlabeled blocks factor
+    # whole and keep rmDEE's median finite.
     rng = np.random.default_rng(9)
     n, ridge = 5, 0.0
     train = LabeledSet(X=np.full((n, 1), 0.4), y=rng.normal(size=n))
     pool = UnlabeledSet(X=rng.normal(size=(6 * n, 1)))
     path = random_path(rng, BasisSpec("fourier", 1), n - 1, ridge)
     state = TrialState(train, pool, path, ridge, cv_seed=0)
-    assert state.block_factors is not None and state.labeled_factor is None
-    assert CRITERIA["rmDEE"](state) == per_d_route("rmDEE")(state)
+    assert state.block_factors[1].tolist() == [n - 1] * 6 and state.labeled_factor[1].tolist() == [1]
+    got, want = CRITERIA["rmDEE"](state), per_d_route(state, "rmDEE")
+    assert all(score is not None and math.isfinite(score[0]) for score in got)
+    for d in range(1, n):
+        assert_block_close(state, "rmDEE", d, got[d - 1], want[d - 1])
+
+
+def test_a_factor_that_stops_where_lu_inverts_makes_the_means_infinite():
+    # Block 0 is made indefinite from size 3 on: its LU inverse exists at every
+    # size, but its Cholesky factorization stops at leading minor 3. The means
+    # that read it are None from d = 3 on, where the LU references stay finite;
+    # rmDEE's median takes its trace as +inf and stays finite.
+    rng = np.random.default_rng(11)
+    n, d_max = 10, 6
+    train = LabeledSet(X=rng.normal(size=(n, 1)), y=rng.normal(size=n))
+    pool = UnlabeledSet(X=rng.normal(size=(5 * n, 1)))
+    path = random_path(rng, BasisSpec("fourier", 1), d_max, 1e-9)
+    state = TrialState(train, pool, path, 1e-9, cv_seed=0)
+    corrs = state.block_corrs.copy()
+    corrs[0] = np.diag([1.0, 1.0, -0.5, 1.0, 1.0, 1.0])
+    state.block_corrs = corrs
+    assert state.block_factors[1].tolist() == [2, d_max, d_max, d_max, d_max]
+    paths = registry_paths(state, ["mDEE3", "rmDEE"])
+    for d in range(1, d_max + 1):
+        assert (paths["mDEE3"][d - 1] is None) == (d >= 3)
+        assert per_d_route(state, "mDEE3")[d - 1] is not None
+        assert paths["rmDEE"][d - 1] is not None and math.isfinite(paths["rmDEE"][d - 1][0])
+        for name in ("mDEE3", "rmDEE"):
+            assert_block_close(state, name, d, paths[name][d - 1], per_d_route(state, name)[d - 1])
 
 
 def test_cv5_prefix_stops_where_the_fold_factorization_does():
