@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .core import (
     DEFAULT_RIDGE,
@@ -21,6 +20,7 @@ from .core import (
     build_design,
     check_condition,
     interlacing_gate,
+    inverse_factor,
     normal_matrix,
     ridge_lse,
 )
@@ -104,10 +104,9 @@ def kfold_cv_path(
         mask[held] = False
         fit = design[mask]
         normal = normal_matrix(fit, ridge_lambda)
-        factor, info = dpotrf(normal, lower=1)
-        top = info - 1 if info else d_max
+        inv, top = inverse_factor(normal)
         failed[top:] = True
-        if interlacing_gate(normal):
+        if interlacing_gate(normal, inv, top):
             for d in range(1, top + 1):
                 try:
                     check_condition(normal_matrix(design[:, :d][mask], ridge_lambda), "normal matrix")
@@ -115,7 +114,6 @@ def kfold_cv_path(
                     failed[d - 1] = True
         if top < 1:
             continue
-        inv = dtrtri(factor[:top, :top], lower=1)[0]
         z = inv @ (fit[:, :top].T @ y[mask])
         preds = np.cumsum(design[held, :top] @ inv.T * z, axis=1)
         errors[f, :top] = np.mean((y[held, None] - preds) ** 2, axis=0)

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from . import harness, oracle
+from . import harness, ingest, oracle
 from .core import BasisSpec
 from .estimators import CriterionKind
 
@@ -25,12 +25,13 @@ def _input_error(exc: Exception) -> int:
     return 2
 
 
-def _check_readable(path) -> None:
-    """Open a real-data table once, so a missing or unreadable file fails before any output exists."""
+def _check_table(scenario: harness.RealScenario) -> None:
+    """Load a real-data table once, so an unreadable file or an n that leaves no test row fails before any output exists."""
     try:
-        open(path).close()
+        table = ingest.load_csv(scenario.manifest)
     except OSError as exc:
-        raise ValueError(f"real.path {str(path)!r} cannot be read: {exc.strerror or exc}") from exc
+        raise ValueError(f"real.path {str(scenario.manifest.path)!r} cannot be read: {exc.strerror or exc}") from exc
+    scenario.check_rows(len(table))
 
 
 def _cmd_run(args) -> int:
@@ -42,7 +43,7 @@ def _cmd_run(args) -> int:
             cfg.repetitions = args.reps
         cfg.validate()
         if isinstance(cfg.scenario, harness.RealScenario):
-            _check_readable(cfg.scenario.manifest.path)
+            _check_table(cfg.scenario)
     except (OSError, ValueError) as exc:
         return _input_error(exc)
     out = harness.run_to_dir(cfg, args.out)

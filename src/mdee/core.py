@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -167,26 +167,44 @@ def check_condition(mat: np.ndarray, what: str) -> None:
         raise SingularDesignError(f"{what} condition {cond:.3g} exceeds {COND_LIMIT:.0e}")
 
 
-def interlacing_gate(top: np.ndarray) -> np.ndarray:
+def inverse_factor(mat: np.ndarray) -> tuple[np.ndarray, int]:
+    """L^{-1} for the lower Cholesky factor L of a symmetric matrix, and the size the factor reaches.
+
+    LAPACK's potrf stops at the first leading minor k that is not positive
+    definite; the factor then reaches size k - 1 and the returned
+    (k - 1) x (k - 1) inverse is that of its leading block, the factor of the
+    matrix's leading corner (Golub and Van Loan, Matrix Computations, 4.2).
+    """
+    low, info = dpotrf(mat, lower=1)
+    size = info - 1 if info else mat.shape[0]
+    if not size:
+        return np.zeros((0, 0)), 0
+    return dtrtri(low[:size, :size], lower=1)[0], size
+
+
+def interlacing_gate(tops, factors, sizes) -> np.ndarray:
     """Which nested families need a condition check below COND_LIMIT at each size.
 
-    `top` is the d_max x d_max member of a family of symmetric matrices whose
-    size-d member is its leading d x d corner (a normal or correlation matrix
-    of the first d design columns, plus a ridge), or a (B, d_max, d_max) stack
-    of such tops. By Cauchy interlacing the eigenvalues of a leading corner lie
-    within the range of the whole matrix's, so a corner's condition number is at
-    most the whole matrix's. A family whose top is at most COND_LIMIT / 2 thus
-    passes the check at every size, d_max included, and only the others (True
-    in the returned mask) are checked again. The factor-2 margin covers the
-    SVD's rounding of the smallest singular value near the limit and the last
+    `tops` is the D x D member of a family of symmetric matrices whose size-d
+    member is its leading d x d corner (a normal or correlation matrix of the
+    first d design columns, plus a ridge), or a (B, D, D) stack of such tops.
+    `factors` holds each top's inverse Cholesky factor W = L^{-1} and `sizes`
+    the size its factorization reaches (`inverse_factor`,
+    `estimators.inverse_factors`). Since tr(A) >= lambda_max and
+    ||W||_F^2 = tr(A^{-1}) >= 1 / lambda_min, the bound tr(A) ||W||_F^2 is at
+    least the top's 2-norm condition number, and by Cauchy interlacing a
+    leading corner's condition number is at most the whole matrix's. A family
+    whose bound is at most COND_LIMIT / 2 thus passes the check at every size,
+    D included, and only the others (True in the returned mask) are checked
+    again, size by size, with `condition_numbers`. A factorization that stops
+    before D, or a bound that is NaN, also gates its family. The factor-2
+    margin covers the rounding of W and of the SVD near the limit and the last
     bits in which a member formed at its own size differs from the corner.
-    Every family is checked when the top's SVD fails.
     """
-    try:
-        cond = condition_numbers(top)
-    except SingularDesignError:
-        return np.ones(np.shape(top)[:-2], dtype=bool)
-    return ~(cond <= COND_LIMIT / 2)
+    tops = np.asarray(tops)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = np.trace(tops, axis1=-2, axis2=-1) * np.square(factors).sum(axis=(-2, -1))
+    return (np.asarray(sizes) < tops.shape[-1]) | ~(bound <= COND_LIMIT / 2)
 
 
 def normal_matrix(v: np.ndarray, ridge_lambda: float) -> np.ndarray:
@@ -257,20 +275,28 @@ def fit_model_path(
 ) -> ModelPath:
     """Fit the LSE for every model size d = 1..d_max on the full labeled set.
 
-    Each fit equals `ridge_lse` on the first d design columns; the normal
-    matrices are condition-checked as `interlacing_gate` allows.
+    Each fit equals `ridge_lse` on the first d design columns; see `fit_design_path`.
     """
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
-    full = build_design(basis, data.X, d_max)
-    recheck = interlacing_gate(normal_matrix(full, ridge_lambda))
+    return fit_design_path(build_design(basis, data.X, d_max), data.y, basis, ridge_lambda)
+
+
+def fit_design_path(design: np.ndarray, y: np.ndarray, basis: BasisSpec, ridge_lambda: float) -> ModelPath:
+    """`fit_model_path` from the labeled d_max design of `basis` and the responses.
+
+    The normal matrices are condition-checked as `interlacing_gate` allows,
+    from one Cholesky factorization at d_max.
+    """
+    normal = normal_matrix(design, ridge_lambda)
+    recheck = bool(interlacing_gate(normal, *inverse_factor(normal)))
     models = []
-    for d in range(1, d_max + 1):
+    for d in range(1, design.shape[1] + 1):
         try:
-            models.append(_ridge_fit(full[:, :d], data.y, ridge_lambda, recheck))
+            models.append(_ridge_fit(design[:, :d], y, ridge_lambda, recheck))
         except SingularDesignError as exc:
             raise SingularDesignError(f"model size d={d}: {exc}") from exc
-    return ModelPath(models=models, d_max=d_max, basis=basis)
+    return ModelPath(models=models, d_max=design.shape[1], basis=basis)
 
 
 def block_partition(pool: UnlabeledSet, n: int) -> np.ndarray:

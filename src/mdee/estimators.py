@@ -14,13 +14,14 @@ rmDEE replaces the mean of per-block traces with their median, which survives
 near-singular blocks. The block split for mDEE1 is chosen by the closed-form
 variance-minimizing rule implemented in `select_b1`.
 
-`mdee_trace_path` and `rmdee_trace_path` give the traces at every model size
-from one Cholesky factor per block at the largest size (`inverse_factors`).
-A block's trace is +inf from the size at which its factorization stops, the
-limit of Tr(C_plus C_b^{-1}) as C_b turns singular: the mean over blocks is
-then +inf and the median may stay finite. `mdee_trace` and `rmdee_trace`
-compute one size from the size-d LU inverses and are their references; they
-apply the same rule to a block whose inverse does not exist.
+`dee_trace_path`, `mdee_trace_path` and `rmdee_trace_path` give the traces at
+every model size from one Cholesky factor of the labeled matrix or per block at
+the largest size (`inverse_factors`). A block's trace is +inf from the size at
+which its factorization stops, the limit of Tr(C_plus C_b^{-1}) as C_b turns
+singular: the mean over blocks is then +inf and the median may stay finite.
+`dee_trace`, `mdee_trace` and `rmdee_trace` compute one size from a size-d
+solve or LU inverses and are their references; the block references apply the
+same rule to a block whose inverse does not exist.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtri
+from scipy.linalg.lapack import dtrtri
 
 from .core import (
     COND_LIMIT,
@@ -43,6 +44,7 @@ from .core import (
     check_condition,
     condition_numbers,
     correlation_matrix,
+    inverse_factor,
 )
 
 
@@ -125,32 +127,28 @@ def invert_blocks(
 
 
 def inverse_factors(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """L^{-1} for the lower Cholesky factor L of each matrix in a (B, D, D) stack, and the size each factor reaches.
+    """`core.inverse_factor` of each matrix in a (B, D, D) stack, zero-padded to (B, D, D), and the (B,) sizes.
 
-    A leading block of L is the factor of the matrix's leading corner (Golub
-    and Van Loan, Matrix Computations, 4.2), so the leading d x d block of
-    L^{-1} is the inverse factor of the leading d x d corner. When a matrix is
-    not numerically positive definite, LAPACK's potrf stops at the first
-    leading minor k that is not: its factor reaches size k - 1, and the rows
-    from k - 1 on of its L^{-1} are zero. Returns the (B, D, D) inverse
-    factors and the (B,) sizes, D for each matrix that factors whole.
+    The rows from its size on of a factor that stops are zero, so the leading
+    d x d block of each is the inverse factor of the matrix's leading corner
+    wherever that corner factors.
     """
     B, D, _ = mats.shape
+    factors = np.zeros_like(mats)
     try:
-        lows, sizes = np.linalg.cholesky(mats), np.full(B, D)
+        lows = np.linalg.cholesky(mats)
     except np.linalg.LinAlgError:
         # Factor one by one only here: potrf and the batched cholesky can
         # differ in the last bit, and the batch that factors keeps its bits.
-        lows, sizes = np.zeros_like(mats), np.empty(B, dtype=int)
+        sizes = np.empty(B, dtype=int)
         for b, mat in enumerate(mats):
-            low, info = dpotrf(mat, lower=1)
-            size = sizes[b] = info - 1 if info else D
-            lows[b, :size, :size] = low[:size, :size]
-    factors = np.zeros_like(mats)
-    for low, size, factor in zip(lows, sizes, factors):
-        if size:
-            factor[:size, :size] = dtrtri(low[:size, :size], lower=1)[0]
-    return factors, sizes
+            inv, size = inverse_factor(mat)
+            factors[b, :size, :size], sizes[b] = inv, size
+        return factors, sizes
+    if D:  # LAPACK rejects an empty matrix
+        for low, factor in zip(lows, factors):
+            factor[:] = dtrtri(low, lower=1)[0]
+    return factors, np.full(B, D)
 
 
 def quadratic_forms(factors: np.ndarray, c_plus: np.ndarray) -> np.ndarray:
@@ -163,12 +161,16 @@ def quadratic_forms(factors: np.ndarray, c_plus: np.ndarray) -> np.ndarray:
     return ((factors @ c_plus) * factors).sum(axis=-1)
 
 
+def design_corrs(designs: np.ndarray) -> np.ndarray:
+    """Per-block empirical correlation matrices of a (B, n, d) stack of block designs, as a (B, d, d) stack."""
+    corrs = np.einsum("bij,bik->bjk", designs, designs) / designs.shape[1]
+    return 0.5 * (corrs + np.swapaxes(corrs, 1, 2))
+
+
 def block_corr_stack(blocks: np.ndarray, basis: BasisSpec, d: int) -> np.ndarray:
     """Per-block empirical correlation matrices of (B, n, M) blocks as a (B, d, d) stack."""
     B, n, _ = blocks.shape
-    design = build_design(basis, blocks.reshape(B * n, -1), d).reshape(B, n, d)
-    corrs = np.einsum("bij,bik->bjk", design, design) / n
-    return 0.5 * (corrs + np.swapaxes(corrs, 1, 2))
+    return design_corrs(build_design(basis, blocks.reshape(B * n, -1), d).reshape(B, n, d))
 
 
 def dee_trace(c_hat: np.ndarray, c_tilde: np.ndarray, ridge: float = DEFAULT_RIDGE) -> float:
@@ -180,16 +182,24 @@ def dee_trace(c_hat: np.ndarray, c_tilde: np.ndarray, ridge: float = DEFAULT_RID
     c_hat = np.asarray(c_hat, dtype=float)
     jittered = c_hat + ridge * np.eye(c_hat.shape[0])
     check_condition(jittered, "labeled correlation matrix")
-    return solve_trace(jittered, c_tilde)
-
-
-def solve_trace(jittered: np.ndarray, c_tilde: np.ndarray) -> float:
-    """`dee_trace` from the jittered labeled correlation matrix, without its condition check."""
     try:
         solved = np.linalg.solve(jittered, np.asarray(c_tilde, dtype=float))
     except np.linalg.LinAlgError as exc:
         raise SingularDesignError("labeled correlation matrix singular") from exc
     return float(np.trace(solved))
+
+
+def dee_trace_path(labeled: tuple[np.ndarray, np.ndarray], c_tilde: np.ndarray) -> np.ndarray:
+    """`dee_trace` at every size d = 1..D from the D x D pool correlation matrix, condition checks aside.
+
+    `labeled` holds the `inverse_factors` of the jittered D x D labeled
+    correlation matrix as a stack of one; the trace is +inf from the size at
+    which its factor stops.
+    """
+    (factor,), (size,) = labeled
+    traces = np.cumsum(quadratic_forms(factor, c_tilde))
+    traces[size:] = np.inf
+    return traces
 
 
 def dee(

@@ -32,9 +32,8 @@ from .core import (
     UnlabeledSet,
     block_partition,
     build_design,
-    check_condition,
     correlation_matrix,
-    fit_model_path,
+    fit_design_path,
     interlacing_gate,
     predict,
 )
@@ -97,6 +96,15 @@ class RealScenario:
     def cells(self) -> list[dict]:
         return [{"dataset": self.manifest.name, "n": n} for n in self.n_values]
 
+    def check_rows(self, rows: int) -> None:
+        """Raise ValueError unless every n plus n_unlabeled leaves a test row of a table of `rows` rows."""
+        for n in self.n_values:
+            if n + self.n_unlabeled >= rows:
+                raise ValueError(
+                    f"n={n} plus n_unlabeled={self.n_unlabeled} leaves no test row of the {rows} rows in "
+                    f"{self.manifest.path}"
+                )
+
 
 @dataclass
 class ExperimentConfig:
@@ -133,6 +141,8 @@ class ExperimentConfig:
                 raise ValueError(f"n_test must be >= 1, got {self.scenario.n_test}")
             for cell in self.scenario.cells():
                 self.scenario.data_config(cell)
+        elif self.scenario.n_unlabeled < 0:
+            raise ValueError(f"real n_unlabeled must be >= 0, got {self.scenario.n_unlabeled}")
 
 
 @dataclass
@@ -200,20 +210,21 @@ def _auto_d_max(cfg: ExperimentConfig, n: int, m: int) -> int:
 
 @dataclass
 class TrialState:
-    """What the criteria of one trial read, each part built once at d_max and sliced.
+    """What the criteria of one trial read, each part built once and sliced.
 
     The models are nested: a size-d design is the first d columns of the d_max
-    one, a size-d block correlation matrix the leading d x d corner of the d_max
-    stack. Labeled and pool correlation matrices are formed per d from the sliced
-    design, since a corner of the d_max product can differ in the last bit, which
-    the DEE solve amplifies near d = n; `labeled_corr(d)` is built once per d for
-    DEE and rmDEE, and `labeled_recheck` says whether its size-d condition checks
-    are needed (`interlacing_gate`). The block criteria read every size from one
-    set of inverse Cholesky factors at `top` (`block_factors`, `labeled_factor`),
-    each with the size at which its factorization stops, and take their flags
-    from `block_flags(d)`. `b1` inverts the d_max blocks for the mDEE1 split.
-    Each part is built the first time a criterion reads it, so a trial builds
-    only what its criteria need.
+    one, and a size-d correlation matrix the leading d x d corner of the largest
+    one. Each design is built once at d_max; `evaluate_trial` hands over the
+    labeled design the path was fitted on, and `block_corrs` reads the blocks'
+    rows of the pool design. DEE and the block criteria read every size up to
+    `top` from one set of inverse Cholesky factors of the jittered matrices at
+    `top` (`labeled_factor`, `block_factors`), each with the size at which its
+    factorization stops. `interlacing_gate` reads the same factors to say which
+    families need a condition check at each size (`labeled_recheck`,
+    `block_gate`); only those are checked, on their own size-d matrices, by
+    `labeled_flagged(d)` and `block_flags(d)`. `b1` inverts the d_max blocks for
+    the mDEE1 split. Each part is built the first time a criterion reads it, so
+    a trial builds only what its criteria need.
     """
 
     train: LabeledSet
@@ -235,6 +246,10 @@ class TrialState:
         """The largest size at which a DEE-family risk is defined: d_max, or n - 1 when smaller."""
         return min(self.path.d_max, self.train.n - 1)
 
+    def jittered(self, mats: np.ndarray) -> np.ndarray:
+        """A matrix or a stack of them plus ridge * I."""
+        return mats + self.ridge * np.eye(mats.shape[-1])
+
     @cached_property
     def labeled_corr(self):
         """Function of d giving the correlation matrix of the first d labeled design columns, built once per d."""
@@ -242,15 +257,20 @@ class TrialState:
         return cache(lambda d: correlation_matrix(design[:, :d]))
 
     @cached_property
-    def labeled_recheck(self) -> bool:
-        """Whether the jittered labeled correlation matrix needs a condition check below d_max (`interlacing_gate`)."""
-        d_max = self.path.d_max
-        return bool(interlacing_gate(self.labeled_corr(d_max) + self.ridge * np.eye(d_max)))
-
-    @cached_property
     def labeled_factor(self) -> tuple[np.ndarray, np.ndarray]:
         """The `estimators.inverse_factors` of the jittered labeled correlation matrix at `top`, as a stack of one."""
-        return estimators.inverse_factors(self.labeled_corr(self.top)[None] + self.ridge * np.eye(self.top))
+        return estimators.inverse_factors(self.jittered(self.labeled_corr(self.top)[None]))
+
+    @cached_property
+    def labeled_recheck(self) -> bool:
+        """Whether the jittered labeled correlation matrices need a condition check at each size (`interlacing_gate`)."""
+        return bool(interlacing_gate(self.jittered(self.labeled_corr(self.top)), *self.labeled_factor))
+
+    @cached_property
+    def labeled_flagged(self):
+        """Function of d giving whether the jittered size-d labeled matrix is above COND_LIMIT, checked only on `labeled_recheck`."""
+        corr, ridge, recheck = self.labeled_corr, self.ridge, self.labeled_recheck
+        return cache(lambda d: recheck and bool(estimators.flagged_blocks(corr(d)[None], ridge)))
 
     @cached_property
     def blocks(self) -> np.ndarray | None:
@@ -261,19 +281,21 @@ class TrialState:
 
     @cached_property
     def block_corrs(self) -> np.ndarray:
-        return estimators.block_corr_stack(self.blocks, self.path.basis, self.path.d_max)
-
-    @cached_property
-    def block_gate(self) -> np.ndarray:
-        """Indices of the blocks whose condition is checked below d_max: those `interlacing_gate` names at d_max."""
-        d_max = self.path.d_max
-        return np.nonzero(interlacing_gate(self.block_corrs + self.ridge * np.eye(d_max)))[0]
+        """`estimators.block_corr_stack` of `blocks` at d_max, read from the blocks' rows of the pool design."""
+        B, n = len(self.blocks), self.train.n
+        return estimators.design_corrs(self.pool_design[: B * n].reshape(B, n, -1))
 
     @cached_property
     def block_factors(self) -> tuple[np.ndarray, np.ndarray]:
         """The `estimators.inverse_factors` of the jittered blocks' leading `top` x `top` corners."""
         top = self.top
-        return estimators.inverse_factors(self.block_corrs[:, :top, :top] + self.ridge * np.eye(top))
+        return estimators.inverse_factors(self.jittered(self.block_corrs[:, :top, :top]))
+
+    @cached_property
+    def block_gate(self) -> np.ndarray:
+        """Indices of the blocks whose condition is checked at each size: those `interlacing_gate` names at `top`."""
+        top = self.top
+        return np.nonzero(interlacing_gate(self.jittered(self.block_corrs[:, :top, :top]), *self.block_factors))[0]
 
     @cached_property
     def block_flags(self):
@@ -287,7 +309,7 @@ class TrialState:
         if self.blocks is None or len(self.blocks) < 2:
             return None
         try:
-            invs = np.linalg.inv(self.block_corrs + self.ridge * np.eye(self.path.d_max))
+            invs = np.linalg.inv(self.jittered(self.block_corrs))
         except np.linalg.LinAlgError:
             return None
         return estimators.moment_split(self.block_corrs, invs)[0]
@@ -318,14 +340,29 @@ def _per_d(score):
     return risk_path
 
 
-def _dee_risk(state: TrialState, d: int):
-    if state.unlabeled.n < 1 or d >= state.train.n:
-        return None
-    jittered = state.labeled_corr(d) + state.ridge * np.eye(d)
-    if state.labeled_recheck:
-        check_condition(jittered, "labeled correlation matrix")
-    c_tilde = correlation_matrix(state.pool_design[:, :d])
-    return state.corrected(estimators.solve_trace(jittered, c_tilde), d), 0
+def _trace_path(state: TrialState, traces: np.ndarray, flags) -> list:
+    """The risk path of the traces at sizes 1..`state.top`; `flags(d)` gives the flag count at d, or None.
+
+    A size is None where its trace is +inf, where `flags(d)` is None or where a
+    condition check's SVD fails, and every size above `top` is None.
+    """
+    scored = []
+    for d, tr in enumerate(traces.tolist(), start=1):
+        try:
+            flagged = None if math.isinf(tr) else flags(d)
+        except SingularDesignError:
+            flagged = None
+        scored.append(None if flagged is None else (state.corrected(tr, d), flagged))
+    return scored + [None] * (state.path.d_max - state.top)
+
+
+def _dee_path(state: TrialState) -> list:
+    """DEE at every size from the labeled inverse factor at `state.top`; a flagged labeled matrix makes its size None."""
+    if state.unlabeled.n < 1 or state.top < 1:
+        return [None] * state.path.d_max
+    c_tilde = correlation_matrix(state.pool_design[:, : state.top])
+    traces = estimators.dee_trace_path(state.labeled_factor, c_tilde)
+    return _trace_path(state, traces, lambda d: None if state.labeled_flagged(d) else 0)
 
 
 def _block_path(variant: CriterionKind, state: TrialState) -> list:
@@ -336,9 +373,8 @@ def _block_path(variant: CriterionKind, state: TrialState) -> list:
     size keeps its prefix value and counts its flagged blocks.
     """
     split = variant.value in SPLIT_CRITERIA
-    d_max = state.path.d_max
     if state.blocks is None or (split and state.b1 is None):
-        return [(math.inf, 0)] * d_max
+        return [(math.inf, 0)] * state.path.d_max
     rmdee = variant is CriterionKind.RMDEE
     corrs = state.block_corrs[:, : state.top, : state.top]
     if rmdee:
@@ -347,20 +383,12 @@ def _block_path(variant: CriterionKind, state: TrialState) -> list:
         b1 = state.b1 if split else None
         traces = estimators.mdee_trace_path(corrs, state.block_factors, variant, b1)
         v_start = estimators.block_sides(variant, b1, len(corrs))[1]
-    scored = []
-    for d, tr in enumerate(traces.tolist(), start=1):
-        if math.isinf(tr):
-            scored.append(None)
-            continue
-        try:
-            flagged = sum(b >= v_start for b in state.block_flags(d))
-            if rmdee and state.labeled_recheck:
-                flagged += len(estimators.flagged_blocks(state.labeled_corr(d)[None], state.ridge))
-        except SingularDesignError:
-            scored.append(None)
-            continue
-        scored.append((state.corrected(tr, d), flagged))
-    return scored + [None] * (d_max - state.top)
+
+    def flags(d):
+        flagged = sum(b >= v_start for b in state.block_flags(d))
+        return flagged + int(state.labeled_flagged(d)) if rmdee else flagged
+
+    return _trace_path(state, traces, flags)
 
 
 def _cv5_path(state: TrialState) -> list:
@@ -377,7 +405,7 @@ def _adj_path(state: TrialState) -> list:
 
 
 CRITERIA = {
-    "DEE": _per_d(_dee_risk),
+    "DEE": _dee_path,
     "mDEE1": partial(_block_path, CriterionKind.MDEE1),
     "mDEE2": partial(_block_path, CriterionKind.MDEE2),
     "mDEE3": partial(_block_path, CriterionKind.MDEE3),
@@ -407,9 +435,12 @@ def evaluate_trial(
     cv_seed: int,
 ) -> TrialResult:
     """Score every requested criterion on one shared data split."""
-    path = fit_model_path(train, BasisSpec("fourier", train.X.shape[1]), d_max, cfg.ridge)
+    basis = BasisSpec("fourier", train.X.shape[1])
+    design = build_design(basis, train.X, d_max)
+    path = fit_design_path(design, train.y, basis, cfg.ridge)
     errors = path_test_errors(path, test)
     state = TrialState(train, unlabeled, path, cfg.ridge, cv_seed)
+    state.train_design = design  # the cached part: built once for the fit and the criteria
 
     d_hat: dict[str, int] = {}
     regrets: dict[str, float] = {}

@@ -98,6 +98,29 @@ class TestRunCommand:
         assert_input_error(capsys, ["run", str(path), "--out", str(tmp_path / "r")], "missing.csv")
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize(
+        "n_unlabeled, needle",
+        [("-5", "n_unlabeled must be >= 0, got -5"), ("30", "n=10 plus n_unlabeled=30 leaves no test row of the 40")],
+        ids=["negative", "no test row"],
+    )
+    def test_real_counts_rejected_before_any_output(self, n_unlabeled, needle, tmp_path, capsys, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("a trial started")
+
+        monkeypatch.setattr(harness, "_trial", no_trials)
+        data, path = tmp_path / "toy.csv", tmp_path / "exp.yaml"
+        data.write_text("x,y\n" + "".join(f"{i / 40},{i % 3}\n" for i in range(40)))
+        path.write_text(REAL_CONFIG.format(path=data).replace("n_unlabeled: 20", f"n_unlabeled: {n_unlabeled}"))
+        assert_input_error(capsys, ["run", str(path), "--out", str(tmp_path / "r")], needle)
+        assert not (tmp_path / "r").exists()
+
+    def test_real_counts_leaving_one_test_row_run(self, tmp_path):
+        data, path = tmp_path / "toy.csv", tmp_path / "exp.yaml"
+        data.write_text("x,y\n" + "".join(f"{i / 40},{i % 3}\n" for i in range(40)))
+        path.write_text(REAL_CONFIG.format(path=data).replace("n_unlabeled: 20", "n_unlabeled: 29"))
+        assert main(["run", str(path), "--out", str(tmp_path / "r")]) == 0
+        assert (tmp_path / "r" / "trials.csv").exists()
+
     def test_seed_override_changes_output(self, config_path, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         main(["run", str(config_path), "--out", str(out_a)])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdee.core import (
@@ -13,14 +13,17 @@ from mdee.core import (
     block_partition,
     build_design,
     check_condition,
+    condition_numbers,
     correlation_matrix,
     empirical_loss,
     fit_model_path,
     interlacing_gate,
+    inverse_factor,
     normal_matrix,
     predict,
     ridge_lse,
 )
+from mdee.estimators import design_corrs, inverse_factors
 
 BASIS = BasisSpec("fourier", 1)
 SQRT2 = np.sqrt(2.0)
@@ -202,29 +205,72 @@ class TestFitModelPath:
             fit_model_path(data, BASIS, 2, 0.0)
 
 
+def gate(tops):
+    """`interlacing_gate` of a (B, D, D) stack from its own `inverse_factors`."""
+    return interlacing_gate(tops, *inverse_factors(tops))
+
+
+@st.composite
+def gate_stacks(draw):
+    """Jittered block correlation stacks: random, discrete, with a duplicated-row block or rank-deficient, ridge 0 included."""
+    kind = draw(st.sampled_from(["gauss", "discrete", "duplicated", "rank_deficient"]))
+    ridge = draw(st.sampled_from([1e-9, 1e-13, 0.0]))
+    m = draw(st.integers(1, 2))
+    n = draw(st.integers(3, 13))
+    d = draw(st.integers(1, n + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.integers(0, 3, size=(4 * n, m)) * 0.7 if kind == "discrete" else rng.normal(size=(4 * n, m))
+    if kind == "duplicated":
+        X[:n] = X[0]
+    elif kind == "rank_deficient":
+        X = X[np.arange(4 * n) % max(1, d - 2)]  # fewer distinct rows than the top's size
+    designs = build_design(BasisSpec("fourier", m), X, d).reshape(4, n, d)
+    return design_corrs(designs) + ridge * np.eye(d)
+
+
 class TestInterlacingGate:
     def test_well_conditioned_tops_not_rechecked(self):
-        assert not interlacing_gate(np.eye(3))
-        assert not interlacing_gate(np.stack([np.eye(3), 2.0 * np.eye(3)])).any()
+        assert not interlacing_gate(np.eye(3), *inverse_factor(np.eye(3)))
+        assert not gate(np.stack([np.eye(3), 2.0 * np.eye(3)])).any()
 
     def test_tops_above_half_the_limit_rechecked(self):
         # the second top passes its own check but is within a factor 2 of the limit
         tops = np.stack([np.eye(2), np.diag([1.0, 1.0 / (0.75 * COND_LIMIT)])])
         check_condition(tops[1], "top")
-        np.testing.assert_array_equal(interlacing_gate(tops), [False, True])
+        np.testing.assert_array_equal(gate(tops), [False, True])
 
-    def test_svd_failure_rechecks(self):
-        assert interlacing_gate(np.full((2, 2), np.nan))
+    def test_failed_factorization_rechecks(self):
+        # a factorization that stops before the top's size, and a NaN bound
+        indefinite = np.diag([1.0, -1.0, 1.0])
+        assert inverse_factor(indefinite)[1] == 1
+        assert interlacing_gate(indefinite, *inverse_factor(indefinite))
+        assert interlacing_gate(np.full((2, 2), np.nan), *inverse_factor(np.full((2, 2), np.nan)))
+        assert interlacing_gate(np.eye(2), np.full((2, 2), np.nan), 2)
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1e-9, 1e-13]))
     def test_no_recheck_means_every_corner_passes(self, seed, ridge):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 12))
         design = build_design(BASIS, rng.normal(size=(n, 1)), n)
-        if interlacing_gate(normal_matrix(design, ridge)):
+        normal = normal_matrix(design, ridge)
+        if interlacing_gate(normal, *inverse_factor(normal)):
             return
         for d in range(1, n + 1):
             check_condition(normal_matrix(design[:, :d], ridge), "corner")
+
+    @settings(max_examples=150, deadline=None)
+    @given(gate_stacks())
+    def test_factor_gate_covers_every_top_above_half_the_limit(self, tops):
+        # tr(A) ||L^{-1}||_F^2 bounds the SVD condition number of each top that
+        # factors whole, up to the rounding of L^{-1} (relative d kappa eps)
+        factors, sizes = inverse_factors(tops)
+        cond = condition_numbers(tops)
+        assert gate(tops)[~(cond <= COND_LIMIT / 2)].all()
+        d = tops.shape[-1]
+        bound = np.trace(tops, axis1=1, axis2=2) * np.square(factors).sum(axis=(1, 2))
+        decided = (sizes == d) & (cond <= COND_LIMIT)
+        eps = np.finfo(float).eps
+        assert (bound[decided] >= cond[decided] * (1.0 - d * cond[decided] * eps)).all()
 
 
 class TestBlockPartition:

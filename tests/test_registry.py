@@ -1,14 +1,15 @@
 """The criterion registry against the per-d reference routines.
 
 The registry scores each size d from designs and correlation matrices built
-once at d_max and sliced; CV5 and the block criteria read every size from one
-Cholesky factor per fold or per block. `dee`, `mdee`, `rmdee`, `kfold_cv`,
-`adj` and `test_error` rebuild every design at size d, and `invert_blocks`
-checks every block's condition and takes its LU inverse at every d. Both
-routes must agree exactly on the flagged-block count and on where the risk is
-undefined or infinite. DEE, ADJ and the path fit agree on the risk to the last
-bit (or to 1e-12 against the references that rebuild designs); CV5 and the
-block criteria agree within `prefix_bound`. A block criterion's risk is None
+once at d_max and sliced; CV5, DEE and the block criteria read every size from
+one Cholesky factor per fold, of the labeled matrix or per block. `dee`,
+`mdee`, `rmdee`, `kfold_cv`, `adj` and `test_error` rebuild every design at
+size d, and `invert_blocks` checks every block's condition and takes its LU
+inverse at every d. Both routes must agree exactly on the flagged-block count
+and on where the risk is undefined or infinite. ADJ and the path fit agree on
+the risk to the last bit (or to 1e-12 against the references that rebuild
+designs); CV5, DEE and the block criteria agree within `prefix_bound`. A
+block criterion's risk is None
 from the first size at which a Cholesky factor it reads stops; where LU and
 Cholesky disagree on whether a matrix read can be factored, only that rule is
 checked.
@@ -37,6 +38,7 @@ from mdee.core import (
     correlation_matrix,
     fit_model_path,
     interlacing_gate,
+    inverse_factor,
     normal_matrix,
     ridge_lse,
 )
@@ -188,7 +190,8 @@ def assert_same(got, want):
 # definite K and positive semidefinite C, K + dK moves Tr(C K^{-1}) by at most
 # ||dK|| ||K^{-1}|| Tr(C K^{-1}) = kappa(K) ||dK|| / ||K|| times the trace, to
 # first order, so every per-block trace moves by a relative d * kappa * eps
-# or less. The mean of positive traces, and each of their order statistics
+# or less; DEE's trace is one such trace, K the jittered labeled matrix and C
+# the pool's. The mean of positive traces, and each of their order statistics
 # (so the median), keep the largest relative move, and (1 + tr/n)/(1 - d/n)
 # moves relatively less than tr. A fold's held-out predictions move by the
 # same relative order, and its held-out error with them while the residuals
@@ -269,6 +272,11 @@ def assert_block_close(state, name, d, got, want):
         assert_prefix_close(got, want, lambda: block_kappa(state, variant, d), d)
 
 
+def labeled_kappa(state, d):
+    """Condition number of the jittered size-d labeled correlation matrix that DEE reads."""
+    return float(condition_numbers(state.jittered(state.labeled_corr(d))))
+
+
 def cv5_kappa(design, seed, d, ridge):
     """Largest condition number of the five size-d fold normal matrices."""
     n = design.shape[0]
@@ -291,9 +299,11 @@ def test_registry_matches_per_d_reference(case):
     assert all(len(scored) == path.d_max for scored in paths.values())
     flagged_seen = 0
     for d in range(1, path.d_max + 1):
-        assert_same(
+        assert_prefix_close(
             paths["DEE"][d - 1],
             reference_score(lambda: dee(path, train.X, pool, d, ridge)),
+            lambda: labeled_kappa(state, d),
+            d,
         )
         assert_prefix_close(
             paths["CV5"][d - 1],
@@ -403,7 +413,7 @@ def test_shared_block_flags_match_per_d_invert_blocks(case):
     kind, train, pool, path, test, ridge = case
     cfg = config(ridge, criteria=["mDEE1", "mDEE2", "mDEE3", "rmDEE"], d_max=path.d_max)
     state = TrialState(train, pool, path, ridge, cv_seed=0)
-    with mock.patch.object(harness, "fit_model_path", lambda *args: path):
+    with mock.patch.object(harness, "fit_design_path", lambda *args: path):
         result = evaluate_trial(0, {"n": train.n}, train, pool, test, path.d_max, cfg, cv_seed=0)
     if kind == "small_pool":
         assert state.blocks is None
@@ -485,7 +495,7 @@ def test_singular_split_block_leaves_b1_unavailable(monkeypatch):
     test = LabeledSet(X=rng.normal(size=(20, 1)), y=rng.normal(size=20))
     path = random_path(rng, BasisSpec("fourier", 1), n - 1, ridge)
     cfg = config(ridge, criteria=["mDEE1", "mDEE3", "FPE"], d_max=n - 1)
-    monkeypatch.setattr(harness, "fit_model_path", lambda *args: path)
+    monkeypatch.setattr(harness, "fit_design_path", lambda *args: path)
     result = evaluate_trial(0, {"n": n}, train, UnlabeledSet(X=pool), test, n - 1, cfg, cv_seed=0)
     assert result.flags["mDEE1"] == "b1_unavailable;all_infinite"
     assert "inf@d3" in result.flags["mDEE3"].split(";")
@@ -493,20 +503,26 @@ def test_singular_split_block_leaves_b1_unavailable(monkeypatch):
 
 
 def test_svd_failure_becomes_sentinel(monkeypatch):
+    # Duplicated labeled rows and a block of duplicated pool rows at ridge 1e-13:
+    # the gate fires on the labeled matrix and on that block, so every size is
+    # condition-checked by an SVD, and an SVD that fails makes the size inf@d.
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     rng = np.random.default_rng(4)
-    train = LabeledSet(X=rng.normal(size=(10, 1)), y=rng.normal(size=10))
-    pool = UnlabeledSet(X=rng.normal(size=(40, 1)))
+    train = LabeledSet(X=np.full((10, 1), 0.7), y=rng.normal(size=10))
+    pool = rng.normal(size=(40, 1))
+    pool[:10] = 0.7
     test = LabeledSet(X=rng.normal(size=(20, 1)), y=rng.normal(size=20))
-    path = random_path(rng, BasisSpec("fourier", 1), 4, 1e-9)
-    cfg = config(criteria=["DEE", "mDEE3", "rmDEE", "FPE"], d_max=4)
+    path = random_path(rng, BasisSpec("fourier", 1), 4, 1e-13)
+    cfg = config(ridge=1e-13, criteria=["DEE", "mDEE3", "rmDEE", "FPE"], d_max=4)
+    state = TrialState(train, UnlabeledSet(X=pool), path, 1e-13, cv_seed=0)
+    assert state.labeled_recheck and 0 in state.block_gate
     monkeypatch.setattr(np.linalg, "svd", no_convergence)
     with pytest.raises(SingularDesignError, match="SVD did not converge"):
         invert_blocks(np.eye(2)[None])
-    monkeypatch.setattr(harness, "fit_model_path", lambda *args: path)
-    result = evaluate_trial(0, {"n": 10}, train, pool, test, 4, cfg, cv_seed=0)
+    monkeypatch.setattr(harness, "fit_design_path", lambda *args: path)
+    result = evaluate_trial(0, {"n": 10}, train, UnlabeledSet(X=pool), test, 4, cfg, cv_seed=0)
     for name in ("DEE", "mDEE3", "rmDEE"):
         assert result.flags[name] == "inf@d1;inf@d2;inf@d3;inf@d4;all_infinite"
     assert result.flags["FPE"] == ""
@@ -543,7 +559,7 @@ def test_b1_not_built_without_a_split_criterion(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # Path-valued routes against their per-d references: exactly (==, inf included),
-# or within `prefix_bound` for CV5 and the block criteria
+# or within `prefix_bound` for CV5, DEE and the block criteria
 
 
 @st.composite
@@ -629,7 +645,8 @@ def test_dee_and_block_paths_equal_per_d_checks(case, pool_kind):
         c_hat = correlation_matrix(state.train_design[:, :d])
         c_tilde = correlation_matrix(state.pool_design[:, :d])
         scored = per_d_check(lambda: (dee_trace(c_hat, c_tilde, ridge), ()))
-        assert paths["DEE"][d - 1] == (None if scored is None else (state.corrected(scored[0], d), 0))
+        want = None if scored is None else (state.corrected(scored[0], d), 0)
+        assert_prefix_close(paths["DEE"][d - 1], want, lambda: labeled_kappa(state, d), d)
         for name, want in references.items():
             assert_block_close(state, name, d, paths[name][d - 1], want[d - 1])
 
@@ -646,7 +663,8 @@ def test_cv5_gate_rechecks_a_fold_singular_near_d_max():
     design = build_design(BasisSpec("fourier", 1), data.X, d_max)
     mask = np.ones(data.n, dtype=bool)
     mask[np.array_split(np.random.default_rng(3).permutation(data.n), 5)[0]] = False
-    assert interlacing_gate(normal_matrix(design[mask], ridge))
+    normal = normal_matrix(design[mask], ridge)
+    assert interlacing_gate(normal, *inverse_factor(normal))
     got = kfold_cv_path(design, data.y, 5, ridge, seed=3)
     for d in range(1, d_max + 1):
         want = kfold_cv(data, BasisSpec("fourier", 1), d, 5, ridge, seed=3)
@@ -760,3 +778,44 @@ def test_cv5_prefix_stops_where_the_fold_factorization_does():
     for d in range(1, d_max + 1):
         want = kfold_cv(data, basis, d, 5, 0.0, seed=1)
         assert_prefix_close((got[d - 1], 0), (want, 0), lambda: cv5_kappa(design, 1, d, 0.0), d)
+
+
+# ---------------------------------------------------------------------------
+# One build per design and per factor: the trial state against the references
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 7]), st.integers(2, 20), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_block_corrs_from_the_pool_design_equal_block_corr_stack(m, n, extra_rows, seed):
+    rng = np.random.default_rng(seed)
+    d_max = int(rng.integers(1, n + 3))
+    train = LabeledSet(X=rng.normal(size=(n, m)), y=rng.normal(size=n))
+    pool = UnlabeledSet(X=covariates(rng, 3 * n + extra_rows, m, "discrete" if seed % 2 else "gauss"))
+    path = random_path(rng, BasisSpec("fourier", m), d_max, 1e-9)
+    state = TrialState(train, pool, path, 1e-9, cv_seed=0)
+    assert np.array_equal(state.block_corrs, block_corr_stack(state.blocks, path.basis, d_max))
+
+
+def test_a_trial_builds_each_design_once_and_runs_no_svd_when_no_gate_fires(monkeypatch):
+    # One labeled, one pool and one test design per trial; on well-conditioned
+    # data every gate passes, so no criterion and no fit computes an SVD.
+    def no_svd(*args, **kwargs):
+        raise AssertionError("an SVD ran although no gate fired")
+
+    builds = []
+
+    def counted(basis, X, d):
+        builds.append(np.shape(X)[0])
+        return build_design(basis, X, d)
+
+    rng = np.random.default_rng(13)
+    n = 20
+    train = LabeledSet(X=rng.normal(size=(n, 1)), y=rng.normal(size=n))
+    pool = UnlabeledSet(X=rng.normal(size=(10 * n, 1)))
+    test = LabeledSet(X=rng.normal(size=(30, 1)), y=rng.normal(size=30))
+    monkeypatch.setattr(harness, "build_design", counted)
+    monkeypatch.setattr(estimators, "build_design", counted)
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    result = evaluate_trial(0, {"n": n}, train, pool, test, 5, config(criteria=sorted(CRITERIA)), cv_seed=0)
+    assert sorted(builds) == [n, 30, 10 * n]
+    assert not any("inf@d" in flags or "cond@d" in flags for flags in result.flags.values())
