@@ -83,7 +83,7 @@ def kfold_cv_path(
     k: int = 5,
     ridge_lambda: float = DEFAULT_RIDGE,
     seed: int = 0,
-) -> list[float]:
+) -> np.ndarray:
     """`kfold_cv` at every d = 1..d_max, from the labeled d_max design and responses.
 
     Each fold is factored once. The leading d x d block of the lower Cholesky
@@ -119,7 +119,7 @@ def kfold_cv_path(
         errors[f, :top] = np.mean((y[held, None] - preds) ** 2, axis=0)
     risks = np.mean(errors, axis=0)
     risks[failed] = math.inf
-    return risks.tolist()
+    return risks
 
 
 def adj(path: ModelPath, labeled_X, unlabeled: UnlabeledSet, d: int) -> float:

@@ -7,6 +7,7 @@ criterion in this package is built on top of these primitives.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -275,28 +276,40 @@ def fit_model_path(
 ) -> ModelPath:
     """Fit the LSE for every model size d = 1..d_max on the full labeled set.
 
-    Each fit equals `ridge_lse` on the first d design columns; see `fit_design_path`.
+    Each fit equals `ridge_lse` on the first d design columns; see `_path_fits`.
     """
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
-    return fit_design_path(build_design(basis, data.X, d_max), data.y, basis, ridge_lambda)
+    models = list(_path_fits(build_design(basis, data.X, d_max), data.y, ridge_lambda))
+    return ModelPath(models=models, d_max=d_max, basis=basis)
 
 
 def fit_design_path(design: np.ndarray, y: np.ndarray, basis: BasisSpec, ridge_lambda: float) -> ModelPath:
-    """`fit_model_path` from the labeled d_max design of `basis` and the responses.
+    """`fit_model_path` from the labeled d_max design of `basis`, ending below the first size that fails.
+
+    By Cauchy interlacing a larger nested normal matrix is never better
+    conditioned, so the sizes lost are the largest ones.
+    """
+    models = []
+    with contextlib.suppress(SingularDesignError):
+        for model in _path_fits(design, y, ridge_lambda):
+            models.append(model)
+    return ModelPath(models=models, d_max=len(models), basis=basis)
+
+
+def _path_fits(design: np.ndarray, y: np.ndarray, ridge_lambda: float):
+    """The fits of sizes 1, 2, ... of the design; a size that fails its condition check raises SingularDesignError.
 
     The normal matrices are condition-checked as `interlacing_gate` allows,
-    from one Cholesky factorization at d_max.
+    from one Cholesky factorization at the largest size.
     """
     normal = normal_matrix(design, ridge_lambda)
     recheck = bool(interlacing_gate(normal, *inverse_factor(normal)))
-    models = []
     for d in range(1, design.shape[1] + 1):
         try:
-            models.append(_ridge_fit(design[:, :d], y, ridge_lambda, recheck))
+            yield _ridge_fit(design[:, :d], y, ridge_lambda, recheck)
         except SingularDesignError as exc:
             raise SingularDesignError(f"model size d={d}: {exc}") from exc
-    return ModelPath(models=models, d_max=design.shape[1], basis=basis)
 
 
 def block_partition(pool: UnlabeledSet, n: int) -> np.ndarray:

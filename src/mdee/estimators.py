@@ -437,8 +437,8 @@ def select_model(risks) -> int:
     """
     if len(risks) == 0:
         raise ValueError("select_model needs at least one estimate")
-    pairs = [(np.inf if np.isnan(r) else r, d) for d, r in enumerate(map(float, risks), start=1)]
-    if all(np.isinf(r) for r, _ in pairs):
+    risks = np.fmin(risks, np.inf)  # NaN becomes +inf
+    if np.isinf(risks).all():
         warnings.warn("all candidate risks are infinite; falling back to d=1")
         return 1
-    return min(pairs)[1]
+    return int(risks.argmin()) + 1

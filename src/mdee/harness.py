@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import platform
-import warnings
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from pathlib import Path
@@ -214,17 +213,17 @@ class TrialState:
 
     The models are nested: a size-d design is the first d columns of the d_max
     one, and a size-d correlation matrix the leading d x d corner of the largest
-    one. Each design is built once at d_max; `evaluate_trial` hands over the
-    labeled design the path was fitted on, and `block_corrs` reads the blocks'
-    rows of the pool design. DEE and the block criteria read every size up to
-    `top` from one set of inverse Cholesky factors of the jittered matrices at
-    `top` (`labeled_factor`, `block_factors`), each with the size at which its
-    factorization stops. `interlacing_gate` reads the same factors to say which
-    families need a condition check at each size (`labeled_recheck`,
-    `block_gate`); only those are checked, on their own size-d matrices, by
-    `labeled_flagged(d)` and `block_flags(d)`. `b1` inverts the d_max blocks for
-    the mDEE1 split. Each part is built the first time a criterion reads it, so
-    a trial builds only what its criteria need.
+    one. Each design is built once at d_max, the largest size the path fitted;
+    `evaluate_trial` hands over the labeled design the path was fitted on, and
+    `block_corrs` reads the blocks' rows of the pool design. DEE and the block
+    criteria read every size up to `top` from one set of inverse Cholesky
+    factors of the jittered matrices at `top` (`labeled_factor`,
+    `block_factors`), each with the size at which its factorization stops.
+    `interlacing_gate` reads the same factors to say which members need a
+    condition check at each size; only those are checked, on their own size-d
+    matrices, and `labeled_checks` and `block_checks` hold the results at every
+    size. `b1` inverts the d_max blocks for the mDEE1 split. Each part is built the first time a criterion
+    reads it, so a trial builds only what its criteria need.
     """
 
     train: LabeledSet
@@ -262,15 +261,9 @@ class TrialState:
         return estimators.inverse_factors(self.jittered(self.labeled_corr(self.top)[None]))
 
     @cached_property
-    def labeled_recheck(self) -> bool:
-        """Whether the jittered labeled correlation matrices need a condition check at each size (`interlacing_gate`)."""
-        return bool(interlacing_gate(self.jittered(self.labeled_corr(self.top)), *self.labeled_factor))
-
-    @cached_property
-    def labeled_flagged(self):
-        """Function of d giving whether the jittered size-d labeled matrix is above COND_LIMIT, checked only on `labeled_recheck`."""
-        corr, ridge, recheck = self.labeled_corr, self.ridge, self.labeled_recheck
-        return cache(lambda d: recheck and bool(estimators.flagged_blocks(corr(d)[None], ridge)))
+    def labeled_checks(self) -> tuple[np.ndarray, np.ndarray]:
+        """`checks` of the labeled correlation matrices, each formed at its own size, as a family of one."""
+        return self.checks(lambda d: self.labeled_corr(d)[None], self.labeled_factor)
 
     @cached_property
     def blocks(self) -> np.ndarray | None:
@@ -292,16 +285,28 @@ class TrialState:
         return estimators.inverse_factors(self.jittered(self.block_corrs[:, :top, :top]))
 
     @cached_property
-    def block_gate(self) -> np.ndarray:
-        """Indices of the blocks whose condition is checked at each size: those `interlacing_gate` names at `top`."""
-        top = self.top
-        return np.nonzero(interlacing_gate(self.jittered(self.block_corrs[:, :top, :top]), *self.block_factors))[0]
+    def block_checks(self) -> tuple[np.ndarray, np.ndarray]:
+        """`checks` of the blocks' leading corners."""
+        return self.checks(lambda d: self.block_corrs[:, :d, :d], self.block_factors)
 
-    @cached_property
-    def block_flags(self):
-        """Function of d giving the blocks whose jittered size-d corner is above COND_LIMIT, built once per d, checking `block_gate` only."""
-        corrs, ridge, gate = self.block_corrs, self.ridge, self.block_gate
-        return cache(lambda d: estimators.flagged_blocks(corrs[:, :d, :d], ridge, gate))
+    def checks(self, stack, factors) -> tuple[np.ndarray, np.ndarray]:
+        """The condition checks of a nested family whose (count, d, d) members at size d are `stack(d)`.
+
+        At each size d = 1..`top`, `estimators.flagged_blocks` checks the members
+        that `interlacing_gate` names from their `factors` at `top`. Returns a
+        (d_max, count) mask of those above COND_LIMIT and a (d_max,) mask of the
+        sizes whose check's SVD failed, both False above `top`.
+        """
+        tops = self.jittered(stack(self.top))
+        gate = np.flatnonzero(interlacing_gate(tops, *factors))
+        flagged = np.zeros((self.path.d_max, len(tops)), dtype=bool)
+        failed = np.zeros(self.path.d_max, dtype=bool)
+        for d in range(1, self.top + 1) if gate.size else ():
+            try:
+                flagged[d - 1, list(estimators.flagged_blocks(stack(d), self.ridge, gate))] = True
+            except SingularDesignError:
+                failed[d - 1] = True
+        return flagged, failed
 
     @cached_property
     def b1(self) -> int | None:
@@ -314,67 +319,46 @@ class TrialState:
             return None
         return estimators.moment_split(self.block_corrs, invs)[0]
 
-    def corrected(self, tr: float, d: int) -> float:
-        """Training loss at d times the multiplicative correction for trace tr."""
-        return estimators.correction_factor(tr, self.train.n, d) * self.path.train_loss(d)
+
+# A criterion maps the state to its risk path over the path's sizes d = 1..d_max as
+# (risk, flagged): a float array whose NaN marks a size where the risk is undefined,
+# and an int array of the number of flagged blocks at each size, or 0. evaluate_trial
+# records NaN as the inf@d sentinel; an infinite risk carries no sentinel.
 
 
-# A criterion maps the state to its risk path: for each d = 1..d_max, (risk, number
-# of flagged blocks), or None where its risk is undefined at d. evaluate_trial
-# records None as the inf@d sentinel; an infinite risk returned as a value carries
-# no sentinel.
+def _trace_risks(state: TrialState, traces: np.ndarray, failed: np.ndarray) -> np.ndarray:
+    """The training loss times (1 + tr/n)/(1 - d/n) for the traces at sizes 1..`state.top`.
 
-
-def _per_d(score):
-    """The criterion that runs `score(state, d)` at each d; a SingularDesignError makes only that d None."""
-
-    def risk_path(state: TrialState) -> list:
-        scored = []
-        for d in range(1, state.path.d_max + 1):
-            try:
-                scored.append(score(state, d))
-            except SingularDesignError:
-                scored.append(None)
-        return scored
-
-    return risk_path
-
-
-def _trace_path(state: TrialState, traces: np.ndarray, flags) -> list:
-    """The risk path of the traces at sizes 1..`state.top`; `flags(d)` gives the flag count at d, or None.
-
-    A size is None where its trace is +inf, where `flags(d)` is None or where a
-    condition check's SVD fails, and every size above `top` is None.
+    A size is NaN where its trace is infinite or `failed` holds, and above `top`.
     """
-    scored = []
-    for d, tr in enumerate(traces.tolist(), start=1):
-        try:
-            flagged = None if math.isinf(tr) else flags(d)
-        except SingularDesignError:
-            flagged = None
-        scored.append(None if flagged is None else (state.corrected(tr, d), flagged))
-    return scored + [None] * (state.path.d_max - state.top)
+    n, top = state.train.n, state.top
+    traces = np.where(failed[:top] | np.isinf(traces), np.nan, traces)
+    losses = np.array([model.train_loss for model in state.path.models[:top]])
+    risks = np.full(state.path.d_max, np.nan)
+    risks[:top] = (1.0 + traces / n) / (1.0 - np.arange(1, top + 1) / n) * losses
+    return risks
 
 
-def _dee_path(state: TrialState) -> list:
-    """DEE at every size from the labeled inverse factor at `state.top`; a flagged labeled matrix makes its size None."""
+def _dee_path(state: TrialState) -> tuple:
+    """DEE at every size from the labeled inverse factor at `state.top`; a flagged labeled matrix makes its size NaN."""
     if state.unlabeled.n < 1 or state.top < 1:
-        return [None] * state.path.d_max
+        return np.full(state.path.d_max, np.nan), 0
     c_tilde = correlation_matrix(state.pool_design[:, : state.top])
     traces = estimators.dee_trace_path(state.labeled_factor, c_tilde)
-    return _trace_path(state, traces, lambda d: None if state.labeled_flagged(d) else 0)
+    flagged, failed = state.labeled_checks
+    return _trace_risks(state, traces, flagged[:, 0] | failed), 0
 
 
-def _block_path(variant: CriterionKind, state: TrialState) -> list:
+def _block_path(variant: CriterionKind, state: TrialState) -> tuple:
     """A block criterion at every size from the inverse factors at `state.top`.
 
-    A size is None where the trace is +inf, from the first size at which a
+    A size is NaN where the trace is +inf, from the first size at which a
     factor it reads stops, or where a condition check's SVD fails. A flagged
     size keeps its prefix value and counts its flagged blocks.
     """
     split = variant.value in SPLIT_CRITERIA
     if state.blocks is None or (split and state.b1 is None):
-        return [(math.inf, 0)] * state.path.d_max
+        return np.full(state.path.d_max, np.inf), 0
     rmdee = variant is CriterionKind.RMDEE
     corrs = state.block_corrs[:, : state.top, : state.top]
     if rmdee:
@@ -383,25 +367,29 @@ def _block_path(variant: CriterionKind, state: TrialState) -> list:
         b1 = state.b1 if split else None
         traces = estimators.mdee_trace_path(corrs, state.block_factors, variant, b1)
         v_start = estimators.block_sides(variant, b1, len(corrs))[1]
+    flagged, failed = state.block_checks
+    counts = flagged[:, v_start:].sum(axis=1)
+    if rmdee:
+        labeled, labeled_failed = state.labeled_checks
+        counts, failed = counts + labeled[:, 0], failed | labeled_failed
+    return _trace_risks(state, traces, failed), counts
 
-    def flags(d):
-        flagged = sum(b >= v_start for b in state.block_flags(d))
-        return flagged + int(state.labeled_flagged(d)) if rmdee else flagged
 
-    return _trace_path(state, traces, flags)
+def _closed_form_path(score, state: TrialState) -> tuple:
+    """A closed-form criterion `score(train_loss, n, d)` at every size."""
+    return np.array([score(model.train_loss, state.train.n, model.d) for model in state.path.models]), 0
 
 
-def _cv5_path(state: TrialState) -> list:
+def _cv5_path(state: TrialState) -> tuple:
     if state.train.n < 5:
-        return [None] * state.path.d_max
-    risks = baselines.kfold_cv_path(state.train_design, state.train.y, 5, state.ridge, state.cv_seed)
-    return [(risk, 0) for risk in risks]
+        return np.full(state.path.d_max, np.nan), 0
+    return baselines.kfold_cv_path(state.train_design, state.train.y, 5, state.ridge, state.cv_seed), 0
 
 
-def _adj_path(state: TrialState) -> list:
+def _adj_path(state: TrialState) -> tuple:
     if state.unlabeled.n < 1:  # only d = 1, which has no smaller model to compare with, is defined
-        return [(state.path.train_loss(1), 0)] + [None] * (state.path.d_max - 1)
-    return [(risk, 0) for risk in baselines.adj_path(state.path, state.train_design, state.pool_design)]
+        return np.r_[state.path.train_loss(1), np.full(state.path.d_max - 1, np.nan)], 0
+    return np.array(baselines.adj_path(state.path, state.train_design, state.pool_design)), 0
 
 
 CRITERIA = {
@@ -410,8 +398,8 @@ CRITERIA = {
     "mDEE2": partial(_block_path, CriterionKind.MDEE2),
     "mDEE3": partial(_block_path, CriterionKind.MDEE3),
     "rmDEE": partial(_block_path, CriterionKind.RMDEE),
-    "FPE": _per_d(lambda state, d: (baselines.fpe(state.path.train_loss(d), state.train.n, d), 0)),
-    "cAIC": _per_d(lambda state, d: (baselines.caic(state.path.train_loss(d), state.train.n, d), 0)),
+    "FPE": partial(_closed_form_path, baselines.fpe),
+    "cAIC": partial(_closed_form_path, baselines.caic),
     "CV5": _cv5_path,
     "ADJ": _adj_path,
 }
@@ -434,13 +422,17 @@ def evaluate_trial(
     cfg: ExperimentConfig,
     cv_seed: int,
 ) -> TrialResult:
-    """Score every requested criterion on one shared data split."""
+    """Score every requested criterion on one shared data split.
+
+    Sizes from the first whose fit fails (`fit_design_path`) are inf@d for every
+    criterion, and regrets are taken over the sizes fitted.
+    """
     basis = BasisSpec("fourier", train.X.shape[1])
     design = build_design(basis, train.X, d_max)
     path = fit_design_path(design, train.y, basis, cfg.ridge)
     errors = path_test_errors(path, test)
     state = TrialState(train, unlabeled, path, cfg.ridge, cv_seed)
-    state.train_design = design  # the cached part: built once for the fit and the criteria
+    state.train_design = design[:, : path.d_max]  # the cached part: built once for the fit and the criteria
 
     d_hat: dict[str, int] = {}
     regrets: dict[str, float] = {}
@@ -451,22 +443,18 @@ def evaluate_trial(
             tokens.append("no_blocks")
         elif name in SPLIT_CRITERIA and state.b1 is None:
             tokens.append("b1_unavailable")
-        risks = []
-        for d, scored in enumerate(CRITERIA[name](state), start=1):
-            if scored is None:
-                scored = (math.inf, 0)
-                tokens.append(f"inf@d{d}")
-            elif scored[1]:
-                tokens.append(f"cond@d{d}={scored[1]}")
-            risks.append(scored[0])
-        if all(math.isinf(r) for r in risks):
+        risks, counts = CRITERIA[name](state)
+        undefined = np.isnan(risks)
+        for i in (undefined | (counts != 0)).nonzero()[0].tolist():
+            tokens.append(f"inf@d{i + 1}" if undefined[i] else f"cond@d{i + 1}={counts[i]}")
+        tokens += [f"inf@d{d}" for d in range(path.d_max + 1, d_max + 1)]  # the sizes the fit lost
+        all_infinite = not np.isfinite(risks).any()
+        if all_infinite:
             tokens.append("all_infinite")
         if name in SPLIT_CRITERIA and state.b1 is not None:
             tokens.append(f"b1={state.b1}")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            chosen = estimators.select_model(risks)
-        d_hat[name] = chosen
+        # d = 1 is also what select_model falls back to, with a warning, when every risk is infinite
+        d_hat[name] = chosen = 1 if all_infinite else estimators.select_model(risks)
         try:
             regrets[name] = regret(errors, chosen)
         except ValueError:

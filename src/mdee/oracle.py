@@ -338,6 +338,12 @@ def _vectorized_blocks(cfg: OracleConfig, tag: int, n_blocks: int) -> tuple[np.n
 
 
 def _moment_inputs_from(mu_b: np.ndarray, nu_b: np.ndarray) -> MomentInputs:
+    """Moment quantities of the vectorized block matrices `_vectorized_blocks` draws.
+
+    Materializes the d^2 x d^2 covariance matrices explicitly, which keeps
+    this route independent of the centered-trace shortcuts used by the block
+    split rule.
+    """
     count = mu_b.shape[0]
     mu = mu_b.mean(axis=0)
     nu = nu_b.mean(axis=0)
@@ -350,16 +356,6 @@ def _moment_inputs_from(mu_b: np.ndarray, nu_b: np.ndarray) -> MomentInputs:
         tr_varnu_mumu=float(mu @ var_nu @ mu),
         tr_varmu_nunu=float(nu @ var_mu @ nu),
     )
-
-
-def mc_moment_inputs(cfg: OracleConfig, n_blocks: int) -> MomentInputs:
-    """Moment quantities of vectorized block matrices from independent blocks.
-
-    Materializes the d^2 x d^2 covariance matrices explicitly, which keeps
-    this route independent of the centered-trace shortcuts used by the block
-    split rule.
-    """
-    return _moment_inputs_from(*_vectorized_blocks(cfg, 2, n_blocks))
 
 
 def closed_form_h1_variance(inputs: MomentInputs, B1: int, B2: int) -> float:

@@ -313,6 +313,34 @@ class TestSelectModel:
         with pytest.raises(ValueError):
             select_model([])
 
+    @staticmethod
+    def pair_rule(risks):
+        """The per-d rule `select_model` replaced: the least (risk, d) pair, NaN read as +inf; None when all are infinite."""
+        pairs = [(np.inf if np.isnan(r) else r, d) for d, r in enumerate(map(float, risks), start=1)]
+        if all(np.isinf(r) for r, _ in pairs):
+            return None
+        return min(pairs)[1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0]),
+                st.floats(allow_nan=True, allow_infinity=True),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_matches_the_pair_rule(self, risks):
+        want = self.pair_rule(risks)
+        if want is None:
+            with pytest.warns(UserWarning, match="infinite"):
+                assert select_model(risks) == 1
+        else:
+            assert select_model(risks) == want
+            assert select_model(np.array(risks)) == want
+
 
 class TestCoordinateInvariance:
     @staticmethod

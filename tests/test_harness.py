@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mdee import __version__, baselines, harness
+from mdee.cli import main
 from mdee.core import BasisSpec, FittedModel, LabeledSet, UnlabeledSet, build_design
 from mdee.harness import (
     CRITERIA,
@@ -31,6 +32,19 @@ from mdee.harness import test_error as model_test_error
 from mdee.ingest import DatasetManifest
 
 BASIS = BasisSpec("fourier", 1)
+
+RIDGE0_YAML = """
+scenario: synthetic
+criteria: [FPE, cAIC, ADJ, CV5, DEE, mDEE1, mDEE2, mDEE3, rmDEE]
+repetitions: 20
+d_max: 9
+ridge: 0.0
+master_seed: 5
+synthetic:
+  target: step
+  n: 10
+  noise_var: 0.1
+"""
 
 
 class TestTestError:
@@ -194,6 +208,30 @@ class TestRunExperiment:
         assert trials[0].d_hat["mDEE3"] == 1
         assert trials[0].flags["FPE"] == ""
 
+    def test_a_fit_that_stops_loses_only_its_sizes(self, tmp_path, monkeypatch):
+        # At ridge 0 and n = 10 the normal matrix of some trials fails its
+        # condition check at d = 8 or 9. Such a trial keeps the sizes below
+        # the first that fails, every criterion is inf@d from there, and the
+        # run completes.
+        path = tmp_path / "ridge0.yaml"
+        path.write_text(RIDGE0_YAML)
+        fitted = []
+        fit = harness.fit_design_path
+        monkeypatch.setattr(harness, "fit_design_path", lambda *args: fitted.append(fit(*args)) or fitted[-1])
+        cfg = load_config(path)
+        trials, _ = run_experiment(cfg)
+        stopped = [(t, model_path.d_max + 1) for t, model_path in zip(trials, fitted) if model_path.d_max < 9]
+        assert len(fitted) == 20 and stopped
+        for trial, k in stopped:
+            assert len(trial.test_errors) == k - 1
+            for name in cfg.criteria:
+                tokens = trial.flags[name].split(";")
+                assert all(f"inf@d{d}" in tokens for d in range(k, 10)), (name, tokens)
+                assert trial.d_hat[name] < k
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["meta.json", "summary.csv", "trials.csv"]
+
 
 class TestOutputs:
     def test_determinism_byte_identical(self, tmp_path):
@@ -234,7 +272,9 @@ class TestOutputs:
 
         def fpe(state):
             d_range = range(1, state.path.d_max + 1)
-            return [(baselines.fpe(state.path.train_loss(d), state.train.n, d), d % 2) for d in d_range]
+            return np.array([baselines.fpe(state.path.train_loss(d), state.train.n, d) for d in d_range]), np.array(
+                [d % 2 for d in d_range]
+            )
 
         monkeypatch.setitem(CRITERIA, "FPE", fpe)
         monkeypatch.setattr(harness, "path_test_errors", zero_every_other)

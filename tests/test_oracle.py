@@ -9,11 +9,11 @@ from mdee.oracle import (
     mc_block_moments,
     mc_H_moments,
     mc_h1_variance_closed_form,
-    mc_moment_inputs,
     mc_risk_ratio,
     mc_trace_target,
     true_corr,
 )
+from mdee.oracle import _moment_inputs_from, _vectorized_blocks
 
 BASIS = BasisSpec("fourier", 1)
 
@@ -176,13 +176,13 @@ class TestMcHMoments:
 
 class TestMomentInputs:
     def test_nonnegative_traces(self):
-        inputs = mc_moment_inputs(make_cfg(d=2), n_blocks=2000)
+        inputs = _moment_inputs_from(*_vectorized_blocks(make_cfg(d=2), 2, 2000))
         assert inputs.tr_varmu_varnu >= 0
         assert inputs.tr_varnu_mumu >= 0
         assert inputs.tr_varmu_nunu >= 0
 
     def test_closed_form_assembly(self):
-        inputs = mc_moment_inputs(make_cfg(d=2), n_blocks=500)
+        inputs = _moment_inputs_from(*_vectorized_blocks(make_cfg(d=2), 2, 500))
         value = closed_form_h1_variance(inputs, 2, 3)
         expected = (
             inputs.tr_varmu_varnu / 6 + inputs.tr_varnu_mumu / 3 + inputs.tr_varmu_nunu / 2

@@ -12,7 +12,8 @@ designs); CV5, DEE and the block criteria agree within `prefix_bound`. A
 block criterion's risk is None
 from the first size at which a Cholesky factor it reads stops; where LU and
 Cholesky disagree on whether a matrix read can be factored, only that rule is
-checked.
+checked. The registry's (risk, flagged) arrays are compared through `scored`,
+which reads them as per-d (risk, flag count) pairs, None where the risk is NaN.
 """
 
 import math
@@ -121,8 +122,23 @@ def random_path(rng, basis, d_max, ridge):
     return ModelPath(models=models, d_max=d_max, basis=basis)
 
 
+def scored(state, name):
+    """A criterion's (risk, flagged) arrays as the per-d list [(risk, flag count) | None] that the assertions compare.
+
+    None marks a size whose risk is NaN, the inf@d sentinel.
+    """
+    risks, flagged = CRITERIA[name](state)
+    counts = np.broadcast_to(flagged, risks.shape)
+    return [None if math.isnan(r) else (r, c) for r, c in zip(risks.tolist(), counts.tolist())]
+
+
 def registry_paths(state, names=None):
-    return {name: CRITERIA[name](state) for name in names or CRITERIA}
+    return {name: scored(state, name) for name in names or CRITERIA}
+
+
+def corrected(state, tr, d):
+    """The training loss at d times the correction factor for trace tr."""
+    return estimators.correction_factor(tr, state.train.n, d) * state.path.train_loss(d)
 
 
 def reference_score(estimate):
@@ -168,7 +184,7 @@ def per_d_route(state, name):
             score = per_d_check(lambda: rmdee_trace(corners, state.labeled_corr(d), state.ridge))
         else:
             score = per_d_check(lambda: mdee_trace(corners, variant, state.b1 if split else None, state.ridge))
-        scored.append(None if score is None or math.isinf(score[0]) else (state.corrected(score[0], d), score[1]))
+        scored.append(None if score is None or math.isinf(score[0]) else (corrected(state, score[0], d), score[1]))
     return scored
 
 
@@ -337,10 +353,10 @@ def test_registry_matches_per_d_reference(case):
 
 
 def test_value_error_in_a_criterion_propagates(monkeypatch):
-    def broken(state, d):
+    def broken(state):
         raise ValueError("a bug, not a numerical failure")
 
-    monkeypatch.setitem(CRITERIA, "FPE", harness._per_d(broken))
+    monkeypatch.setitem(CRITERIA, "FPE", broken)
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="a bug"):
         evaluate_trial(
@@ -356,12 +372,12 @@ def test_value_error_in_a_criterion_propagates(monkeypatch):
 
 
 def test_singular_design_error_becomes_sentinel(monkeypatch):
-    def singular(state, d):
-        if d == 2:
-            raise SingularDesignError("numerically singular")
-        return 1.0 / d, 0
+    # A criterion marks a size whose risk is undefined, a numerical failure
+    # such as a singular matrix, with NaN; the trial records it as inf@d.
+    def singular(state):
+        return np.array([1.0, math.nan, 1.0 / 3]), 0
 
-    monkeypatch.setitem(CRITERIA, "FPE", harness._per_d(singular))
+    monkeypatch.setitem(CRITERIA, "FPE", singular)
     rng = np.random.default_rng(1)
     result = evaluate_trial(
         trial=0,
@@ -427,7 +443,8 @@ def test_shared_block_flags_match_per_d_invert_blocks(case):
     for d in range(1, path.d_max + 1):
         flagged = invert_blocks(block_corr_stack(state.blocks, path.basis, d), ridge)[1]
         flagged_at[d] = flagged
-        assert state.block_flags(d) == flagged
+        checked, failed = state.block_checks
+        assert tuple(np.flatnonzero(checked[d - 1]).tolist()) == flagged and not failed[d - 1]
         labeled = invert_blocks(correlation_matrix(state.train_design[:, :d]), ridge)[1]
         counts = {
             "mDEE1": sum(b >= b1 for b in flagged),
@@ -517,7 +534,9 @@ def test_svd_failure_becomes_sentinel(monkeypatch):
     path = random_path(rng, BasisSpec("fourier", 1), 4, 1e-13)
     cfg = config(ridge=1e-13, criteria=["DEE", "mDEE3", "rmDEE", "FPE"], d_max=4)
     state = TrialState(train, UnlabeledSet(X=pool), path, 1e-13, cv_seed=0)
-    assert state.labeled_recheck and 0 in state.block_gate
+    top = state.top
+    assert interlacing_gate(state.jittered(state.labeled_corr(top)), *state.labeled_factor)
+    assert interlacing_gate(state.jittered(state.block_corrs[:, :top, :top]), *state.block_factors)[0]
     monkeypatch.setattr(np.linalg, "svd", no_convergence)
     with pytest.raises(SingularDesignError, match="SVD did not converge"):
         invert_blocks(np.eye(2)[None])
@@ -645,7 +664,7 @@ def test_dee_and_block_paths_equal_per_d_checks(case, pool_kind):
         c_hat = correlation_matrix(state.train_design[:, :d])
         c_tilde = correlation_matrix(state.pool_design[:, :d])
         scored = per_d_check(lambda: (dee_trace(c_hat, c_tilde, ridge), ()))
-        want = None if scored is None else (state.corrected(scored[0], d), 0)
+        want = None if scored is None else (corrected(state, scored[0], d), 0)
         assert_prefix_close(paths["DEE"][d - 1], want, lambda: labeled_kappa(state, d), d)
         for name, want in references.items():
             assert_block_close(state, name, d, paths[name][d - 1], want[d - 1])
@@ -678,7 +697,7 @@ def test_labeled_gate_rechecks_near_d_max():
     pool = UnlabeledSet(X=rng.normal(size=(60, 1)))
     path = random_path(rng, BasisSpec("fourier", 1), d_max, ridge)
     state = TrialState(data, pool, path, ridge, cv_seed=0)
-    assert state.labeled_recheck
+    assert interlacing_gate(state.jittered(state.labeled_corr(d_max)), *state.labeled_factor)
     dee_path, rmdee_path = registry_paths(state, ["DEE", "rmDEE"]).values()
     assert [d for d, s in enumerate(dee_path, 1) if s is None] == [7, 8, 9]
     assert [d for d, s in enumerate(rmdee_path, 1) if s[1]] == [7, 8, 9]
@@ -717,7 +736,7 @@ def test_block_prefix_paths_match_the_per_d_route(case):
     if state.b1 is not None:
         assert state.b1 == select_b1(state.blocks, state.path.basis, state.path.d_max, state.ridge)[0]
     for name in BLOCK_KINDS:
-        got, want = CRITERIA[name](state), per_d_route(state, name)
+        got, want = scored(state, name), per_d_route(state, name)
         assert len(got) == len(want) == state.path.d_max
         if state.blocks is None or (name in harness.SPLIT_CRITERIA and state.b1 is None):
             assert got == want
@@ -737,7 +756,7 @@ def test_rmdee_median_survives_a_labeled_factor_that_stops():
     path = random_path(rng, BasisSpec("fourier", 1), n - 1, ridge)
     state = TrialState(train, pool, path, ridge, cv_seed=0)
     assert state.block_factors[1].tolist() == [n - 1] * 6 and state.labeled_factor[1].tolist() == [1]
-    got, want = CRITERIA["rmDEE"](state), per_d_route(state, "rmDEE")
+    got, want = scored(state, "rmDEE"), per_d_route(state, "rmDEE")
     assert all(score is not None and math.isfinite(score[0]) for score in got)
     for d in range(1, n):
         assert_block_close(state, "rmDEE", d, got[d - 1], want[d - 1])
