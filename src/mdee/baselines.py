@@ -151,19 +151,30 @@ def adj(path: ModelPath, labeled_X, unlabeled: UnlabeledSet, d: int) -> float:
     return loss * factor
 
 
-def adj_path(path: ModelPath, design_l: np.ndarray, design_u: np.ndarray) -> list[float]:
-    """`adj` at every d = 1..d_max, from the labeled and pool d_max designs.
+def adj_path(path: ModelPath, design_l: np.ndarray, pool_factor: np.ndarray) -> np.ndarray:
+    """`adj` at every d = 1..d_max, from the labeled d_max design and a triangular factor of the pool's.
 
-    Each model's labeled and pool predictions are formed once and stacked, so
-    every rho(j, d) is the RMS difference of two rows.
+    rho_l(j, d) is the RMS difference of the two models' labeled predictions,
+    as in `adj`, so the pairs skipped below RHO_FLOOR are the same. The pool
+    side reads `pool_factor`, the R of a QR factorization of the d_max pool
+    design over the square root of its row count (R^T R is the pool
+    correlation matrix C~): rho_u(j, d) = ||R delta||, with delta = alpha_j
+    zero-padded minus alpha_d, for all pairs at once. Like the pool predictions
+    of `adj`, and unlike the quadratic form delta^T C~ delta, this keeps its
+    digits when delta is nearly in C~'s null space, where rho_u and rho_l are
+    tiny; forming delta first keeps the cancellation of nearby models out of
+    it. The risks differ from `adj` in the last bits only.
     """
-    preds_l = np.stack([design_l[:, : m.d] @ m.alpha for m in path.models])
-    preds_u = np.stack([design_u[:, : m.d] @ m.alpha for m in path.models])
-    risks = [path.train_loss(1)]
-    for d in range(2, path.d_max + 1):
-        rho_l = np.sqrt(np.mean((preds_l[: d - 1] - preds_l[d - 1]) ** 2, axis=1))
-        rho_u = np.sqrt(np.mean((preds_u[: d - 1] - preds_u[d - 1]) ** 2, axis=1))
-        ratios = [float(u / l) for l, u in zip(rho_l, rho_u) if not l < RHO_FLOOR]
-        factor = max(ratios) if ratios else 1.0
-        risks.append(path.train_loss(d) * factor)
-    return risks
+    D = path.d_max
+    alphas = np.zeros((D, D))
+    for m in path.models:
+        alphas[m.d - 1, : m.d] = m.alpha
+    preds = np.stack([design_l[:, : m.d] @ m.alpha for m in path.models])
+    rho_l = np.sqrt(np.mean((preds[:, None] - preds[None]) ** 2, axis=-1))
+    deltas = (alphas[:, None] - alphas[None]).reshape(D * D, D)
+    rho_u = np.sqrt(np.square(deltas @ pool_factor.T).sum(axis=-1)).reshape(D, D)
+    usable = np.triu(~(rho_l < RHO_FLOOR), k=1)  # pairs j < d, indexed [j - 1, d - 1]
+    ratios = np.divide(rho_u, rho_l, out=np.full((D, D), -np.inf), where=usable)
+    factors = ratios.max(axis=0)
+    factors[~usable.any(axis=0)] = 1.0
+    return np.array([m.train_loss for m in path.models]) * factors

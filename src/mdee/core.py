@@ -7,7 +7,6 @@ criterion in this package is built on top of these primitives.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,11 +131,25 @@ def build_design(basis: BasisSpec, X, d: int) -> np.ndarray:
     """
     if d < 1:
         raise ValueError("model size d must be >= 1")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] < 1:
+    X = np.ascontiguousarray(np.atleast_2d(np.asarray(X, dtype=float)))
+    rows, m = X.shape
+    if rows < 1:
         raise ValueError("design requires at least one covariate row")
-    cols = [_fourier_column(k, X).sum(axis=1) for k in range(1, d + 1)]
-    return np.column_stack(cols)
+    # Column by column the same operations as `_fourier_column(k, X).sum(axis=1)`,
+    # less those that leave every bit as it is: 1 * t, a sum over one coordinate
+    # and each p * t formed twice.
+    design = np.empty((rows, d))
+    design[:, 0] = m
+    x = X[:, 0] if m == 1 else X
+    for p in range(1, d // 2 + 1):
+        t = x if p == 1 else p * x
+        for k, trig in ((2 * p, np.cos), (2 * p + 1, np.sin)):
+            if k > d:
+                break
+            col = trig(t)
+            col *= SQRT2
+            design[:, k - 1] = col if m == 1 else col.sum(axis=1)
+    return design
 
 
 def predict(basis: BasisSpec, X, alpha: np.ndarray) -> np.ndarray:
@@ -215,41 +228,26 @@ def normal_matrix(v: np.ndarray, ridge_lambda: float) -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
-def solve_ridge(v: np.ndarray, y: np.ndarray, ridge_lambda: float, check: bool) -> np.ndarray:
-    """Coefficients of the ridge-augmented normal equations of design v and response y.
-
-    Forms `normal_matrix(v, ridge_lambda)`, condition-checks it when `check` is
-    set (as `interlacing_gate` says), and solves through its Cholesky factor.
-    LAPACK's potrf/potrs are called directly, with the arguments scipy's
-    `cho_factor`/`cho_solve` pass them, without that wrapper's per-call cost.
-    """
-    A = normal_matrix(v, ridge_lambda)
-    if check:
-        check_condition(A, "normal matrix")
-    factor, info = dpotrf(A, lower=1, clean=0)
-    if info:  # pragma: no cover - condition check first
-        raise SingularDesignError(f"normal matrix factorization failed: leading minor {info} not positive definite")
-    return dpotrs(factor, v.T @ y, lower=1)[0]
-
-
-def _ridge_fit(v: np.ndarray, y: np.ndarray, ridge_lambda: float, check: bool) -> FittedModel:
-    alpha = solve_ridge(v, y, ridge_lambda, check)
-    loss = empirical_loss(v, y, alpha)
-    return FittedModel(d=v.shape[1], alpha=alpha, train_loss=loss, ridge_lambda=ridge_lambda)
-
-
 def ridge_lse(phi, y, ridge_lambda: float = DEFAULT_RIDGE) -> FittedModel:
     """Least squares fit through the ridge-augmented normal equations.
 
     Solves (Phi^T Phi + n*lambda*I) alpha = Phi^T y with a symmetric
-    (Cholesky) factorization. Scaling the penalty by n keeps lambda
-    comparable with the per-row correlation matrix regardless of n.
+    (Cholesky) factorization after a condition check. Scaling the penalty by n
+    keeps lambda comparable with the per-row correlation matrix regardless of
+    n. LAPACK's potrf/potrs are called directly, with the arguments scipy's
+    `cho_factor`/`cho_solve` pass them, without that wrapper's per-call cost.
     """
     v = np.atleast_2d(np.asarray(phi, dtype=float))
     y = np.asarray(y, dtype=float).reshape(-1)
     if v.shape[0] != y.shape[0]:
         raise ValueError("design rows and response length differ")
-    return _ridge_fit(v, y, ridge_lambda, check=True)
+    A = normal_matrix(v, ridge_lambda)
+    check_condition(A, "normal matrix")
+    factor, info = dpotrf(A, lower=1, clean=0)
+    if info:  # pragma: no cover - condition check first
+        raise SingularDesignError(f"normal matrix factorization failed: leading minor {info} not positive definite")
+    alpha = dpotrs(factor, v.T @ y, lower=1)[0]
+    return FittedModel(d=v.shape[1], alpha=alpha, train_loss=empirical_loss(v, y, alpha), ridge_lambda=ridge_lambda)
 
 
 def empirical_loss(phi, y, alpha) -> float:
@@ -276,11 +274,14 @@ def fit_model_path(
 ) -> ModelPath:
     """Fit the LSE for every model size d = 1..d_max on the full labeled set.
 
-    Each fit equals `ridge_lse` on the first d design columns; see `_path_fits`.
+    Each fit is `ridge_lse` on the first d design columns, read from one
+    factor (`_path_fits`); a size that fails raises SingularDesignError naming it.
     """
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
-    models = list(_path_fits(build_design(basis, data.X, d_max), data.y, ridge_lambda))
+    models, error = _path_fits(build_design(basis, data.X, d_max), data.y, ridge_lambda)
+    if error is not None:
+        raise error
     return ModelPath(models=models, d_max=d_max, basis=basis)
 
 
@@ -290,26 +291,48 @@ def fit_design_path(design: np.ndarray, y: np.ndarray, basis: BasisSpec, ridge_l
     By Cauchy interlacing a larger nested normal matrix is never better
     conditioned, so the sizes lost are the largest ones.
     """
-    models = []
-    with contextlib.suppress(SingularDesignError):
-        for model in _path_fits(design, y, ridge_lambda):
-            models.append(model)
+    models = _path_fits(design, y, ridge_lambda)[0]
     return ModelPath(models=models, d_max=len(models), basis=basis)
 
 
 def _path_fits(design: np.ndarray, y: np.ndarray, ridge_lambda: float):
-    """The fits of sizes 1, 2, ... of the design; a size that fails its condition check raises SingularDesignError.
+    """The fits of sizes 1, 2, ... of the design below the first size that fails, and its SingularDesignError or None.
 
-    The normal matrices are condition-checked as `interlacing_gate` allows,
-    from one Cholesky factorization at the largest size.
+    The d_max normal matrix is factored once. The leading d x d block of its
+    lower Cholesky factor L is the factor of the size-d normal matrix, so with
+    W = L^{-1} and z = W V^T y the size-d coefficients are W[:d, :d]^T z[:d],
+    the first d entries of the sum of the first d rows of W scaled by z. When
+    `interlacing_gate` flags the factor, each size's own normal matrix, of
+    `design[:, :d]` as in `ridge_lse`, is condition-checked. The path ends at
+    the first size that fails its check or that the factorization does not
+    reach. The fits differ from `ridge_lse` in the last bits only.
     """
+    n, d_max = design.shape
     normal = normal_matrix(design, ridge_lambda)
-    recheck = bool(interlacing_gate(normal, *inverse_factor(normal)))
-    for d in range(1, design.shape[1] + 1):
-        try:
-            yield _ridge_fit(design[:, :d], y, ridge_lambda, recheck)
-        except SingularDesignError as exc:
-            raise SingularDesignError(f"model size d={d}: {exc}") from exc
+    inv, size = inverse_factor(normal)
+    error = None
+    if size < d_max:
+        error = SingularDesignError(
+            f"normal matrix factorization failed: leading minor {size + 1} not positive definite"
+        )
+    if interlacing_gate(normal, inv, size):
+        for d in range(1, size + 1):
+            try:
+                check_condition(normal_matrix(design[:, :d], ridge_lambda), "normal matrix")
+            except SingularDesignError as exc:
+                size, error = d - 1, exc
+                break
+    if error is not None:
+        error = SingularDesignError(f"model size d={size + 1}: {error}")
+    z = inv[:size, :size] @ (design[:, :size].T @ y)
+    alphas = np.cumsum(inv[:size, :size] * z[:, None], axis=0)
+    resids = y[:, None] - design[:, :size] @ alphas.T
+    losses = np.einsum("ij,ij->j", resids, resids) / n
+    models = [
+        FittedModel(d=d, alpha=alphas[d - 1, :d], train_loss=float(losses[d - 1]), ridge_lambda=ridge_lambda)
+        for d in range(1, size + 1)
+    ]
+    return models, error
 
 
 def block_partition(pool: UnlabeledSet, n: int) -> np.ndarray:

@@ -412,7 +412,13 @@ def select_b1(
 
 
 def moment_split(corrs: np.ndarray, invs: np.ndarray) -> tuple[int, float, float]:
-    """`select_b1` from the (B, d, d) block correlation stack and its jittered inverses."""
+    """`select_b1` from the (B, d, d) block correlation stack and its jittered inverses.
+
+    A coordinate with the same value in every block centers to exactly 0: the
+    mean of B equal values can differ from them in the last bit, and at d = 1,
+    where every coordinate is such, that rounding would decide the split
+    instead of the tie a1 = a2 = 0.
+    """
     B, d, _ = corrs.shape
     mu = corrs.reshape(B, d * d)
     nu = invs.reshape(B, d * d)
@@ -420,6 +426,8 @@ def moment_split(corrs: np.ndarray, invs: np.ndarray) -> tuple[int, float, float
     nu_bar = nu.mean(axis=0)
     u = mu - mu_bar
     v = nu - nu_bar
+    u[:, mu.max(axis=0) == mu.min(axis=0)] = 0.0
+    v[:, nu.max(axis=0) == nu.min(axis=0)] = 0.0
     tr_varmu_varnu = float(np.sum((u @ v.T) ** 2)) / (B - 1) ** 2
     tr_varmu_nunu = float(np.sum((u @ nu_bar) ** 2)) / (B - 1)
     tr_varnu_mumu = float(np.sum((v @ mu_bar) ** 2)) / (B - 1)

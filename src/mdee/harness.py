@@ -222,8 +222,9 @@ class TrialState:
     `interlacing_gate` reads the same factors to say which members need a
     condition check at each size; only those are checked, on their own size-d
     matrices, and `labeled_checks` and `block_checks` hold the results at every
-    size. `b1` inverts the d_max blocks for the mDEE1 split. Each part is built the first time a criterion
-    reads it, so a trial builds only what its criteria need.
+    size. `b1`, the mDEE1 split, reads the block factors' inverses W^T W. Each
+    part is built the first time a criterion reads it, so a trial builds only
+    what its criteria need.
     """
 
     train: LabeledSet
@@ -310,14 +311,19 @@ class TrialState:
 
     @cached_property
     def b1(self) -> int | None:
-        """The mDEE1 split at d_max; None with fewer than two blocks or a block singular at d_max."""
-        if self.blocks is None or len(self.blocks) < 2:
+        """The mDEE1 split at d_max from the block factors.
+
+        With W = L^{-1} a block's jittered inverse (L L^T)^{-1} is W^T W. None
+        with fewer than two blocks, or where the factors do not reach d_max:
+        `top` is below it or a block's factorization stops. A flagged block is
+        kept, as the mean criteria keep it.
+        """
+        if self.blocks is None or len(self.blocks) < 2 or self.top < self.path.d_max:
             return None
-        try:
-            invs = np.linalg.inv(self.jittered(self.block_corrs))
-        except np.linalg.LinAlgError:
+        factors, sizes = self.block_factors
+        if (sizes < self.top).any():
             return None
-        return estimators.moment_split(self.block_corrs, invs)[0]
+        return estimators.moment_split(self.block_corrs, np.swapaxes(factors, 1, 2) @ factors)[0]
 
 
 # A criterion maps the state to its risk path over the path's sizes d = 1..d_max as
@@ -389,7 +395,8 @@ def _cv5_path(state: TrialState) -> tuple:
 def _adj_path(state: TrialState) -> tuple:
     if state.unlabeled.n < 1:  # only d = 1, which has no smaller model to compare with, is defined
         return np.r_[state.path.train_loss(1), np.full(state.path.d_max - 1, np.nan)], 0
-    return np.array(baselines.adj_path(state.path, state.train_design, state.pool_design)), 0
+    pool_factor = np.linalg.qr(state.pool_design, mode="r") / math.sqrt(state.unlabeled.n)
+    return baselines.adj_path(state.path, state.train_design, pool_factor), 0
 
 
 CRITERIA = {

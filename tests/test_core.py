@@ -9,6 +9,7 @@ from mdee.core import (
     LabeledSet,
     SingularDesignError,
     UnlabeledSet,
+    _fourier_column,
     basis_eval,
     block_partition,
     build_design,
@@ -75,6 +76,24 @@ class TestBuildDesign:
         X = np.random.default_rng(0).normal(size=(20, 3))
         design = build_design(basis3, X, 5)
         np.testing.assert_allclose(design[:, 0], 3.0)
+
+    # (rows, M, d) of the test, pool and oracle designs the package builds
+    @pytest.mark.parametrize(
+        "rows, m, d",
+        [(10000, 1, 3), (1500, 1, 23), (1000, 1, 23), (1300, 7, 7), (50, 7, 7), (20, 3, 9), (30, 2, 1), (30, 2, 2)],
+    )
+    def test_equals_the_per_column_reference_bit_for_bit(self, rows, m, d):
+        rng = np.random.default_rng(rows + m + d)
+        basis = BasisSpec("fourier", m)
+        for X in (
+            rng.normal(size=(rows, m)),
+            rng.integers(0, 3, size=(rows, m)) * 0.7,
+            rng.normal(size=(rows, 2 * m))[:, ::2],  # not contiguous
+        ):
+            want = np.column_stack([_fourier_column(k, X).sum(axis=1) for k in range(1, d + 1)])
+            assert np.array_equal(build_design(basis, X, d), want)
+        i = int(rng.integers(rows))
+        assert build_design(basis, X[i : i + 1], d)[0, d - 1] == sum(basis_eval(basis, d, t) for t in X[i])
 
     def test_row_permutation_equivariance(self):
         rng = np.random.default_rng(1)
