@@ -18,10 +18,7 @@ from .core import (
     SingularDesignError,
     UnlabeledSet,
     build_design,
-    check_condition,
-    interlacing_gate,
-    inverse_factor,
-    normal_matrix,
+    path_fits,
     ridge_lse,
 )
 
@@ -86,39 +83,28 @@ def kfold_cv_path(
 ) -> np.ndarray:
     """`kfold_cv` at every d = 1..d_max, from the labeled d_max design and responses.
 
-    Each fold is factored once. The leading d x d block of the lower Cholesky
-    factor L of the fold's d_max normal matrix is the factor of its size-d
-    normal matrix, so with z = L^{-1} V^T y and W = V_held L^{-T} the size-d
-    fit predicts the held-out rows as the sum of the first d columns of W * z.
-    Where LAPACK finds leading minor k not positive definite, sizes k and up
-    are +inf. When `interlacing_gate` flags the fold, each size's own normal
-    matrix, of `design[:, :d][mask]` as in `kfold_cv`, is condition-checked,
-    and sizes above the limit are +inf. The finite risks differ from
-    `kfold_cv` in the last bits only.
+    Each fold is fitted once by `core.path_fits`, and one product predicts its
+    held-out rows at every size. As on the path fit, a fold's sizes from its
+    first failing size on are +inf: where its factorization stops or a gated
+    size fails its condition check. `kfold_cv` checks each size on its own; by
+    Cauchy interlacing a larger size passes after a smaller one failed only
+    through rounding near COND_LIMIT, and only there can it stay finite where
+    this route is +inf. The finite risks differ from `kfold_cv` in the last
+    bits only.
     """
     n, d_max = design.shape
     errors = np.zeros((k, d_max))
-    failed = np.zeros(d_max, dtype=bool)
+    reached = d_max
     for f, held in enumerate(_folds(n, k, seed)):
         mask = np.ones(n, dtype=bool)
         mask[held] = False
-        fit = design[mask]
-        normal = normal_matrix(fit, ridge_lambda)
-        inv, top = inverse_factor(normal)
-        failed[top:] = True
-        if interlacing_gate(normal, inv, top):
-            for d in range(1, top + 1):
-                try:
-                    check_condition(normal_matrix(design[:, :d][mask], ridge_lambda), "normal matrix")
-                except SingularDesignError:
-                    failed[d - 1] = True
-        if top < 1:
-            continue
-        z = inv @ (fit[:, :top].T @ y[mask])
-        preds = np.cumsum(design[held, :top] @ inv.T * z, axis=1)
-        errors[f, :top] = np.mean((y[held, None] - preds) ** 2, axis=0)
+        alphas = path_fits(design[mask], y[mask], ridge_lambda)[0]
+        size = len(alphas)
+        reached = min(reached, size)
+        preds = design[held, :size] @ alphas.T
+        errors[f, :size] = np.mean((y[held, None] - preds) ** 2, axis=0)
     risks = np.mean(errors, axis=0)
-    risks[failed] = math.inf
+    risks[reached:] = math.inf
     return risks
 
 

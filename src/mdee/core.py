@@ -275,14 +275,15 @@ def fit_model_path(
     """Fit the LSE for every model size d = 1..d_max on the full labeled set.
 
     Each fit is `ridge_lse` on the first d design columns, read from one
-    factor (`_path_fits`); a size that fails raises SingularDesignError naming it.
+    factor (`path_fits`); a size that fails raises SingularDesignError naming it.
     """
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
-    models, error = _path_fits(build_design(basis, data.X, d_max), data.y, ridge_lambda)
+    design = build_design(basis, data.X, d_max)
+    alphas, error = path_fits(design, data.y, ridge_lambda)
     if error is not None:
         raise error
-    return ModelPath(models=models, d_max=d_max, basis=basis)
+    return _model_path(design, data.y, alphas, basis, ridge_lambda)
 
 
 def fit_design_path(design: np.ndarray, y: np.ndarray, basis: BasisSpec, ridge_lambda: float) -> ModelPath:
@@ -291,23 +292,39 @@ def fit_design_path(design: np.ndarray, y: np.ndarray, basis: BasisSpec, ridge_l
     By Cauchy interlacing a larger nested normal matrix is never better
     conditioned, so the sizes lost are the largest ones.
     """
-    models = _path_fits(design, y, ridge_lambda)[0]
-    return ModelPath(models=models, d_max=len(models), basis=basis)
+    return _model_path(design, y, path_fits(design, y, ridge_lambda)[0], basis, ridge_lambda)
 
 
-def _path_fits(design: np.ndarray, y: np.ndarray, ridge_lambda: float):
-    """The fits of sizes 1, 2, ... of the design below the first size that fails, and its SingularDesignError or None.
+def _model_path(
+    design: np.ndarray, y: np.ndarray, alphas: np.ndarray, basis: BasisSpec, ridge_lambda: float
+) -> ModelPath:
+    """The ModelPath of the `path_fits` coefficients `alphas`, with each size's training loss."""
+    size = len(alphas)
+    resids = y[:, None] - design[:, :size] @ alphas.T
+    losses = np.einsum("ij,ij->j", resids, resids) / len(y)
+    models = [
+        FittedModel(d=d, alpha=alphas[d - 1, :d], train_loss=float(losses[d - 1]), ridge_lambda=ridge_lambda)
+        for d in range(1, size + 1)
+    ]
+    return ModelPath(models=models, d_max=size, basis=basis)
 
-    The d_max normal matrix is factored once. The leading d x d block of its
-    lower Cholesky factor L is the factor of the size-d normal matrix, so with
-    W = L^{-1} and z = W V^T y the size-d coefficients are W[:d, :d]^T z[:d],
-    the first d entries of the sum of the first d rows of W scaled by z. When
-    `interlacing_gate` flags the factor, each size's own normal matrix, of
-    `design[:, :d]` as in `ridge_lse`, is condition-checked. The path ends at
-    the first size that fails its check or that the factorization does not
-    reach. The fits differ from `ridge_lse` in the last bits only.
+
+def path_fits(design: np.ndarray, y: np.ndarray, ridge_lambda: float):
+    """The least-squares fits of sizes 1, 2, ... of the design below the first size that fails.
+
+    Returns their coefficients as the rows of a lower-triangular (size, size)
+    array, row d - 1 holding the size-d fit, and the failure's
+    SingularDesignError or None. The d_max normal matrix is factored once. The
+    leading d x d block of its lower Cholesky factor L is the factor of the
+    size-d normal matrix, so with W = L^{-1} and z = W V^T y the size-d
+    coefficients are W[:d, :d]^T z[:d], the first d entries of the sum of the
+    first d rows of W scaled by z. When `interlacing_gate` flags the factor,
+    each size's own normal matrix, of `design[:, :d]` as in `ridge_lse`, is
+    condition-checked. The fits end at the first size that fails its check or
+    that the factorization does not reach. They differ from `ridge_lse` in the
+    last bits only.
     """
-    n, d_max = design.shape
+    d_max = design.shape[1]
     normal = normal_matrix(design, ridge_lambda)
     inv, size = inverse_factor(normal)
     error = None
@@ -325,14 +342,7 @@ def _path_fits(design: np.ndarray, y: np.ndarray, ridge_lambda: float):
     if error is not None:
         error = SingularDesignError(f"model size d={size + 1}: {error}")
     z = inv[:size, :size] @ (design[:, :size].T @ y)
-    alphas = np.cumsum(inv[:size, :size] * z[:, None], axis=0)
-    resids = y[:, None] - design[:, :size] @ alphas.T
-    losses = np.einsum("ij,ij->j", resids, resids) / n
-    models = [
-        FittedModel(d=d, alpha=alphas[d - 1, :d], train_loss=float(losses[d - 1]), ridge_lambda=ridge_lambda)
-        for d in range(1, size + 1)
-    ]
-    return models, error
+    return np.cumsum(inv[:size, :size] * z[:, None], axis=0), error
 
 
 def block_partition(pool: UnlabeledSet, n: int) -> np.ndarray:

@@ -33,10 +33,10 @@ class SyntheticConfig:
             raise ValueError(f"unknown target {self.target!r}; expected one of {TARGETS}")
         if min(self.n, self.n_prime, self.n_test) < 0:
             raise ValueError("sample counts must be nonnegative")
-        if self.noise_var < 0:
-            raise ValueError("noise_var must be nonnegative")
-        if self.covariate_var <= 0:
-            raise ValueError("covariate_var must be positive")
+        if not 0 <= self.noise_var < np.inf:
+            raise ValueError(f"noise_var must be finite and nonnegative, got {self.noise_var}")
+        if not 0 < self.covariate_var < np.inf:
+            raise ValueError(f"covariate_var must be finite and positive, got {self.covariate_var}")
 
 
 def target_eval(target: str, x):

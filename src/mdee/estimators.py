@@ -297,21 +297,21 @@ def mdee(
 
 def rmdee_trace(
     block_corrs: np.ndarray,
-    labeled_corr: np.ndarray | None,
+    labeled: np.ndarray | None,
     ridge: float = DEFAULT_RIDGE,
 ) -> tuple[float, tuple[int, ...]]:
     """Median of per-block traces Tr(C_plus C_b^{-1}).
 
-    C_plus averages every unlabeled block. When `labeled_corr` is given it
-    joins the trace list as block 0 (flag indices then start at 1 for the
-    unlabeled blocks). A block whose jittered matrix cannot be inverted has
-    trace +inf. An even count takes the mean of the two central order
-    statistics.
+    C_plus averages every unlabeled block. When the labeled correlation
+    matrix `labeled` is given it joins the trace list as block 0 (flag indices
+    then start at 1 for the unlabeled blocks). A block whose jittered matrix
+    cannot be inverted has trace +inf. An even count takes the mean of the two
+    central order statistics.
     """
     corrs = np.asarray(block_corrs, dtype=float)
     c_plus = corrs.mean(axis=0)
-    if labeled_corr is not None:
-        corrs = np.concatenate((np.asarray(labeled_corr, dtype=float)[None], corrs))
+    if labeled is not None:
+        corrs = np.concatenate((np.asarray(labeled, dtype=float)[None], corrs))
     flagged = flagged_blocks(corrs, ridge)
     traces = []
     for mat in corrs + ridge * np.eye(corrs.shape[-1]):
@@ -351,8 +351,7 @@ def rmdee(
     The labeled covariates enter the median as block 0.
     """
     corrs = block_corr_stack(blocks, path.basis, d)
-    labeled_corr = estimate_C_plus(labeled_X, path.basis, d)
-    tr, flagged = rmdee_trace(corrs, labeled_corr, ridge)
+    tr, flagged = rmdee_trace(corrs, estimate_C_plus(labeled_X, path.basis, d), ridge)
     return _estimate(path, tr, blocks.shape[1], d, flagged)
 
 

@@ -14,7 +14,7 @@ import json
 import math
 import platform
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -131,8 +131,8 @@ class ExperimentConfig:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.d_max is not None and self.d_max < 1:
             raise ValueError(f"d_max must be >= 1, got {self.d_max}")
-        if not self.ridge >= 0:
-            raise ValueError(f"ridge must be >= 0, got {self.ridge}")
+        if not 0 <= self.ridge < math.inf:
+            raise ValueError(f"ridge must be finite and >= 0, got {self.ridge}")
         if any(n < 1 for n in self.scenario.n_values):
             raise ValueError(f"every n must be >= 1, got {self.scenario.n_values}")
         if isinstance(self.scenario, SyntheticScenario):
@@ -219,12 +219,16 @@ class TrialState:
     criteria read every size up to `top` from one set of inverse Cholesky
     factors of the jittered matrices at `top` (`labeled_factor`,
     `block_factors`), each with the size at which its factorization stops.
-    `interlacing_gate` reads the same factors to say which members need a
+    `interlacing_gate` reads the block factors to say which blocks need a
     condition check at each size; only those are checked, on their own size-d
-    matrices, and `labeled_checks` and `block_checks` hold the results at every
-    size. `b1`, the mDEE1 split, reads the block factors' inverses W^T W. Each
-    part is built the first time a criterion reads it, so a trial builds only
-    what its criteria need.
+    matrices, and `block_checks` holds the results at every size. The labeled
+    matrix is not checked again: it is the path fit's normal matrix over n,
+    and condition numbers do not change with scale, so every size of a path
+    that `fit_design_path` fitted at `ridge` has passed its check (up to the
+    rounding of the two SVDs, about 1e-4 relative near COND_LIMIT). `b1`, the
+    mDEE1 split, reads the block factors' inverses W^T W. Each part is built
+    the first time a criterion reads it, so a trial builds only what its
+    criteria need.
     """
 
     train: LabeledSet
@@ -251,20 +255,9 @@ class TrialState:
         return mats + self.ridge * np.eye(mats.shape[-1])
 
     @cached_property
-    def labeled_corr(self):
-        """Function of d giving the correlation matrix of the first d labeled design columns, built once per d."""
-        design = self.train_design  # not self: a cycle would keep each trial's state alive until a full collection
-        return cache(lambda d: correlation_matrix(design[:, :d]))
-
-    @cached_property
     def labeled_factor(self) -> tuple[np.ndarray, np.ndarray]:
         """The `estimators.inverse_factors` of the jittered labeled correlation matrix at `top`, as a stack of one."""
-        return estimators.inverse_factors(self.jittered(self.labeled_corr(self.top)[None]))
-
-    @cached_property
-    def labeled_checks(self) -> tuple[np.ndarray, np.ndarray]:
-        """`checks` of the labeled correlation matrices, each formed at its own size, as a family of one."""
-        return self.checks(lambda d: self.labeled_corr(d)[None], self.labeled_factor)
+        return estimators.inverse_factors(self.jittered(correlation_matrix(self.train_design[:, : self.top])[None]))
 
     @cached_property
     def blocks(self) -> np.ndarray | None:
@@ -287,24 +280,20 @@ class TrialState:
 
     @cached_property
     def block_checks(self) -> tuple[np.ndarray, np.ndarray]:
-        """`checks` of the blocks' leading corners."""
-        return self.checks(lambda d: self.block_corrs[:, :d, :d], self.block_factors)
+        """The condition checks of the blocks' leading corners.
 
-    def checks(self, stack, factors) -> tuple[np.ndarray, np.ndarray]:
-        """The condition checks of a nested family whose (count, d, d) members at size d are `stack(d)`.
-
-        At each size d = 1..`top`, `estimators.flagged_blocks` checks the members
-        that `interlacing_gate` names from their `factors` at `top`. Returns a
-        (d_max, count) mask of those above COND_LIMIT and a (d_max,) mask of the
-        sizes whose check's SVD failed, both False above `top`.
+        At each size d = 1..`top`, `estimators.flagged_blocks` checks the blocks
+        that `interlacing_gate` names from `block_factors`. Returns a (d_max, B)
+        mask of those above COND_LIMIT and a (d_max,) mask of the sizes whose
+        check's SVD failed, both False above `top`.
         """
-        tops = self.jittered(stack(self.top))
-        gate = np.flatnonzero(interlacing_gate(tops, *factors))
-        flagged = np.zeros((self.path.d_max, len(tops)), dtype=bool)
+        top = self.top
+        gate = np.flatnonzero(interlacing_gate(self.jittered(self.block_corrs[:, :top, :top]), *self.block_factors))
+        flagged = np.zeros((self.path.d_max, len(self.blocks)), dtype=bool)
         failed = np.zeros(self.path.d_max, dtype=bool)
-        for d in range(1, self.top + 1) if gate.size else ():
+        for d in range(1, top + 1) if gate.size else ():
             try:
-                flagged[d - 1, list(estimators.flagged_blocks(stack(d), self.ridge, gate))] = True
+                flagged[d - 1, list(estimators.flagged_blocks(self.block_corrs[:, :d, :d], self.ridge, gate))] = True
             except SingularDesignError:
                 failed[d - 1] = True
         return flagged, failed
@@ -332,13 +321,13 @@ class TrialState:
 # records NaN as the inf@d sentinel; an infinite risk carries no sentinel.
 
 
-def _trace_risks(state: TrialState, traces: np.ndarray, failed: np.ndarray) -> np.ndarray:
+def _trace_risks(state: TrialState, traces: np.ndarray) -> np.ndarray:
     """The training loss times (1 + tr/n)/(1 - d/n) for the traces at sizes 1..`state.top`.
 
-    A size is NaN where its trace is infinite or `failed` holds, and above `top`.
+    A size is NaN where its trace is infinite, and above `top`.
     """
     n, top = state.train.n, state.top
-    traces = np.where(failed[:top] | np.isinf(traces), np.nan, traces)
+    traces = np.where(np.isinf(traces), np.nan, traces)
     losses = np.array([model.train_loss for model in state.path.models[:top]])
     risks = np.full(state.path.d_max, np.nan)
     risks[:top] = (1.0 + traces / n) / (1.0 - np.arange(1, top + 1) / n) * losses
@@ -346,13 +335,11 @@ def _trace_risks(state: TrialState, traces: np.ndarray, failed: np.ndarray) -> n
 
 
 def _dee_path(state: TrialState) -> tuple:
-    """DEE at every size from the labeled inverse factor at `state.top`; a flagged labeled matrix makes its size NaN."""
+    """DEE at every size from the labeled inverse factor at `state.top`."""
     if state.unlabeled.n < 1 or state.top < 1:
         return np.full(state.path.d_max, np.nan), 0
     c_tilde = correlation_matrix(state.pool_design[:, : state.top])
-    traces = estimators.dee_trace_path(state.labeled_factor, c_tilde)
-    flagged, failed = state.labeled_checks
-    return _trace_risks(state, traces, flagged[:, 0] | failed), 0
+    return _trace_risks(state, estimators.dee_trace_path(state.labeled_factor, c_tilde)), 0
 
 
 def _block_path(variant: CriterionKind, state: TrialState) -> tuple:
@@ -365,20 +352,16 @@ def _block_path(variant: CriterionKind, state: TrialState) -> tuple:
     split = variant.value in SPLIT_CRITERIA
     if state.blocks is None or (split and state.b1 is None):
         return np.full(state.path.d_max, np.inf), 0
-    rmdee = variant is CriterionKind.RMDEE
     corrs = state.block_corrs[:, : state.top, : state.top]
-    if rmdee:
+    if variant is CriterionKind.RMDEE:
         traces, v_start = estimators.rmdee_trace_path(corrs, state.block_factors, state.labeled_factor), 0
     else:
         b1 = state.b1 if split else None
         traces = estimators.mdee_trace_path(corrs, state.block_factors, variant, b1)
         v_start = estimators.block_sides(variant, b1, len(corrs))[1]
     flagged, failed = state.block_checks
-    counts = flagged[:, v_start:].sum(axis=1)
-    if rmdee:
-        labeled, labeled_failed = state.labeled_checks
-        counts, failed = counts + labeled[:, 0], failed | labeled_failed
-    return _trace_risks(state, traces, failed), counts
+    traces[failed[: state.top]] = np.inf
+    return _trace_risks(state, traces), flagged[:, v_start:].sum(axis=1)
 
 
 def _closed_form_path(score, state: TrialState) -> tuple:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,8 +66,8 @@ def _resolve_columns(manifest: DatasetManifest, header: list[str] | None) -> tup
 def load_csv(manifest: DatasetManifest) -> np.ndarray:
     """Load a delimited numeric file into a (rows, M+1) array, response last.
 
-    Rows with missing or non-numeric cells are rejected with the offending
-    line number; no imputation is attempted.
+    Rows with missing, non-numeric or non-finite (nan, inf) cells are
+    rejected with the offending line number; no imputation is attempted.
     """
     path = Path(manifest.path)
     with path.open(newline="") as handle:
@@ -91,6 +92,8 @@ def load_csv(manifest: DatasetManifest) -> np.ndarray:
                 raise ValueError(
                     f"{manifest.name}: line {line_no}: non-numeric cell"
                 ) from None
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{manifest.name}: line {line_no}: non-finite cell")
             rows.append(values)
     if not rows:
         raise ValueError(f"{manifest.name}: no data rows")

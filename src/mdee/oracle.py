@@ -43,8 +43,10 @@ class OracleConfig:
             raise ValueError(f"oracle needs 1 <= d < n, got d={self.d}, n={self.n}")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
-        if self.noise_sd < 0:
-            raise ValueError("noise_sd must be nonnegative")
+        if not 0 <= self.noise_sd < np.inf:
+            raise ValueError(f"noise_sd must be finite and nonnegative, got {self.noise_sd}")
+        if not 0 < self.covariate_sd < np.inf:
+            raise ValueError(f"covariate_sd must be finite and positive, got {self.covariate_sd}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not isinstance(self.truth, str):

@@ -142,9 +142,14 @@ RUN = ["run", "{config}", "--out", "{out}"]
         pytest.param("n: 10", "n: [0]", RUN, "every n", id="n"),
         pytest.param("repetitions: 2", "repetitions: 2\nd_max: 0", RUN, "d_max", id="d_max"),
         pytest.param("repetitions: 2", "repetitions: 2\nridge: -1.0", RUN, "ridge", id="ridge"),
+        pytest.param("repetitions: 2", "repetitions: 2\nridge: .inf", RUN, "ridge", id="ridge inf"),
+        pytest.param("noise_var: 0.1", "noise_var: [.inf]", RUN, "noise_var", id="noise_var inf"),
+        pytest.param("n_test: 40", "n_test: 40\n  covariate_var: .inf", RUN, "covariate_var", id="covariate_var inf"),
         pytest.param("master_seed: 21", "master_seed: -1", RUN, "master_seed", id="master_seed"),
         pytest.param(None, None, RUN + ["--seed", "-5"], "master_seed", id="run --seed"),
         pytest.param(None, None, ["oracle", "--theorem", "2", "--reps", "300", "--seed", "-1"], "seed", id="oracle --seed"),
+        pytest.param(None, None, ["oracle", "--theorem", "2", "--noise-sd", "nan"], "noise_sd", id="oracle --noise-sd nan"),
+        pytest.param(None, None, ["oracle", "--theorem", "2", "--noise-sd", "inf"], "noise_sd", id="oracle --noise-sd inf"),
     ],
 )
 def test_bad_value_rejected_before_any_output(old, new, argv, needle, tmp_path, capsys, monkeypatch):

@@ -43,9 +43,11 @@ class TestLoadCsv:
         assert table.shape == (2, 3)
 
     def test_non_numeric_cell_names_line(self, tmp_path):
-        path = write_csv(tmp_path, "a,b,y\n1,2,3\n1,2,abc\n")
-        with pytest.raises(ValueError, match="line 3"):
-            load_csv(small_manifest(path))
+        # float() parses nan and inf; one such cell would make a standardized column NaN in every row
+        for cell in ("abc", "nan", "inf", "-Infinity"):
+            path = write_csv(tmp_path, f"a,b,y\n1,2,3\n1,{cell},4\n")
+            with pytest.raises(ValueError, match="line 3"):
+                load_csv(small_manifest(path))
 
     def test_short_row_names_line(self, tmp_path):
         path = write_csv(tmp_path, "a,b,y\n1,2,3\n1,2\n")

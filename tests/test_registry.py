@@ -13,8 +13,12 @@ and the block criteria agree within `prefix_bound`, ADJ within `adj_bound` and
 the path fit within `fit_bounds`. A block criterion's risk is None
 from the first size at which a Cholesky factor it reads stops; where LU and
 Cholesky disagree on whether a matrix read can be factored, only that rule is
-checked. The registry's (risk, flagged) arrays are compared through `scored`,
-which reads them as per-d (risk, flag count) pairs, None where the risk is NaN.
+checked. CV5 fits each fold by the path fit, so it is +inf from a fold's first
+failing size on (`kfold_cv_prefix`). DEE and rmDEE do not check the labeled
+matrix again, as every size of the path `evaluate_trial` fits has passed that
+check; they are compared with their references on such states (`fitted`). The
+registry's (risk, flagged) arrays are compared through `scored`, which reads
+them as per-d (risk, flag count) pairs, None where the risk is NaN.
 """
 
 import math
@@ -29,6 +33,7 @@ from hypothesis import strategies as st
 from mdee import estimators, harness
 from mdee.baselines import RHO_FLOOR, _folds, adj, adj_path, kfold_cv, kfold_cv_path
 from mdee.core import (
+    COND_LIMIT,
     BasisSpec,
     FittedModel,
     LabeledSet,
@@ -134,6 +139,29 @@ def scored(state, name):
     return [None if math.isnan(r) else (r, c) for r, c in zip(risks.tolist(), counts.tolist())]
 
 
+def labeled_corr(state, d):
+    """The correlation matrix of the first d labeled design columns, which DEE and rmDEE read at size d."""
+    return correlation_matrix(state.train_design[:, :d])
+
+
+def fitted(state):
+    """`state` with the path `evaluate_trial` fits: `fit_design_path` on its labeled design at its ridge.
+
+    Every size of that path has passed the path fit's condition check of the
+    labeled normal matrix, n times the jittered labeled correlation matrix.
+    """
+    basis = state.path.basis
+    path = fit_design_path(build_design(basis, state.train.X, state.path.d_max), state.train.y, basis, state.ridge)
+    return TrialState(state.train, state.unlabeled, path, state.ridge, state.cv_seed)
+
+
+def kfold_cv_prefix(data, basis, d_max, ridge, seed):
+    """`kfold_cv` at sizes 1..d_max, +inf from its first infinite size on, as the path fit ends a fold's fits."""
+    risks = np.array([kfold_cv(data, basis, d, 5, ridge, seed) for d in range(1, d_max + 1)])
+    risks[np.logical_or.accumulate(np.isinf(risks))] = math.inf
+    return risks
+
+
 def registry_paths(state, names=None):
     return {name: scored(state, name) for name in names or CRITERIA}
 
@@ -183,7 +211,7 @@ def per_d_route(state, name):
             continue
         corners = state.block_corrs[:, :d, :d]
         if variant is CriterionKind.RMDEE:
-            score = per_d_check(lambda: rmdee_trace(corners, state.labeled_corr(d), state.ridge))
+            score = per_d_check(lambda: rmdee_trace(corners, labeled_corr(state, d), state.ridge))
         else:
             score = per_d_check(lambda: mdee_trace(corners, variant, state.b1 if split else None, state.ridge))
         scored.append(None if score is None or math.isinf(score[0]) else (corrected(state, score[0], d), score[1]))
@@ -252,7 +280,7 @@ def read_matrices(state, variant, d):
         v_start = block_sides(variant, state.b1 if split else None, len(state.blocks))[1]
     mats, sizes = state.block_corrs[v_start:, :d, :d], state.block_factors[1][v_start:]
     if variant is CriterionKind.RMDEE:
-        mats = np.concatenate((state.labeled_corr(d)[None], mats))
+        mats = np.concatenate((labeled_corr(state, d)[None], mats))
         sizes = np.concatenate((state.labeled_factor[1], sizes))
     return mats + state.ridge * np.eye(d), sizes
 
@@ -292,7 +320,7 @@ def assert_block_close(state, name, d, got, want):
 
 def labeled_kappa(state, d):
     """Condition number of the jittered size-d labeled correlation matrix that DEE reads."""
-    return float(condition_numbers(state.jittered(state.labeled_corr(d))))
+    return float(condition_numbers(state.jittered(labeled_corr(state, d))))
 
 
 def cv5_kappa(design, seed, d, ridge):
@@ -315,17 +343,11 @@ def test_registry_matches_per_d_reference(case):
     assert (blocks is None) == (pool.n < train.n)
     paths = registry_paths(state)
     assert all(len(scored) == path.d_max for scored in paths.values())
-    flagged_seen = 0
+    cv5_want = kfold_cv_prefix(train, path.basis, path.d_max, ridge, 0) if train.n >= 5 else None
     for d in range(1, path.d_max + 1):
         assert_prefix_close(
-            paths["DEE"][d - 1],
-            reference_score(lambda: dee(path, train.X, pool, d, ridge)),
-            lambda: labeled_kappa(state, d),
-            d,
-        )
-        assert_prefix_close(
             paths["CV5"][d - 1],
-            reference_value(lambda: kfold_cv(train, path.basis, d, 5, ridge, seed=0)),
+            None if cv5_want is None else (cv5_want[d - 1], 0),
             lambda: cv5_kappa(state.train_design, 0, d, ridge),
             d,
         )
@@ -340,12 +362,23 @@ def test_registry_matches_per_d_reference(case):
                 continue
             want = reference_score(lambda: mdee(path, blocks, variant, b1, d, ridge))
             assert_block_close(state, name, d, got, want)
-        got = paths["rmDEE"][d - 1]
+
+    fit = fitted(state)
+    fit_paths = registry_paths(fit, ["DEE", "rmDEE"])
+    flagged_seen = 0
+    for d in range(1, fit.path.d_max + 1):
+        assert_prefix_close(
+            fit_paths["DEE"][d - 1],
+            reference_score(lambda: dee(fit.path, train.X, pool, d, ridge)),
+            lambda: labeled_kappa(fit, d),
+            d,
+        )
+        got = fit_paths["rmDEE"][d - 1]
         if blocks is None:
             assert got == (math.inf, 0)
             continue
-        want = reference_score(lambda: rmdee(path, blocks, train.X, d, ridge))
-        assert_block_close(state, "rmDEE", d, got, want)
+        want = reference_score(lambda: rmdee(fit.path, blocks, train.X, d, ridge))
+        assert_block_close(fit, "rmDEE", d, got, want)
         flagged_seen += got[1] if got else 0
     if kind == "flagged_block" and blocks is not None:
         assert flagged_seen > 0
@@ -429,17 +462,20 @@ def cond_counts(flags):
 @given(flag_trials())
 def test_shared_block_flags_match_per_d_invert_blocks(case):
     kind, train, pool, path, test, ridge = case
-    cfg = config(ridge, criteria=["mDEE1", "mDEE2", "mDEE3", "rmDEE"], d_max=path.d_max)
+    cfg = config(ridge, criteria=["mDEE1", "mDEE2", "mDEE3"], d_max=path.d_max)
     state = TrialState(train, pool, path, ridge, cv_seed=0)
     with mock.patch.object(harness, "fit_design_path", lambda *args: path):
         result = evaluate_trial(0, {"n": train.n}, train, pool, test, path.d_max, cfg, cv_seed=0)
+    # rmDEE reads the labeled matrix, so it runs on the path the trial fits
+    cfg = config(ridge, criteria=["rmDEE"], d_max=path.d_max)
+    result.flags.update(evaluate_trial(0, {"n": train.n}, train, pool, test, path.d_max, cfg, cv_seed=0).flags)
     if kind == "small_pool":
         assert state.blocks is None
         assert all(not cond_counts(flags) for flags in result.flags.values())
         return
 
-    b1 = state.b1
-    paths = registry_paths(state, result.flags)
+    b1, fit = state.b1, fitted(state)
+    paths = {**registry_paths(state, ["mDEE1", "mDEE2", "mDEE3"]), "rmDEE": scored(fit, "rmDEE")}
     want = {name: {} for name in result.flags}
     flagged_at = {}
     for d in range(1, path.d_max + 1):
@@ -447,17 +483,14 @@ def test_shared_block_flags_match_per_d_invert_blocks(case):
         flagged_at[d] = flagged
         checked, failed = state.block_checks
         assert tuple(np.flatnonzero(checked[d - 1]).tolist()) == flagged and not failed[d - 1]
-        labeled = invert_blocks(correlation_matrix(state.train_design[:, :d]), ridge)[1]
-        counts = {
-            "mDEE1": sum(b >= b1 for b in flagged),
-            "mDEE2": len(flagged),
-            "mDEE3": len(flagged),
-            "rmDEE": len(labeled) + len(flagged),
-        }
+        counts = {"mDEE1": sum(b >= b1 for b in flagged), "mDEE2": len(flagged), "mDEE3": len(flagged)}
+        if d <= fit.path.d_max:
+            counts["rmDEE"] = len(invert_blocks(labeled_corr(fit, d), ridge)[1]) + len(flagged)
         for name, count in counts.items():
+            on = fit if name == "rmDEE" else state
             if count and paths[name][d - 1] is not None:  # an infinite size carries inf@d instead
                 want[name][d] = count
-            assert_block_close(state, name, d, paths[name][d - 1], per_d_route(state, name)[d - 1])
+            assert_block_close(on, name, d, paths[name][d - 1], per_d_route(on, name)[d - 1])
     for name, flags in result.flags.items():
         assert cond_counts(flags) == want[name], name
     if kind in ("constant_block", "late_flag") and ridge == 1e-13:
@@ -522,31 +555,35 @@ def test_singular_split_block_leaves_b1_unavailable(monkeypatch):
 
 
 def test_svd_failure_becomes_sentinel(monkeypatch):
-    # Duplicated labeled rows and a block of duplicated pool rows at ridge 1e-13:
-    # the gate fires on the labeled matrix and on that block, so every size is
-    # condition-checked by an SVD, and an SVD that fails makes the size inf@d.
+    # A block of duplicated pool rows at ridge 1e-13: the gate fires on that
+    # block, so every size is condition-checked by an SVD, and an SVD that
+    # fails makes the size inf@d for the criteria that read the blocks. The
+    # labeled rows are well conditioned, so the path fit's gate does not fire,
+    # and DEE, which runs no check of its own, stays finite.
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     rng = np.random.default_rng(4)
-    train = LabeledSet(X=np.full((10, 1), 0.7), y=rng.normal(size=10))
+    train = LabeledSet(X=rng.normal(size=(10, 1)), y=rng.normal(size=10))
     pool = rng.normal(size=(40, 1))
     pool[:10] = 0.7
     test = LabeledSet(X=rng.normal(size=(20, 1)), y=rng.normal(size=20))
-    path = random_path(rng, BasisSpec("fourier", 1), 4, 1e-13)
     cfg = config(ridge=1e-13, criteria=["DEE", "mDEE3", "rmDEE", "FPE"], d_max=4)
-    state = TrialState(train, UnlabeledSet(X=pool), path, 1e-13, cv_seed=0)
+    basis = BasisSpec("fourier", 1)
+    design = build_design(basis, train.X, 4)
+    normal = normal_matrix(design, 1e-13)
+    assert not interlacing_gate(normal, *inverse_factor(normal))
+    state = TrialState(train, UnlabeledSet(X=pool), fit_design_path(design, train.y, basis, 1e-13), 1e-13, cv_seed=0)
     top = state.top
-    assert interlacing_gate(state.jittered(state.labeled_corr(top)), *state.labeled_factor)
+    assert state.path.d_max == top == 4
     assert interlacing_gate(state.jittered(state.block_corrs[:, :top, :top]), *state.block_factors)[0]
     monkeypatch.setattr(np.linalg, "svd", no_convergence)
     with pytest.raises(SingularDesignError, match="SVD did not converge"):
         invert_blocks(np.eye(2)[None])
-    monkeypatch.setattr(harness, "fit_design_path", lambda *args: path)
     result = evaluate_trial(0, {"n": 10}, train, UnlabeledSet(X=pool), test, 4, cfg, cv_seed=0)
-    for name in ("DEE", "mDEE3", "rmDEE"):
+    for name in ("mDEE3", "rmDEE"):
         assert result.flags[name] == "inf@d1;inf@d2;inf@d3;inf@d4;all_infinite"
-    assert result.flags["FPE"] == ""
+    assert result.flags["DEE"] == result.flags["FPE"] == ""
 
 
 def test_b1_unavailable_only_on_split_criteria():
@@ -655,9 +692,9 @@ def test_cv5_path_equals_per_d_kfold_cv(case, seed):
     data, basis, d_max, ridge, _ = case
     design = build_design(basis, data.X, d_max)
     got = kfold_cv_path(design, data.y, 5, ridge, seed)
+    want = kfold_cv_prefix(data, basis, d_max, ridge, seed)
     for d in range(1, d_max + 1):
-        want = kfold_cv(data, basis, d, 5, ridge, seed)
-        assert_prefix_close((got[d - 1], 0), (want, 0), lambda: cv5_kappa(design, seed, d, ridge), d)
+        assert_prefix_close((got[d - 1], 0), (want[d - 1], 0), lambda: cv5_kappa(design, seed, d, ridge), d)
 
 
 # The path fit reads size d's coefficients from the d_max inverse Cholesky
@@ -802,24 +839,30 @@ def test_dee_and_block_paths_equal_per_d_checks(case, pool_kind):
     pool = UnlabeledSet(X=covariates(rng, 4 * data.n, basis.covariate_dim, pool_kind))
     path = random_path(rng, basis, d_max, ridge)
     state = TrialState(data, pool, path, ridge, cv_seed=0)
-    paths = registry_paths(state, ["DEE", *BLOCK_KINDS])
-    scored_names = ["DEE", "mDEE3", "rmDEE"]
+    paths = registry_paths(state, BLOCK_VARIANTS)
+    scored_names = ["mDEE3"]
     if state.b1 is None:  # a block singular at d_max leaves no split
         assert paths["mDEE1"] == paths["mDEE2"] == [(math.inf, 0)] * d_max
     else:
         scored_names += ["mDEE1", "mDEE2"]
-    references = {name: per_d_route(state, name) for name in scored_names[1:]}
-    for d in range(1, d_max + 1):
+    for name in scored_names:
+        for d, (got, want) in enumerate(zip(paths[name], per_d_route(state, name)), start=1):
+            assert_block_close(state, name, d, got, want)
+
+    # DEE and rmDEE read the labeled matrix: on the path the trial fits
+    fit = fitted(state)
+    paths = registry_paths(fit, ["DEE", "rmDEE"])
+    rmdee_want = per_d_route(fit, "rmDEE")
+    for d in range(1, fit.path.d_max + 1):
         if d >= data.n:
-            assert all(paths[name][d - 1] is None for name in scored_names)
+            assert paths["DEE"][d - 1] is None and paths["rmDEE"][d - 1] is None
             continue
-        c_hat = correlation_matrix(state.train_design[:, :d])
-        c_tilde = correlation_matrix(state.pool_design[:, :d])
+        c_hat = labeled_corr(fit, d)
+        c_tilde = correlation_matrix(fit.pool_design[:, :d])
         scored = per_d_check(lambda: (dee_trace(c_hat, c_tilde, ridge), ()))
-        want = None if scored is None else (corrected(state, scored[0], d), 0)
-        assert_prefix_close(paths["DEE"][d - 1], want, lambda: labeled_kappa(state, d), d)
-        for name, want in references.items():
-            assert_block_close(state, name, d, paths[name][d - 1], want[d - 1])
+        want = None if scored is None else (corrected(fit, scored[0], d), 0)
+        assert_prefix_close(paths["DEE"][d - 1], want, lambda: labeled_kappa(fit, d), d)
+        assert_block_close(fit, "rmDEE", d, paths["rmDEE"][d - 1], rmdee_want[d - 1])
 
 
 def late_singular_labeled(n=12, distinct=6):
@@ -837,22 +880,58 @@ def test_cv5_gate_rechecks_a_fold_singular_near_d_max():
     normal = normal_matrix(design[mask], ridge)
     assert interlacing_gate(normal, *inverse_factor(normal))
     got = kfold_cv_path(design, data.y, 5, ridge, seed=3)
+    want = kfold_cv_prefix(data, BasisSpec("fourier", 1), d_max, ridge, 3)
     for d in range(1, d_max + 1):
-        want = kfold_cv(data, BasisSpec("fourier", 1), d, 5, ridge, seed=3)
-        assert_prefix_close((got[d - 1], 0), (want, 0), lambda: cv5_kappa(design, 3, d, ridge), d)
+        assert_prefix_close((got[d - 1], 0), (want[d - 1], 0), lambda: cv5_kappa(design, 3, d, ridge), d)
     assert all(math.isfinite(r) for r in got[:5]) and all(math.isinf(r) for r in got[6:])
 
 
 def test_labeled_gate_rechecks_near_d_max():
+    # The path fit's gate fires on the labeled normal matrix, n times the
+    # jittered labeled correlation matrix, and its checks end the path at
+    # size 6; DEE and rmDEE read the labeled matrix only at the sizes fitted,
+    # so they are inf@d from 7 on and flag no size.
     data, d_max, ridge = late_singular_labeled(), 9, 1e-13
     rng = np.random.default_rng(8)
     pool = UnlabeledSet(X=rng.normal(size=(60, 1)))
-    path = random_path(rng, BasisSpec("fourier", 1), d_max, ridge)
-    state = TrialState(data, pool, path, ridge, cv_seed=0)
-    assert interlacing_gate(state.jittered(state.labeled_corr(d_max)), *state.labeled_factor)
-    dee_path, rmdee_path = registry_paths(state, ["DEE", "rmDEE"]).values()
-    assert [d for d, s in enumerate(dee_path, 1) if s is None] == [7, 8, 9]
-    assert [d for d, s in enumerate(rmdee_path, 1) if s[1]] == [7, 8, 9]
+    test = LabeledSet(X=rng.normal(size=(20, 1)), y=rng.normal(size=20))
+    normal = normal_matrix(build_design(BasisSpec("fourier", 1), data.X, d_max), ridge)
+    factor = inverse_factor(normal)
+    assert factor[1] == d_max and interlacing_gate(normal, *factor)
+    cfg = config(ridge, criteria=["DEE", "rmDEE"], d_max=d_max)
+    result = evaluate_trial(0, {"n": data.n}, data, pool, test, d_max, cfg, cv_seed=0)
+    for name in ("DEE", "rmDEE"):
+        assert result.flags[name] == "inf@d7;inf@d8;inf@d9"
+
+
+def assert_labeled_checks_pass(train, basis, d_max, ridge):
+    """Every size 1..`top` of the path fitted at `ridge` has a jittered labeled correlation matrix within COND_LIMIT."""
+    path = fit_design_path(build_design(basis, train.X, d_max), train.y, basis, ridge)
+    state = TrialState(train, UnlabeledSet(X=np.empty((0, basis.covariate_dim))), path, ridge, cv_seed=0)
+    for d in range(1, state.top + 1):
+        kappa = float(condition_numbers(state.jittered(labeled_corr(state, d))))
+        assert kappa <= COND_LIMIT, (d, kappa)
+
+
+# DEE and rmDEE read the labeled matrix without checking it again. That
+# matrix at size d is the path fit's normal matrix over n, and condition
+# numbers do not change with scale, so every size the fit reaches has passed
+# the check already. These tests hold that for the paths `evaluate_trial` fits.
+@settings(max_examples=300, deadline=None)
+@given(labeled_paths())
+def test_every_size_of_a_fitted_path_passes_the_labeled_check(case):
+    data, basis, d_max, ridge, _ = case
+    assert_labeled_checks_pass(data, basis, d_max, ridge)
+
+
+@pytest.mark.parametrize("ridge", [0.0, 1e-13, 1e-9])
+@pytest.mark.parametrize("n, m", [(10, 1), (10, 2), (12, 1), (12, 2)])
+def test_fitted_paths_on_discrete_rows_pass_the_labeled_check(n, m, ridge):
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        train = LabeledSet(X=covariates(rng, n, m, "discrete"), y=rng.normal(size=n))
+        for d_max in (n - 1, n, n + 1):
+            assert_labeled_checks_pass(train, BasisSpec("fourier", m), d_max, ridge)
 
 
 # ---------------------------------------------------------------------------
@@ -888,19 +967,22 @@ def test_block_prefix_paths_match_the_per_d_route(case):
     if state.b1 is not None:
         assert state.b1 == select_b1(state.blocks, state.path.basis, state.path.d_max, state.ridge)[0]
     for name in BLOCK_KINDS:
-        got, want = scored(state, name), per_d_route(state, name)
-        assert len(got) == len(want) == state.path.d_max
-        if state.blocks is None or (name in harness.SPLIT_CRITERIA and state.b1 is None):
+        on = fitted(state) if name == "rmDEE" else state  # rmDEE reads the labeled matrix
+        got, want = scored(on, name), per_d_route(on, name)
+        assert len(got) == len(want) == on.path.d_max
+        if on.blocks is None or (name in harness.SPLIT_CRITERIA and on.b1 is None):
             assert got == want
             continue
         for d, (g, w) in enumerate(zip(got, want), start=1):
-            assert_block_close(state, name, d, g, w)
+            assert_block_close(on, name, d, g, w)
 
 
-def test_rmdee_median_survives_a_labeled_factor_that_stops():
-    # Five labeled rows at one level: at ridge 0 the labeled matrix is singular
-    # from d = 2 on, so its factor stops there; the six unlabeled blocks factor
-    # whole and keep rmDEE's median finite.
+def labeled_factor_that_stops():
+    """A state whose labeled factor stops at 1: five labeled rows at one level, at ridge 0, and six Gaussian blocks.
+
+    The labeled matrix is singular from d = 2 on. The path fit's normal matrix
+    is too, so no fitted path reaches d = 2 and the state's path is built by hand.
+    """
     rng = np.random.default_rng(9)
     n, ridge = 5, 0.0
     train = LabeledSet(X=np.full((n, 1), 0.4), y=rng.normal(size=n))
@@ -908,10 +990,31 @@ def test_rmdee_median_survives_a_labeled_factor_that_stops():
     path = random_path(rng, BasisSpec("fourier", 1), n - 1, ridge)
     state = TrialState(train, pool, path, ridge, cv_seed=0)
     assert state.block_factors[1].tolist() == [n - 1] * 6 and state.labeled_factor[1].tolist() == [1]
-    got, want = scored(state, "rmDEE"), per_d_route(state, "rmDEE")
-    assert all(score is not None and math.isfinite(score[0]) for score in got)
-    for d in range(1, n):
-        assert_block_close(state, "rmDEE", d, got[d - 1], want[d - 1])
+    return state
+
+
+def test_rmdee_median_survives_a_labeled_factor_that_stops():
+    # The labeled trace is +inf from d = 2 on, where the per-d reference's LU
+    # inverse fails too; the six unlabeled blocks factor whole and keep the
+    # median of the seven traces finite.
+    state = labeled_factor_that_stops()
+    top = state.top
+    corrs = state.block_corrs[:, :top, :top]
+    got = estimators.rmdee_trace_path(corrs, state.block_factors, state.labeled_factor)
+    assert np.isfinite(got).all()
+    for d in range(1, top + 1):
+        want = rmdee_trace(corrs[:, :d, :d], labeled_corr(state, d), state.ridge)[0]
+        kappa = float(condition_numbers(state.jittered(corrs[:, :d, :d])).max())
+        assert abs(got[d - 1] - want) <= prefix_bound(want, kappa, d), (d, got[d - 1], want)
+
+
+def test_dee_trace_path_is_infinite_from_where_the_labeled_factor_stops():
+    state = labeled_factor_that_stops()
+    c_tilde = correlation_matrix(state.pool_design[:, : state.top])
+    got = estimators.dee_trace_path(state.labeled_factor, c_tilde)
+    assert np.isinf(got[1:]).all()
+    want = dee_trace(labeled_corr(state, 1), c_tilde[:1, :1], state.ridge)
+    assert abs(got[0] - want) <= prefix_bound(want, 1.0, 1)
 
 
 def test_a_factor_that_stops_where_lu_inverts_makes_the_means_infinite():
@@ -946,9 +1049,9 @@ def test_cv5_prefix_stops_where_the_fold_factorization_does():
     design = build_design(basis, data.X, d_max)
     got = kfold_cv_path(design, data.y, 5, 0.0, seed=1)
     assert all(math.isfinite(r) for r in got[:8]) and all(math.isinf(r) for r in got[8:])
+    want = kfold_cv_prefix(data, basis, d_max, 0.0, 1)
     for d in range(1, d_max + 1):
-        want = kfold_cv(data, basis, d, 5, 0.0, seed=1)
-        assert_prefix_close((got[d - 1], 0), (want, 0), lambda: cv5_kappa(design, 1, d, 0.0), d)
+        assert_prefix_close((got[d - 1], 0), (want[d - 1], 0), lambda: cv5_kappa(design, 1, d, 0.0), d)
 
 
 # ---------------------------------------------------------------------------
