@@ -121,11 +121,11 @@ def adj(path: ModelPath, labeled_X, unlabeled: UnlabeledSet, d: int) -> float:
         return loss
     design_l = build_design(path.basis, np.atleast_2d(np.asarray(labeled_X, dtype=float)), d)
     design_u = build_design(path.basis, unlabeled.X, d)
-    pred_l_d = design_l @ path.model(d).alpha
-    pred_u_d = design_u @ path.model(d).alpha
+    pred_l_d = design_l @ path.alpha(d)
+    pred_u_d = design_u @ path.alpha(d)
     ratios = []
     for j in range(1, d):
-        alpha_j = path.model(j).alpha
+        alpha_j = path.alpha(j)
         diff_l = design_l[:, :j] @ alpha_j - pred_l_d
         diff_u = design_u[:, :j] @ alpha_j - pred_u_d
         rho_l = math.sqrt(float(np.mean(diff_l**2)))
@@ -151,11 +151,8 @@ def adj_path(path: ModelPath, design_l: np.ndarray, pool_factor: np.ndarray) -> 
     tiny; forming delta first keeps the cancellation of nearby models out of
     it. The risks differ from `adj` in the last bits only.
     """
-    D = path.d_max
-    alphas = np.zeros((D, D))
-    for m in path.models:
-        alphas[m.d - 1, : m.d] = m.alpha
-    preds = np.stack([design_l[:, : m.d] @ m.alpha for m in path.models])
+    D, alphas = path.d_max, path.alphas
+    preds = np.stack([design_l[:, :d] @ path.alpha(d) for d in range(1, D + 1)])
     rho_l = np.sqrt(np.mean((preds[:, None] - preds[None]) ** 2, axis=-1))
     deltas = (alphas[:, None] - alphas[None]).reshape(D * D, D)
     rho_u = np.sqrt(np.square(deltas @ pool_factor.T).sum(axis=-1)).reshape(D, D)
@@ -163,4 +160,4 @@ def adj_path(path: ModelPath, design_l: np.ndarray, pool_factor: np.ndarray) -> 
     ratios = np.divide(rho_u, rho_l, out=np.full((D, D), -np.inf), where=usable)
     factors = ratios.max(axis=0)
     factors[~usable.any(axis=0)] = 1.0
-    return np.array([m.train_loss for m in path.models]) * factors
+    return path.losses * factors

@@ -76,32 +76,40 @@ class UnlabeledSet:
 
 @dataclass
 class FittedModel:
-    d: int
+    """One least-squares fit: its coefficients (the model size d is their length) and training loss."""
+
     alpha: np.ndarray
     train_loss: float
-    ridge_lambda: float
 
 
 @dataclass
 class ModelPath:
-    """Fitted models for every size d = 1..d_max on one labeled set."""
+    """The `path_fits` of every size d = 1..d_max on one labeled set, as arrays.
 
-    models: list[FittedModel]
-    d_max: int
+    Row d - 1 of the lower-triangular `alphas` is the size-d fit, and `factor`
+    is the inverse Cholesky factor W = L^{-1} of the normal matrix the fits
+    were read from, up to the size the fit reached.
+    """
+
+    alphas: np.ndarray
+    losses: np.ndarray
+    factor: np.ndarray
     basis: BasisSpec
 
     def __post_init__(self):
-        if len(self.models) != self.d_max:
-            raise ValueError("model path must hold one model per size")
-        for i, m in enumerate(self.models, start=1):
-            if m.d != i:
-                raise ValueError("models must be indexed contiguously from 1")
+        d_max = len(self.losses)
+        if self.alphas.shape != (d_max, d_max) or self.factor.shape != (d_max, d_max):
+            raise ValueError("a model path needs (d_max, d_max) coefficients and factor and d_max losses")
 
-    def model(self, d: int) -> FittedModel:
-        return self.models[d - 1]
+    @property
+    def d_max(self) -> int:
+        return len(self.losses)
+
+    def alpha(self, d: int) -> np.ndarray:
+        return self.alphas[d - 1, :d]
 
     def train_loss(self, d: int) -> float:
-        return self.models[d - 1].train_loss
+        return float(self.losses[d - 1])
 
 
 def _fourier_column(k: int, t: np.ndarray) -> np.ndarray:
@@ -247,7 +255,7 @@ def ridge_lse(phi, y, ridge_lambda: float = DEFAULT_RIDGE) -> FittedModel:
     if info:  # pragma: no cover - condition check first
         raise SingularDesignError(f"normal matrix factorization failed: leading minor {info} not positive definite")
     alpha = dpotrs(factor, v.T @ y, lower=1)[0]
-    return FittedModel(d=v.shape[1], alpha=alpha, train_loss=empirical_loss(v, y, alpha), ridge_lambda=ridge_lambda)
+    return FittedModel(alpha=alpha, train_loss=empirical_loss(v, y, alpha))
 
 
 def empirical_loss(phi, y, alpha) -> float:
@@ -266,12 +274,7 @@ def correlation_matrix(phi) -> np.ndarray:
     return 0.5 * (C + C.T)
 
 
-def fit_model_path(
-    data: LabeledSet,
-    basis: BasisSpec,
-    d_max: int,
-    ridge_lambda: float = DEFAULT_RIDGE,
-) -> ModelPath:
+def fit_model_path(data: LabeledSet, basis: BasisSpec, d_max: int, ridge_lambda: float = DEFAULT_RIDGE) -> ModelPath:
     """Fit the LSE for every model size d = 1..d_max on the full labeled set.
 
     Each fit is `ridge_lse` on the first d design columns, read from one
@@ -279,11 +282,10 @@ def fit_model_path(
     """
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
-    design = build_design(basis, data.X, d_max)
-    alphas, error = path_fits(design, data.y, ridge_lambda)
+    path, error = _model_path(build_design(basis, data.X, d_max), data.y, basis, ridge_lambda)
     if error is not None:
         raise error
-    return _model_path(design, data.y, alphas, basis, ridge_lambda)
+    return path
 
 
 def fit_design_path(design: np.ndarray, y: np.ndarray, basis: BasisSpec, ridge_lambda: float) -> ModelPath:
@@ -292,35 +294,28 @@ def fit_design_path(design: np.ndarray, y: np.ndarray, basis: BasisSpec, ridge_l
     By Cauchy interlacing a larger nested normal matrix is never better
     conditioned, so the sizes lost are the largest ones.
     """
-    return _model_path(design, y, path_fits(design, y, ridge_lambda)[0], basis, ridge_lambda)
+    return _model_path(design, y, basis, ridge_lambda)[0]
 
 
-def _model_path(
-    design: np.ndarray, y: np.ndarray, alphas: np.ndarray, basis: BasisSpec, ridge_lambda: float
-) -> ModelPath:
-    """The ModelPath of the `path_fits` coefficients `alphas`, with each size's training loss."""
-    size = len(alphas)
-    resids = y[:, None] - design[:, :size] @ alphas.T
-    losses = np.einsum("ij,ij->j", resids, resids) / len(y)
-    models = [
-        FittedModel(d=d, alpha=alphas[d - 1, :d], train_loss=float(losses[d - 1]), ridge_lambda=ridge_lambda)
-        for d in range(1, size + 1)
-    ]
-    return ModelPath(models=models, d_max=size, basis=basis)
+def _model_path(design: np.ndarray, y: np.ndarray, basis: BasisSpec, ridge_lambda: float):
+    """The `path_fits` of the design as a ModelPath, with each size's training loss, and the fit's failure or None."""
+    alphas, factor, error = path_fits(design, y, ridge_lambda)
+    resids = y[:, None] - design[:, : len(alphas)] @ alphas.T
+    return ModelPath(alphas, np.einsum("ij,ij->j", resids, resids) / len(y), factor, basis), error
 
 
 def path_fits(design: np.ndarray, y: np.ndarray, ridge_lambda: float):
     """The least-squares fits of sizes 1, 2, ... of the design below the first size that fails.
 
     Returns their coefficients as the rows of a lower-triangular (size, size)
-    array, row d - 1 holding the size-d fit, and the failure's
-    SingularDesignError or None. The d_max normal matrix is factored once. The
-    leading d x d block of its lower Cholesky factor L is the factor of the
-    size-d normal matrix, so with W = L^{-1} and z = W V^T y the size-d
-    coefficients are W[:d, :d]^T z[:d], the first d entries of the sum of the
-    first d rows of W scaled by z. When `interlacing_gate` flags the factor,
-    each size's own normal matrix, of `design[:, :d]` as in `ridge_lse`, is
-    condition-checked. The fits end at the first size that fails its check or
+    array, row d - 1 holding the size-d fit, the (size, size) leading block of
+    the inverse factor W below, and the failure's SingularDesignError or None.
+    The d_max normal matrix is factored once. The leading d x d block of its
+    lower Cholesky factor L is the factor of the size-d normal matrix, so with
+    W = L^{-1} and z = W V^T y the size-d coefficients are W[:d, :d]^T z[:d],
+    the first d entries of the sum of the first d rows of W scaled by z. When
+    `interlacing_gate` flags the factor, each size's own normal matrix, of
+    `design[:, :d]` as in `ridge_lse`, is condition-checked. The fits end at the first size that fails its check or
     that the factorization does not reach. They differ from `ridge_lse` in the
     last bits only.
     """
@@ -341,8 +336,9 @@ def path_fits(design: np.ndarray, y: np.ndarray, ridge_lambda: float):
                 break
     if error is not None:
         error = SingularDesignError(f"model size d={size + 1}: {error}")
-    z = inv[:size, :size] @ (design[:, :size].T @ y)
-    return np.cumsum(inv[:size, :size] * z[:, None], axis=0), error
+    inv = inv[:size, :size]
+    z = inv @ (design[:, :size].T @ y)
+    return np.cumsum(inv * z[:, None], axis=0), inv, error
 
 
 def block_partition(pool: UnlabeledSet, n: int) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Synthetic data generation for the benchmark protocol.
 
-Covariates are i.i.d. Gaussian, responses are a fixed target function plus
-Gaussian noise. Train, unlabeled and test parts come from three disjoint
-child streams of one seed, and each stream extends (never reshuffles) when
-its sample count grows.
+Covariates are one-dimensional i.i.d. Gaussian, responses are a fixed target
+function plus Gaussian noise. Train, unlabeled and test parts come from three
+disjoint child streams of one seed, and each stream extends (never reshuffles)
+when its sample count grows.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ class SyntheticConfig:
     n_test: int
     noise_var: float
     covariate_var: float = 1.0
-    m: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -61,12 +60,12 @@ def _stream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), index]))
 
 
-def _labeled(rng, count, m, sd_x, sd_noise, target) -> LabeledSet:
-    # One (count, m+1) draw keeps row i identical regardless of count, so a
-    # longer stream extends a shorter one.
-    draws = rng.normal(size=(count, m + 1))
-    X = draws[:, :m] * sd_x
-    noise = draws[:, m] * sd_noise
+def _labeled(rng, count, sd_x, sd_noise, target) -> LabeledSet:
+    # One (count, 2) draw, covariate then noise, keeps row i identical
+    # regardless of count, so a longer stream extends a shorter one.
+    draws = rng.normal(size=(count, 2))
+    X = draws[:, :1] * sd_x
+    noise = draws[:, 1] * sd_noise
     y = target_eval(target, X[:, 0]) + noise
     return LabeledSet(X=X, y=y)
 
@@ -75,8 +74,8 @@ def generate(cfg: SyntheticConfig) -> tuple[LabeledSet, UnlabeledSet, LabeledSet
     """Draw (train, unlabeled, test) from three disjoint streams of cfg.seed."""
     sd_x = float(np.sqrt(cfg.covariate_var))
     sd_noise = float(np.sqrt(cfg.noise_var))
-    train = _labeled(_stream(cfg.seed, 0), cfg.n, cfg.m, sd_x, sd_noise, cfg.target)
-    pool = _stream(cfg.seed, 1).normal(size=(cfg.n_prime, cfg.m)) * sd_x
+    train = _labeled(_stream(cfg.seed, 0), cfg.n, sd_x, sd_noise, cfg.target)
+    pool = _stream(cfg.seed, 1).normal(size=(cfg.n_prime, 1)) * sd_x
     unlabeled = UnlabeledSet(X=pool)
-    test = _labeled(_stream(cfg.seed, 2), cfg.n_test, cfg.m, sd_x, sd_noise, cfg.target)
+    test = _labeled(_stream(cfg.seed, 2), cfg.n_test, sd_x, sd_noise, cfg.target)
     return train, unlabeled, test

@@ -15,8 +15,9 @@ near-singular blocks. The block split for mDEE1 is chosen by the closed-form
 variance-minimizing rule implemented in `select_b1`.
 
 `dee_trace_path`, `mdee_trace_path` and `rmdee_trace_path` give the traces at
-every model size from one Cholesky factor of the labeled matrix or per block at
-the largest size (`inverse_factors`). A block's trace is +inf from the size at
+every model size from one inverse Cholesky factor at the largest size: the
+path fit's for the labeled matrix, which reaches every size the path fitted,
+and one per block (`inverse_factors`). A block's trace is +inf from the size at
 which its factorization stops, the limit of Tr(C_plus C_b^{-1}) as C_b turns
 singular: the mean over blocks is then +inf and the median may stay finite.
 `dee_trace`, `mdee_trace` and `rmdee_trace` compute one size from a size-d
@@ -189,17 +190,13 @@ def dee_trace(c_hat: np.ndarray, c_tilde: np.ndarray, ridge: float = DEFAULT_RID
     return float(np.trace(solved))
 
 
-def dee_trace_path(labeled: tuple[np.ndarray, np.ndarray], c_tilde: np.ndarray) -> np.ndarray:
+def dee_trace_path(factor: np.ndarray, c_tilde: np.ndarray) -> np.ndarray:
     """`dee_trace` at every size d = 1..D from the D x D pool correlation matrix, condition checks aside.
 
-    `labeled` holds the `inverse_factors` of the jittered D x D labeled
-    correlation matrix as a stack of one; the trace is +inf from the size at
-    which its factor stops.
+    `factor` is the inverse Cholesky factor of the jittered D x D labeled
+    correlation matrix, read from the path fit (`harness.TrialState.labeled_factor`).
     """
-    (factor,), (size,) = labeled
-    traces = np.cumsum(quadratic_forms(factor, c_tilde))
-    traces[size:] = np.inf
-    return traces
+    return np.cumsum(quadratic_forms(factor, c_tilde))
 
 
 def dee(
@@ -322,20 +319,15 @@ def rmdee_trace(
     return float(np.median(traces)), flagged
 
 
-def rmdee_trace_path(
-    corrs: np.ndarray,
-    factors: tuple[np.ndarray, np.ndarray],
-    labeled: tuple[np.ndarray, np.ndarray],
-) -> np.ndarray:
+def rmdee_trace_path(corrs: np.ndarray, factors: tuple[np.ndarray, np.ndarray], labeled: np.ndarray) -> np.ndarray:
     """`rmdee_trace` at every size d = 1..D from a (B, D, D) stack and its `inverse_factors`, flags aside.
 
-    `labeled` holds the labeled block's `inverse_factors` as a stack of one.
-    Each block's trace is +inf from the size at which its factor stops.
+    `labeled` is the labeled block's D x D inverse factor, which reaches D.
+    Each unlabeled block's trace is +inf from the size at which its factor stops.
     """
-    invs = np.concatenate((labeled[0], factors[0]))
-    sizes = np.concatenate((labeled[1], factors[1]))
-    traces = np.cumsum(quadratic_forms(invs, corrs.mean(axis=0)), axis=1)
-    traces[np.arange(traces.shape[1]) >= sizes[:, None]] = np.inf
+    invs, sizes = factors
+    traces = np.cumsum(quadratic_forms(np.concatenate((labeled[None], invs)), corrs.mean(axis=0)), axis=1)
+    traces[1:][np.arange(traces.shape[1]) >= sizes[:, None]] = np.inf
     return np.median(traces, axis=0)
 
 

@@ -127,6 +127,13 @@ class ExperimentConfig:
         unknown = [c for c in self.criteria if c not in CRITERIA]
         if unknown:
             raise ValueError(f"unknown criteria {unknown}; valid: {sorted(CRITERIA)}")
+        # each criterion and grid value is one summary row, so a repeated one would be counted twice
+        grids = {"criteria": self.criteria, "n": self.scenario.n_values}
+        if isinstance(self.scenario, SyntheticScenario):
+            grids["noise_var"] = self.scenario.noise_vars
+        for name, values in grids.items():
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} repeats a value: {values}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.d_max is not None and self.d_max < 1:
@@ -216,16 +223,15 @@ class TrialState:
     one. Each design is built once at d_max, the largest size the path fitted;
     `evaluate_trial` hands over the labeled design the path was fitted on, and
     `block_corrs` reads the blocks' rows of the pool design. DEE and the block
-    criteria read every size up to `top` from one set of inverse Cholesky
-    factors of the jittered matrices at `top` (`labeled_factor`,
-    `block_factors`), each with the size at which its factorization stops.
-    `interlacing_gate` reads the block factors to say which blocks need a
-    condition check at each size; only those are checked, on their own size-d
-    matrices, and `block_checks` holds the results at every size. The labeled
-    matrix is not checked again: it is the path fit's normal matrix over n,
-    and condition numbers do not change with scale, so every size of a path
-    that `fit_design_path` fitted at `ridge` has passed its check (up to the
-    rounding of the two SVDs, about 1e-4 relative near COND_LIMIT). `b1`, the
+    criteria read every size up to `top` from inverse Cholesky factors at
+    `top`. The labeled one (`labeled_factor`) is the path fit's, rescaled, and
+    reaches `top`. It is not checked again: the jittered labeled correlation
+    matrix is the fit's normal matrix over n, and condition numbers do not
+    change with scale (up to the rounding of two SVDs, about 1e-4 relative
+    near COND_LIMIT). Each block factor (`block_factors`) comes with the size
+    at which it stops. `interlacing_gate` reads them to say which blocks need
+    a condition check at each size; only those are checked, on their own size-d
+    matrices, and `block_checks` holds the results at every size. `b1`, the
     mDEE1 split, reads the block factors' inverses W^T W. Each part is built
     the first time a criterion reads it, so a trial builds only what its
     criteria need.
@@ -255,9 +261,13 @@ class TrialState:
         return mats + self.ridge * np.eye(mats.shape[-1])
 
     @cached_property
-    def labeled_factor(self) -> tuple[np.ndarray, np.ndarray]:
-        """The `estimators.inverse_factors` of the jittered labeled correlation matrix at `top`, as a stack of one."""
-        return estimators.inverse_factors(self.jittered(correlation_matrix(self.train_design[:, : self.top])[None]))
+    def labeled_factor(self) -> np.ndarray:
+        """The inverse Cholesky factor of the jittered labeled correlation matrix at `top`, from the path fit's.
+
+        That matrix is the path's normal matrix over n, so its factor is
+        sqrt(n) times the leading `top` x `top` block of `path.factor`.
+        """
+        return math.sqrt(self.train.n) * self.path.factor[: self.top, : self.top]
 
     @cached_property
     def blocks(self) -> np.ndarray | None:
@@ -328,9 +338,8 @@ def _trace_risks(state: TrialState, traces: np.ndarray) -> np.ndarray:
     """
     n, top = state.train.n, state.top
     traces = np.where(np.isinf(traces), np.nan, traces)
-    losses = np.array([model.train_loss for model in state.path.models[:top]])
     risks = np.full(state.path.d_max, np.nan)
-    risks[:top] = (1.0 + traces / n) / (1.0 - np.arange(1, top + 1) / n) * losses
+    risks[:top] = (1.0 + traces / n) / (1.0 - np.arange(1, top + 1) / n) * state.path.losses[:top]
     return risks
 
 
@@ -346,7 +355,7 @@ def _block_path(variant: CriterionKind, state: TrialState) -> tuple:
     """A block criterion at every size from the inverse factors at `state.top`.
 
     A size is NaN where the trace is +inf, from the first size at which a
-    factor it reads stops, or where a condition check's SVD fails. A flagged
+    block factor it reads stops, or where a condition check's SVD fails. A flagged
     size keeps its prefix value and counts its flagged blocks.
     """
     split = variant.value in SPLIT_CRITERIA
@@ -366,7 +375,7 @@ def _block_path(variant: CriterionKind, state: TrialState) -> tuple:
 
 def _closed_form_path(score, state: TrialState) -> tuple:
     """A closed-form criterion `score(train_loss, n, d)` at every size."""
-    return np.array([score(model.train_loss, state.train.n, model.d) for model in state.path.models]), 0
+    return np.array([score(loss, state.train.n, d) for d, loss in enumerate(state.path.losses.tolist(), 1)]), 0
 
 
 def _cv5_path(state: TrialState) -> tuple:
@@ -398,7 +407,7 @@ CRITERIA = {
 def path_test_errors(path: ModelPath, test: LabeledSet) -> list[float]:
     """`test_error` of every model on the path, from one d_max test design."""
     design = build_design(path.basis, test.X, path.d_max)
-    resids = [test.y - design[:, : model.d] @ model.alpha for model in path.models]
+    resids = [test.y - design[:, :d] @ path.alpha(d) for d in range(1, path.d_max + 1)]
     return [float(resid @ resid / test.n) for resid in resids]
 
 
@@ -717,5 +726,10 @@ def reaggregate_trials(path) -> list[CriterionSummary]:
         groups: dict[tuple, list[float]] = {}
         for row in reader:
             group = tuple(row[k] for k in keys) + (row["criterion"],)
-            groups.setdefault(group, []).append(float(row["regret"]))
+            try:
+                groups.setdefault(group, []).append(float(row["regret"]))
+            except (TypeError, ValueError):
+                raise ValueError(f"{path}, line {reader.line_num}: regret {row['regret']!r} is not a number") from None
+    if not groups:
+        raise ValueError(f"{path}: no trial rows")
     return [_summarize(dict(zip(keys, g[:-1])), g[-1], values) for g, values in groups.items()]

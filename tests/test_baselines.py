@@ -6,7 +6,6 @@ import pytest
 from mdee.baselines import adj, caic, fpe, kfold_cv
 from mdee.core import (
     BasisSpec,
-    FittedModel,
     LabeledSet,
     ModelPath,
     UnlabeledSet,
@@ -16,6 +15,15 @@ from mdee.core import (
 )
 
 BASIS = BasisSpec("fourier", 1)
+
+
+def hand_path(alphas, loss):
+    """A model path with the given coefficient rows, the size-d row holding d entries, and one training loss."""
+    d_max = len(alphas)
+    rows = np.zeros((d_max, d_max))
+    for d, alpha in enumerate(alphas, start=1):
+        rows[d - 1, :d] = alpha
+    return ModelPath(rows, np.full(d_max, loss), np.eye(d_max), BASIS)
 
 
 class TestFpe:
@@ -92,21 +100,13 @@ class TestKfoldCv:
 
 class TestAdj:
     def test_d1_returns_loss(self):
-        path = ModelPath(
-            models=[FittedModel(d=1, alpha=np.ones(1), train_loss=0.3, ridge_lambda=0)],
-            d_max=1,
-            basis=BASIS,
-        )
+        path = hand_path([[1.0]], 0.3)
         pool = UnlabeledSet(X=np.zeros((4, 1)))
         assert adj(path, np.ones((3, 1)), pool, 1) == pytest.approx(0.3)
 
     def test_identical_predictions_keep_loss(self):
         # second coefficient zero makes f_1 and f_2 agree everywhere
-        models = [
-            FittedModel(d=1, alpha=np.array([1.0]), train_loss=0.4, ridge_lambda=0),
-            FittedModel(d=2, alpha=np.array([1.0, 0.0]), train_loss=0.4, ridge_lambda=0),
-        ]
-        path = ModelPath(models=models, d_max=2, basis=BASIS)
+        path = hand_path([[1.0], [1.0, 0.0]], 0.4)
         rng = np.random.default_rng(4)
         got = adj(path, rng.normal(size=(6, 1)), UnlabeledSet(X=rng.normal(size=(9, 1))), 2)
         assert got == pytest.approx(0.4)
@@ -114,11 +114,7 @@ class TestAdj:
     def test_engineered_ratio_of_two(self):
         # f_2 - f_1 is proportional to cos(x); pick points where the labeled
         # RMS of cos is exactly half the unlabeled one
-        models = [
-            FittedModel(d=1, alpha=np.array([1.0]), train_loss=0.5, ridge_lambda=0),
-            FittedModel(d=2, alpha=np.array([1.0, 1.0]), train_loss=0.5, ridge_lambda=0),
-        ]
-        path = ModelPath(models=models, d_max=2, basis=BASIS)
+        path = hand_path([[1.0], [1.0, 1.0]], 0.5)
         labeled = np.array([[math.acos(0.25)]])
         pool = UnlabeledSet(X=np.array([[math.acos(0.5)]]))
         assert adj(path, labeled, pool, 2) == pytest.approx(1.0, rel=1e-12)
@@ -144,8 +140,8 @@ class TestAdj:
             design_u = build_design(BASIS, pool.X, d)
             ratios = []
             for j in range(1, d):
-                diff_l = design_l[:, :j] @ path.model(j).alpha - design_l @ path.model(d).alpha
-                diff_u = design_u[:, :j] @ path.model(j).alpha - design_u @ path.model(d).alpha
+                diff_l = design_l[:, :j] @ path.alpha(j) - design_l @ path.alpha(d)
+                diff_u = design_u[:, :j] @ path.alpha(j) - design_u @ path.alpha(d)
                 ratios.append(
                     np.sqrt(np.mean(diff_u**2)) / np.sqrt(np.mean(diff_l**2))
                 )
@@ -157,11 +153,7 @@ class TestAdj:
     def test_degenerate_denominators_skipped(self):
         # all covariates identical: prediction differences vanish on the
         # labeled set, every j is skipped and the factor falls back to 1
-        models = [
-            FittedModel(d=1, alpha=np.array([0.5]), train_loss=0.2, ridge_lambda=0),
-            FittedModel(d=2, alpha=np.array([0.5, 0.0]), train_loss=0.2, ridge_lambda=0),
-        ]
-        path = ModelPath(models=models, d_max=2, basis=BASIS)
+        path = hand_path([[0.5], [0.5, 0.0]], 0.2)
         labeled = np.full((4, 1), 0.7)
         pool = UnlabeledSet(X=np.linspace(-1, 1, 9).reshape(9, 1))
         assert adj(path, labeled, pool, 2) == pytest.approx(0.2)

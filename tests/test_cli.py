@@ -146,6 +146,9 @@ RUN = ["run", "{config}", "--out", "{out}"]
         pytest.param("noise_var: 0.1", "noise_var: [.inf]", RUN, "noise_var", id="noise_var inf"),
         pytest.param("n_test: 40", "n_test: 40\n  covariate_var: .inf", RUN, "covariate_var", id="covariate_var inf"),
         pytest.param("master_seed: 21", "master_seed: -1", RUN, "master_seed", id="master_seed"),
+        pytest.param("criteria: [mDEE3, FPE]", "criteria: [FPE, FPE]", RUN, "criteria repeats", id="criteria twice"),
+        pytest.param("n: 10", "n: [10, 10]", RUN, "n repeats", id="n twice"),
+        pytest.param("noise_var: 0.1", "noise_var: [0.1, 0.1]", RUN, "noise_var repeats", id="noise_var twice"),
         pytest.param(None, None, RUN + ["--seed", "-5"], "master_seed", id="run --seed"),
         pytest.param(None, None, ["oracle", "--theorem", "2", "--reps", "300", "--seed", "-1"], "seed", id="oracle --seed"),
         pytest.param(None, None, ["oracle", "--theorem", "2", "--noise-sd", "nan"], "noise_sd", id="oracle --noise-sd nan"),
@@ -181,6 +184,16 @@ class TestReportCommand:
         path = tmp_path / "trials.csv"
         path.write_text("a,b\n1,2\n")
         assert_input_error(capsys, ["report", str(path)], "'criterion'")
+
+    def test_header_only_file_named(self, tmp_path, capsys):
+        path = tmp_path / "trials.csv"
+        path.write_text("n,trial,criterion,d_hat,regret,flags\n")
+        assert_input_error(capsys, ["report", str(path)], f"{path}: no trial rows")
+
+    def test_non_numeric_regret_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "trials.csv"
+        path.write_text("n,trial,criterion,d_hat,regret,flags\n10,0,FPE,2,0.1,\n10,1,FPE,3,abc,\n")
+        assert_input_error(capsys, ["report", str(path)], f"{path}, line 3: regret 'abc'")
 
 
 class TestOracleCommand:

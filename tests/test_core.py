@@ -196,8 +196,8 @@ class TestFitModelPath:
     def test_single_model(self):
         data = LabeledSet(X=[[0.1], [0.4], [-0.3]], y=[1.0, 2.0, 3.0])
         path = fit_model_path(data, BASIS, 1, 1e-9)
-        assert path.d_max == 1 and len(path.models) == 1
-        assert path.models[0].d == 1
+        assert path.d_max == 1 and path.alphas.shape == path.factor.shape == (1, 1)
+        assert path.losses.shape == (1,) and len(path.alpha(1)) == 1
 
     def test_noiseless_truth_has_tiny_loss(self):
         rng = np.random.default_rng(9)
@@ -213,7 +213,7 @@ class TestFitModelPath:
             rng = np.random.default_rng(100 + seed)
             data = LabeledSet(X=rng.normal(size=(25, 1)), y=rng.normal(size=25))
             path = fit_model_path(data, BASIS, 8, 1e-9)
-            losses = [m.train_loss for m in path.models]
+            losses = path.losses.tolist()
             for a, b in zip(losses, losses[1:]):
                 assert b <= a * (1.0 + 1e-6)
 

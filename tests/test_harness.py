@@ -53,13 +53,13 @@ class TestTestError:
         X = rng.normal(size=(9, 1))
         alpha = np.array([0.2, -0.4])
         y = build_design(BASIS, X, 2) @ alpha
-        model = FittedModel(d=2, alpha=alpha, train_loss=0.0, ridge_lambda=0)
+        model = FittedModel(alpha=alpha, train_loss=0.0)
         assert model_test_error(model, LabeledSet(X=X, y=y), BASIS) == 0.0
 
     def test_constant_model_with_m_scaling(self):
         basis3 = BasisSpec("fourier", 3)
         X = np.random.default_rng(1).normal(size=(7, 3))
-        model = FittedModel(d=1, alpha=np.array([2.0]), train_loss=0.0, ridge_lambda=0)
+        model = FittedModel(alpha=np.array([2.0]), train_loss=0.0)
         data = LabeledSet(X=X, y=np.full(7, 6.0))  # constant column equals M = 3
         assert model_test_error(model, data, basis3) == pytest.approx(0.0, abs=1e-20)
 
@@ -68,7 +68,7 @@ class TestTestError:
         X = rng.normal(size=(11, 1))
         y = rng.normal(size=11)
         alpha = rng.normal(size=3)
-        model = FittedModel(d=3, alpha=alpha, train_loss=0.0, ridge_lambda=0)
+        model = FittedModel(alpha=alpha, train_loss=0.0)
         design = build_design(BASIS, X, 3)
         total = sum((y[i] - design[i] @ alpha) ** 2 for i in range(11))
         got = model_test_error(model, LabeledSet(X=X, y=y), BASIS)

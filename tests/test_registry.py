@@ -16,9 +16,10 @@ Cholesky disagree on whether a matrix read can be factored, only that rule is
 checked. CV5 fits each fold by the path fit, so it is +inf from a fold's first
 failing size on (`kfold_cv_prefix`). DEE and rmDEE do not check the labeled
 matrix again, as every size of the path `evaluate_trial` fits has passed that
-check; they are compared with their references on such states (`fitted`). The
-registry's (risk, flagged) arrays are compared through `scored`, which reads
-them as per-d (risk, flag count) pairs, None where the risk is NaN.
+check, and they read its factor from that fit: they are compared with their
+references on such states (`fitted`). The registry's (risk, flagged) arrays
+are compared through `scored`, which reads them as per-d (risk, flag count)
+pairs, None where the risk is NaN.
 """
 
 import math
@@ -115,18 +116,22 @@ def trials(draw):
         ridge = 1e-13
     basis = BasisSpec("fourier", m)
     # d_max = n covers d = n - 1 and d = n
-    path = random_path(rng, basis, n, ridge)
+    path = random_path(rng, basis, n)
     test = LabeledSet(X=rng.normal(size=(15, m)), y=rng.normal(size=15))
     return kind, train, UnlabeledSet(X=pool), path, test, ridge
 
 
-def random_path(rng, basis, d_max, ridge):
-    """A hand-built path keeps every size fittable; only its losses, coefficients and basis enter the risks."""
-    models = [
-        FittedModel(d=d, alpha=rng.normal(size=d), train_loss=float(rng.uniform(0.1, 2.0)), ridge_lambda=ridge)
-        for d in range(1, d_max + 1)
-    ]
-    return ModelPath(models=models, d_max=d_max, basis=basis)
+def random_path(rng, basis, d_max):
+    """A hand-built path keeps every size fittable; only its losses, coefficients and basis enter the risks.
+
+    Its factor is the identity, not the fit's, so DEE and rmDEE, which read
+    it, are compared with their references only on `fitted` states.
+    """
+    alphas, losses = np.zeros((d_max, d_max)), np.empty(d_max)
+    for d in range(1, d_max + 1):
+        alphas[d - 1, :d] = rng.normal(size=d)
+        losses[d - 1] = rng.uniform(0.1, 2.0)
+    return ModelPath(alphas, losses, np.eye(d_max), basis)
 
 
 def scored(state, name):
@@ -279,9 +284,9 @@ def read_matrices(state, variant, d):
         split = variant is not CriterionKind.MDEE3
         v_start = block_sides(variant, state.b1 if split else None, len(state.blocks))[1]
     mats, sizes = state.block_corrs[v_start:, :d, :d], state.block_factors[1][v_start:]
-    if variant is CriterionKind.RMDEE:
+    if variant is CriterionKind.RMDEE:  # the labeled factor, the path fit's, reaches `top`
         mats = np.concatenate((labeled_corr(state, d)[None], mats))
-        sizes = np.concatenate((state.labeled_factor[1], sizes))
+        sizes = np.concatenate(([state.top], sizes))
     return mats + state.ridge * np.eye(d), sizes
 
 
@@ -383,7 +388,8 @@ def test_registry_matches_per_d_reference(case):
     if kind == "flagged_block" and blocks is not None:
         assert flagged_seen > 0
 
-    want = [model_test_error(model, test, path.basis) for model in path.models]
+    models = [FittedModel(path.alpha(d), path.train_loss(d)) for d in range(1, path.d_max + 1)]
+    want = [model_test_error(model, test, path.basis) for model in models]
     np.testing.assert_allclose(path_test_errors(path, test), want, rtol=1e-12, atol=0.0)
 
 
@@ -449,7 +455,7 @@ def flag_trials(draw):
         # nearly coincide: rank-deficient only near d_max
         levels = np.linspace(-np.pi, np.pi, d_max - 2, endpoint=False) + rng.uniform(0.0, 0.3)
         pool[:n] = levels[np.arange(n) % (d_max - 2), None]
-    path = random_path(rng, BasisSpec("fourier", m), d_max, ridge)
+    path = random_path(rng, BasisSpec("fourier", m), d_max)
     test = LabeledSet(X=rng.normal(size=(15, m)), y=rng.normal(size=15))
     return kind, train, UnlabeledSet(X=pool), path, test, ridge
 
@@ -505,14 +511,16 @@ def test_singular_block_fails_only_the_criteria_that_read_it():
     # LU inverse is flagged, and has a zero row and column from d = 3 on, where
     # its inverse raises. The means that read it fail from d = 2 on; mDEE1 does
     # not read it, and rmDEE's median takes its trace as +inf and stays finite.
+    # rmDEE reads the labeled factor, so the state holds the path the trial fits.
     rng = np.random.default_rng(3)
     n, ridge = 8, 0.0
     train = LabeledSet(X=rng.normal(size=(n, 1)), y=rng.normal(size=n))
     pool = rng.normal(size=(4 * n, 1))
     pool[:n] = 0.0
     pool = UnlabeledSet(X=pool)
-    path = random_path(rng, BasisSpec("fourier", 1), n - 1, ridge)
-    state = TrialState(train, pool, path, ridge, cv_seed=0)
+    state = fitted(TrialState(train, pool, random_path(rng, BasisSpec("fourier", 1), n - 1), ridge, cv_seed=0))
+    path = state.path
+    assert path.d_max == n - 1
     state.b1 = 2  # block 0 feeds only the C side of mDEE1
     names = ("mDEE1", "mDEE2", "mDEE3", "rmDEE")
     paths = registry_paths(state, names)
@@ -545,7 +553,7 @@ def test_singular_split_block_leaves_b1_unavailable(monkeypatch):
     pool = rng.normal(size=(4 * n, 1))
     pool[:n] = 0.0
     test = LabeledSet(X=rng.normal(size=(20, 1)), y=rng.normal(size=20))
-    path = random_path(rng, BasisSpec("fourier", 1), n - 1, ridge)
+    path = random_path(rng, BasisSpec("fourier", 1), n - 1)
     cfg = config(ridge, criteria=["mDEE1", "mDEE3", "FPE"], d_max=n - 1)
     monkeypatch.setattr(harness, "fit_design_path", lambda *args: path)
     result = evaluate_trial(0, {"n": n}, train, UnlabeledSet(X=pool), test, n - 1, cfg, cv_seed=0)
@@ -612,7 +620,7 @@ def test_b1_is_the_tie_where_the_blocks_do_not_vary(n_blocks, m, d_max, pool):
     rng = np.random.default_rng(n_blocks)
     n = 6
     train = LabeledSet(X=rng.normal(size=(n, m)), y=rng.normal(size=n))
-    path = random_path(rng, BasisSpec("fourier", m), d_max, 1e-9)
+    path = random_path(rng, BasisSpec("fourier", m), d_max)
     X = rng.normal(size=(n_blocks * n, m)) if pool == "gauss" else np.full((n_blocks * n, m), 0.7)
     state = TrialState(train, UnlabeledSet(X=X), path, 1e-9, cv_seed=0)
     assert np.all(state.block_corrs == state.block_corrs[0])
@@ -630,7 +638,7 @@ def test_b1_keeps_a_flagged_block():
     train = LabeledSet(X=rng.normal(size=(n, 1)), y=rng.normal(size=n))
     pool = rng.normal(size=(6 * n, 1))
     pool[:n] = 0.7
-    path = random_path(rng, BasisSpec("fourier", 1), d_max, ridge)
+    path = random_path(rng, BasisSpec("fourier", 1), d_max)
     state = TrialState(train, UnlabeledSet(X=pool), path, ridge, cv_seed=0)
     factors, sizes = state.block_factors
     assert sizes.tolist() == [d_max] * 6 and state.block_checks[0][d_max - 1, 0]
@@ -645,7 +653,7 @@ def test_b1_unavailable_where_the_factors_do_not_reach_d_max():
     rng = np.random.default_rng(12)
     n = 8
     train = LabeledSet(X=rng.normal(size=(n, 1)), y=rng.normal(size=n))
-    path = random_path(rng, BasisSpec("fourier", 1), n, 1e-9)
+    path = random_path(rng, BasisSpec("fourier", 1), n)
     state = TrialState(train, UnlabeledSet(X=rng.normal(size=(5 * n, 1))), path, 1e-9, cv_seed=0)
     assert state.top == n - 1 and state.b1 is None
     assert select_b1(state.blocks, path.basis, n, 1e-9)[0] >= 1
@@ -737,12 +745,12 @@ def test_gated_fit_model_path_equals_per_d_ridge_lse(case):
             with pytest.raises(SingularDesignError, match=f"model size d={d}:"):
                 fit_model_path(data, basis, d_max, ridge)
             return
-    got = fit_model_path(data, basis, d_max, ridge).models
-    for g, w in zip(got, want, strict=True):
-        assert g.d == w.d
-        alpha_bound, loss_bound = fit_bounds(full[:, : w.d], data.y, w.alpha, ridge)
-        assert np.linalg.norm(g.alpha - w.alpha) <= alpha_bound
-        assert abs(g.train_loss - w.train_loss) <= loss_bound
+    got = fit_model_path(data, basis, d_max, ridge)
+    assert got.d_max == len(want)
+    for d, w in enumerate(want, start=1):
+        alpha_bound, loss_bound = fit_bounds(full[:, :d], data.y, w.alpha, ridge)
+        assert np.linalg.norm(got.alpha(d) - w.alpha) <= alpha_bound
+        assert abs(got.train_loss(d) - w.train_loss) <= loss_bound
 
 
 # ADJ's labeled distances rho_l are the reference's, bit for bit, so the same
@@ -766,11 +774,11 @@ ADJ_C = 4
 
 def adj_bound(path, design_l, design_u, d):
     """Bound on the move of ADJ's risk at size d between `adj_path` and `adj`; 0 where every pair is skipped."""
-    alpha_d = path.model(d).alpha
+    alpha_d = path.alpha(d)
     rms = np.sqrt(np.mean(design_u[:, :d] ** 2, axis=0))
     worst = 0.0
     for j in range(1, d):
-        alpha_j = path.model(j).alpha
+        alpha_j = path.alpha(j)
         rho_l = math.sqrt(float(np.mean((design_l[:, :j] @ alpha_j - design_l[:, :d] @ alpha_d) ** 2)))
         if rho_l < RHO_FLOOR:
             continue
@@ -788,16 +796,16 @@ def adj_bound(path, design_l, design_u, d):
 )
 def test_adj_path_equals_per_d_adj(case, pool_rows, pool_kind, models):
     data, basis, d_max, ridge, rng = case
-    path = random_path(rng, basis, d_max, ridge)
+    path = random_path(rng, basis, d_max)
     if models == "repeat":
         # a zero trailing coefficient: some models predict like the next smaller
         # one, so rho_l falls below RHO_FLOOR and the ratio is skipped
-        for smaller, model in zip(path.models[::2], path.models[1::2]):
-            model.alpha[:] = np.append(smaller.alpha, 0.0)
+        for d in range(2, d_max + 1, 2):
+            path.alphas[d - 1, :d] = np.append(path.alpha(d - 1), 0.0)
     elif models == "nearby":
         # a tiny trailing coefficient: two models' pool predictions nearly cancel
-        for smaller, model in zip(path.models, path.models[1:]):
-            model.alpha[:] = np.append(smaller.alpha, 1e-9 * rng.normal())
+        for d in range(2, d_max + 1):
+            path.alphas[d - 1, :d] = np.append(path.alpha(d - 1), 1e-9 * rng.normal())
     elif models == "fitted":
         # fitted on a few distinct rows, the larger models differ almost only
         # off those rows: rho_l is tiny or below RHO_FLOOR, and on a discrete
@@ -837,7 +845,7 @@ def test_adj_path_on_a_path_fitted_to_few_distinct_rows(pool_rows, pool_kind):
 def test_dee_and_block_paths_equal_per_d_checks(case, pool_kind):
     data, basis, d_max, ridge, rng = case
     pool = UnlabeledSet(X=covariates(rng, 4 * data.n, basis.covariate_dim, pool_kind))
-    path = random_path(rng, basis, d_max, ridge)
+    path = random_path(rng, basis, d_max)
     state = TrialState(data, pool, path, ridge, cv_seed=0)
     paths = registry_paths(state, BLOCK_VARIANTS)
     scored_names = ["mDEE3"]
@@ -954,7 +962,7 @@ def block_states(draw):
         pool[:n] = 0.7  # rank one: flagged from d = 2 on at the smaller ridges
     elif kind == "zero_block":
         pool[:n] = 0.0  # every sine feature 0: singular from d = 3 on at ridge 0
-    path = random_path(rng, BasisSpec("fourier", m), d_max, ridge)
+    path = random_path(rng, BasisSpec("fourier", m), d_max)
     return kind, TrialState(train, UnlabeledSet(X=pool), path, ridge, cv_seed=0)
 
 
@@ -977,57 +985,44 @@ def test_block_prefix_paths_match_the_per_d_route(case):
             assert_block_close(on, name, d, g, w)
 
 
-def labeled_factor_that_stops():
-    """A state whose labeled factor stops at 1: five labeled rows at one level, at ridge 0, and six Gaussian blocks.
-
-    The labeled matrix is singular from d = 2 on. The path fit's normal matrix
-    is too, so no fitted path reaches d = 2 and the state's path is built by hand.
-    """
+def test_rmdee_median_survives_a_block_factor_that_stops():
+    # Block 0 is five rows at one level, at ridge 0: its matrix is singular
+    # from d = 2 on, where its factor stops and its trace is +inf, and where
+    # the per-d reference's LU inverse fails too. The labeled factor, the path
+    # fit's, and the five other blocks reach every size and keep the median of
+    # the seven traces finite.
     rng = np.random.default_rng(9)
-    n, ridge = 5, 0.0
-    train = LabeledSet(X=np.full((n, 1), 0.4), y=rng.normal(size=n))
-    pool = UnlabeledSet(X=rng.normal(size=(6 * n, 1)))
-    path = random_path(rng, BasisSpec("fourier", 1), n - 1, ridge)
-    state = TrialState(train, pool, path, ridge, cv_seed=0)
-    assert state.block_factors[1].tolist() == [n - 1] * 6 and state.labeled_factor[1].tolist() == [1]
-    return state
-
-
-def test_rmdee_median_survives_a_labeled_factor_that_stops():
-    # The labeled trace is +inf from d = 2 on, where the per-d reference's LU
-    # inverse fails too; the six unlabeled blocks factor whole and keep the
-    # median of the seven traces finite.
-    state = labeled_factor_that_stops()
+    n, ridge, basis = 5, 0.0, BasisSpec("fourier", 1)
+    train = LabeledSet(X=rng.normal(size=(n, 1)), y=rng.normal(size=n))
+    pool = rng.normal(size=(6 * n, 1))
+    pool[:n] = 0.4
+    path = fit_design_path(build_design(basis, train.X, n - 1), train.y, basis, ridge)
+    state = TrialState(train, UnlabeledSet(X=pool), path, ridge, cv_seed=0)
     top = state.top
+    assert top == path.d_max == n - 1 and state.block_factors[1].tolist() == [1] + [n - 1] * 5
     corrs = state.block_corrs[:, :top, :top]
     got = estimators.rmdee_trace_path(corrs, state.block_factors, state.labeled_factor)
     assert np.isfinite(got).all()
     for d in range(1, top + 1):
-        want = rmdee_trace(corrs[:, :d, :d], labeled_corr(state, d), state.ridge)[0]
-        kappa = float(condition_numbers(state.jittered(corrs[:, :d, :d])).max())
+        want = rmdee_trace(corrs[:, :d, :d], labeled_corr(state, d), ridge)[0]
+        read = np.concatenate((labeled_corr(state, d)[None], corrs[1:, :d, :d]))
+        kappa = float(condition_numbers(state.jittered(read)).max())
         assert abs(got[d - 1] - want) <= prefix_bound(want, kappa, d), (d, got[d - 1], want)
-
-
-def test_dee_trace_path_is_infinite_from_where_the_labeled_factor_stops():
-    state = labeled_factor_that_stops()
-    c_tilde = correlation_matrix(state.pool_design[:, : state.top])
-    got = estimators.dee_trace_path(state.labeled_factor, c_tilde)
-    assert np.isinf(got[1:]).all()
-    want = dee_trace(labeled_corr(state, 1), c_tilde[:1, :1], state.ridge)
-    assert abs(got[0] - want) <= prefix_bound(want, 1.0, 1)
 
 
 def test_a_factor_that_stops_where_lu_inverts_makes_the_means_infinite():
     # Block 0 is made indefinite from size 3 on: its LU inverse exists at every
     # size, but its Cholesky factorization stops at leading minor 3. The means
     # that read it are None from d = 3 on, where the LU references stay finite;
-    # rmDEE's median takes its trace as +inf and stays finite.
+    # rmDEE's median takes its trace as +inf and stays finite. rmDEE reads the
+    # labeled factor, so the state holds the path the trial fits.
     rng = np.random.default_rng(11)
     n, d_max = 10, 6
     train = LabeledSet(X=rng.normal(size=(n, 1)), y=rng.normal(size=n))
     pool = UnlabeledSet(X=rng.normal(size=(5 * n, 1)))
-    path = random_path(rng, BasisSpec("fourier", 1), d_max, 1e-9)
-    state = TrialState(train, pool, path, 1e-9, cv_seed=0)
+    path = random_path(rng, BasisSpec("fourier", 1), d_max)
+    state = fitted(TrialState(train, pool, path, 1e-9, cv_seed=0))
+    assert state.path.d_max == d_max
     corrs = state.block_corrs.copy()
     corrs[0] = np.diag([1.0, 1.0, -0.5, 1.0, 1.0, 1.0])
     state.block_corrs = corrs
@@ -1065,7 +1060,7 @@ def test_block_corrs_from_the_pool_design_equal_block_corr_stack(m, n, extra_row
     d_max = int(rng.integers(1, n + 3))
     train = LabeledSet(X=rng.normal(size=(n, m)), y=rng.normal(size=n))
     pool = UnlabeledSet(X=covariates(rng, 3 * n + extra_rows, m, "discrete" if seed % 2 else "gauss"))
-    path = random_path(rng, BasisSpec("fourier", m), d_max, 1e-9)
+    path = random_path(rng, BasisSpec("fourier", m), d_max)
     state = TrialState(train, pool, path, 1e-9, cv_seed=0)
     assert np.array_equal(state.block_corrs, block_corr_stack(state.blocks, path.basis, d_max))
 
@@ -1093,3 +1088,22 @@ def test_a_trial_builds_each_design_once_and_runs_no_svd_when_no_gate_fires(monk
     result = evaluate_trial(0, {"n": n}, train, pool, test, 5, config(criteria=sorted(CRITERIA)), cv_seed=0)
     assert sorted(builds) == [n, 30, 10 * n]
     assert not any("inf@d" in flags or "cond@d" in flags for flags in result.flags.values())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_labeled_factor_is_the_path_fits_factor_scaled(seed):
+    # The jittered labeled correlation matrix is the path fit's normal matrix
+    # over n, so its inverse Cholesky factor W is sqrt(n) times the leading
+    # `top` x `top` block of the fit's, and no trial factors the labeled data twice.
+    rng = np.random.default_rng(seed)
+    n, m = 10 + seed, 1 + seed % 2
+    train = LabeledSet(X=rng.normal(size=(n, m)), y=rng.normal(size=n))
+    pool = UnlabeledSet(X=rng.normal(size=(3 * n, m)))
+    state = fitted(TrialState(train, pool, random_path(rng, BasisSpec("fourier", m), n), 1e-9, cv_seed=0))
+    top = state.top
+    assert top == n - 1 < state.path.d_max == n
+    got = state.labeled_factor
+    assert np.array_equal(got, math.sqrt(n) * state.path.factor[:top, :top])
+    jittered = state.jittered(labeled_corr(state, top))
+    kappa = float(condition_numbers(jittered))
+    np.testing.assert_allclose(got @ jittered @ got.T, np.eye(top), rtol=0, atol=PREFIX_C * top * kappa * EPS)
