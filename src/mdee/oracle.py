@@ -21,7 +21,7 @@ from .estimators import CriterionKind, block_sides
 _C_CACHE: dict[tuple, np.ndarray] = {}
 
 _CHUNK = 100_000
-# Fewest replications mc_trace_target accepts for its reference trace.
+# Fewest replications mc_block_moments accepts for its reference trace.
 MIN_TRACE_REPS = 100
 
 
@@ -71,24 +71,18 @@ class RiskRatioResult:
 
 
 @dataclass
-class TraceTargetResult:
-    tr_cv: float
-    se: float
-    reps: int
-
-
-@dataclass
 class HMomentsResult:
-    """Moments of one blockwise trace estimator and its bias against the mc_trace_target reference.
+    """Moments of one blockwise trace estimator and its bias against the reference Tr(C E[C_hat^{-1}]).
 
+    The reference (`tr_cv_ref`, `se_ref`) averages Tr(C C_hat^{-1}) over the
+    same replications, with C_hat taken from each replication's first block.
     `se_bias` is hypot(se_mean, se_ref), which treats the two estimates as
-    independent. They are not: replication r of both reads the same stream, so
-    its first n rows are shared (block 0 here, the reference sample there). The
-    sign of the correlation depends on the side block 0 feeds. At n=20, d=3,
-    B=30, B1=10 (3000 replications) the per-replication traces correlated
-    +0.21 for mDEE3, where block 0 is on both sides, so `se_bias` overstates
-    the true error and the check is conservative; and -0.13 for mDEE1, where
-    block 0 feeds only C_plus, so `se_bias` understates it, by about 3%.
+    independent. They are not, as block 0 feeds both. The sign of the
+    correlation depends on the side block 0 feeds. At n=20, d=3, B=30, B1=10
+    (3000 replications) the per-replication traces correlated +0.21 for
+    mDEE3, where block 0 is on both sides, so `se_bias` overstates the true
+    error and the check is conservative; and -0.13 for mDEE1, where block 0
+    feeds only C_plus, so `se_bias` understates it, by about 3%.
     """
 
     mean_tr: float
@@ -162,6 +156,13 @@ def _quadratic_form_var(cfg: OracleConfig, mat: np.ndarray) -> float:
     return max(acc_sq / cfg.c_draws - mean * mean, 0.0)
 
 
+def _reference_trace(cfg: OracleConfig, C: np.ndarray, design: np.ndarray, inv_sum: np.ndarray) -> float:
+    """Tr(C C_hat^{-1}) of one replication's n-row design; adds C_hat^{-1} to inv_sum."""
+    c_hat_inv = np.linalg.inv(design.T @ design / cfg.n)
+    inv_sum += c_hat_inv
+    return np.trace(C @ c_hat_inv)
+
+
 def _trace_summary(cfg: OracleConfig, trs: np.ndarray, inv_sum: np.ndarray) -> tuple[float, float]:
     """Mean of the replications' Tr(C C_hat^{-1}) and its SE, C's sampling error included."""
     v_bar = inv_sum / cfg.reps
@@ -202,9 +203,7 @@ def mc_risk_ratio(cfg: OracleConfig) -> RiskRatioResult:
         y_test = design_test @ alpha_star + rng.normal(0.0, cfg.noise_sd, cfg.n_test)
         err = y_test - design_test @ alpha_hat
         losses[rep] = err @ err / cfg.n_test
-        c_hat_inv = np.linalg.inv(design.T @ design / cfg.n)
-        inv_sum += c_hat_inv
-        trs[rep] = np.trace(C @ c_hat_inv)
+        trs[rep] = _reference_trace(cfg, C, design, inv_sum)
     e_loss = float(losses.mean())
     e_train = float(train_losses.mean())
     se_loss = float(losses.std(ddof=1) / np.sqrt(cfg.reps))
@@ -236,45 +235,24 @@ def mc_risk_ratio(cfg: OracleConfig) -> RiskRatioResult:
     )
 
 
-def mc_trace_target(cfg: OracleConfig) -> TraceTargetResult:
-    """Estimate Tr(C E[C_hat^{-1}]) by brute force.
-
-    C comes from the cached large-sample estimate; its sampling error and the
-    replication spread both enter the reported standard error.
-    """
-    if cfg.reps < MIN_TRACE_REPS:
-        raise ValueError(f"mc_trace_target needs reps >= {MIN_TRACE_REPS}")
-    C = true_corr(cfg)
-    trs = np.empty(cfg.reps)
-    inv_sum = np.zeros((cfg.d, cfg.d))
-    for rep in range(cfg.reps):
-        rng = _rep_rng(cfg.seed, rep)
-        design = _design(cfg, _covariates(rng, cfg.n, cfg))
-        inv = np.linalg.inv(design.T @ design / cfg.n)
-        inv_sum += inv
-        trs[rep] = np.trace(C @ inv)
-    tr_cv, se = _trace_summary(cfg, trs, inv_sum)
-    return TraceTargetResult(tr_cv=tr_cv, se=se, reps=cfg.reps)
-
-
-def _block_stats(cfg: OracleConfig, rng, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
-    """Correlation matrices and exact inverses for n_blocks fresh blocks."""
+def _block_stats(cfg: OracleConfig, rng, n_blocks: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Designs, correlation matrices and exact inverses of n_blocks fresh blocks of n rows."""
     X = _covariates(rng, n_blocks * cfg.n, cfg)
     design = _design(cfg, X).reshape(n_blocks, cfg.n, cfg.d)
     corrs = np.einsum("bij,bik->bjk", design, design) / cfg.n
-    return corrs, np.linalg.inv(corrs)
+    return design, corrs, np.linalg.inv(corrs)
 
 
-def _h_moments(trs: np.ndarray, ref: TraceTargetResult) -> HMomentsResult:
-    """Mean and variance of one variant's per-replication traces, and their bias against ref."""
+def _h_moments(trs: np.ndarray, tr_ref: float, se_ref: float) -> HMomentsResult:
+    """Mean and variance of one variant's per-replication traces, and their bias against the reference."""
     mean_tr = float(trs.mean())
     se_mean = float(trs.std(ddof=1) / np.sqrt(trs.size))
     var = float(trs.var(ddof=1))
     m4 = float(np.mean((trs - mean_tr) ** 4))
     se_var = float(np.sqrt(max(m4 - var**2, 0.0) / trs.size))
     return HMomentsResult(
-        mean_tr=mean_tr, se_mean=se_mean, var=var, se_var=se_var, bias=mean_tr - ref.tr_cv,
-        se_bias=float(np.hypot(se_mean, ref.se)), tr_cv_ref=ref.tr_cv, se_ref=ref.se, reps=trs.size,
+        mean_tr=mean_tr, se_mean=se_mean, var=var, se_var=se_var, bias=mean_tr - tr_ref,
+        se_bias=float(np.hypot(se_mean, se_ref)), tr_cv_ref=tr_ref, se_ref=se_ref, reps=trs.size,
     )
 
 
@@ -285,24 +263,30 @@ def mc_block_moments(
 
     Each replication draws an independent pool of B*n covariate rows, forms the
     per-block correlation matrices and their exact inverses, and feeds every
-    requested variant its `block_sides` of them. The bias is reported against
-    one mc_trace_target reference with both standard errors propagated as if
-    independent. Replication r here and there read the same stream, so block 0
-    is that replication's reference sample and the two are correlated (see
-    `HMomentsResult` for the size and sign).
+    requested variant its `block_sides` of them. The same replication's block 0
+    gives its reference Tr(C C_hat^{-1}), inverted on its own as in
+    mc_risk_ratio, so the reference equals that of mc_risk_ratio on the same
+    cfg bit for bit. Both standard errors enter `se_bias` as if independent
+    (see `HMomentsResult` for the size and sign of their correlation).
     """
+    if cfg.reps < MIN_TRACE_REPS:
+        raise ValueError(f"mc_block_moments needs reps >= {MIN_TRACE_REPS}")
     if B < 2:
         raise ValueError("mc_block_moments needs B >= 2")
     sides = {v: block_sides(v, B1, B) for v in map(CriterionKind, variants)}
+    C = true_corr(cfg)
     trs = {variant: np.empty(cfg.reps) for variant in sides}
+    ref_trs = np.empty(cfg.reps)
+    inv_sum = np.zeros((cfg.d, cfg.d))
     for rep in range(cfg.reps):
-        corrs, invs = _block_stats(cfg, _rep_rng(cfg.seed, rep), B)
+        design, corrs, invs = _block_stats(cfg, _rep_rng(cfg.seed, rep), B)
+        ref_trs[rep] = _reference_trace(cfg, C, design[0], inv_sum)
         for variant, (c_stop, v_start) in sides.items():
             c_plus = corrs[:c_stop].mean(axis=0)
             v_hat = invs[v_start:].mean(axis=0)
             trs[variant][rep] = np.trace(c_plus @ v_hat)
-    ref = mc_trace_target(cfg)
-    return {variant: _h_moments(t, ref) for variant, t in trs.items()}
+    tr_ref, se_ref = _trace_summary(cfg, ref_trs, inv_sum)
+    return {variant: _h_moments(t, tr_ref, se_ref) for variant, t in trs.items()}
 
 
 def mc_H_moments(cfg: OracleConfig, variant, B: int, B1: int | None = None) -> HMomentsResult:
@@ -331,7 +315,7 @@ def _vectorized_blocks(cfg: OracleConfig, tag: int, n_blocks: int) -> tuple[np.n
     while done < n_blocks:
         count = min(_CHUNK // max(cfg.n, 1), n_blocks - done) or 1
         rng = _aux_rng(cfg.seed, tag, chunk_idx)
-        corrs, invs = _block_stats(cfg, rng, count)
+        _, corrs, invs = _block_stats(cfg, rng, count)
         mu_b[done : done + count] = corrs.reshape(count, dim)
         nu_b[done : done + count] = invs.reshape(count, dim)
         done += count

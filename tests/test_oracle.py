@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mdee import oracle
 from mdee.core import BasisSpec, build_design
 from mdee.estimators import CriterionKind
 from mdee.oracle import (
@@ -10,7 +11,6 @@ from mdee.oracle import (
     mc_H_moments,
     mc_h1_variance_closed_form,
     mc_risk_ratio,
-    mc_trace_target,
     true_corr,
 )
 from mdee.oracle import _moment_inputs_from, _vectorized_blocks
@@ -96,20 +96,25 @@ class TestMcRiskRatio:
         assert a == b
 
 
-class TestMcTraceTarget:
+def block_reference(cfg):
+    """The reference trace and its SE that mc_block_moments reports for cfg."""
+    res = mc_H_moments(cfg, CriterionKind.MDEE3, B=4)
+    return res.tr_cv_ref, res.se_ref
+
+
+class TestBlockReference:
     def test_constant_basis_gives_one(self):
-        res = mc_trace_target(make_cfg(d=1, reps=200))
-        assert res.tr_cv == pytest.approx(1.0, abs=1e-10)
+        tr_cv, _ = block_reference(make_cfg(d=1, reps=200))
+        assert tr_cv == pytest.approx(1.0, abs=1e-10)
 
     def test_jensen_lower_bound(self):
-        res = mc_trace_target(make_cfg())
-        assert res.tr_cv >= 3 - 3 * res.se
+        tr_cv, se = block_reference(make_cfg())
+        assert tr_cv >= 3 - 3 * se
 
     def test_matches_independent_brute_force(self):
-        res = mc_trace_target(make_cfg())
+        tr_cv, se = block_reference(make_cfg())
         # fully separate route and stream
         rng = np.random.default_rng(987654)
-        C = None
         v = build_design(BASIS, rng.normal(size=(400_000, 1)), 3)
         C = v.T @ v / v.shape[0]
         trs = []
@@ -119,11 +124,20 @@ class TestMcTraceTarget:
             trs.append(np.trace(C @ np.linalg.inv(phi.T @ phi / 20)))
         ref = float(np.mean(trs))
         se_ref = float(np.std(trs, ddof=1) / np.sqrt(len(trs)))
-        assert abs(res.tr_cv - ref) <= 3 * np.hypot(res.se, se_ref)
+        assert abs(tr_cv - ref) <= 3 * np.hypot(se, se_ref)
 
-    def test_reps_floor(self):
-        with pytest.raises(ValueError):
-            mc_trace_target(make_cfg(reps=50))
+    def test_reps_floor(self, monkeypatch):
+        def no_blocks(*args):
+            raise AssertionError("block draws started")
+
+        monkeypatch.setattr(oracle, "_block_stats", no_blocks)
+        with pytest.raises(ValueError, match="reps >= 100"):
+            block_reference(make_cfg(reps=50))
+
+    def test_equals_the_risk_ratio_reference(self):
+        cfg = make_cfg(reps=300, n_test=50)
+        ratio = mc_risk_ratio(cfg)
+        assert block_reference(cfg) == (ratio.mean_tr_ccinv, ratio.se_tr_ccinv)
 
 
 class TestMcHMoments:
