@@ -74,6 +74,8 @@ def _check(label: str, value: float, target: float, se: float) -> bool:
 def _check_oracle_args(args) -> None:
     if args.reps < MIN_REPS[args.theorem]:
         raise ValueError(f"theorem {args.theorem} needs --reps >= {MIN_REPS[args.theorem]}, got {args.reps}")
+    if args.theorem == 2 and args.noise_sd == 0:
+        raise ValueError("theorem 2 needs noise_sd > 0: without noise the risk ratio is 0/0")
     if args.theorem == 4 and not 1 <= args.b1 <= args.blocks - 1:
         raise ValueError(f"theorem 4 needs 1 <= --b1 <= --blocks - 1, got --b1 {args.b1}, --blocks {args.blocks}")
     if args.theorem == 4 and args.moment_blocks < MIN_MOMENT_BLOCKS:

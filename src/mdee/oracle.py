@@ -76,13 +76,8 @@ class HMomentsResult:
 
     The reference (`tr_cv_ref`, `se_ref`) averages Tr(C C_hat^{-1}) over the
     same replications, with C_hat taken from each replication's first block.
-    `se_bias` is hypot(se_mean, se_ref), which treats the two estimates as
-    independent. They are not, as block 0 feeds both. The sign of the
-    correlation depends on the side block 0 feeds. At n=20, d=3, B=30, B1=10
-    (3000 replications) the per-replication traces correlated +0.21 for
-    mDEE3, where block 0 is on both sides, so `se_bias` overstates the true
-    error and the check is conservative; and -0.13 for mDEE1, where block 0
-    feeds only C_plus, so `se_bias` understates it, by about 3%.
+    `se_bias` pairs each replication's trace with its reference: it is
+    hypot(SE of the per-replication differences, C's sampling SE).
     """
 
     mean_tr: float
@@ -163,12 +158,12 @@ def _reference_trace(cfg: OracleConfig, C: np.ndarray, design: np.ndarray, inv_s
     return np.trace(C @ c_hat_inv)
 
 
-def _trace_summary(cfg: OracleConfig, trs: np.ndarray, inv_sum: np.ndarray) -> tuple[float, float]:
-    """Mean of the replications' Tr(C C_hat^{-1}) and its SE, C's sampling error included."""
+def _trace_summary(cfg: OracleConfig, trs: np.ndarray, inv_sum: np.ndarray) -> tuple[float, float, float]:
+    """Mean of the replications' Tr(C C_hat^{-1}), its SE, and C's sampling error, which that SE includes."""
     v_bar = inv_sum / cfg.reps
     se_rep = trs.std(ddof=1) / np.sqrt(cfg.reps)
     se_c = np.sqrt(_quadratic_form_var(cfg, v_bar) / cfg.c_draws)
-    return float(trs.mean()), float(np.hypot(se_rep, se_c))
+    return float(trs.mean()), float(np.hypot(se_rep, se_c)), float(se_c)
 
 
 def mc_risk_ratio(cfg: OracleConfig) -> RiskRatioResult:
@@ -220,7 +215,7 @@ def mc_risk_ratio(cfg: OracleConfig) -> RiskRatioResult:
             - 2.0 * ratio * cov
         ) / (e_train**2 * cfg.reps)
         se_ratio = float(np.sqrt(max(var_ratio, 0.0)))
-    mean_tr, se_tr = _trace_summary(cfg, trs, inv_sum)
+    mean_tr, se_tr, _ = _trace_summary(cfg, trs, inv_sum)
     return RiskRatioResult(
         e_loss=e_loss,
         se_loss=se_loss,
@@ -243,16 +238,21 @@ def _block_stats(cfg: OracleConfig, rng, n_blocks: int) -> tuple[np.ndarray, np.
     return design, corrs, np.linalg.inv(corrs)
 
 
-def _h_moments(trs: np.ndarray, tr_ref: float, se_ref: float) -> HMomentsResult:
-    """Mean and variance of one variant's per-replication traces, and their bias against the reference."""
+def _h_moments(trs: np.ndarray, ref_trs: np.ndarray, ref: tuple[float, float, float]) -> HMomentsResult:
+    """Mean and variance of one variant's per-replication traces, and their bias against ref_trs.
+
+    `ref` is the `_trace_summary` of ref_trs.
+    """
+    tr_ref, se_ref, se_c = ref
     mean_tr = float(trs.mean())
     se_mean = float(trs.std(ddof=1) / np.sqrt(trs.size))
     var = float(trs.var(ddof=1))
     m4 = float(np.mean((trs - mean_tr) ** 4))
     se_var = float(np.sqrt(max(m4 - var**2, 0.0) / trs.size))
+    se_diff = (trs - ref_trs).std(ddof=1) / np.sqrt(trs.size)
     return HMomentsResult(
         mean_tr=mean_tr, se_mean=se_mean, var=var, se_var=se_var, bias=mean_tr - tr_ref,
-        se_bias=float(np.hypot(se_mean, se_ref)), tr_cv_ref=tr_ref, se_ref=se_ref, reps=trs.size,
+        se_bias=float(np.hypot(se_diff, se_c)), tr_cv_ref=tr_ref, se_ref=se_ref, reps=trs.size,
     )
 
 
@@ -266,8 +266,7 @@ def mc_block_moments(
     requested variant its `block_sides` of them. The same replication's block 0
     gives its reference Tr(C C_hat^{-1}), inverted on its own as in
     mc_risk_ratio, so the reference equals that of mc_risk_ratio on the same
-    cfg bit for bit. Both standard errors enter `se_bias` as if independent
-    (see `HMomentsResult` for the size and sign of their correlation).
+    cfg bit for bit, and `se_bias` reads the per-replication pairs.
     """
     if cfg.reps < MIN_TRACE_REPS:
         raise ValueError(f"mc_block_moments needs reps >= {MIN_TRACE_REPS}")
@@ -285,8 +284,8 @@ def mc_block_moments(
             c_plus = corrs[:c_stop].mean(axis=0)
             v_hat = invs[v_start:].mean(axis=0)
             trs[variant][rep] = np.trace(c_plus @ v_hat)
-    tr_ref, se_ref = _trace_summary(cfg, ref_trs, inv_sum)
-    return {variant: _h_moments(t, tr_ref, se_ref) for variant, t in trs.items()}
+    ref = _trace_summary(cfg, ref_trs, inv_sum)
+    return {variant: _h_moments(t, ref_trs, ref) for variant, t in trs.items()}
 
 
 def mc_H_moments(cfg: OracleConfig, variant, B: int, B1: int | None = None) -> HMomentsResult:

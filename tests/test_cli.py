@@ -153,6 +153,7 @@ RUN = ["run", "{config}", "--out", "{out}"]
         pytest.param(None, None, ["oracle", "--theorem", "2", "--reps", "300", "--seed", "-1"], "seed", id="oracle --seed"),
         pytest.param(None, None, ["oracle", "--theorem", "2", "--noise-sd", "nan"], "noise_sd", id="oracle --noise-sd nan"),
         pytest.param(None, None, ["oracle", "--theorem", "2", "--noise-sd", "inf"], "noise_sd", id="oracle --noise-sd inf"),
+        pytest.param(None, None, ["oracle", "--theorem", "2", "--noise-sd", "0"], "noise_sd", id="oracle --noise-sd 0"),
     ],
 )
 def test_bad_value_rejected_before_any_output(old, new, argv, needle, tmp_path, capsys, monkeypatch):

@@ -188,6 +188,34 @@ class TestMcHMoments:
             assert shared[variant] == mc_H_moments(cfg, variant, B=10, B1=3)
 
 
+def test_se_bias_pairs_each_trace_with_its_reference():
+    cfg = make_cfg(d=2, n=8, reps=120, c_draws=20_000)
+    got = mc_block_moments(cfg, [CriterionKind.MDEE1, CriterionKind.MDEE3], B=4, B1=2)
+    C = true_corr(cfg)
+    traces = {CriterionKind.MDEE1: [], CriterionKind.MDEE3: []}
+    refs = []
+    inv_sum = np.zeros((2, 2))
+    for rep in range(cfg.reps):
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0, rep]))
+        blocks = build_design(BASIS, rng.normal(size=(4 * 8, 1)), 2).reshape(4, 8, 2)
+        corrs = [v.T @ v / 8 for v in blocks]
+        invs = [np.linalg.inv(c) for c in corrs]
+        traces[CriterionKind.MDEE1].append(np.trace(np.mean(corrs[:2], axis=0) @ np.mean(invs[2:], axis=0)))
+        traces[CriterionKind.MDEE3].append(np.trace(np.mean(corrs, axis=0) @ np.mean(invs, axis=0)))
+        refs.append(np.trace(C @ invs[0]))
+        inv_sum += invs[0]
+    # C's sampling error: the spread of phi^T V_bar phi over the population rows
+    v_bar = inv_sum / cfg.reps
+    quad = np.concatenate([np.einsum("ij,jk,ik->i", v, v_bar, v) for v in oracle._population_designs(cfg)])
+    se_c = np.sqrt(quad.var() / cfg.c_draws)
+    for variant, trs in traces.items():
+        diffs = np.array(trs) - np.array(refs)
+        expected = np.hypot(diffs.std(ddof=1) / np.sqrt(cfg.reps), se_c)
+        res = got[variant]
+        assert res.se_bias == pytest.approx(expected, rel=1e-6)
+        assert res.se_bias != pytest.approx(np.hypot(res.se_mean, res.se_ref), rel=1e-3)
+
+
 class TestMomentInputs:
     def test_nonnegative_traces(self):
         inputs = _moment_inputs_from(*_vectorized_blocks(make_cfg(d=2), 2, 2000))
