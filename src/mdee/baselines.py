@@ -1,7 +1,9 @@
 """Comparison criteria: FPE, corrected AIC, k-fold CV and the ADJ adjustment.
 
 All baselines return +inf sentinels instead of raising, so model selection
-over a path stays total even when a criterion is undefined at some d.
+over a path stays total even when a criterion is undefined at some d. CV5
+and ADJ score every size of the path at once; their per-d references
+`kfold_cv` and `adj` are in `tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -10,17 +12,7 @@ import math
 
 import numpy as np
 
-from .core import (
-    DEFAULT_RIDGE,
-    BasisSpec,
-    LabeledSet,
-    ModelPath,
-    SingularDesignError,
-    UnlabeledSet,
-    build_design,
-    path_fits,
-    ridge_lse,
-)
+from .core import DEFAULT_RIDGE, ModelPath, path_fits
 
 RHO_FLOOR = 1e-12
 
@@ -46,34 +38,6 @@ def _folds(n: int, k: int, seed: int) -> list[np.ndarray]:
     return np.array_split(rng.permutation(n), k)
 
 
-def kfold_cv(
-    data: LabeledSet,
-    basis: BasisSpec,
-    d: int,
-    k: int = 5,
-    ridge_lambda: float = DEFAULT_RIDGE,
-    seed: int = 0,
-) -> float:
-    """Average held-out MSE over a seeded random k-fold partition.
-
-    Fold sizes differ by at most one row. Using the same seed for every d
-    keeps the partition shared across the model path. A fold that fails to
-    fit yields the +inf sentinel.
-    """
-    design, y = build_design(basis, data.X, d), data.y
-    fold_errors = []
-    for held in _folds(data.n, k, seed):
-        mask = np.ones(data.n, dtype=bool)
-        mask[held] = False
-        try:
-            fit = ridge_lse(design[mask], y[mask], ridge_lambda)
-        except SingularDesignError:
-            return math.inf
-        resid = y[held] - design[held] @ fit.alpha
-        fold_errors.append(float(resid @ resid / held.size))
-    return float(np.mean(fold_errors))
-
-
 def kfold_cv_path(
     design: np.ndarray,
     y: np.ndarray,
@@ -81,16 +45,18 @@ def kfold_cv_path(
     ridge_lambda: float = DEFAULT_RIDGE,
     seed: int = 0,
 ) -> np.ndarray:
-    """`kfold_cv` at every d = 1..d_max, from the labeled d_max design and responses.
+    """Average held-out MSE over a seeded random k-fold partition at every d = 1..d_max.
 
-    Each fold is fitted once by `core.path_fits`, and one product predicts its
-    held-out rows at every size. As on the path fit, a fold's sizes from its
-    first failing size on are +inf: where its factorization stops or a gated
-    size fails its condition check. `kfold_cv` checks each size on its own; by
-    Cauchy interlacing a larger size passes after a smaller one failed only
-    through rounding near COND_LIMIT, and only there can it stay finite where
-    this route is +inf. The finite risks differ from `kfold_cv` in the last
-    bits only.
+    It reads the labeled d_max design and responses. Fold sizes differ by at
+    most one row, and the partition is shared by every size. Each fold is
+    fitted once by `core.path_fits`, and one product predicts its held-out
+    rows at every size. As on the path fit, a fold's sizes from its first
+    failing size on are +inf: where its factorization stops or a gated size
+    fails its condition check. The per-d `kfold_cv` checks each size on its
+    own; by Cauchy interlacing a larger size passes after a smaller one failed
+    only through rounding near COND_LIMIT, and only there can it stay finite
+    where this route is +inf. The finite risks differ from `kfold_cv` in the
+    last bits only.
     """
     n, d_max = design.shape
     errors = np.zeros((k, d_max))
@@ -108,42 +74,19 @@ def kfold_cv_path(
     return risks
 
 
-def adj(path: ModelPath, labeled_X, unlabeled: UnlabeledSet, d: int) -> float:
-    """Metric-based adjustment of the training loss.
-
-    Multiplies L_D(d) by the worst ratio of unlabeled to labeled RMS
-    prediction distance between f_d and each smaller model f_j. Ratios whose
-    labeled distance falls below RHO_FLOOR are skipped; with no usable ratio
-    (in particular at d = 1) the factor is 1.
-    """
-    loss = path.train_loss(d)
-    if d == 1:
-        return loss
-    design_l = build_design(path.basis, np.atleast_2d(np.asarray(labeled_X, dtype=float)), d)
-    design_u = build_design(path.basis, unlabeled.X, d)
-    pred_l_d = design_l @ path.alpha(d)
-    pred_u_d = design_u @ path.alpha(d)
-    ratios = []
-    for j in range(1, d):
-        alpha_j = path.alpha(j)
-        diff_l = design_l[:, :j] @ alpha_j - pred_l_d
-        diff_u = design_u[:, :j] @ alpha_j - pred_u_d
-        rho_l = math.sqrt(float(np.mean(diff_l**2)))
-        if rho_l < RHO_FLOOR:
-            continue
-        rho_u = math.sqrt(float(np.mean(diff_u**2)))
-        ratios.append(rho_u / rho_l)
-    factor = max(ratios) if ratios else 1.0
-    return loss * factor
-
-
 def adj_path(path: ModelPath, design_l: np.ndarray, pool_factor: np.ndarray) -> np.ndarray:
-    """`adj` at every d = 1..d_max, from the labeled d_max design and a triangular factor of the pool's.
+    """Metric-based adjustment of the training loss at every d = 1..d_max.
+
+    It multiplies L_D(d) by the worst ratio rho_u(j, d) / rho_l(j, d) of pool
+    to labeled RMS prediction distance between f_d and each smaller model f_j.
+    Ratios whose labeled distance falls below RHO_FLOOR are skipped; with no
+    usable ratio (in particular at d = 1) the factor is 1. It reads the
+    labeled d_max design and a triangular factor of the pool's.
 
     rho_l(j, d) is the RMS difference of the two models' labeled predictions,
-    as in `adj`, so the pairs skipped below RHO_FLOOR are the same. The pool
-    side reads `pool_factor`, the R of a QR factorization of the d_max pool
-    design over the square root of its row count (R^T R is the pool
+    as in the per-d `adj`, so the pairs skipped below RHO_FLOOR are the same.
+    The pool side reads `pool_factor`, the R of a QR factorization of the d_max
+    pool design over the square root of its row count (R^T R is the pool
     correlation matrix C~): rho_u(j, d) = ||R delta||, with delta = alpha_j
     zero-padded minus alpha_d, for all pairs at once. Like the pool predictions
     of `adj`, and unlike the quadratic form delta^T C~ delta, this keeps its

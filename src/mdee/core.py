@@ -1,8 +1,10 @@
 """Shared regression machinery.
 
-Fourier feature evaluation, additive design matrices, ridge-stabilized least
-squares, empirical losses and correlation matrices. Every model selection
-criterion in this package is built on top of these primitives.
+Additive Fourier design matrices, the ridge-stabilized least-squares fits of
+a nested model path, their condition checks and correlation matrices. Every
+model selection criterion in this package is built on top of these
+primitives. The per-size fit `ridge_lse` that the tests compare the path fits
+with is in `tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -75,14 +77,6 @@ class UnlabeledSet:
 
 
 @dataclass
-class FittedModel:
-    """One least-squares fit: its coefficients (the model size d is their length) and training loss."""
-
-    alpha: np.ndarray
-    train_loss: float
-
-
-@dataclass
 class ModelPath:
     """The `path_fits` of every size d = 1..d_max on one labeled set, as arrays.
 
@@ -112,23 +106,6 @@ class ModelPath:
         return float(self.losses[d - 1])
 
 
-def _fourier_column(k: int, t: np.ndarray) -> np.ndarray:
-    """k-th Fourier function evaluated elementwise: 1, sqrt(2)cos(pt), sqrt(2)sin(pt)."""
-    if k == 1:
-        return np.ones_like(t)
-    p = k // 2
-    if k % 2 == 0:
-        return SQRT2 * np.cos(p * t)
-    return SQRT2 * np.sin(p * t)
-
-
-def basis_eval(basis: BasisSpec, k: int, t: float) -> float:
-    """Evaluate the k-th basis function at a scalar point."""
-    if k < 1:
-        raise ValueError("basis index k must be >= 1")
-    return float(_fourier_column(k, np.asarray(t, dtype=float)))
-
-
 def build_design(basis: BasisSpec, X, d: int) -> np.ndarray:
     """Design matrix (rows x d) of the size-d additive model over covariate rows X.
 
@@ -143,9 +120,10 @@ def build_design(basis: BasisSpec, X, d: int) -> np.ndarray:
     rows, m = X.shape
     if rows < 1:
         raise ValueError("design requires at least one covariate row")
-    # Column by column the same operations as `_fourier_column(k, X).sum(axis=1)`,
-    # less those that leave every bit as it is: 1 * t, a sum over one coordinate
-    # and each p * t formed twice.
+    # Column by column the same operations as the per-column reference
+    # `_fourier_column(k, X).sum(axis=1)` in tests/reference.py, less those that
+    # leave every bit as it is: 1 * t, a sum over one coordinate and each p * t
+    # formed twice.
     design = np.empty((rows, d))
     design[:, 0] = m
     x = X[:, 0] if m == 1 else X
@@ -158,12 +136,6 @@ def build_design(basis: BasisSpec, X, d: int) -> np.ndarray:
             col *= SQRT2
             design[:, k - 1] = col if m == 1 else col.sum(axis=1)
     return design
-
-
-def predict(basis: BasisSpec, X, alpha: np.ndarray) -> np.ndarray:
-    """Model predictions sum_k alpha_k sum_m phi_k(x_m) for each row of X."""
-    alpha = np.asarray(alpha, dtype=float).reshape(-1)
-    return build_design(basis, X, len(alpha)) @ alpha
 
 
 def condition_numbers(mats) -> np.ndarray:
@@ -236,37 +208,6 @@ def normal_matrix(v: np.ndarray, ridge_lambda: float) -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
-def ridge_lse(phi, y, ridge_lambda: float = DEFAULT_RIDGE) -> FittedModel:
-    """Least squares fit through the ridge-augmented normal equations.
-
-    Solves (Phi^T Phi + n*lambda*I) alpha = Phi^T y with a symmetric
-    (Cholesky) factorization after a condition check. Scaling the penalty by n
-    keeps lambda comparable with the per-row correlation matrix regardless of
-    n. LAPACK's potrf/potrs are called directly, with the arguments scipy's
-    `cho_factor`/`cho_solve` pass them, without that wrapper's per-call cost.
-    """
-    v = np.atleast_2d(np.asarray(phi, dtype=float))
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if v.shape[0] != y.shape[0]:
-        raise ValueError("design rows and response length differ")
-    A = normal_matrix(v, ridge_lambda)
-    check_condition(A, "normal matrix")
-    factor, info = dpotrf(A, lower=1, clean=0)
-    if info:  # pragma: no cover - condition check first
-        raise SingularDesignError(f"normal matrix factorization failed: leading minor {info} not positive definite")
-    alpha = dpotrs(factor, v.T @ y, lower=1)[0]
-    return FittedModel(alpha=alpha, train_loss=empirical_loss(v, y, alpha))
-
-
-def empirical_loss(phi, y, alpha) -> float:
-    """Mean squared residual (1/n) ||y - Phi alpha||^2."""
-    v = np.atleast_2d(np.asarray(phi, dtype=float))
-    y = np.asarray(y, dtype=float).reshape(-1)
-    alpha = np.asarray(alpha, dtype=float).reshape(-1)
-    resid = y - v @ alpha
-    return float(resid @ resid / y.shape[0])
-
-
 def correlation_matrix(phi) -> np.ndarray:
     """Empirical correlation matrix (1/rows) Phi^T Phi, symmetrized."""
     v = np.atleast_2d(np.asarray(phi, dtype=float))
@@ -277,8 +218,8 @@ def correlation_matrix(phi) -> np.ndarray:
 def fit_model_path(data: LabeledSet, basis: BasisSpec, d_max: int, ridge_lambda: float = DEFAULT_RIDGE) -> ModelPath:
     """Fit the LSE for every model size d = 1..d_max on the full labeled set.
 
-    Each fit is `ridge_lse` on the first d design columns, read from one
-    factor (`path_fits`); a size that fails raises SingularDesignError naming it.
+    Each fit is the least-squares fit of the first d design columns, read from
+    one factor (`path_fits`); a size that fails raises SingularDesignError naming it.
     """
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
@@ -315,9 +256,10 @@ def path_fits(design: np.ndarray, y: np.ndarray, ridge_lambda: float):
     W = L^{-1} and z = W V^T y the size-d coefficients are W[:d, :d]^T z[:d],
     the first d entries of the sum of the first d rows of W scaled by z. When
     `interlacing_gate` flags the factor, each size's own normal matrix, of
-    `design[:, :d]` as in `ridge_lse`, is condition-checked. The fits end at the first size that fails its check or
-    that the factorization does not reach. They differ from `ridge_lse` in the
-    last bits only.
+    `design[:, :d]`, is condition-checked. The fits end at the first size that
+    fails its check or that the factorization does not reach. They differ in
+    the last bits only from fitting each size on its own (`ridge_lse` in
+    `tests/reference.py`).
     """
     d_max = design.shape[1]
     normal = normal_matrix(design, ridge_lambda)

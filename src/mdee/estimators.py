@@ -12,7 +12,7 @@ of the training size and combine block-level correlation matrices (for C) and
 block-level inverses (for V); they differ only in which blocks feed each side.
 rmDEE replaces the mean of per-block traces with their median, which survives
 near-singular blocks. The block split for mDEE1 is chosen by the closed-form
-variance-minimizing rule implemented in `select_b1`.
+variance-minimizing rule implemented in `moment_split`.
 
 `dee_trace_path`, `mdee_trace_path` and `rmdee_trace_path` give the traces at
 every model size from one inverse Cholesky factor at the largest size: the
@@ -22,14 +22,15 @@ which its factorization stops, the limit of Tr(C_plus C_b^{-1}) as C_b turns
 singular: the mean over blocks is then +inf and the median may stay finite.
 `dee_trace`, `mdee_trace` and `rmdee_trace` compute one size from a size-d
 solve or LU inverses and are their references; the block references apply the
-same rule to a block whose inverse does not exist.
+same rule to a block whose inverse does not exist. The per-d risk estimates
+built on them, `dee`, `mdee`, `rmdee` and the split `select_b1`, which form
+each size's matrices on their own, are in `tests/reference.py`.
 """
 
 from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dtrtri
@@ -38,9 +39,7 @@ from .core import (
     COND_LIMIT,
     DEFAULT_RIDGE,
     BasisSpec,
-    ModelPath,
     SingularDesignError,
-    UnlabeledSet,
     build_design,
     check_condition,
     condition_numbers,
@@ -57,33 +56,11 @@ class CriterionKind(enum.Enum):
     RMDEE = "rmDEE"
 
 
-@dataclass
-class CorrectionEstimate:
-    """One criterion evaluation at model size d.
-
-    `factor` is (1 + tr_H/n)/(1 - d/n) and `risk` is factor times the model's
-    training loss. `flagged_blocks` lists block indices whose jittered
-    correlation matrix had condition number above the singularity limit.
-    """
-
-    d: int
-    tr_H: float
-    factor: float
-    risk: float
-    flagged_blocks: tuple[int, ...] = ()
-
-
 def correction_factor(tr_h: float, n: int, d: int) -> float:
     """Multiplicative bias correction (1 + tr_h/n) / (1 - d/n)."""
     if d >= n:
         raise ValueError(f"correction factor undefined for d={d} >= n={n}")
     return (1.0 + tr_h / n) / (1.0 - d / n)
-
-
-def _estimate(path: ModelPath, tr: float, n: int, d: int, flagged: tuple[int, ...] = ()) -> CorrectionEstimate:
-    """The estimate at size d for trace tr: the training loss times `correction_factor`."""
-    factor = correction_factor(tr, n, d)
-    return CorrectionEstimate(d=d, tr_H=tr, factor=factor, risk=factor * path.train_loss(d), flagged_blocks=flagged)
 
 
 def flagged_blocks(corrs: np.ndarray, ridge: float, check=None) -> tuple[int, ...]:
@@ -199,23 +176,6 @@ def dee_trace_path(factor: np.ndarray, c_tilde: np.ndarray) -> np.ndarray:
     return np.cumsum(quadratic_forms(factor, c_tilde))
 
 
-def dee(
-    path: ModelPath,
-    labeled_X,
-    unlabeled: UnlabeledSet,
-    d: int,
-    ridge: float = DEFAULT_RIDGE,
-) -> CorrectionEstimate:
-    """DEE risk estimate: tr_H = Tr(C_hat^{-1} C_tilde) over all unlabeled rows."""
-    labeled_X = np.atleast_2d(np.asarray(labeled_X, dtype=float))
-    if unlabeled.n < 1:
-        raise ValueError("DEE requires at least one unlabeled row")
-    n = labeled_X.shape[0]
-    c_hat = correlation_matrix(build_design(path.basis, labeled_X, d))
-    c_tilde = correlation_matrix(build_design(path.basis, unlabeled.X, d))
-    return _estimate(path, dee_trace(c_hat, c_tilde, ridge), n, d)
-
-
 def estimate_C_plus(rows, basis: BasisSpec, d: int) -> np.ndarray:
     """Empirical correlation matrix of basis features over the given rows."""
     return correlation_matrix(build_design(basis, rows, d))
@@ -278,20 +238,6 @@ def mdee_trace_path(
     return traces
 
 
-def mdee(
-    path: ModelPath,
-    blocks: np.ndarray,
-    variant: CriterionKind,
-    b1: int | None,
-    d: int,
-    ridge: float = DEFAULT_RIDGE,
-) -> CorrectionEstimate:
-    """Block-partitioned risk estimate for one of the mDEE variants."""
-    corrs = block_corr_stack(blocks, path.basis, d)
-    tr, flagged = mdee_trace(corrs, variant, b1, ridge)
-    return _estimate(path, tr, blocks.shape[1], d, flagged)
-
-
 def rmdee_trace(
     block_corrs: np.ndarray,
     labeled: np.ndarray | None,
@@ -331,22 +277,6 @@ def rmdee_trace_path(corrs: np.ndarray, factors: tuple[np.ndarray, np.ndarray], 
     return np.median(traces, axis=0)
 
 
-def rmdee(
-    path: ModelPath,
-    blocks: np.ndarray,
-    labeled_X,
-    d: int,
-    ridge: float = DEFAULT_RIDGE,
-) -> CorrectionEstimate:
-    """Robust mDEE: median of per-block traces instead of their mean.
-
-    The labeled covariates enter the median as block 0.
-    """
-    corrs = block_corr_stack(blocks, path.basis, d)
-    tr, flagged = rmdee_trace(corrs, estimate_C_plus(labeled_X, path.basis, d), ridge)
-    return _estimate(path, tr, blocks.shape[1], d, flagged)
-
-
 def continuous_split(a1: float, a2: float, n_blocks: int) -> float:
     """Continuous minimizer of a1/B1 + a2/(B - B1) on (0, B).
 
@@ -373,37 +303,23 @@ def optimal_split(a1: float, a2: float, n_blocks: int) -> int:
     return min(candidates, key=lambda b: (a1 / b + a2 / (n_blocks - b), b))
 
 
-def select_b1(
-    blocks: np.ndarray,
-    basis: BasisSpec,
-    d: int,
-    ridge: float = DEFAULT_RIDGE,
-) -> tuple[int, float, float]:
-    """Variance-minimizing block split for mDEE1, as (B1, a1, a2).
+def moment_split(corrs: np.ndarray, invs: np.ndarray) -> tuple[int, float, float]:
+    """Variance-minimizing block split for mDEE1, as (B1, a1, a2), from a (B, d, d) stack and its inverses.
 
-    Estimates the moment quantities of the vectorized block correlation
-    matrices (mu) and their inverses (nu) across all B blocks, assembles
+    `corrs` holds the block correlation matrices and `invs` their jittered
+    inverses. From the moment quantities of the vectorized matrices (mu) and
+    inverses (nu) across all B blocks it assembles
 
         a1 = Tr(Var(mu) Var(nu))/B + Tr(Var(mu) nu nu^T)
         a2 = Tr(Var(mu) Var(nu))/B + Tr(Var(nu) mu mu^T)
 
     with the plug-ins mu ~ mu_bar, nu ~ nu_bar, and returns them with the
-    integer B1 minimizing a1/B1 + a2/(B - B1). The trace quantities are computed from
-    centered vectors without materializing any d^2 x d^2 matrix:
+    integer B1 minimizing a1/B1 + a2/(B - B1). The trace quantities come from
+    centered vectors u_b, v_b without materializing any d^2 x d^2 matrix:
 
         Tr(Var(mu) Var(nu)) = sum_{b,b'} (u_b^T v_b')^2 / (B-1)^2
         Tr(Var(mu) nu nu^T) = sum_b (u_b^T nu_bar)^2 / (B-1)
         Tr(Var(nu) mu mu^T) = sum_b (v_b^T mu_bar)^2 / (B-1)
-    """
-    if len(blocks) < 2:
-        raise ValueError("cannot split fewer than two blocks")
-    corrs = block_corr_stack(blocks, basis, d)
-    invs, _ = invert_blocks(corrs, ridge)
-    return moment_split(corrs, invs)
-
-
-def moment_split(corrs: np.ndarray, invs: np.ndarray) -> tuple[int, float, float]:
-    """`select_b1` from the (B, d, d) block correlation stack and its jittered inverses.
 
     A coordinate with the same value in every block centers to exactly 0: the
     mean of B equal values can differ from them in the last bit, and at d = 1,

@@ -24,7 +24,6 @@ from . import __version__, baselines, datagen, estimators, ingest
 from .core import (
     DEFAULT_RIDGE,
     BasisSpec,
-    FittedModel,
     LabeledSet,
     ModelPath,
     SingularDesignError,
@@ -34,7 +33,6 @@ from .core import (
     correlation_matrix,
     fit_design_path,
     interlacing_gate,
-    predict,
 )
 from .estimators import CriterionKind
 
@@ -168,12 +166,6 @@ class CriterionSummary:
     median: float
     iqr: float
     n_trials: int
-
-
-def test_error(model: FittedModel, test: LabeledSet, basis: BasisSpec) -> float:
-    """Mean squared prediction error on the test set."""
-    resid = test.y - predict(basis, test.X, model.alpha)
-    return float(resid @ resid / test.n)
 
 
 def regret(test_errors, chosen: int) -> float:
@@ -405,7 +397,7 @@ CRITERIA = {
 
 
 def path_test_errors(path: ModelPath, test: LabeledSet) -> list[float]:
-    """`test_error` of every model on the path, from one d_max test design."""
+    """Mean squared prediction error on the test set of every model on the path, from one d_max test design."""
     design = build_design(path.basis, test.X, path.d_max)
     resids = [test.y - design[:, :d] @ path.alpha(d) for d in range(1, path.d_max + 1)]
     return [float(resid @ resid / test.n) for resid in resids]
@@ -647,6 +639,13 @@ def _as_list(value) -> list:
     return value if isinstance(value, list) else [value]
 
 
+def _whole(value, key: str) -> int:
+    """An integer setting; a boolean, a fraction or a non-number raises ValueError naming `key`."""
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _check_keys(section: dict, name: str) -> None:
     unknown = sorted(str(k) for k in section if k not in CONFIG_KEYS[name])
     if unknown:
@@ -674,11 +673,11 @@ def load_config(path) -> ExperimentConfig:
         _check_keys(section, "synthetic")
         scenario = SyntheticScenario(
             target=section["target"],
-            n_values=[int(v) for v in _as_list(section["n"])],
+            n_values=[_whole(v, "n") for v in _as_list(section["n"])],
             noise_vars=[float(v) for v in _as_list(section["noise_var"])],
             covariate_var=float(section.get("covariate_var", 1.0)),
-            n_unlabeled=int(section.get("n_unlabeled", 1500)),
-            n_test=int(section.get("n_test", 1000)),
+            n_unlabeled=_whole(section.get("n_unlabeled", 1500), "n_unlabeled"),
+            n_test=_whole(section.get("n_test", 1000), "n_test"),
         )
     elif kind == "real":
         section = raw.get("real")
@@ -695,8 +694,8 @@ def load_config(path) -> ExperimentConfig:
         )
         scenario = RealScenario(
             manifest=manifest,
-            n_values=[int(v) for v in _as_list(section["n"])],
-            n_unlabeled=int(section["n_unlabeled"]),
+            n_values=[_whole(v, "n") for v in _as_list(section["n"])],
+            n_unlabeled=_whole(section["n_unlabeled"], "n_unlabeled"),
             standardize=bool(section.get("standardize", True)),
         )
     else:
@@ -706,10 +705,10 @@ def load_config(path) -> ExperimentConfig:
         scenario=scenario,
         # missing keys fall through to validate(), which names them
         criteria=[str(c) for c in raw.get("criteria") or []],
-        repetitions=int(raw.get("repetitions", 0)),
-        d_max=None if d_max in ("auto", None) else int(d_max),
+        repetitions=_whole(raw.get("repetitions", 0), "repetitions"),
+        d_max=None if d_max in ("auto", None) else _whole(d_max, "d_max"),
         ridge=float(raw.get("ridge", DEFAULT_RIDGE)),
-        master_seed=int(raw.get("master_seed", 0)),
+        master_seed=_whole(raw.get("master_seed", 0), "master_seed"),
         output_dir=str(raw.get("output_dir", "results")),
     )
 

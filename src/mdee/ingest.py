@@ -45,6 +45,9 @@ class SplitSpec:
 
 def _resolve_columns(manifest: DatasetManifest, header: list[str] | None) -> tuple[list[int], int]:
     def resolve(col):
+        # a bool is an int to isinstance, and a negative index would count from the row's end
+        if isinstance(col, bool) or isinstance(col, int) and col < 0:
+            raise ValueError(f"{manifest.name}: column {col!r} is not a zero-based column index")
         if isinstance(col, int):
             return col
         if header is None:
@@ -58,6 +61,8 @@ def _resolve_columns(manifest: DatasetManifest, header: list[str] | None) -> tup
 
     cov_idx = [resolve(c) for c in manifest.covariate_columns]
     resp_idx = resolve(manifest.response_column)
+    if len(set(cov_idx)) < len(cov_idx):
+        raise ValueError(f"{manifest.name}: covariate_columns {manifest.covariate_columns} name a column twice")
     if resp_idx in cov_idx:
         raise ValueError("response column cannot also be a covariate")
     return cov_idx, resp_idx

@@ -1,0 +1,267 @@
+"""Per-d reference routes that the tests compare the production routes with.
+
+The package scores every model size of a criterion at once
+(`harness.CRITERIA`). The routes here take one size d at a time, as the
+estimators are defined: they build the size-d designs, fit each size by its
+own `ridge_lse` solve and invert block matrices by LU. Only tests call them,
+so they live beside the tests and not in the shipped package. Import them as
+`from reference import ...`; pytest puts this directory on the path. Import
+`test_error` under another name, or pytest collects it as a test.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
+
+from mdee.baselines import RHO_FLOOR, _folds
+from mdee.core import (
+    DEFAULT_RIDGE,
+    SQRT2,
+    BasisSpec,
+    LabeledSet,
+    ModelPath,
+    SingularDesignError,
+    UnlabeledSet,
+    build_design,
+    check_condition,
+    correlation_matrix,
+    normal_matrix,
+)
+from mdee.estimators import (
+    CriterionKind,
+    block_corr_stack,
+    correction_factor,
+    dee_trace,
+    estimate_C_plus,
+    invert_blocks,
+    mdee_trace,
+    moment_split,
+    rmdee_trace,
+)
+
+
+@dataclass
+class FittedModel:
+    """One least-squares fit: its coefficients (the model size d is their length) and training loss."""
+
+    alpha: np.ndarray
+    train_loss: float
+
+
+def _fourier_column(k: int, t: np.ndarray) -> np.ndarray:
+    """k-th Fourier function evaluated elementwise: 1, sqrt(2)cos(pt), sqrt(2)sin(pt)."""
+    if k == 1:
+        return np.ones_like(t)
+    p = k // 2
+    if k % 2 == 0:
+        return SQRT2 * np.cos(p * t)
+    return SQRT2 * np.sin(p * t)
+
+
+def basis_eval(basis: BasisSpec, k: int, t: float) -> float:
+    """Evaluate the k-th basis function at a scalar point."""
+    if k < 1:
+        raise ValueError("basis index k must be >= 1")
+    return float(_fourier_column(k, np.asarray(t, dtype=float)))
+
+
+def predict(basis: BasisSpec, X, alpha: np.ndarray) -> np.ndarray:
+    """Model predictions sum_k alpha_k sum_m phi_k(x_m) for each row of X."""
+    alpha = np.asarray(alpha, dtype=float).reshape(-1)
+    return build_design(basis, X, len(alpha)) @ alpha
+
+
+def ridge_lse(phi, y, ridge_lambda: float = DEFAULT_RIDGE) -> FittedModel:
+    """Least squares fit through the ridge-augmented normal equations.
+
+    Solves (Phi^T Phi + n*lambda*I) alpha = Phi^T y with a symmetric
+    (Cholesky) factorization after a condition check. Scaling the penalty by n
+    keeps lambda comparable with the per-row correlation matrix regardless of
+    n. LAPACK's potrf/potrs are called directly, with the arguments scipy's
+    `cho_factor`/`cho_solve` pass them, without that wrapper's per-call cost.
+    """
+    v = np.atleast_2d(np.asarray(phi, dtype=float))
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if v.shape[0] != y.shape[0]:
+        raise ValueError("design rows and response length differ")
+    A = normal_matrix(v, ridge_lambda)
+    check_condition(A, "normal matrix")
+    factor, info = dpotrf(A, lower=1, clean=0)
+    if info:  # pragma: no cover - condition check first
+        raise SingularDesignError(f"normal matrix factorization failed: leading minor {info} not positive definite")
+    alpha = dpotrs(factor, v.T @ y, lower=1)[0]
+    return FittedModel(alpha=alpha, train_loss=empirical_loss(v, y, alpha))
+
+
+def empirical_loss(phi, y, alpha) -> float:
+    """Mean squared residual (1/n) ||y - Phi alpha||^2."""
+    v = np.atleast_2d(np.asarray(phi, dtype=float))
+    y = np.asarray(y, dtype=float).reshape(-1)
+    alpha = np.asarray(alpha, dtype=float).reshape(-1)
+    resid = y - v @ alpha
+    return float(resid @ resid / y.shape[0])
+
+
+@dataclass
+class CorrectionEstimate:
+    """One criterion evaluation at model size d.
+
+    `factor` is (1 + tr_H/n)/(1 - d/n) and `risk` is factor times the model's
+    training loss. `flagged_blocks` lists block indices whose jittered
+    correlation matrix had condition number above the singularity limit.
+    """
+
+    d: int
+    tr_H: float
+    factor: float
+    risk: float
+    flagged_blocks: tuple[int, ...] = ()
+
+
+def _estimate(path: ModelPath, tr: float, n: int, d: int, flagged: tuple[int, ...] = ()) -> CorrectionEstimate:
+    """The estimate at size d for trace tr: the training loss times `correction_factor`."""
+    factor = correction_factor(tr, n, d)
+    return CorrectionEstimate(d=d, tr_H=tr, factor=factor, risk=factor * path.train_loss(d), flagged_blocks=flagged)
+
+
+def dee(
+    path: ModelPath,
+    labeled_X,
+    unlabeled: UnlabeledSet,
+    d: int,
+    ridge: float = DEFAULT_RIDGE,
+) -> CorrectionEstimate:
+    """DEE risk estimate: tr_H = Tr(C_hat^{-1} C_tilde) over all unlabeled rows."""
+    labeled_X = np.atleast_2d(np.asarray(labeled_X, dtype=float))
+    if unlabeled.n < 1:
+        raise ValueError("DEE requires at least one unlabeled row")
+    n = labeled_X.shape[0]
+    c_hat = correlation_matrix(build_design(path.basis, labeled_X, d))
+    c_tilde = correlation_matrix(build_design(path.basis, unlabeled.X, d))
+    return _estimate(path, dee_trace(c_hat, c_tilde, ridge), n, d)
+
+
+def mdee(
+    path: ModelPath,
+    blocks: np.ndarray,
+    variant: CriterionKind,
+    b1: int | None,
+    d: int,
+    ridge: float = DEFAULT_RIDGE,
+) -> CorrectionEstimate:
+    """Block-partitioned risk estimate for one of the mDEE variants."""
+    corrs = block_corr_stack(blocks, path.basis, d)
+    tr, flagged = mdee_trace(corrs, variant, b1, ridge)
+    return _estimate(path, tr, blocks.shape[1], d, flagged)
+
+
+def rmdee(
+    path: ModelPath,
+    blocks: np.ndarray,
+    labeled_X,
+    d: int,
+    ridge: float = DEFAULT_RIDGE,
+) -> CorrectionEstimate:
+    """Robust mDEE: median of per-block traces instead of their mean.
+
+    The labeled covariates enter the median as block 0.
+    """
+    corrs = block_corr_stack(blocks, path.basis, d)
+    tr, flagged = rmdee_trace(corrs, estimate_C_plus(labeled_X, path.basis, d), ridge)
+    return _estimate(path, tr, blocks.shape[1], d, flagged)
+
+
+def select_b1(
+    blocks: np.ndarray,
+    basis: BasisSpec,
+    d: int,
+    ridge: float = DEFAULT_RIDGE,
+) -> tuple[int, float, float]:
+    """Variance-minimizing block split for mDEE1, as (B1, a1, a2).
+
+    Estimates the moment quantities of the vectorized block correlation
+    matrices (mu) and their inverses (nu) across all B blocks, assembles
+
+        a1 = Tr(Var(mu) Var(nu))/B + Tr(Var(mu) nu nu^T)
+        a2 = Tr(Var(mu) Var(nu))/B + Tr(Var(nu) mu mu^T)
+
+    with the plug-ins mu ~ mu_bar, nu ~ nu_bar, and returns them with the
+    integer B1 minimizing a1/B1 + a2/(B - B1). The trace quantities are computed from
+    centered vectors without materializing any d^2 x d^2 matrix:
+
+        Tr(Var(mu) Var(nu)) = sum_{b,b'} (u_b^T v_b')^2 / (B-1)^2
+        Tr(Var(mu) nu nu^T) = sum_b (u_b^T nu_bar)^2 / (B-1)
+        Tr(Var(nu) mu mu^T) = sum_b (v_b^T mu_bar)^2 / (B-1)
+    """
+    if len(blocks) < 2:
+        raise ValueError("cannot split fewer than two blocks")
+    corrs = block_corr_stack(blocks, basis, d)
+    invs, _ = invert_blocks(corrs, ridge)
+    return moment_split(corrs, invs)
+
+
+def kfold_cv(
+    data: LabeledSet,
+    basis: BasisSpec,
+    d: int,
+    k: int = 5,
+    ridge_lambda: float = DEFAULT_RIDGE,
+    seed: int = 0,
+) -> float:
+    """Average held-out MSE over a seeded random k-fold partition.
+
+    Fold sizes differ by at most one row. Using the same seed for every d
+    keeps the partition shared across the model path. A fold that fails to
+    fit yields the +inf sentinel.
+    """
+    design, y = build_design(basis, data.X, d), data.y
+    fold_errors = []
+    for held in _folds(data.n, k, seed):
+        mask = np.ones(data.n, dtype=bool)
+        mask[held] = False
+        try:
+            fit = ridge_lse(design[mask], y[mask], ridge_lambda)
+        except SingularDesignError:
+            return math.inf
+        resid = y[held] - design[held] @ fit.alpha
+        fold_errors.append(float(resid @ resid / held.size))
+    return float(np.mean(fold_errors))
+
+
+def adj(path: ModelPath, labeled_X, unlabeled: UnlabeledSet, d: int) -> float:
+    """Metric-based adjustment of the training loss.
+
+    Multiplies L_D(d) by the worst ratio of unlabeled to labeled RMS
+    prediction distance between f_d and each smaller model f_j. Ratios whose
+    labeled distance falls below RHO_FLOOR are skipped; with no usable ratio
+    (in particular at d = 1) the factor is 1.
+    """
+    loss = path.train_loss(d)
+    if d == 1:
+        return loss
+    design_l = build_design(path.basis, np.atleast_2d(np.asarray(labeled_X, dtype=float)), d)
+    design_u = build_design(path.basis, unlabeled.X, d)
+    pred_l_d = design_l @ path.alpha(d)
+    pred_u_d = design_u @ path.alpha(d)
+    ratios = []
+    for j in range(1, d):
+        alpha_j = path.alpha(j)
+        diff_l = design_l[:, :j] @ alpha_j - pred_l_d
+        diff_u = design_u[:, :j] @ alpha_j - pred_u_d
+        rho_l = math.sqrt(float(np.mean(diff_l**2)))
+        if rho_l < RHO_FLOOR:
+            continue
+        rho_u = math.sqrt(float(np.mean(diff_u**2)))
+        ratios.append(rho_u / rho_l)
+    factor = max(ratios) if ratios else 1.0
+    return loss * factor
+
+
+def test_error(model: FittedModel, test: LabeledSet, basis: BasisSpec) -> float:
+    """Mean squared prediction error on the test set."""
+    resid = test.y - predict(basis, test.X, model.alpha)
+    return float(resid @ resid / test.n)

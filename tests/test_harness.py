@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from mdee import __version__, baselines, harness
 from mdee.cli import main
-from mdee.core import BasisSpec, FittedModel, LabeledSet, UnlabeledSet, build_design
+from mdee.core import BasisSpec, LabeledSet, UnlabeledSet, build_design
 from mdee.harness import (
     CRITERIA,
     ExperimentConfig,
@@ -28,8 +28,9 @@ from mdee.harness import (
     write_summary_csv,
     write_trials_csv,
 )
-from mdee.harness import test_error as model_test_error
 from mdee.ingest import DatasetManifest
+from reference import FittedModel
+from reference import test_error as model_test_error
 
 BASIS = BasisSpec("fourier", 1)
 
@@ -451,6 +452,35 @@ class TestConfigFile:
         path.write_text(text)
         with pytest.raises(ValueError, match=rf"missing .*'{key}'.* in {section}"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            (SYNTHETIC_YAML.replace("repetitions: 4", "repetitions: 2.9"), "repetitions"),
+            (SYNTHETIC_YAML.replace("repetitions: 4", "repetitions: true"), "repetitions"),
+            (SYNTHETIC_YAML.replace("master_seed: 17", "master_seed: 1.5"), "master_seed"),
+            (SYNTHETIC_YAML.replace("d_max: auto", "d_max: 7.9"), "d_max"),
+            (SYNTHETIC_YAML.replace("n: [10, 20]", "n: [10.7]"), "n"),
+            (SYNTHETIC_YAML.replace("n: [10, 20]", "n: [10, '20']"), "n"),
+            (SYNTHETIC_YAML.replace("n_unlabeled: 300", "n_unlabeled: 300.5"), "n_unlabeled"),
+            (SYNTHETIC_YAML.replace("n_test: 100", "n_test: false"), "n_test"),
+            (REAL_YAML.replace("n: 20", "n: 20.5"), "n"),
+            (REAL_YAML.replace("n_unlabeled: 50", "n_unlabeled: .inf"), "n_unlabeled"),
+        ],
+        ids=["repetitions", "repetitions bool", "master_seed", "d_max", "n", "n string", "n_unlabeled", "n_test bool",
+             "real n", "real n_unlabeled"],
+    )
+    def test_non_whole_number_rejected(self, tmp_path, text, key):
+        # int() would truncate these: repetitions 2.9 ran 2 repetitions, and true ran 1
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"^{key} must be a whole number"):
+            load_config(path)
+
+    def test_whole_float_accepted(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(SYNTHETIC_YAML.replace("repetitions: 4", "repetitions: 4.0"))
+        assert load_config(path).repetitions == 4
 
     @pytest.mark.parametrize("path", sorted(CONFIGS_DIR.glob("*.yaml")), ids=lambda p: p.name)
     def test_shipped_configs_load(self, path):

@@ -64,6 +64,25 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="cannot also"):
             load_csv(small_manifest(path, covariate_columns=["a", "y"]))
 
+    @pytest.mark.parametrize(
+        "response, covariates, needle",
+        [
+            (-1, [1, 2, 3], "-1 is not a zero-based"),  # -1 would be column 3 again
+            (3, [-4, 1], "-4 is not a zero-based"),
+            (True, [2, 3], "True is not a zero-based"),
+            (0, [False, 2], "False is not a zero-based"),
+            (0, [1, 1], r"\[1, 1\] name a column twice"),
+            (0, ["a", "a"], "name a column twice"),
+            (0, [1, "b"], "name a column twice"),  # column 1 is b
+        ],
+        ids=["negative response", "negative covariate", "bool response", "bool covariate", "repeated index",
+             "repeated name", "index and name"],
+    )
+    def test_bad_column_rejected_naming_manifest(self, tmp_path, response, covariates, needle):
+        path = write_csv(tmp_path, "y,b,c,a\n0,1,2,3\n")
+        with pytest.raises(ValueError, match=f"^toy: .*{needle}"):
+            load_csv(small_manifest(path, response_column=response, covariate_columns=covariates))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_csv(small_manifest(str(tmp_path / "absent.csv")))

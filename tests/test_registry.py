@@ -5,9 +5,10 @@ once at d_max and sliced; the path fit, CV5, DEE and the block criteria read
 every size from one Cholesky factor of the fit, per fold, of the labeled matrix
 or per block, and ADJ reads the pool side from a triangular factor of the
 pool design.
-`dee`, `mdee`, `rmdee`, `kfold_cv`, `adj`, `ridge_lse` and `test_error` rebuild
-every design at size d, and `invert_blocks` checks every block's condition and
-takes its LU inverse at every d. Both routes must agree exactly on the
+The per-d references in `reference.py`, `dee`, `mdee`, `rmdee`, `kfold_cv`,
+`adj`, `ridge_lse` and `test_error`, rebuild every design at size d, and the
+package's `invert_blocks` checks every block's condition and takes its LU
+inverse at every d. Both routes must agree exactly on the
 flagged-block count and on where the risk is undefined or infinite. CV5, DEE
 and the block criteria agree within `prefix_bound`, ADJ within `adj_bound` and
 the path fit within `fit_bounds`. A block criterion's risk is None
@@ -32,11 +33,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdee import estimators, harness
-from mdee.baselines import RHO_FLOOR, _folds, adj, adj_path, kfold_cv, kfold_cv_path
+from mdee.baselines import RHO_FLOOR, _folds, adj_path, kfold_cv_path
 from mdee.core import (
     COND_LIMIT,
     BasisSpec,
-    FittedModel,
     LabeledSet,
     ModelPath,
     SingularDesignError,
@@ -49,20 +49,15 @@ from mdee.core import (
     interlacing_gate,
     inverse_factor,
     normal_matrix,
-    ridge_lse,
 )
 from mdee.estimators import (
     CriterionKind,
     block_corr_stack,
     block_sides,
-    dee,
     dee_trace,
     invert_blocks,
-    mdee,
     mdee_trace,
-    rmdee,
     rmdee_trace,
-    select_b1,
 )
 from mdee.harness import (
     CRITERIA,
@@ -72,7 +67,8 @@ from mdee.harness import (
     evaluate_trial,
     path_test_errors,
 )
-from mdee.harness import test_error as model_test_error
+from reference import FittedModel, adj, dee, kfold_cv, mdee, rmdee, ridge_lse, select_b1
+from reference import test_error as model_test_error
 
 BLOCK_VARIANTS = {
     "mDEE1": CriterionKind.MDEE1,
