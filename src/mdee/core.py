@@ -120,21 +120,31 @@ def build_design(basis: BasisSpec, X, d: int) -> np.ndarray:
     rows, m = X.shape
     if rows < 1:
         raise ValueError("design requires at least one covariate row")
-    # Column by column the same operations as the per-column reference
-    # `_fourier_column(k, X).sum(axis=1)` in tests/reference.py, less those that
-    # leave every bit as it is: 1 * t, a sum over one coordinate and each p * t
-    # formed twice.
     design = np.empty((rows, d))
     design[:, 0] = m
     x = X[:, 0] if m == 1 else X
-    for p in range(1, d // 2 + 1):
-        t = x if p == 1 else p * x
-        for k, trig in ((2 * p, np.cos), (2 * p + 1, np.sin)):
-            if k > d:
-                break
-            col = trig(t)
+    if d <= 3:
+        # The bits of the per-column reference (`fourier_design` in
+        # tests/reference.py), one temporary per column: the oracle's d = 3
+        # designs come in 100k-row chunks, which holding cos t and sin t as
+        # below would grow by two arrays each.
+        for k, trig in ((2, np.cos), (3, np.sin))[: d - 1]:
+            col = trig(x)
             col *= SQRT2
             design[:, k - 1] = col if m == 1 else col.sum(axis=1)
+        return design
+    # The p = 1 columns as above; for p >= 2, sqrt(2) (cos pt, sin pt) is the
+    # p - 1 pair rotated by t (angle addition), one rotation per pair instead of
+    # a cos and a sin. Each rotation adds a few eps of error, so the columns of
+    # frequency p differ from the reference by O(p eps) (README, Notes on numerics).
+    cos1, sin1 = np.cos(x), np.sin(x)
+    cos_p, sin_p = cos1 * SQRT2, sin1 * SQRT2
+    for p in range(1, d // 2 + 1):
+        if p > 1:
+            cos_p, sin_p = cos_p * cos1 - sin_p * sin1, sin_p * cos1 + cos_p * sin1
+        design[:, 2 * p - 1] = cos_p if m == 1 else cos_p.sum(axis=1)
+        if 2 * p < d:
+            design[:, 2 * p] = sin_p if m == 1 else sin_p.sum(axis=1)
     return design
 
 

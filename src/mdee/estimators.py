@@ -141,7 +141,7 @@ def quadratic_forms(factors: np.ndarray, c_plus: np.ndarray) -> np.ndarray:
 
 def design_corrs(designs: np.ndarray) -> np.ndarray:
     """Per-block empirical correlation matrices of a (B, n, d) stack of block designs, as a (B, d, d) stack."""
-    corrs = np.einsum("bij,bik->bjk", designs, designs) / designs.shape[1]
+    corrs = np.swapaxes(designs, 1, 2) @ designs / designs.shape[1]
     return 0.5 * (corrs + np.swapaxes(corrs, 1, 2))
 
 

@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import platform
+import re
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from pathlib import Path
@@ -646,6 +647,29 @@ def _whole(value, key: str) -> int:
     return int(value)
 
 
+# PyYAML reads YAML 1.1, where a float needs a decimal point: 1e-9 loads as a string.
+_EXPONENT_FORM = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
+
+
+def _real(value, key: str) -> float:
+    """A real-valued setting; a boolean or a non-number raises ValueError naming `key`.
+
+    A number in exponent form without a decimal point (1e-9), which YAML 1.1 leaves a string, is read as a number.
+    """
+    if isinstance(value, str) and _EXPONENT_FORM.fullmatch(value):
+        return float(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _flag(value, key: str) -> bool:
+    """A yes/no setting; anything but a YAML boolean (a quoted "false" included) raises ValueError naming `key`."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def _check_keys(section: dict, name: str) -> None:
     unknown = sorted(str(k) for k in section if k not in CONFIG_KEYS[name])
     if unknown:
@@ -674,8 +698,8 @@ def load_config(path) -> ExperimentConfig:
         scenario = SyntheticScenario(
             target=section["target"],
             n_values=[_whole(v, "n") for v in _as_list(section["n"])],
-            noise_vars=[float(v) for v in _as_list(section["noise_var"])],
-            covariate_var=float(section.get("covariate_var", 1.0)),
+            noise_vars=[_real(v, "noise_var") for v in _as_list(section["noise_var"])],
+            covariate_var=_real(section.get("covariate_var", 1.0), "covariate_var"),
             n_unlabeled=_whole(section.get("n_unlabeled", 1500), "n_unlabeled"),
             n_test=_whole(section.get("n_test", 1000), "n_test"),
         )
@@ -690,13 +714,13 @@ def load_config(path) -> ExperimentConfig:
             response_column=section["response_column"],
             covariate_columns=list(section["covariate_columns"]),
             delimiter=section.get("delimiter", ","),
-            has_header=bool(section.get("has_header", True)),
+            has_header=_flag(section.get("has_header", True), "has_header"),
         )
         scenario = RealScenario(
             manifest=manifest,
             n_values=[_whole(v, "n") for v in _as_list(section["n"])],
             n_unlabeled=_whole(section["n_unlabeled"], "n_unlabeled"),
-            standardize=bool(section.get("standardize", True)),
+            standardize=_flag(section.get("standardize", True), "standardize"),
         )
     else:
         raise ValueError("config needs scenario: synthetic or real")
@@ -707,7 +731,7 @@ def load_config(path) -> ExperimentConfig:
         criteria=[str(c) for c in raw.get("criteria") or []],
         repetitions=_whole(raw.get("repetitions", 0), "repetitions"),
         d_max=None if d_max in ("auto", None) else _whole(d_max, "d_max"),
-        ridge=float(raw.get("ridge", DEFAULT_RIDGE)),
+        ridge=_real(raw.get("ridge", DEFAULT_RIDGE), "ridge"),
         master_seed=_whole(raw.get("master_seed", 0), "master_seed"),
         output_dir=str(raw.get("output_dir", "results")),
     )

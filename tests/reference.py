@@ -69,6 +69,17 @@ def basis_eval(basis: BasisSpec, k: int, t: float) -> float:
     return float(_fourier_column(k, np.asarray(t, dtype=float)))
 
 
+def fourier_design(basis: BasisSpec, X, d: int) -> np.ndarray:
+    """`core.build_design` column by column: a cos or sin of p * t per column, summed over coordinates."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    return np.column_stack([_fourier_column(k, X).sum(axis=1) for k in range(1, d + 1)])
+
+
+def block_corrs(designs: np.ndarray) -> np.ndarray:
+    """`estimators.design_corrs` block by block, one `core.correlation_matrix` per (n, d) block design."""
+    return np.stack([correlation_matrix(design) for design in designs])
+
+
 def predict(basis: BasisSpec, X, alpha: np.ndarray) -> np.ndarray:
     """Model predictions sum_k alpha_k sum_m phi_k(x_m) for each row of X."""
     alpha = np.asarray(alpha, dtype=float).reshape(-1)

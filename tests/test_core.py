@@ -20,10 +20,58 @@ from mdee.core import (
     normal_matrix,
 )
 from mdee.estimators import design_corrs, inverse_factors
-from reference import _fourier_column, basis_eval, empirical_loss, predict, ridge_lse
+from reference import basis_eval, block_corrs, empirical_loss, fourier_design, predict, ridge_lse
 
 BASIS = BasisSpec("fourier", 1)
 SQRT2 = np.sqrt(2.0)
+
+
+# (rows, M, d) of the test, pool and oracle designs the package builds
+DESIGN_CASES = [(10000, 1, 3), (1500, 1, 23), (1000, 1, 23), (1300, 7, 7), (50, 7, 7), (20, 3, 9), (30, 2, 1), (30, 2, 2)]
+
+# numpy's float64 cos and sin are within one ulp, a relative error of at most eps
+LIBM_ULPS = 1
+
+
+def designs(rows, m, d):
+    """(basis, X, build_design) on random, discrete duplicated and non-contiguous covariates."""
+    rng = np.random.default_rng(rows + m + d)
+    basis = BasisSpec("fourier", m)
+    for X in (
+        rng.normal(size=(rows, m)),
+        rng.integers(0, 3, size=(rows, m)) * 0.7,
+        rng.normal(size=(rows, 2 * m))[:, ::2],  # not contiguous
+    ):
+        yield basis, X, build_design(basis, X, d)
+
+
+def recurrence_bound(X, d):
+    """Per-entry bound on |build_design - fourier_design|, from the rounding of both routes (first order in eps).
+
+    Column k holds sqrt(2) cos(pt) or sqrt(2) sin(pt) with p = k // 2 summed
+    over the M coordinates t. Per coordinate, with u = eps / 2 and libm's
+    cos and sin within g = 2 LIBM_ULPS units u:
+    - the recurrence starts from the reference's p = 1 pair, off the exact
+      one by at most sqrt(2) (g + 2) u (cos t or sin t, the rounded sqrt(2)
+      and the product), and each of its p - 1 rotations by the computed
+      (cos t, sin t) adds at most (4 + sqrt(2) g) u to the pair's 2-norm
+      error: 2 sqrt(2) u per entry for two products and a sum of terms of a
+      vector of norm sqrt(2), plus sqrt(2) g u from the rotation's own
+      entries (Higham, Accuracy and Stability of Numerical Algorithms);
+    - the reference rounds p * t, by at most p |t| u, and then cos or sin,
+      sqrt(2) and the product as above.
+    In units of sqrt(2) eps that is (p - 1)(sqrt(2) + g / 2) + g + 2 + p |t| / 2
+    per coordinate. The two sums over M coordinates, in the same order, each
+    round by at most (M - 1) u times the sum of M terms of size sqrt(2), M (M - 1)
+    units together. For p >= 2 the bound is at most c p M sqrt(2) eps with
+    c = 3.2 + max |t| / 2 + (M - 1) / p.
+    """
+    eps = np.finfo(float).eps
+    g = 2 * LIBM_ULPS
+    p = np.arange(1, d + 1) // 2
+    m = X.shape[1]
+    per_coordinate = m * ((p - 1) * (SQRT2 + g / 2) + g + 2) + p * np.abs(X).sum(axis=1, keepdims=True) / 2
+    return np.where(p >= 2, SQRT2 * eps * (per_coordinate + m * (m - 1)), 0.0)
 
 
 class TestBasisEval:
@@ -73,23 +121,23 @@ class TestBuildDesign:
         design = build_design(basis3, X, 5)
         np.testing.assert_allclose(design[:, 0], 3.0)
 
-    # (rows, M, d) of the test, pool and oracle designs the package builds
-    @pytest.mark.parametrize(
-        "rows, m, d",
-        [(10000, 1, 3), (1500, 1, 23), (1000, 1, 23), (1300, 7, 7), (50, 7, 7), (20, 3, 9), (30, 2, 1), (30, 2, 2)],
-    )
+    @pytest.mark.parametrize("rows, m, d", DESIGN_CASES)
     def test_equals_the_per_column_reference_bit_for_bit(self, rows, m, d):
-        rng = np.random.default_rng(rows + m + d)
-        basis = BasisSpec("fourier", m)
-        for X in (
-            rng.normal(size=(rows, m)),
-            rng.integers(0, 3, size=(rows, m)) * 0.7,
-            rng.normal(size=(rows, 2 * m))[:, ::2],  # not contiguous
-        ):
-            want = np.column_stack([_fourier_column(k, X).sum(axis=1) for k in range(1, d + 1)])
-            assert np.array_equal(build_design(basis, X, d), want)
-        i = int(rng.integers(rows))
-        assert build_design(basis, X[i : i + 1], d)[0, d - 1] == sum(basis_eval(basis, d, t) for t in X[i])
+        # a design with d <= 3 is the reference's, and so are the first three columns of every design
+        for basis, X, got in designs(rows, m, d):
+            assert np.array_equal(got[:, :3], fourier_design(basis, X, d)[:, :3])
+        if d <= 3:
+            i = int(np.random.default_rng(rows).integers(rows))
+            assert build_design(basis, X[i : i + 1], d)[0, d - 1] == sum(basis_eval(basis, d, t) for t in X[i])
+
+    @pytest.mark.parametrize("rows, m, d", [case for case in DESIGN_CASES if case[2] > 3])
+    def test_recurrence_columns_within_the_derived_bound(self, rows, m, d):
+        for basis, X, got in designs(rows, m, d):
+            diff = np.abs(got - fourier_design(basis, X, d))
+            assert (diff <= recurrence_bound(X, d)).all()
+        i = int(np.random.default_rng(rows).integers(rows))
+        got = build_design(basis, X[i : i + 1], d)[0, d - 1]
+        assert abs(got - sum(basis_eval(basis, d, t) for t in X[i])) <= recurrence_bound(X[i : i + 1], d)[0, d - 1]
 
     def test_row_permutation_equivariance(self):
         rng = np.random.default_rng(1)
@@ -186,6 +234,31 @@ class TestCorrelationMatrix:
         t = rng.uniform(0.0, 2.0 * np.pi, size=(100_000, 1))
         C = correlation_matrix(build_design(BASIS, t, 5))
         assert np.abs(C - np.eye(5)).max() < 0.02
+
+
+class TestDesignCorrs:
+    @pytest.mark.parametrize("kind", ["gauss", "discrete", "not_contiguous"])
+    @pytest.mark.parametrize("n_blocks, n, m, d", [(150, 10, 1, 8), (75, 20, 1, 15), (30, 50, 1, 23), (4, 7, 3, 9)])
+    def test_equals_per_block_correlation_matrices(self, kind, n_blocks, n, m, d):
+        # One batched product against a correlation_matrix per block: exactly
+        # symmetric, and each entry within 4 eps of the scale (|V|'|V|)_jk / n
+        # at which the rounding of its dot product is measured (bit for bit
+        # with OpenBLAS, which runs the same kernel per block).
+        rng = np.random.default_rng(n_blocks + n + m + d)
+        rows = n_blocks * n
+        if kind == "gauss":
+            X = rng.normal(size=(rows, m))
+        elif kind == "discrete":
+            X = rng.integers(0, 3, size=(rows, m)) * 0.7
+        else:
+            X = rng.normal(size=(rows, 2 * m))[:, ::2]
+        stack = build_design(BasisSpec("fourier", m), X, d).reshape(n_blocks, n, d)
+        if kind == "not_contiguous":
+            stack = stack[:, ::-1]
+        got = design_corrs(stack)
+        assert np.array_equal(got, np.swapaxes(got, 1, 2))
+        scale = np.swapaxes(np.abs(stack), 1, 2) @ np.abs(stack) / n
+        assert (np.abs(got - block_corrs(stack)) <= 4 * np.finfo(float).eps * scale).all()
 
 
 class TestFitModelPath:

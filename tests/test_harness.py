@@ -482,6 +482,49 @@ class TestConfigFile:
         path.write_text(SYNTHETIC_YAML.replace("repetitions: 4", "repetitions: 4.0"))
         assert load_config(path).repetitions == 4
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            (SYNTHETIC_YAML.replace("noise_var: [0.1, 0.3]", "noise_var: [0.1, true]"), "noise_var"),
+            (SYNTHETIC_YAML.replace("noise_var: [0.1, 0.3]", "noise_var: ['0.1']"), "noise_var"),
+            (SYNTHETIC_YAML.replace("covariate_var: 1.0", "covariate_var: one"), "covariate_var"),
+            (SYNTHETIC_YAML + "ridge: false\n", "ridge"),
+            (SYNTHETIC_YAML + "ridge: [1.0e-9]\n", "ridge"),
+        ],
+        ids=["noise_var bool", "noise_var string", "covariate_var", "ridge bool", "ridge list"],
+    )
+    def test_non_number_rejected(self, tmp_path, text, key):
+        # float() would take these: noise_var [0.1, true] ran the noise levels 0.1 and 1.0
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"^{key} must be a number"):
+            load_config(path)
+
+    def test_exponent_without_a_decimal_point_read_as_a_number(self, tmp_path):
+        # YAML 1.1 loads 1e-9 as a string
+        path = tmp_path / "cfg.yaml"
+        path.write_text(SYNTHETIC_YAML.replace("noise_var: [0.1, 0.3]", "noise_var: [1e-1, 3E-1]") + "ridge: 1e-9\n")
+        cfg = load_config(path)
+        assert cfg.scenario.noise_vars == [0.1, 0.3] and cfg.ridge == 1e-9
+
+    @pytest.mark.parametrize(
+        "setting, key",
+        [("has_header: 'false'", "has_header"), ("standardize: 'no'", "standardize"), ("has_header: 0", "has_header")],
+        ids=["has_header string", "standardize string", "has_header number"],
+    )
+    def test_non_boolean_flag_rejected(self, tmp_path, setting, key):
+        # bool() would take these as True: a headerless file then lost its first data row as a header
+        path = tmp_path / "cfg.yaml"
+        path.write_text(REAL_YAML + f"  {setting}\n")
+        with pytest.raises(ValueError, match=rf"^{key} must be true or false"):
+            load_config(path)
+
+    def test_yaml_booleans_read_as_flags(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(REAL_YAML + "  has_header: false\n  standardize: no\n")
+        cfg = load_config(path)
+        assert cfg.scenario.manifest.has_header is False and cfg.scenario.standardize is False
+
     @pytest.mark.parametrize("path", sorted(CONFIGS_DIR.glob("*.yaml")), ids=lambda p: p.name)
     def test_shipped_configs_load(self, path):
         cfg = load_config(path)

@@ -23,8 +23,10 @@ are compared through `scored`, which reads them as per-d (risk, flag count)
 pairs, None where the risk is NaN.
 """
 
+import contextlib
 import math
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -67,7 +69,18 @@ from mdee.harness import (
     evaluate_trial,
     path_test_errors,
 )
-from reference import FittedModel, adj, dee, kfold_cv, mdee, rmdee, ridge_lse, select_b1
+from reference import (
+    FittedModel,
+    adj,
+    block_corrs,
+    dee,
+    fourier_design,
+    kfold_cv,
+    mdee,
+    rmdee,
+    ridge_lse,
+    select_b1,
+)
 from reference import test_error as model_test_error
 
 BLOCK_VARIANTS = {
@@ -1103,3 +1116,77 @@ def test_labeled_factor_is_the_path_fits_factor_scaled(seed):
     jittered = state.jittered(labeled_corr(state, top))
     kappa = float(condition_numbers(jittered))
     np.testing.assert_allclose(got @ jittered @ got.T, np.eye(top), rtol=0, atol=PREFIX_C * top * kappa * EPS)
+
+
+# ---------------------------------------------------------------------------
+# The recurrence design and the batched block correlations against the per-column route
+
+
+def edge_trial(rng):
+    """An ill-conditioned trial: d_max near n, few distinct or identical rows, a pool that may hold no block, tiny ridges."""
+    n, m = int(rng.integers(5, 21)), int(rng.integers(1, 4))
+    kind = rng.choice(["gauss", "discrete", "duplicated", "constant"])
+    pool_rows = int(rng.choice([0, n - 1, n, n + 1, 2 * n + 1, 5 * n + 3]))
+    d_max = int(rng.integers(n - 3, n + 2))
+    ridge = float(10.0 ** -rng.integers(9, 15))
+
+    def rows(count):
+        if kind == "gauss":
+            return rng.normal(size=(count, m))
+        if kind == "constant":
+            return np.full((count, m), 0.7)
+        return rng.integers(0, 3 if kind == "discrete" else 2, size=(count, m)) * 0.7
+
+    train = LabeledSet(X=rows(n), y=rng.normal(size=n))
+    pool = UnlabeledSet(X=rows(pool_rows) if pool_rows else np.empty((0, m)))
+    test = LabeledSet(X=rng.normal(size=(40, m)), y=rng.normal(size=40))
+    return train, pool, test, d_max, config(ridge=ridge, d_max=d_max)
+
+
+def scored_trial(train, pool, test, d_max, cfg, patches):
+    """`evaluate_trial` under `patches` and each criterion's risk path, recorded as the registry returns it."""
+    risks = {}
+
+    def recorded(name, criterion):
+        def score(state):
+            risks[name], flagged = criterion(state)
+            return risks[name], flagged
+
+        return score
+
+    with contextlib.ExitStack() as stack, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the all-infinite fallback to d = 1
+        for patch in [mock.patch.dict(CRITERIA, {name: recorded(name, fn) for name, fn in CRITERIA.items()}), *patches]:
+            stack.enter_context(patch)
+        result = evaluate_trial(0, {"n": train.n}, train, pool, test, d_max, cfg, cv_seed=3)
+    return result, risks
+
+
+def test_edge_set_selections_match_the_per_column_design_route():
+    # The recurrence and batched correlations move the designs and block
+    # matrices in their last bits. On 576 ill-conditioned trials every
+    # criterion keeps its flags and, but for ADJ, its d_hat. ADJ's labeled
+    # distances between sizes that fit the labeled rows' group means exactly
+    # are of the order of the ridge and rounding, so its risks there are set
+    # by the last bits of the design: a flip is allowed only where the
+    # labeled set has at most d_max distinct rows (a random 1-ulp jitter of
+    # the reference design flips ADJ there too). The flips' margins, the
+    # relative gap between the two sizes' risks, are printed.
+    rng = np.random.default_rng(2016)
+    reference = [
+        mock.patch.object(harness, "build_design", fourier_design),
+        mock.patch.object(estimators, "design_corrs", block_corrs),
+    ]
+    margins = []
+    for trial in range(576):
+        train, pool, test, d_max, cfg = edge_trial(rng)
+        got, risks = scored_trial(train, pool, test, d_max, cfg, [])
+        want, _ = scored_trial(train, pool, test, d_max, cfg, reference)
+        assert got.flags == want.flags, trial
+        for name, d_hat in got.d_hat.items():
+            if d_hat == want.d_hat[name]:
+                continue
+            assert name == "ADJ" and len(np.unique(train.X, axis=0)) <= d_max, (trial, name)
+            pair = risks[name][[d_hat - 1, want.d_hat[name] - 1]]
+            margins.append(abs(pair[1] - pair[0]) / np.abs(pair).max())
+    print(f"ADJ flips: {len(margins)} of 576 edge trials, margins {', '.join(f'{g:.1e}' for g in sorted(margins))}")
