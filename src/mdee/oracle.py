@@ -41,8 +41,14 @@ class OracleConfig:
     def __post_init__(self):
         if not 1 <= self.d < self.n:
             raise ValueError(f"oracle needs 1 <= d < n, got d={self.d}, n={self.n}")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+        for field in ("reps", "n_test", "c_draws"):
+            value = getattr(self, field)
+            whole = isinstance(value, (int, np.integer)) or isinstance(value, float) and value.is_integer()
+            if isinstance(value, bool) or not whole:
+                raise ValueError(f"{field} must be a whole number, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{field} must be >= 1, got {value}")
+            setattr(self, field, int(value))
         if not 0 <= self.noise_sd < np.inf:
             raise ValueError(f"noise_sd must be finite and nonnegative, got {self.noise_sd}")
         if not 0 < self.covariate_sd < np.inf:
@@ -117,13 +123,8 @@ def _population_designs(cfg: OracleConfig):
         remaining -= count
 
 
-def true_corr(cfg: OracleConfig) -> np.ndarray:
-    """Population feature correlation matrix estimated from cfg.c_draws draws.
-
-    Cached per configuration; the rows come from `_population_designs`, so
-    repeated calls agree bit for bit.
-    """
-    key = (
+def _corr_key(cfg: OracleConfig) -> tuple:
+    return (
         cfg.basis.kind,
         cfg.basis.covariate_dim,
         cfg.d,
@@ -131,39 +132,57 @@ def true_corr(cfg: OracleConfig) -> np.ndarray:
         int(cfg.seed),
         int(cfg.c_draws),
     )
+
+
+def true_corr(cfg: OracleConfig) -> np.ndarray:
+    """Population feature correlation matrix estimated from cfg.c_draws draws.
+
+    Cached per configuration and filled by `_population_pass`, which a call
+    on an empty cache runs; the rows come from `_population_designs`, so
+    repeated calls agree bit for bit.
+    """
+    key = _corr_key(cfg)
     if key not in _C_CACHE:
-        total = np.zeros((cfg.d, cfg.d))
-        for v in _population_designs(cfg):
-            total += v.T @ v
-        C = total / cfg.c_draws
-        _C_CACHE[key] = 0.5 * (C + C.T)
+        _population_pass(cfg)
     return _C_CACHE[key]
 
 
-def _quadratic_form_var(cfg: OracleConfig, mat: np.ndarray) -> float:
-    """Variance of phi(x)^T mat phi(x) over the population rows of true_corr."""
+def _population_pass(cfg: OracleConfig, mat: np.ndarray | None = None) -> float:
+    """One pass over the population rows: fills `true_corr`'s cache if it is empty, and
+    returns the variance of phi(x)^T mat phi(x) over the same rows (0 without mat).
+    """
+    key = _corr_key(cfg)
+    fill = key not in _C_CACHE
+    total = np.zeros((cfg.d, cfg.d))
     acc_sum = acc_sq = 0.0
     for v in _population_designs(cfg):
-        t = np.einsum("ij,jk,ik->i", v, mat, v)
-        acc_sum += t.sum()
-        acc_sq += (t * t).sum()
+        if fill:
+            total += v.T @ v
+        if mat is not None:
+            t = np.einsum("ij,jk,ik->i", v, mat, v)
+            acc_sum += t.sum()
+            acc_sq += (t * t).sum()
+    if fill:
+        C = total / cfg.c_draws
+        _C_CACHE[key] = 0.5 * (C + C.T)
     mean = acc_sum / cfg.c_draws
     return max(acc_sq / cfg.c_draws - mean * mean, 0.0)
 
 
-def _reference_trace(cfg: OracleConfig, C: np.ndarray, design: np.ndarray, inv_sum: np.ndarray) -> float:
-    """Tr(C C_hat^{-1}) of one replication's n-row design; adds C_hat^{-1} to inv_sum."""
-    c_hat_inv = np.linalg.inv(design.T @ design / cfg.n)
-    inv_sum += c_hat_inv
-    return np.trace(C @ c_hat_inv)
+def _reference_traces(cfg: OracleConfig, c_hat_invs: np.ndarray) -> tuple[np.ndarray, tuple[float, float, float]]:
+    """Each replication's Tr(C C_hat^{-1}) from its (reps, d, d) stack of C_hat^{-1}, and their summary.
 
-
-def _trace_summary(cfg: OracleConfig, trs: np.ndarray, inv_sum: np.ndarray) -> tuple[float, float, float]:
-    """Mean of the replications' Tr(C C_hat^{-1}), its SE, and C's sampling error, which that SE includes."""
-    v_bar = inv_sum / cfg.reps
+    The summary is the traces' mean, its SE, and C's sampling error, which
+    that SE includes: the spread of phi(x)^T V_bar phi(x) over the population
+    rows, V_bar the mean C_hat^{-1}. C and that spread come from one
+    population pass.
+    """
+    # A running sum, replication by replication: `sum` would add a d = 1 stack pairwise.
+    v_bar = np.add.accumulate(c_hat_invs)[-1] / cfg.reps
+    se_c = np.sqrt(_population_pass(cfg, v_bar) / cfg.c_draws)
+    trs = np.trace(true_corr(cfg) @ c_hat_invs, axis1=1, axis2=2)
     se_rep = trs.std(ddof=1) / np.sqrt(cfg.reps)
-    se_c = np.sqrt(_quadratic_form_var(cfg, v_bar) / cfg.c_draws)
-    return float(trs.mean()), float(np.hypot(se_rep, se_c)), float(se_c)
+    return trs, (float(trs.mean()), float(np.hypot(se_rep, se_c)), float(se_c))
 
 
 def mc_risk_ratio(cfg: OracleConfig) -> RiskRatioResult:
@@ -174,17 +193,16 @@ def mc_risk_ratio(cfg: OracleConfig) -> RiskRatioResult:
     exactly. The ratio's standard error comes from the delta method; the
     per-replication trace of C C_hat^{-1} is tracked against the cached
     population C so the exact-correction identity can be checked from the
-    same replications.
+    same replications; C and its sampling error come from one population
+    pass after the replications.
     """
     if isinstance(cfg.truth, str) or not cfg.inside_model():
         raise ValueError("mc_risk_ratio requires an inside-model coefficient truth")
     alpha_star = np.zeros(cfg.d)
     alpha_star[: len(cfg.truth)] = cfg.truth
-    C = true_corr(cfg)
     losses = np.empty(cfg.reps)
     train_losses = np.empty(cfg.reps)
-    trs = np.empty(cfg.reps)
-    inv_sum = np.zeros((cfg.d, cfg.d))
+    c_hat_invs = np.empty((cfg.reps, cfg.d, cfg.d))
     for rep in range(cfg.reps):
         rng = _rep_rng(cfg.seed, rep)
         X = _covariates(rng, cfg.n, cfg)
@@ -198,7 +216,7 @@ def mc_risk_ratio(cfg: OracleConfig) -> RiskRatioResult:
         y_test = design_test @ alpha_star + rng.normal(0.0, cfg.noise_sd, cfg.n_test)
         err = y_test - design_test @ alpha_hat
         losses[rep] = err @ err / cfg.n_test
-        trs[rep] = _reference_trace(cfg, C, design, inv_sum)
+        c_hat_invs[rep] = np.linalg.inv(design.T @ design / cfg.n)
     e_loss = float(losses.mean())
     e_train = float(train_losses.mean())
     se_loss = float(losses.std(ddof=1) / np.sqrt(cfg.reps))
@@ -215,7 +233,7 @@ def mc_risk_ratio(cfg: OracleConfig) -> RiskRatioResult:
             - 2.0 * ratio * cov
         ) / (e_train**2 * cfg.reps)
         se_ratio = float(np.sqrt(max(var_ratio, 0.0)))
-    mean_tr, se_tr, _ = _trace_summary(cfg, trs, inv_sum)
+    _, (mean_tr, se_tr, _) = _reference_traces(cfg, c_hat_invs)
     return RiskRatioResult(
         e_loss=e_loss,
         se_loss=se_loss,
@@ -230,10 +248,21 @@ def mc_risk_ratio(cfg: OracleConfig) -> RiskRatioResult:
     )
 
 
-def _block_stats(cfg: OracleConfig, rng, n_blocks: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Designs, correlation matrices and exact inverses of n_blocks fresh blocks of n rows."""
-    X = _covariates(rng, n_blocks * cfg.n, cfg)
-    design = _design(cfg, X).reshape(n_blocks, cfg.n, cfg.d)
+def _block_stats(cfg: OracleConfig, rngs, n_blocks: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Designs, correlation matrices and exact inverses of n_blocks fresh blocks of n rows per generator.
+
+    rngs may be any iterable; each generator is used once, as it comes. The
+    blocks of all generators are stacked, generator by generator, and
+    built by one design build, one product and one inverse call; each block
+    gets the bits it would get on its own.
+    """
+    draws = [_covariates(rng, n_blocks * cfg.n, cfg) for rng in rngs]
+    # One copy of the rows while the design is built, which sets the peak
+    # memory of a chunk: one generator's rows (the closed form's chunks) are
+    # used as drawn, and several are freed once stacked.
+    X = draws[0] if len(draws) == 1 else np.concatenate(draws)
+    del draws
+    design = _design(cfg, X).reshape(-1, cfg.n, cfg.d)
     corrs = np.einsum("bij,bik->bjk", design, design) / cfg.n
     return design, corrs, np.linalg.inv(corrs)
 
@@ -241,7 +270,7 @@ def _block_stats(cfg: OracleConfig, rng, n_blocks: int) -> tuple[np.ndarray, np.
 def _h_moments(trs: np.ndarray, ref_trs: np.ndarray, ref: tuple[float, float, float]) -> HMomentsResult:
     """Mean and variance of one variant's per-replication traces, and their bias against ref_trs.
 
-    `ref` is the `_trace_summary` of ref_trs.
+    `ref` is the summary `_reference_traces` gives with ref_trs.
     """
     tr_ref, se_ref, se_c = ref
     mean_tr = float(trs.mean())
@@ -261,30 +290,40 @@ def mc_block_moments(
 ) -> dict[CriterionKind, HMomentsResult]:
     """Bias and variance of the blockwise trace estimators of Tr(CV), per variant.
 
-    Each replication draws an independent pool of B*n covariate rows, forms the
-    per-block correlation matrices and their exact inverses, and feeds every
-    requested variant its `block_sides` of them. The same replication's block 0
-    gives its reference Tr(C C_hat^{-1}), inverted on its own as in
-    mc_risk_ratio, so the reference equals that of mc_risk_ratio on the same
-    cfg bit for bit, and `se_bias` reads the per-replication pairs.
+    Each replication draws an independent pool of B*n covariate rows from its
+    own `_rep_rng` stream, forms the per-block correlation matrices and their
+    exact inverses, and feeds every requested variant its `block_sides` of
+    them. The same replication's block 0 gives its reference
+    Tr(C C_hat^{-1}), inverted on its own as in mc_risk_ratio, so the
+    reference equals that of mc_risk_ratio on the same cfg bit for bit, and
+    `se_bias` reads the per-replication pairs.
+
+    Replications run in chunks of at most `_CHUNK` rows (at least one
+    replication each), stacked along a leading axis; every reduction runs over
+    one replication's blocks in the order a lone replication uses, so the
+    results do not depend on the chunking. C and its sampling error come from
+    one population pass after the replications.
     """
     if cfg.reps < MIN_TRACE_REPS:
         raise ValueError(f"mc_block_moments needs reps >= {MIN_TRACE_REPS}")
     if B < 2:
         raise ValueError("mc_block_moments needs B >= 2")
     sides = {v: block_sides(v, B1, B) for v in map(CriterionKind, variants)}
-    C = true_corr(cfg)
+    d = cfg.d
     trs = {variant: np.empty(cfg.reps) for variant in sides}
-    ref_trs = np.empty(cfg.reps)
-    inv_sum = np.zeros((cfg.d, cfg.d))
-    for rep in range(cfg.reps):
-        design, corrs, invs = _block_stats(cfg, _rep_rng(cfg.seed, rep), B)
-        ref_trs[rep] = _reference_trace(cfg, C, design[0], inv_sum)
+    ref_invs = np.empty((cfg.reps, d, d))
+    per_chunk = max(1, _CHUNK // (B * cfg.n))
+    for lo in range(0, cfg.reps, per_chunk):
+        hi = min(lo + per_chunk, cfg.reps)
+        design, corrs, invs = _block_stats(cfg, (_rep_rng(cfg.seed, rep) for rep in range(lo, hi)), B)
+        first = design[::B]
+        ref_invs[lo:hi] = np.linalg.inv(np.swapaxes(first, 1, 2) @ first / cfg.n)
+        corrs, invs = corrs.reshape(-1, B, d, d), invs.reshape(-1, B, d, d)
         for variant, (c_stop, v_start) in sides.items():
-            c_plus = corrs[:c_stop].mean(axis=0)
-            v_hat = invs[v_start:].mean(axis=0)
-            trs[variant][rep] = np.trace(c_plus @ v_hat)
-    ref = _trace_summary(cfg, ref_trs, inv_sum)
+            c_plus = corrs[:, :c_stop].mean(axis=1)
+            v_hat = invs[:, v_start:].mean(axis=1)
+            trs[variant][lo:hi] = np.trace(c_plus @ v_hat, axis1=1, axis2=2)
+    ref_trs, ref = _reference_traces(cfg, ref_invs)
     return {variant: _h_moments(t, ref_trs, ref) for variant, t in trs.items()}
 
 
@@ -314,7 +353,7 @@ def _vectorized_blocks(cfg: OracleConfig, tag: int, n_blocks: int) -> tuple[np.n
     while done < n_blocks:
         count = min(_CHUNK // max(cfg.n, 1), n_blocks - done) or 1
         rng = _aux_rng(cfg.seed, tag, chunk_idx)
-        _, corrs, invs = _block_stats(cfg, rng, count)
+        _, corrs, invs = _block_stats(cfg, [rng], count)
         mu_b[done : done + count] = corrs.reshape(count, dim)
         nu_b[done : done + count] = invs.reshape(count, dim)
         done += count

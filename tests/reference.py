@@ -1,12 +1,14 @@
-"""Per-d reference routes that the tests compare the production routes with.
+"""Per-d and per-replication reference routes that the tests compare the production routes with.
 
 The package scores every model size of a criterion at once
 (`harness.CRITERIA`). The routes here take one size d at a time, as the
 estimators are defined: they build the size-d designs, fit each size by its
-own `ridge_lse` solve and invert block matrices by LU. Only tests call them,
-so they live beside the tests and not in the shipped package. Import them as
-`from reference import ...`; pytest puts this directory on the path. Import
-`test_error` under another name, or pytest collects it as a test.
+own `ridge_lse` solve and invert block matrices by LU. The oracle routes
+(`block_moments`, `risk_ratio`) take one replication at a time and read the
+population rows once for C and once more for its sampling error. Only tests
+call them, so they live beside the tests and not in the shipped package.
+Import them as `from reference import ...`; pytest puts this directory on the
+path. Import `test_error` under another name, or pytest collects it as a test.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from mdee.core import (
 from mdee.estimators import (
     CriterionKind,
     block_corr_stack,
+    block_sides,
     correction_factor,
     dee_trace,
     estimate_C_plus,
@@ -41,6 +44,16 @@ from mdee.estimators import (
     mdee_trace,
     moment_split,
     rmdee_trace,
+)
+from mdee.oracle import (
+    HMomentsResult,
+    OracleConfig,
+    RiskRatioResult,
+    _covariates,
+    _design,
+    _h_moments,
+    _population_designs,
+    _rep_rng,
 )
 
 
@@ -276,3 +289,118 @@ def test_error(model: FittedModel, test: LabeledSet, basis: BasisSpec) -> float:
     """Mean squared prediction error on the test set."""
     resid = test.y - predict(basis, test.X, model.alpha)
     return float(resid @ resid / test.n)
+
+
+def population_corr(cfg: OracleConfig) -> np.ndarray:
+    """`oracle.true_corr` without its cache: C from the cfg.c_draws population rows."""
+    total = np.zeros((cfg.d, cfg.d))
+    for v in _population_designs(cfg):
+        total += v.T @ v
+    C = total / cfg.c_draws
+    return 0.5 * (C + C.T)
+
+
+def _quadratic_form_var(cfg: OracleConfig, mat: np.ndarray) -> float:
+    """Variance of phi(x)^T mat phi(x) over the population rows of true_corr."""
+    acc_sum = acc_sq = 0.0
+    for v in _population_designs(cfg):
+        t = np.einsum("ij,jk,ik->i", v, mat, v)
+        acc_sum += t.sum()
+        acc_sq += (t * t).sum()
+    mean = acc_sum / cfg.c_draws
+    return max(acc_sq / cfg.c_draws - mean * mean, 0.0)
+
+
+def _reference_trace(cfg: OracleConfig, C: np.ndarray, design: np.ndarray, inv_sum: np.ndarray) -> float:
+    """Tr(C C_hat^{-1}) of one replication's n-row design; adds C_hat^{-1} to inv_sum."""
+    c_hat_inv = np.linalg.inv(design.T @ design / cfg.n)
+    inv_sum += c_hat_inv
+    return np.trace(C @ c_hat_inv)
+
+
+def _trace_summary(cfg: OracleConfig, trs: np.ndarray, inv_sum: np.ndarray) -> tuple[float, float, float]:
+    """Mean of the replications' Tr(C C_hat^{-1}), its SE, and C's sampling error, which that SE includes."""
+    v_bar = inv_sum / cfg.reps
+    se_rep = trs.std(ddof=1) / np.sqrt(cfg.reps)
+    se_c = np.sqrt(_quadratic_form_var(cfg, v_bar) / cfg.c_draws)
+    return float(trs.mean()), float(np.hypot(se_rep, se_c)), float(se_c)
+
+
+def _block_stats(cfg: OracleConfig, rng, n_blocks: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Designs, correlation matrices and exact inverses of n_blocks fresh blocks of n rows."""
+    X = _covariates(rng, n_blocks * cfg.n, cfg)
+    design = _design(cfg, X).reshape(n_blocks, cfg.n, cfg.d)
+    corrs = np.einsum("bij,bik->bjk", design, design) / cfg.n
+    return design, corrs, np.linalg.inv(corrs)
+
+
+def block_moments(cfg: OracleConfig, variants, B: int, B1: int | None = None) -> dict[CriterionKind, HMomentsResult]:
+    """`oracle.mc_block_moments` one replication at a time."""
+    sides = {v: block_sides(v, B1, B) for v in map(CriterionKind, variants)}
+    C = population_corr(cfg)
+    trs = {variant: np.empty(cfg.reps) for variant in sides}
+    ref_trs = np.empty(cfg.reps)
+    inv_sum = np.zeros((cfg.d, cfg.d))
+    for rep in range(cfg.reps):
+        design, corrs, invs = _block_stats(cfg, _rep_rng(cfg.seed, rep), B)
+        ref_trs[rep] = _reference_trace(cfg, C, design[0], inv_sum)
+        for variant, (c_stop, v_start) in sides.items():
+            c_plus = corrs[:c_stop].mean(axis=0)
+            v_hat = invs[v_start:].mean(axis=0)
+            trs[variant][rep] = np.trace(c_plus @ v_hat)
+    ref = _trace_summary(cfg, ref_trs, inv_sum)
+    return {variant: _h_moments(t, ref_trs, ref) for variant, t in trs.items()}
+
+
+def risk_ratio(cfg: OracleConfig) -> RiskRatioResult:
+    """`oracle.mc_risk_ratio` with each replication's reference trace taken inside its loop."""
+    alpha_star = np.zeros(cfg.d)
+    alpha_star[: len(cfg.truth)] = cfg.truth
+    C = population_corr(cfg)
+    losses = np.empty(cfg.reps)
+    train_losses = np.empty(cfg.reps)
+    trs = np.empty(cfg.reps)
+    inv_sum = np.zeros((cfg.d, cfg.d))
+    for rep in range(cfg.reps):
+        rng = _rep_rng(cfg.seed, rep)
+        X = _covariates(rng, cfg.n, cfg)
+        design = _design(cfg, X)
+        y = design @ alpha_star + rng.normal(0.0, cfg.noise_sd, cfg.n)
+        alpha_hat = np.linalg.lstsq(design, y, rcond=None)[0]
+        resid = y - design @ alpha_hat
+        train_losses[rep] = resid @ resid / cfg.n
+        X_test = _covariates(rng, cfg.n_test, cfg)
+        design_test = _design(cfg, X_test)
+        y_test = design_test @ alpha_star + rng.normal(0.0, cfg.noise_sd, cfg.n_test)
+        err = y_test - design_test @ alpha_hat
+        losses[rep] = err @ err / cfg.n_test
+        trs[rep] = _reference_trace(cfg, C, design, inv_sum)
+    e_loss = float(losses.mean())
+    e_train = float(train_losses.mean())
+    se_loss = float(losses.std(ddof=1) / np.sqrt(cfg.reps))
+    se_train = float(train_losses.std(ddof=1) / np.sqrt(cfg.reps))
+    degenerate = cfg.noise_sd == 0.0 or e_train <= 0.0
+    if degenerate:
+        ratio, se_ratio = float("nan"), float("nan")
+    else:
+        ratio = e_loss / e_train
+        cov = float(np.cov(losses, train_losses, ddof=1)[0, 1])
+        var_ratio = (
+            np.var(losses, ddof=1)
+            + ratio**2 * np.var(train_losses, ddof=1)
+            - 2.0 * ratio * cov
+        ) / (e_train**2 * cfg.reps)
+        se_ratio = float(np.sqrt(max(var_ratio, 0.0)))
+    mean_tr, se_tr, _ = _trace_summary(cfg, trs, inv_sum)
+    return RiskRatioResult(
+        e_loss=e_loss,
+        se_loss=se_loss,
+        e_train_loss=e_train,
+        se_train_loss=se_train,
+        ratio=ratio,
+        se_ratio=se_ratio,
+        mean_tr_ccinv=mean_tr,
+        se_tr_ccinv=se_tr,
+        degenerate=degenerate,
+        reps=cfg.reps,
+    )

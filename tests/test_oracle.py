@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference import block_moments, population_corr, risk_ratio
 
 from mdee import oracle
 from mdee.core import BasisSpec, build_design
@@ -44,6 +45,31 @@ class TestConfig:
     def test_model_size_below_n(self, d, n):
         with pytest.raises(ValueError, match="1 <= d < n"):
             make_cfg(d=d, n=n)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("c_draws", 0),
+            ("c_draws", -3),
+            ("c_draws", 2.5),
+            ("c_draws", True),
+            ("n_test", 0),
+            ("n_test", -5),
+            ("n_test", 10.5),
+            ("n_test", False),
+            ("reps", 2.5),
+            ("reps", True),
+            ("reps", "200"),
+        ],
+    )
+    def test_counts_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            make_cfg(**{field: value})
+
+    def test_whole_float_counts_become_ints(self):
+        cfg = make_cfg(reps=200.0, n_test=50.0, c_draws=np.int64(1000))
+        assert (cfg.reps, cfg.n_test, cfg.c_draws) == (200, 50, 1000)
+        assert all(type(v) is int for v in (cfg.reps, cfg.n_test, cfg.c_draws))
 
     def test_inside_model_flag(self):
         assert make_cfg().inside_model()
@@ -214,6 +240,82 @@ def test_se_bias_pairs_each_trace_with_its_reference():
         res = got[variant]
         assert res.se_bias == pytest.approx(expected, rel=1e-6)
         assert res.se_bias != pytest.approx(np.hypot(res.se_mean, res.se_ref), rel=1e-3)
+
+
+MOMENT_VARIANTS = [CriterionKind.MDEE1, CriterionKind.MDEE2, CriterionKind.MDEE3]
+
+
+def assert_moments_match_reference(cfg, B, B1):
+    got = mc_block_moments(cfg, MOMENT_VARIANTS, B, B1)
+    assert got == block_moments(cfg, MOMENT_VARIANTS, B, B1)
+    np.testing.assert_array_equal(true_corr(cfg), population_corr(cfg))
+
+
+class TestChunkedReplications:
+    """mc_block_moments and mc_risk_ratio equal the one-replication-at-a-time reference bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_C_CACHE", {})
+
+    @pytest.mark.parametrize(
+        "B, reps, per_chunk",
+        [
+            (10, 120, 500),  # one partial chunk
+            (25, 200, 200),  # exactly one chunk
+            (25, 650, 200),  # three chunks and a remainder of 50
+        ],
+    )
+    def test_chunk_boundaries(self, B, reps, per_chunk):
+        cfg = make_cfg(reps=reps, c_draws=20_000)
+        assert oracle._CHUNK // (B * cfg.n) == per_chunk
+        assert_moments_match_reference(cfg, B, 3)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_model_sizes_on_two_covariates(self, d):
+        # 40 replications per chunk: three chunks and a remainder of 30
+        cfg = make_cfg(basis=BasisSpec("fourier", 2), d=d, n=50, reps=150, c_draws=20_000, covariate_sd=0.8)
+        assert_moments_match_reference(cfg, 50, 7)
+
+    def test_mean_inverse_adds_replications_in_order(self):
+        # At d = 1 and M = 3 every C_hat^{-1} is 1/9, and se_ref is the rounding
+        # noise of their mean: a pairwise sum instead of a running one moves it.
+        cfg = make_cfg(basis=BasisSpec("fourier", 3), d=1, reps=400, c_draws=20_000)
+        assert block_moments(cfg, [CriterionKind.MDEE3], 4)[CriterionKind.MDEE3].se_ref > 0
+        assert_moments_match_reference(cfg, 4, 2)
+
+    def test_replication_larger_than_a_chunk(self, monkeypatch):
+        # B*n = 600 rows exceed the row budget, so each chunk holds one replication
+        monkeypatch.setattr(oracle, "_CHUNK", 500)
+        assert_moments_match_reference(make_cfg(reps=100, c_draws=5_000), 30, 10)
+
+    @pytest.mark.parametrize("d, m", [(1, 1), (2, 2), (3, 1), (3, 2)])
+    def test_risk_ratio(self, d, m):
+        cfg = make_cfg(basis=BasisSpec("fourier", m), d=d, truth=np.array([1.0, 0.5, -0.3])[:d], reps=40, n_test=300,
+                       c_draws=20_000)
+        assert mc_risk_ratio(cfg) == risk_ratio(cfg)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("run", ["moments", "ratio"])
+    def test_one_population_pass_per_call(self, monkeypatch, warm, run):
+        cfg = make_cfg(reps=100, n_test=50, c_draws=20_000)
+        if warm:
+            true_corr(cfg)
+        passes = []
+        population_designs = oracle._population_designs
+
+        def counted(cfg):
+            passes.append(cfg)
+            return population_designs(cfg)
+
+        monkeypatch.setattr(oracle, "_population_designs", counted)
+        if run == "moments":
+            mc_block_moments(cfg, MOMENT_VARIANTS, B=4, B1=2)
+        else:
+            mc_risk_ratio(cfg)
+        assert len(passes) == 1
+        true_corr(cfg)
+        assert len(passes) == 1
 
 
 class TestMomentInputs:
