@@ -15,8 +15,11 @@ from .estimators import CriterionKind
 # Fewest replications per oracle check: two for theorem 2's standard errors.
 MIN_REPS = {2: 2, 4: oracle.MIN_TRACE_REPS}
 # mc_h1_variance_closed_form's error bar takes the spread over 10 groups of
-# the moment blocks, and each group's variances need two blocks.
-MIN_MOMENT_BLOCKS = 20
+# the moment blocks. At two blocks a group, the floor that makes each group's
+# variances defined, that spread is too noisy to bound the closed form: with
+# --reps 100 the variance check failed on 2 of seeds 0-19, and at 100 blocks
+# (10 a group) and above on none.
+MIN_MOMENT_BLOCKS = 100
 
 
 def _input_error(exc: Exception) -> int:

@@ -15,10 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BasisSpec, build_design
-from .estimators import CriterionKind, block_sides
-
-_C_CACHE: dict[tuple, np.ndarray] = {}
+from .core import BasisSpec, build_design, correlation_matrix
+from .estimators import CriterionKind, block_sides, design_corrs, quadratic_forms
 
 _CHUNK = 100_000
 # Fewest replications mc_block_moments accepts for its reference trace.
@@ -97,11 +95,8 @@ class HMomentsResult:
     reps: int
 
 
-def _rep_rng(seed: int, rep: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), 0, rep]))
-
-
 def _aux_rng(seed: int, tag: int, index: int = 0) -> np.random.Generator:
+    """Stream of draw `index` under `tag`: 0 for replications, 1 for the population rows, 3 for closed-form chunks."""
     return np.random.default_rng(np.random.SeedSequence([int(seed), tag, index]))
 
 
@@ -123,50 +118,18 @@ def _population_designs(cfg: OracleConfig):
         remaining -= count
 
 
-def _corr_key(cfg: OracleConfig) -> tuple:
-    return (
-        cfg.basis.kind,
-        cfg.basis.covariate_dim,
-        cfg.d,
-        float(cfg.covariate_sd),
-        int(cfg.seed),
-        int(cfg.c_draws),
-    )
-
-
-def true_corr(cfg: OracleConfig) -> np.ndarray:
-    """Population feature correlation matrix estimated from cfg.c_draws draws.
-
-    Cached per configuration and filled by `_population_pass`, which a call
-    on an empty cache runs; the rows come from `_population_designs`, so
-    repeated calls agree bit for bit.
-    """
-    key = _corr_key(cfg)
-    if key not in _C_CACHE:
-        _population_pass(cfg)
-    return _C_CACHE[key]
-
-
-def _population_pass(cfg: OracleConfig, mat: np.ndarray | None = None) -> float:
-    """One pass over the population rows: fills `true_corr`'s cache if it is empty, and
-    returns the variance of phi(x)^T mat phi(x) over the same rows (0 without mat).
-    """
-    key = _corr_key(cfg)
-    fill = key not in _C_CACHE
+def _population_pass(cfg: OracleConfig, mat: np.ndarray) -> tuple[np.ndarray, float]:
+    """C from the cfg.c_draws population rows, and the variance of phi(x)^T mat phi(x) over the same rows."""
     total = np.zeros((cfg.d, cfg.d))
     acc_sum = acc_sq = 0.0
     for v in _population_designs(cfg):
-        if fill:
-            total += v.T @ v
-        if mat is not None:
-            t = np.einsum("ij,jk,ik->i", v, mat, v)
-            acc_sum += t.sum()
-            acc_sq += (t * t).sum()
-    if fill:
-        C = total / cfg.c_draws
-        _C_CACHE[key] = 0.5 * (C + C.T)
+        total += v.T @ v
+        t = quadratic_forms(v, mat)
+        acc_sum += t.sum()
+        acc_sq += (t * t).sum()
+    C = total / cfg.c_draws
     mean = acc_sum / cfg.c_draws
-    return max(acc_sq / cfg.c_draws - mean * mean, 0.0)
+    return 0.5 * (C + C.T), max(acc_sq / cfg.c_draws - mean * mean, 0.0)
 
 
 def _reference_traces(cfg: OracleConfig, c_hat_invs: np.ndarray) -> tuple[np.ndarray, tuple[float, float, float]]:
@@ -179,8 +142,9 @@ def _reference_traces(cfg: OracleConfig, c_hat_invs: np.ndarray) -> tuple[np.nda
     """
     # A running sum, replication by replication: `sum` would add a d = 1 stack pairwise.
     v_bar = np.add.accumulate(c_hat_invs)[-1] / cfg.reps
-    se_c = np.sqrt(_population_pass(cfg, v_bar) / cfg.c_draws)
-    trs = np.trace(true_corr(cfg) @ c_hat_invs, axis1=1, axis2=2)
+    C, spread = _population_pass(cfg, v_bar)
+    se_c = np.sqrt(spread / cfg.c_draws)
+    trs = np.trace(C @ c_hat_invs, axis1=1, axis2=2)
     se_rep = trs.std(ddof=1) / np.sqrt(cfg.reps)
     return trs, (float(trs.mean()), float(np.hypot(se_rep, se_c)), float(se_c))
 
@@ -191,10 +155,10 @@ def mc_risk_ratio(cfg: OracleConfig) -> RiskRatioResult:
     The truth must be an inside-model coefficient vector so that the
     residual-independence assumption behind the exact ratio identity holds
     exactly. The ratio's standard error comes from the delta method; the
-    per-replication trace of C C_hat^{-1} is tracked against the cached
-    population C so the exact-correction identity can be checked from the
-    same replications; C and its sampling error come from one population
-    pass after the replications.
+    per-replication trace of C C_hat^{-1} is tracked against the population
+    C so the exact-correction identity can be checked from the same
+    replications; C and its sampling error come from one population pass
+    after the replications.
     """
     if isinstance(cfg.truth, str) or not cfg.inside_model():
         raise ValueError("mc_risk_ratio requires an inside-model coefficient truth")
@@ -204,7 +168,7 @@ def mc_risk_ratio(cfg: OracleConfig) -> RiskRatioResult:
     train_losses = np.empty(cfg.reps)
     c_hat_invs = np.empty((cfg.reps, cfg.d, cfg.d))
     for rep in range(cfg.reps):
-        rng = _rep_rng(cfg.seed, rep)
+        rng = _aux_rng(cfg.seed, 0, rep)
         X = _covariates(rng, cfg.n, cfg)
         design = _design(cfg, X)
         y = design @ alpha_star + rng.normal(0.0, cfg.noise_sd, cfg.n)
@@ -216,7 +180,7 @@ def mc_risk_ratio(cfg: OracleConfig) -> RiskRatioResult:
         y_test = design_test @ alpha_star + rng.normal(0.0, cfg.noise_sd, cfg.n_test)
         err = y_test - design_test @ alpha_hat
         losses[rep] = err @ err / cfg.n_test
-        c_hat_invs[rep] = np.linalg.inv(design.T @ design / cfg.n)
+        c_hat_invs[rep] = np.linalg.inv(correlation_matrix(design))
     e_loss = float(losses.mean())
     e_train = float(train_losses.mean())
     se_loss = float(losses.std(ddof=1) / np.sqrt(cfg.reps))
@@ -248,8 +212,8 @@ def mc_risk_ratio(cfg: OracleConfig) -> RiskRatioResult:
     )
 
 
-def _block_stats(cfg: OracleConfig, rngs, n_blocks: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Designs, correlation matrices and exact inverses of n_blocks fresh blocks of n rows per generator.
+def _block_stats(cfg: OracleConfig, rngs, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """Correlation matrices and exact inverses of n_blocks fresh blocks of n rows per generator.
 
     rngs may be any iterable; each generator is used once, as it comes. The
     blocks of all generators are stacked, generator by generator, and
@@ -262,9 +226,8 @@ def _block_stats(cfg: OracleConfig, rngs, n_blocks: int) -> tuple[np.ndarray, np
     # used as drawn, and several are freed once stacked.
     X = draws[0] if len(draws) == 1 else np.concatenate(draws)
     del draws
-    design = _design(cfg, X).reshape(-1, cfg.n, cfg.d)
-    corrs = np.einsum("bij,bik->bjk", design, design) / cfg.n
-    return design, corrs, np.linalg.inv(corrs)
+    corrs = design_corrs(_design(cfg, X).reshape(-1, cfg.n, cfg.d))
+    return corrs, np.linalg.inv(corrs)
 
 
 def _h_moments(trs: np.ndarray, ref_trs: np.ndarray, ref: tuple[float, float, float]) -> HMomentsResult:
@@ -291,12 +254,12 @@ def mc_block_moments(
     """Bias and variance of the blockwise trace estimators of Tr(CV), per variant.
 
     Each replication draws an independent pool of B*n covariate rows from its
-    own `_rep_rng` stream, forms the per-block correlation matrices and their
-    exact inverses, and feeds every requested variant its `block_sides` of
-    them. The same replication's block 0 gives its reference
-    Tr(C C_hat^{-1}), inverted on its own as in mc_risk_ratio, so the
-    reference equals that of mc_risk_ratio on the same cfg bit for bit, and
-    `se_bias` reads the per-replication pairs.
+    own `_aux_rng(seed, 0, rep)` stream, forms the per-block correlation
+    matrices and their exact inverses, and feeds every requested variant its
+    `block_sides` of them. The same replication's block-0 inverse gives its
+    reference Tr(C C_hat^{-1}); its rows are the n rows mc_risk_ratio fits on
+    the same cfg, so the two references agree bit for bit, and `se_bias`
+    reads the per-replication pairs.
 
     Replications run in chunks of at most `_CHUNK` rows (at least one
     replication each), stacked along a leading axis; every reduction runs over
@@ -315,9 +278,8 @@ def mc_block_moments(
     per_chunk = max(1, _CHUNK // (B * cfg.n))
     for lo in range(0, cfg.reps, per_chunk):
         hi = min(lo + per_chunk, cfg.reps)
-        design, corrs, invs = _block_stats(cfg, (_rep_rng(cfg.seed, rep) for rep in range(lo, hi)), B)
-        first = design[::B]
-        ref_invs[lo:hi] = np.linalg.inv(np.swapaxes(first, 1, 2) @ first / cfg.n)
+        corrs, invs = _block_stats(cfg, (_aux_rng(cfg.seed, 0, rep) for rep in range(lo, hi)), B)
+        ref_invs[lo:hi] = invs[::B]
         corrs, invs = corrs.reshape(-1, B, d, d), invs.reshape(-1, B, d, d)
         for variant, (c_stop, v_start) in sides.items():
             c_plus = corrs[:, :c_stop].mean(axis=1)
@@ -353,7 +315,7 @@ def _vectorized_blocks(cfg: OracleConfig, tag: int, n_blocks: int) -> tuple[np.n
     while done < n_blocks:
         count = min(_CHUNK // max(cfg.n, 1), n_blocks - done) or 1
         rng = _aux_rng(cfg.seed, tag, chunk_idx)
-        _, corrs, invs = _block_stats(cfg, [rng], count)
+        corrs, invs = _block_stats(cfg, [rng], count)
         mu_b[done : done + count] = corrs.reshape(count, dim)
         nu_b[done : done + count] = invs.reshape(count, dim)
         done += count

@@ -49,11 +49,11 @@ from mdee.oracle import (
     HMomentsResult,
     OracleConfig,
     RiskRatioResult,
+    _aux_rng,
     _covariates,
     _design,
     _h_moments,
     _population_designs,
-    _rep_rng,
 )
 
 
@@ -292,7 +292,7 @@ def test_error(model: FittedModel, test: LabeledSet, basis: BasisSpec) -> float:
 
 
 def population_corr(cfg: OracleConfig) -> np.ndarray:
-    """`oracle.true_corr` without its cache: C from the cfg.c_draws population rows."""
+    """C from the cfg.c_draws population rows, as `oracle._population_pass` returns it."""
     total = np.zeros((cfg.d, cfg.d))
     for v in _population_designs(cfg):
         total += v.T @ v
@@ -301,10 +301,10 @@ def population_corr(cfg: OracleConfig) -> np.ndarray:
 
 
 def _quadratic_form_var(cfg: OracleConfig, mat: np.ndarray) -> float:
-    """Variance of phi(x)^T mat phi(x) over the population rows of true_corr."""
+    """Variance of phi(x)^T mat phi(x) over the population rows of `population_corr`."""
     acc_sum = acc_sq = 0.0
     for v in _population_designs(cfg):
-        t = np.einsum("ij,jk,ik->i", v, mat, v)
+        t = ((v @ mat) * v).sum(axis=1)
         acc_sum += t.sum()
         acc_sq += (t * t).sum()
     mean = acc_sum / cfg.c_draws
@@ -313,7 +313,7 @@ def _quadratic_form_var(cfg: OracleConfig, mat: np.ndarray) -> float:
 
 def _reference_trace(cfg: OracleConfig, C: np.ndarray, design: np.ndarray, inv_sum: np.ndarray) -> float:
     """Tr(C C_hat^{-1}) of one replication's n-row design; adds C_hat^{-1} to inv_sum."""
-    c_hat_inv = np.linalg.inv(design.T @ design / cfg.n)
+    c_hat_inv = np.linalg.inv(correlation_matrix(design))
     inv_sum += c_hat_inv
     return np.trace(C @ c_hat_inv)
 
@@ -330,7 +330,7 @@ def _block_stats(cfg: OracleConfig, rng, n_blocks: int) -> tuple[np.ndarray, np.
     """Designs, correlation matrices and exact inverses of n_blocks fresh blocks of n rows."""
     X = _covariates(rng, n_blocks * cfg.n, cfg)
     design = _design(cfg, X).reshape(n_blocks, cfg.n, cfg.d)
-    corrs = np.einsum("bij,bik->bjk", design, design) / cfg.n
+    corrs = block_corrs(design)
     return design, corrs, np.linalg.inv(corrs)
 
 
@@ -342,7 +342,7 @@ def block_moments(cfg: OracleConfig, variants, B: int, B1: int | None = None) ->
     ref_trs = np.empty(cfg.reps)
     inv_sum = np.zeros((cfg.d, cfg.d))
     for rep in range(cfg.reps):
-        design, corrs, invs = _block_stats(cfg, _rep_rng(cfg.seed, rep), B)
+        design, corrs, invs = _block_stats(cfg, _aux_rng(cfg.seed, 0, rep), B)
         ref_trs[rep] = _reference_trace(cfg, C, design[0], inv_sum)
         for variant, (c_stop, v_start) in sides.items():
             c_plus = corrs[:c_stop].mean(axis=0)
@@ -362,7 +362,7 @@ def risk_ratio(cfg: OracleConfig) -> RiskRatioResult:
     trs = np.empty(cfg.reps)
     inv_sum = np.zeros((cfg.d, cfg.d))
     for rep in range(cfg.reps):
-        rng = _rep_rng(cfg.seed, rep)
+        rng = _aux_rng(cfg.seed, 0, rep)
         X = _covariates(rng, cfg.n, cfg)
         design = _design(cfg, X)
         y = design @ alpha_star + rng.normal(0.0, cfg.noise_sd, cfg.n)

@@ -246,8 +246,14 @@ class TestOracleCommand:
 
     def test_moment_blocks_checked_before_the_block_loop(self, monkeypatch, capsys):
         monkeypatch.setattr(oracle, "mc_block_moments", no_draws)
-        argv = ["oracle", "--theorem", "4", "--reps", "400", "--moment-blocks", "1"]
-        assert_input_error(capsys, argv, "--moment-blocks >= 20")
+        argv = ["oracle", "--theorem", "4", "--reps", "400", "--moment-blocks", "99"]
+        assert_input_error(capsys, argv, "--moment-blocks >= 100")
+
+    def test_moment_blocks_floor_accepted(self, monkeypatch, capsys):
+        monkeypatch.setattr(oracle, "mc_block_moments", no_draws)
+        with pytest.raises(AssertionError, match="oracle draws started"):
+            main(["oracle", "--theorem", "4", "--reps", "400", "--moment-blocks", "100"])
+        assert capsys.readouterr().err == ""
 
     def test_value_error_after_work_starts_propagates(self, monkeypatch):
         def failing_check(cfg):

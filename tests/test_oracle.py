@@ -12,9 +12,8 @@ from mdee.oracle import (
     mc_H_moments,
     mc_h1_variance_closed_form,
     mc_risk_ratio,
-    true_corr,
 )
-from mdee.oracle import _moment_inputs_from, _vectorized_blocks
+from mdee.oracle import _moment_inputs_from, _population_pass, _vectorized_blocks
 
 BASIS = BasisSpec("fourier", 1)
 
@@ -77,19 +76,25 @@ class TestConfig:
         assert not make_cfg(truth=np.ones(5)).inside_model()
 
 
+def pass_corr(cfg):
+    """C as the oracles' one population pass returns it."""
+    return _population_pass(cfg, np.eye(cfg.d))[0]
+
+
 class TestTrueCorr:
-    def test_cached_and_reproducible(self):
-        a = true_corr(make_cfg())
-        b = true_corr(make_cfg())
-        assert a is b
+    def test_reproducible_and_equals_reference(self):
+        cfg = make_cfg()
+        C = pass_corr(cfg)
+        np.testing.assert_array_equal(C, pass_corr(cfg))
+        np.testing.assert_array_equal(C, population_corr(cfg))
 
     def test_symmetric(self):
-        C = true_corr(make_cfg())
+        C = pass_corr(make_cfg())
         np.testing.assert_array_equal(C, C.T)
 
     def test_constant_entry(self):
         # first feature is constant 1, so C[0,0] = 1 exactly up to MC noise 0
-        C = true_corr(make_cfg())
+        C = pass_corr(make_cfg())
         assert C[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -217,7 +222,7 @@ class TestMcHMoments:
 def test_se_bias_pairs_each_trace_with_its_reference():
     cfg = make_cfg(d=2, n=8, reps=120, c_draws=20_000)
     got = mc_block_moments(cfg, [CriterionKind.MDEE1, CriterionKind.MDEE3], B=4, B1=2)
-    C = true_corr(cfg)
+    C = population_corr(cfg)
     traces = {CriterionKind.MDEE1: [], CriterionKind.MDEE3: []}
     refs = []
     inv_sum = np.zeros((2, 2))
@@ -248,15 +253,10 @@ MOMENT_VARIANTS = [CriterionKind.MDEE1, CriterionKind.MDEE2, CriterionKind.MDEE3
 def assert_moments_match_reference(cfg, B, B1):
     got = mc_block_moments(cfg, MOMENT_VARIANTS, B, B1)
     assert got == block_moments(cfg, MOMENT_VARIANTS, B, B1)
-    np.testing.assert_array_equal(true_corr(cfg), population_corr(cfg))
 
 
 class TestChunkedReplications:
     """mc_block_moments and mc_risk_ratio equal the one-replication-at-a-time reference bit for bit."""
-
-    @pytest.fixture(autouse=True)
-    def empty_cache(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_C_CACHE", {})
 
     @pytest.mark.parametrize(
         "B, reps, per_chunk",
@@ -295,12 +295,9 @@ class TestChunkedReplications:
                        c_draws=20_000)
         assert mc_risk_ratio(cfg) == risk_ratio(cfg)
 
-    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     @pytest.mark.parametrize("run", ["moments", "ratio"])
-    def test_one_population_pass_per_call(self, monkeypatch, warm, run):
+    def test_one_population_pass_per_call(self, monkeypatch, run):
         cfg = make_cfg(reps=100, n_test=50, c_draws=20_000)
-        if warm:
-            true_corr(cfg)
         passes = []
         population_designs = oracle._population_designs
 
@@ -309,13 +306,13 @@ class TestChunkedReplications:
             return population_designs(cfg)
 
         monkeypatch.setattr(oracle, "_population_designs", counted)
-        if run == "moments":
-            mc_block_moments(cfg, MOMENT_VARIANTS, B=4, B1=2)
-        else:
-            mc_risk_ratio(cfg)
-        assert len(passes) == 1
-        true_corr(cfg)
-        assert len(passes) == 1
+        # Each call reads the population rows once, for C and its sampling error together.
+        for calls in (1, 2):
+            if run == "moments":
+                mc_block_moments(cfg, MOMENT_VARIANTS, B=4, B1=2)
+            else:
+                mc_risk_ratio(cfg)
+            assert len(passes) == calls
 
 
 class TestMomentInputs:
