@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,35 +72,70 @@ def _resolve_columns(manifest: DatasetManifest, header: list[str] | None) -> tup
 def load_csv(manifest: DatasetManifest) -> np.ndarray:
     """Load a delimited numeric file into a (rows, M+1) array, response last.
 
-    Rows with missing, non-numeric or non-finite (nan, inf) cells are
-    rejected with the offending line number; no imputation is attempted.
+    Rows with missing, non-numeric or non-finite (nan, inf) cells, and blank
+    lines, are rejected with the offending line number; no imputation is
+    attempted. A UTF-8 byte-order mark before the first line is dropped.
+    numpy's parser reads the table; the row-by-row `_scan` runs only when
+    that parse cannot vouch for the table, to name the failing line.
     """
     path = Path(manifest.path)
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle, delimiter=manifest.delimiter)
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         header = None
-        first_line = 1
         if manifest.has_header:
-            header = [cell.strip() for cell in next(reader)]
-            first_line = 2
-        cov_idx, resp_idx = _resolve_columns(manifest, header)
-        needed = max(max(cov_idx), resp_idx) + 1
-        rows = []
-        for line_no, row in enumerate(reader, start=first_line):
-            if len(row) < needed:
-                raise ValueError(
-                    f"{manifest.name}: line {line_no}: expected at least "
-                    f"{needed} columns, got {len(row)}"
-                )
             try:
-                values = [float(row[i]) for i in cov_idx] + [float(row[resp_idx])]
-            except ValueError:
-                raise ValueError(
-                    f"{manifest.name}: line {line_no}: non-numeric cell"
-                ) from None
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"{manifest.name}: line {line_no}: non-finite cell")
-            rows.append(values)
+                header = [cell.strip() for cell in next(csv.reader(handle, delimiter=manifest.delimiter))]
+            except StopIteration:
+                raise ValueError(f"{manifest.name}: {str(path)!r} is empty, with no header row") from None
+        cov_idx, resp_idx = _resolve_columns(manifest, header)
+        text = handle.read()
+    columns = cov_idx + [resp_idx]
+    table = _parse(text, manifest.delimiter, columns)
+    if table is None:
+        table = _scan(manifest, text, columns, first_line=1 if header is None else 2)
+    return table
+
+
+def _parse(text: str, delimiter: str, columns: list[int]) -> np.ndarray | None:
+    """The table numpy's parser reads from `text`, or None where it may differ from `_scan`'s.
+
+    The parser skips blank lines, which `_scan` rejects, so a table with
+    fewer rows than `text` has lines is not vouched for; nor is one with a
+    non-finite cell, text the parser rejects or warns has no data, or text
+    with a quote, which csv reads as quoting: a quoted cell may hold the
+    delimiter or span lines.
+    """
+    if '"' in text or not text.strip("\r\n"):
+        return None
+    try:
+        table = np.loadtxt(io.StringIO(text, newline=""), delimiter=delimiter, usecols=columns, comments=None, ndmin=2)
+    except (ValueError, TypeError):
+        return None
+    # csv's line ends are \r\n, \r and \n, and a last line needs none
+    lines = text.count("\n") + text.count("\r") - text.count("\r\n") + (text[-1] not in "\r\n")
+    if len(table) != lines or not np.isfinite(table).all():
+        return None
+    return table
+
+
+def _scan(manifest: DatasetManifest, text: str, columns: list[int], first_line: int) -> np.ndarray:
+    """Parse `text` row by row with csv and float(): the first faulty line raises, naming its number.
+
+    This is the loader's reference semantics. It also reads what numpy's
+    parser rejects but float() reads, such as `1_0`, so the set of accepted
+    files does not depend on which route read them.
+    """
+    needed = max(columns) + 1
+    rows = []
+    for line_no, row in enumerate(csv.reader(io.StringIO(text, newline=""), delimiter=manifest.delimiter), start=first_line):
+        if len(row) < needed:
+            raise ValueError(f"{manifest.name}: line {line_no}: expected at least {needed} columns, got {len(row)}")
+        try:
+            values = [float(row[i]) for i in columns]
+        except ValueError:
+            raise ValueError(f"{manifest.name}: line {line_no}: non-numeric cell") from None
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{manifest.name}: line {line_no}: non-finite cell")
+        rows.append(values)
     if not rows:
         raise ValueError(f"{manifest.name}: no data rows")
     return np.asarray(rows, dtype=float)
@@ -115,34 +151,29 @@ def split(
     remainder to testing. With standardize on, covariates of all three parts
     are affinely rescaled to zero mean and unit variance using statistics of
     the train and unlabeled covariates only, so no test information leaks in.
+    The statistics are read from the leading n + n_prime shuffled rows in
+    place and all rows are rescaled in one pass; the three parts are slices.
     """
     table = np.asarray(table, dtype=float)
     total = table.shape[0]
     if spec.n < 1 or spec.n_prime < 0:
         raise ValueError("infeasible counts: need n >= 1 and n_prime >= 0")
-    if spec.n + spec.n_prime >= total:
+    labeled_rows = spec.n + spec.n_prime
+    if labeled_rows >= total:
         raise ValueError(
-            f"infeasible counts: n + n_prime = {spec.n + spec.n_prime} leaves no "
+            f"infeasible counts: n + n_prime = {labeled_rows} leaves no "
             f"test rows out of {total}"
         )
-    perm = np.random.default_rng(spec.seed).permutation(total)
-    shuffled = table[perm]
-    train_rows = shuffled[: spec.n]
-    pool_rows = shuffled[spec.n : spec.n + spec.n_prime]
-    test_rows = shuffled[spec.n + spec.n_prime :]
-
-    train_X, pool_X, test_X = train_rows[:, :-1], pool_rows[:, :-1], test_rows[:, :-1]
+    shuffled = table[np.random.default_rng(spec.seed).permutation(total)]
+    X, y = shuffled[:, :-1], shuffled[:, -1]
     if spec.standardize:
-        reference = np.vstack([train_X, pool_X])
-        mean = reference.mean(axis=0)
+        reference = X[:labeled_rows]
         std = reference.std(axis=0)
-        scale = np.where(std > STD_FLOOR, std, 1.0)
-        train_X = (train_X - mean) / scale
-        pool_X = (pool_X - mean) / scale
-        test_X = (test_X - mean) / scale
-    train = LabeledSet(X=train_X, y=train_rows[:, -1])
-    unlabeled = UnlabeledSet(X=pool_X)
-    test = LabeledSet(X=test_X, y=test_rows[:, -1])
+        X = X - reference.mean(axis=0)
+        X /= np.where(std > STD_FLOOR, std, 1.0)
+    train = LabeledSet(X=X[: spec.n], y=y[: spec.n])
+    unlabeled = UnlabeledSet(X=X[spec.n : labeled_rows])
+    test = LabeledSet(X=X[labeled_rows:], y=y[labeled_rows:])
     return train, unlabeled, test
 
 

@@ -5,7 +5,9 @@ The package scores every model size of a criterion at once
 estimators are defined: they build the size-d designs, fit each size by its
 own `ridge_lse` solve and invert block matrices by LU. The oracle routes
 (`block_moments`, `risk_ratio`) take one replication at a time and read the
-population rows once for C and once more for its sampling error. Only tests
+population rows once for C and once more for its sampling error. The
+ingest routes (`load_csv_rows`, `standardized_split`) read a table row by
+row with float() and standardize each part of a split on its own. Only tests
 call them, so they live beside the tests and not in the shipped package.
 Import them as `from reference import ...`; pytest puts this directory on the
 path. Import `test_error` under another name, or pytest collects it as a test.
@@ -13,8 +15,10 @@ path. Import `test_error` under another name, or pytest collects it as a test.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -45,6 +49,7 @@ from mdee.estimators import (
     moment_split,
     rmdee_trace,
 )
+from mdee.ingest import STD_FLOOR, DatasetManifest, SplitSpec, _resolve_columns
 from mdee.oracle import (
     HMomentsResult,
     OracleConfig,
@@ -82,10 +87,18 @@ def basis_eval(basis: BasisSpec, k: int, t: float) -> float:
     return float(_fourier_column(k, np.asarray(t, dtype=float)))
 
 
+def coordinate_sum(values: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, added left to right: the order in which `core.build_design` adds coordinates."""
+    total = values[..., 0]
+    for j in range(1, values.shape[-1]):
+        total = total + values[..., j]
+    return total
+
+
 def fourier_design(basis: BasisSpec, X, d: int) -> np.ndarray:
     """`core.build_design` column by column: a cos or sin of p * t per column, summed over coordinates."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    return np.column_stack([_fourier_column(k, X).sum(axis=1) for k in range(1, d + 1)])
+    return np.column_stack([coordinate_sum(_fourier_column(k, X)) for k in range(1, d + 1)])
 
 
 def block_corrs(designs: np.ndarray) -> np.ndarray:
@@ -404,3 +417,64 @@ def risk_ratio(cfg: OracleConfig) -> RiskRatioResult:
         degenerate=degenerate,
         reps=cfg.reps,
     )
+
+
+def load_csv_rows(manifest: DatasetManifest) -> np.ndarray:
+    """`ingest.load_csv` row by row: csv records, one float() and one isfinite per cell."""
+    path = Path(manifest.path)
+    with path.open(newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle, delimiter=manifest.delimiter)
+        header = None
+        first_line = 1
+        if manifest.has_header:
+            try:
+                header = [cell.strip() for cell in next(reader)]
+            except StopIteration:
+                raise ValueError(f"{manifest.name}: {str(path)!r} is empty, with no header row") from None
+            first_line = 2
+        cov_idx, resp_idx = _resolve_columns(manifest, header)
+        needed = max(max(cov_idx), resp_idx) + 1
+        rows = []
+        for line_no, row in enumerate(reader, start=first_line):
+            if len(row) < needed:
+                raise ValueError(
+                    f"{manifest.name}: line {line_no}: expected at least "
+                    f"{needed} columns, got {len(row)}"
+                )
+            try:
+                values = [float(row[i]) for i in cov_idx] + [float(row[resp_idx])]
+            except ValueError:
+                raise ValueError(
+                    f"{manifest.name}: line {line_no}: non-numeric cell"
+                ) from None
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{manifest.name}: line {line_no}: non-finite cell")
+            rows.append(values)
+    if not rows:
+        raise ValueError(f"{manifest.name}: no data rows")
+    return np.asarray(rows, dtype=float)
+
+
+def standardized_split(table: np.ndarray, spec: SplitSpec) -> tuple[LabeledSet, UnlabeledSet, LabeledSet]:
+    """`ingest.split` part by part: the train and pool covariates stacked for the statistics, each part rescaled on its own."""
+    table = np.asarray(table, dtype=float)
+    total = table.shape[0]
+    perm = np.random.default_rng(spec.seed).permutation(total)
+    shuffled = table[perm]
+    train_rows = shuffled[: spec.n]
+    pool_rows = shuffled[spec.n : spec.n + spec.n_prime]
+    test_rows = shuffled[spec.n + spec.n_prime :]
+
+    train_X, pool_X, test_X = train_rows[:, :-1], pool_rows[:, :-1], test_rows[:, :-1]
+    if spec.standardize:
+        reference = np.vstack([train_X, pool_X])
+        mean = reference.mean(axis=0)
+        std = reference.std(axis=0)
+        scale = np.where(std > STD_FLOOR, std, 1.0)
+        train_X = (train_X - mean) / scale
+        pool_X = (pool_X - mean) / scale
+        test_X = (test_X - mean) / scale
+    train = LabeledSet(X=train_X, y=train_rows[:, -1])
+    unlabeled = UnlabeledSet(X=pool_X)
+    test = LabeledSet(X=test_X, y=test_rows[:, -1])
+    return train, unlabeled, test

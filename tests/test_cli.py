@@ -98,6 +98,13 @@ class TestRunCommand:
         assert_input_error(capsys, ["run", str(path), "--out", str(tmp_path / "r")], "missing.csv")
         assert not (tmp_path / "r").exists()
 
+    def test_empty_data_file_rejected(self, tmp_path, capsys):
+        data, path = tmp_path / "empty.csv", tmp_path / "exp.yaml"
+        data.write_text("")
+        path.write_text(REAL_CONFIG.format(path=data))
+        assert_input_error(capsys, ["run", str(path), "--out", str(tmp_path / "r")], "empty.csv' is empty")
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize(
         "n_unlabeled, needle",
         [("-5", "n_unlabeled must be >= 0, got -5"), ("30", "n=10 plus n_unlabeled=30 leaves no test row of the 40")],

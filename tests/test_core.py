@@ -20,7 +20,7 @@ from mdee.core import (
     normal_matrix,
 )
 from mdee.estimators import design_corrs, inverse_factors
-from reference import basis_eval, block_corrs, empirical_loss, fourier_design, predict, ridge_lse
+from reference import basis_eval, block_corrs, coordinate_sum, empirical_loss, fourier_design, predict, ridge_lse
 
 BASIS = BasisSpec("fourier", 1)
 SQRT2 = np.sqrt(2.0)
@@ -146,6 +146,42 @@ class TestBuildDesign:
         direct = build_design(BASIS, X[perm], 4)
         permuted = build_design(BASIS, X, 4)[perm]
         np.testing.assert_array_equal(direct, permuted)
+
+
+def coordinate_designs(m):
+    """(X, the (rows, d, M) stack of each coordinate's M = 1 design, build_design) for d = 1..15."""
+    rng = np.random.default_rng(m)
+    for X in (rng.normal(size=(40, m)) * 3.0, rng.integers(0, 3, size=(30, 2 * m))[:, ::2] * 0.7, rng.normal(size=(1, m))):
+        for d in range(1, 16):
+            per_coordinate = np.stack([build_design(BASIS, X[:, [j]], d) for j in range(m)], axis=-1)
+            yield X, per_coordinate, build_design(BasisSpec("fourier", m), X, d)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_design_adds_coordinates_left_to_right(m):
+    # each coordinate's features are the bits of its own M = 1 design
+    for _, per_coordinate, got in coordinate_designs(m):
+        assert np.array_equal(got, coordinate_sum(per_coordinate))
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_design_against_numpy_row_sums(m):
+    """The route before coordinate-major designs summed each (rows, M) feature array with `.sum(axis=1)`.
+
+    numpy adds fewer than 8 values left to right, so for M <= 7 the bits are
+    the same. From M = 8 it sums pairwise; both orders are within
+    gamma_{M-1} = (M - 1) u / (1 - (M - 1) u), u = eps / 2, of the exact sum,
+    relative to the sum of the terms' magnitudes (Higham, Accuracy and
+    Stability of Numerical Algorithms, 4.2), so they differ by at most twice that.
+    """
+    u = np.finfo(float).eps / 2
+    gamma = (m - 1) * u / (1 - (m - 1) * u)
+    for _, per_coordinate, got in coordinate_designs(m):
+        row_sums = per_coordinate.sum(axis=-1)
+        if m <= 7:
+            assert np.array_equal(got, row_sums)
+        else:
+            assert (np.abs(got - row_sums) <= 2 * gamma * np.abs(per_coordinate).sum(axis=-1)).all()
 
 
 class TestRidgeLse:

@@ -1,7 +1,14 @@
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
+from reference import load_csv_rows, standardized_split
 
+from mdee import ingest
 from mdee.ingest import DatasetManifest, SplitSpec, dbar_for, load_csv, split
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -92,6 +99,104 @@ class TestLoadCsv:
         table = load_csv(small_manifest(path, delimiter=";"))
         np.testing.assert_array_equal(table, [[1, 2, 3]])
 
+    def test_empty_file_with_header_names_file(self, tmp_path):
+        path = write_csv(tmp_path, "")
+        with pytest.raises(ValueError, match=r"^toy: .*data\.csv.* is empty, with no header row"):
+            load_csv(small_manifest(path))
+
+    def test_byte_order_mark_before_header_dropped(self, tmp_path):
+        path = write_csv(tmp_path, "\ufeffa,b,y\n1,2,3\n")
+        np.testing.assert_array_equal(load_csv(small_manifest(path)), [[1, 2, 3]])
+
+    def test_byte_order_mark_without_header_dropped(self, tmp_path):
+        path = write_csv(tmp_path, "\ufeff1,2,3\n4,5,6\n")
+        manifest = small_manifest(path, response_column=2, covariate_columns=[0, 1], has_header=False)
+        np.testing.assert_array_equal(load_csv(manifest), [[1, 2, 3], [4, 5, 6]])
+
+
+def loaded(loader, manifest):
+    """What a loader makes of a file: its table's shape and bytes, or its error's type and message."""
+    try:
+        table = loader(manifest)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return table.dtype, table.shape, table.tobytes()
+
+
+def abalone_like_table(seed):
+    """The rows of the benchmark's abalone-shaped table (`bench/workloads.py`)."""
+    return runpy.run_path(str(ROOT / "bench" / "workloads.py"), run_name="bench_workloads")["abalone_like_table"](seed)
+
+
+# (file text, manifest changes): files the loader reads, some through numpy's parser and some row by row
+EDGE_FILES = {
+    "quoted cells": ('a,b,y\n"1",2,"3"\n4,"5.5",6\n', {}),
+    "quoted header": ('"a","b","y"\n1,2,3\n', {}),
+    "quoted delimiter in an unused column": ('n,a,b,y\n"x,y",1,2,3\n', dict(covariate_columns=["b"])),
+    "padded cells": ("a,b,y\n 1 ,\t2, 3\n4 ,5,  6\n", {}),
+    "exponent forms": ("a,b,y\n1e3,-2.5E-3,+.5\n7.,1e-308,0\n", {}),
+    "semicolon": ("a;b;y\n1;2,5;3\n4;5;6\n", dict(delimiter=";", covariate_columns=["a"])),
+    "tab": ("a\tb\ty\n1\t2\t3\n", dict(delimiter="\t")),
+    "no header": ("1,2,3\n4,5,6", dict(response_column=0, covariate_columns=[2, 1], has_header=False)),
+    "crlf": ("a,b,y\r\n1,2,3\r\n4,5,6\r\n", {}),
+    "cr": ("a,b,y\r1,2,3\r4,5,6\r", {}),
+    "extra and ragged columns": ("a,b,y,z\n1,2,3,x\n4,5,6\n7,8,9,1,2\n", {}),
+    "digit underscores": ("a,b,y\n1_0,2,3\n", {}),
+}
+
+# (file text, manifest changes, line named): files both loaders reject
+BAD_FILES = {
+    "short row": ("a,b,y\n1,2,3\n1,2\n", {}, "line 3"),
+    "non-numeric cell": ("a,b,y\n1,2,3\n4,x,6\n", {}, "line 3"),
+    "nan": ("a,b,y\n1,2,3\n4,5,6\nnan,2,3\n", {}, "line 4"),
+    "inf": ("a,b,y\n1,2,inf\n", {}, "line 2"),
+    "overflow to inf": ("a,b,y\n1,2,3\n1e400,2,3\n", {}, "line 3"),
+    "blank line in the middle": ("a,b,y\n1,2,3\n\n4,5,6\n", {}, "line 3"),
+    "blank crlf line": ("a,b,y\r\n1,2,3\r\n\r\n4,5,6\r\n", {}, "line 3"),
+    "trailing blank line": ("a,b,y\n1,2,3\n4,5,6\n\n", {}, "line 4"),
+    "blank line, no final line end": ("a,b,y\n1,2,3\n\n4,5,6", {}, "line 3"),
+    "leading blank line": ("\n1,2,3\n", dict(response_column=2, covariate_columns=[0, 1], has_header=False), "line 1"),
+    "whitespace line": ("a,b,y\n1,2,3\n  \n", {}, "line 3"),
+    "quoted non-numeric": ('a,b,y\n1,"2,5",3\n', {}, "line 2"),
+    "header only": ("a,b,y\n", {}, "no data rows"),
+    "empty with header": ("", {}, "is empty"),
+    "empty without header": ("", dict(response_column=2, covariate_columns=[0, 1], has_header=False), "no data rows"),
+}
+
+
+class TestLoadCsvEqualsRowByRowReference:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_abalone_like_table(self, tmp_path, seed):
+        path = write_csv(tmp_path, "\n".join(abalone_like_table(seed)) + "\n")
+        manifest = small_manifest(path, response_column=8, covariate_columns=list(range(1, 8)), has_header=False)
+        got = loaded(load_csv, manifest)
+        assert got[1] == (4177, 8)
+        assert got == loaded(load_csv_rows, manifest)
+
+    def test_abalone_like_table_read_without_the_row_scan(self, tmp_path, monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("row-by-row scan ran")
+
+        path = write_csv(tmp_path, "\n".join(abalone_like_table(0)) + "\n")
+        manifest = small_manifest(path, response_column=8, covariate_columns=list(range(1, 8)), has_header=False)
+        expected = loaded(load_csv_rows, manifest)
+        monkeypatch.setattr(ingest, "_scan", no_scan)
+        assert loaded(load_csv, manifest) == expected
+
+    @pytest.mark.parametrize("text, changes", EDGE_FILES.values(), ids=EDGE_FILES.keys())
+    def test_edge_files(self, tmp_path, text, changes):
+        manifest = small_manifest(write_csv(tmp_path, text), **changes)
+        got = loaded(load_csv, manifest)
+        assert got[0] == np.float64
+        assert got == loaded(load_csv_rows, manifest)
+
+    @pytest.mark.parametrize("text, changes, needle", BAD_FILES.values(), ids=BAD_FILES.keys())
+    def test_rejected_files_name_the_same_line(self, tmp_path, text, changes, needle):
+        manifest = small_manifest(write_csv(tmp_path, text), **changes)
+        got = loaded(load_csv, manifest)
+        assert got[0] is ValueError and needle in got[1]
+        assert got == loaded(load_csv_rows, manifest)
+
 
 def toy_table(rows=10, m=2, seed=0):
     rng = np.random.default_rng(seed)
@@ -149,6 +254,23 @@ class TestSplit:
         table = toy_table(12)
         train, _, _ = split(table, SplitSpec(n=4, n_prime=4, seed=7))
         assert set(np.round(train.y, 12)) <= set(np.round(table[:, -1], 12))
+
+    @pytest.mark.parametrize("standardize", [True, False])
+    @pytest.mark.parametrize("constant", [False, True], ids=["varying", "constant column"])
+    def test_equals_the_part_by_part_reference(self, standardize, constant):
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            rows, m = int(rng.integers(3, 80)), int(rng.integers(1, 9))
+            table = toy_table(rows, m, seed) * 10.0 ** rng.integers(-3, 4)
+            if constant:
+                table[:, int(rng.integers(m))] = 0.3
+            n = int(rng.integers(1, rows - 1))
+            spec = SplitSpec(n=n, n_prime=int(rng.integers(0, rows - n)), seed=seed, standardize=standardize)
+            got, ref = split(table, spec), standardized_split(table, spec)
+            for part, expected in zip(got, ref):
+                assert part.X.shape == expected.X.shape and part.X.tobytes() == expected.X.tobytes()
+            for part, expected in ((got[0], ref[0]), (got[2], ref[2])):
+                assert part.y.tobytes() == expected.y.tobytes()
 
     def test_infeasible_counts(self):
         table = toy_table(10)
