@@ -28,13 +28,14 @@ def _input_error(exc: Exception) -> int:
     return 2
 
 
-def _check_table(scenario: harness.RealScenario) -> None:
-    """Load a real-data table once, so an unreadable file or an n that leaves no test row fails before any output exists."""
+def _checked_table(scenario: harness.RealScenario) -> np.ndarray:
+    """Load a real-data table for the run, so an unreadable file or an n that leaves no test row fails before any output exists."""
     try:
         table = ingest.load_csv(scenario.manifest)
     except OSError as exc:
         raise ValueError(f"real.path {str(scenario.manifest.path)!r} cannot be read: {exc.strerror or exc}") from exc
     scenario.check_rows(len(table))
+    return table
 
 
 def _cmd_run(args) -> int:
@@ -45,11 +46,10 @@ def _cmd_run(args) -> int:
         if args.reps is not None:
             cfg.repetitions = args.reps
         cfg.validate()
-        if isinstance(cfg.scenario, harness.RealScenario):
-            _check_table(cfg.scenario)
+        table = _checked_table(cfg.scenario) if isinstance(cfg.scenario, harness.RealScenario) else None
     except (OSError, ValueError) as exc:
         return _input_error(exc)
-    out = harness.run_to_dir(cfg, args.out)
+    out = harness.run_to_dir(cfg, args.out, table)
     print(f"wrote {out / 'summary.csv'}, {out / 'trials.csv'}, {out / 'meta.json'}")
     return 0
 

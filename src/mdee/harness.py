@@ -479,14 +479,16 @@ def _trial(cfg, table, cell, cell_idx, trial) -> TrialResult:
     return evaluate_trial(trial, cell, train, unlabeled, test, d_max, cfg, cv_seed)
 
 
-def run_experiment(cfg: ExperimentConfig) -> tuple[list[TrialResult], list[CriterionSummary]]:
+def run_experiment(
+    cfg: ExperimentConfig, table: np.ndarray | None = None
+) -> tuple[list[TrialResult], list[CriterionSummary]]:
     """Run every (grid cell, repetition) pair and aggregate per criterion.
 
     Each trial draws from its own seed streams, so its result does not depend
-    on the trials run before it; aggregation folds over trial index.
+    on the trials run before it; aggregation folds over trial index. A real
+    scenario's table is loaded here unless the caller passes it already loaded.
     """
-    table = None
-    if isinstance(cfg.scenario, RealScenario):
+    if table is None and isinstance(cfg.scenario, RealScenario):
         table = ingest.load_csv(cfg.scenario.manifest)
 
     trials: list[TrialResult] = []
@@ -536,11 +538,11 @@ def write_trials_csv(path, trials: list[TrialResult], criteria: list[str]) -> No
                 writer.writerow(prefix + row)
 
 
-def run_to_dir(cfg: ExperimentConfig, out_dir=None) -> Path:
-    """Run an experiment and write summary.csv, trials.csv and meta.json."""
+def run_to_dir(cfg: ExperimentConfig, out_dir=None, table: np.ndarray | None = None) -> Path:
+    """Run an experiment and write summary.csv, trials.csv and meta.json; `table` is as for run_experiment."""
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    trials, summaries = run_experiment(cfg)
+    trials, summaries = run_experiment(cfg, table)
     write_summary_csv(out / "summary.csv", summaries)
     write_trials_csv(out / "trials.csv", trials, cfg.criteria)
     meta = {
@@ -670,6 +672,13 @@ def _flag(value, key: str) -> bool:
     return value
 
 
+def _delimiter(value) -> str:
+    """The real table's delimiter; anything but a one-character string raises ValueError naming real.delimiter."""
+    if not isinstance(value, str) or len(value) != 1:
+        raise ValueError(f"real.delimiter must be a one-character string, got {value!r}")
+    return value
+
+
 def _check_keys(section: dict, name: str) -> None:
     unknown = sorted(str(k) for k in section if k not in CONFIG_KEYS[name])
     if unknown:
@@ -713,7 +722,7 @@ def load_config(path) -> ExperimentConfig:
             path=section["path"],
             response_column=section["response_column"],
             covariate_columns=list(section["covariate_columns"]),
-            delimiter=section.get("delimiter", ","),
+            delimiter=_delimiter(section.get("delimiter", ",")),
             has_header=_flag(section.get("has_header", True), "has_header"),
         )
         scenario = RealScenario(

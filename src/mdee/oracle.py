@@ -11,6 +11,8 @@ oracle route independent of the package's Cholesky-based solver.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,6 +151,58 @@ def _reference_traces(cfg: OracleConfig, c_hat_invs: np.ndarray) -> tuple[np.nda
     return trs, (float(trs.mean()), float(np.hypot(se_rep, se_c)), float(se_c))
 
 
+def _cpu_count() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_spans(count: int, body) -> None:
+    """Call body(i) for every i in range(count), in contiguous spans, one per CPU the process may use.
+
+    The main thread runs the first span and a plain thread each of the
+    others, so on one CPU no thread starts. body must write only its own
+    slots: the threads overlap in the numpy kernels that release the GIL.
+    Once a span raises, or the main thread is interrupted, the other spans
+    stop before their next call. Every thread is joined before this returns
+    or raises, and the first exception propagates.
+    """
+    spans = min(_cpu_count(), count)
+    bounds = [count * k // spans for k in range(spans + 1)]
+    stop = threading.Event()
+    errors = []
+
+    def run(lo: int, hi: int) -> None:
+        for i in range(lo, hi):
+            if stop.is_set():
+                return
+            body(i)
+
+    def worker(lo: int, hi: int) -> None:
+        try:
+            run(lo, hi)
+        except BaseException as exc:  # raised again by the main thread after the join
+            errors.append(exc)
+            stop.set()
+
+    threads = [threading.Thread(target=worker, args=bounds[k : k + 2]) for k in range(1, spans)]
+    try:
+        for thread in threads:
+            thread.start()
+        run(bounds[0], bounds[1])
+        for thread in threads:
+            thread.join()
+    except BaseException:
+        stop.set()
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
+        raise
+    if errors:
+        raise errors[0]
+
+
 def mc_risk_ratio(cfg: OracleConfig) -> RiskRatioResult:
     """Estimate E[L], E[L_D] and their ratio over independent replications.
 
@@ -159,6 +213,11 @@ def mc_risk_ratio(cfg: OracleConfig) -> RiskRatioResult:
     C so the exact-correction identity can be checked from the same
     replications; C and its sampling error come from one population pass
     after the replications.
+
+    Replication r draws from its own `_aux_rng(seed, 0, r)` stream and writes
+    only its own slots, and the replications run in spans over the CPUs the
+    process may use (`_run_spans`). Every reduction runs after the join, in
+    replication order, so the result does not depend on the CPU count.
     """
     if isinstance(cfg.truth, str) or not cfg.inside_model():
         raise ValueError("mc_risk_ratio requires an inside-model coefficient truth")
@@ -167,7 +226,8 @@ def mc_risk_ratio(cfg: OracleConfig) -> RiskRatioResult:
     losses = np.empty(cfg.reps)
     train_losses = np.empty(cfg.reps)
     c_hat_invs = np.empty((cfg.reps, cfg.d, cfg.d))
-    for rep in range(cfg.reps):
+
+    def replicate(rep: int) -> None:
         rng = _aux_rng(cfg.seed, 0, rep)
         X = _covariates(rng, cfg.n, cfg)
         design = _design(cfg, X)
@@ -181,6 +241,8 @@ def mc_risk_ratio(cfg: OracleConfig) -> RiskRatioResult:
         err = y_test - design_test @ alpha_hat
         losses[rep] = err @ err / cfg.n_test
         c_hat_invs[rep] = np.linalg.inv(correlation_matrix(design))
+
+    _run_spans(cfg.reps, replicate)
     e_loss = float(losses.mean())
     e_train = float(train_losses.mean())
     se_loss = float(losses.std(ddof=1) / np.sqrt(cfg.reps))

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import mdee
-from mdee import harness, oracle
+from mdee import harness, ingest, oracle
 from mdee.cli import main
 
 CONFIG = """
@@ -121,6 +121,21 @@ class TestRunCommand:
         assert_input_error(capsys, ["run", str(path), "--out", str(tmp_path / "r")], needle)
         assert not (tmp_path / "r").exists()
 
+    def test_real_table_parsed_once(self, tmp_path, monkeypatch):
+        loads = []
+        load_csv = ingest.load_csv
+
+        def counted(manifest):
+            loads.append(manifest)
+            return load_csv(manifest)
+
+        monkeypatch.setattr(ingest, "load_csv", counted)
+        data, path = tmp_path / "toy.csv", tmp_path / "exp.yaml"
+        data.write_text("x,y\n" + "".join(f"{i / 40},{i % 3}\n" for i in range(40)))
+        path.write_text(REAL_CONFIG.format(path=data))
+        assert main(["run", str(path), "--out", str(tmp_path / "r")]) == 0
+        assert len(loads) == 1
+
     def test_real_counts_leaving_one_test_row_run(self, tmp_path):
         data, path = tmp_path / "toy.csv", tmp_path / "exp.yaml"
         data.write_text("x,y\n" + "".join(f"{i / 40},{i % 3}\n" for i in range(40)))
@@ -136,6 +151,8 @@ class TestRunCommand:
 
 
 RUN = ["run", "{config}", "--out", "{out}"]
+# Cases that change this line of REAL_CONFIG run on it; the others on CONFIG.
+REAL_COLUMNS = "covariate_columns: [x]"
 
 
 @pytest.mark.parametrize(
@@ -157,6 +174,9 @@ RUN = ["run", "{config}", "--out", "{out}"]
         pytest.param("n: 10", "n: [10, 10]", RUN, "n repeats", id="n twice"),
         pytest.param("noise_var: 0.1", "noise_var: [0.1, 0.1]", RUN, "noise_var repeats", id="noise_var twice"),
         pytest.param(None, None, RUN + ["--seed", "-5"], "master_seed", id="run --seed"),
+        pytest.param(REAL_COLUMNS, REAL_COLUMNS + "\n  delimiter: ';;'", RUN, "real.delimiter", id="delimiter ;;"),
+        pytest.param(REAL_COLUMNS, REAL_COLUMNS + "\n  delimiter: ''", RUN, "real.delimiter", id="delimiter empty"),
+        pytest.param(REAL_COLUMNS, REAL_COLUMNS + "\n  delimiter: 5", RUN, "real.delimiter", id="delimiter 5"),
         pytest.param(None, None, ["oracle", "--theorem", "2", "--reps", "300", "--seed", "-1"], "seed", id="oracle --seed"),
         pytest.param(None, None, ["oracle", "--theorem", "2", "--noise-sd", "nan"], "noise_sd", id="oracle --noise-sd nan"),
         pytest.param(None, None, ["oracle", "--theorem", "2", "--noise-sd", "inf"], "noise_sd", id="oracle --noise-sd inf"),
@@ -170,9 +190,10 @@ def test_bad_value_rejected_before_any_output(old, new, argv, needle, tmp_path, 
     monkeypatch.setattr(harness, "_trial", no_trials)
     monkeypatch.setattr(oracle, "mc_risk_ratio", no_draws)
     path, out = tmp_path / "exp.yaml", tmp_path / "r"
+    base = REAL_CONFIG.format(path=tmp_path / "toy.csv") if old == REAL_COLUMNS else CONFIG
     if old is not None:
-        assert old in CONFIG
-    path.write_text(CONFIG if old is None else CONFIG.replace(old, new))
+        assert old in base
+    path.write_text(base if old is None else base.replace(old, new))
     assert_input_error(capsys, [arg.format(config=path, out=out) for arg in argv], needle)
     assert not out.exists()
 

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from reference import block_moments, population_corr, risk_ratio
@@ -255,6 +258,11 @@ def assert_moments_match_reference(cfg, B, B1):
     assert got == block_moments(cfg, MOMENT_VARIANTS, B, B1)
 
 
+# CPU counts for mc_risk_ratio's spans: the process's own (None), then 1, 2, 3 and 8. 41 replications split
+# unevenly over 2, 3 and 8 spans, and 2 replications on 3 CPUs run as two spans.
+RATIO_SPANS = [(None, 40), (1, 41), (2, 41), (3, 41), (3, 2), (8, 41)]
+
+
 class TestChunkedReplications:
     """mc_block_moments and mc_risk_ratio equal the one-replication-at-a-time reference bit for bit."""
 
@@ -289,11 +297,58 @@ class TestChunkedReplications:
         monkeypatch.setattr(oracle, "_CHUNK", 500)
         assert_moments_match_reference(make_cfg(reps=100, c_draws=5_000), 30, 10)
 
-    @pytest.mark.parametrize("d, m", [(1, 1), (2, 2), (3, 1), (3, 2)])
-    def test_risk_ratio(self, d, m):
-        cfg = make_cfg(basis=BasisSpec("fourier", m), d=d, truth=np.array([1.0, 0.5, -0.3])[:d], reps=40, n_test=300,
-                       c_draws=20_000)
-        assert mc_risk_ratio(cfg) == risk_ratio(cfg)
+    @pytest.mark.parametrize(
+        "d, m, cpus, reps",
+        [
+            pytest.param(d, m, cpus, reps, id=f"{d}-{m}" if cpus is None else f"{d}-{m}-cpus{cpus}-reps{reps}")
+            for cpus, reps in RATIO_SPANS
+            for d, m in [(1, 1), (2, 2), (3, 1), (3, 2)]
+        ],
+    )
+    def test_risk_ratio(self, d, m, cpus, reps, monkeypatch):
+        if cpus is not None:
+            monkeypatch.setattr(oracle, "_cpu_count", lambda: cpus)
+        cfg = make_cfg(basis=BasisSpec("fourier", m), d=d, truth=np.array([1.0, 0.5, -0.3])[:d], reps=reps,
+                       n_test=300, c_draws=20_000)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the GIL over often, so the spans interleave finely
+        try:
+            result = mc_risk_ratio(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert result == risk_ratio(cfg)
+
+    @pytest.mark.parametrize("raised_in", ["second span", "main thread"])
+    def test_failing_span_stops_the_others(self, monkeypatch, raised_in):
+        # Replications 0-9 run on the main thread and 10-19 on a second thread.
+        monkeypatch.setattr(oracle, "_cpu_count", lambda: 2)
+        before = threading.enumerate()
+        calls = {"main": 0, "second": 0}
+        main_started = threading.Event()
+        design = oracle._design
+
+        def failing(cfg, X):
+            span = "main" if threading.current_thread() is threading.main_thread() else "second"
+            calls[span] += 1
+            if raised_in == "second span" and span == "second":
+                assert main_started.wait(timeout=10)
+                raise ValueError("second span failed")
+            if raised_in == "main thread" and span == "main":
+                raise KeyboardInterrupt
+            if raised_in == "second span" and calls["main"] == 1:
+                # Let the second span fail and end before this replication goes on.
+                main_started.set()
+                for thread in set(threading.enumerate()) - set(before):
+                    thread.join(timeout=10)
+            return design(cfg, X)
+
+        monkeypatch.setattr(oracle, "_design", failing)
+        with pytest.raises(ValueError if raised_in == "second span" else KeyboardInterrupt):
+            mc_risk_ratio(make_cfg(reps=20, n_test=300, c_draws=5_000))
+        assert threading.active_count() == len(before)
+        if raised_in == "second span":
+            # The main span finished the replication it was in, two designs, and stopped.
+            assert calls == {"main": 2, "second": 1}
 
     @pytest.mark.parametrize("run", ["moments", "ratio"])
     def test_one_population_pass_per_call(self, monkeypatch, run):
