@@ -20,11 +20,11 @@ path fit's for the labeled matrix, which reaches every size the path fitted,
 and one per block (`inverse_factors`). A block's trace is +inf from the size at
 which its factorization stops, the limit of Tr(C_plus C_b^{-1}) as C_b turns
 singular: the mean over blocks is then +inf and the median may stay finite.
-`dee_trace`, `mdee_trace` and `rmdee_trace` compute one size from a size-d
-solve or LU inverses and are their references; the block references apply the
-same rule to a block whose inverse does not exist. The per-d risk estimates
-built on them, `dee`, `mdee`, `rmdee` and the split `select_b1`, which form
-each size's matrices on their own, are in `tests/reference.py`.
+`dee_trace`, `mdee_trace` and `rmdee_trace` are one-size views of them: each
+is the last entry of its path route on the factors of the jittered matrices it
+is given. The per-d references, which solve or invert each size's matrices by
+LU (`invert_blocks`), and the risk estimates built on them, `dee`, `mdee`,
+`rmdee` and the split `select_b1`, are in `tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .core import (
     COND_LIMIT,
     DEFAULT_RIDGE,
     BasisSpec,
-    SingularDesignError,
     build_design,
     check_condition,
     condition_numbers,
@@ -56,10 +55,10 @@ class CriterionKind(enum.Enum):
     RMDEE = "rmDEE"
 
 
-def correction_factor(tr_h: float, n: int, d: int) -> float:
-    """Multiplicative bias correction (1 + tr_h/n) / (1 - d/n)."""
-    if d >= n:
-        raise ValueError(f"correction factor undefined for d={d} >= n={n}")
+def correction_factor(tr_h, n: int, d):
+    """Multiplicative bias correction (1 + tr_h/n) / (1 - d/n), elementwise for arrays of traces and sizes."""
+    if (np.asarray(d) >= n).any():
+        raise ValueError(f"correction factor undefined for d={np.max(d)} >= n={n}")
     return (1.0 + tr_h / n) / (1.0 - d / n)
 
 
@@ -75,33 +74,10 @@ def flagged_blocks(corrs: np.ndarray, ridge: float, check=None) -> tuple[int, ..
     return tuple(int(b) for b in checked[~(cond <= COND_LIMIT)])
 
 
-def _inverse(jittered: np.ndarray, b: int) -> np.ndarray:
-    try:
-        return np.linalg.inv(jittered)
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesignError(f"block {b}: correlation matrix singular even with ridge jitter") from exc
-
-
-def invert_blocks(
-    corrs: np.ndarray, ridge: float = DEFAULT_RIDGE
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Invert each matrix in a (B, d, d) stack after adding ridge*I.
-
-    Returns the inverses and the indices of blocks whose jittered matrix has
-    condition number above COND_LIMIT (kept, but flagged for diagnostics).
-    Raises SingularDesignError naming a block that cannot be inverted.
-    """
-    corrs = np.asarray(corrs, dtype=float)
-    if corrs.ndim == 2:
-        corrs = corrs[None]
-    flagged = flagged_blocks(corrs, ridge)
-    jittered = corrs + ridge * np.eye(corrs.shape[-1])
-    try:
-        invs = np.linalg.inv(jittered)
-    except np.linalg.LinAlgError:
-        # Invert one by one so the failing block can be named.
-        invs = np.stack([_inverse(mat, b) for b, mat in enumerate(jittered)])
-    return invs, flagged
+def _jittered(mats, ridge: float) -> np.ndarray:
+    """A matrix or a stack of them plus ridge*I."""
+    mats = np.asarray(mats, dtype=float)
+    return mats + ridge * np.eye(mats.shape[-1])
 
 
 def inverse_factors(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -110,6 +86,13 @@ def inverse_factors(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The rows from its size on of a factor that stops are zero, so the leading
     d x d block of each is the inverse factor of the matrix's leading corner
     wherever that corner factors.
+
+    A factor also stops at the first k with L_kk^2 <= D eps max_i K_ii, the
+    default tolerance of LAPACK's pivoted Cholesky dpstrf: there the matrix
+    is singular to working precision, though rounding may leave the pivot
+    positive (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10).
+    Every pivot is at least the smallest eigenvalue, so the rule cannot fire
+    on a matrix whose ridge is above that tolerance.
     """
     B, D, _ = mats.shape
     factors = np.zeros_like(mats)
@@ -122,11 +105,19 @@ def inverse_factors(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for b, mat in enumerate(mats):
             inv, size = inverse_factor(mat)
             factors[b, :size, :size], sizes[b] = inv, size
-        return factors, sizes
-    if D:  # LAPACK rejects an empty matrix
-        for low, factor in zip(lows, factors):
-            factor[:] = dtrtri(low, lower=1)[0]
-    return factors, np.full(B, D)
+    else:
+        sizes = np.full(B, D)
+        if D:  # LAPACK rejects an empty matrix
+            for low, factor in zip(lows, factors):
+                factor[:] = dtrtri(low, lower=1)[0]
+    # W_kk = 1 / L_kk, so L_kk^2 <= tol reads W_kk sqrt(tol) >= 1; a row past a stop is zero
+    tol = D * np.finfo(float).eps * mats.diagonal(axis1=1, axis2=2).max(axis=1, initial=0.0)
+    low_pivot = factors.diagonal(axis1=1, axis2=2) * np.sqrt(tol)[:, None] >= 1.0
+    stops = low_pivot.any(axis=1)
+    if stops.any():
+        sizes[stops] = low_pivot[stops].argmax(axis=1)
+        factors[np.arange(D) >= sizes[:, None]] = 0.0
+    return factors, sizes
 
 
 def quadratic_forms(factors: np.ndarray, c_plus: np.ndarray) -> np.ndarray:
@@ -152,19 +143,15 @@ def block_corr_stack(blocks: np.ndarray, basis: BasisSpec, d: int) -> np.ndarray
 
 
 def dee_trace(c_hat: np.ndarray, c_tilde: np.ndarray, ridge: float = DEFAULT_RIDGE) -> float:
-    """Tr(C_hat^{-1} C_tilde) through a jittered solve.
+    """Tr(C_hat^{-1} C_tilde) with ridge*I added to C_hat: the last entry of `dee_trace_path`.
 
     Raises SingularDesignError when the jittered labeled correlation matrix
-    is numerically singular (condition above COND_LIMIT).
+    is numerically singular (condition above COND_LIMIT); below that limit its
+    factor reaches every size.
     """
-    c_hat = np.asarray(c_hat, dtype=float)
-    jittered = c_hat + ridge * np.eye(c_hat.shape[0])
+    jittered = _jittered(c_hat, ridge)
     check_condition(jittered, "labeled correlation matrix")
-    try:
-        solved = np.linalg.solve(jittered, np.asarray(c_tilde, dtype=float))
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesignError("labeled correlation matrix singular") from exc
-    return float(np.trace(solved))
+    return float(dee_trace_path(inverse_factor(jittered)[0], np.asarray(c_tilde, dtype=float))[-1])
 
 
 def dee_trace_path(factor: np.ndarray, c_tilde: np.ndarray) -> np.ndarray:
@@ -207,17 +194,15 @@ def mdee_trace(
     b1: int | None,
     ridge: float = DEFAULT_RIDGE,
 ) -> tuple[float, tuple[int, ...]]:
-    """Tr(C_plus V_hat) from a stack of block correlation matrices, sides per `block_sides`.
+    """Tr(C_plus V_hat) from a stack of block correlation matrices plus ridge*I: the last entry of `mdee_trace_path`.
 
-    Only the V-side blocks are inverted; a SingularDesignError names a block by
-    its index among them.
+    Sides are per `block_sides`. Also returns the indices of the V-side blocks
+    whose jittered matrix has condition above COND_LIMIT.
     """
     corrs = np.asarray(block_corrs, dtype=float)
-    c_stop, v_start = block_sides(variant, b1, corrs.shape[0])
-    c_plus = corrs[:c_stop].mean(axis=0)
-    invs, flagged = invert_blocks(corrs[v_start:], ridge)
-    v_hat = invs.mean(axis=0)
-    return float(np.trace(c_plus @ v_hat)), tuple(b + v_start for b in flagged)
+    v_start = block_sides(variant, b1, len(corrs))[1]
+    traces = mdee_trace_path(corrs, inverse_factors(_jittered(corrs, ridge)), variant, b1)
+    return float(traces[-1]), flagged_blocks(corrs, ridge, range(v_start, len(corrs)))
 
 
 def mdee_trace_path(
@@ -243,37 +228,35 @@ def rmdee_trace(
     labeled: np.ndarray | None,
     ridge: float = DEFAULT_RIDGE,
 ) -> tuple[float, tuple[int, ...]]:
-    """Median of per-block traces Tr(C_plus C_b^{-1}).
+    """Median of per-block traces Tr(C_plus C_b^{-1}), ridge*I added to each C_b: the last entry of `rmdee_trace_path`.
 
     C_plus averages every unlabeled block. When the labeled correlation
     matrix `labeled` is given it joins the trace list as block 0 (flag indices
-    then start at 1 for the unlabeled blocks). A block whose jittered matrix
-    cannot be inverted has trace +inf. An even count takes the mean of the two
-    central order statistics.
+    then start at 1 for the unlabeled blocks). Also returns the indices of the
+    blocks whose jittered matrix has condition above COND_LIMIT.
     """
     corrs = np.asarray(block_corrs, dtype=float)
-    c_plus = corrs.mean(axis=0)
-    if labeled is not None:
-        corrs = np.concatenate((np.asarray(labeled, dtype=float)[None], corrs))
-    flagged = flagged_blocks(corrs, ridge)
-    traces = []
-    for mat in corrs + ridge * np.eye(corrs.shape[-1]):
-        try:
-            traces.append(float(np.trace(c_plus @ np.linalg.inv(mat))))
-        except np.linalg.LinAlgError:
-            traces.append(np.inf)
-    return float(np.median(traces)), flagged
+    mats = corrs if labeled is None else np.concatenate((np.asarray(labeled, dtype=float)[None], corrs))
+    traces = rmdee_trace_path(corrs, inverse_factors(_jittered(mats, ridge)))
+    return float(traces[-1]), flagged_blocks(mats, ridge)
 
 
-def rmdee_trace_path(corrs: np.ndarray, factors: tuple[np.ndarray, np.ndarray], labeled: np.ndarray) -> np.ndarray:
-    """`rmdee_trace` at every size d = 1..D from a (B, D, D) stack and its `inverse_factors`, flags aside.
+def rmdee_trace_path(
+    corrs: np.ndarray, factors: tuple[np.ndarray, np.ndarray], labeled: np.ndarray | None = None
+) -> np.ndarray:
+    """`rmdee_trace` at every size d = 1..D from a (B, D, D) stack and `inverse_factors`, flags aside.
 
-    `labeled` is the labeled block's D x D inverse factor, which reaches D.
-    Each unlabeled block's trace is +inf from the size at which its factor stops.
+    C_plus averages the blocks of `corrs`. The median runs over the blocks of
+    `factors`, after `labeled`, when given: the labeled block's D x D inverse
+    factor, which reaches D. Each trace is +inf from the size at which its
+    factor stops; an even count takes the mean of the two central order
+    statistics.
     """
     invs, sizes = factors
-    traces = np.cumsum(quadratic_forms(np.concatenate((labeled[None], invs)), corrs.mean(axis=0)), axis=1)
-    traces[1:][np.arange(traces.shape[1]) >= sizes[:, None]] = np.inf
+    if labeled is not None:
+        invs, sizes = np.concatenate((labeled[None], invs)), np.concatenate(([len(labeled)], sizes))
+    traces = np.cumsum(quadratic_forms(invs, corrs.mean(axis=0)), axis=1)
+    traces[np.arange(traces.shape[1]) >= sizes[:, None]] = np.inf
     return np.median(traces, axis=0)
 
 

@@ -121,16 +121,17 @@ class ExperimentConfig:
         """Reject settings no run can use; call again after changing fields."""
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if not self.criteria:
-            raise ValueError("criteria must be nonempty")
         unknown = [c for c in self.criteria if c not in CRITERIA]
         if unknown:
             raise ValueError(f"unknown criteria {unknown}; valid: {sorted(CRITERIA)}")
         # each criterion and grid value is one summary row, so a repeated one would be counted twice
+        # and an empty list would leave no row to write
         grids = {"criteria": self.criteria, "n": self.scenario.n_values}
         if isinstance(self.scenario, SyntheticScenario):
             grids["noise_var"] = self.scenario.noise_vars
         for name, values in grids.items():
+            if not values:
+                raise ValueError(f"{name} must be nonempty")
             if len(set(values)) < len(values):
                 raise ValueError(f"{name} repeats a value: {values}")
         if self.master_seed < 0:
@@ -146,6 +147,7 @@ class ExperimentConfig:
                 raise ValueError(f"n_test must be >= 1, got {self.scenario.n_test}")
             for cell in self.scenario.cells():
                 self.scenario.data_config(cell)
+                _auto_d_max(self, cell["n"], 1)
         elif self.scenario.n_unlabeled < 0:
             raise ValueError(f"real n_unlabeled must be >= 0, got {self.scenario.n_unlabeled}")
 
@@ -325,14 +327,14 @@ class TrialState:
 
 
 def _trace_risks(state: TrialState, traces: np.ndarray) -> np.ndarray:
-    """The training loss times (1 + tr/n)/(1 - d/n) for the traces at sizes 1..`state.top`.
+    """The training loss times `estimators.correction_factor` for the traces at sizes 1..`state.top`.
 
     A size is NaN where its trace is infinite, and above `top`.
     """
-    n, top = state.train.n, state.top
+    top = state.top
     traces = np.where(np.isinf(traces), np.nan, traces)
     risks = np.full(state.path.d_max, np.nan)
-    risks[:top] = (1.0 + traces / n) / (1.0 - np.arange(1, top + 1) / n) * state.path.losses[:top]
+    risks[:top] = estimators.correction_factor(traces, state.train.n, np.arange(1, top + 1)) * state.path.losses[:top]
     return risks
 
 
@@ -672,6 +674,20 @@ def _flag(value, key: str) -> bool:
     return value
 
 
+def _text(value, key: str) -> str:
+    """A string setting; anything else raises ValueError naming `key`."""
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _column(value, key: str) -> str | int:
+    """A table column, a name or a zero-based index; anything else raises ValueError naming `key`."""
+    if isinstance(value, str) or isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+        return value
+    raise ValueError(f"{key} must name a column or give its zero-based index, got {value!r}")
+
+
 def _delimiter(value) -> str:
     """The real table's delimiter; anything but a one-character string raises ValueError naming real.delimiter."""
     if not isinstance(value, str) or len(value) != 1:
@@ -718,10 +734,10 @@ def load_config(path) -> ExperimentConfig:
             raise ValueError("scenario 'real' needs a 'real' section")
         _check_keys(section, "real")
         manifest = ingest.DatasetManifest(
-            name=section["name"],
-            path=section["path"],
-            response_column=section["response_column"],
-            covariate_columns=list(section["covariate_columns"]),
+            name=_text(section["name"], "real.name"),
+            path=_text(section["path"], "real.path"),
+            response_column=_column(section["response_column"], "real.response_column"),
+            covariate_columns=[_column(c, "real.covariate_columns") for c in _as_list(section["covariate_columns"])],
             delimiter=_delimiter(section.get("delimiter", ",")),
             has_header=_flag(section.get("has_header", True), "has_header"),
         )
@@ -737,7 +753,7 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig(
         scenario=scenario,
         # missing keys fall through to validate(), which names them
-        criteria=[str(c) for c in raw.get("criteria") or []],
+        criteria=[str(c) for c in _as_list(raw.get("criteria") or [])],
         repetitions=_whole(raw.get("repetitions", 0), "repetitions"),
         d_max=None if d_max in ("auto", None) else _whole(d_max, "d_max"),
         ridge=_real(raw.get("ridge", DEFAULT_RIDGE), "ridge"),

@@ -1,12 +1,15 @@
 """Per-d and per-replication reference routes that the tests compare the production routes with.
 
 The package scores every model size of a criterion at once
-(`harness.CRITERIA`). The routes here take one size d at a time, as the
-estimators are defined: they build the size-d designs, fit each size by its
-own `ridge_lse` solve and invert block matrices by LU. The oracle routes
-(`block_moments`, `risk_ratio`) take one replication at a time and read the
-population rows once for C and once more for its sampling error. The
-ingest routes (`load_csv_rows`, `standardized_split`) read a table row by
+(`harness.CRITERIA`), and its one-size traces (`estimators.dee_trace`,
+`mdee_trace`, `rmdee_trace`) are the last entries of those path routes. The
+routes here take one size d at a time, as the estimators are defined: they
+build the size-d designs, fit each size by its own `ridge_lse` solve and
+solve or invert the labeled and block matrices by LU (`invert_blocks` and
+the LU `dee_trace`, `mdee_trace` and `rmdee_trace`, under the package's
+names). The oracle routes (`block_moments`, `risk_ratio`) take one
+replication at a time and read the population rows once for C and once more
+for its sampling error. The ingest routes (`load_csv_rows`, `standardized_split`) read a table row by
 row with float() and standardize each part of a split on its own. Only tests
 call them, so they live beside the tests and not in the shipped package.
 Import them as `from reference import ...`; pytest puts this directory on the
@@ -42,12 +45,9 @@ from mdee.estimators import (
     block_corr_stack,
     block_sides,
     correction_factor,
-    dee_trace,
     estimate_C_plus,
-    invert_blocks,
-    mdee_trace,
+    flagged_blocks,
     moment_split,
-    rmdee_trace,
 )
 from mdee.ingest import STD_FLOOR, DatasetManifest, SplitSpec, _resolve_columns
 from mdee.oracle import (
@@ -157,6 +157,97 @@ class CorrectionEstimate:
     factor: float
     risk: float
     flagged_blocks: tuple[int, ...] = ()
+
+
+def _inverse(jittered: np.ndarray, b: int) -> np.ndarray:
+    try:
+        return np.linalg.inv(jittered)
+    except np.linalg.LinAlgError as exc:
+        raise SingularDesignError(f"block {b}: correlation matrix singular even with ridge jitter") from exc
+
+
+def invert_blocks(
+    corrs: np.ndarray, ridge: float = DEFAULT_RIDGE
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Invert each matrix in a (B, d, d) stack after adding ridge*I.
+
+    Returns the inverses and the indices of blocks whose jittered matrix has
+    condition number above COND_LIMIT (kept, but flagged for diagnostics).
+    Raises SingularDesignError naming a block that cannot be inverted.
+    """
+    corrs = np.asarray(corrs, dtype=float)
+    if corrs.ndim == 2:
+        corrs = corrs[None]
+    flagged = flagged_blocks(corrs, ridge)
+    jittered = corrs + ridge * np.eye(corrs.shape[-1])
+    try:
+        invs = np.linalg.inv(jittered)
+    except np.linalg.LinAlgError:
+        # Invert one by one so the failing block can be named.
+        invs = np.stack([_inverse(mat, b) for b, mat in enumerate(jittered)])
+    return invs, flagged
+
+
+def dee_trace(c_hat: np.ndarray, c_tilde: np.ndarray, ridge: float = DEFAULT_RIDGE) -> float:
+    """Tr(C_hat^{-1} C_tilde) through a jittered solve.
+
+    Raises SingularDesignError when the jittered labeled correlation matrix
+    is numerically singular (condition above COND_LIMIT).
+    """
+    c_hat = np.asarray(c_hat, dtype=float)
+    jittered = c_hat + ridge * np.eye(c_hat.shape[0])
+    check_condition(jittered, "labeled correlation matrix")
+    try:
+        solved = np.linalg.solve(jittered, np.asarray(c_tilde, dtype=float))
+    except np.linalg.LinAlgError as exc:
+        raise SingularDesignError("labeled correlation matrix singular") from exc
+    return float(np.trace(solved))
+
+
+def mdee_trace(
+    block_corrs: np.ndarray,
+    variant: CriterionKind,
+    b1: int | None,
+    ridge: float = DEFAULT_RIDGE,
+) -> tuple[float, tuple[int, ...]]:
+    """Tr(C_plus V_hat) from a stack of block correlation matrices, sides per `block_sides`.
+
+    Only the V-side blocks are inverted; a SingularDesignError names a block by
+    its index among them.
+    """
+    corrs = np.asarray(block_corrs, dtype=float)
+    c_stop, v_start = block_sides(variant, b1, corrs.shape[0])
+    c_plus = corrs[:c_stop].mean(axis=0)
+    invs, flagged = invert_blocks(corrs[v_start:], ridge)
+    v_hat = invs.mean(axis=0)
+    return float(np.trace(c_plus @ v_hat)), tuple(b + v_start for b in flagged)
+
+
+def rmdee_trace(
+    block_corrs: np.ndarray,
+    labeled: np.ndarray | None,
+    ridge: float = DEFAULT_RIDGE,
+) -> tuple[float, tuple[int, ...]]:
+    """Median of per-block traces Tr(C_plus C_b^{-1}).
+
+    C_plus averages every unlabeled block. When the labeled correlation
+    matrix `labeled` is given it joins the trace list as block 0 (flag indices
+    then start at 1 for the unlabeled blocks). A block whose jittered matrix
+    cannot be inverted has trace +inf. An even count takes the mean of the two
+    central order statistics.
+    """
+    corrs = np.asarray(block_corrs, dtype=float)
+    c_plus = corrs.mean(axis=0)
+    if labeled is not None:
+        corrs = np.concatenate((np.asarray(labeled, dtype=float)[None], corrs))
+    flagged = flagged_blocks(corrs, ridge)
+    traces = []
+    for mat in corrs + ridge * np.eye(corrs.shape[-1]):
+        try:
+            traces.append(float(np.trace(c_plus @ np.linalg.inv(mat))))
+        except np.linalg.LinAlgError:
+            traces.append(np.inf)
+    return float(np.median(traces)), flagged
 
 
 def _estimate(path: ModelPath, tr: float, n: int, d: int, flagged: tuple[int, ...] = ()) -> CorrectionEstimate:

@@ -151,7 +151,7 @@ class TestRunCommand:
 
 
 RUN = ["run", "{config}", "--out", "{out}"]
-# Cases that change this line of REAL_CONFIG run on it; the others on CONFIG.
+# Cases that change text CONFIG does not hold run on REAL_CONFIG; the others on CONFIG.
 REAL_COLUMNS = "covariate_columns: [x]"
 
 
@@ -177,6 +177,23 @@ REAL_COLUMNS = "covariate_columns: [x]"
         pytest.param(REAL_COLUMNS, REAL_COLUMNS + "\n  delimiter: ';;'", RUN, "real.delimiter", id="delimiter ;;"),
         pytest.param(REAL_COLUMNS, REAL_COLUMNS + "\n  delimiter: ''", RUN, "real.delimiter", id="delimiter empty"),
         pytest.param(REAL_COLUMNS, REAL_COLUMNS + "\n  delimiter: 5", RUN, "real.delimiter", id="delimiter 5"),
+        *[
+            pytest.param("criteria: [mDEE3, FPE]", f"criteria: {value}", RUN, "criteria", id=f"criteria {value}")
+            for value in ("5", "-1", "true", "1.5", ".nan")
+        ],
+        *[
+            pytest.param("path: {path}", f"path: {value}", RUN, "real.path", id=f"path {value}")
+            for value in ("[x]", "5", "true", "null")
+        ],
+        pytest.param("name: toy", "name: [a, b]", RUN, "real.name", id="name [a, b]"),
+        *[
+            pytest.param(REAL_COLUMNS, f"covariate_columns: {value}", RUN, "real.covariate_columns", id=f"columns {value}")
+            for value in ("-1", "true", "1.5", ".nan", "null", "[x, -2]", "{x: 1}")
+        ],
+        pytest.param("n: 10", "n: []", RUN, "n must be nonempty", id="n empty"),
+        pytest.param("noise_var: 0.1", "noise_var: []", RUN, "noise_var must be nonempty", id="noise_var empty"),
+        pytest.param(REAL_COLUMNS + "\n  n: 10", REAL_COLUMNS + "\n  n: []", RUN, "n must be nonempty", id="real n empty"),
+        pytest.param("n: 10", "n: 5", RUN, "set d_max explicitly", id="n without a d_max rule"),
         pytest.param(None, None, ["oracle", "--theorem", "2", "--reps", "300", "--seed", "-1"], "seed", id="oracle --seed"),
         pytest.param(None, None, ["oracle", "--theorem", "2", "--noise-sd", "nan"], "noise_sd", id="oracle --noise-sd nan"),
         pytest.param(None, None, ["oracle", "--theorem", "2", "--noise-sd", "inf"], "noise_sd", id="oracle --noise-sd inf"),
@@ -190,10 +207,11 @@ def test_bad_value_rejected_before_any_output(old, new, argv, needle, tmp_path, 
     monkeypatch.setattr(harness, "_trial", no_trials)
     monkeypatch.setattr(oracle, "mc_risk_ratio", no_draws)
     path, out = tmp_path / "exp.yaml", tmp_path / "r"
-    base = REAL_CONFIG.format(path=tmp_path / "toy.csv") if old == REAL_COLUMNS else CONFIG
+    base = REAL_CONFIG if old is not None and old not in CONFIG else CONFIG
     if old is not None:
         assert old in base
-    path.write_text(base if old is None else base.replace(old, new))
+    text = base if old is None else base.replace(old, new)
+    path.write_text(text.replace("{path}", str(tmp_path / "toy.csv")))
     assert_input_error(capsys, [arg.format(config=path, out=out) for arg in argv], needle)
     assert not out.exists()
 

@@ -28,6 +28,7 @@ from mdee.estimators import (
     rmdee_trace,
     select_model,
 )
+import reference
 from reference import dee, mdee, rmdee, select_b1
 
 BASIS = BasisSpec("fourier", 1)
@@ -268,7 +269,7 @@ class TestRmdee:
         labeled_X = rng.normal(size=(8, 1))
         path = path_with_losses([0.5] * 2)
         corrs = block_corr_stack(blocks, BASIS, 2)
-        expected, _ = rmdee_trace(corrs, estimate_C_plus(labeled_X, BASIS, 2))
+        expected, _ = reference.rmdee_trace(corrs, estimate_C_plus(labeled_X, BASIS, 2))
         assert rmdee(path, blocks, labeled_X, 2).tr_H == expected
 
 

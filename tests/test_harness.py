@@ -182,13 +182,13 @@ class TestRunExperiment:
             small_config(criteria=["AICc"])
 
     def test_missing_dbar_rule(self):
-        cfg = small_config(
-            scenario=SyntheticScenario(
-                target="sinc", n_values=[17], noise_vars=[0.1], n_unlabeled=60, n_test=30
-            )
-        )
+        # rejected when the config is built, before a run can make its output directory
         with pytest.raises(ValueError, match="d_max"):
-            run_experiment(cfg)
+            small_config(
+                scenario=SyntheticScenario(
+                    target="sinc", n_values=[17], noise_vars=[0.1], n_unlabeled=60, n_test=30
+                )
+            )
 
     def test_explicit_dmax(self):
         cfg = small_config(d_max=4)

@@ -6,8 +6,8 @@ every size from one Cholesky factor of the fit, per fold, of the labeled matrix
 or per block, and ADJ reads the pool side from a triangular factor of the
 pool design.
 The per-d references in `reference.py`, `dee`, `mdee`, `rmdee`, `kfold_cv`,
-`adj`, `ridge_lse` and `test_error`, rebuild every design at size d, and the
-package's `invert_blocks` checks every block's condition and takes its LU
+`adj`, `ridge_lse` and `test_error`, rebuild every design at size d, and
+`invert_blocks` there checks every block's condition and takes its LU
 inverse at every d. Both routes must agree exactly on the
 flagged-block count and on where the risk is undefined or infinite. CV5, DEE
 and the block criteria agree within `prefix_bound`, ADJ within `adj_bound` and
@@ -31,7 +31,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdee import estimators, harness
@@ -52,15 +52,7 @@ from mdee.core import (
     inverse_factor,
     normal_matrix,
 )
-from mdee.estimators import (
-    CriterionKind,
-    block_corr_stack,
-    block_sides,
-    dee_trace,
-    invert_blocks,
-    mdee_trace,
-    rmdee_trace,
-)
+from mdee.estimators import CriterionKind, block_corr_stack, block_sides
 from mdee.harness import (
     CRITERIA,
     ExperimentConfig,
@@ -74,10 +66,14 @@ from reference import (
     adj,
     block_corrs,
     dee,
+    dee_trace,
     fourier_design,
+    invert_blocks,
     kfold_cv,
     mdee,
+    mdee_trace,
     rmdee,
+    rmdee_trace,
     ridge_lse,
     select_b1,
 )
@@ -955,17 +951,10 @@ def test_fitted_paths_on_discrete_rows_pass_the_labeled_check(n, m, ridge):
 # Prefix routes against the per-d routes on the same trial state
 
 
-@st.composite
-def block_states(draw):
-    """Trial states whose pools are random, discrete, flagged, singular at ridge 0 or smaller than one block."""
-    n = draw(st.integers(5, 14))
-    m = draw(st.integers(1, 2))
-    kind = draw(st.sampled_from(["gauss", "discrete", "constant_block", "zero_block", "small_pool"]))
-    d_max = draw(st.integers(1, n + 2))
-    ridge = draw(st.sampled_from([1e-9, 1e-13, 0.0]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def block_state(n, m, kind, d_max, ridge, seed, pool_rows):
+    """The (kind, TrialState) that `block_states` builds from its draws; `seed` seeds the covariates and the path."""
+    rng = np.random.default_rng(seed)
     train = LabeledSet(X=covariates(rng, n, m, "discrete" if kind == "discrete" else "gauss"), y=rng.normal(size=n))
-    pool_rows = n - 1 if kind == "small_pool" else draw(st.integers(n, 6 * n))
     pool = covariates(rng, pool_rows, m, "discrete" if kind == "discrete" else "gauss")
     if kind == "constant_block":
         pool[:n] = 0.7  # rank one: flagged from d = 2 on at the smaller ridges
@@ -975,6 +964,27 @@ def block_states(draw):
     return kind, TrialState(train, UnlabeledSet(X=pool), path, ridge, cv_seed=0)
 
 
+@st.composite
+def block_states(draw):
+    """Trial states whose pools are random, discrete, flagged, singular at ridge 0 or smaller than one block."""
+    n = draw(st.integers(5, 14))
+    m = draw(st.integers(1, 2))
+    kind = draw(st.sampled_from(["gauss", "discrete", "constant_block", "zero_block", "small_pool"]))
+    d_max = draw(st.integers(1, n + 2))
+    ridge = draw(st.sampled_from([1e-9, 1e-13, 0.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    pool_rows = n - 1 if kind == "small_pool" else draw(st.integers(n, 6 * n))
+    return block_state(n, m, kind, d_max, ridge, seed, pool_rows)
+
+
+# Discrete pools at ridge 0 whose blocks have fewer distinct rows than d_max:
+# every block matrix at d_max is singular (condition 1e16 and above), yet
+# rounding keeps its Cholesky pivots positive. Unless such a pivot stops the
+# factor, the prefix route reads traces of order 1/eps (rmDEE 7e15 against the
+# LU route's 6.3 in the first), and in the second the b1 from W^T W differs
+# from the LU `select_b1`.
+@example(case=block_state(5, 1, "discrete", 3, 0.0, 37, 10))
+@example(case=block_state(6, 2, "discrete", 4, 0.0, 124477, 30))
 @settings(max_examples=150, deadline=None)
 @given(block_states())
 def test_block_prefix_paths_match_the_per_d_route(case):
@@ -1043,6 +1053,66 @@ def test_a_factor_that_stops_where_lu_inverts_makes_the_means_infinite():
         assert paths["rmDEE"][d - 1] is not None and math.isfinite(paths["rmDEE"][d - 1][0])
         for name in ("mDEE3", "rmDEE"):
             assert_block_close(state, name, d, paths[name][d - 1], per_d_route(state, name)[d - 1])
+
+
+@pytest.mark.parametrize("name", ["DEE", "mDEE1", "mDEE2", "mDEE3", "rmDEE"])
+@pytest.mark.parametrize("seed", range(3))
+def test_one_size_views_are_the_last_entries_of_the_path_routes(name, seed):
+    # `dee_trace`, `mdee_trace` and `rmdee_trace` are the last entry of their
+    # path route on the factors of the jittered matrices they are given, bit
+    # for bit. On well-conditioned stacks they are within `prefix_bound` of
+    # the LU references and flag the same blocks.
+    rng = np.random.default_rng(seed)
+    basis, d, ridge, b1 = BasisSpec("fourier", 1), 4, 1e-9, 2
+    corrs = block_corr_stack(rng.normal(size=(6, 10, 1)), basis, d)
+    labeled = correlation_matrix(build_design(basis, rng.normal(size=(10, 1)), d))
+    jitter = ridge * np.eye(d)
+    if name == "DEE":
+        got, flags = estimators.dee_trace(labeled, corrs[0], ridge), ()
+        route = estimators.dee_trace_path(inverse_factor(labeled + jitter)[0], corrs[0])
+        want, want_flags = dee_trace(labeled, corrs[0], ridge), ()
+        read = labeled[None]
+    elif name == "rmDEE":
+        got, flags = estimators.rmdee_trace(corrs, labeled, ridge)
+        read = np.concatenate((labeled[None], corrs))
+        route = estimators.rmdee_trace_path(corrs, estimators.inverse_factors(read + jitter))
+        want, want_flags = rmdee_trace(corrs, labeled, ridge)
+    else:
+        variant = BLOCK_VARIANTS[name]
+        got, flags = estimators.mdee_trace(corrs, variant, b1, ridge)
+        route = estimators.mdee_trace_path(corrs, estimators.inverse_factors(corrs + jitter), variant, b1)
+        want, want_flags = mdee_trace(corrs, variant, b1, ridge)
+        read = corrs[block_sides(variant, b1, len(corrs))[1] :]
+    assert got == route[-1]
+    assert flags == want_flags
+    kappa = float(condition_numbers(read + jitter).max())
+    assert abs(got - want) <= prefix_bound(want, kappa, d), (got, want)
+
+
+@pytest.mark.parametrize("distinct", [2, 3, 4, 5, 6])
+def test_a_block_of_few_distinct_rows_is_infinite_where_its_matrix_turns_singular(distinct, monkeypatch):
+    # At ridge 0 a block whose rows take `distinct` values has a matrix of
+    # rank `distinct`: singular from the next size on. Rounding can leave
+    # that Cholesky pivot positive, but it is at rounding level, so the
+    # factor stops there. The means that read the block are +inf from that
+    # size on, and the trial marks those sizes inf@d on mDEE3.
+    rng = np.random.default_rng(distinct)
+    n, d_max = 12, 9
+    train = LabeledSet(X=rng.normal(size=(n, 1)), y=rng.normal(size=n))
+    pool = rng.normal(size=(4 * n, 1))
+    pool[:n] = (np.linspace(-np.pi, np.pi, distinct, endpoint=False) + 0.1)[np.arange(n) % distinct, None]
+    pool = UnlabeledSet(X=pool)
+    test = LabeledSet(X=rng.normal(size=(20, 1)), y=rng.normal(size=20))
+    path = random_path(rng, BasisSpec("fourier", 1), d_max)
+    state = TrialState(train, pool, path, 0.0, cv_seed=0)
+    ranks = [int(np.linalg.matrix_rank(state.block_corrs[0, :d, :d])) for d in range(1, d_max + 1)]
+    assert ranks == [min(d, distinct) for d in range(1, d_max + 1)]
+    assert state.block_factors[1].tolist() == [distinct] + [d_max] * 3
+    traces = estimators.mdee_trace_path(state.block_corrs, state.block_factors, CriterionKind.MDEE3, None)
+    assert np.isfinite(traces[:distinct]).all() and np.isinf(traces[distinct:]).all()
+    monkeypatch.setattr(harness, "fit_design_path", lambda *args: path)
+    result = evaluate_trial(0, {"n": n}, train, pool, test, d_max, config(0.0, ["mDEE3"], d_max), cv_seed=0)
+    assert [int(d) for d in re.findall(r"inf@d(\d+)", result.flags["mDEE3"])] == list(range(distinct + 1, d_max + 1))
 
 
 def test_cv5_prefix_stops_where_the_fold_factorization_does():
