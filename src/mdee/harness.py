@@ -14,6 +14,7 @@ import json
 import math
 import platform
 import re
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from pathlib import Path
@@ -43,6 +44,15 @@ SPLIT_CRITERIA = {"mDEE1", "mDEE2"}  # block criteria that need the mDEE1 split 
 # Candidate-count rule for the synthetic protocol; other n need an explicit
 # d_max in the config.
 SYNTHETIC_DBAR = {10: 8, 20: 15, 50: 23}
+
+# The most cells of any one array a trial allocates: the train, pool and test
+# designs (rows x d_max), the normal matrix (d_max x d_max) and the pool's block
+# correlation stack (blocks x d_max x d_max). 2**27 float64 cells are 1 GiB, so
+# a config past it is turned away before any output exists rather than failing
+# in numpy's allocator mid-run. The shipped configs reach 1500 x 23 cells. A real
+# table's test design is left out: its rows are what the table leaves, which no
+# config key sets.
+MAX_CELLS = 2**27
 
 # Columns after the cell keys in summary.csv and trials.csv.
 SUMMARY_FIELDS = ["criterion", "median", "iqr", "n_trials"]
@@ -147,9 +157,13 @@ class ExperimentConfig:
                 raise ValueError(f"n_test must be >= 1, got {self.scenario.n_test}")
             for cell in self.scenario.cells():
                 self.scenario.data_config(cell)
-                _auto_d_max(self, cell["n"], 1)
         elif self.scenario.n_unlabeled < 0:
             raise ValueError(f"real n_unlabeled must be >= 0, got {self.scenario.n_unlabeled}")
+        for n in self.scenario.n_values:
+            _check_cells(self, n)
+        # the path fit adds n * ridge to the normal matrix's diagonal
+        if not math.isfinite(max(self.scenario.n_values) * self.ridge):
+            raise ValueError(f"ridge {self.ridge} times n={max(self.scenario.n_values)} is not finite")
 
 
 @dataclass
@@ -195,6 +209,21 @@ def _summarize(cell: dict, criterion: str, regrets: list[float]) -> CriterionSum
 
 def _seed_int(*keys: int) -> int:
     return int(np.random.SeedSequence([int(k) for k in keys]).generate_state(1)[0])
+
+
+def _check_cells(cfg: ExperimentConfig, n: int) -> None:
+    """Raise ValueError naming the key of the first array of a trial at training size n that passes MAX_CELLS."""
+    scen = cfg.scenario
+    synthetic = isinstance(scen, SyntheticScenario)
+    d = _auto_d_max(cfg, n, 1 if synthetic else len(scen.manifest.covariate_columns))
+    # rows of d_max cells: the normal matrix, the train design, the pool design or, where larger, its stack of
+    # d_max x d_max block correlation matrices, and the test design
+    rows = {"d_max": d, "n": n, "n_unlabeled": max(scen.n_unlabeled, scen.n_unlabeled // n * d)}
+    if synthetic:
+        rows["n_test"] = scen.n_test
+    for key, count in rows.items():
+        if count * d > MAX_CELLS:
+            raise ValueError(f"{key} is too large at n={n}, d_max={d}: an array of {count * d} cells passes 2**27")
 
 
 def _auto_d_max(cfg: ExperimentConfig, n: int, m: int) -> int:
@@ -251,10 +280,6 @@ class TrialState:
         """The largest size at which a DEE-family risk is defined: d_max, or n - 1 when smaller."""
         return min(self.path.d_max, self.train.n - 1)
 
-    def jittered(self, mats: np.ndarray) -> np.ndarray:
-        """A matrix or a stack of them plus ridge * I."""
-        return mats + self.ridge * np.eye(mats.shape[-1])
-
     @cached_property
     def labeled_factor(self) -> np.ndarray:
         """The inverse Cholesky factor of the jittered labeled correlation matrix at `top`, from the path fit's.
@@ -281,7 +306,7 @@ class TrialState:
     def block_factors(self) -> tuple[np.ndarray, np.ndarray]:
         """The `estimators.inverse_factors` of the jittered blocks' leading `top` x `top` corners."""
         top = self.top
-        return estimators.inverse_factors(self.jittered(self.block_corrs[:, :top, :top]))
+        return estimators.inverse_factors(estimators._jittered(self.block_corrs[:, :top, :top], self.ridge))
 
     @cached_property
     def block_checks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -293,7 +318,8 @@ class TrialState:
         check's SVD failed, both False above `top`.
         """
         top = self.top
-        gate = np.flatnonzero(interlacing_gate(self.jittered(self.block_corrs[:, :top, :top]), *self.block_factors))
+        jittered = estimators._jittered(self.block_corrs[:, :top, :top], self.ridge)
+        gate = np.flatnonzero(interlacing_gate(jittered, *self.block_factors))
         flagged = np.zeros((self.path.d_max, len(self.blocks)), dtype=bool)
         failed = np.zeros(self.path.d_max, dtype=bool)
         for d in range(1, top + 1) if gate.size else ():
@@ -619,147 +645,113 @@ def _scenario_dict(scenario) -> dict:
 # Config files
 
 
-# Every key load_config reads, per section; any other key is rejected, so a
-# misspelled one cannot silently fall back to its default.
-CONFIG_KEYS = {
-    "top level": {
-        "scenario", "criteria", "repetitions", "d_max", "ridge", "master_seed", "output_dir", "synthetic", "real"
-    },
-    "synthetic": {"target", "n", "noise_var", "covariate_var", "n_unlabeled", "n_test"},
-    "real": {
-        "name", "path", "response_column", "covariate_columns", "delimiter", "has_header", "n", "n_unlabeled",
-        "standardize",
-    },
-}
-
-
-# Keys a section must set; every other key has a default.
-REQUIRED_KEYS = {
-    "synthetic": ("target", "n", "noise_var"),
-    "real": ("name", "path", "response_column", "covariate_columns", "n", "n_unlabeled"),
-}
-
-
-def _as_list(value) -> list:
-    return value if isinstance(value, list) else [value]
-
-
-def _whole(value, key: str) -> int:
-    """An integer setting; a boolean, a fraction or a non-number raises ValueError naming `key`."""
-    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
-        raise ValueError(f"{key} must be a whole number, got {value!r}")
-    return int(value)
-
-
 # PyYAML reads YAML 1.1, where a float needs a decimal point: 1e-9 loads as a string.
 _EXPONENT_FORM = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
 
+# Each kind of config value: (what the error says a value must be, the test a value must pass, its conversion).
+# A number may be written in exponent form without a decimal point; an integer past the float range is not one. A
+# flag takes only YAML's booleans, so a quoted "false" is not read as true. A column index is below 2**63, the
+# largest the table parse can index with.
+KINDS = {
+    # a float without a fraction part (4.0) is whole, so 2.9 is rejected rather than truncated; YAML's true is a bool
+    "whole": ("a whole number", lambda v: type(v) is int or type(v) is float and v.is_integer(), int),
+    "whole or auto": ("a whole number or auto", lambda v: v in ("auto", None) or KINDS["whole"][1](v),
+                      lambda v: None if v in ("auto", None) else int(v)),
+    "real": ("a number", lambda v: type(v) is float or type(v) is int and abs(v) <= sys.float_info.max
+             or isinstance(v, str) and bool(_EXPONENT_FORM.fullmatch(v)), float),
+    "flag": ("true or false", lambda v: type(v) is bool, bool),
+    "text": ("a string", lambda v: isinstance(v, str), str),
+    "column": ("a column name or a zero-based index below 2**63",
+               lambda v: isinstance(v, str) or type(v) is int and 0 <= v < 2**63, lambda v: v),
+    "character": ("a one-character string", lambda v: isinstance(v, str) and len(v) == 1, str),
+    "section": ("a mapping", lambda v: isinstance(v, dict), dict),
+}
 
-def _real(value, key: str) -> float:
-    """A real-valued setting; a boolean or a non-number raises ValueError naming `key`.
+REQUIRED = object()  # the default of a key a config must set
 
-    A number in exponent form without a decimal point (1e-9), which YAML 1.1 leaves a string, is read as a number.
+# Per section, None being the top level: key -> (kind, default or REQUIRED, takes a list). A key that takes a list
+# takes a single value too. Any other key is rejected, so a misspelled one cannot silently fall back to its default.
+SCHEMA = {
+    None: {
+        "scenario": ("text", REQUIRED, False),
+        "criteria": ("text", REQUIRED, True),
+        "repetitions": ("whole", 0, False),  # 0 leaves it to `mdee run --reps`; validate() rejects a run of none
+        "d_max": ("whole or auto", None, False),
+        "ridge": ("real", DEFAULT_RIDGE, False),
+        "master_seed": ("whole", 0, False),
+        "output_dir": ("text", "results", False),
+        "synthetic": ("section", None, False),
+        "real": ("section", None, False),
+    },
+    "synthetic": {
+        "target": ("text", REQUIRED, False),
+        "n": ("whole", REQUIRED, True),
+        "noise_var": ("real", REQUIRED, True),
+        "covariate_var": ("real", 1.0, False),
+        "n_unlabeled": ("whole", 1500, False),
+        "n_test": ("whole", 1000, False),
+    },
+    "real": {
+        "name": ("text", REQUIRED, False),
+        "path": ("text", REQUIRED, False),
+        "response_column": ("column", REQUIRED, False),
+        "covariate_columns": ("column", REQUIRED, True),
+        "delimiter": ("character", ",", False),
+        "has_header": ("flag", True, False),
+        "n": ("whole", REQUIRED, True),
+        "n_unlabeled": ("whole", REQUIRED, False),
+        "standardize": ("flag", True, False),
+    },
+}
+
+
+def _read(section, name: str | None) -> dict:
+    """Every key of config section `name` (None for the top level) by SCHEMA: checked, converted, defaults filled in.
+
+    A missing section, an unknown or missing key, and a value of the wrong kind raise ValueError naming it: a key by
+    its bare name at the top level, and as `section.key` inside a section.
     """
-    if isinstance(value, str) and _EXPONENT_FORM.fullmatch(value):
-        return float(value)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _flag(value, key: str) -> bool:
-    """A yes/no setting; anything but a YAML boolean (a quoted "false" included) raises ValueError naming `key`."""
-    if not isinstance(value, bool):
-        raise ValueError(f"{key} must be true or false, got {value!r}")
-    return value
-
-
-def _text(value, key: str) -> str:
-    """A string setting; anything else raises ValueError naming `key`."""
-    if not isinstance(value, str):
-        raise ValueError(f"{key} must be a string, got {value!r}")
-    return value
-
-
-def _column(value, key: str) -> str | int:
-    """A table column, a name or a zero-based index; anything else raises ValueError naming `key`."""
-    if isinstance(value, str) or isinstance(value, int) and not isinstance(value, bool) and value >= 0:
-        return value
-    raise ValueError(f"{key} must name a column or give its zero-based index, got {value!r}")
-
-
-def _delimiter(value) -> str:
-    """The real table's delimiter; anything but a one-character string raises ValueError naming real.delimiter."""
-    if not isinstance(value, str) or len(value) != 1:
-        raise ValueError(f"real.delimiter must be a one-character string, got {value!r}")
-    return value
-
-
-def _check_keys(section: dict, name: str) -> None:
-    unknown = sorted(str(k) for k in section if k not in CONFIG_KEYS[name])
+    if not isinstance(section, dict):
+        raise ValueError(f"scenario {name!r} needs a {name!r} section" if name else "config must be a mapping")
+    schema, where = SCHEMA[name], name or "top level"
+    unknown = sorted(str(k) for k in section if k not in schema)
     if unknown:
-        raise ValueError(f"unknown config key(s) {unknown} in {name}; valid: {sorted(CONFIG_KEYS[name])}")
-    missing = [k for k in REQUIRED_KEYS.get(name, ()) if k not in section]
+        raise ValueError(f"unknown config key(s) {unknown} in {where}; valid: {sorted(schema)}")
+    missing = [k for k, (_, default, _) in schema.items() if default is REQUIRED and k not in section]
     if missing:
-        raise ValueError(f"missing required config key(s) {missing} in {name}")
+        raise ValueError(f"missing required config key(s) {missing} in {where}")
+    values = {key: default for key, (_, default, _) in schema.items()}
+    for key, given in section.items():
+        kind, _, many = schema[key]
+        must_be, test, convert = KINDS[kind]
+        items = given if many and isinstance(given, list) else [given]
+        for value in items:
+            if not test(value):
+                raise ValueError(f"{f'{name}.{key}' if name else key} must be {must_be}, got {value!r}")
+        values[key] = [convert(v) for v in items] if many else convert(given)
+    return values
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse a YAML experiment config; see the repository README for the schema."""
+    """Parse a YAML experiment config; SCHEMA holds its keys, and the repository README tabulates them."""
     with open(path) as handle:
         try:
             raw = yaml.safe_load(handle)
         except yaml.YAMLError as exc:
             raise ValueError(f"{path}: not valid YAML: {' '.join(str(exc).split())}") from exc
-    if not isinstance(raw, dict):
-        raise ValueError("config must be a mapping")
-    _check_keys(raw, "top level")
-    kind = raw.get("scenario")
-    if kind == "synthetic":
-        section = raw.get("synthetic")
-        if not isinstance(section, dict):
-            raise ValueError("scenario 'synthetic' needs a 'synthetic' section")
-        _check_keys(section, "synthetic")
-        scenario = SyntheticScenario(
-            target=section["target"],
-            n_values=[_whole(v, "n") for v in _as_list(section["n"])],
-            noise_vars=[_real(v, "noise_var") for v in _as_list(section["noise_var"])],
-            covariate_var=_real(section.get("covariate_var", 1.0), "covariate_var"),
-            n_unlabeled=_whole(section.get("n_unlabeled", 1500), "n_unlabeled"),
-            n_test=_whole(section.get("n_test", 1000), "n_test"),
-        )
-    elif kind == "real":
-        section = raw.get("real")
-        if not isinstance(section, dict):
-            raise ValueError("scenario 'real' needs a 'real' section")
-        _check_keys(section, "real")
-        manifest = ingest.DatasetManifest(
-            name=_text(section["name"], "real.name"),
-            path=_text(section["path"], "real.path"),
-            response_column=_column(section["response_column"], "real.response_column"),
-            covariate_columns=[_column(c, "real.covariate_columns") for c in _as_list(section["covariate_columns"])],
-            delimiter=_delimiter(section.get("delimiter", ",")),
-            has_header=_flag(section.get("has_header", True), "has_header"),
-        )
-        scenario = RealScenario(
-            manifest=manifest,
-            n_values=[_whole(v, "n") for v in _as_list(section["n"])],
-            n_unlabeled=_whole(section["n_unlabeled"], "n_unlabeled"),
-            standardize=_flag(section.get("standardize", True), "standardize"),
-        )
-    else:
+    top = _read(raw, None)
+    kind = top["scenario"]
+    if kind not in ("synthetic", "real"):
         raise ValueError("config needs scenario: synthetic or real")
-    d_max = raw.get("d_max", "auto")
-    return ExperimentConfig(
-        scenario=scenario,
-        # missing keys fall through to validate(), which names them
-        criteria=[str(c) for c in _as_list(raw.get("criteria") or [])],
-        repetitions=_whole(raw.get("repetitions", 0), "repetitions"),
-        d_max=None if d_max in ("auto", None) else _whole(d_max, "d_max"),
-        ridge=_real(raw.get("ridge", DEFAULT_RIDGE), "ridge"),
-        master_seed=_whole(raw.get("master_seed", 0), "master_seed"),
-        output_dir=str(raw.get("output_dir", "results")),
-    )
+    s = _read(top[kind], kind)
+    if kind == "synthetic":
+        scenario = SyntheticScenario(s["target"], s["n"], s["noise_var"], s["covariate_var"], s["n_unlabeled"], s["n_test"])
+    else:
+        columns = s["response_column"], s["covariate_columns"], s["delimiter"], s["has_header"]
+        manifest = ingest.DatasetManifest(s["name"], s["path"], *columns)
+        scenario = RealScenario(manifest, s["n"], s["n_unlabeled"], s["standardize"])
+    run = top["criteria"], top["repetitions"], top["d_max"], top["ridge"], top["master_seed"], top["output_dir"]
+    return ExperimentConfig(scenario, *run)
 
 
 def reaggregate_trials(path) -> list[CriterionSummary]:

@@ -1,9 +1,16 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mdee
 from mdee import harness, ingest, oracle
@@ -194,6 +201,18 @@ REAL_COLUMNS = "covariate_columns: [x]"
         pytest.param("noise_var: 0.1", "noise_var: []", RUN, "noise_var must be nonempty", id="noise_var empty"),
         pytest.param(REAL_COLUMNS + "\n  n: 10", REAL_COLUMNS + "\n  n: []", RUN, "n must be nonempty", id="real n empty"),
         pytest.param("n: 10", "n: 5", RUN, "set d_max explicitly", id="n without a d_max rule"),
+        pytest.param(
+            "response_column: y", "response_column: 100000000000000000000\n  has_header: false", RUN,
+            "real.response_column", id="response_column 10**20",
+        ),
+        pytest.param("n_test: 40", "n_test: 10000000000000", RUN, "n_test is too large", id="n_test 1e13"),
+        pytest.param("n_unlabeled: 150", "n_unlabeled: 1.0e+13", RUN, "n_unlabeled is too", id="n_unlabeled 1e13"),
+        pytest.param("repetitions: 2", "repetitions: 2\nd_max: 10000000000000", RUN, "d_max is too", id="d_max 1e13"),
+        pytest.param("repetitions: 2", "repetitions: 2\nridge: 1.0e+308", RUN, "ridge", id="ridge 1e308"),
+        *[
+            pytest.param("master_seed: 21", f"master_seed: 21\noutput_dir: {v}", RUN, "output_dir", id=f"output_dir {v}")
+            for v in ("[a, b]", "null")
+        ],
         pytest.param(None, None, ["oracle", "--theorem", "2", "--reps", "300", "--seed", "-1"], "seed", id="oracle --seed"),
         pytest.param(None, None, ["oracle", "--theorem", "2", "--noise-sd", "nan"], "noise_sd", id="oracle --noise-sd nan"),
         pytest.param(None, None, ["oracle", "--theorem", "2", "--noise-sd", "inf"], "noise_sd", id="oracle --noise-sd inf"),
@@ -214,6 +233,53 @@ def test_bad_value_rejected_before_any_output(old, new, argv, needle, tmp_path, 
     path.write_text(text.replace("{path}", str(tmp_path / "toy.csv")))
     assert_input_error(capsys, [arg.format(config=path, out=out) for arg in argv], needle)
     assert not out.exists()
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
+REPEAT, DROP = "repeated list", "dropped"  # a list naming the field's value twice, and the field left out
+ODD_VALUES = [0, -1, 1.5, True, "x", None, [], REPEAT, DROP, 1e13, 2**63]
+
+
+def _with_changes(raw: dict, changes) -> dict:
+    """`raw` with each ((section or None, key), odd value) change made, sections' keys before top-level ones."""
+    for (section, key), value in sorted(changes, key=lambda change: change[0][0] is None):
+        fields = raw if section is None else raw[section]
+        if value == DROP:
+            fields.pop(key, None)
+        elif value == REPEAT:
+            old = fields.get(key)
+            fields[key] = old * 2 if isinstance(old, list) else [old, old]
+        else:
+            fields[key] = value
+    return raw
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_odd_config_values_run_or_fail_before_any_output(data):
+    # A shipped config with one or two fields changed to an odd value either runs and writes its three files, or
+    # stops with one error line before the output directory exists; nothing in between, such as a traceback.
+    config = data.draw(st.sampled_from(SHIPPED_CONFIGS), label="config")
+    raw = yaml.safe_load(config.read_text())
+    kind = raw["scenario"]
+    fields = [(None, key) for key in harness.SCHEMA[None]] + [(kind, key) for key in harness.SCHEMA[kind]]
+    change = st.tuples(st.sampled_from(fields), st.sampled_from(ODD_VALUES))
+    changes = data.draw(st.lists(change, min_size=1, max_size=2, unique_by=lambda c: c[0]), label="changes")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if kind == "real":  # an abalone-shaped table: 9 numeric columns, no header, rows for n 50 + 1300 unlabeled
+            table = tmp / "table.data"
+            np.savetxt(table, np.random.default_rng(0).normal(size=(1400, 9)), fmt="%.5f", delimiter=",")
+            raw["real"]["path"] = str(table)
+        path, out, err = tmp / "exp.yaml", tmp / "out", io.StringIO()
+        path.write_text(yaml.safe_dump(_with_changes(raw, changes)))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", str(path), "--out", str(out), "--reps", "1"])
+        if code == 0:
+            assert sorted(p.name for p in out.iterdir()) == ["meta.json", "summary.csv", "trials.csv"]
+        else:
+            assert code == 2 and not out.exists()
+            assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("mdee: error: ")
 
 
 class TestReportCommand:

@@ -460,12 +460,12 @@ class TestConfigFile:
             (SYNTHETIC_YAML.replace("repetitions: 4", "repetitions: true"), "repetitions"),
             (SYNTHETIC_YAML.replace("master_seed: 17", "master_seed: 1.5"), "master_seed"),
             (SYNTHETIC_YAML.replace("d_max: auto", "d_max: 7.9"), "d_max"),
-            (SYNTHETIC_YAML.replace("n: [10, 20]", "n: [10.7]"), "n"),
-            (SYNTHETIC_YAML.replace("n: [10, 20]", "n: [10, '20']"), "n"),
-            (SYNTHETIC_YAML.replace("n_unlabeled: 300", "n_unlabeled: 300.5"), "n_unlabeled"),
-            (SYNTHETIC_YAML.replace("n_test: 100", "n_test: false"), "n_test"),
-            (REAL_YAML.replace("n: 20", "n: 20.5"), "n"),
-            (REAL_YAML.replace("n_unlabeled: 50", "n_unlabeled: .inf"), "n_unlabeled"),
+            (SYNTHETIC_YAML.replace("n: [10, 20]", "n: [10.7]"), "synthetic.n"),
+            (SYNTHETIC_YAML.replace("n: [10, 20]", "n: [10, '20']"), "synthetic.n"),
+            (SYNTHETIC_YAML.replace("n_unlabeled: 300", "n_unlabeled: 300.5"), "synthetic.n_unlabeled"),
+            (SYNTHETIC_YAML.replace("n_test: 100", "n_test: false"), "synthetic.n_test"),
+            (REAL_YAML.replace("n: 20", "n: 20.5"), "real.n"),
+            (REAL_YAML.replace("n_unlabeled: 50", "n_unlabeled: .inf"), "real.n_unlabeled"),
         ],
         ids=["repetitions", "repetitions bool", "master_seed", "d_max", "n", "n string", "n_unlabeled", "n_test bool",
              "real n", "real n_unlabeled"],
@@ -485,9 +485,9 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "text, key",
         [
-            (SYNTHETIC_YAML.replace("noise_var: [0.1, 0.3]", "noise_var: [0.1, true]"), "noise_var"),
-            (SYNTHETIC_YAML.replace("noise_var: [0.1, 0.3]", "noise_var: ['0.1']"), "noise_var"),
-            (SYNTHETIC_YAML.replace("covariate_var: 1.0", "covariate_var: one"), "covariate_var"),
+            (SYNTHETIC_YAML.replace("noise_var: [0.1, 0.3]", "noise_var: [0.1, true]"), "synthetic.noise_var"),
+            (SYNTHETIC_YAML.replace("noise_var: [0.1, 0.3]", "noise_var: ['0.1']"), "synthetic.noise_var"),
+            (SYNTHETIC_YAML.replace("covariate_var: 1.0", "covariate_var: one"), "synthetic.covariate_var"),
             (SYNTHETIC_YAML + "ridge: false\n", "ridge"),
             (SYNTHETIC_YAML + "ridge: [1.0e-9]\n", "ridge"),
         ],
@@ -509,7 +509,11 @@ class TestConfigFile:
 
     @pytest.mark.parametrize(
         "setting, key",
-        [("has_header: 'false'", "has_header"), ("standardize: 'no'", "standardize"), ("has_header: 0", "has_header")],
+        [
+            ("has_header: 'false'", "real.has_header"),
+            ("standardize: 'no'", "real.standardize"),
+            ("has_header: 0", "real.has_header"),
+        ],
         ids=["has_header string", "standardize string", "has_header number"],
     )
     def test_non_boolean_flag_rejected(self, tmp_path, setting, key):

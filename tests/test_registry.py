@@ -330,7 +330,7 @@ def assert_block_close(state, name, d, got, want):
 
 def labeled_kappa(state, d):
     """Condition number of the jittered size-d labeled correlation matrix that DEE reads."""
-    return float(condition_numbers(state.jittered(labeled_corr(state, d))))
+    return float(condition_numbers(estimators._jittered(labeled_corr(state, d), state.ridge)))
 
 
 def cv5_kappa(design, seed, d, ridge):
@@ -589,7 +589,8 @@ def test_svd_failure_becomes_sentinel(monkeypatch):
     state = TrialState(train, UnlabeledSet(X=pool), fit_design_path(design, train.y, basis, 1e-13), 1e-13, cv_seed=0)
     top = state.top
     assert state.path.d_max == top == 4
-    assert interlacing_gate(state.jittered(state.block_corrs[:, :top, :top]), *state.block_factors)[0]
+    jittered = estimators._jittered(state.block_corrs[:, :top, :top], state.ridge)
+    assert interlacing_gate(jittered, *state.block_factors)[0]
     monkeypatch.setattr(np.linalg, "svd", no_convergence)
     with pytest.raises(SingularDesignError, match="SVD did not converge"):
         invert_blocks(np.eye(2)[None])
@@ -922,7 +923,7 @@ def assert_labeled_checks_pass(train, basis, d_max, ridge):
     path = fit_design_path(build_design(basis, train.X, d_max), train.y, basis, ridge)
     state = TrialState(train, UnlabeledSet(X=np.empty((0, basis.covariate_dim))), path, ridge, cv_seed=0)
     for d in range(1, state.top + 1):
-        kappa = float(condition_numbers(state.jittered(labeled_corr(state, d))))
+        kappa = float(condition_numbers(estimators._jittered(labeled_corr(state, d), state.ridge)))
         assert kappa <= COND_LIMIT, (d, kappa)
 
 
@@ -1025,7 +1026,7 @@ def test_rmdee_median_survives_a_block_factor_that_stops():
     for d in range(1, top + 1):
         want = rmdee_trace(corrs[:, :d, :d], labeled_corr(state, d), ridge)[0]
         read = np.concatenate((labeled_corr(state, d)[None], corrs[1:, :d, :d]))
-        kappa = float(condition_numbers(state.jittered(read)).max())
+        kappa = float(condition_numbers(estimators._jittered(read, state.ridge)).max())
         assert abs(got[d - 1] - want) <= prefix_bound(want, kappa, d), (d, got[d - 1], want)
 
 
@@ -1183,7 +1184,7 @@ def test_labeled_factor_is_the_path_fits_factor_scaled(seed):
     assert top == n - 1 < state.path.d_max == n
     got = state.labeled_factor
     assert np.array_equal(got, math.sqrt(n) * state.path.factor[:top, :top])
-    jittered = state.jittered(labeled_corr(state, top))
+    jittered = estimators._jittered(labeled_corr(state, top), state.ridge)
     kappa = float(condition_numbers(jittered))
     np.testing.assert_allclose(got @ jittered @ got.T, np.eye(top), rtol=0, atol=PREFIX_C * top * kappa * EPS)
 
