@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtri
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -197,6 +196,9 @@ def inverse_factor(mat: np.ndarray) -> tuple[np.ndarray, int]:
     (k - 1) x (k - 1) inverse is that of its leading block, the factor of the
     matrix's leading corner (Golub and Van Loan, Matrix Computations, 4.2).
     """
+    # SciPy loads here, on first use: the oracles and `mdee report` never need it
+    from scipy.linalg.lapack import dpotrf, dtrtri
+
     low, info = dpotrf(mat, lower=1)
     size = info - 1 if info else mat.shape[0]
     if not size:

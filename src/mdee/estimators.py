@@ -33,7 +33,6 @@ import enum
 import warnings
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri
 
 from .core import (
     COND_LIMIT,
@@ -108,6 +107,8 @@ def inverse_factors(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     else:
         sizes = np.full(B, D)
         if D:  # LAPACK rejects an empty matrix
+            from scipy.linalg.lapack import dtrtri  # on first use, as in `core.inverse_factor`
+
             for low, factor in zip(lows, factors):
                 factor[:] = dtrtri(low, lower=1)[0]
     # W_kk = 1 / L_kk, so L_kk^2 <= tol reads W_kk sqrt(tol) >= 1; a row past a stop is zero

@@ -159,6 +159,9 @@ class ExperimentConfig:
                 self.scenario.data_config(cell)
         elif self.scenario.n_unlabeled < 0:
             raise ValueError(f"real n_unlabeled must be >= 0, got {self.scenario.n_unlabeled}")
+        elif self.d_max is None and min(self.scenario.n_values) < 2:
+            # the automatic d_max, ingest.dbar_for, needs two training rows
+            raise ValueError(f"real.n must be >= 2 with an automatic d_max, got {self.scenario.n_values}")
         for n in self.scenario.n_values:
             _check_cells(self, n)
         # the path fit adds n * ridge to the normal matrix's diagonal
@@ -188,9 +191,18 @@ class CriterionSummary:
 def regret(test_errors, chosen: int) -> float:
     """Log ratio of the chosen model's test error to the best one."""
     errors = np.asarray(test_errors, dtype=float)
+    return _regret(errors, _best_error(errors), chosen)
+
+
+def _best_error(errors: np.ndarray) -> np.float64:
+    """The smallest of an array of test errors, the base of every regret over them."""
     if np.any(errors <= 0):
         raise ValueError("regret undefined: nonpositive test error (degenerate case)")
-    return float(np.log(errors[chosen - 1] / errors.min()))
+    return errors.min()
+
+
+def _regret(errors: np.ndarray, best: np.float64, chosen: int) -> float:
+    return float(np.log(errors[chosen - 1] / best))
 
 
 def aggregate(regrets) -> tuple[float, float]:
@@ -454,6 +466,11 @@ def evaluate_trial(
     state = TrialState(train, unlabeled, path, cfg.ridge, cv_seed)
     state.train_design = design[:, : path.d_max]  # the cached part: built once for the fit and the criteria
 
+    error_array = np.asarray(errors, dtype=float)
+    try:
+        best = _best_error(error_array)
+    except ValueError:
+        best = None
     d_hat: dict[str, int] = {}
     regrets: dict[str, float] = {}
     flags: dict[str, str] = {}
@@ -475,11 +492,11 @@ def evaluate_trial(
             tokens.append(f"b1={state.b1}")
         # d = 1 is also what select_model falls back to, with a warning, when every risk is infinite
         d_hat[name] = chosen = 1 if all_infinite else estimators.select_model(risks)
-        try:
-            regrets[name] = regret(errors, chosen)
-        except ValueError:
+        if best is None:
             regrets[name] = math.nan
             tokens.append("degenerate_regret")
+        else:
+            regrets[name] = _regret(error_array, best, chosen)
         flags[name] = ";".join(tokens)
     return TrialResult(
         trial=trial,

@@ -11,6 +11,7 @@ oracle route independent of the package's Cholesky-based solver.
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 from dataclasses import dataclass
@@ -110,25 +111,40 @@ def _covariates(rng, count: int, cfg: OracleConfig) -> np.ndarray:
     return rng.normal(0.0, cfg.covariate_sd, (count, cfg.basis.covariate_dim))
 
 
-def _population_designs(cfg: OracleConfig):
-    """Designs of the cfg.c_draws population rows, in chunks, from one fixed child of cfg.seed."""
+def _population_rows(cfg: OracleConfig):
+    """The cfg.c_draws population rows' covariates, in chunks of `_CHUNK` rows, from one fixed child of cfg.seed."""
     rng = _aux_rng(cfg.seed, 1)
     remaining = cfg.c_draws
     while remaining > 0:
         count = min(_CHUNK, remaining)
-        yield _design(cfg, _covariates(rng, count, cfg))
+        yield _covariates(rng, count, cfg)
         remaining -= count
 
 
 def _population_pass(cfg: OracleConfig, mat: np.ndarray) -> tuple[np.ndarray, float]:
-    """C from the cfg.c_draws population rows, and the variance of phi(x)^T mat phi(x) over the same rows."""
+    """C from the cfg.c_draws population rows, and the variance of phi(x)^T mat phi(x) over the same rows.
+
+    The rows are read in rounds of one chunk per CPU. The main thread draws a
+    round's chunks in stream order; `_run_spans` builds each chunk's design
+    and its partial sums V^T V, sum(t) and sum(t^2); after the join the main
+    thread adds the partials in chunk order, the running sum of a serial pass.
+    """
     total = np.zeros((cfg.d, cfg.d))
     acc_sum = acc_sq = 0.0
-    for v in _population_designs(cfg):
-        total += v.T @ v
-        t = quadratic_forms(v, mat)
-        acc_sum += t.sum()
-        acc_sq += (t * t).sum()
+    rows = _population_rows(cfg)
+    while round_rows := list(itertools.islice(rows, _cpu_count())):
+        partials = [None] * len(round_rows)
+
+        def chunk_sums(k: int) -> None:
+            v = _design(cfg, round_rows[k])
+            t = quadratic_forms(v, mat)
+            partials[k] = v.T @ v, t.sum(), (t * t).sum()
+
+        _run_spans(len(round_rows), chunk_sums)
+        for gram, t_sum, t_sq in partials:
+            total += gram
+            acc_sum += t_sum
+            acc_sq += t_sq
     C = total / cfg.c_draws
     mean = acc_sum / cfg.c_draws
     return 0.5 * (C + C.T), max(acc_sq / cfg.c_draws - mean * mean, 0.0)
@@ -168,7 +184,7 @@ def _run_spans(count: int, body) -> None:
     stop before their next call. Every thread is joined before this returns
     or raises, and the first exception propagates.
     """
-    spans = min(_cpu_count(), count)
+    spans = min(_cpu_count(), count) or 1  # one empty span when count is 0
     bounds = [count * k // spans for k in range(spans + 1)]
     stop = threading.Event()
     errors = []
@@ -326,8 +342,11 @@ def mc_block_moments(
     Replications run in chunks of at most `_CHUNK` rows (at least one
     replication each), stacked along a leading axis; every reduction runs over
     one replication's blocks in the order a lone replication uses, so the
-    results do not depend on the chunking. C and its sampling error come from
-    one population pass after the replications.
+    results do not depend on the chunking. A chunk writes only its
+    replications' slots, and the chunks run in spans over the CPUs the process
+    may use (`_run_spans`), so the results do not depend on the CPU count
+    either. C and its sampling error come from one population pass after the
+    replications.
     """
     if cfg.reps < MIN_TRACE_REPS:
         raise ValueError(f"mc_block_moments needs reps >= {MIN_TRACE_REPS}")
@@ -338,8 +357,9 @@ def mc_block_moments(
     trs = {variant: np.empty(cfg.reps) for variant in sides}
     ref_invs = np.empty((cfg.reps, d, d))
     per_chunk = max(1, _CHUNK // (B * cfg.n))
-    for lo in range(0, cfg.reps, per_chunk):
-        hi = min(lo + per_chunk, cfg.reps)
+
+    def chunk(k: int) -> None:
+        lo, hi = k * per_chunk, min((k + 1) * per_chunk, cfg.reps)
         corrs, invs = _block_stats(cfg, (_aux_rng(cfg.seed, 0, rep) for rep in range(lo, hi)), B)
         ref_invs[lo:hi] = invs[::B]
         corrs, invs = corrs.reshape(-1, B, d, d), invs.reshape(-1, B, d, d)
@@ -347,6 +367,8 @@ def mc_block_moments(
             c_plus = corrs[:, :c_stop].mean(axis=1)
             v_hat = invs[:, v_start:].mean(axis=1)
             trs[variant][lo:hi] = np.trace(c_plus @ v_hat, axis1=1, axis2=2)
+
+    _run_spans(-(-cfg.reps // per_chunk), chunk)
     ref_trs, ref = _reference_traces(cfg, ref_invs)
     return {variant: _h_moments(t, ref_trs, ref) for variant, t in trs.items()}
 
@@ -366,22 +388,23 @@ class MomentInputs:
 def _vectorized_blocks(cfg: OracleConfig, tag: int, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized correlation matrices and inverses of n_blocks independent blocks.
 
-    Blocks are drawn in chunks; chunk k comes from the auxiliary stream
-    (cfg.seed, tag, k), so each caller's tag gives it its own draws.
+    Blocks are drawn in chunks of `_CHUNK` // n blocks (at least one); chunk k
+    comes from the auxiliary stream (cfg.seed, tag, k), so each caller's tag
+    gives it its own draws. A chunk writes only its own rows, and the chunks
+    run in spans over the CPUs the process may use (`_run_spans`).
     """
     dim = cfg.d * cfg.d
     mu_b = np.empty((n_blocks, dim))
     nu_b = np.empty((n_blocks, dim))
-    done = 0
-    chunk_idx = 0
-    while done < n_blocks:
-        count = min(_CHUNK // max(cfg.n, 1), n_blocks - done) or 1
-        rng = _aux_rng(cfg.seed, tag, chunk_idx)
-        corrs, invs = _block_stats(cfg, [rng], count)
-        mu_b[done : done + count] = corrs.reshape(count, dim)
-        nu_b[done : done + count] = invs.reshape(count, dim)
-        done += count
-        chunk_idx += 1
+    per_chunk = max(1, _CHUNK // cfg.n)
+
+    def chunk(k: int) -> None:
+        lo, hi = k * per_chunk, min((k + 1) * per_chunk, n_blocks)
+        corrs, invs = _block_stats(cfg, [_aux_rng(cfg.seed, tag, k)], hi - lo)
+        mu_b[lo:hi] = corrs.reshape(hi - lo, dim)
+        nu_b[lo:hi] = invs.reshape(hi - lo, dim)
+
+    _run_spans(-(-n_blocks // per_chunk), chunk)
     return mu_b, nu_b
 
 
@@ -395,9 +418,11 @@ def _moment_inputs_from(mu_b: np.ndarray, nu_b: np.ndarray) -> MomentInputs:
     count = mu_b.shape[0]
     mu = mu_b.mean(axis=0)
     nu = nu_b.mean(axis=0)
+    # one centered copy at a time: each is as large as the blocks it centers
     u = mu_b - mu
-    v = nu_b - nu
     var_mu = u.T @ u / (count - 1)
+    del u
+    v = nu_b - nu
     var_nu = v.T @ v / (count - 1)
     return MomentInputs(
         tr_varmu_varnu=float(np.trace(var_mu @ var_nu)),

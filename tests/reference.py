@@ -9,7 +9,8 @@ solve or invert the labeled and block matrices by LU (`invert_blocks` and
 the LU `dee_trace`, `mdee_trace` and `rmdee_trace`, under the package's
 names). The oracle routes (`block_moments`, `risk_ratio`) take one
 replication at a time and read the population rows once for C and once more
-for its sampling error. The ingest routes (`load_csv_rows`, `standardized_split`) read a table row by
+for its sampling error; `vectorized_blocks` draws the closed form's block
+chunks one after another. The ingest routes (`load_csv_rows`, `standardized_split`) read a table row by
 row with float() and standardize each part of a split on its own. Only tests
 call them, so they live beside the tests and not in the shipped package.
 Import them as `from reference import ...`; pytest puts this directory on the
@@ -26,6 +27,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
+from mdee import oracle
 from mdee.baselines import RHO_FLOOR, _folds
 from mdee.core import (
     DEFAULT_RIDGE,
@@ -58,7 +60,7 @@ from mdee.oracle import (
     _covariates,
     _design,
     _h_moments,
-    _population_designs,
+    _population_rows,
 )
 
 
@@ -398,7 +400,8 @@ def test_error(model: FittedModel, test: LabeledSet, basis: BasisSpec) -> float:
 def population_corr(cfg: OracleConfig) -> np.ndarray:
     """C from the cfg.c_draws population rows, as `oracle._population_pass` returns it."""
     total = np.zeros((cfg.d, cfg.d))
-    for v in _population_designs(cfg):
+    for X in _population_rows(cfg):
+        v = _design(cfg, X)
         total += v.T @ v
     C = total / cfg.c_draws
     return 0.5 * (C + C.T)
@@ -407,7 +410,8 @@ def population_corr(cfg: OracleConfig) -> np.ndarray:
 def _quadratic_form_var(cfg: OracleConfig, mat: np.ndarray) -> float:
     """Variance of phi(x)^T mat phi(x) over the population rows of `population_corr`."""
     acc_sum = acc_sq = 0.0
-    for v in _population_designs(cfg):
+    for X in _population_rows(cfg):
+        v = _design(cfg, X)
         t = ((v @ mat) * v).sum(axis=1)
         acc_sum += t.sum()
         acc_sq += (t * t).sum()
@@ -436,6 +440,24 @@ def _block_stats(cfg: OracleConfig, rng, n_blocks: int) -> tuple[np.ndarray, np.
     design = _design(cfg, X).reshape(n_blocks, cfg.n, cfg.d)
     corrs = block_corrs(design)
     return design, corrs, np.linalg.inv(corrs)
+
+
+def vectorized_blocks(cfg: OracleConfig, tag: int, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """`oracle._vectorized_blocks` one chunk after another."""
+    dim = cfg.d * cfg.d
+    mu_b = np.empty((n_blocks, dim))
+    nu_b = np.empty((n_blocks, dim))
+    done = 0
+    chunk_idx = 0
+    while done < n_blocks:
+        count = min(oracle._CHUNK // max(cfg.n, 1), n_blocks - done) or 1
+        rng = _aux_rng(cfg.seed, tag, chunk_idx)
+        _, corrs, invs = _block_stats(cfg, rng, count)
+        mu_b[done : done + count] = corrs.reshape(count, dim)
+        nu_b[done : done + count] = invs.reshape(count, dim)
+        done += count
+        chunk_idx += 1
+    return mu_b, nu_b
 
 
 def block_moments(cfg: OracleConfig, variants, B: int, B1: int | None = None) -> dict[CriterionKind, HMomentsResult]:

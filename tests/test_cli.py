@@ -200,6 +200,7 @@ REAL_COLUMNS = "covariate_columns: [x]"
         pytest.param("n: 10", "n: []", RUN, "n must be nonempty", id="n empty"),
         pytest.param("noise_var: 0.1", "noise_var: []", RUN, "noise_var must be nonempty", id="noise_var empty"),
         pytest.param(REAL_COLUMNS + "\n  n: 10", REAL_COLUMNS + "\n  n: []", RUN, "n must be nonempty", id="real n empty"),
+        pytest.param(REAL_COLUMNS + "\n  n: 10", REAL_COLUMNS + "\n  n: [1]", RUN, "real.n", id="real n 1"),
         pytest.param("n: 10", "n: 5", RUN, "set d_max explicitly", id="n without a d_max rule"),
         pytest.param(
             "response_column: y", "response_column: 100000000000000000000\n  has_header: false", RUN,

@@ -1,10 +1,14 @@
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
-from reference import block_moments, population_corr, risk_ratio
+from reference import block_moments, population_corr, risk_ratio, vectorized_blocks
 
+import mdee
 from mdee import oracle
 from mdee.core import BasisSpec, build_design
 from mdee.estimators import CriterionKind
@@ -240,7 +244,8 @@ def test_se_bias_pairs_each_trace_with_its_reference():
         inv_sum += invs[0]
     # C's sampling error: the spread of phi^T V_bar phi over the population rows
     v_bar = inv_sum / cfg.reps
-    quad = np.concatenate([np.einsum("ij,jk,ik->i", v, v_bar, v) for v in oracle._population_designs(cfg)])
+    designs = (oracle._design(cfg, X) for X in oracle._population_rows(cfg))
+    quad = np.concatenate([np.einsum("ij,jk,ik->i", v, v_bar, v) for v in designs])
     se_c = np.sqrt(quad.var() / cfg.c_draws)
     for variant, trs in traces.items():
         diffs = np.array(trs) - np.array(refs)
@@ -256,6 +261,16 @@ MOMENT_VARIANTS = [CriterionKind.MDEE1, CriterionKind.MDEE2, CriterionKind.MDEE3
 def assert_moments_match_reference(cfg, B, B1):
     got = mc_block_moments(cfg, MOMENT_VARIANTS, B, B1)
     assert got == block_moments(cfg, MOMENT_VARIANTS, B, B1)
+
+
+def with_fine_switching(run):
+    """run() with the GIL handed over often, so that spans interleave finely."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        return run()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # CPU counts for mc_risk_ratio's spans: the process's own (None), then 1, 2, 3 and 8. 41 replications split
@@ -310,13 +325,7 @@ class TestChunkedReplications:
             monkeypatch.setattr(oracle, "_cpu_count", lambda: cpus)
         cfg = make_cfg(basis=BasisSpec("fourier", m), d=d, truth=np.array([1.0, 0.5, -0.3])[:d], reps=reps,
                        n_test=300, c_draws=20_000)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # hand the GIL over often, so the spans interleave finely
-        try:
-            result = mc_risk_ratio(cfg)
-        finally:
-            sys.setswitchinterval(interval)
-        assert result == risk_ratio(cfg)
+        assert with_fine_switching(lambda: mc_risk_ratio(cfg)) == risk_ratio(cfg)
 
     @pytest.mark.parametrize("raised_in", ["second span", "main thread"])
     def test_failing_span_stops_the_others(self, monkeypatch, raised_in):
@@ -354,13 +363,13 @@ class TestChunkedReplications:
     def test_one_population_pass_per_call(self, monkeypatch, run):
         cfg = make_cfg(reps=100, n_test=50, c_draws=20_000)
         passes = []
-        population_designs = oracle._population_designs
+        population_rows = oracle._population_rows
 
         def counted(cfg):
             passes.append(cfg)
-            return population_designs(cfg)
+            return population_rows(cfg)
 
-        monkeypatch.setattr(oracle, "_population_designs", counted)
+        monkeypatch.setattr(oracle, "_population_rows", counted)
         # Each call reads the population rows once, for C and its sampling error together.
         for calls in (1, 2):
             if run == "moments":
@@ -368,6 +377,107 @@ class TestChunkedReplications:
             else:
                 mc_risk_ratio(cfg)
             assert len(passes) == calls
+
+
+class TestChunkSpans:
+    """The theorem-4 chunks and the population rounds give the one-thread bits at any CPU count.
+
+    At a 5k-row chunk a replication of B = 25 blocks of n = 20 rows takes 500
+    rows: 105 replications are 11 chunks, the last of 5. The closed form's
+    2,100 blocks are 9 chunks of at most 250 blocks, and the 23k population
+    rows 5 chunks, the last of 3k rows. So every loop has an uneven last chunk
+    and more chunks than 1, 2 or 3 CPUs.
+    """
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_CHUNK", 5_000)
+
+    @staticmethod
+    def cfg():
+        return make_cfg(reps=105, n_test=300, c_draws=23_000)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_block_moments(self, cpus, monkeypatch):
+        expected = block_moments(self.cfg(), MOMENT_VARIANTS, 25, 3)
+        monkeypatch.setattr(oracle, "_cpu_count", lambda: cpus)
+        assert with_fine_switching(lambda: mc_block_moments(self.cfg(), MOMENT_VARIANTS, 25, 3)) == expected
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_closed_form(self, cpus, monkeypatch):
+        cfg = self.cfg()
+        mu_b, nu_b = vectorized_blocks(cfg, 3, 2_100)
+        monkeypatch.setattr(oracle, "_cpu_count", lambda: cpus)
+        got = with_fine_switching(lambda: _vectorized_blocks(cfg, 3, 2_100))
+        np.testing.assert_array_equal(got[0], mu_b)
+        np.testing.assert_array_equal(got[1], nu_b)
+        value = with_fine_switching(lambda: mc_h1_variance_closed_form(cfg, 10, 4, n_blocks=2_100))
+        monkeypatch.setattr(oracle, "_vectorized_blocks", vectorized_blocks)
+        assert value == mc_h1_variance_closed_form(cfg, 10, 4, n_blocks=2_100)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_risk_ratio(self, cpus, monkeypatch):
+        expected = risk_ratio(self.cfg())
+        monkeypatch.setattr(oracle, "_cpu_count", lambda: cpus)
+        assert with_fine_switching(lambda: mc_risk_ratio(self.cfg())) == expected
+
+    @pytest.mark.parametrize(
+        "loop",
+        [
+            pytest.param(lambda cfg: mc_block_moments(cfg, MOMENT_VARIANTS, 25, 3), id="replication chunks"),
+            pytest.param(lambda cfg: _vectorized_blocks(cfg, 3, 2_000), id="closed-form chunks"),
+            pytest.param(lambda cfg: _population_pass(cfg, np.eye(cfg.d)), id="population rounds"),
+        ],
+    )
+    def test_failing_chunk_stops_the_others(self, loop, monkeypatch):
+        # On 2 CPUs the main thread runs the first span, or the first chunk of a population round, and a
+        # second thread the next; the second span fails while the main thread is in its first chunk.
+        monkeypatch.setattr(oracle, "_cpu_count", lambda: 2)
+        before = threading.enumerate()
+        calls = {"main": 0, "second": 0}
+        main_started = threading.Event()
+        design = oracle._design
+
+        def failing(cfg, X):
+            span = "main" if threading.current_thread() is threading.main_thread() else "second"
+            calls[span] += 1
+            if span == "second":
+                assert main_started.wait(timeout=10)
+                raise ValueError("chunk failed")
+            if calls["main"] == 1:
+                main_started.set()
+                for thread in set(threading.enumerate()) - set(before):
+                    thread.join(timeout=10)
+            return design(cfg, X)
+
+        monkeypatch.setattr(oracle, "_design", failing)
+        with pytest.raises(ValueError, match="chunk failed"):
+            loop(self.cfg())
+        assert threading.active_count() == len(before)
+        # The main thread finished the chunk it was in and started no other, in its span or a later round.
+        assert calls == {"main": 1, "second": 1}
+
+
+def test_oracles_and_report_do_not_load_scipy():
+    # SciPy's LAPACK wrappers load on the first Cholesky factor a trial takes; the oracles and the
+    # re-aggregation never take one, so they skip SciPy's import time and memory.
+    trials = Path(__file__).resolve().parent / "data" / "golden" / "synthetic_step_n10" / "seed0" / "trials.csv"
+    script = f"""
+import contextlib, io, sys
+import mdee.cli
+loaded = [sorted(name for name in sys.modules if name.split(".")[0] == "scipy")]
+for argv in (["oracle", "--theorem", "2", "--reps", "20", "--seed", "1"],
+             ["oracle", "--theorem", "4", "--reps", "100", "--moment-blocks", "100", "--seed", "1"],
+             ["report", {str(trials)!r}]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        mdee.cli.main(argv)
+    loaded.append(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+print(loaded)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(mdee.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[[], [], [], []]"
 
 
 class TestMomentInputs:
