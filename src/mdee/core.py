@@ -9,6 +9,7 @@ with is in `tests/reference.py`.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -326,3 +327,10 @@ def block_partition(pool: UnlabeledSet, n: int) -> np.ndarray:
     if n_blocks == 0:
         raise ValueError("unlabeled pool smaller than one block")
     return pool.X[: n_blocks * n].reshape(n_blocks, n, m)
+
+
+def usable_cpus() -> int:
+    """Number of CPUs this process may run on: what the oracle spans and the trial processes spread over."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

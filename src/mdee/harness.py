@@ -12,9 +12,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import pickle
 import platform
 import re
+import signal
 import sys
+import traceback
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from pathlib import Path
@@ -22,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import __version__, baselines, datagen, estimators, ingest
+from . import __version__, baselines, core, datagen, estimators, ingest
 from .core import (
     DEFAULT_RIDGE,
     BasisSpec,
@@ -524,26 +528,158 @@ def _trial(cfg, table, cell, cell_idx, trial) -> TrialResult:
     return evaluate_trial(trial, cell, train, unlabeled, test, d_max, cfg, cv_seed)
 
 
+def _threads() -> int:
+    """This process's thread count, as /proc/self/status reads it; 0 where that cannot be read."""
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("Threads:"):
+                    return int(line.split()[1])
+    except (OSError, ValueError):
+        pass
+    return 0
+
+
+def _trial_processes(jobs: int) -> int:
+    """How many processes run_experiment spreads `jobs` trials over: one per usable CPU, at most one per job.
+
+    It forks only on Linux and only from a process of one thread: forking a
+    threaded process is unsafe, and a BLAS left to start its own threads
+    would fight the children for the CPUs. Otherwise the trials run here.
+    """
+    if sys.platform != "linux" or not hasattr(os, "fork") or _threads() != 1:
+        return 1
+    return max(1, min(core.usable_cpus(), jobs))
+
+
+def _run_share(job, share: range, parent: int | None = None) -> tuple[list, tuple | None]:
+    """job(i) for i in share, in order, until one raises: the results so far and (i, exception) of that one.
+
+    With `parent`, it also stops before any job once that process is gone.
+    """
+    done = []
+    for i in share:
+        if parent is not None and os.getppid() != parent:
+            break
+        try:
+            done.append(job(i))
+        except Exception as exc:
+            return done, (i, exc)
+    return done, None
+
+
+def _flush_std_streams() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None when the process started without the descriptor
+            stream.flush()
+
+
+def _child_share(job, share: range, pipe: int, parent: int) -> None:
+    """A forked child's side of `_fork_map`: run its share, send one pickle down `pipe`, and leave by os._exit."""
+    status = 1
+    try:
+        done, failed = _run_share(job, share, parent)
+        if failed is not None:
+            i, exc = failed
+            lines = traceback.format_exception(type(exc), exc, exc.__traceback__)  # the traceback does not pickle
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:  # an exception that cannot make the trip reaches the caller as its text
+                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+            failed = i, exc, lines
+        payload = pickle.dumps((done, failed))
+        _flush_std_streams()
+        with open(pipe, "wb") as out:
+            out.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fork_map(job, count: int, processes: int) -> list:
+    """[job(i) for i in range(count)], job i run by process i % processes: this one and processes - 1 forked children.
+
+    Each child sends its results, or those before its first failing job and
+    that job's exception, in one pickle down its own pipe, and stops between
+    jobs once this process is gone. Every process stops at its first failing
+    job, and the exception raised is the lowest job's, the one a serial loop
+    would raise. Every child is reaped before this returns or raises, and
+    killed first if this process fails on its own or is interrupted.
+    """
+    results = [None] * count
+    children = {}  # pid -> (its share's first job, read end of its pipe)
+    failures = []  # (job index, exception, traceback lines from a child or None)
+    try:
+        for k in range(1, processes):
+            read_end, write_end = os.pipe()
+            _flush_std_streams()  # so a child's flush repeats nothing of ours
+            pid = os.fork()
+            if pid == 0:
+                for fd in [read_end] + [end for _, end in children.values()]:
+                    os.close(fd)
+                _child_share(job, range(k, count, processes), write_end, os.getppid())
+            children[pid] = k, read_end
+            os.close(write_end)
+        done, failed = _run_share(job, range(0, count, processes))
+        results[0 : len(done) * processes : processes] = done
+        if failed:
+            failures.append(failed + (None,))
+        for pid, (k, read_end) in children.items():
+            with open(read_end, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            if not payload:
+                raise RuntimeError(f"trial process {pid} ended without sending its results")
+            done, failed = pickle.loads(payload)
+            results[k : k + len(done) * processes : processes] = done
+            if failed:
+                failures.append(failed)
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, (_, read_end) in children.items():
+            os.close(read_end)
+            os.waitpid(pid, 0)
+    if failures:
+        _, exc, lines = min(failures, key=lambda failure: failure[0])
+        if lines:
+            raise exc from RuntimeError("raised in a trial process:\n" + "".join(lines))
+        raise exc
+    return results
+
+
 def run_experiment(
     cfg: ExperimentConfig, table: np.ndarray | None = None
 ) -> tuple[list[TrialResult], list[CriterionSummary]]:
     """Run every (grid cell, repetition) pair and aggregate per criterion.
 
     Each trial draws from its own seed streams, so its result does not depend
-    on the trials run before it; aggregation folds over trial index. A real
-    scenario's table is loaded here unless the caller passes it already loaded.
+    on the trials run before it, nor on the process it runs in: the trials are
+    spread over the usable CPUs (`_trial_processes`, `_fork_map`) and put back
+    in order, and aggregation folds over trial index. A real scenario's table
+    is loaded here unless the caller passes it already loaded.
     """
+    trials, summaries, _ = _run(cfg, table)
+    return trials, summaries
+
+
+def _run(cfg: ExperimentConfig, table) -> tuple[list[TrialResult], list[CriterionSummary], int]:
+    """run_experiment's trials and summaries, and the number of processes the trials ran in (`_trial_processes`)."""
     if table is None and isinstance(cfg.scenario, RealScenario):
         table = ingest.load_csv(cfg.scenario.manifest)
 
-    trials: list[TrialResult] = []
-    summaries: list[CriterionSummary] = []
-    for cell_idx, cell in enumerate(cfg.scenario.cells()):
-        cell_trials = [_trial(cfg, table, cell, cell_idx, t) for t in range(cfg.repetitions)]
-        trials.extend(cell_trials)
-        for name in cfg.criteria:
-            summaries.append(_summarize(cell, name, [t.regret[name] for t in cell_trials]))
-    return trials, summaries
+    cells = list(cfg.scenario.cells())
+    reps = cfg.repetitions
+    jobs = [(cell, cell_idx, t) for cell_idx, cell in enumerate(cells) for t in range(reps)]
+    processes = _trial_processes(len(jobs))
+    trials = _fork_map(lambda i: _trial(cfg, table, *jobs[i]), len(jobs), processes)
+    summaries = [
+        _summarize(cell, name, [t.regret[name] for t in trials[cell_idx * reps : (cell_idx + 1) * reps]])
+        for cell_idx, cell in enumerate(cells)
+        for name in cfg.criteria
+    ]
+    return trials, summaries, processes
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +723,7 @@ def run_to_dir(cfg: ExperimentConfig, out_dir=None, table: np.ndarray | None = N
     """Run an experiment and write summary.csv, trials.csv and meta.json; `table` is as for run_experiment."""
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    trials, summaries = run_experiment(cfg, table)
+    trials, summaries, processes = _run(cfg, table)
     write_summary_csv(out / "summary.csv", summaries)
     write_trials_csv(out / "trials.csv", trials, cfg.criteria)
     meta = {
@@ -599,6 +735,7 @@ def run_to_dir(cfg: ExperimentConfig, out_dir=None, table: np.ndarray | None = N
         "scenario": _scenario_dict(cfg.scenario),
         "versions": _versions(),
         "flag_counts": flag_counts(trials, cfg.criteria),
+        "processes": processes,
     }
     if isinstance(cfg.scenario, SyntheticScenario):
         meta["caveat"] = SYNTHETIC_CAVEAT

@@ -12,12 +12,12 @@ oracle route independent of the package's Cholesky-based solver.
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import BasisSpec, build_design, correlation_matrix
 from .estimators import CriterionKind, block_sides, design_corrs, quadratic_forms
 
@@ -132,7 +132,7 @@ def _population_pass(cfg: OracleConfig, mat: np.ndarray) -> tuple[np.ndarray, fl
     total = np.zeros((cfg.d, cfg.d))
     acc_sum = acc_sq = 0.0
     rows = _population_rows(cfg)
-    while round_rows := list(itertools.islice(rows, _cpu_count())):
+    while round_rows := list(itertools.islice(rows, core.usable_cpus())):
         partials = [None] * len(round_rows)
 
         def chunk_sums(k: int) -> None:
@@ -167,13 +167,6 @@ def _reference_traces(cfg: OracleConfig, c_hat_invs: np.ndarray) -> tuple[np.nda
     return trs, (float(trs.mean()), float(np.hypot(se_rep, se_c)), float(se_c))
 
 
-def _cpu_count() -> int:
-    """Number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _run_spans(count: int, body) -> None:
     """Call body(i) for every i in range(count), in contiguous spans, one per CPU the process may use.
 
@@ -184,7 +177,7 @@ def _run_spans(count: int, body) -> None:
     stop before their next call. Every thread is joined before this returns
     or raises, and the first exception propagates.
     """
-    spans = min(_cpu_count(), count) or 1  # one empty span when count is 0
+    spans = min(core.usable_cpus(), count) or 1  # one empty span when count is 0
     bounds = [count * k // spans for k in range(spans + 1)]
     stop = threading.Event()
     errors = []

@@ -1,7 +1,10 @@
 import csv
 import json
 import math
+import os
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mdee import __version__, baselines, harness
+from mdee import __version__, baselines, core, harness
 from mdee.cli import main
 from mdee.core import BasisSpec, LabeledSet, UnlabeledSet, build_design
 from mdee.harness import (
@@ -216,6 +219,7 @@ class TestRunExperiment:
         # run completes.
         path = tmp_path / "ridge0.yaml"
         path.write_text(RIDGE0_YAML)
+        monkeypatch.setattr(core, "usable_cpus", lambda: 1)  # `fitted` sees only the fits run in this process
         fitted = []
         fit = harness.fit_design_path
         monkeypatch.setattr(harness, "fit_design_path", lambda *args: fitted.append(fit(*args)) or fitted[-1])
@@ -264,6 +268,7 @@ class TestOutputs:
         # An empty pool gives DEE inf@d at every d (all_infinite), a stand-in FPE
         # flags blocks at odd d, and a zero test error on every other trial
         # makes its regrets degenerate.
+        monkeypatch.setattr(core, "usable_cpus", lambda: 1)  # `calls` counts only the trials run in this process
         errors = harness.path_test_errors
         calls = []
 
@@ -333,18 +338,146 @@ class TestOutputs:
         assert (tmp_path / "summary.csv").read_text().splitlines()[1] == '"abalone, rings",20,DEE,0.2,0.1,3'
 
 
+def two_cell_config():
+    """A synthetic grid of two cells, 4 trials each: 8 jobs."""
+    scenario = SyntheticScenario(target="step", n_values=[10, 20], noise_vars=[0.1], n_unlabeled=200, n_test=100)
+    return small_config(scenario=scenario, repetitions=4)
+
+
+def toy_table(path: Path) -> Path:
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(120, 2))
+    y = X[:, 0] + 0.1 * rng.normal(size=120)
+    path.write_text("x1,x2,y\n" + "".join(f"{a},{b},{c}\n" for (a, b), c in zip(X, y)))
+    return path
+
+
+def toy_real_config(table: Path) -> ExperimentConfig:
+    """A real-table run of one cell, 6 trials."""
+    manifest = DatasetManifest(name="toy", path=str(table), response_column="y", covariate_columns=["x1", "x2"])
+    scenario = RealScenario(manifest=manifest, n_values=[20], n_unlabeled=60)
+    return ExperimentConfig(scenario=scenario, criteria=["mDEE3", "cAIC", "ADJ"], repetitions=6, master_seed=3)
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):  # no child of this process, running or a zombie
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+class TestTrialProcesses:
+    """run_experiment spreads its trials over forked processes when this one runs a single thread."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Set the usable-CPU count, and let this process fork as a process of one thread would."""
+
+        def set_count(count: int) -> None:
+            monkeypatch.setattr(core, "usable_cpus", lambda: count)
+            monkeypatch.setattr(harness, "_threads", lambda: 1)
+
+        return set_count
+
+    @pytest.mark.parametrize("kind", ["synthetic", "real"])
+    def test_outputs_do_not_depend_on_the_process_count(self, kind, cpus, tmp_path):
+        cfg = two_cell_config() if kind == "synthetic" else toy_real_config(toy_table(tmp_path / "toy.csv"))
+        jobs = len(list(cfg.scenario.cells())) * cfg.repetitions
+        outputs = []
+        for count in (1, 2, 3, 8):
+            cpus(count)
+            out = run_to_dir(cfg, tmp_path / f"cpus{count}")
+            outputs.append([(out / name).read_bytes() for name in ("summary.csv", "trials.csv")])
+            assert json.loads((out / "meta.json").read_text())["processes"] == min(count, jobs)
+        assert all(output == outputs[0] for output in outputs)
+        assert no_child_left()
+
+    @pytest.mark.parametrize("failing, lowest", [({3, 5}, 3), ({1, 4}, 1), ({2, 3}, 2)])
+    def test_the_lowest_failing_job_raises(self, failing, lowest, cpus, monkeypatch):
+        # On 2 processes this one runs the even jobs and a child the odd ones.
+        cpus(2)
+        trial = harness._trial
+
+        def failing_trial(cfg, table, cell, cell_idx, t):
+            job = cell_idx * cfg.repetitions + t
+            if job in failing:
+                raise KeyError(f"job {job} failed")
+            return trial(cfg, table, cell, cell_idx, t)
+
+        monkeypatch.setattr(harness, "_trial", failing_trial)
+        with pytest.raises(KeyError, match=f"job {lowest} failed") as raised:
+            run_experiment(two_cell_config())
+        assert raised.type is KeyError
+        assert no_child_left()
+
+    def test_an_exception_that_does_not_pickle_arrives_as_its_text(self, cpus, monkeypatch):
+        class Local(Exception):
+            pass
+
+        cpus(2)
+        parent = os.getpid()
+        trial = harness._trial
+
+        def failing_trial(*args):
+            if os.getpid() != parent:
+                raise Local("not picklable")
+            return trial(*args)
+
+        monkeypatch.setattr(harness, "_trial", failing_trial)
+        with pytest.raises(RuntimeError, match="Local: not picklable"):
+            run_experiment(two_cell_config())
+        assert no_child_left()
+
+    def test_a_child_that_dies_is_named(self, cpus, monkeypatch):
+        cpus(2)
+        parent = os.getpid()
+        trial = harness._trial
+        monkeypatch.setattr(harness, "_trial", lambda *args: os._exit(3) if os.getpid() != parent else trial(*args))
+        with pytest.raises(RuntimeError, match="ended without sending its results"):
+            run_experiment(two_cell_config())
+        assert no_child_left()
+
+    def test_an_interrupt_kills_the_children(self, cpus, monkeypatch):
+        # The children would sleep for a minute; the interrupt here ends the run at once.
+        cpus(2)
+        parent = os.getpid()
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(harness, "_trial", interrupted)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(two_cell_config())
+        assert time.perf_counter() - start < 30
+        assert no_child_left()
+
+    def test_a_child_stops_once_its_parent_is_gone(self):
+        assert harness._run_share(lambda i: i, range(3), parent=os.getppid()) == ([0, 1, 2], None)
+        assert harness._run_share(lambda i: i, range(3), parent=-1) == ([], None)
+
+    def test_a_threaded_caller_runs_in_one_process(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(core, "usable_cpus", lambda: 2)
+        parked = threading.Event()
+        thread = threading.Thread(target=parked.wait)
+        thread.start()
+        try:
+            pids = []
+            trial = harness._trial
+            monkeypatch.setattr(harness, "_trial", lambda *args: pids.append(os.getpid()) or trial(*args))
+            out = run_to_dir(two_cell_config(), tmp_path / "run")
+        finally:
+            parked.set()
+            thread.join()
+        assert pids == [os.getpid()] * 8
+        assert json.loads((out / "meta.json").read_text())["processes"] == 1
+
+
 class TestRealScenario:
     @pytest.fixture
     def dataset(self, tmp_path):
-        rng = np.random.default_rng(5)
-        rows = ["x1,x2,y"]
-        X = rng.normal(size=(120, 2))
-        y = X[:, 0] + 0.1 * rng.normal(size=120)
-        for i in range(120):
-            rows.append(f"{X[i,0]},{X[i,1]},{y[i]}")
-        path = tmp_path / "toy.csv"
-        path.write_text("\n".join(rows) + "\n")
-        return path
+        return toy_table(tmp_path / "toy.csv")
 
     def test_real_run(self, dataset, tmp_path):
         cfg = ExperimentConfig(

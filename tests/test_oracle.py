@@ -9,7 +9,7 @@ import pytest
 from reference import block_moments, population_corr, risk_ratio, vectorized_blocks
 
 import mdee
-from mdee import oracle
+from mdee import core, oracle
 from mdee.core import BasisSpec, build_design
 from mdee.estimators import CriterionKind
 from mdee.oracle import (
@@ -322,7 +322,7 @@ class TestChunkedReplications:
     )
     def test_risk_ratio(self, d, m, cpus, reps, monkeypatch):
         if cpus is not None:
-            monkeypatch.setattr(oracle, "_cpu_count", lambda: cpus)
+            monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
         cfg = make_cfg(basis=BasisSpec("fourier", m), d=d, truth=np.array([1.0, 0.5, -0.3])[:d], reps=reps,
                        n_test=300, c_draws=20_000)
         assert with_fine_switching(lambda: mc_risk_ratio(cfg)) == risk_ratio(cfg)
@@ -330,7 +330,7 @@ class TestChunkedReplications:
     @pytest.mark.parametrize("raised_in", ["second span", "main thread"])
     def test_failing_span_stops_the_others(self, monkeypatch, raised_in):
         # Replications 0-9 run on the main thread and 10-19 on a second thread.
-        monkeypatch.setattr(oracle, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(core, "usable_cpus", lambda: 2)
         before = threading.enumerate()
         calls = {"main": 0, "second": 0}
         main_started = threading.Event()
@@ -400,14 +400,14 @@ class TestChunkSpans:
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_block_moments(self, cpus, monkeypatch):
         expected = block_moments(self.cfg(), MOMENT_VARIANTS, 25, 3)
-        monkeypatch.setattr(oracle, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
         assert with_fine_switching(lambda: mc_block_moments(self.cfg(), MOMENT_VARIANTS, 25, 3)) == expected
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_closed_form(self, cpus, monkeypatch):
         cfg = self.cfg()
         mu_b, nu_b = vectorized_blocks(cfg, 3, 2_100)
-        monkeypatch.setattr(oracle, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
         got = with_fine_switching(lambda: _vectorized_blocks(cfg, 3, 2_100))
         np.testing.assert_array_equal(got[0], mu_b)
         np.testing.assert_array_equal(got[1], nu_b)
@@ -418,7 +418,7 @@ class TestChunkSpans:
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_risk_ratio(self, cpus, monkeypatch):
         expected = risk_ratio(self.cfg())
-        monkeypatch.setattr(oracle, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
         assert with_fine_switching(lambda: mc_risk_ratio(self.cfg())) == expected
 
     @pytest.mark.parametrize(
@@ -432,7 +432,7 @@ class TestChunkSpans:
     def test_failing_chunk_stops_the_others(self, loop, monkeypatch):
         # On 2 CPUs the main thread runs the first span, or the first chunk of a population round, and a
         # second thread the next; the second span fails while the main thread is in its first chunk.
-        monkeypatch.setattr(oracle, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(core, "usable_cpus", lambda: 2)
         before = threading.enumerate()
         calls = {"main": 0, "second": 0}
         main_started = threading.Event()
