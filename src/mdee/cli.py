@@ -74,7 +74,8 @@ def _check(label: str, value: float, target: float, se: float) -> bool:
     return ok
 
 
-def _check_oracle_args(args) -> None:
+def _check_oracle_args(args, cfg: oracle.OracleConfig) -> None:
+    """Turn away arguments the oracle config does not check itself, before any work."""
     if args.reps < MIN_REPS[args.theorem]:
         raise ValueError(f"theorem {args.theorem} needs --reps >= {MIN_REPS[args.theorem]}, got {args.reps}")
     if args.theorem == 2 and args.noise_sd == 0:
@@ -83,12 +84,15 @@ def _check_oracle_args(args) -> None:
         raise ValueError(f"theorem 4 needs 1 <= --b1 <= --blocks - 1, got --b1 {args.b1}, --blocks {args.blocks}")
     if args.theorem == 4 and args.moment_blocks < MIN_MOMENT_BLOCKS:
         raise ValueError(f"theorem 4 needs --moment-blocks >= {MIN_MOMENT_BLOCKS}, got {args.moment_blocks}")
+    if args.theorem == 4:
+        oracle.check_pool(cfg, args.blocks, "--blocks")
+        oracle.check_moment_blocks(cfg, args.moment_blocks, "--moment-blocks")
 
 
 def _cmd_oracle(args) -> int:
     try:
         cfg = _oracle_config(args)
-        _check_oracle_args(args)
+        _check_oracle_args(args, cfg)
     except ValueError as exc:
         return _input_error(exc)
     t0 = time.time()

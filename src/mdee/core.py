@@ -9,7 +9,6 @@ with is in `tests/reference.py`.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,11 @@ DEFAULT_RIDGE = 1e-9
 # Condition number of the (ridge-augmented) normal matrix above which a solve
 # is treated as numerically singular.
 COND_LIMIT = 1e12
+
+# The most cells of any one array a trial or an oracle call allocates. 2**27
+# float64 cells are 1 GiB, so an input past it is turned away before any work
+# rather than failing in numpy's allocator partway through.
+MAX_CELLS = 2**27
 
 
 class SingularDesignError(ValueError):
@@ -327,10 +331,3 @@ def block_partition(pool: UnlabeledSet, n: int) -> np.ndarray:
     if n_blocks == 0:
         raise ValueError("unlabeled pool smaller than one block")
     return pool.X[: n_blocks * n].reshape(n_blocks, n, m)
-
-
-def usable_cpus() -> int:
-    """Number of CPUs this process may run on: what the oracle spans and the trial processes spread over."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1

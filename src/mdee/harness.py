@@ -12,13 +12,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-import pickle
 import platform
 import re
-import signal
 import sys
-import traceback
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from pathlib import Path
@@ -26,9 +22,10 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import __version__, baselines, core, datagen, estimators, ingest
+from . import __version__, baselines, datagen, estimators, ingest, parallel
 from .core import (
     DEFAULT_RIDGE,
+    MAX_CELLS,
     BasisSpec,
     LabeledSet,
     ModelPath,
@@ -48,15 +45,6 @@ SPLIT_CRITERIA = {"mDEE1", "mDEE2"}  # block criteria that need the mDEE1 split 
 # Candidate-count rule for the synthetic protocol; other n need an explicit
 # d_max in the config.
 SYNTHETIC_DBAR = {10: 8, 20: 15, 50: 23}
-
-# The most cells of any one array a trial allocates: the train, pool and test
-# designs (rows x d_max), the normal matrix (d_max x d_max) and the pool's block
-# correlation stack (blocks x d_max x d_max). 2**27 float64 cells are 1 GiB, so
-# a config past it is turned away before any output exists rather than failing
-# in numpy's allocator mid-run. The shipped configs reach 1500 x 23 cells. A real
-# table's test design is left out: its rows are what the table leaves, which no
-# config key sets.
-MAX_CELLS = 2**27
 
 # Columns after the cell keys in summary.csv and trials.csv.
 SUMMARY_FIELDS = ["criterion", "median", "iqr", "n_trials"]
@@ -228,7 +216,15 @@ def _seed_int(*keys: int) -> int:
 
 
 def _check_cells(cfg: ExperimentConfig, n: int) -> None:
-    """Raise ValueError naming the key of the first array of a trial at training size n that passes MAX_CELLS."""
+    """Raise ValueError naming the key of the first array of a trial at training size n that passes MAX_CELLS.
+
+    The arrays are the train, pool and test designs (rows x d_max), the
+    normal matrix (d_max x d_max) and the pool's block correlation stack
+    (blocks x d_max x d_max), so a config past the cap is turned away before
+    any output exists. The shipped configs reach 1500 x 23 cells. A real
+    table's test design is left out: its rows are what the table leaves,
+    which no config key sets.
+    """
     scen = cfg.scenario
     synthetic = isinstance(scen, SyntheticScenario)
     d = _auto_d_max(cfg, n, 1 if synthetic else len(scen.manifest.covariate_columns))
@@ -528,127 +524,6 @@ def _trial(cfg, table, cell, cell_idx, trial) -> TrialResult:
     return evaluate_trial(trial, cell, train, unlabeled, test, d_max, cfg, cv_seed)
 
 
-def _threads() -> int:
-    """This process's thread count, as /proc/self/status reads it; 0 where that cannot be read."""
-    try:
-        with open("/proc/self/status") as status:
-            for line in status:
-                if line.startswith("Threads:"):
-                    return int(line.split()[1])
-    except (OSError, ValueError):
-        pass
-    return 0
-
-
-def _trial_processes(jobs: int) -> int:
-    """How many processes run_experiment spreads `jobs` trials over: one per usable CPU, at most one per job.
-
-    It forks only on Linux and only from a process of one thread: forking a
-    threaded process is unsafe, and a BLAS left to start its own threads
-    would fight the children for the CPUs. Otherwise the trials run here.
-    """
-    if sys.platform != "linux" or not hasattr(os, "fork") or _threads() != 1:
-        return 1
-    return max(1, min(core.usable_cpus(), jobs))
-
-
-def _run_share(job, share: range, parent: int | None = None) -> tuple[list, tuple | None]:
-    """job(i) for i in share, in order, until one raises: the results so far and (i, exception) of that one.
-
-    With `parent`, it also stops before any job once that process is gone.
-    """
-    done = []
-    for i in share:
-        if parent is not None and os.getppid() != parent:
-            break
-        try:
-            done.append(job(i))
-        except Exception as exc:
-            return done, (i, exc)
-    return done, None
-
-
-def _flush_std_streams() -> None:
-    for stream in (sys.stdout, sys.stderr):
-        if stream is not None:  # None when the process started without the descriptor
-            stream.flush()
-
-
-def _child_share(job, share: range, pipe: int, parent: int) -> None:
-    """A forked child's side of `_fork_map`: run its share, send one pickle down `pipe`, and leave by os._exit."""
-    status = 1
-    try:
-        done, failed = _run_share(job, share, parent)
-        if failed is not None:
-            i, exc = failed
-            lines = traceback.format_exception(type(exc), exc, exc.__traceback__)  # the traceback does not pickle
-            try:
-                pickle.loads(pickle.dumps(exc))
-            except Exception:  # an exception that cannot make the trip reaches the caller as its text
-                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-            failed = i, exc, lines
-        payload = pickle.dumps((done, failed))
-        _flush_std_streams()
-        with open(pipe, "wb") as out:
-            out.write(payload)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _fork_map(job, count: int, processes: int) -> list:
-    """[job(i) for i in range(count)], job i run by process i % processes: this one and processes - 1 forked children.
-
-    Each child sends its results, or those before its first failing job and
-    that job's exception, in one pickle down its own pipe, and stops between
-    jobs once this process is gone. Every process stops at its first failing
-    job, and the exception raised is the lowest job's, the one a serial loop
-    would raise. Every child is reaped before this returns or raises, and
-    killed first if this process fails on its own or is interrupted.
-    """
-    results = [None] * count
-    children = {}  # pid -> (its share's first job, read end of its pipe)
-    failures = []  # (job index, exception, traceback lines from a child or None)
-    try:
-        for k in range(1, processes):
-            read_end, write_end = os.pipe()
-            _flush_std_streams()  # so a child's flush repeats nothing of ours
-            pid = os.fork()
-            if pid == 0:
-                for fd in [read_end] + [end for _, end in children.values()]:
-                    os.close(fd)
-                _child_share(job, range(k, count, processes), write_end, os.getppid())
-            children[pid] = k, read_end
-            os.close(write_end)
-        done, failed = _run_share(job, range(0, count, processes))
-        results[0 : len(done) * processes : processes] = done
-        if failed:
-            failures.append(failed + (None,))
-        for pid, (k, read_end) in children.items():
-            with open(read_end, "rb", closefd=False) as pipe:
-                payload = pipe.read()
-            if not payload:
-                raise RuntimeError(f"trial process {pid} ended without sending its results")
-            done, failed = pickle.loads(payload)
-            results[k : k + len(done) * processes : processes] = done
-            if failed:
-                failures.append(failed)
-    except BaseException:
-        for pid in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, (_, read_end) in children.items():
-            os.close(read_end)
-            os.waitpid(pid, 0)
-    if failures:
-        _, exc, lines = min(failures, key=lambda failure: failure[0])
-        if lines:
-            raise exc from RuntimeError("raised in a trial process:\n" + "".join(lines))
-        raise exc
-    return results
-
-
 def run_experiment(
     cfg: ExperimentConfig, table: np.ndarray | None = None
 ) -> tuple[list[TrialResult], list[CriterionSummary]]:
@@ -656,7 +531,7 @@ def run_experiment(
 
     Each trial draws from its own seed streams, so its result does not depend
     on the trials run before it, nor on the process it runs in: the trials are
-    spread over the usable CPUs (`_trial_processes`, `_fork_map`) and put back
+    spread over the usable CPUs (`parallel.process_count`, `parallel.fork_map`) and put back
     in order, and aggregation folds over trial index. A real scenario's table
     is loaded here unless the caller passes it already loaded.
     """
@@ -665,15 +540,15 @@ def run_experiment(
 
 
 def _run(cfg: ExperimentConfig, table) -> tuple[list[TrialResult], list[CriterionSummary], int]:
-    """run_experiment's trials and summaries, and the number of processes the trials ran in (`_trial_processes`)."""
+    """run_experiment's trials and summaries, and the number of processes the trials ran in (`parallel.process_count`)."""
     if table is None and isinstance(cfg.scenario, RealScenario):
         table = ingest.load_csv(cfg.scenario.manifest)
 
     cells = list(cfg.scenario.cells())
     reps = cfg.repetitions
     jobs = [(cell, cell_idx, t) for cell_idx, cell in enumerate(cells) for t in range(reps)]
-    processes = _trial_processes(len(jobs))
-    trials = _fork_map(lambda i: _trial(cfg, table, *jobs[i]), len(jobs), processes)
+    processes = parallel.process_count(len(jobs))
+    trials = parallel.fork_map(lambda i: _trial(cfg, table, *jobs[i]), len(jobs), processes)
     summaries = [
         _summarize(cell, name, [t.regret[name] for t in trials[cell_idx * reps : (cell_idx + 1) * reps]])
         for cell_idx, cell in enumerate(cells)
@@ -911,14 +786,17 @@ def load_config(path) -> ExperimentConfig:
 def reaggregate_trials(path) -> list[CriterionSummary]:
     """Rebuild per-cell summaries from a trials.csv file."""
     with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        fields = reader.fieldnames or []
+        reader = csv.reader(handle)
+        fields = next(reader, [])
         if fields[-len(TRIAL_FIELDS) :] != TRIAL_FIELDS:
             missing = [f for f in TRIAL_FIELDS if f not in fields]
             raise ValueError(f"{path}: the last columns of a trials.csv are {TRIAL_FIELDS}; missing {missing}")
         keys = fields[: -len(TRIAL_FIELDS)]
         groups: dict[tuple, list[float]] = {}
-        for row in reader:
+        for cells in filter(None, reader):  # blank lines hold no row
+            if len(cells) != len(fields):
+                raise ValueError(f"{path}, line {reader.line_num}: {len(cells)} cells, the header has {len(fields)}")
+            row = dict(zip(fields, cells))
             group = tuple(row[k] for k in keys) + (row["criterion"],)
             try:
                 groups.setdefault(group, []).append(float(row["regret"]))

@@ -11,14 +11,12 @@ oracle route independent of the package's Cholesky-based solver.
 
 from __future__ import annotations
 
-import itertools
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import core
-from .core import BasisSpec, build_design, correlation_matrix
+from . import parallel
+from .core import MAX_CELLS, BasisSpec, build_design, correlation_matrix
 from .estimators import CriterionKind, block_sides, design_corrs, quadratic_forms
 
 _CHUNK = 100_000
@@ -58,6 +56,13 @@ class OracleConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not isinstance(self.truth, str):
             self.truth = np.asarray(self.truth, dtype=float).reshape(-1)
+        # the designs and their covariates, the stack of C_hat^{-1} (or reference inverses), and the population rows
+        # with one chunk's design
+        d, m = int(self.d), self.basis.covariate_dim
+        _check_cells("n", int(self.n) * max(d, m))
+        _check_cells("n_test", self.n_test * max(d, m))
+        _check_cells("reps", self.reps * d * d)
+        _check_cells("c_draws", max(self.c_draws * m, min(self.c_draws, _CHUNK) * d))
 
     def inside_model(self) -> bool:
         return not isinstance(self.truth, str) and len(self.truth) <= self.d
@@ -98,6 +103,30 @@ class HMomentsResult:
     reps: int
 
 
+def _check_cells(name: str, cells: int) -> None:
+    """Raise ValueError naming the argument `name` when an array it sizes, of `cells` cells, passes MAX_CELLS."""
+    if cells > MAX_CELLS:
+        raise ValueError(f"{name} is too large: an array of {cells} cells passes 2**27")
+
+
+def check_pool(cfg: OracleConfig, B: int, name: str = "B") -> None:
+    """Turn away a block count B whose `mc_block_moments` chunk, at least one pool of B*n rows, passes MAX_CELLS."""
+    pool = int(B) * int(cfg.n)
+    _check_cells(name, min(cfg.reps, max(1, _CHUNK // pool)) * pool * max(int(cfg.d), cfg.basis.covariate_dim))
+
+
+def check_moment_blocks(cfg: OracleConfig, n_blocks: int, name: str = "n_blocks") -> None:
+    """Turn away n_blocks moment blocks whose d^2 moment vectors, or whose chunk of n-row blocks, pass MAX_CELLS."""
+    d, n_blocks = int(cfg.d), int(n_blocks)
+    rows = min(n_blocks, max(1, _CHUNK // cfg.n)) * int(cfg.n)
+    _check_cells(name, max(n_blocks * d * d, rows * max(d, cfg.basis.covariate_dim)))
+
+
+def _map(job, count: int) -> list:
+    """[job(i) for i in range(count)], spread over forked processes (`parallel.fork_map`)."""
+    return parallel.fork_map(job, count, parallel.process_count(count))
+
+
 def _aux_rng(seed: int, tag: int, index: int = 0) -> np.random.Generator:
     """Stream of draw `index` under `tag`: 0 for replications, 1 for the population rows, 3 for closed-form chunks."""
     return np.random.default_rng(np.random.SeedSequence([int(seed), tag, index]))
@@ -124,27 +153,24 @@ def _population_rows(cfg: OracleConfig):
 def _population_pass(cfg: OracleConfig, mat: np.ndarray) -> tuple[np.ndarray, float]:
     """C from the cfg.c_draws population rows, and the variance of phi(x)^T mat phi(x) over the same rows.
 
-    The rows are read in rounds of one chunk per CPU. The main thread draws a
-    round's chunks in stream order; `_run_spans` builds each chunk's design
-    and its partial sums V^T V, sum(t) and sum(t^2); after the join the main
-    thread adds the partials in chunk order, the running sum of a serial pass.
+    This process draws every chunk of rows in stream order; then each chunk's
+    design and its partial sums V^T V, sum(t) and sum(t^2) are one job of
+    `_map`, and this process adds the partials in chunk order, the running
+    sum of a serial pass.
     """
+    rows = list(_population_rows(cfg))
+
+    def chunk_sums(k: int) -> tuple[np.ndarray, float, float]:
+        v = _design(cfg, rows[k])
+        t = quadratic_forms(v, mat)
+        return v.T @ v, t.sum(), (t * t).sum()
+
     total = np.zeros((cfg.d, cfg.d))
     acc_sum = acc_sq = 0.0
-    rows = _population_rows(cfg)
-    while round_rows := list(itertools.islice(rows, core.usable_cpus())):
-        partials = [None] * len(round_rows)
-
-        def chunk_sums(k: int) -> None:
-            v = _design(cfg, round_rows[k])
-            t = quadratic_forms(v, mat)
-            partials[k] = v.T @ v, t.sum(), (t * t).sum()
-
-        _run_spans(len(round_rows), chunk_sums)
-        for gram, t_sum, t_sq in partials:
-            total += gram
-            acc_sum += t_sum
-            acc_sq += t_sq
+    for gram, t_sum, t_sq in _map(chunk_sums, len(rows)):
+        total += gram
+        acc_sum += t_sum
+        acc_sq += t_sq
     C = total / cfg.c_draws
     mean = acc_sum / cfg.c_draws
     return 0.5 * (C + C.T), max(acc_sq / cfg.c_draws - mean * mean, 0.0)
@@ -167,51 +193,6 @@ def _reference_traces(cfg: OracleConfig, c_hat_invs: np.ndarray) -> tuple[np.nda
     return trs, (float(trs.mean()), float(np.hypot(se_rep, se_c)), float(se_c))
 
 
-def _run_spans(count: int, body) -> None:
-    """Call body(i) for every i in range(count), in contiguous spans, one per CPU the process may use.
-
-    The main thread runs the first span and a plain thread each of the
-    others, so on one CPU no thread starts. body must write only its own
-    slots: the threads overlap in the numpy kernels that release the GIL.
-    Once a span raises, or the main thread is interrupted, the other spans
-    stop before their next call. Every thread is joined before this returns
-    or raises, and the first exception propagates.
-    """
-    spans = min(core.usable_cpus(), count) or 1  # one empty span when count is 0
-    bounds = [count * k // spans for k in range(spans + 1)]
-    stop = threading.Event()
-    errors = []
-
-    def run(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            if stop.is_set():
-                return
-            body(i)
-
-    def worker(lo: int, hi: int) -> None:
-        try:
-            run(lo, hi)
-        except BaseException as exc:  # raised again by the main thread after the join
-            errors.append(exc)
-            stop.set()
-
-    threads = [threading.Thread(target=worker, args=bounds[k : k + 2]) for k in range(1, spans)]
-    try:
-        for thread in threads:
-            thread.start()
-        run(bounds[0], bounds[1])
-        for thread in threads:
-            thread.join()
-    except BaseException:
-        stop.set()
-        for thread in threads:
-            if thread.is_alive():
-                thread.join()
-        raise
-    if errors:
-        raise errors[0]
-
-
 def mc_risk_ratio(cfg: OracleConfig) -> RiskRatioResult:
     """Estimate E[L], E[L_D] and their ratio over independent replications.
 
@@ -223,35 +204,30 @@ def mc_risk_ratio(cfg: OracleConfig) -> RiskRatioResult:
     replications; C and its sampling error come from one population pass
     after the replications.
 
-    Replication r draws from its own `_aux_rng(seed, 0, r)` stream and writes
-    only its own slots, and the replications run in spans over the CPUs the
-    process may use (`_run_spans`). Every reduction runs after the join, in
-    replication order, so the result does not depend on the CPU count.
+    Replication r draws from its own `_aux_rng(seed, 0, r)` stream and is
+    job r of `_map`, which spreads the replications over forked processes.
+    Every reduction runs in this process over the returned values, in
+    replication order, so the result does not depend on the process count.
     """
     if isinstance(cfg.truth, str) or not cfg.inside_model():
         raise ValueError("mc_risk_ratio requires an inside-model coefficient truth")
     alpha_star = np.zeros(cfg.d)
     alpha_star[: len(cfg.truth)] = cfg.truth
-    losses = np.empty(cfg.reps)
-    train_losses = np.empty(cfg.reps)
-    c_hat_invs = np.empty((cfg.reps, cfg.d, cfg.d))
 
-    def replicate(rep: int) -> None:
+    def replicate(rep: int) -> tuple[float, float, np.ndarray]:
         rng = _aux_rng(cfg.seed, 0, rep)
         X = _covariates(rng, cfg.n, cfg)
         design = _design(cfg, X)
         y = design @ alpha_star + rng.normal(0.0, cfg.noise_sd, cfg.n)
         alpha_hat = np.linalg.lstsq(design, y, rcond=None)[0]
         resid = y - design @ alpha_hat
-        train_losses[rep] = resid @ resid / cfg.n
         X_test = _covariates(rng, cfg.n_test, cfg)
         design_test = _design(cfg, X_test)
         y_test = design_test @ alpha_star + rng.normal(0.0, cfg.noise_sd, cfg.n_test)
         err = y_test - design_test @ alpha_hat
-        losses[rep] = err @ err / cfg.n_test
-        c_hat_invs[rep] = np.linalg.inv(correlation_matrix(design))
+        return resid @ resid / cfg.n, err @ err / cfg.n_test, np.linalg.inv(correlation_matrix(design))
 
-    _run_spans(cfg.reps, replicate)
+    train_losses, losses, c_hat_invs = map(np.array, zip(*_map(replicate, cfg.reps)))
     e_loss = float(losses.mean())
     e_train = float(train_losses.mean())
     se_loss = float(losses.std(ddof=1) / np.sqrt(cfg.reps))
@@ -335,35 +311,40 @@ def mc_block_moments(
     Replications run in chunks of at most `_CHUNK` rows (at least one
     replication each), stacked along a leading axis; every reduction runs over
     one replication's blocks in the order a lone replication uses, so the
-    results do not depend on the chunking. A chunk writes only its
-    replications' slots, and the chunks run in spans over the CPUs the process
-    may use (`_run_spans`), so the results do not depend on the CPU count
-    either. C and its sampling error come from one population pass after the
+    results do not depend on the chunking. Each chunk is one job of `_map`,
+    which spreads the chunks over forked processes, and returns its
+    replications' reference inverses and traces; this process joins them in
+    chunk order, so the results do not depend on the process count either. C
+    and its sampling error come from one population pass after the
     replications.
     """
     if cfg.reps < MIN_TRACE_REPS:
         raise ValueError(f"mc_block_moments needs reps >= {MIN_TRACE_REPS}")
     if B < 2:
         raise ValueError("mc_block_moments needs B >= 2")
+    check_pool(cfg, B)
     sides = {v: block_sides(v, B1, B) for v in map(CriterionKind, variants)}
     d = cfg.d
-    trs = {variant: np.empty(cfg.reps) for variant in sides}
-    ref_invs = np.empty((cfg.reps, d, d))
     per_chunk = max(1, _CHUNK // (B * cfg.n))
 
-    def chunk(k: int) -> None:
+    def chunk(k: int) -> tuple[np.ndarray, list[np.ndarray]]:
         lo, hi = k * per_chunk, min((k + 1) * per_chunk, cfg.reps)
         corrs, invs = _block_stats(cfg, (_aux_rng(cfg.seed, 0, rep) for rep in range(lo, hi)), B)
-        ref_invs[lo:hi] = invs[::B]
+        ref_invs = invs[::B].copy()  # a copy, so the chunk's other inverses are freed
         corrs, invs = corrs.reshape(-1, B, d, d), invs.reshape(-1, B, d, d)
-        for variant, (c_stop, v_start) in sides.items():
+        traces = []
+        for c_stop, v_start in sides.values():
             c_plus = corrs[:, :c_stop].mean(axis=1)
             v_hat = invs[:, v_start:].mean(axis=1)
-            trs[variant][lo:hi] = np.trace(c_plus @ v_hat, axis1=1, axis2=2)
+            traces.append(np.trace(c_plus @ v_hat, axis1=1, axis2=2))
+        return ref_invs, traces
 
-    _run_spans(-(-cfg.reps // per_chunk), chunk)
-    ref_trs, ref = _reference_traces(cfg, ref_invs)
-    return {variant: _h_moments(t, ref_trs, ref) for variant, t in trs.items()}
+    chunks = _map(chunk, -(-cfg.reps // per_chunk))
+    ref_trs, ref = _reference_traces(cfg, np.concatenate([ref_invs for ref_invs, _ in chunks]))
+    return {
+        variant: _h_moments(np.concatenate([traces[j] for _, traces in chunks]), ref_trs, ref)
+        for j, variant in enumerate(sides)
+    }
 
 
 def mc_H_moments(cfg: OracleConfig, variant, B: int, B1: int | None = None) -> HMomentsResult:
@@ -383,22 +364,20 @@ def _vectorized_blocks(cfg: OracleConfig, tag: int, n_blocks: int) -> tuple[np.n
 
     Blocks are drawn in chunks of `_CHUNK` // n blocks (at least one); chunk k
     comes from the auxiliary stream (cfg.seed, tag, k), so each caller's tag
-    gives it its own draws. A chunk writes only its own rows, and the chunks
-    run in spans over the CPUs the process may use (`_run_spans`).
+    gives it its own draws. Each chunk is one job of `_map`, which spreads
+    the chunks over forked processes, and this process joins the returned
+    rows in chunk order.
     """
     dim = cfg.d * cfg.d
-    mu_b = np.empty((n_blocks, dim))
-    nu_b = np.empty((n_blocks, dim))
     per_chunk = max(1, _CHUNK // cfg.n)
 
-    def chunk(k: int) -> None:
-        lo, hi = k * per_chunk, min((k + 1) * per_chunk, n_blocks)
-        corrs, invs = _block_stats(cfg, [_aux_rng(cfg.seed, tag, k)], hi - lo)
-        mu_b[lo:hi] = corrs.reshape(hi - lo, dim)
-        nu_b[lo:hi] = invs.reshape(hi - lo, dim)
+    def chunk(k: int) -> tuple[np.ndarray, np.ndarray]:
+        count = min((k + 1) * per_chunk, n_blocks) - k * per_chunk
+        corrs, invs = _block_stats(cfg, [_aux_rng(cfg.seed, tag, k)], count)
+        return corrs.reshape(count, dim), invs.reshape(count, dim)
 
-    _run_spans(-(-n_blocks // per_chunk), chunk)
-    return mu_b, nu_b
+    chunks = _map(chunk, -(-n_blocks // per_chunk))
+    return np.concatenate([mu for mu, _ in chunks]), np.concatenate([nu for _, nu in chunks])
 
 
 def _moment_inputs_from(mu_b: np.ndarray, nu_b: np.ndarray) -> MomentInputs:
@@ -445,6 +424,7 @@ def mc_h1_variance_closed_form(
     B2 = B - B1
     if B2 < 1 or B1 < 1:
         raise ValueError("need 1 <= B1 <= B-1")
+    check_moment_blocks(cfg, n_blocks)
     mu_b, nu_b = _vectorized_blocks(cfg, 3, n_blocks)
     full = closed_form_h1_variance(_moment_inputs_from(mu_b, nu_b), B1, B2)
     group_vals = []

@@ -218,6 +218,21 @@ REAL_COLUMNS = "covariate_columns: [x]"
         pytest.param(None, None, ["oracle", "--theorem", "2", "--noise-sd", "nan"], "noise_sd", id="oracle --noise-sd nan"),
         pytest.param(None, None, ["oracle", "--theorem", "2", "--noise-sd", "inf"], "noise_sd", id="oracle --noise-sd inf"),
         pytest.param(None, None, ["oracle", "--theorem", "2", "--noise-sd", "0"], "noise_sd", id="oracle --noise-sd 0"),
+        pytest.param(
+            None, None, ["oracle", "--theorem", "2", "--reps", "50", "--n", "100000000000"], "n is too large",
+            id="oracle --n 1e11",
+        ),
+        pytest.param(
+            None, None, ["oracle", "--theorem", "2", "--reps", "100000000"], "reps is too large", id="oracle --reps 1e8",
+        ),
+        pytest.param(
+            None, None, ["oracle", "--theorem", "4", "--reps", "100", "--blocks", "100000000", "--moment-blocks", "100"],
+            "--blocks is too large", id="oracle --blocks 1e8",
+        ),
+        pytest.param(
+            None, None, ["oracle", "--theorem", "4", "--reps", "100", "--moment-blocks", "100000000"],
+            "--moment-blocks is too large", id="oracle --moment-blocks 1e8",
+        ),
     ],
 )
 def test_bad_value_rejected_before_any_output(old, new, argv, needle, tmp_path, capsys, monkeypatch):
@@ -226,6 +241,7 @@ def test_bad_value_rejected_before_any_output(old, new, argv, needle, tmp_path, 
 
     monkeypatch.setattr(harness, "_trial", no_trials)
     monkeypatch.setattr(oracle, "mc_risk_ratio", no_draws)
+    monkeypatch.setattr(oracle, "mc_block_moments", no_draws)
     path, out = tmp_path / "exp.yaml", tmp_path / "r"
     base = REAL_CONFIG if old is not None and old not in CONFIG else CONFIG
     if old is not None:
@@ -308,6 +324,22 @@ class TestReportCommand:
         path = tmp_path / "trials.csv"
         path.write_text("n,trial,criterion,d_hat,regret,flags\n10,0,FPE,2,0.1,\n10,1,FPE,3,abc,\n")
         assert_input_error(capsys, ["report", str(path)], f"{path}, line 3: regret 'abc'")
+
+    @pytest.mark.parametrize(
+        "row, cells",
+        [("10,1,FPE,3,0.2", 5), ("10,1,FPE,3,0.2,,extra", 7)],
+        ids=["flags cell missing", "extra cell"],
+    )
+    def test_row_of_the_wrong_width_names_its_line(self, row, cells, tmp_path, capsys):
+        path = tmp_path / "trials.csv"
+        path.write_text(f"n,trial,criterion,d_hat,regret,flags\n10,0,FPE,2,0.1,\n{row}\n")
+        assert_input_error(capsys, ["report", str(path)], f"{path}, line 3: {cells} cells, the header has 6")
+
+    def test_blank_lines_are_skipped(self, tmp_path, capsys):
+        path = tmp_path / "trials.csv"
+        path.write_text("n,trial,criterion,d_hat,regret,flags\n10,0,FPE,2,0.1,\n\n10,1,FPE,3,0.3,\n")
+        assert main(["report", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1].endswith(",2")
 
 
 class TestOracleCommand:

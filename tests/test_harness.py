@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_parallel import no_child_left
 
-from mdee import __version__, baselines, core, harness
+from mdee import __version__, baselines, harness, parallel
 from mdee.cli import main
 from mdee.core import BasisSpec, LabeledSet, UnlabeledSet, build_design
 from mdee.harness import (
@@ -219,7 +220,7 @@ class TestRunExperiment:
         # run completes.
         path = tmp_path / "ridge0.yaml"
         path.write_text(RIDGE0_YAML)
-        monkeypatch.setattr(core, "usable_cpus", lambda: 1)  # `fitted` sees only the fits run in this process
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)  # `fitted` sees only the fits run in this process
         fitted = []
         fit = harness.fit_design_path
         monkeypatch.setattr(harness, "fit_design_path", lambda *args: fitted.append(fit(*args)) or fitted[-1])
@@ -268,7 +269,7 @@ class TestOutputs:
         # An empty pool gives DEE inf@d at every d (all_infinite), a stand-in FPE
         # flags blocks at odd d, and a zero test error on every other trial
         # makes its regrets degenerate.
-        monkeypatch.setattr(core, "usable_cpus", lambda: 1)  # `calls` counts only the trials run in this process
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)  # `calls` counts only the trials run in this process
         errors = harness.path_test_errors
         calls = []
 
@@ -359,12 +360,6 @@ def toy_real_config(table: Path) -> ExperimentConfig:
     return ExperimentConfig(scenario=scenario, criteria=["mDEE3", "cAIC", "ADJ"], repetitions=6, master_seed=3)
 
 
-def no_child_left():
-    with pytest.raises(ChildProcessError):  # no child of this process, running or a zombie
-        os.waitpid(-1, os.WNOHANG)
-    return True
-
-
 class TestTrialProcesses:
     """run_experiment spreads its trials over forked processes when this one runs a single thread."""
 
@@ -373,8 +368,8 @@ class TestTrialProcesses:
         """Set the usable-CPU count, and let this process fork as a process of one thread would."""
 
         def set_count(count: int) -> None:
-            monkeypatch.setattr(core, "usable_cpus", lambda: count)
-            monkeypatch.setattr(harness, "_threads", lambda: 1)
+            monkeypatch.setattr(parallel, "usable_cpus", lambda: count)
+            monkeypatch.setattr(parallel, "_threads", lambda: 1)
 
         return set_count
 
@@ -407,6 +402,8 @@ class TestTrialProcesses:
         with pytest.raises(KeyError, match=f"job {lowest} failed") as raised:
             run_experiment(two_cell_config())
         assert raised.type is KeyError
+        # a child's exception carries the child's traceback as its cause
+        assert ("raised in a child process" in str(raised.value.__cause__)) == (lowest % 2 == 1)
         assert no_child_left()
 
     def test_an_exception_that_does_not_pickle_arrives_as_its_text(self, cpus, monkeypatch):
@@ -453,12 +450,8 @@ class TestTrialProcesses:
         assert time.perf_counter() - start < 30
         assert no_child_left()
 
-    def test_a_child_stops_once_its_parent_is_gone(self):
-        assert harness._run_share(lambda i: i, range(3), parent=os.getppid()) == ([0, 1, 2], None)
-        assert harness._run_share(lambda i: i, range(3), parent=-1) == ([], None)
-
     def test_a_threaded_caller_runs_in_one_process(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(core, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
         parked = threading.Event()
         thread = threading.Thread(target=parked.wait)
         thread.start()

@@ -1,16 +1,17 @@
 import os
 import subprocess
 import sys
-import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
-from reference import block_moments, population_corr, risk_ratio, vectorized_blocks
+from reference import _quadratic_form_var, block_moments, population_corr, risk_ratio, vectorized_blocks
+from test_parallel import no_child_left
 
 import mdee
-from mdee import core, oracle
-from mdee.core import BasisSpec, build_design
+from mdee import oracle, parallel
+from mdee.core import MAX_CELLS, BasisSpec, build_design
 from mdee.estimators import CriterionKind
 from mdee.oracle import (
     OracleConfig,
@@ -71,6 +72,24 @@ class TestConfig:
     def test_counts_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=field):
             make_cfg(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value", [("n", 10**11), ("n", np.int64(2**62)), ("n_test", 10**9), ("reps", 10**8), ("c_draws", 10**9)]
+    )
+    def test_arrays_past_the_cell_cap_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} is too large"):
+            make_cfg(**{field: value})
+
+    def test_arrays_at_the_cell_cap_accepted(self):
+        make_cfg(n=MAX_CELLS // 3, n_test=MAX_CELLS // 3, reps=MAX_CELLS // 9, c_draws=MAX_CELLS)
+
+    def test_block_counts_past_the_cell_cap_rejected_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_block_stats", lambda *args: pytest.fail("blocks drawn"))
+        cfg = make_cfg(reps=100)
+        with pytest.raises(ValueError, match="^B is too large"):
+            mc_block_moments(cfg, MOMENT_VARIANTS, B=10**8)
+        with pytest.raises(ValueError, match="^n_blocks is too large"):
+            mc_h1_variance_closed_form(cfg, 30, 10, n_blocks=10**8)
 
     def test_whole_float_counts_become_ints(self):
         cfg = make_cfg(reps=200.0, n_test=50.0, c_draws=np.int64(1000))
@@ -263,18 +282,19 @@ def assert_moments_match_reference(cfg, B, B1):
     assert got == block_moments(cfg, MOMENT_VARIANTS, B, B1)
 
 
-def with_fine_switching(run):
-    """run() with the GIL handed over often, so that spans interleave finely."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        return run()
-    finally:
-        sys.setswitchinterval(interval)
+@pytest.fixture
+def set_cpus(monkeypatch):
+    """Set the usable-CPU count, and let this process fork as a process of one thread would."""
+
+    def set_count(count: int) -> None:
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: count)
+        monkeypatch.setattr(parallel, "_threads", lambda: 1)
+
+    return set_count
 
 
-# CPU counts for mc_risk_ratio's spans: the process's own (None), then 1, 2, 3 and 8. 41 replications split
-# unevenly over 2, 3 and 8 spans, and 2 replications on 3 CPUs run as two spans.
+# CPU counts for mc_risk_ratio's processes: the process's own (None), then 1, 2, 3 and 8. 41 replications split
+# unevenly over 2, 3 and 8 processes, and 2 replications on 3 CPUs run in two processes.
 RATIO_SPANS = [(None, 40), (1, 41), (2, 41), (3, 41), (3, 2), (8, 41)]
 
 
@@ -322,42 +342,10 @@ class TestChunkedReplications:
     )
     def test_risk_ratio(self, d, m, cpus, reps, monkeypatch):
         if cpus is not None:
-            monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
+            monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
         cfg = make_cfg(basis=BasisSpec("fourier", m), d=d, truth=np.array([1.0, 0.5, -0.3])[:d], reps=reps,
                        n_test=300, c_draws=20_000)
-        assert with_fine_switching(lambda: mc_risk_ratio(cfg)) == risk_ratio(cfg)
-
-    @pytest.mark.parametrize("raised_in", ["second span", "main thread"])
-    def test_failing_span_stops_the_others(self, monkeypatch, raised_in):
-        # Replications 0-9 run on the main thread and 10-19 on a second thread.
-        monkeypatch.setattr(core, "usable_cpus", lambda: 2)
-        before = threading.enumerate()
-        calls = {"main": 0, "second": 0}
-        main_started = threading.Event()
-        design = oracle._design
-
-        def failing(cfg, X):
-            span = "main" if threading.current_thread() is threading.main_thread() else "second"
-            calls[span] += 1
-            if raised_in == "second span" and span == "second":
-                assert main_started.wait(timeout=10)
-                raise ValueError("second span failed")
-            if raised_in == "main thread" and span == "main":
-                raise KeyboardInterrupt
-            if raised_in == "second span" and calls["main"] == 1:
-                # Let the second span fail and end before this replication goes on.
-                main_started.set()
-                for thread in set(threading.enumerate()) - set(before):
-                    thread.join(timeout=10)
-            return design(cfg, X)
-
-        monkeypatch.setattr(oracle, "_design", failing)
-        with pytest.raises(ValueError if raised_in == "second span" else KeyboardInterrupt):
-            mc_risk_ratio(make_cfg(reps=20, n_test=300, c_draws=5_000))
-        assert threading.active_count() == len(before)
-        if raised_in == "second span":
-            # The main span finished the replication it was in, two designs, and stopped.
-            assert calls == {"main": 2, "second": 1}
+        assert mc_risk_ratio(cfg) == risk_ratio(cfg)
 
     @pytest.mark.parametrize("run", ["moments", "ratio"])
     def test_one_population_pass_per_call(self, monkeypatch, run):
@@ -380,82 +368,149 @@ class TestChunkedReplications:
 
 
 class TestChunkSpans:
-    """The theorem-4 chunks and the population rounds give the one-thread bits at any CPU count.
+    """The oracles' loops give the one-process bits at any process count.
 
     At a 5k-row chunk a replication of B = 25 blocks of n = 20 rows takes 500
     rows: 105 replications are 11 chunks, the last of 5. The closed form's
     2,100 blocks are 9 chunks of at most 250 blocks, and the 23k population
     rows 5 chunks, the last of 3k rows. So every loop has an uneven last chunk
-    and more chunks than 1, 2 or 3 CPUs.
+    and more chunks than 1, 2 or 3 processes.
     """
 
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
         monkeypatch.setattr(oracle, "_CHUNK", 5_000)
 
+    @pytest.fixture
+    def processes(self, set_cpus, monkeypatch, tmp_path):
+        """Set the CPU count; the returned call gives how many processes built designs since."""
+        design = oracle._design
+
+        def recorded(cfg, X):
+            (tmp_path / str(os.getpid())).touch()
+            return design(cfg, X)
+
+        monkeypatch.setattr(oracle, "_design", recorded)
+
+        def ran() -> int:
+            return len(list(tmp_path.iterdir()))
+
+        def set_count(count: int):
+            set_cpus(count)
+            return ran
+
+        return set_count
+
     @staticmethod
     def cfg():
         return make_cfg(reps=105, n_test=300, c_draws=23_000)
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
-    def test_block_moments(self, cpus, monkeypatch):
+    def test_block_moments(self, cpus, processes):
         expected = block_moments(self.cfg(), MOMENT_VARIANTS, 25, 3)
-        monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
-        assert with_fine_switching(lambda: mc_block_moments(self.cfg(), MOMENT_VARIANTS, 25, 3)) == expected
+        ran = processes(cpus)
+        assert mc_block_moments(self.cfg(), MOMENT_VARIANTS, 25, 3) == expected
+        assert (ran() > 1) == (cpus > 1)
+        assert no_child_left()
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
-    def test_closed_form(self, cpus, monkeypatch):
+    def test_closed_form(self, cpus, processes, monkeypatch):
         cfg = self.cfg()
         mu_b, nu_b = vectorized_blocks(cfg, 3, 2_100)
-        monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
-        got = with_fine_switching(lambda: _vectorized_blocks(cfg, 3, 2_100))
+        ran = processes(cpus)
+        got = _vectorized_blocks(cfg, 3, 2_100)
+        assert (ran() > 1) == (cpus > 1)
         np.testing.assert_array_equal(got[0], mu_b)
         np.testing.assert_array_equal(got[1], nu_b)
-        value = with_fine_switching(lambda: mc_h1_variance_closed_form(cfg, 10, 4, n_blocks=2_100))
+        value = mc_h1_variance_closed_form(cfg, 10, 4, n_blocks=2_100)
         monkeypatch.setattr(oracle, "_vectorized_blocks", vectorized_blocks)
         assert value == mc_h1_variance_closed_form(cfg, 10, 4, n_blocks=2_100)
+        assert no_child_left()
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
-    def test_risk_ratio(self, cpus, monkeypatch):
+    def test_risk_ratio(self, cpus, processes):
         expected = risk_ratio(self.cfg())
-        monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
-        assert with_fine_switching(lambda: mc_risk_ratio(self.cfg())) == expected
+        ran = processes(cpus)
+        assert mc_risk_ratio(self.cfg()) == expected
+        assert (ran() > 1) == (cpus > 1)
+        assert no_child_left()
 
-    @pytest.mark.parametrize(
-        "loop",
-        [
-            pytest.param(lambda cfg: mc_block_moments(cfg, MOMENT_VARIANTS, 25, 3), id="replication chunks"),
-            pytest.param(lambda cfg: _vectorized_blocks(cfg, 3, 2_000), id="closed-form chunks"),
-            pytest.param(lambda cfg: _population_pass(cfg, np.eye(cfg.d)), id="population rounds"),
-        ],
-    )
-    def test_failing_chunk_stops_the_others(self, loop, monkeypatch):
-        # On 2 CPUs the main thread runs the first span, or the first chunk of a population round, and a
-        # second thread the next; the second span fails while the main thread is in its first chunk.
-        monkeypatch.setattr(core, "usable_cpus", lambda: 2)
-        before = threading.enumerate()
-        calls = {"main": 0, "second": 0}
-        main_started = threading.Event()
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_population_pass(self, cpus, processes):
+        cfg, mat = self.cfg(), np.full((3, 3), 0.1) + np.eye(3)
+        expected = population_corr(cfg), _quadratic_form_var(cfg, mat)
+        ran = processes(cpus)
+        C, spread = _population_pass(cfg, mat)
+        assert (ran() > 1) == (cpus > 1)
+        np.testing.assert_array_equal(C, expected[0])
+        assert spread == expected[1]
+        assert no_child_left()
+
+
+# Each oracle loop, run on a config whose designs are the loop's jobs' first call.
+ORACLE_LOOPS = [
+    pytest.param(lambda cfg: mc_risk_ratio(cfg), id="theorem-2 replications"),
+    pytest.param(lambda cfg: mc_block_moments(cfg, MOMENT_VARIANTS, 25, 3), id="replication chunks"),
+    pytest.param(lambda cfg: _vectorized_blocks(cfg, 3, 2_000), id="closed-form chunks"),
+    pytest.param(lambda cfg: _population_pass(cfg, np.eye(cfg.d)), id="population rounds"),
+]
+
+
+class TestForkedLoops:
+    """A job that fails in a child fails the oracle call in the caller, and no child outlives it."""
+
+    @pytest.fixture(autouse=True)
+    def two_processes(self, set_cpus, monkeypatch):
+        monkeypatch.setattr(oracle, "_CHUNK", 5_000)
+        set_cpus(2)
+
+    @staticmethod
+    def in_children(monkeypatch, action):
+        """Make every design built in a child process run action() instead."""
+        parent = os.getpid()
+        design = oracle._design
+        monkeypatch.setattr(oracle, "_design", lambda cfg, X: action() if os.getpid() != parent else design(cfg, X))
+
+    @staticmethod
+    def cfg():
+        return make_cfg(reps=105, n_test=300, c_draws=23_000)
+
+    @pytest.mark.parametrize("loop", ORACLE_LOOPS)
+    def test_a_failing_job_raises_in_the_caller(self, loop, monkeypatch):
+        def fail():
+            raise ValueError("chunk failed")
+
+        self.in_children(monkeypatch, fail)
+        with pytest.raises(ValueError, match="chunk failed") as raised:
+            loop(self.cfg())
+        assert "raised in a child process" in str(raised.value.__cause__)
+        assert no_child_left()
+
+    @pytest.mark.parametrize("loop", ORACLE_LOOPS)
+    def test_a_child_that_dies_is_named(self, loop, monkeypatch):
+        self.in_children(monkeypatch, lambda: os._exit(3))
+        with pytest.raises(RuntimeError, match="ended without sending its results"):
+            loop(self.cfg())
+        assert no_child_left()
+
+    @pytest.mark.parametrize("loop", ORACLE_LOOPS)
+    def test_an_interrupt_kills_the_children(self, loop, monkeypatch):
+        # The children would sleep for a minute; the interrupt in this process ends the call at once.
+        parent = os.getpid()
         design = oracle._design
 
-        def failing(cfg, X):
-            span = "main" if threading.current_thread() is threading.main_thread() else "second"
-            calls[span] += 1
-            if span == "second":
-                assert main_started.wait(timeout=10)
-                raise ValueError("chunk failed")
-            if calls["main"] == 1:
-                main_started.set()
-                for thread in set(threading.enumerate()) - set(before):
-                    thread.join(timeout=10)
+        def interrupted(cfg, X):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
             return design(cfg, X)
 
-        monkeypatch.setattr(oracle, "_design", failing)
-        with pytest.raises(ValueError, match="chunk failed"):
+        monkeypatch.setattr(oracle, "_design", interrupted)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
             loop(self.cfg())
-        assert threading.active_count() == len(before)
-        # The main thread finished the chunk it was in and started no other, in its span or a later round.
-        assert calls == {"main": 1, "second": 1}
+        assert time.perf_counter() - start < 30
+        assert no_child_left()
 
 
 def test_oracles_and_report_do_not_load_scipy():
