@@ -78,8 +78,6 @@ def _check_oracle_args(args, cfg: oracle.OracleConfig) -> None:
     """Turn away arguments the oracle config does not check itself, before any work."""
     if args.reps < MIN_REPS[args.theorem]:
         raise ValueError(f"theorem {args.theorem} needs --reps >= {MIN_REPS[args.theorem]}, got {args.reps}")
-    if args.theorem == 2 and args.noise_sd == 0:
-        raise ValueError("theorem 2 needs noise_sd > 0: without noise the risk ratio is 0/0")
     if args.theorem == 4 and not 1 <= args.b1 <= args.blocks - 1:
         raise ValueError(f"theorem 4 needs 1 <= --b1 <= --blocks - 1, got --b1 {args.b1}, --blocks {args.blocks}")
     if args.theorem == 4 and args.moment_blocks < MIN_MOMENT_BLOCKS:

@@ -28,6 +28,19 @@ COND_LIMIT = 1e12
 MAX_CELLS = 2**27
 
 
+def is_whole(value) -> bool:
+    """True for an int, a numpy integer or a float without a fraction part (4.0); false for a bool and for 2.9."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, np.integer)) or isinstance(value, float) and value.is_integer()
+
+
+def check_cells(name: str, cells: int) -> None:
+    """Raise ValueError naming the input `name` when an array it sizes, of `cells` cells, passes MAX_CELLS."""
+    if cells > MAX_CELLS:
+        raise ValueError(f"{name} is too large: an array of {cells} cells passes MAX_CELLS = {MAX_CELLS}")
+
+
 class SingularDesignError(ValueError):
     """Normal matrix is numerically singular even after ridge augmentation."""
 

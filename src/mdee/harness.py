@@ -25,7 +25,6 @@ import yaml
 from . import __version__, baselines, datagen, estimators, ingest, parallel
 from .core import (
     DEFAULT_RIDGE,
-    MAX_CELLS,
     BasisSpec,
     LabeledSet,
     ModelPath,
@@ -33,9 +32,11 @@ from .core import (
     UnlabeledSet,
     block_partition,
     build_design,
+    check_cells,
     correlation_matrix,
     fit_design_path,
     interlacing_gate,
+    is_whole,
 )
 from .estimators import CriterionKind
 
@@ -120,7 +121,19 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
-        """Reject settings no run can use; call again after changing fields."""
+        """Reject settings no run can use, and make whole numbers ints; call again after changing fields."""
+        scen = self.scenario
+        # d_max None is automatic, and a real scenario has no n_test
+        for owner, key in [(self, "repetitions"), (self, "d_max"), (self, "master_seed"),
+                           (scen, "n_unlabeled"), (scen, "n_test")]:
+            value = getattr(owner, key, None)
+            if value is not None:
+                if not is_whole(value):
+                    raise ValueError(f"{key} must be a whole number, got {value!r}")
+                setattr(owner, key, int(value))
+        if not all(map(is_whole, scen.n_values)):
+            raise ValueError(f"every n must be a whole number, got {scen.n_values}")
+        scen.n_values = [int(n) for n in scen.n_values]
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         unknown = [c for c in self.criteria if c not in CRITERIA]
@@ -189,7 +202,7 @@ def regret(test_errors, chosen: int) -> float:
 def _best_error(errors: np.ndarray) -> np.float64:
     """The smallest of an array of test errors, the base of every regret over them."""
     if np.any(errors <= 0):
-        raise ValueError("regret undefined: nonpositive test error (degenerate case)")
+        raise ValueError("regret undefined: nonpositive test error")
     return errors.min()
 
 
@@ -234,8 +247,7 @@ def _check_cells(cfg: ExperimentConfig, n: int) -> None:
     if synthetic:
         rows["n_test"] = scen.n_test
     for key, count in rows.items():
-        if count * d > MAX_CELLS:
-            raise ValueError(f"{key} is too large at n={n}, d_max={d}: an array of {count * d} cells passes 2**27")
+        check_cells(key, count * d)
 
 
 def _auto_d_max(cfg: ExperimentConfig, n: int, m: int) -> int:
@@ -682,9 +694,9 @@ _EXPONENT_FORM = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
 # flag takes only YAML's booleans, so a quoted "false" is not read as true. A column index is below 2**63, the
 # largest the table parse can index with.
 KINDS = {
-    # a float without a fraction part (4.0) is whole, so 2.9 is rejected rather than truncated; YAML's true is a bool
-    "whole": ("a whole number", lambda v: type(v) is int or type(v) is float and v.is_integer(), int),
-    "whole or auto": ("a whole number or auto", lambda v: v in ("auto", None) or KINDS["whole"][1](v),
+    # 2.9 is rejected rather than truncated, and YAML's true is not 1
+    "whole": ("a whole number", is_whole, int),
+    "whole or auto": ("a whole number or auto", lambda v: v in ("auto", None) or is_whole(v),
                       lambda v: None if v in ("auto", None) else int(v)),
     "real": ("a number", lambda v: type(v) is float or type(v) is int and abs(v) <= sys.float_info.max
              or isinstance(v, str) and bool(_EXPONENT_FORM.fullmatch(v)), float),
@@ -784,24 +796,40 @@ def load_config(path) -> ExperimentConfig:
 
 
 def reaggregate_trials(path) -> list[CriterionSummary]:
-    """Rebuild per-cell summaries from a trials.csv file."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        fields = next(reader, [])
-        if fields[-len(TRIAL_FIELDS) :] != TRIAL_FIELDS:
-            missing = [f for f in TRIAL_FIELDS if f not in fields]
-            raise ValueError(f"{path}: the last columns of a trials.csv are {TRIAL_FIELDS}; missing {missing}")
-        keys = fields[: -len(TRIAL_FIELDS)]
-        groups: dict[tuple, list[float]] = {}
-        for cells in filter(None, reader):  # blank lines hold no row
-            if len(cells) != len(fields):
-                raise ValueError(f"{path}, line {reader.line_num}: {len(cells)} cells, the header has {len(fields)}")
-            row = dict(zip(fields, cells))
-            group = tuple(row[k] for k in keys) + (row["criterion"],)
-            try:
-                groups.setdefault(group, []).append(float(row["regret"]))
-            except (TypeError, ValueError):
-                raise ValueError(f"{path}, line {reader.line_num}: regret {row['regret']!r} is not a number") from None
+    """Rebuild per-cell summaries from a trials.csv file.
+
+    A regret is a number, or nan where a trial flags `degenerate_regret`. A
+    file that is not UTF-8 text, a header that names a column twice and an
+    infinite regret are turned away, naming the file and the line.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            fields = next(reader, [])
+            if fields[-len(TRIAL_FIELDS) :] != TRIAL_FIELDS:
+                missing = [f for f in TRIAL_FIELDS if f not in fields]
+                raise ValueError(f"{path}: the last columns of a trials.csv are {TRIAL_FIELDS}; missing {missing}")
+            twice = sorted({f for f in fields if fields.count(f) > 1})
+            if twice:
+                raise ValueError(f"{path}, line {reader.line_num}: the header names {twice} more than once")
+            keys = fields[: -len(TRIAL_FIELDS)]
+            groups: dict[tuple, list[float]] = {}
+            for cells in filter(None, reader):  # blank lines hold no row
+                line = f"{path}, line {reader.line_num}"
+                if len(cells) != len(fields):
+                    raise ValueError(f"{line}: {len(cells)} cells, the header has {len(fields)}")
+                row = dict(zip(fields, cells))
+                try:
+                    value = float(row["regret"])
+                except ValueError:
+                    raise ValueError(f"{line}: regret {row['regret']!r} is not a number") from None
+                if math.isinf(value):
+                    raise ValueError(f"{line}: regret {row['regret']!r} is infinite")
+                groups.setdefault(tuple(row[k] for k in keys) + (row["criterion"],), []).append(value)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except csv.Error as exc:
+        raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     if not groups:
         raise ValueError(f"{path}: no trial rows")
     return [_summarize(dict(zip(keys, g[:-1])), g[-1], values) for g, values in groups.items()]

@@ -16,56 +16,66 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import parallel
-from .core import MAX_CELLS, BasisSpec, build_design, correlation_matrix
+from .core import BasisSpec, build_design, check_cells, correlation_matrix, is_whole
 from .estimators import CriterionKind, block_sides, design_corrs, quadratic_forms
 
 _CHUNK = 100_000
 # Fewest replications mc_block_moments accepts for its reference trace.
 MIN_TRACE_REPS = 100
+# The noise_sd range mc_risk_ratio's losses are computed in. The top keeps sigma^4 times the most replications a config
+# can hold (MAX_CELLS), which the ratio's standard error divides by, finite; the bottom keeps sigma^4 a normal float.
+# A noise_sd must also be at least NOISE_TO_TRUTH times the truth's largest coefficient: the fit rounds the response
+# at about 1e-15 of that size, and this keeps the rounding a billionth of the noise or less. Far below it the training
+# loss reads the rounding floor (7.9e-31 for the command line's truth) and the identity goes untested.
+NOISE_SD_RANGE = (1e-60, 1e60)
+NOISE_TO_TRUTH = 1e-6
 
 
 @dataclass
 class OracleConfig:
+    """The inputs of every oracle call, checked here before any draw; only `mc_risk_ratio` reads `truth`."""
+
     basis: BasisSpec
     d: int
     n: int
     noise_sd: float
     covariate_sd: float
-    truth: np.ndarray | str
+    truth: np.ndarray
     reps: int
     seed: int = 0
     n_test: int = 10_000
     c_draws: int = 1_000_000
 
     def __post_init__(self):
+        for field in ("n", "d", "reps", "n_test", "c_draws", "seed"):
+            value = getattr(self, field)
+            if not is_whole(value):
+                raise ValueError(f"{field} must be a whole number, got {value!r}")
+            setattr(self, field, int(value))
         if not 1 <= self.d < self.n:
             raise ValueError(f"oracle needs 1 <= d < n, got d={self.d}, n={self.n}")
         for field in ("reps", "n_test", "c_draws"):
-            value = getattr(self, field)
-            whole = isinstance(value, (int, np.integer)) or isinstance(value, float) and value.is_integer()
-            if isinstance(value, bool) or not whole:
-                raise ValueError(f"{field} must be a whole number, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{field} must be >= 1, got {value}")
-            setattr(self, field, int(value))
-        if not 0 <= self.noise_sd < np.inf:
-            raise ValueError(f"noise_sd must be finite and nonnegative, got {self.noise_sd}")
-        if not 0 < self.covariate_sd < np.inf:
-            raise ValueError(f"covariate_sd must be finite and positive, got {self.covariate_sd}")
+            if getattr(self, field) < 1:
+                raise ValueError(f"{field} must be >= 1, got {getattr(self, field)}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not isinstance(self.truth, str):
-            self.truth = np.asarray(self.truth, dtype=float).reshape(-1)
+        truth = np.asarray(self.truth)
+        if truth.dtype.kind not in "iuf" or not np.isfinite(truth).all():
+            raise ValueError(f"truth must be a vector of finite coefficients, got {self.truth!r}")
+        self.truth = truth.astype(float).reshape(-1)
+        if not 0 < self.covariate_sd < np.inf:
+            raise ValueError(f"covariate_sd must be finite and positive, got {self.covariate_sd}")
+        low, high = NOISE_SD_RANGE
+        low = max(low, NOISE_TO_TRUTH * np.abs(self.truth).max(initial=0.0))
+        if not low <= self.noise_sd <= high:
+            raise ValueError(f"noise_sd must lie in [{low:g}, {high:g}] for this truth, got {self.noise_sd}")
         # the designs and their covariates, the stack of C_hat^{-1} (or reference inverses), and the population rows
         # with one chunk's design
-        d, m = int(self.d), self.basis.covariate_dim
-        _check_cells("n", int(self.n) * max(d, m))
-        _check_cells("n_test", self.n_test * max(d, m))
-        _check_cells("reps", self.reps * d * d)
-        _check_cells("c_draws", max(self.c_draws * m, min(self.c_draws, _CHUNK) * d))
-
-    def inside_model(self) -> bool:
-        return not isinstance(self.truth, str) and len(self.truth) <= self.d
+        d, m = self.d, self.basis.covariate_dim
+        check_cells("n", self.n * max(d, m))
+        check_cells("n_test", self.n_test * max(d, m))
+        check_cells("reps", self.reps * d * d)
+        check_cells("c_draws", max(self.c_draws * m, min(self.c_draws, _chunks(self.c_draws, 1).step) * d))
 
 
 @dataclass
@@ -78,7 +88,6 @@ class RiskRatioResult:
     se_ratio: float
     mean_tr_ccinv: float
     se_tr_ccinv: float
-    degenerate: bool
     reps: int
 
 
@@ -103,23 +112,26 @@ class HMomentsResult:
     reps: int
 
 
-def _check_cells(name: str, cells: int) -> None:
-    """Raise ValueError naming the argument `name` when an array it sizes, of `cells` cells, passes MAX_CELLS."""
-    if cells > MAX_CELLS:
-        raise ValueError(f"{name} is too large: an array of {cells} cells passes 2**27")
+def _chunks(items: int, rows_each: int) -> range:
+    """The first item of each chunk the oracle loops take `items` items of `rows_each` rows in.
+
+    A chunk holds at most `_CHUNK` rows and at least one item. The range's
+    step is the chunk size; the last chunk holds what is left.
+    """
+    return range(0, items, max(1, _CHUNK // rows_each))
 
 
 def check_pool(cfg: OracleConfig, B: int, name: str = "B") -> None:
     """Turn away a block count B whose `mc_block_moments` chunk, at least one pool of B*n rows, passes MAX_CELLS."""
-    pool = int(B) * int(cfg.n)
-    _check_cells(name, min(cfg.reps, max(1, _CHUNK // pool)) * pool * max(int(cfg.d), cfg.basis.covariate_dim))
+    pool = int(B) * cfg.n
+    check_cells(name, min(cfg.reps, _chunks(cfg.reps, pool).step) * pool * max(cfg.d, cfg.basis.covariate_dim))
 
 
 def check_moment_blocks(cfg: OracleConfig, n_blocks: int, name: str = "n_blocks") -> None:
     """Turn away n_blocks moment blocks whose d^2 moment vectors, or whose chunk of n-row blocks, pass MAX_CELLS."""
-    d, n_blocks = int(cfg.d), int(n_blocks)
-    rows = min(n_blocks, max(1, _CHUNK // cfg.n)) * int(cfg.n)
-    _check_cells(name, max(n_blocks * d * d, rows * max(d, cfg.basis.covariate_dim)))
+    n_blocks = int(n_blocks)
+    rows = min(n_blocks, _chunks(n_blocks, cfg.n).step) * cfg.n
+    check_cells(name, max(n_blocks * cfg.d * cfg.d, rows * max(cfg.d, cfg.basis.covariate_dim)))
 
 
 def _map(job, count: int) -> list:
@@ -141,13 +153,11 @@ def _covariates(rng, count: int, cfg: OracleConfig) -> np.ndarray:
 
 
 def _population_rows(cfg: OracleConfig):
-    """The cfg.c_draws population rows' covariates, in chunks of `_CHUNK` rows, from one fixed child of cfg.seed."""
+    """The cfg.c_draws population rows' covariates, in the chunks of `_chunks`, from one fixed child of cfg.seed."""
     rng = _aux_rng(cfg.seed, 1)
-    remaining = cfg.c_draws
-    while remaining > 0:
-        count = min(_CHUNK, remaining)
-        yield _covariates(rng, count, cfg)
-        remaining -= count
+    starts = _chunks(cfg.c_draws, 1)
+    for lo in starts:
+        yield _covariates(rng, min(starts.step, cfg.c_draws - lo), cfg)
 
 
 def _population_pass(cfg: OracleConfig, mat: np.ndarray) -> tuple[np.ndarray, float]:
@@ -196,21 +206,21 @@ def _reference_traces(cfg: OracleConfig, c_hat_invs: np.ndarray) -> tuple[np.nda
 def mc_risk_ratio(cfg: OracleConfig) -> RiskRatioResult:
     """Estimate E[L], E[L_D] and their ratio over independent replications.
 
-    The truth must be an inside-model coefficient vector so that the
-    residual-independence assumption behind the exact ratio identity holds
-    exactly. The ratio's standard error comes from the delta method; the
-    per-replication trace of C C_hat^{-1} is tracked against the population
-    C so the exact-correction identity can be checked from the same
-    replications; C and its sampling error come from one population pass
-    after the replications.
+    The truth must have at most d coefficients, a function inside the
+    model, so that the residual-independence assumption behind the exact
+    ratio identity holds exactly. The ratio's standard error comes from the
+    delta method; the per-replication trace of C C_hat^{-1} is tracked
+    against the population C so the exact-correction identity can be
+    checked from the same replications; C and its sampling error come from
+    one population pass after the replications.
 
     Replication r draws from its own `_aux_rng(seed, 0, r)` stream and is
     job r of `_map`, which spreads the replications over forked processes.
     Every reduction runs in this process over the returned values, in
     replication order, so the result does not depend on the process count.
     """
-    if isinstance(cfg.truth, str) or not cfg.inside_model():
-        raise ValueError("mc_risk_ratio requires an inside-model coefficient truth")
+    if len(cfg.truth) > cfg.d:
+        raise ValueError(f"mc_risk_ratio needs a truth of at most d={cfg.d} coefficients, got {len(cfg.truth)}")
     alpha_star = np.zeros(cfg.d)
     alpha_star[: len(cfg.truth)] = cfg.truth
 
@@ -232,18 +242,14 @@ def mc_risk_ratio(cfg: OracleConfig) -> RiskRatioResult:
     e_train = float(train_losses.mean())
     se_loss = float(losses.std(ddof=1) / np.sqrt(cfg.reps))
     se_train = float(train_losses.std(ddof=1) / np.sqrt(cfg.reps))
-    degenerate = cfg.noise_sd == 0.0 or e_train <= 0.0
-    if degenerate:
-        ratio, se_ratio = float("nan"), float("nan")
-    else:
-        ratio = e_loss / e_train
-        cov = float(np.cov(losses, train_losses, ddof=1)[0, 1])
-        var_ratio = (
-            np.var(losses, ddof=1)
-            + ratio**2 * np.var(train_losses, ddof=1)
-            - 2.0 * ratio * cov
-        ) / (e_train**2 * cfg.reps)
-        se_ratio = float(np.sqrt(max(var_ratio, 0.0)))
+    ratio = e_loss / e_train
+    cov = float(np.cov(losses, train_losses, ddof=1)[0, 1])
+    var_ratio = (
+        np.var(losses, ddof=1)
+        + ratio**2 * np.var(train_losses, ddof=1)
+        - 2.0 * ratio * cov
+    ) / (e_train**2 * cfg.reps)
+    se_ratio = float(np.sqrt(max(var_ratio, 0.0)))
     _, (mean_tr, se_tr, _) = _reference_traces(cfg, c_hat_invs)
     return RiskRatioResult(
         e_loss=e_loss,
@@ -254,7 +260,6 @@ def mc_risk_ratio(cfg: OracleConfig) -> RiskRatioResult:
         se_ratio=se_ratio,
         mean_tr_ccinv=mean_tr,
         se_tr_ccinv=se_tr,
-        degenerate=degenerate,
         reps=cfg.reps,
     )
 
@@ -308,10 +313,10 @@ def mc_block_moments(
     the same cfg, so the two references agree bit for bit, and `se_bias`
     reads the per-replication pairs.
 
-    Replications run in chunks of at most `_CHUNK` rows (at least one
-    replication each), stacked along a leading axis; every reduction runs over
-    one replication's blocks in the order a lone replication uses, so the
-    results do not depend on the chunking. Each chunk is one job of `_map`,
+    Replications run in the chunks of `_chunks` (at most its row budget, at
+    least one replication each), stacked along a leading axis; every
+    reduction runs over one replication's blocks in the order a lone
+    replication uses, so the results do not depend on the chunking. Each chunk is one job of `_map`,
     which spreads the chunks over forked processes, and returns its
     replications' reference inverses and traces; this process joins them in
     chunk order, so the results do not depend on the process count either. C
@@ -325,10 +330,11 @@ def mc_block_moments(
     check_pool(cfg, B)
     sides = {v: block_sides(v, B1, B) for v in map(CriterionKind, variants)}
     d = cfg.d
-    per_chunk = max(1, _CHUNK // (B * cfg.n))
+    starts = _chunks(cfg.reps, B * cfg.n)
 
     def chunk(k: int) -> tuple[np.ndarray, list[np.ndarray]]:
-        lo, hi = k * per_chunk, min((k + 1) * per_chunk, cfg.reps)
+        lo = starts[k]
+        hi = min(lo + starts.step, cfg.reps)
         corrs, invs = _block_stats(cfg, (_aux_rng(cfg.seed, 0, rep) for rep in range(lo, hi)), B)
         ref_invs = invs[::B].copy()  # a copy, so the chunk's other inverses are freed
         corrs, invs = corrs.reshape(-1, B, d, d), invs.reshape(-1, B, d, d)
@@ -339,7 +345,7 @@ def mc_block_moments(
             traces.append(np.trace(c_plus @ v_hat, axis1=1, axis2=2))
         return ref_invs, traces
 
-    chunks = _map(chunk, -(-cfg.reps // per_chunk))
+    chunks = _map(chunk, len(starts))
     ref_trs, ref = _reference_traces(cfg, np.concatenate([ref_invs for ref_invs, _ in chunks]))
     return {
         variant: _h_moments(np.concatenate([traces[j] for _, traces in chunks]), ref_trs, ref)
@@ -362,21 +368,21 @@ class MomentInputs:
 def _vectorized_blocks(cfg: OracleConfig, tag: int, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized correlation matrices and inverses of n_blocks independent blocks.
 
-    Blocks are drawn in chunks of `_CHUNK` // n blocks (at least one); chunk k
+    Blocks are drawn in the chunks of `_chunks`, of n rows a block; chunk k
     comes from the auxiliary stream (cfg.seed, tag, k), so each caller's tag
     gives it its own draws. Each chunk is one job of `_map`, which spreads
     the chunks over forked processes, and this process joins the returned
     rows in chunk order.
     """
     dim = cfg.d * cfg.d
-    per_chunk = max(1, _CHUNK // cfg.n)
+    starts = _chunks(n_blocks, cfg.n)
 
     def chunk(k: int) -> tuple[np.ndarray, np.ndarray]:
-        count = min((k + 1) * per_chunk, n_blocks) - k * per_chunk
+        count = min(starts.step, n_blocks - starts[k])
         corrs, invs = _block_stats(cfg, [_aux_rng(cfg.seed, tag, k)], count)
         return corrs.reshape(count, dim), invs.reshape(count, dim)
 
-    chunks = _map(chunk, -(-n_blocks // per_chunk))
+    chunks = _map(chunk, len(starts))
     return np.concatenate([mu for mu, _ in chunks]), np.concatenate([nu for _, nu in chunks])
 
 

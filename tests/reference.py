@@ -505,18 +505,14 @@ def risk_ratio(cfg: OracleConfig) -> RiskRatioResult:
     e_train = float(train_losses.mean())
     se_loss = float(losses.std(ddof=1) / np.sqrt(cfg.reps))
     se_train = float(train_losses.std(ddof=1) / np.sqrt(cfg.reps))
-    degenerate = cfg.noise_sd == 0.0 or e_train <= 0.0
-    if degenerate:
-        ratio, se_ratio = float("nan"), float("nan")
-    else:
-        ratio = e_loss / e_train
-        cov = float(np.cov(losses, train_losses, ddof=1)[0, 1])
-        var_ratio = (
-            np.var(losses, ddof=1)
-            + ratio**2 * np.var(train_losses, ddof=1)
-            - 2.0 * ratio * cov
-        ) / (e_train**2 * cfg.reps)
-        se_ratio = float(np.sqrt(max(var_ratio, 0.0)))
+    ratio = e_loss / e_train
+    cov = float(np.cov(losses, train_losses, ddof=1)[0, 1])
+    var_ratio = (
+        np.var(losses, ddof=1)
+        + ratio**2 * np.var(train_losses, ddof=1)
+        - 2.0 * ratio * cov
+    ) / (e_train**2 * cfg.reps)
+    se_ratio = float(np.sqrt(max(var_ratio, 0.0)))
     mean_tr, se_tr, _ = _trace_summary(cfg, trs, inv_sum)
     return RiskRatioResult(
         e_loss=e_loss,
@@ -527,7 +523,6 @@ def risk_ratio(cfg: OracleConfig) -> RiskRatioResult:
         se_ratio=se_ratio,
         mean_tr_ccinv=mean_tr,
         se_tr_ccinv=se_tr,
-        degenerate=degenerate,
         reps=cfg.reps,
     )
 

@@ -1,19 +1,22 @@
 import contextlib
+import csv
+import dataclasses
 import io
 import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mdee
-from mdee import harness, ingest, oracle
+from mdee import cli, harness, ingest, oracle
 from mdee.cli import main
 
 CONFIG = """
@@ -218,6 +221,14 @@ REAL_COLUMNS = "covariate_columns: [x]"
         pytest.param(None, None, ["oracle", "--theorem", "2", "--noise-sd", "nan"], "noise_sd", id="oracle --noise-sd nan"),
         pytest.param(None, None, ["oracle", "--theorem", "2", "--noise-sd", "inf"], "noise_sd", id="oracle --noise-sd inf"),
         pytest.param(None, None, ["oracle", "--theorem", "2", "--noise-sd", "0"], "noise_sd", id="oracle --noise-sd 0"),
+        *[
+            # overflow past the top of the range; below it the training loss is the fit's rounding floor
+            pytest.param(None, None, ["oracle", "--theorem", "2", "--noise-sd", v], "noise_sd", id=f"oracle --noise-sd {v}")
+            for v in ("1e100", "1e308", "1e-60", "1e-160")
+        ],
+        pytest.param(
+            None, None, ["oracle", "--theorem", "4", "--noise-sd", "0"], "noise_sd", id="oracle --theorem 4 --noise-sd 0"
+        ),
         pytest.param(
             None, None, ["oracle", "--theorem", "2", "--reps", "50", "--n", "100000000000"], "n is too large",
             id="oracle --n 1e11",
@@ -299,6 +310,122 @@ def test_odd_config_values_run_or_fail_before_any_output(data):
             assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("mdee: error: ")
 
 
+ORACLE_BASE = {2: ["--reps", "20"], 4: ["--reps", "100", "--moment-blocks", "100"]}
+# Odd values of each `mdee oracle` option that argparse reads. Those the oracle accepts keep every draw small; the
+# large counts are 1e9 or more, past the cell cap at every d, so the cap answers rather than a long run.
+ODD_ORACLE = [
+    (option, value)
+    for option, values in {
+        "--reps": ["0", "1", "2", "99", "100", "1000000000"],
+        "--seed": ["-1", "0", str(2**63), str(2**64)],
+        "--n": ["0", "1", "3", "4", "100000000000"],
+        "--d": ["0", "-1", "1", "2", "19", "20"],
+        "--noise-sd": ["0", "-1", "nan", "inf", "1e-160", "1e-60", "1e-7", "1e-6", "1e60", "1e77", "1e100", "1e308"],
+        "--blocks": ["0", "1", "2", "11", "1000000000"],
+        "--b1": ["0", "-1", "1", "29", "30"],
+        "--moment-blocks": ["0", "99", "100", "1000000000"],
+    }.items()
+    for value in values
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    theorem=st.sampled_from([2, 4]),
+    changes=st.lists(st.sampled_from(ODD_ORACLE), min_size=1, max_size=2, unique_by=lambda change: change[0]),
+)
+@example(theorem=2, changes=[("--noise-sd", "1e100")])
+@example(theorem=2, changes=[("--noise-sd", "1e308")])
+@example(theorem=2, changes=[("--noise-sd", "1e77")])
+@example(theorem=2, changes=[("--noise-sd", "1e-60")])
+@example(theorem=2, changes=[("--noise-sd", "1e-160")])
+@example(theorem=4, changes=[("--noise-sd", "0")])
+@example(theorem=2, changes=[("--noise-sd", "1e60")])
+@example(theorem=2, changes=[("--noise-sd", "1e-6")])
+def test_odd_oracle_arguments_check_or_fail_before_any_output(theorem, changes):
+    # `mdee oracle` with one or two odd arguments prints its check lines and exits 0 or 1 with nothing on stderr,
+    # or stops with one error line before any check; nothing in between, such as a traceback or a numpy warning.
+    argv = ["oracle", "--theorem", str(theorem), "--seed", "1", *ORACLE_BASE[theorem]]
+    for option, value in changes:
+        argv += [option, value]
+    config = cli._oracle_config
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the CLI's 10k test rows and 1M population rows, cut to keep each example short; the config is checked again
+        patch.setattr(cli, "_oracle_config", lambda args: dataclasses.replace(config(args), n_test=200, c_draws=20_000))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    if code in (0, 1):
+        lines = out.getvalue().splitlines()
+        assert err.getvalue() == "" and len(lines) == (4 if theorem == 2 else 5)
+        assert all(line.startswith(("  [ok] ", "  [FAIL] ")) for line in lines[1:-1])
+    else:
+        assert code == 2 and out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("mdee: error: ")
+
+
+REPORT_TRIALS = Path(__file__).resolve().parent / "data" / "golden" / "synthetic_step_n10" / "seed0" / "trials.csv"
+REPORT_ROWS = list(csv.reader(REPORT_TRIALS.read_text().splitlines()))
+ODD_CELLS = ["", "nan", "inf", "-inf", "1e999", "-1", "1.5", "x", "a,b", '"', "\n", "n", "criterion", "regret"]
+# row changes: dropped, repeated, a blank line before it, its last cell dropped, an extra cell
+ROW_CHANGES = ["drop", "repeat", "blank", "short", "long"]
+
+
+def _changed_trials(change) -> bytes:
+    """REPORT_TRIALS with one cell, row or header field changed, or encoded otherwise, as the bytes of a file."""
+    kind, line, column, value = change
+    rows = [list(row) for row in REPORT_ROWS]
+    encoding = "utf-8"
+    if kind == "cell":
+        rows[line][column] = value
+    elif kind == "encoding":
+        rows[line][column] += "\u00e9"
+        encoding = value
+    elif value == "drop":
+        del rows[line]
+    elif value in ("repeat", "blank"):
+        rows.insert(line, list(rows[line]) if value == "repeat" else [])
+    else:
+        rows[line] = rows[line][:-1] if value == "short" else rows[line] + [""]
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    return text.getvalue().encode(encoding)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    change=st.one_of(
+        st.tuples(st.just("cell"), st.integers(0, len(REPORT_ROWS) - 1), st.integers(0, len(REPORT_ROWS[0]) - 1),
+                  st.sampled_from(ODD_CELLS)),
+        st.tuples(st.just("row"), st.integers(1, len(REPORT_ROWS) - 1), st.just(0), st.sampled_from(ROW_CHANGES)),
+        st.tuples(st.just("encoding"), st.integers(0, 1), st.just(0), st.sampled_from(["utf-8-sig", "latin-1"])),
+    )
+)
+@example(change=("cell", 0, 1, "target"))  # a header naming target twice
+@example(change=("cell", 5, 6, "inf"))
+@example(change=("cell", 5, 6, "-inf"))
+@example(change=("cell", 5, 6, "nan"))
+@example(change=("encoding", 0, 0, "utf-8-sig"))  # a byte-order mark
+@example(change=("encoding", 1, 0, "latin-1"))
+def test_changed_trials_report_or_fail_with_one_line(change):
+    # `mdee report` on a shipped run's trials.csv with one cell, row or header field changed writes a summary with
+    # nothing on stderr, or stops with one error line; nothing in between, such as a traceback or a numpy warning.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trials.csv"
+        path.write_bytes(_changed_trials(change))
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(["report", str(path)])
+    if code == 0:
+        header = out.getvalue().splitlines()[0].split(",")
+        assert err.getvalue() == "" and len(set(header)) == len(header) and "\ufeff" not in header[0]
+    else:
+        assert code == 2 and out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("mdee: error: ")
+
+
 class TestReportCommand:
     def test_round_trip(self, config_path, tmp_path, capsys):
         out = tmp_path / "results"
@@ -334,6 +461,31 @@ class TestReportCommand:
         path = tmp_path / "trials.csv"
         path.write_text(f"n,trial,criterion,d_hat,regret,flags\n10,0,FPE,2,0.1,\n{row}\n")
         assert_input_error(capsys, ["report", str(path)], f"{path}, line 3: {cells} cells, the header has 6")
+
+    @pytest.mark.parametrize(
+        "text, needle",
+        [
+            ("n,n,trial,criterion,d_hat,regret,flags\n10,10,0,FPE,2,0.1,\n", "line 1: the header names ['n'] more than once"),
+            ("n,trial,criterion,d_hat,regret,flags\n10,0,FPE,2,0.1,\n10,1,FPE,2,inf,\n", "line 3: regret 'inf' is infinite"),
+            ("n,trial,criterion,d_hat,regret,flags\n10,0,FPE,2,-1e999,\n", "line 2: regret '-1e999' is infinite"),
+        ],
+        ids=["header names a column twice", "inf", "-inf"],
+    )
+    def test_bad_trials_named_with_their_line(self, text, needle, tmp_path, capsys):
+        path = tmp_path / "trials.csv"
+        path.write_text(text)
+        assert_input_error(capsys, ["report", str(path)], f"{path}, {needle}")
+
+    def test_file_that_is_not_utf8_named(self, tmp_path, capsys):
+        path = tmp_path / "trials.csv"
+        path.write_bytes("n,trial,criterion,d_hat,regret,flags\n10,0,F\u00c9,2,0.1,\n".encode("latin-1"))
+        assert_input_error(capsys, ["report", str(path)], f"{path}: not UTF-8 text")
+
+    def test_byte_order_mark_and_nan_regret_read(self, tmp_path, capsys):
+        path = tmp_path / "trials.csv"
+        path.write_text("n,trial,criterion,d_hat,regret,flags\n10,0,FPE,2,nan,degenerate_regret\n", encoding="utf-8-sig")
+        assert main(["report", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == ["n,criterion,median,iqr,n_trials", "10,FPE,nan,nan,1"]
 
     def test_blank_lines_are_skipped(self, tmp_path, capsys):
         path = tmp_path / "trials.csv"

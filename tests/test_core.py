@@ -5,18 +5,21 @@ from hypothesis import strategies as st
 
 from mdee.core import (
     COND_LIMIT,
+    MAX_CELLS,
     BasisSpec,
     LabeledSet,
     SingularDesignError,
     UnlabeledSet,
     block_partition,
     build_design,
+    check_cells,
     check_condition,
     condition_numbers,
     correlation_matrix,
     fit_model_path,
     interlacing_gate,
     inverse_factor,
+    is_whole,
     normal_matrix,
 )
 from mdee.estimators import design_corrs, inverse_factors
@@ -433,3 +436,20 @@ class TestPredict:
         alpha = rng.normal(size=4)
         expected = build_design(BASIS, X, 4) @ alpha
         np.testing.assert_allclose(predict(BASIS, X, alpha), expected)
+
+
+@pytest.mark.parametrize(
+    "value, whole",
+    [(3, True), (-2, True), (np.int64(3), True), (4.0, True), (np.float64(-2.0), True), (2**70, True),
+     (2.9, False), (True, False), (np.True_, False), (float("inf"), False), (float("nan"), False), ("3", False),
+     (None, False), ([3], False)],
+)
+def test_is_whole(value, whole):
+    assert is_whole(value) is whole
+
+
+def test_check_cells_names_the_input_and_the_cap():
+    check_cells("n", MAX_CELLS)
+    with pytest.raises(ValueError, match=f"^n is too large: an array of {MAX_CELLS + 1} cells passes MAX_CELLS = "
+                                         f"{MAX_CELLS}$"):
+        check_cells("n", MAX_CELLS + 1)

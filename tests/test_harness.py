@@ -525,6 +525,38 @@ real:
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
+class TestLibraryConfig:
+    @staticmethod
+    def config(**changes):
+        scenario = {"target": "step", "n_values": [10], "noise_vars": [0.1]}
+        scenario.update({key: changes.pop(key) for key in ("n_values", "n_unlabeled", "n_test") if key in changes})
+        changes.setdefault("repetitions", 2)
+        return ExperimentConfig(SyntheticScenario(**scenario), ["FPE"], **changes)
+
+    @pytest.mark.parametrize(
+        "change, needle",
+        [
+            ({"repetitions": 2.5}, "repetitions must be a whole number"),
+            ({"d_max": 3.5}, "d_max must be a whole number"),
+            ({"master_seed": 1.5}, "master_seed must be a whole number"),
+            ({"master_seed": True}, "master_seed must be a whole number"),
+            ({"n_values": [10.5]}, "every n must be a whole number"),
+            ({"n_unlabeled": 100.5}, "n_unlabeled must be a whole number"),
+            ({"n_test": 50.5}, "n_test must be a whole number"),
+        ],
+        ids=["repetitions", "d_max", "master_seed", "master_seed bool", "n", "n_unlabeled", "n_test"],
+    )
+    def test_non_whole_number_rejected_by_name(self, change, needle):
+        # each ended in a deep TypeError or ran as another seed
+        with pytest.raises(ValueError, match=f"^{needle}"):
+            self.config(**change)
+
+    def test_whole_numbers_become_ints(self):
+        cfg = self.config(repetitions=2.0, d_max=np.int64(5), master_seed=3.0, n_values=[10.0], n_test=40.0)
+        values = cfg.repetitions, cfg.d_max, cfg.master_seed, cfg.scenario.n_values[0], cfg.scenario.n_test
+        assert values == (2, 5, 3, 10, 40) and all(type(v) is int for v in values)
+
+
 class TestConfigFile:
     def test_synthetic_round_trip(self, tmp_path):
         path = tmp_path / "cfg.yaml"

@@ -1,7 +1,9 @@
+import dataclasses
 import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ from reference import _quadratic_form_var, block_moments, population_corr, risk_
 from test_parallel import no_child_left
 
 import mdee
-from mdee import oracle, parallel
+from mdee import core, oracle, parallel
 from mdee.core import MAX_CELLS, BasisSpec, build_design
 from mdee.estimators import CriterionKind
 from mdee.oracle import (
@@ -24,6 +26,10 @@ from mdee.oracle import (
 from mdee.oracle import _moment_inputs_from, _population_pass, _vectorized_blocks
 
 BASIS = BasisSpec("fourier", 1)
+
+
+def no_draws(*args):
+    raise AssertionError("oracle draws started")
 
 
 def make_cfg(**kwargs):
@@ -92,14 +98,35 @@ class TestConfig:
             mc_h1_variance_closed_form(cfg, 30, 10, n_blocks=10**8)
 
     def test_whole_float_counts_become_ints(self):
-        cfg = make_cfg(reps=200.0, n_test=50.0, c_draws=np.int64(1000))
-        assert (cfg.reps, cfg.n_test, cfg.c_draws) == (200, 50, 1000)
-        assert all(type(v) is int for v in (cfg.reps, cfg.n_test, cfg.c_draws))
+        cfg = make_cfg(reps=200.0, n_test=50.0, c_draws=np.int64(1000), n=20.0, d=np.int64(3), seed=11.0)
+        counts = cfg.reps, cfg.n_test, cfg.c_draws, cfg.n, cfg.d, cfg.seed
+        assert counts == (200, 50, 1000, 20, 3, 11) and all(type(v) is int for v in counts)
 
-    def test_inside_model_flag(self):
-        assert make_cfg().inside_model()
-        assert not make_cfg(truth="sinc").inside_model()
-        assert not make_cfg(truth=np.ones(5)).inside_model()
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 20.5), ("d", 2.5), ("seed", 2.5), ("seed", True), ("n", np.float64(20.5)), ("d", "3")],
+    )
+    def test_sizes_and_seed_rejected_unless_whole(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a whole number"):
+            make_cfg(**{field: value})
+
+    def test_truth_must_be_finite_coefficients(self):
+        for truth in ("sinc", "1.5", [1.0, np.nan], [np.inf], [True, False], [None], [1 + 2j]):
+            with pytest.raises(ValueError, match="^truth must be a vector of finite coefficients"):
+                make_cfg(truth=truth)
+        truth = make_cfg(truth=[[1, 2]]).truth
+        assert truth.dtype == float and truth.shape == (2,)
+
+    def test_noise_outside_its_range_rejected(self):
+        # The range is 1e-60..1e60, and at least 1e-6 of the truth's largest coefficient, which keeps the fit's
+        # rounding (about 1e-15 of that coefficient) a billionth of the noise or less.
+        rejected = [(0.0, [1.0]), (-1.0, [1.0]), (np.nan, [1.0]), (np.inf, [1.0]), (1e61, [1.0]), (1e-7, [1.0]),
+                    (1e-5, [-100.0, 1.0]), (1e-61, [0.0])]
+        for noise_sd, truth in rejected:
+            with pytest.raises(ValueError, match="^noise_sd must lie in"):
+                make_cfg(noise_sd=noise_sd, truth=truth)
+        for noise_sd, truth in [(1e60, [1.0]), (1e-6, [1.0]), (1e-4, [-100.0, 1.0]), (1e-60, [0.0]), (1e-60, [])]:
+            make_cfg(noise_sd=noise_sd, truth=truth)
 
 
 def pass_corr(cfg):
@@ -137,15 +164,23 @@ class TestMcRiskRatio:
         se = np.hypot(res.se_ratio, res.se_tr_ccinv / (20 * (1 - 3 / 20)))
         assert abs(res.ratio - target) <= 3 * se
 
-    def test_degenerate_noiseless(self):
-        res = mc_risk_ratio(make_cfg(noise_sd=0.0, reps=50))
-        assert res.degenerate
-        assert np.isnan(res.ratio)
-        assert res.e_loss <= 1e-10 and res.e_train_loss <= 1e-10
+    @pytest.mark.parametrize("noise_sd", [1e-6, 1e60])
+    def test_noise_range_ends_keep_the_ratio(self, noise_sd):
+        # The losses scale with sigma^2 and the ratio not at all, so at either end of the noise range the ratio
+        # is sigma = 1's to rounding and no step warns of an overflow or underflow.
+        cfg = make_cfg(reps=50, n_test=200, c_draws=20_000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = mc_risk_ratio(dataclasses.replace(cfg, noise_sd=noise_sd))
+        unit = mc_risk_ratio(cfg)
+        assert res.ratio == pytest.approx(unit.ratio, rel=1e-9)
+        assert res.se_ratio == pytest.approx(unit.se_ratio, rel=1e-6)
+        assert res.e_train_loss == pytest.approx(unit.e_train_loss * noise_sd**2, rel=1e-9)
 
-    def test_requires_inside_model_truth(self):
-        with pytest.raises(ValueError, match="inside-model"):
-            mc_risk_ratio(make_cfg(truth="sinc"))
+    def test_requires_inside_model_truth(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_map", no_draws)
+        with pytest.raises(ValueError, match="at most d=3 coefficients, got 4"):
+            mc_risk_ratio(make_cfg(truth=np.ones(4)))
 
     def test_reproducible(self):
         a = mc_risk_ratio(make_cfg(reps=200))
@@ -365,6 +400,49 @@ class TestChunkedReplications:
             else:
                 mc_risk_ratio(cfg)
             assert len(passes) == calls
+
+
+class TestChunkCaps:
+    """check_pool and check_moment_blocks bound the largest chunk the loops build, on either side of the row budget."""
+
+    @pytest.fixture
+    def design_cells(self, set_cpus, monkeypatch):
+        """Cells of each chunk's design, as the loops build them with a 500-row budget in this process."""
+        monkeypatch.setattr(oracle, "_CHUNK", 500)
+        set_cpus(1)
+        cells = []
+        block_stats = oracle._block_stats
+
+        def recorded(cfg, rngs, n_blocks):
+            corrs, invs = block_stats(cfg, rngs, n_blocks)
+            cells.append(corrs.shape[0] * cfg.n * cfg.d)
+            return corrs, invs
+
+        monkeypatch.setattr(oracle, "_block_stats", recorded)
+        return cells
+
+    @staticmethod
+    def assert_cap_is(check, cells, monkeypatch):
+        """check() passes with MAX_CELLS at `cells` and fails one cell below."""
+        monkeypatch.setattr(core, "MAX_CELLS", cells)
+        check()
+        monkeypatch.setattr(core, "MAX_CELLS", cells - 1)
+        with pytest.raises(ValueError, match="is too large"):
+            check()
+
+    # B*n = 240, 480 and 520 rows: two pools a chunk, then one pool just below and just above the budget
+    @pytest.mark.parametrize("B", [12, 24, 26])
+    def test_pool_cap(self, B, design_cells, monkeypatch):
+        cfg = make_cfg(reps=101, c_draws=1_000)
+        mc_block_moments(cfg, [CriterionKind.MDEE3], B)
+        self.assert_cap_is(lambda: oracle.check_pool(cfg, B), max(design_cells), monkeypatch)
+
+    # n = 20 takes 25 blocks a chunk; n = 499 and 501 take one block, just below and just above the budget
+    @pytest.mark.parametrize("n", [20, 499, 501])
+    def test_moment_block_cap(self, n, design_cells, monkeypatch):
+        cfg = make_cfg(n=n, reps=100, c_draws=1_000)
+        _vectorized_blocks(cfg, 3, 120)
+        self.assert_cap_is(lambda: oracle.check_moment_blocks(cfg, 120), max(design_cells), monkeypatch)
 
 
 class TestChunkSpans:
