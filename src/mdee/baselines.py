@@ -15,6 +15,7 @@ import numpy as np
 from .core import DEFAULT_RIDGE, ModelPath, path_fits
 
 RHO_FLOOR = 1e-12
+CV_FOLDS = 5  # the k of CV5
 
 
 def fpe(train_loss: float, n: int, d: int) -> float:
@@ -41,11 +42,10 @@ def _folds(n: int, k: int, seed: int) -> list[np.ndarray]:
 def kfold_cv_path(
     design: np.ndarray,
     y: np.ndarray,
-    k: int = 5,
     ridge_lambda: float = DEFAULT_RIDGE,
     seed: int = 0,
 ) -> np.ndarray:
-    """Average held-out MSE over a seeded random k-fold partition at every d = 1..d_max.
+    """Average held-out MSE over a seeded random CV_FOLDS-fold partition at every d = 1..d_max.
 
     It reads the labeled d_max design and responses. Fold sizes differ by at
     most one row, and the partition is shared by every size. Each fold is
@@ -59,9 +59,9 @@ def kfold_cv_path(
     last bits only.
     """
     n, d_max = design.shape
-    errors = np.zeros((k, d_max))
+    errors = np.zeros((CV_FOLDS, d_max))
     reached = d_max
-    for f, held in enumerate(_folds(n, k, seed)):
+    for f, held in enumerate(_folds(n, CV_FOLDS, seed)):
         mask = np.ones(n, dtype=bool)
         mask[held] = False
         alphas = path_fits(design[mask], y[mask], ridge_lambda)[0]

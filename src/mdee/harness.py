@@ -30,7 +30,6 @@ from .core import (
     ModelPath,
     SingularDesignError,
     UnlabeledSet,
-    block_partition,
     build_design,
     check_cells,
     correlation_matrix,
@@ -193,23 +192,6 @@ class CriterionSummary:
     n_trials: int
 
 
-def regret(test_errors, chosen: int) -> float:
-    """Log ratio of the chosen model's test error to the best one."""
-    errors = np.asarray(test_errors, dtype=float)
-    return _regret(errors, _best_error(errors), chosen)
-
-
-def _best_error(errors: np.ndarray) -> np.float64:
-    """The smallest of an array of test errors, the base of every regret over them."""
-    if np.any(errors <= 0):
-        raise ValueError("regret undefined: nonpositive test error")
-    return errors.min()
-
-
-def _regret(errors: np.ndarray, best: np.float64, chosen: int) -> float:
-    return float(np.log(errors[chosen - 1] / best))
-
-
 def aggregate(regrets) -> tuple[float, float]:
     """Median and interquartile range (linear-interpolation quantiles)."""
     values = np.asarray(regrets, dtype=float)
@@ -313,17 +295,15 @@ class TrialState:
         """
         return math.sqrt(self.train.n) * self.path.factor[: self.top, : self.top]
 
-    @cached_property
-    def blocks(self) -> np.ndarray | None:
-        """The pool as (B, n, M) blocks of the training size; None when it has fewer than n rows."""
-        if self.unlabeled.n < self.train.n:
-            return None
-        return block_partition(self.unlabeled, self.train.n)
+    @property
+    def n_blocks(self) -> int:
+        """How many blocks of the training size the pool holds, as `core.block_partition` cuts it; 0 below n rows."""
+        return self.unlabeled.n // self.train.n
 
     @cached_property
     def block_corrs(self) -> np.ndarray:
-        """`estimators.block_corr_stack` of `blocks` at d_max, read from the blocks' rows of the pool design."""
-        B, n = len(self.blocks), self.train.n
+        """`estimators.block_corr_stack` of the pool's blocks at d_max, read from their rows of the pool design."""
+        B, n = self.n_blocks, self.train.n
         return estimators.design_corrs(self.pool_design[: B * n].reshape(B, n, -1))
 
     @cached_property
@@ -344,7 +324,7 @@ class TrialState:
         top = self.top
         jittered = estimators._jittered(self.block_corrs[:, :top, :top], self.ridge)
         gate = np.flatnonzero(interlacing_gate(jittered, *self.block_factors))
-        flagged = np.zeros((self.path.d_max, len(self.blocks)), dtype=bool)
+        flagged = np.zeros((self.path.d_max, self.n_blocks), dtype=bool)
         failed = np.zeros(self.path.d_max, dtype=bool)
         for d in range(1, top + 1) if gate.size else ():
             try:
@@ -362,7 +342,7 @@ class TrialState:
         `top` is below it or a block's factorization stops. A flagged block is
         kept, as the mean criteria keep it.
         """
-        if self.blocks is None or len(self.blocks) < 2 or self.top < self.path.d_max:
+        if self.n_blocks < 2 or self.top < self.path.d_max:
             return None
         factors, sizes = self.block_factors
         if (sizes < self.top).any():
@@ -404,7 +384,7 @@ def _block_path(variant: CriterionKind, state: TrialState) -> tuple:
     size keeps its prefix value and counts its flagged blocks.
     """
     split = variant.value in SPLIT_CRITERIA
-    if state.blocks is None or (split and state.b1 is None):
+    if state.n_blocks == 0 or (split and state.b1 is None):
         return np.full(state.path.d_max, np.inf), 0
     corrs = state.block_corrs[:, : state.top, : state.top]
     if variant is CriterionKind.RMDEE:
@@ -424,9 +404,9 @@ def _closed_form_path(score, state: TrialState) -> tuple:
 
 
 def _cv5_path(state: TrialState) -> tuple:
-    if state.train.n < 5:
+    if state.train.n < baselines.CV_FOLDS:
         return np.full(state.path.d_max, np.nan), 0
-    return baselines.kfold_cv_path(state.train_design, state.train.y, 5, state.ridge, state.cv_seed), 0
+    return baselines.kfold_cv_path(state.train_design, state.train.y, state.ridge, state.cv_seed), 0
 
 
 def _adj_path(state: TrialState) -> tuple:
@@ -479,16 +459,13 @@ def evaluate_trial(
     state.train_design = design[:, : path.d_max]  # the cached part: built once for the fit and the criteria
 
     error_array = np.asarray(errors, dtype=float)
-    try:
-        best = _best_error(error_array)
-    except ValueError:
-        best = None
+    best = None if (error_array <= 0).any() else error_array.min()  # `<= 0`, unlike `> 0`, lets a NaN error through
     d_hat: dict[str, int] = {}
     regrets: dict[str, float] = {}
     flags: dict[str, str] = {}
     for name in cfg.criteria:
         tokens = []
-        if name in BLOCK_CRITERIA and state.blocks is None:
+        if name in BLOCK_CRITERIA and state.n_blocks == 0:
             tokens.append("no_blocks")
         elif name in SPLIT_CRITERIA and state.b1 is None:
             tokens.append("b1_unavailable")
@@ -508,7 +485,7 @@ def evaluate_trial(
             regrets[name] = math.nan
             tokens.append("degenerate_regret")
         else:
-            regrets[name] = _regret(error_array, best, chosen)
+            regrets[name] = float(np.log(error_array[chosen - 1] / best))
         flags[name] = ";".join(tokens)
     return TrialResult(
         trial=trial,
@@ -527,10 +504,7 @@ def _trial(cfg, table, cell, cell_idx, trial) -> TrialResult:
     if table is None:
         train, unlabeled, test = datagen.generate(scen.data_config(cell, data_seed))
     else:
-        spec = ingest.SplitSpec(
-            n=cell["n"], n_prime=scen.n_unlabeled, seed=data_seed, standardize=scen.standardize
-        )
-        train, unlabeled, test = ingest.split(table, spec)
+        train, unlabeled, test = ingest.split(table, cell["n"], scen.n_unlabeled, data_seed, scen.standardize)
     d_max = _auto_d_max(cfg, cell["n"], train.X.shape[1])
     cv_seed = _seed_int(cfg.master_seed, cell_idx, trial, 1)
     return evaluate_trial(trial, cell, train, unlabeled, test, d_max, cfg, cv_seed)
@@ -559,8 +533,8 @@ def _run(cfg: ExperimentConfig, table) -> tuple[list[TrialResult], list[Criterio
     cells = list(cfg.scenario.cells())
     reps = cfg.repetitions
     jobs = [(cell, cell_idx, t) for cell_idx, cell in enumerate(cells) for t in range(reps)]
-    processes = parallel.process_count(len(jobs))
-    trials = parallel.fork_map(lambda i: _trial(cfg, table, *jobs[i]), len(jobs), processes)
+    processes = parallel.process_count(len(jobs))  # the count fork_map picks, for meta.json
+    trials = parallel.fork_map(lambda i: _trial(cfg, table, *jobs[i]), len(jobs))
     summaries = [
         _summarize(cell, name, [t.regret[name] for t in trials[cell_idx * reps : (cell_idx + 1) * reps]])
         for cell_idx, cell in enumerate(cells)

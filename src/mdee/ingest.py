@@ -34,16 +34,6 @@ class DatasetManifest:
             raise ValueError("need at least one covariate column")
 
 
-@dataclass
-class SplitSpec:
-    """Row budget for one split: n labeled, n_prime unlabeled, rest test."""
-
-    n: int
-    n_prime: int
-    seed: int = 0
-    standardize: bool = True
-
-
 def _resolve_columns(manifest: DatasetManifest, header: list[str] | None) -> tuple[list[int], int]:
     def resolve(col):
         # a bool is an int to isinstance, and a negative index would count from the row's end
@@ -74,20 +64,24 @@ def load_csv(manifest: DatasetManifest) -> np.ndarray:
 
     Rows with missing, non-numeric or non-finite (nan, inf) cells, and blank
     lines, are rejected with the offending line number; no imputation is
-    attempted. A UTF-8 byte-order mark before the first line is dropped.
+    attempted. A UTF-8 byte-order mark before the first line is dropped, and a
+    file that is not UTF-8 text is turned away, naming the file.
     numpy's parser reads the table; the row-by-row `_scan` runs only when
     that parse cannot vouch for the table, to name the failing line.
     """
     path = Path(manifest.path)
-    with path.open(newline="", encoding="utf-8-sig") as handle:
-        header = None
-        if manifest.has_header:
-            try:
-                header = [cell.strip() for cell in next(csv.reader(handle, delimiter=manifest.delimiter))]
-            except StopIteration:
-                raise ValueError(f"{manifest.name}: {str(path)!r} is empty, with no header row") from None
-        cov_idx, resp_idx = _resolve_columns(manifest, header)
-        text = handle.read()
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as handle:
+            header = None
+            if manifest.has_header:
+                try:
+                    header = [cell.strip() for cell in next(csv.reader(handle, delimiter=manifest.delimiter))]
+                except StopIteration:
+                    raise ValueError(f"{manifest.name}: {str(path)!r} is empty, with no header row") from None
+            cov_idx, resp_idx = _resolve_columns(manifest, header)
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc.reason}") from None
     columns = cov_idx + [resp_idx]
     table = _parse(text, manifest.delimiter, columns)
     if table is None:
@@ -142,7 +136,7 @@ def _scan(manifest: DatasetManifest, text: str, columns: list[int], first_line: 
 
 
 def split(
-    table: np.ndarray, spec: SplitSpec
+    table: np.ndarray, n: int, n_prime: int, seed: int = 0, standardize: bool = True
 ) -> tuple[LabeledSet, UnlabeledSet, LabeledSet]:
     """Randomly split a loaded table into train, unlabeled and test parts.
 
@@ -156,23 +150,23 @@ def split(
     """
     table = np.asarray(table, dtype=float)
     total = table.shape[0]
-    if spec.n < 1 or spec.n_prime < 0:
+    if n < 1 or n_prime < 0:
         raise ValueError("infeasible counts: need n >= 1 and n_prime >= 0")
-    labeled_rows = spec.n + spec.n_prime
+    labeled_rows = n + n_prime
     if labeled_rows >= total:
         raise ValueError(
             f"infeasible counts: n + n_prime = {labeled_rows} leaves no "
             f"test rows out of {total}"
         )
-    shuffled = table[np.random.default_rng(spec.seed).permutation(total)]
+    shuffled = table[np.random.default_rng(seed).permutation(total)]
     X, y = shuffled[:, :-1], shuffled[:, -1]
-    if spec.standardize:
+    if standardize:
         reference = X[:labeled_rows]
         std = reference.std(axis=0)
         X = X - reference.mean(axis=0)
         X /= np.where(std > STD_FLOOR, std, 1.0)
-    train = LabeledSet(X=X[: spec.n], y=y[: spec.n])
-    unlabeled = UnlabeledSet(X=X[spec.n : labeled_rows])
+    train = LabeledSet(X=X[:n], y=y[:n])
+    unlabeled = UnlabeledSet(X=X[n:labeled_rows])
     test = LabeledSet(X=X[labeled_rows:], y=y[labeled_rows:])
     return train, unlabeled, test
 

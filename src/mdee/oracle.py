@@ -20,6 +20,8 @@ from .core import BasisSpec, build_design, check_cells, correlation_matrix, is_w
 from .estimators import CriterionKind, block_sides, design_corrs, quadratic_forms
 
 _CHUNK = 100_000
+# The blocks of the theorem-4 closed form are cut into this many disjoint groups for its standard error.
+N_GROUPS = 10
 # Fewest replications mc_block_moments accepts for its reference trace.
 MIN_TRACE_REPS = 100
 # The noise_sd range mc_risk_ratio's losses are computed in. The top keeps sigma^4 times the most replications a config
@@ -134,11 +136,6 @@ def check_moment_blocks(cfg: OracleConfig, n_blocks: int, name: str = "n_blocks"
     check_cells(name, max(n_blocks * cfg.d * cfg.d, rows * max(cfg.d, cfg.basis.covariate_dim)))
 
 
-def _map(job, count: int) -> list:
-    """[job(i) for i in range(count)], spread over forked processes (`parallel.fork_map`)."""
-    return parallel.fork_map(job, count, parallel.process_count(count))
-
-
 def _aux_rng(seed: int, tag: int, index: int = 0) -> np.random.Generator:
     """Stream of draw `index` under `tag`: 0 for replications, 1 for the population rows, 3 for closed-form chunks."""
     return np.random.default_rng(np.random.SeedSequence([int(seed), tag, index]))
@@ -165,8 +162,8 @@ def _population_pass(cfg: OracleConfig, mat: np.ndarray) -> tuple[np.ndarray, fl
 
     This process draws every chunk of rows in stream order; then each chunk's
     design and its partial sums V^T V, sum(t) and sum(t^2) are one job of
-    `_map`, and this process adds the partials in chunk order, the running
-    sum of a serial pass.
+    `parallel.fork_map`, and this process adds the partials in chunk order,
+    the running sum of a serial pass.
     """
     rows = list(_population_rows(cfg))
 
@@ -177,7 +174,7 @@ def _population_pass(cfg: OracleConfig, mat: np.ndarray) -> tuple[np.ndarray, fl
 
     total = np.zeros((cfg.d, cfg.d))
     acc_sum = acc_sq = 0.0
-    for gram, t_sum, t_sq in _map(chunk_sums, len(rows)):
+    for gram, t_sum, t_sq in parallel.fork_map(chunk_sums, len(rows)):
         total += gram
         acc_sum += t_sum
         acc_sq += t_sq
@@ -215,9 +212,9 @@ def mc_risk_ratio(cfg: OracleConfig) -> RiskRatioResult:
     one population pass after the replications.
 
     Replication r draws from its own `_aux_rng(seed, 0, r)` stream and is
-    job r of `_map`, which spreads the replications over forked processes.
-    Every reduction runs in this process over the returned values, in
-    replication order, so the result does not depend on the process count.
+    job r of `parallel.fork_map`, which spreads the replications over forked
+    processes. Every reduction runs in this process over the returned values,
+    in replication order, so the result does not depend on the process count.
     """
     if len(cfg.truth) > cfg.d:
         raise ValueError(f"mc_risk_ratio needs a truth of at most d={cfg.d} coefficients, got {len(cfg.truth)}")
@@ -237,7 +234,7 @@ def mc_risk_ratio(cfg: OracleConfig) -> RiskRatioResult:
         err = y_test - design_test @ alpha_hat
         return resid @ resid / cfg.n, err @ err / cfg.n_test, np.linalg.inv(correlation_matrix(design))
 
-    train_losses, losses, c_hat_invs = map(np.array, zip(*_map(replicate, cfg.reps)))
+    train_losses, losses, c_hat_invs = map(np.array, zip(*parallel.fork_map(replicate, cfg.reps)))
     e_loss = float(losses.mean())
     e_train = float(train_losses.mean())
     se_loss = float(losses.std(ddof=1) / np.sqrt(cfg.reps))
@@ -316,12 +313,12 @@ def mc_block_moments(
     Replications run in the chunks of `_chunks` (at most its row budget, at
     least one replication each), stacked along a leading axis; every
     reduction runs over one replication's blocks in the order a lone
-    replication uses, so the results do not depend on the chunking. Each chunk is one job of `_map`,
-    which spreads the chunks over forked processes, and returns its
-    replications' reference inverses and traces; this process joins them in
-    chunk order, so the results do not depend on the process count either. C
-    and its sampling error come from one population pass after the
-    replications.
+    replication uses, so the results do not depend on the chunking. Each
+    chunk is one job of `parallel.fork_map`, which spreads the chunks over
+    forked processes, and returns its replications' reference inverses and
+    traces; this process joins them in chunk order, so the results do not
+    depend on the process count either. C and its sampling error come from
+    one population pass after the replications.
     """
     if cfg.reps < MIN_TRACE_REPS:
         raise ValueError(f"mc_block_moments needs reps >= {MIN_TRACE_REPS}")
@@ -345,7 +342,7 @@ def mc_block_moments(
             traces.append(np.trace(c_plus @ v_hat, axis1=1, axis2=2))
         return ref_invs, traces
 
-    chunks = _map(chunk, len(starts))
+    chunks = parallel.fork_map(chunk, len(starts))
     ref_trs, ref = _reference_traces(cfg, np.concatenate([ref_invs for ref_invs, _ in chunks]))
     return {
         variant: _h_moments(np.concatenate([traces[j] for _, traces in chunks]), ref_trs, ref)
@@ -365,12 +362,12 @@ class MomentInputs:
     tr_varmu_nunu: float
 
 
-def _vectorized_blocks(cfg: OracleConfig, tag: int, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
+def _vectorized_blocks(cfg: OracleConfig, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized correlation matrices and inverses of n_blocks independent blocks.
 
     Blocks are drawn in the chunks of `_chunks`, of n rows a block; chunk k
-    comes from the auxiliary stream (cfg.seed, tag, k), so each caller's tag
-    gives it its own draws. Each chunk is one job of `_map`, which spreads
+    comes from the auxiliary stream (cfg.seed, 3, k), a tag no other draw
+    uses. Each chunk is one job of `parallel.fork_map`, which spreads
     the chunks over forked processes, and this process joins the returned
     rows in chunk order.
     """
@@ -379,10 +376,10 @@ def _vectorized_blocks(cfg: OracleConfig, tag: int, n_blocks: int) -> tuple[np.n
 
     def chunk(k: int) -> tuple[np.ndarray, np.ndarray]:
         count = min(starts.step, n_blocks - starts[k])
-        corrs, invs = _block_stats(cfg, [_aux_rng(cfg.seed, tag, k)], count)
+        corrs, invs = _block_stats(cfg, [_aux_rng(cfg.seed, 3, k)], count)
         return corrs.reshape(count, dim), invs.reshape(count, dim)
 
-    chunks = _map(chunk, len(starts))
+    chunks = parallel.fork_map(chunk, len(starts))
     return np.concatenate([mu for mu, _ in chunks]), np.concatenate([nu for _, nu in chunks])
 
 
@@ -419,22 +416,22 @@ def closed_form_h1_variance(inputs: MomentInputs, B1: int, B2: int) -> float:
 
 
 def mc_h1_variance_closed_form(
-    cfg: OracleConfig, B: int, B1: int, n_blocks: int = 100_000, n_groups: int = 10
+    cfg: OracleConfig, B: int, B1: int, n_blocks: int = 100_000
 ) -> tuple[float, float]:
     """Closed-form variance of the disjoint-split trace with an MC error bar.
 
     The moment inputs come from n_blocks independent blocks; the standard
-    error is the spread of the closed form recomputed on n_groups disjoint
+    error is the spread of the closed form recomputed on N_GROUPS disjoint
     subsamples, scaled to the full sample size.
     """
     B2 = B - B1
     if B2 < 1 or B1 < 1:
         raise ValueError("need 1 <= B1 <= B-1")
     check_moment_blocks(cfg, n_blocks)
-    mu_b, nu_b = _vectorized_blocks(cfg, 3, n_blocks)
+    mu_b, nu_b = _vectorized_blocks(cfg, n_blocks)
     full = closed_form_h1_variance(_moment_inputs_from(mu_b, nu_b), B1, B2)
     group_vals = []
-    bounds = np.linspace(0, n_blocks, n_groups + 1, dtype=int)
+    bounds = np.linspace(0, n_blocks, N_GROUPS + 1, dtype=int)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         if hi - lo < 2:
             continue

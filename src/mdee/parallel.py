@@ -1,8 +1,8 @@
 """Forked processes: the package's one way to spread work over the CPUs.
 
 `fork_map` runs numbered jobs in this process and forked children and gives
-their results back in job order; `process_count` says how many processes a
-map may use. The trials (`harness.run_experiment`) and the oracles' loops run
+their results back in job order, over as many processes as `process_count`
+says. The trials (`harness.run_experiment`) and the oracles' loops run
 through it. This module imports neither the harness nor SciPy.
 """
 
@@ -90,16 +90,18 @@ def _child_share(job, share: range, pipe: int, parent: int) -> None:
         os._exit(status)
 
 
-def fork_map(job, count: int, processes: int) -> list:
+def fork_map(job, count: int) -> list:
     """[job(i) for i in range(count)], job i run by process i % processes: this one and processes - 1 forked children.
 
-    Each child sends its results, or those before its first failing job and
-    that job's exception, in one pickle down its own pipe, and stops between
-    jobs once this process is gone. Every process stops at its first failing
-    job, and the exception raised is the lowest job's, the one a serial loop
-    would raise. Every child is reaped before this returns or raises, and
-    killed first if this process fails on its own or is interrupted.
+    It picks `processes` itself, as `process_count(count)`. Each child sends
+    its results, or those before its first failing job and that job's
+    exception, in one pickle down its own pipe, and stops between jobs once
+    this process is gone. Every process stops at its first failing job, and
+    the exception raised is the lowest job's, the one a serial loop would
+    raise. Every child is reaped before this returns or raises, and killed
+    first if this process fails on its own or is interrupted.
     """
+    processes = process_count(count)
     results = [None] * count
     children = {}  # pid -> (its share's first job, read end of its pipe)
     failures = []  # (job index, exception, traceback lines from a child or None)

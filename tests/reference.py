@@ -51,7 +51,7 @@ from mdee.estimators import (
     flagged_blocks,
     moment_split,
 )
-from mdee.ingest import STD_FLOOR, DatasetManifest, SplitSpec, _resolve_columns
+from mdee.ingest import STD_FLOOR, DatasetManifest, _resolve_columns
 from mdee.oracle import (
     HMomentsResult,
     OracleConfig,
@@ -442,7 +442,7 @@ def _block_stats(cfg: OracleConfig, rng, n_blocks: int) -> tuple[np.ndarray, np.
     return design, corrs, np.linalg.inv(corrs)
 
 
-def vectorized_blocks(cfg: OracleConfig, tag: int, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
+def vectorized_blocks(cfg: OracleConfig, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
     """`oracle._vectorized_blocks` one chunk after another."""
     dim = cfg.d * cfg.d
     mu_b = np.empty((n_blocks, dim))
@@ -451,7 +451,7 @@ def vectorized_blocks(cfg: OracleConfig, tag: int, n_blocks: int) -> tuple[np.nd
     chunk_idx = 0
     while done < n_blocks:
         count = min(oracle._CHUNK // max(cfg.n, 1), n_blocks - done) or 1
-        rng = _aux_rng(cfg.seed, tag, chunk_idx)
+        rng = _aux_rng(cfg.seed, 3, chunk_idx)
         _, corrs, invs = _block_stats(cfg, rng, count)
         mu_b[done : done + count] = corrs.reshape(count, dim)
         nu_b[done : done + count] = invs.reshape(count, dim)
@@ -563,18 +563,20 @@ def load_csv_rows(manifest: DatasetManifest) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def standardized_split(table: np.ndarray, spec: SplitSpec) -> tuple[LabeledSet, UnlabeledSet, LabeledSet]:
+def standardized_split(
+    table: np.ndarray, n: int, n_prime: int, seed: int = 0, standardize: bool = True
+) -> tuple[LabeledSet, UnlabeledSet, LabeledSet]:
     """`ingest.split` part by part: the train and pool covariates stacked for the statistics, each part rescaled on its own."""
     table = np.asarray(table, dtype=float)
     total = table.shape[0]
-    perm = np.random.default_rng(spec.seed).permutation(total)
+    perm = np.random.default_rng(seed).permutation(total)
     shuffled = table[perm]
-    train_rows = shuffled[: spec.n]
-    pool_rows = shuffled[spec.n : spec.n + spec.n_prime]
-    test_rows = shuffled[spec.n + spec.n_prime :]
+    train_rows = shuffled[:n]
+    pool_rows = shuffled[n : n + n_prime]
+    test_rows = shuffled[n + n_prime :]
 
     train_X, pool_X, test_X = train_rows[:, :-1], pool_rows[:, :-1], test_rows[:, :-1]
-    if spec.standardize:
+    if standardize:
         reference = np.vstack([train_X, pool_X])
         mean = reference.mean(axis=0)
         std = reference.std(axis=0)

@@ -115,6 +115,14 @@ class TestRunCommand:
         assert_input_error(capsys, ["run", str(path), "--out", str(tmp_path / "r")], "empty.csv' is empty")
         assert not (tmp_path / "r").exists()
 
+    def test_table_that_is_not_utf8_named(self, tmp_path, capsys):
+        data, path = tmp_path / "toy.csv", tmp_path / "exp.yaml"
+        rows = "x,y\n" + "".join(f"{i / 40},{i % 3}\n" for i in range(40)) + "0.5,caf\u00e9\n"
+        data.write_bytes(rows.encode("latin-1"))
+        path.write_text(REAL_CONFIG.format(path=data))
+        assert_input_error(capsys, ["run", str(path), "--out", str(tmp_path / "r")], f"{data}: not UTF-8 text")
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize(
         "n_unlabeled, needle",
         [("-5", "n_unlabeled must be >= 0, got -5"), ("30", "n=10 plus n_unlabeled=30 leaves no test row of the 40")],

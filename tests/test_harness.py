@@ -26,7 +26,6 @@ from mdee.harness import (
     evaluate_trial,
     load_config,
     reaggregate_trials,
-    regret,
     run_experiment,
     run_to_dir,
     write_summary_csv,
@@ -80,20 +79,39 @@ class TestTestError:
         assert got == pytest.approx(total / 11, abs=1e-12)
 
 
-class TestRegret:
-    def test_zero_at_argmin(self):
-        assert regret([1.0, 0.5, 0.8], 2) == 0.0
+class TestTrialRegret:
+    """evaluate_trial's regret: the log of the chosen size's test error over the smallest one."""
 
-    def test_log_ratio(self):
-        assert regret([1.0, 0.5, 0.8], 3) == pytest.approx(math.log(1.6), abs=1e-10)
-
-    def test_tie(self):
-        assert regret([0.5, 0.5], 1) == 0.0
-        assert regret([0.5, 0.5], 2) == 0.0
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError, match="nonpositive"):
-            regret([1.0, 0.0], 1)
+    @pytest.mark.parametrize(
+        "errors, chosen, regret, degenerate",
+        [
+            ([1.0, 0.5, 0.8], 2, 0.0, False),
+            ([1.0, 0.5, 0.8], 3, math.log(1.6), False),
+            ([0.5, 0.5, 0.9], 1, 0.0, False),
+            ([1.0, 0.0, 0.8], 1, math.nan, True),
+            ([1.0, -0.5, 0.8], 1, math.nan, True),
+            # only a nonpositive error is degenerate; a NaN one carries through the smallest error
+            ([1.0, math.nan, 0.8], 1, math.nan, False),
+        ],
+        ids=["argmin", "log ratio", "tie", "zero error", "negative error", "nan error"],
+    )
+    def test_regret_from_the_test_errors(self, errors, chosen, regret, degenerate, monkeypatch):
+        monkeypatch.setattr(harness, "path_test_errors", lambda path, test: errors)
+        monkeypatch.setitem(CRITERIA, "FPE", lambda state: (np.where(np.arange(1, 4) == chosen, 0.0, 1.0), 0))
+        rng = np.random.default_rng(3)
+        result = evaluate_trial(
+            trial=0,
+            cell={"n": 20},
+            train=LabeledSet(X=rng.normal(size=(20, 1)), y=rng.normal(size=20)),
+            unlabeled=UnlabeledSet(X=rng.normal(size=(40, 1))),
+            test=LabeledSet(X=rng.normal(size=(5, 1)), y=rng.normal(size=5)),
+            d_max=3,
+            cfg=small_config(criteria=["FPE"], repetitions=1),
+            cv_seed=0,
+        )
+        assert result.d_hat["FPE"] == chosen
+        assert result.regret["FPE"] == pytest.approx(regret, abs=1e-15, nan_ok=True)
+        assert ("degenerate_regret" in result.flags["FPE"].split(";")) == degenerate
 
 
 class TestAggregate:

@@ -1,3 +1,4 @@
+import re
 import runpy
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 from reference import load_csv_rows, standardized_split
 
 from mdee import ingest
-from mdee.ingest import DatasetManifest, SplitSpec, dbar_for, load_csv, split
+from mdee.ingest import DatasetManifest, dbar_for, load_csv, split
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -55,6 +56,15 @@ class TestLoadCsv:
             path = write_csv(tmp_path, f"a,b,y\n1,2,3\n1,{cell},4\n")
             with pytest.raises(ValueError, match="line 3"):
                 load_csv(small_manifest(path))
+
+    @pytest.mark.parametrize("line", [1, 2], ids=["header", "row"])
+    def test_file_that_is_not_utf8_named(self, line, tmp_path):
+        lines = ["a,b,y", "1,2,3"]
+        lines[line - 1] += "\u00e9"
+        path = tmp_path / "data.csv"
+        path.write_bytes("\n".join(lines).encode("latin-1") + b"\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not UTF-8 text: invalid continuation byte$"):
+            load_csv(small_manifest(str(path)))
 
     def test_short_row_names_line(self, tmp_path):
         path = write_csv(tmp_path, "a,b,y\n1,2,3\n1,2\n")
@@ -206,27 +216,26 @@ def toy_table(rows=10, m=2, seed=0):
 class TestSplit:
     def test_sizes(self):
         table = toy_table(10)
-        train, pool, test = split(table, SplitSpec(n=2, n_prime=3, seed=1))
+        train, pool, test = split(table, 2, 3, seed=1)
         assert train.n == 2 and pool.n == 3 and test.n == 5
 
     def test_partition_no_duplicates(self):
         table = toy_table(20)
-        spec = SplitSpec(n=5, n_prime=6, seed=2, standardize=False)
-        train, pool, test = split(table, spec)
+        train, pool, test = split(table, 5, 6, seed=2, standardize=False)
         recovered = np.vstack([train.X, pool.X, test.X])
         original = np.sort(table[:, :-1], axis=0)
         np.testing.assert_allclose(np.sort(recovered, axis=0), original)
 
     def test_same_seed_same_split(self):
         table = toy_table(15)
-        a = split(table, SplitSpec(n=4, n_prime=5, seed=3))
-        b = split(table, SplitSpec(n=4, n_prime=5, seed=3))
+        a = split(table, 4, 5, seed=3)
+        b = split(table, 4, 5, seed=3)
         np.testing.assert_array_equal(a[0].X, b[0].X)
         np.testing.assert_array_equal(a[2].y, b[2].y)
 
     def test_standardize_centers_reference(self):
         table = toy_table(40)
-        train, pool, _ = split(table, SplitSpec(n=10, n_prime=20, seed=4))
+        train, pool, _ = split(table, 10, 20, seed=4)
         reference = np.vstack([train.X, pool.X])
         np.testing.assert_allclose(reference.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(reference.std(axis=0), 1.0, atol=1e-10)
@@ -234,10 +243,8 @@ class TestSplit:
     def test_standardize_ignores_test_rows(self):
         # statistics must come from train + unlabeled rows only
         table = toy_table(40)
-        spec = SplitSpec(n=10, n_prime=20, seed=5, standardize=False)
-        train_raw, pool_raw, test_raw = split(table, spec)
-        spec_std = SplitSpec(n=10, n_prime=20, seed=5, standardize=True)
-        train_std, _, test_std = split(table, spec_std)
+        train_raw, pool_raw, test_raw = split(table, 10, 20, seed=5, standardize=False)
+        train_std, _, test_std = split(table, 10, 20, seed=5, standardize=True)
         reference = np.vstack([train_raw.X, pool_raw.X])
         mean, std = reference.mean(axis=0), reference.std(axis=0)
         np.testing.assert_allclose(test_std.X, (test_raw.X - mean) / std, atol=1e-12)
@@ -246,13 +253,13 @@ class TestSplit:
     def test_constant_column_not_divided(self):
         table = toy_table(12)
         table[:, 0] = 3.0
-        train, _, _ = split(table, SplitSpec(n=4, n_prime=4, seed=6))
+        train, _, _ = split(table, 4, 4, seed=6)
         assert np.isfinite(train.X).all()
         np.testing.assert_allclose(train.X[:, 0], 0.0, atol=1e-12)
 
     def test_responses_untouched(self):
         table = toy_table(12)
-        train, _, _ = split(table, SplitSpec(n=4, n_prime=4, seed=7))
+        train, _, _ = split(table, 4, 4, seed=7)
         assert set(np.round(train.y, 12)) <= set(np.round(table[:, -1], 12))
 
     @pytest.mark.parametrize("standardize", [True, False])
@@ -265,8 +272,8 @@ class TestSplit:
             if constant:
                 table[:, int(rng.integers(m))] = 0.3
             n = int(rng.integers(1, rows - 1))
-            spec = SplitSpec(n=n, n_prime=int(rng.integers(0, rows - n)), seed=seed, standardize=standardize)
-            got, ref = split(table, spec), standardized_split(table, spec)
+            counts = n, int(rng.integers(0, rows - n)), seed, standardize
+            got, ref = split(table, *counts), standardized_split(table, *counts)
             for part, expected in zip(got, ref):
                 assert part.X.shape == expected.X.shape and part.X.tobytes() == expected.X.tobytes()
             for part, expected in ((got[0], ref[0]), (got[2], ref[2])):
@@ -275,9 +282,9 @@ class TestSplit:
     def test_infeasible_counts(self):
         table = toy_table(10)
         with pytest.raises(ValueError, match="infeasible"):
-            split(table, SplitSpec(n=5, n_prime=5, seed=0))
+            split(table, 5, 5)
         with pytest.raises(ValueError, match="infeasible"):
-            split(table, SplitSpec(n=0, n_prime=2, seed=0))
+            split(table, 0, 2)
 
 
 class TestDbarFor:

@@ -37,10 +37,16 @@ def _imports(tree: ast.Module, modules: set[str]) -> tuple[dict, dict]:
 
 
 def _reads(nodes, module: str, defined: dict, names: dict, aliases: dict) -> set:
-    """The package definitions, as (module, name), that the given nodes read."""
+    """The package definitions, as (module, name), that the given nodes read.
+
+    Only a load reads: a name bound or annotated, such as a dataclass field
+    named like a function, reaches nothing.
+    """
     found = set()
     for root in nodes:
         for node in ast.walk(root):
+            if not isinstance(getattr(node, "ctx", None), ast.Load):
+                continue
             if isinstance(node, ast.Name):
                 if node.id in defined[module]:
                     found.add((module, node.id))

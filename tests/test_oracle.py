@@ -178,7 +178,7 @@ class TestMcRiskRatio:
         assert res.e_train_loss == pytest.approx(unit.e_train_loss * noise_sd**2, rel=1e-9)
 
     def test_requires_inside_model_truth(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_map", no_draws)
+        monkeypatch.setattr(parallel, "fork_map", no_draws)
         with pytest.raises(ValueError, match="at most d=3 coefficients, got 4"):
             mc_risk_ratio(make_cfg(truth=np.ones(4)))
 
@@ -441,7 +441,7 @@ class TestChunkCaps:
     @pytest.mark.parametrize("n", [20, 499, 501])
     def test_moment_block_cap(self, n, design_cells, monkeypatch):
         cfg = make_cfg(n=n, reps=100, c_draws=1_000)
-        _vectorized_blocks(cfg, 3, 120)
+        _vectorized_blocks(cfg, 120)
         self.assert_cap_is(lambda: oracle.check_moment_blocks(cfg, 120), max(design_cells), monkeypatch)
 
 
@@ -494,9 +494,9 @@ class TestChunkSpans:
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_closed_form(self, cpus, processes, monkeypatch):
         cfg = self.cfg()
-        mu_b, nu_b = vectorized_blocks(cfg, 3, 2_100)
+        mu_b, nu_b = vectorized_blocks(cfg, 2_100)
         ran = processes(cpus)
-        got = _vectorized_blocks(cfg, 3, 2_100)
+        got = _vectorized_blocks(cfg, 2_100)
         assert (ran() > 1) == (cpus > 1)
         np.testing.assert_array_equal(got[0], mu_b)
         np.testing.assert_array_equal(got[1], nu_b)
@@ -529,7 +529,7 @@ class TestChunkSpans:
 ORACLE_LOOPS = [
     pytest.param(lambda cfg: mc_risk_ratio(cfg), id="theorem-2 replications"),
     pytest.param(lambda cfg: mc_block_moments(cfg, MOMENT_VARIANTS, 25, 3), id="replication chunks"),
-    pytest.param(lambda cfg: _vectorized_blocks(cfg, 3, 2_000), id="closed-form chunks"),
+    pytest.param(lambda cfg: _vectorized_blocks(cfg, 2_000), id="closed-form chunks"),
     pytest.param(lambda cfg: _population_pass(cfg, np.eye(cfg.d)), id="population rounds"),
 ]
 
@@ -615,13 +615,13 @@ print(loaded)
 
 class TestMomentInputs:
     def test_nonnegative_traces(self):
-        inputs = _moment_inputs_from(*_vectorized_blocks(make_cfg(d=2), 2, 2000))
+        inputs = _moment_inputs_from(*_vectorized_blocks(make_cfg(d=2), 2000))
         assert inputs.tr_varmu_varnu >= 0
         assert inputs.tr_varnu_mumu >= 0
         assert inputs.tr_varmu_nunu >= 0
 
     def test_closed_form_assembly(self):
-        inputs = _moment_inputs_from(*_vectorized_blocks(make_cfg(d=2), 2, 500))
+        inputs = _moment_inputs_from(*_vectorized_blocks(make_cfg(d=2), 500))
         value = closed_form_h1_variance(inputs, 2, 3)
         expected = (
             inputs.tr_varmu_varnu / 6 + inputs.tr_varnu_mumu / 3 + inputs.tr_varmu_nunu / 2

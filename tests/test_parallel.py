@@ -1,4 +1,4 @@
-"""parallel.fork_map, the package's one parallel route, and the process count it is given."""
+"""parallel.fork_map, the package's one parallel route, and the process count it picks."""
 
 import os
 import subprocess
@@ -27,15 +27,34 @@ def test_the_suite_runs_one_thread():
     assert parallel.process_count(8) == min(parallel.usable_cpus(), 8)
 
 
+def set_cpus(monkeypatch, count: int) -> None:
+    """Give this process `count` usable CPUs and let it fork as a process of one thread would."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: count)
+    monkeypatch.setattr(parallel, "_threads", lambda: 1)
+
+
 class TestForkMap:
     @pytest.mark.parametrize("processes", [1, 2, 3, 8])
-    def test_results_come_back_in_job_order(self, processes):
-        results = parallel.fork_map(lambda i: (i * i, os.getpid()), 11, processes)
+    def test_results_come_back_in_job_order(self, processes, monkeypatch):
+        set_cpus(monkeypatch, processes)
+        results = parallel.fork_map(lambda i: (i * i, os.getpid()), 11)
         assert [value for value, _ in results] == [i * i for i in range(11)]
         pids = [pid for _, pid in results]
         assert pids[0] == os.getpid()
         assert all(pids[i] == pids[i % processes] for i in range(11))  # job i runs in process i % processes
         assert len(set(pids)) == processes
+        assert no_child_left()
+
+    def test_at_most_one_process_per_job(self, monkeypatch):
+        set_cpus(monkeypatch, 8)
+        pids = parallel.fork_map(lambda i: os.getpid(), 2)
+        assert pids[0] == os.getpid() and len(set(pids)) == 2
+        assert no_child_left()
+
+    def test_no_jobs_fork_nothing(self, monkeypatch):
+        set_cpus(monkeypatch, 8)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for no jobs"))
+        assert parallel.fork_map(lambda i: i, 0) == []
         assert no_child_left()
 
     def test_a_child_stops_once_its_parent_is_gone(self):
@@ -46,8 +65,7 @@ class TestForkMap:
 class TestProcessCount:
     @pytest.mark.parametrize("cpus, jobs, count", [(1, 5, 1), (2, 5, 2), (8, 5, 5), (3, 0, 1)])
     def test_one_per_cpu_and_at_most_one_per_job(self, cpus, jobs, count, monkeypatch):
-        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
-        monkeypatch.setattr(parallel, "_threads", lambda: 1)
+        set_cpus(monkeypatch, cpus)
         assert parallel.process_count(jobs) == count
 
 

@@ -43,6 +43,7 @@ from mdee.core import (
     ModelPath,
     SingularDesignError,
     UnlabeledSet,
+    block_partition,
     build_design,
     condition_numbers,
     correlation_matrix,
@@ -149,6 +150,11 @@ def scored(state, name):
     return [None if math.isnan(r) else (r, c) for r, c in zip(risks.tolist(), counts.tolist())]
 
 
+def blocks_of(state):
+    """The state's pool as (B, n, M) blocks of the training size, as `core.block_partition` cuts it; None below n rows."""
+    return block_partition(state.unlabeled, state.train.n) if state.n_blocks else None
+
+
 def labeled_corr(state, d):
     """The correlation matrix of the first d labeled design columns, which DEE and rmDEE read at size d."""
     return correlation_matrix(state.train_design[:, :d])
@@ -212,7 +218,7 @@ def per_d_route(state, name):
     """A block criterion at every size from the LU references on the state's size-d corners; None where infinite."""
     variant, d_max = BLOCK_KINDS[name], state.path.d_max
     split = name in harness.SPLIT_CRITERIA
-    if state.blocks is None or (split and state.b1 is None):
+    if state.n_blocks == 0 or (split and state.b1 is None):
         return [(math.inf, 0)] * d_max
     scored = []
     for d in range(1, d_max + 1):
@@ -287,7 +293,7 @@ def read_matrices(state, variant, d):
         v_start = 0
     else:
         split = variant is not CriterionKind.MDEE3
-        v_start = block_sides(variant, state.b1 if split else None, len(state.blocks))[1]
+        v_start = block_sides(variant, state.b1 if split else None, state.n_blocks)[1]
     mats, sizes = state.block_corrs[v_start:, :d, :d], state.block_factors[1][v_start:]
     if variant is CriterionKind.RMDEE:  # the labeled factor, the path fit's, reaches `top`
         mats = np.concatenate((labeled_corr(state, d)[None], mats))
@@ -349,7 +355,7 @@ def cv5_kappa(design, seed, d, ridge):
 def test_registry_matches_per_d_reference(case):
     kind, train, pool, path, test, ridge = case
     state = TrialState(train, pool, path, ridge, cv_seed=0)
-    blocks, b1 = state.blocks, state.b1
+    blocks, b1 = blocks_of(state), state.b1
     assert (blocks is None) == (pool.n < train.n)
     paths = registry_paths(state)
     assert all(len(scored) == path.d_max for scored in paths.values())
@@ -481,7 +487,7 @@ def test_shared_block_flags_match_per_d_invert_blocks(case):
     cfg = config(ridge, criteria=["rmDEE"], d_max=path.d_max)
     result.flags.update(evaluate_trial(0, {"n": train.n}, train, pool, test, path.d_max, cfg, cv_seed=0).flags)
     if kind == "small_pool":
-        assert state.blocks is None
+        assert state.n_blocks == 0
         assert all(not cond_counts(flags) for flags in result.flags.values())
         return
 
@@ -490,7 +496,7 @@ def test_shared_block_flags_match_per_d_invert_blocks(case):
     want = {name: {} for name in result.flags}
     flagged_at = {}
     for d in range(1, path.d_max + 1):
-        flagged = invert_blocks(block_corr_stack(state.blocks, path.basis, d), ridge)[1]
+        flagged = invert_blocks(block_corr_stack(blocks_of(state), path.basis, d), ridge)[1]
         flagged_at[d] = flagged
         checked, failed = state.block_checks
         assert tuple(np.flatnonzero(checked[d - 1]).tolist()) == flagged and not failed[d - 1]
@@ -535,7 +541,7 @@ def test_singular_block_fails_only_the_criteria_that_read_it():
             assert_block_close(state, name, d, paths[name][d - 1], per_d_route(state, name)[d - 1])
         assert_prefix_close(
             paths["mDEE1"][d - 1],
-            reference_score(lambda: mdee(path, state.blocks, CriterionKind.MDEE1, 2, d, ridge)),
+            reference_score(lambda: mdee(path, blocks_of(state), CriterionKind.MDEE1, 2, d, ridge)),
             lambda: block_kappa(state, CriterionKind.MDEE1, d),
             d,
         )
@@ -545,8 +551,8 @@ def test_singular_block_fails_only_the_criteria_that_read_it():
         if d >= 3:
             for variant in (CriterionKind.MDEE2, CriterionKind.MDEE3):
                 with pytest.raises(SingularDesignError, match="block 0"):
-                    mdee(path, state.blocks, variant, 2, d, ridge)
-            assert math.isfinite(rmdee(path, state.blocks, train.X, d, ridge).risk)
+                    mdee(path, blocks_of(state), variant, 2, d, ridge)
+            assert math.isfinite(rmdee(path, blocks_of(state), train.X, d, ridge).risk)
 
 
 def test_singular_split_block_leaves_b1_unavailable(monkeypatch):
@@ -630,7 +636,7 @@ def test_b1_is_the_tie_where_the_blocks_do_not_vary(n_blocks, m, d_max, pool):
     X = rng.normal(size=(n_blocks * n, m)) if pool == "gauss" else np.full((n_blocks * n, m), 0.7)
     state = TrialState(train, UnlabeledSet(X=X), path, 1e-9, cv_seed=0)
     assert np.all(state.block_corrs == state.block_corrs[0])
-    assert state.b1 == select_b1(state.blocks, path.basis, d_max, 1e-9)[0] == n_blocks // 2
+    assert state.b1 == select_b1(blocks_of(state), path.basis, d_max, 1e-9)[0] == n_blocks // 2
 
 
 def test_b1_keeps_a_flagged_block():
@@ -650,7 +656,7 @@ def test_b1_keeps_a_flagged_block():
     assert sizes.tolist() == [d_max] * 6 and state.block_checks[0][d_max - 1, 0]
     invs = np.swapaxes(factors, 1, 2) @ factors
     assert estimators.moment_split(state.block_corrs[1:], invs[1:])[0] == 2
-    assert state.b1 == select_b1(state.blocks, path.basis, d_max, ridge)[0] == 1
+    assert state.b1 == select_b1(blocks_of(state), path.basis, d_max, ridge)[0] == 1
 
 
 def test_b1_unavailable_where_the_factors_do_not_reach_d_max():
@@ -662,7 +668,7 @@ def test_b1_unavailable_where_the_factors_do_not_reach_d_max():
     path = random_path(rng, BasisSpec("fourier", 1), n)
     state = TrialState(train, UnlabeledSet(X=rng.normal(size=(5 * n, 1))), path, 1e-9, cv_seed=0)
     assert state.top == n - 1 and state.b1 is None
-    assert select_b1(state.blocks, path.basis, n, 1e-9)[0] >= 1
+    assert select_b1(blocks_of(state), path.basis, n, 1e-9)[0] >= 1
 
 
 def test_b1_not_built_without_a_split_criterion(monkeypatch):
@@ -705,7 +711,7 @@ def labeled_paths(draw):
 def test_cv5_path_equals_per_d_kfold_cv(case, seed):
     data, basis, d_max, ridge, _ = case
     design = build_design(basis, data.X, d_max)
-    got = kfold_cv_path(design, data.y, 5, ridge, seed)
+    got = kfold_cv_path(design, data.y, ridge, seed)
     want = kfold_cv_prefix(data, basis, d_max, ridge, seed)
     for d in range(1, d_max + 1):
         assert_prefix_close((got[d - 1], 0), (want[d - 1], 0), lambda: cv5_kappa(design, seed, d, ridge), d)
@@ -893,7 +899,7 @@ def test_cv5_gate_rechecks_a_fold_singular_near_d_max():
     mask[np.array_split(np.random.default_rng(3).permutation(data.n), 5)[0]] = False
     normal = normal_matrix(design[mask], ridge)
     assert interlacing_gate(normal, *inverse_factor(normal))
-    got = kfold_cv_path(design, data.y, 5, ridge, seed=3)
+    got = kfold_cv_path(design, data.y, ridge, seed=3)
     want = kfold_cv_prefix(data, BasisSpec("fourier", 1), d_max, ridge, 3)
     for d in range(1, d_max + 1):
         assert_prefix_close((got[d - 1], 0), (want[d - 1], 0), lambda: cv5_kappa(design, 3, d, ridge), d)
@@ -991,14 +997,14 @@ def block_states(draw):
 def test_block_prefix_paths_match_the_per_d_route(case):
     kind, state = case
     if kind == "small_pool":
-        assert state.blocks is None
+        assert state.n_blocks == 0
     if state.b1 is not None:
-        assert state.b1 == select_b1(state.blocks, state.path.basis, state.path.d_max, state.ridge)[0]
+        assert state.b1 == select_b1(blocks_of(state), state.path.basis, state.path.d_max, state.ridge)[0]
     for name in BLOCK_KINDS:
         on = fitted(state) if name == "rmDEE" else state  # rmDEE reads the labeled matrix
         got, want = scored(on, name), per_d_route(on, name)
         assert len(got) == len(want) == on.path.d_max
-        if on.blocks is None or (name in harness.SPLIT_CRITERIA and on.b1 is None):
+        if on.n_blocks == 0 or (name in harness.SPLIT_CRITERIA and on.b1 is None):
             assert got == want
             continue
         for d, (g, w) in enumerate(zip(got, want), start=1):
@@ -1122,7 +1128,7 @@ def test_cv5_prefix_stops_where_the_fold_factorization_does():
     data = LabeledSet(X=rng.normal(size=(10, 1)), y=rng.normal(size=10))
     basis, d_max = BasisSpec("fourier", 1), 10
     design = build_design(basis, data.X, d_max)
-    got = kfold_cv_path(design, data.y, 5, 0.0, seed=1)
+    got = kfold_cv_path(design, data.y, 0.0, seed=1)
     assert all(math.isfinite(r) for r in got[:8]) and all(math.isinf(r) for r in got[8:])
     want = kfold_cv_prefix(data, basis, d_max, 0.0, 1)
     for d in range(1, d_max + 1):
@@ -1142,7 +1148,7 @@ def test_block_corrs_from_the_pool_design_equal_block_corr_stack(m, n, extra_row
     pool = UnlabeledSet(X=covariates(rng, 3 * n + extra_rows, m, "discrete" if seed % 2 else "gauss"))
     path = random_path(rng, BasisSpec("fourier", m), d_max)
     state = TrialState(train, pool, path, 1e-9, cv_seed=0)
-    assert np.array_equal(state.block_corrs, block_corr_stack(state.blocks, path.basis, d_max))
+    assert np.array_equal(state.block_corrs, block_corr_stack(blocks_of(state), path.basis, d_max))
 
 
 def test_a_trial_builds_each_design_once_and_runs_no_svd_when_no_gate_fires(monkeypatch):
