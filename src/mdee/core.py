@@ -9,7 +9,11 @@ with is in `tests/reference.py`.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -206,6 +210,34 @@ def check_condition(mat: np.ndarray, what: str) -> None:
         raise SingularDesignError(f"{what} condition {cond:.3g} exceeds {COND_LIMIT:.0e}")
 
 
+def lapack():
+    """SciPy's compiled LAPACK wrappers, the module `scipy.linalg._flapack`, loaded on first use.
+
+    The module is loaded from its extension file by itself, without running
+    the `scipy.linalg` package, whose import pulls in some 70 modules this
+    package never calls (README, notes on numerics). It is registered in
+    `sys.modules` under its full name, so later calls, and a later
+    `import scipy.linalg`, reuse this one module: its `dpotrf` and `dtrtri`
+    are the very functions `scipy.linalg.lapack` exports. Only the small
+    top-level `scipy` package is imported, to find the file. The oracles and
+    `mdee report` never take a Cholesky factor, so they never load it.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    directory = Path(importlib.util.find_spec("scipy.linalg").submodule_search_locations[0])
+    paths = [directory / f"_flapack{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if p.is_file()), None)
+    if path is None:
+        raise ImportError(f"SciPy's LAPACK module _flapack is not in {directory}: searched {[p.name for p in paths]}")
+    loader = importlib.machinery.ExtensionFileLoader(name, str(path))
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader, origin=str(path)))
+    loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
 def inverse_factor(mat: np.ndarray) -> tuple[np.ndarray, int]:
     """L^{-1} for the lower Cholesky factor L of a symmetric matrix, and the size the factor reaches.
 
@@ -214,14 +246,12 @@ def inverse_factor(mat: np.ndarray) -> tuple[np.ndarray, int]:
     (k - 1) x (k - 1) inverse is that of its leading block, the factor of the
     matrix's leading corner (Golub and Van Loan, Matrix Computations, 4.2).
     """
-    # SciPy loads here, on first use: the oracles and `mdee report` never need it
-    from scipy.linalg.lapack import dpotrf, dtrtri
-
-    low, info = dpotrf(mat, lower=1)
+    flapack = lapack()
+    low, info = flapack.dpotrf(mat, lower=1)
     size = info - 1 if info else mat.shape[0]
     if not size:
         return np.zeros((0, 0)), 0
-    return dtrtri(low[:size, :size], lower=1)[0], size
+    return flapack.dtrtri(low[:size, :size], lower=1)[0], size
 
 
 def interlacing_gate(tops, factors, sizes) -> np.ndarray:

@@ -43,6 +43,7 @@ from .core import (
     condition_numbers,
     correlation_matrix,
     inverse_factor,
+    lapack,
 )
 
 
@@ -107,8 +108,7 @@ def inverse_factors(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     else:
         sizes = np.full(B, D)
         if D:  # LAPACK rejects an empty matrix
-            from scipy.linalg.lapack import dtrtri  # on first use, as in `core.inverse_factor`
-
+            dtrtri = lapack().dtrtri
             for low, factor in zip(lows, factors):
                 factor[:] = dtrtri(low, lower=1)[0]
     # W_kk = 1 / L_kk, so L_kk^2 <= tol reads W_kk sqrt(tol) >= 1; a row past a stop is zero

@@ -10,6 +10,7 @@ of the same config produce byte-identical output files.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import platform
@@ -20,7 +21,6 @@ from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__, baselines, datagen, estimators, ingest, parallel
 from .core import (
@@ -192,18 +192,22 @@ class CriterionSummary:
     n_trials: int
 
 
-def aggregate(regrets) -> tuple[float, float]:
-    """Median and interquartile range (linear-interpolation quantiles)."""
+def aggregate(regrets):
+    """Median and interquartile range (linear-interpolation quantiles) along the last axis.
+
+    A list of regrets gives two floats; a (..., reps) stack gives two arrays
+    of its leading shape, each entry with the bits of a call on its row.
+    """
     values = np.asarray(regrets, dtype=float)
     if values.size == 0:
         raise ValueError("aggregate needs at least one value")
-    q1, q3 = np.quantile(values, [0.25, 0.75])
-    return float(np.median(values)), float(q3 - q1)
+    q1, q3 = np.quantile(values, [0.25, 0.75], axis=-1)
+    return np.median(values, axis=-1), q3 - q1
 
 
 def _summarize(cell: dict, criterion: str, regrets: list[float]) -> CriterionSummary:
     median, iqr = aggregate(regrets)
-    return CriterionSummary(cell, criterion, median, iqr, len(regrets))
+    return CriterionSummary(cell, criterion, float(median), float(iqr), len(regrets))
 
 
 def _seed_int(*keys: int) -> int:
@@ -535,10 +539,13 @@ def _run(cfg: ExperimentConfig, table) -> tuple[list[TrialResult], list[Criterio
     jobs = [(cell, cell_idx, t) for cell_idx, cell in enumerate(cells) for t in range(reps)]
     processes = parallel.process_count(len(jobs))  # the count fork_map picks, for meta.json
     trials = parallel.fork_map(lambda i: _trial(cfg, table, *jobs[i]), len(jobs))
+    # (cells, criteria, reps): one aggregate call summarizes every (cell, criterion)
+    regrets = np.array([[t.regret[name] for name in cfg.criteria] for t in trials])
+    medians, iqrs = aggregate(regrets.reshape(len(cells), reps, -1).swapaxes(1, 2))
     summaries = [
-        _summarize(cell, name, [t.regret[name] for t in trials[cell_idx * reps : (cell_idx + 1) * reps]])
-        for cell_idx, cell in enumerate(cells)
-        for name in cfg.criteria
+        CriterionSummary(cell, name, float(medians[c, k]), float(iqrs[c, k]), reps)
+        for c, cell in enumerate(cells)
+        for k, name in enumerate(cfg.criteria)
     ]
     return trials, summaries, processes
 
@@ -622,6 +629,8 @@ def flag_counts(trials: list[TrialResult], criteria: list[str]) -> dict[str, dic
 
 
 def _versions() -> dict[str, str]:
+    import scipy  # loaded already by the trials' LAPACK (`core.lapack`)
+
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas_version = f"{blas.get('name')} {blas.get('version')}"
@@ -632,6 +641,7 @@ def _versions() -> dict[str, str]:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": blas_version,
+        "scipy": scipy.__version__,
     }
 
 
@@ -749,6 +759,8 @@ def _read(section, name: str | None) -> dict:
 
 def load_config(path) -> ExperimentConfig:
     """Parse a YAML experiment config; SCHEMA holds its keys, and the repository README tabulates them."""
+    import yaml  # here only: the oracles and `mdee report` read no config
+
     with open(path) as handle:
         try:
             raw = yaml.safe_load(handle)
@@ -776,32 +788,29 @@ def reaggregate_trials(path) -> list[CriterionSummary]:
     file that is not UTF-8 text, a header that names a column twice and an
     infinite regret are turned away, naming the file and the line.
     """
+    reader = csv.reader(io.StringIO(ingest.read_utf8(path), newline=""))
     try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            reader = csv.reader(handle)
-            fields = next(reader, [])
-            if fields[-len(TRIAL_FIELDS) :] != TRIAL_FIELDS:
-                missing = [f for f in TRIAL_FIELDS if f not in fields]
-                raise ValueError(f"{path}: the last columns of a trials.csv are {TRIAL_FIELDS}; missing {missing}")
-            twice = sorted({f for f in fields if fields.count(f) > 1})
-            if twice:
-                raise ValueError(f"{path}, line {reader.line_num}: the header names {twice} more than once")
-            keys = fields[: -len(TRIAL_FIELDS)]
-            groups: dict[tuple, list[float]] = {}
-            for cells in filter(None, reader):  # blank lines hold no row
-                line = f"{path}, line {reader.line_num}"
-                if len(cells) != len(fields):
-                    raise ValueError(f"{line}: {len(cells)} cells, the header has {len(fields)}")
-                row = dict(zip(fields, cells))
-                try:
-                    value = float(row["regret"])
-                except ValueError:
-                    raise ValueError(f"{line}: regret {row['regret']!r} is not a number") from None
-                if math.isinf(value):
-                    raise ValueError(f"{line}: regret {row['regret']!r} is infinite")
-                groups.setdefault(tuple(row[k] for k in keys) + (row["criterion"],), []).append(value)
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text: {exc.reason}") from None
+        fields = next(reader, [])
+        if fields[-len(TRIAL_FIELDS) :] != TRIAL_FIELDS:
+            missing = [f for f in TRIAL_FIELDS if f not in fields]
+            raise ValueError(f"{path}: the last columns of a trials.csv are {TRIAL_FIELDS}; missing {missing}")
+        twice = sorted({f for f in fields if fields.count(f) > 1})
+        if twice:
+            raise ValueError(f"{path}, line {reader.line_num}: the header names {twice} more than once")
+        keys = fields[: -len(TRIAL_FIELDS)]
+        groups: dict[tuple, list[float]] = {}
+        for cells in filter(None, reader):  # blank lines hold no row
+            line = f"{path}, line {reader.line_num}"
+            if len(cells) != len(fields):
+                raise ValueError(f"{line}: {len(cells)} cells, the header has {len(fields)}")
+            row = dict(zip(fields, cells))
+            try:
+                value = float(row["regret"])
+            except ValueError:
+                raise ValueError(f"{line}: regret {row['regret']!r} is not a number") from None
+            if math.isinf(value):
+                raise ValueError(f"{line}: regret {row['regret']!r} is infinite")
+            groups.setdefault(tuple(row[k] for k in keys) + (row["criterion"],), []).append(value)
     except csv.Error as exc:
         raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     if not groups:

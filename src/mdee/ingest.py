@@ -64,29 +64,44 @@ def load_csv(manifest: DatasetManifest) -> np.ndarray:
 
     Rows with missing, non-numeric or non-finite (nan, inf) cells, and blank
     lines, are rejected with the offending line number; no imputation is
-    attempted. A UTF-8 byte-order mark before the first line is dropped, and a
-    file that is not UTF-8 text is turned away, naming the file.
+    attempted. The file is read with `read_utf8`.
     numpy's parser reads the table; the row-by-row `_scan` runs only when
     that parse cannot vouch for the table, to name the failing line.
     """
     path = Path(manifest.path)
-    try:
-        with path.open(newline="", encoding="utf-8-sig") as handle:
-            header = None
-            if manifest.has_header:
-                try:
-                    header = [cell.strip() for cell in next(csv.reader(handle, delimiter=manifest.delimiter))]
-                except StopIteration:
-                    raise ValueError(f"{manifest.name}: {str(path)!r} is empty, with no header row") from None
-            cov_idx, resp_idx = _resolve_columns(manifest, header)
-            text = handle.read()
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    handle = io.StringIO(read_utf8(path), newline="")
+    header = None
+    if manifest.has_header:
+        try:
+            header = [cell.strip() for cell in next(csv.reader(handle, delimiter=manifest.delimiter))]
+        except StopIteration:
+            raise ValueError(f"{manifest.name}: {str(path)!r} is empty, with no header row") from None
+    cov_idx, resp_idx = _resolve_columns(manifest, header)
+    text = handle.read()
     columns = cov_idx + [resp_idx]
     table = _parse(text, manifest.delimiter, columns)
     if table is None:
         table = _scan(manifest, text, columns, first_line=1 if header is None else 2)
     return table
+
+
+def read_utf8(path) -> str:
+    """The text of the file at `path`, decoded from UTF-8 in one pass, a byte-order mark before the first line dropped.
+
+    A file that is not UTF-8 text raises ValueError naming the file and the
+    line of its first bad byte, as csv numbers lines.
+    """
+    try:
+        return Path(path).read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode, and exc.object starts after the byte-order mark
+        line = _line_ends(exc.object[: exc.start].decode()) + 1
+        raise ValueError(f"{path}, line {line}: not UTF-8 text: {exc.reason}") from None
+
+
+def _line_ends(text: str) -> int:
+    """How many line ends `text` holds, where csv ends a line: at CR LF, CR or LF."""
+    return text.count("\n") + text.count("\r") - text.count("\r\n")
 
 
 def _parse(text: str, delimiter: str, columns: list[int]) -> np.ndarray | None:
@@ -104,8 +119,7 @@ def _parse(text: str, delimiter: str, columns: list[int]) -> np.ndarray | None:
         table = np.loadtxt(io.StringIO(text, newline=""), delimiter=delimiter, usecols=columns, comments=None, ndmin=2)
     except (ValueError, TypeError):
         return None
-    # csv's line ends are \r\n, \r and \n, and a last line needs none
-    lines = text.count("\n") + text.count("\r") - text.count("\r\n") + (text[-1] not in "\r\n")
+    lines = _line_ends(text) + (text[-1] not in "\r\n")  # a last line needs no line end
     if len(table) != lines or not np.isfinite(table).all():
         return None
     return table

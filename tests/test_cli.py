@@ -120,7 +120,7 @@ class TestRunCommand:
         rows = "x,y\n" + "".join(f"{i / 40},{i % 3}\n" for i in range(40)) + "0.5,caf\u00e9\n"
         data.write_bytes(rows.encode("latin-1"))
         path.write_text(REAL_CONFIG.format(path=data))
-        assert_input_error(capsys, ["run", str(path), "--out", str(tmp_path / "r")], f"{data}: not UTF-8 text")
+        assert_input_error(capsys, ["run", str(path), "--out", str(tmp_path / "r")], f"{data}, line 42: not UTF-8 text")
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize(
@@ -487,7 +487,7 @@ class TestReportCommand:
     def test_file_that_is_not_utf8_named(self, tmp_path, capsys):
         path = tmp_path / "trials.csv"
         path.write_bytes("n,trial,criterion,d_hat,regret,flags\n10,0,F\u00c9,2,0.1,\n".encode("latin-1"))
-        assert_input_error(capsys, ["report", str(path)], f"{path}: not UTF-8 text")
+        assert_input_error(capsys, ["report", str(path)], f"{path}, line 2: not UTF-8 text")
 
     def test_byte_order_mark_and_nan_regret_read(self, tmp_path, capsys):
         path = tmp_path / "trials.csv"

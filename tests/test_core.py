@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mdee
 from mdee.core import (
     COND_LIMIT,
     MAX_CELLS,
@@ -453,3 +459,53 @@ def test_check_cells_names_the_input_and_the_cap():
     with pytest.raises(ValueError, match=f"^n is too large: an array of {MAX_CELLS + 1} cells passes MAX_CELLS = "
                                          f"{MAX_CELLS}$"):
         check_cells("n", MAX_CELLS + 1)
+
+
+def run_python(script: str) -> str:
+    """The stdout of `script` in a fresh interpreter that imports this package from its source tree."""
+    env = {**os.environ, "PYTHONPATH": str(Path(mdee.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+class TestLapack:
+    def test_trials_load_the_lapack_module_not_the_linalg_package(self):
+        script = """
+import sys
+from mdee.harness import ExperimentConfig, SyntheticScenario, run_experiment
+scenario = SyntheticScenario(target="step", n_values=[10], noise_vars=[0.1], n_unlabeled=100, n_test=50)
+run_experiment(ExperimentConfig(scenario, ["DEE", "mDEE1", "mDEE2", "mDEE3", "rmDEE"], repetitions=2))
+print("scipy.linalg" in sys.modules, "scipy.linalg._flapack" in sys.modules)
+"""
+        assert run_python(script) == "False True"
+
+    @pytest.mark.parametrize("first", ["lapack", "scipy.linalg"])
+    def test_the_functions_are_scipys_in_either_import_order(self, first):
+        script = f"""
+import sys
+from mdee.core import lapack
+if {first!r} == "scipy.linalg":
+    import scipy.linalg
+module = lapack()
+if {first!r} == "lapack":
+    assert "scipy.linalg" not in sys.modules
+    import scipy.linalg
+from scipy.linalg import _flapack, lapack as wrappers
+print(module is _flapack, module.dpotrf is wrappers.dpotrf, module.dtrtri is wrappers.dtrtri, module is lapack())
+"""
+        assert run_python(script) == "True True True True"
+
+    def test_a_missing_module_names_the_directory_searched(self):
+        script = """
+import importlib.machinery
+from mdee.core import lapack
+importlib.machinery.EXTENSION_SUFFIXES[:] = [".missing"]
+try:
+    lapack()
+except ImportError as exc:
+    print(exc)
+"""
+        message = run_python(script)
+        assert message.startswith("SciPy's LAPACK module _flapack is not in ")
+        assert str(Path("scipy", "linalg")) in message and "_flapack.missing" in message

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 import threading
 import time
@@ -9,8 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given
 from hypothesis import strategies as st
+from test_ingest import mixed_line_ends
 from test_parallel import no_child_left
 
 from mdee import __version__, baselines, harness, parallel
@@ -126,6 +129,19 @@ class TestAggregate:
     def test_constant_sample(self):
         median, iqr = aggregate([2.0] * 10)
         assert median == 2.0 and iqr == 0.0
+
+    @pytest.mark.parametrize("reps", [*range(1, 12), 100, 1000])
+    def test_stack_has_the_bits_of_each_row(self, reps):
+        # as run_experiment stacks its regrets: (cells, criteria, reps)
+        rng = np.random.default_rng(reps)
+        regrets = rng.exponential(size=(4, 9, reps))
+        regrets[:2] = np.round(regrets[:2], 1)  # rounded ties
+        regrets[1, ::2, reps // 2] = np.nan  # a degenerate regret
+        regrets[3, 0] = 0.5  # a constant row
+        stacked = np.stack(aggregate(regrets), axis=-1)
+        per_row = np.array([[aggregate(row) for row in cell] for cell in regrets])
+        assert stacked.shape == (4, 9, 2)
+        assert stacked.tobytes() == per_row.tobytes()
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
     def test_median_within_range_iqr_nonnegative(self, values):
@@ -321,6 +337,7 @@ class TestOutputs:
         assert meta["versions"]["python"] == sys.version.split()[0]
         assert meta["versions"]["numpy"] == np.__version__
         assert meta["versions"]["blas"]
+        assert meta["versions"]["scipy"] == scipy.__version__
 
     def test_reaggregation_round_trip(self, tmp_path):
         cfg = small_config(repetitions=6)
@@ -335,6 +352,17 @@ class TestOutputs:
             assert a_parts[:4] == b_parts[:4]
             # medians agree to output precision
             assert float(a_parts[4]) == pytest.approx(float(b_parts[4]), rel=1e-5)
+
+    @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "byte-order mark"])
+    def test_reaggregation_names_the_line_of_a_bad_byte_past_the_first_8_kb(self, mark, tmp_path):
+        lines = ["n,trial,criterion,d_hat,regret,flags"] + [f"10,{t},FPE,2,0.{t}," for t in range(1000)]
+        lines[700] = lines[700].replace("FPE", "FP\u00c9")
+        body, line = mixed_line_ends(lines)
+        path = tmp_path / "trials.csv"
+        path.write_bytes(mark + body)
+        assert body.index(b"\xc9") > 8192
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {line}: not UTF-8 text: invalid continuation byte$"):
+            reaggregate_trials(path)
 
     def test_reaggregation_names_missing_columns(self, tmp_path):
         path = tmp_path / "trials.csv"

@@ -1,3 +1,5 @@
+import csv
+import io
 import re
 import runpy
 from pathlib import Path
@@ -16,6 +18,14 @@ def write_csv(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def mixed_line_ends(lines: list[str]) -> tuple[bytes, int]:
+    """`lines` as Latin-1 bytes ending in \\n, \\r\\n and \\r in turn, and the line csv reads the first non-ASCII character on."""
+    text = "".join(line + ("\n", "\r\n", "\r")[i % 3] for i, line in enumerate(lines))
+    bad = next(i for i, line in enumerate(lines) if not line.isascii())
+    reader = csv.reader(io.StringIO(text, newline=""))
+    return text.encode("latin-1"), [reader.line_num for _ in reader][bad]
 
 
 def small_manifest(path, **kwargs):
@@ -63,8 +73,20 @@ class TestLoadCsv:
         lines[line - 1] += "\u00e9"
         path = tmp_path / "data.csv"
         path.write_bytes("\n".join(lines).encode("latin-1") + b"\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not UTF-8 text: invalid continuation byte$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {line}: not UTF-8 text: invalid continuation byte$"):
             load_csv(small_manifest(str(path)))
+
+    @pytest.mark.parametrize("has_header", [True, False], ids=["header", "no header"])
+    def test_bad_byte_past_the_first_8_kb_names_its_line(self, has_header, tmp_path):
+        lines = (["a,b,y"] if has_header else []) + [f"{i / 7:.6f},{i % 5},{i}" for i in range(1200)]
+        lines[900] += "\u00e9"
+        path = tmp_path / "data.csv"
+        body, line = mixed_line_ends(lines)
+        path.write_bytes(b"\xef\xbb\xbf" + body)
+        assert body.index(b"\xe9") > 8192
+        columns = {} if has_header else dict(response_column=2, covariate_columns=[0, 1], has_header=False)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {line}: not UTF-8 text: invalid continuation byte$"):
+            load_csv(small_manifest(str(path), **columns))
 
     def test_short_row_names_line(self, tmp_path):
         path = write_csv(tmp_path, "a,b,y\n1,2,3\n1,2\n")

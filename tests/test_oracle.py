@@ -593,18 +593,21 @@ class TestForkedLoops:
 
 def test_oracles_and_report_do_not_load_scipy():
     # SciPy's LAPACK wrappers load on the first Cholesky factor a trial takes; the oracles and the
-    # re-aggregation never take one, so they skip SciPy's import time and memory.
+    # re-aggregation never take one, so they skip SciPy's import time and memory. They read no
+    # config either, so YAML stays unloaded too.
     trials = Path(__file__).resolve().parent / "data" / "golden" / "synthetic_step_n10" / "seed0" / "trials.csv"
     script = f"""
 import contextlib, io, sys
 import mdee.cli
-loaded = [sorted(name for name in sys.modules if name.split(".")[0] == "scipy")]
+def loaded_now():
+    return sorted(name for name in sys.modules if name.split(".")[0] in ("scipy", "yaml"))
+loaded = [loaded_now()]
 for argv in (["oracle", "--theorem", "2", "--reps", "20", "--seed", "1"],
              ["oracle", "--theorem", "4", "--reps", "100", "--moment-blocks", "100", "--seed", "1"],
              ["report", {str(trials)!r}]):
     with contextlib.redirect_stdout(io.StringIO()):
         mdee.cli.main(argv)
-    loaded.append(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+    loaded.append(loaded_now())
 print(loaded)
 """
     env = {**os.environ, "PYTHONPATH": str(Path(mdee.__file__).resolve().parents[1])}
