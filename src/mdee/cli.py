@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -40,16 +41,13 @@ def _checked_table(scenario: harness.RealScenario) -> np.ndarray:
 
 def _cmd_run(args) -> int:
     try:
-        cfg = harness.load_config(args.config)
-        if args.seed is not None:
-            cfg.master_seed = args.seed
-        if args.reps is not None:
-            cfg.repetitions = args.reps
-        cfg.validate()
+        cfg = harness.load_config(args.config, args.seed, args.reps)
         table = _checked_table(cfg.scenario) if isinstance(cfg.scenario, harness.RealScenario) else None
+        out = Path(args.out if args.out is not None else cfg.output_dir)
+        out.mkdir(parents=True, exist_ok=True)  # after the checks, which leave no directory, and before any trial
     except (OSError, ValueError) as exc:
         return _input_error(exc)
-    out = harness.run_to_dir(cfg, args.out, table)
+    out = harness.run_to_dir(cfg, out, table)
     print(f"wrote {out / 'summary.csv'}, {out / 'trials.csv'}, {out / 'meta.json'}")
     return 0
 
@@ -122,10 +120,11 @@ def _cmd_oracle(args) -> int:
 def _cmd_report(args) -> int:
     try:
         summaries = harness.reaggregate_trials(args.trials)
+        if args.out:
+            harness.write_summary_csv(args.out, summaries)
     except (OSError, ValueError) as exc:
         return _input_error(exc)
     if args.out:
-        harness.write_summary_csv(args.out, summaries)
         print(f"wrote {args.out}")
     else:
         harness.write_summary(sys.stdout, summaries)

@@ -39,6 +39,11 @@ def is_whole(value) -> bool:
     return isinstance(value, (int, np.integer)) or isinstance(value, float) and value.is_integer()
 
 
+def is_real(value) -> bool:
+    """True for a float, a numpy float or a whole number within the float range; false for a bool, a string and None."""
+    return isinstance(value, (float, np.floating)) or is_whole(value) and abs(value) <= sys.float_info.max
+
+
 def check_cells(name: str, cells: int) -> None:
     """Raise ValueError naming the input `name` when an array it sizes, of `cells` cells, passes MAX_CELLS."""
     if cells > MAX_CELLS:
@@ -143,6 +148,8 @@ def build_design(basis: BasisSpec, X, d: int) -> np.ndarray:
     rows, m = X.shape
     if rows < 1:
         raise ValueError("design requires at least one covariate row")
+    if m != basis.covariate_dim:
+        raise ValueError(f"X has {m} covariate columns, the basis covariate_dim={basis.covariate_dim}")
     design = np.empty((rows, d))
     design[:, 0] = m
     x = X[:, 0] if m == 1 else np.ascontiguousarray(X.T)

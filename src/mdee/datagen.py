@@ -8,34 +8,11 @@ when its sample count grows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import LabeledSet, UnlabeledSet
 
 TARGETS = ("sinc", "step")
-
-
-@dataclass
-class SyntheticConfig:
-    target: str
-    n: int
-    n_prime: int
-    n_test: int
-    noise_var: float
-    covariate_var: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.target not in TARGETS:
-            raise ValueError(f"unknown target {self.target!r}; expected one of {TARGETS}")
-        if min(self.n, self.n_prime, self.n_test) < 0:
-            raise ValueError("sample counts must be nonnegative")
-        if not 0 <= self.noise_var < np.inf:
-            raise ValueError(f"noise_var must be finite and nonnegative, got {self.noise_var}")
-        if not 0 < self.covariate_var < np.inf:
-            raise ValueError(f"covariate_var must be finite and positive, got {self.covariate_var}")
 
 
 def target_eval(target: str, x):
@@ -70,12 +47,13 @@ def _labeled(rng, count, sd_x, sd_noise, target) -> LabeledSet:
     return LabeledSet(X=X, y=y)
 
 
-def generate(cfg: SyntheticConfig) -> tuple[LabeledSet, UnlabeledSet, LabeledSet]:
-    """Draw (train, unlabeled, test) from three disjoint streams of cfg.seed."""
-    sd_x = float(np.sqrt(cfg.covariate_var))
-    sd_noise = float(np.sqrt(cfg.noise_var))
-    train = _labeled(_stream(cfg.seed, 0), cfg.n, sd_x, sd_noise, cfg.target)
-    pool = _stream(cfg.seed, 1).normal(size=(cfg.n_prime, 1)) * sd_x
-    unlabeled = UnlabeledSet(X=pool)
-    test = _labeled(_stream(cfg.seed, 2), cfg.n_test, sd_x, sd_noise, cfg.target)
+def generate(
+    target: str, n: int, n_prime: int, n_test: int, noise_var: float, covariate_var: float = 1.0, seed: int = 0
+) -> tuple[LabeledSet, UnlabeledSet, LabeledSet]:
+    """Draw (train, unlabeled, test) of n, n_prime and n_test rows from three disjoint streams of seed, unchecked."""
+    sd_x = float(np.sqrt(covariate_var))
+    sd_noise = float(np.sqrt(noise_var))
+    train = _labeled(_stream(seed, 0), n, sd_x, sd_noise, target)
+    unlabeled = UnlabeledSet(X=_stream(seed, 1).normal(size=(n_prime, 1)) * sd_x)
+    test = _labeled(_stream(seed, 2), n_test, sd_x, sd_noise, target)
     return train, unlabeled, test

@@ -16,7 +16,7 @@ import math
 import platform
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 from pathlib import Path
 
@@ -35,6 +35,7 @@ from .core import (
     correlation_matrix,
     fit_design_path,
     interlacing_gate,
+    is_real,
     is_whole,
 )
 from .estimators import CriterionKind
@@ -73,18 +74,6 @@ class SyntheticScenario:
             for nv in self.noise_vars
         ]
 
-    def data_config(self, cell: dict, seed: int = 0) -> datagen.SyntheticConfig:
-        """The `datagen.SyntheticConfig` of one cell's trial; raises ValueError on values it cannot draw from."""
-        return datagen.SyntheticConfig(
-            target=self.target,
-            n=cell["n"],
-            n_prime=self.n_unlabeled,
-            n_test=self.n_test,
-            noise_var=cell["noise_var"],
-            covariate_var=self.covariate_var,
-            seed=seed,
-        )
-
 
 @dataclass
 class RealScenario:
@@ -117,10 +106,7 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
-        """Reject settings no run can use, and make whole numbers ints; call again after changing fields."""
+        """Reject settings no run can use, and make whole numbers ints."""
         scen = self.scenario
         # d_max None is automatic, and a real scenario has no n_test
         for owner, key in [(self, "repetitions"), (self, "d_max"), (self, "master_seed"),
@@ -133,6 +119,13 @@ class ExperimentConfig:
         if not all(map(is_whole, scen.n_values)):
             raise ValueError(f"every n must be a whole number, got {scen.n_values}")
         scen.n_values = [int(n) for n in scen.n_values]
+        synthetic = isinstance(scen, SyntheticScenario)
+        reals = [("ridge", self.ridge)]
+        if synthetic:
+            reals += [("covariate_var", scen.covariate_var)] + [("noise_var", value) for value in scen.noise_vars]
+        for key, value in reals:
+            if not is_real(value):
+                raise ValueError(f"{key} must be a number, got {value!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         unknown = [c for c in self.criteria if c not in CRITERIA]
@@ -140,9 +133,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown criteria {unknown}; valid: {sorted(CRITERIA)}")
         # each criterion and grid value is one summary row, so a repeated one would be counted twice
         # and an empty list would leave no row to write
-        grids = {"criteria": self.criteria, "n": self.scenario.n_values}
-        if isinstance(self.scenario, SyntheticScenario):
-            grids["noise_var"] = self.scenario.noise_vars
+        grids = {"criteria": self.criteria, "n": scen.n_values}
+        if synthetic:
+            grids["noise_var"] = scen.noise_vars
         for name, values in grids.items():
             if not values:
                 raise ValueError(f"{name} must be nonempty")
@@ -154,23 +147,30 @@ class ExperimentConfig:
             raise ValueError(f"d_max must be >= 1, got {self.d_max}")
         if not 0 <= self.ridge < math.inf:
             raise ValueError(f"ridge must be finite and >= 0, got {self.ridge}")
-        if any(n < 1 for n in self.scenario.n_values):
-            raise ValueError(f"every n must be >= 1, got {self.scenario.n_values}")
-        if isinstance(self.scenario, SyntheticScenario):
-            if self.scenario.n_test < 1:
-                raise ValueError(f"n_test must be >= 1, got {self.scenario.n_test}")
-            for cell in self.scenario.cells():
-                self.scenario.data_config(cell)
-        elif self.scenario.n_unlabeled < 0:
-            raise ValueError(f"real n_unlabeled must be >= 0, got {self.scenario.n_unlabeled}")
-        elif self.d_max is None and min(self.scenario.n_values) < 2:
+        if any(n < 1 for n in scen.n_values):
+            raise ValueError(f"every n must be >= 1, got {scen.n_values}")
+        if synthetic:
+            if scen.n_test < 1:
+                raise ValueError(f"n_test must be >= 1, got {scen.n_test}")
+            if scen.target not in datagen.TARGETS:
+                raise ValueError(f"unknown target {scen.target!r}; expected one of {datagen.TARGETS}")
+            if scen.n_unlabeled < 0:
+                raise ValueError("sample counts must be nonnegative")
+            for noise_var in scen.noise_vars:
+                if not 0 <= noise_var < math.inf:
+                    raise ValueError(f"noise_var must be finite and nonnegative, got {noise_var}")
+            if not 0 < scen.covariate_var < math.inf:
+                raise ValueError(f"covariate_var must be finite and positive, got {scen.covariate_var}")
+        elif scen.n_unlabeled < 0:
+            raise ValueError(f"real n_unlabeled must be >= 0, got {scen.n_unlabeled}")
+        elif self.d_max is None and min(scen.n_values) < 2:
             # the automatic d_max, ingest.dbar_for, needs two training rows
-            raise ValueError(f"real.n must be >= 2 with an automatic d_max, got {self.scenario.n_values}")
-        for n in self.scenario.n_values:
+            raise ValueError(f"real.n must be >= 2 with an automatic d_max, got {scen.n_values}")
+        for n in scen.n_values:
             _check_cells(self, n)
         # the path fit adds n * ridge to the normal matrix's diagonal
-        if not math.isfinite(max(self.scenario.n_values) * self.ridge):
-            raise ValueError(f"ridge {self.ridge} times n={max(self.scenario.n_values)} is not finite")
+        if not math.isfinite(max(scen.n_values) * self.ridge):
+            raise ValueError(f"ridge {self.ridge} times n={max(scen.n_values)} is not finite")
 
 
 @dataclass
@@ -506,7 +506,9 @@ def _trial(cfg, table, cell, cell_idx, trial) -> TrialResult:
     data_seed = _seed_int(cfg.master_seed, cell_idx, trial, 0)
     scen = cfg.scenario
     if table is None:
-        train, unlabeled, test = datagen.generate(scen.data_config(cell, data_seed))
+        train, unlabeled, test = datagen.generate(
+            scen.target, cell["n"], scen.n_unlabeled, scen.n_test, cell["noise_var"], scen.covariate_var, data_seed
+        )
     else:
         train, unlabeled, test = ingest.split(table, cell["n"], scen.n_unlabeled, data_seed, scen.standardize)
     d_max = _auto_d_max(cfg, cell["n"], train.X.shape[1])
@@ -692,46 +694,45 @@ KINDS = {
     "section": ("a mapping", lambda v: isinstance(v, dict), dict),
 }
 
-REQUIRED = object()  # the default of a key a config must set
-
-# Per section, None being the top level: key -> (kind, default or REQUIRED, takes a list). A key that takes a list
-# takes a single value too. Any other key is rejected, so a misspelled one cannot silently fall back to its default.
+# Per section, None being the top level: key -> (kind, required, takes a list). A key that takes a list takes a single
+# value too. Any other key is rejected, so a misspelled one cannot silently fall back to its default. The defaults are
+# the dataclasses': `ExperimentConfig`, `SyntheticScenario`, `RealScenario` and `ingest.DatasetManifest`.
 SCHEMA = {
     None: {
-        "scenario": ("text", REQUIRED, False),
-        "criteria": ("text", REQUIRED, True),
-        "repetitions": ("whole", 0, False),  # 0 leaves it to `mdee run --reps`; validate() rejects a run of none
-        "d_max": ("whole or auto", None, False),
-        "ridge": ("real", DEFAULT_RIDGE, False),
-        "master_seed": ("whole", 0, False),
-        "output_dir": ("text", "results", False),
-        "synthetic": ("section", None, False),
-        "real": ("section", None, False),
+        "scenario": ("text", True, False),
+        "criteria": ("text", True, True),
+        "repetitions": ("whole", True, False),  # in the file or from `mdee run --reps`
+        "d_max": ("whole or auto", False, False),
+        "ridge": ("real", False, False),
+        "master_seed": ("whole", False, False),
+        "output_dir": ("text", False, False),
+        "synthetic": ("section", False, False),
+        "real": ("section", False, False),
     },
     "synthetic": {
-        "target": ("text", REQUIRED, False),
-        "n": ("whole", REQUIRED, True),
-        "noise_var": ("real", REQUIRED, True),
-        "covariate_var": ("real", 1.0, False),
-        "n_unlabeled": ("whole", 1500, False),
-        "n_test": ("whole", 1000, False),
+        "target": ("text", True, False),
+        "n": ("whole", True, True),
+        "noise_var": ("real", True, True),
+        "covariate_var": ("real", False, False),
+        "n_unlabeled": ("whole", False, False),
+        "n_test": ("whole", False, False),
     },
     "real": {
-        "name": ("text", REQUIRED, False),
-        "path": ("text", REQUIRED, False),
-        "response_column": ("column", REQUIRED, False),
-        "covariate_columns": ("column", REQUIRED, True),
-        "delimiter": ("character", ",", False),
-        "has_header": ("flag", True, False),
-        "n": ("whole", REQUIRED, True),
-        "n_unlabeled": ("whole", REQUIRED, False),
-        "standardize": ("flag", True, False),
+        "name": ("text", True, False),
+        "path": ("text", True, False),
+        "response_column": ("column", True, False),
+        "covariate_columns": ("column", True, True),
+        "delimiter": ("character", False, False),
+        "has_header": ("flag", False, False),
+        "n": ("whole", True, True),
+        "n_unlabeled": ("whole", True, False),
+        "standardize": ("flag", False, False),
     },
 }
 
 
 def _read(section, name: str | None) -> dict:
-    """Every key of config section `name` (None for the top level) by SCHEMA: checked, converted, defaults filled in.
+    """The keys config section `name` (None for the top level) sets, by SCHEMA: checked and converted.
 
     A missing section, an unknown or missing key, and a value of the wrong kind raise ValueError naming it: a key by
     its bare name at the top level, and as `section.key` inside a section.
@@ -742,10 +743,10 @@ def _read(section, name: str | None) -> dict:
     unknown = sorted(str(k) for k in section if k not in schema)
     if unknown:
         raise ValueError(f"unknown config key(s) {unknown} in {where}; valid: {sorted(schema)}")
-    missing = [k for k, (_, default, _) in schema.items() if default is REQUIRED and k not in section]
+    missing = [k for k, (_, required, _) in schema.items() if required and k not in section]
     if missing:
         raise ValueError(f"missing required config key(s) {missing} in {where}")
-    values = {key: default for key, (_, default, _) in schema.items()}
+    values = {}
     for key, given in section.items():
         kind, _, many = schema[key]
         must_be, test, convert = KINDS[kind]
@@ -757,8 +758,11 @@ def _read(section, name: str | None) -> dict:
     return values
 
 
-def load_config(path) -> ExperimentConfig:
-    """Parse a YAML experiment config; SCHEMA holds its keys, and the repository README tabulates them."""
+def load_config(path, master_seed: int | None = None, repetitions: int | None = None) -> ExperimentConfig:
+    """Parse a YAML experiment config; SCHEMA holds its keys, and the repository README tabulates them.
+
+    `master_seed` and `repetitions`, where not None, replace the file's values as if the file set them.
+    """
     import yaml  # here only: the oracles and `mdee report` read no config
 
     with open(path) as handle:
@@ -766,19 +770,21 @@ def load_config(path) -> ExperimentConfig:
             raw = yaml.safe_load(handle)
         except yaml.YAMLError as exc:
             raise ValueError(f"{path}: not valid YAML: {' '.join(str(exc).split())}") from exc
+    if isinstance(raw, dict):
+        raw.update({k: v for k, v in [("master_seed", master_seed), ("repetitions", repetitions)] if v is not None})
     top = _read(raw, None)
-    kind = top["scenario"]
+    kind = top.pop("scenario")
     if kind not in ("synthetic", "real"):
         raise ValueError("config needs scenario: synthetic or real")
-    s = _read(top[kind], kind)
+    field_names = {"n": "n_values", "noise_var": "noise_vars"}  # the YAML names that differ from the field names
+    s = {field_names.get(key, key): value for key, value in _read(top.get(kind), kind).items()}
     if kind == "synthetic":
-        scenario = SyntheticScenario(s["target"], s["n"], s["noise_var"], s["covariate_var"], s["n_unlabeled"], s["n_test"])
+        scenario = SyntheticScenario(**s)
     else:
-        columns = s["response_column"], s["covariate_columns"], s["delimiter"], s["has_header"]
-        manifest = ingest.DatasetManifest(s["name"], s["path"], *columns)
-        scenario = RealScenario(manifest, s["n"], s["n_unlabeled"], s["standardize"])
-    run = top["criteria"], top["repetitions"], top["d_max"], top["ridge"], top["master_seed"], top["output_dir"]
-    return ExperimentConfig(scenario, *run)
+        names = {f.name for f in fields(ingest.DatasetManifest)}
+        manifest = ingest.DatasetManifest(**{key: s.pop(key) for key in names & s.keys()})
+        scenario = RealScenario(manifest, **s)
+    return ExperimentConfig(scenario, **{key: value for key, value in top.items() if key not in ("synthetic", "real")})
 
 
 def reaggregate_trials(path) -> list[CriterionSummary]:

@@ -82,6 +82,26 @@ class TestRunCommand:
         lines = (out / "trials.csv").read_text().splitlines()
         assert len(lines) == 1 + 2  # header + one trial x two criteria
 
+    def test_repetitions_set_by_reps_alone(self, tmp_path, capsys):
+        # the file's missing repetitions used to be read as 0 and rejected before --reps was applied
+        path, out = tmp_path / "exp.yaml", tmp_path / "r"
+        path.write_text(CONFIG.replace("repetitions: 2\n", ""))
+        assert main(["run", str(path), "--out", str(out), "--reps", "2"]) == 0
+        with open(out / "trials.csv", newline="") as handle:
+            assert sorted({row["trial"] for row in csv.DictReader(handle)}) == ["0", "1"]
+        assert_input_error(capsys, ["run", str(path), "--out", str(tmp_path / "s")], "'repetitions'")
+        assert not (tmp_path / "s").exists()
+
+    def test_out_that_is_a_file_rejected_before_any_trial(self, config_path, tmp_path, capsys, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("a trial started")
+
+        monkeypatch.setattr(harness, "_trial", no_trials)
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        assert_input_error(capsys, ["run", str(config_path), "--out", str(out)], str(out))
+        assert out.read_text() == "not a directory\n"
+
     def test_zero_reps_rejected(self, config_path, tmp_path, capsys):
         argv = ["run", str(config_path), "--out", str(tmp_path / "r"), "--reps", "0"]
         assert_input_error(capsys, argv, "repetitions")
@@ -444,6 +464,10 @@ class TestReportCommand:
         original = (out / "summary.csv").read_text().splitlines()
         assert printed[0] == original[0]
         assert len(printed) == len(original)
+
+    def test_out_that_is_a_directory_named(self, tmp_path, capsys):
+        assert_input_error(capsys, ["report", str(REPORT_TRIALS), "--out", str(tmp_path)], str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_columns_named(self, tmp_path, capsys):
         path = tmp_path / "trials.csv"

@@ -156,6 +156,13 @@ class TestBuildDesign:
         permuted = build_design(BASIS, X, 4)[perm]
         np.testing.assert_array_equal(direct, permuted)
 
+    @pytest.mark.parametrize("m, X", [(1, [0.1, 0.2, 0.3]), (1, np.zeros((4, 2))), (3, np.zeros((4, 1)))],
+                             ids=["1-d row", "M=1 basis, 2 columns", "M=3 basis, 1 column"])
+    def test_covariate_width_other_than_the_basis_rejected(self, m, X):
+        # a flat array of three values was one row of M = 3, with a first column of 3.0
+        with pytest.raises(ValueError, match=rf"X has {np.atleast_2d(X).shape[1]} covariate columns.*covariate_dim={m}"):
+            build_design(BasisSpec("fourier", m), X, 3)
+
 
 def coordinate_designs(m):
     """(X, the (rows, d, M) stack of each coordinate's M = 1 design, build_design) for d = 1..15."""

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 from test_ingest import mixed_line_ends
@@ -575,7 +577,7 @@ class TestLibraryConfig:
     @staticmethod
     def config(**changes):
         scenario = {"target": "step", "n_values": [10], "noise_vars": [0.1]}
-        scenario.update({key: changes.pop(key) for key in ("n_values", "n_unlabeled", "n_test") if key in changes})
+        scenario.update({f.name: changes.pop(f.name) for f in dataclasses.fields(SyntheticScenario) if f.name in changes})
         changes.setdefault("repetitions", 2)
         return ExperimentConfig(SyntheticScenario(**scenario), ["FPE"], **changes)
 
@@ -597,13 +599,95 @@ class TestLibraryConfig:
         with pytest.raises(ValueError, match=f"^{needle}"):
             self.config(**change)
 
+    @pytest.mark.parametrize(
+        "change, needle",
+        [
+            ({"ridge": "1e-9"}, "ridge"),
+            ({"ridge": True}, "ridge"),
+            ({"ridge": None}, "ridge"),
+            ({"covariate_var": "1"}, "covariate_var"),
+            ({"covariate_var": True}, "covariate_var"),
+            ({"covariate_var": None}, "covariate_var"),
+            ({"noise_vars": ["0.1"]}, "noise_var"),
+            ({"noise_vars": [0.1, False]}, "noise_var"),
+            ({"noise_vars": [None]}, "noise_var"),
+            ({"ridge": 10**400}, "ridge"),
+        ],
+        ids=["ridge str", "ridge bool", "ridge None", "covariate_var str", "covariate_var bool", "covariate_var None",
+             "noise_var str", "noise_var bool", "noise_var None", "ridge past the float range"],
+    )
+    def test_non_number_rejected_by_name(self, change, needle):
+        # a string or None ended in a TypeError from a comparison, and a bool ran as 0 or 1
+        with pytest.raises(ValueError, match=f"^{needle} must be a number"):
+            self.config(**change)
+
+    def test_numbers_of_any_numeric_type_accepted(self):
+        cfg = self.config(ridge=0, covariate_var=np.float32(2.0), noise_vars=[1, np.int64(2), np.float64(0.5)])
+        assert cfg.ridge == 0 and cfg.scenario.noise_vars == [1, 2, 0.5]
+
+    @pytest.mark.parametrize(
+        "change, needle",
+        [
+            ({"target": "spline"}, "unknown target 'spline'"),
+            ({"noise_vars": [0.1, -1.0]}, "noise_var must be finite and nonnegative, got -1.0"),
+            ({"noise_vars": [math.inf]}, "noise_var must be finite and nonnegative, got inf"),
+            ({"covariate_var": 0.0}, "covariate_var must be finite and positive, got 0.0"),
+            ({"covariate_var": math.nan}, "covariate_var must be finite and positive, got nan"),
+            ({"n_unlabeled": -5}, "sample counts must be nonnegative"),
+        ],
+        ids=["target", "noise_var", "noise_var inf", "covariate_var", "covariate_var nan", "n_unlabeled"],
+    )
+    def test_values_no_draw_can_use_rejected(self, change, needle):
+        with pytest.raises(ValueError, match=f"^{re.escape(needle)}"):
+            self.config(**change)
+
     def test_whole_numbers_become_ints(self):
         cfg = self.config(repetitions=2.0, d_max=np.int64(5), master_seed=3.0, n_values=[10.0], n_test=40.0)
         values = cfg.repetitions, cfg.d_max, cfg.master_seed, cfg.scenario.n_values[0], cfg.scenario.n_test
         assert values == (2, 5, 3, 10, 40) and all(type(v) is int for v in values)
 
 
+MINIMAL_SYNTHETIC_YAML = """
+scenario: synthetic
+criteria: [FPE]
+repetitions: 2
+synthetic:
+  target: step
+  n: 10
+  noise_var: 0.1
+"""
+
+
 class TestConfigFile:
+    @pytest.mark.parametrize(
+        "text, built",
+        [
+            (MINIMAL_SYNTHETIC_YAML, ExperimentConfig(SyntheticScenario("step", [10], [0.1]), ["FPE"], 2)),
+            (REAL_YAML, ExperimentConfig(
+                RealScenario(DatasetManifest("toy", "data/toy.csv", "y", ["x1", "x2"]), [20], 50), ["rmDEE"], 2)),
+        ],
+        ids=["synthetic", "real"],
+    )
+    def test_required_keys_alone_equal_the_code_built_config(self, tmp_path, text, built):
+        # the dataclasses hold the only defaults, so a file that sets none of the optional keys gets theirs
+        raw = yaml.safe_load(text)
+        kind = raw["scenario"]
+        for section, keys in [(None, raw), (kind, raw[kind])]:
+            required = {key for key, (_, needed, _) in harness.SCHEMA[section].items() if needed}
+            assert set(keys) - {kind} == required
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        assert load_config(path) == built
+
+    def test_seed_and_repetitions_override_the_file(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(SYNTHETIC_YAML)
+        cfg = load_config(path, master_seed=5, repetitions=3)
+        assert (cfg.master_seed, cfg.repetitions) == (5, 3)
+        assert load_config(path, repetitions=None).repetitions == 4
+        with pytest.raises(ValueError, match="^repetitions must be a whole number"):
+            load_config(path, repetitions=2.5)
+
     def test_synthetic_round_trip(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text(SYNTHETIC_YAML)
