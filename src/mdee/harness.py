@@ -108,6 +108,16 @@ class ExperimentConfig:
     def __post_init__(self):
         """Reject settings no run can use, and make whole numbers ints."""
         scen = self.scenario
+        synthetic = isinstance(scen, SyntheticScenario)
+        # each criterion and grid value is one summary row; a file's lists are lists by now, a code-built one may not be
+        grids = {"criteria": self.criteria, "n": scen.n_values}
+        if synthetic:
+            grids["noise_var"] = scen.noise_vars
+        for name, values in grids.items():
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {values!r}")
+        if not all(isinstance(c, str) for c in self.criteria):
+            raise ValueError(f"criteria must be criterion names, got {self.criteria!r}")
         # d_max None is automatic, and a real scenario has no n_test
         for owner, key in [(self, "repetitions"), (self, "d_max"), (self, "master_seed"),
                            (scen, "n_unlabeled"), (scen, "n_test")]:
@@ -118,8 +128,7 @@ class ExperimentConfig:
                 setattr(owner, key, int(value))
         if not all(map(is_whole, scen.n_values)):
             raise ValueError(f"every n must be a whole number, got {scen.n_values}")
-        scen.n_values = [int(n) for n in scen.n_values]
-        synthetic = isinstance(scen, SyntheticScenario)
+        scen.n_values = grids["n"] = [int(n) for n in scen.n_values]
         reals = [("ridge", self.ridge)]
         if synthetic:
             reals += [("covariate_var", scen.covariate_var)] + [("noise_var", value) for value in scen.noise_vars]
@@ -131,11 +140,7 @@ class ExperimentConfig:
         unknown = [c for c in self.criteria if c not in CRITERIA]
         if unknown:
             raise ValueError(f"unknown criteria {unknown}; valid: {sorted(CRITERIA)}")
-        # each criterion and grid value is one summary row, so a repeated one would be counted twice
-        # and an empty list would leave no row to write
-        grids = {"criteria": self.criteria, "n": scen.n_values}
-        if synthetic:
-            grids["noise_var"] = scen.noise_vars
+        # a repeated criterion or grid value would be counted twice, and an empty list would leave no row to write
         for name, values in grids.items():
             if not values:
                 raise ValueError(f"{name} must be nonempty")

@@ -11,6 +11,7 @@ oracle route independent of the package's Cholesky-based solver.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,7 +151,11 @@ def _covariates(rng, count: int, cfg: OracleConfig) -> np.ndarray:
 
 
 def _population_rows(cfg: OracleConfig):
-    """The cfg.c_draws population rows' covariates, in the chunks of `_chunks`, from one fixed child of cfg.seed."""
+    """The cfg.c_draws population rows' covariates, in the chunks of `_chunks`, from one fixed child of cfg.seed.
+
+    A chunk is drawn only when the generator is advanced to it, so a caller
+    that drops each chunk before the next holds one chunk at a time.
+    """
     rng = _aux_rng(cfg.seed, 1)
     starts = _chunks(cfg.c_draws, 1)
     for lo in starts:
@@ -160,21 +165,29 @@ def _population_rows(cfg: OracleConfig):
 def _population_pass(cfg: OracleConfig, mat: np.ndarray) -> tuple[np.ndarray, float]:
     """C from the cfg.c_draws population rows, and the variance of phi(x)^T mat phi(x) over the same rows.
 
-    This process draws every chunk of rows in stream order; then each chunk's
-    design and its partial sums V^T V, sum(t) and sum(t^2) are one job of
-    `parallel.fork_map`, and this process adds the partials in chunk order,
-    the running sum of a serial pass.
+    Each chunk's design and its partial sums V^T V, sum(t) and sum(t^2) are
+    one job of `parallel.fork_map`, and this process adds the partials in
+    chunk order, the running sum of a serial pass. The rows' generator is
+    built once, before the fork, and each process advances its own copy:
+    `fork_map` gives a process its jobs in increasing order, so before chunk k
+    it draws and drops the chunks since its last, which other processes take,
+    and then draws chunk k. Every process draws the one stream in the same
+    order, so the bits do not depend on the process count, and none holds
+    more than one chunk.
     """
-    rows = list(_population_rows(cfg))
+    rows = _population_rows(cfg)
+    drawn = 0  # the chunks this process has taken from `rows`
 
     def chunk_sums(k: int) -> tuple[np.ndarray, float, float]:
-        v = _design(cfg, rows[k])
+        nonlocal drawn
+        v = _design(cfg, next(itertools.islice(rows, k - drawn, None)))
+        drawn = k + 1
         t = quadratic_forms(v, mat)
         return v.T @ v, t.sum(), (t * t).sum()
 
     total = np.zeros((cfg.d, cfg.d))
     acc_sum = acc_sq = 0.0
-    for gram, t_sum, t_sq in parallel.fork_map(chunk_sums, len(rows)):
+    for gram, t_sum, t_sq in parallel.fork_map(chunk_sums, len(_chunks(cfg.c_draws, 1))):
         total += gram
         acc_sum += t_sum
         acc_sq += t_sq

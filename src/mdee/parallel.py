@@ -93,8 +93,10 @@ def _child_share(job, share: range, pipe: int, parent: int) -> None:
 def fork_map(job, count: int) -> list:
     """[job(i) for i in range(count)], job i run by process i % processes: this one and processes - 1 forked children.
 
-    It picks `processes` itself, as `process_count(count)`. Each child sends
-    its results, or those before its first failing job and that job's
+    It picks `processes` itself, as `process_count(count)`. Each process runs
+    its share in increasing job order, so a job may build on state that its
+    process's earlier jobs left (`oracle._population_pass` does). Each child
+    sends its results, or those before its first failing job and that job's
     exception, in one pickle down its own pipe, and stops between jobs once
     this process is gone. Every process stops at its first failing job, and
     the exception raised is the lowest job's, the one a serial loop would

@@ -578,8 +578,9 @@ class TestLibraryConfig:
     def config(**changes):
         scenario = {"target": "step", "n_values": [10], "noise_vars": [0.1]}
         scenario.update({f.name: changes.pop(f.name) for f in dataclasses.fields(SyntheticScenario) if f.name in changes})
+        changes.setdefault("criteria", ["FPE"])
         changes.setdefault("repetitions", 2)
-        return ExperimentConfig(SyntheticScenario(**scenario), ["FPE"], **changes)
+        return ExperimentConfig(SyntheticScenario(**scenario), **changes)
 
     @pytest.mark.parametrize(
         "change, needle",
@@ -639,6 +640,20 @@ class TestLibraryConfig:
     )
     def test_values_no_draw_can_use_rejected(self, change, needle):
         with pytest.raises(ValueError, match=f"^{re.escape(needle)}"):
+            self.config(**change)
+
+    @pytest.mark.parametrize(
+        "change, needle",
+        [
+            ({"n_values": 10}, "n must be a list, got 10"),
+            ({"noise_vars": 0.1}, "noise_var must be a list, got 0.1"),
+            ({"criteria": [["FPE"]]}, "criteria must be criterion names, got [['FPE']]"),
+        ],
+        ids=["n", "noise_var", "criteria"],
+    )
+    def test_grid_that_is_not_a_list_named(self, change, needle):
+        # each ended in a TypeError: 'int' or 'float' object is not iterable, or unhashable type: 'list'
+        with pytest.raises(ValueError, match=f"^{re.escape(needle)}$"):
             self.config(**change)
 
     def test_whole_numbers_become_ints(self):

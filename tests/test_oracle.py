@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -513,16 +514,41 @@ class TestChunkSpans:
         assert (ran() > 1) == (cpus > 1)
         assert no_child_left()
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
-    def test_population_pass(self, cpus, processes):
-        cfg, mat = self.cfg(), np.full((3, 3), 0.1) + np.eye(3)
+    # Each process replays the one row stream up to its chunks. Beyond the class's 5 chunks: a single chunk, which no
+    # child takes; as many chunks as processes, so each child skips to its one chunk; and 3 chunks at 2 processes, the
+    # last of 2k rows, so this process skips chunk 1 between its chunks 0 and 2.
+    @pytest.mark.parametrize(
+        "cpus, c_draws",
+        [(1, 23_000), (2, 23_000), (3, 23_000), (8, 23_000), (3, 5_000), (3, 15_000), (2, 12_000)],
+        ids=["1", "2", "3", "8", "one chunk at 3 CPUs", "a chunk per process", "uneven last chunk at 2 processes"],
+    )
+    def test_population_pass(self, cpus, c_draws, processes):
+        cfg, mat = make_cfg(c_draws=c_draws), np.full((3, 3), 0.1) + np.eye(3)
         expected = population_corr(cfg), _quadratic_form_var(cfg, mat)
         ran = processes(cpus)
         C, spread = _population_pass(cfg, mat)
-        assert (ran() > 1) == (cpus > 1)
+        assert ran() == min(cpus, len(oracle._chunks(c_draws, 1)))
         np.testing.assert_array_equal(C, expected[0])
         assert spread == expected[1]
         assert no_child_left()
+
+    def test_population_pass_holds_one_chunk(self, set_cpus):
+        # Drawn as one list, the rows of 5 chunks put the traced peak above 3 chunks' rows and designs, and 20 chunks
+        # add 15 chunks' rows to it.
+        set_cpus(1)
+        mat = np.full((3, 3), 0.1) + np.eye(3)
+        one_chunk = oracle._CHUNK * (1 + 3) * 8  # the float64 rows of M = 1 and their d = 3 design
+        peaks = []
+        for chunks in (5, 20):
+            cfg = make_cfg(c_draws=chunks * oracle._CHUNK)
+            tracemalloc.start()
+            try:
+                _population_pass(cfg, mat)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 3 * one_chunk
+        assert peaks[1] - peaks[0] < oracle._CHUNK * 8
 
 
 # Each oracle loop, run on a config whose designs are the loop's jobs' first call.

@@ -45,6 +45,21 @@ class TestForkMap:
         assert len(set(pids)) == processes
         assert no_child_left()
 
+    @pytest.mark.parametrize("processes", [1, 2, 3, 8])
+    def test_each_process_runs_its_jobs_in_increasing_order(self, processes, monkeypatch):
+        # oracle._population_pass advances one generator per process and relies on this order
+        set_cpus(monkeypatch, processes)
+        ran = []  # each process appends to its own copy
+
+        def job(i):
+            ran.append(i)
+            return list(ran)
+
+        results = parallel.fork_map(job, 11)
+        for i, seen in enumerate(results):
+            assert seen == list(range(i % processes, i + 1, processes))
+        assert no_child_left()
+
     def test_at_most_one_process_per_job(self, monkeypatch):
         set_cpus(monkeypatch, 8)
         pids = parallel.fork_map(lambda i: os.getpid(), 2)
