@@ -15,12 +15,6 @@ from .estimators import CriterionKind
 
 # Fewest replications per oracle check: two for theorem 2's standard errors.
 MIN_REPS = {2: 2, 4: oracle.MIN_TRACE_REPS}
-# mc_h1_variance_closed_form's error bar takes the spread over 10 groups of
-# the moment blocks. At two blocks a group, the floor that makes each group's
-# variances defined, that spread is too noisy to bound the closed form: with
-# --reps 100 the variance check failed on 2 of seeds 0-19, and at 100 blocks
-# (10 a group) and above on none.
-MIN_MOMENT_BLOCKS = 100
 
 
 def _input_error(exc: Exception) -> int:
@@ -78,8 +72,8 @@ def _check_oracle_args(args, cfg: oracle.OracleConfig) -> None:
         raise ValueError(f"theorem {args.theorem} needs --reps >= {MIN_REPS[args.theorem]}, got {args.reps}")
     if args.theorem == 4 and not 1 <= args.b1 <= args.blocks - 1:
         raise ValueError(f"theorem 4 needs 1 <= --b1 <= --blocks - 1, got --b1 {args.b1}, --blocks {args.blocks}")
-    if args.theorem == 4 and args.moment_blocks < MIN_MOMENT_BLOCKS:
-        raise ValueError(f"theorem 4 needs --moment-blocks >= {MIN_MOMENT_BLOCKS}, got {args.moment_blocks}")
+    if args.theorem == 4 and args.moment_blocks < oracle.MIN_MOMENT_BLOCKS:
+        raise ValueError(f"theorem 4 needs --moment-blocks >= {oracle.MIN_MOMENT_BLOCKS}, got {args.moment_blocks}")
     if args.theorem == 4:
         oracle.check_pool(cfg, args.blocks, "--blocks")
         oracle.check_moment_blocks(cfg, args.moment_blocks, "--moment-blocks")

@@ -12,6 +12,7 @@ oracle route independent of the package's Cholesky-based solver.
 from __future__ import annotations
 
 import itertools
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,16 @@ from .core import BasisSpec, build_design, check_cells, correlation_matrix, is_w
 from .estimators import CriterionKind, block_sides, design_corrs, quadratic_forms
 
 _CHUNK = 100_000
+# Rows of the closed form's blocks one chunk job builds at once.
+_TILE = 10_000
 # The blocks of the theorem-4 closed form are cut into this many disjoint groups for its standard error.
 N_GROUPS = 10
+# Fewest moment blocks mc_h1_variance_closed_form accepts. Its error bar takes
+# the spread over the N_GROUPS groups of the blocks. At two blocks a group, the
+# floor that makes each group's variances defined, that spread is too noisy to
+# bound the closed form: with `mdee oracle --reps 100` the variance check failed
+# on 2 of seeds 0-19, and at 100 blocks (10 a group) and above on none.
+MIN_MOMENT_BLOCKS = 100
 # Fewest replications mc_block_moments accepts for its reference trace.
 MIN_TRACE_REPS = 100
 # The noise_sd range mc_risk_ratio's losses are computed in. The top keeps sigma^4 times the most replications a config
@@ -130,10 +139,15 @@ def check_pool(cfg: OracleConfig, B: int, name: str = "B") -> None:
     check_cells(name, min(cfg.reps, _chunks(cfg.reps, pool).step) * pool * max(cfg.d, cfg.basis.covariate_dim))
 
 
+def _tile(n: int) -> int:
+    """Blocks of n rows that a closed-form chunk job builds at once: at most `_TILE` rows, at least one block."""
+    return max(1, _TILE // n)
+
+
 def check_moment_blocks(cfg: OracleConfig, n_blocks: int, name: str = "n_blocks") -> None:
-    """Turn away n_blocks moment blocks whose d^2 moment vectors, or whose chunk of n-row blocks, pass MAX_CELLS."""
+    """Turn away n_blocks moment blocks whose d^2 moment vectors, or whose tile of n-row blocks, pass MAX_CELLS."""
     n_blocks = int(n_blocks)
-    rows = min(n_blocks, _chunks(n_blocks, cfg.n).step) * cfg.n
+    rows = min(n_blocks, _chunks(n_blocks, cfg.n).step, _tile(cfg.n)) * cfg.n
     check_cells(name, max(n_blocks * cfg.d * cfg.d, rows * max(cfg.d, cfg.basis.covariate_dim)))
 
 
@@ -284,7 +298,7 @@ def _block_stats(cfg: OracleConfig, rngs, n_blocks: int) -> tuple[np.ndarray, np
     """
     draws = [_covariates(rng, n_blocks * cfg.n, cfg) for rng in rngs]
     # One copy of the rows while the design is built, which sets the peak
-    # memory of a chunk: one generator's rows (the closed form's chunks) are
+    # memory of a chunk: one generator's rows (the closed form's tiles) are
     # used as drawn, and several are freed once stacked.
     X = draws[0] if len(draws) == 1 else np.concatenate(draws)
     del draws
@@ -375,43 +389,71 @@ class MomentInputs:
     tr_varmu_nunu: float
 
 
+def _shared_rows(count: int, dim: int) -> np.ndarray:
+    """A (count, dim) float array in an anonymous shared mapping, which forked children write into in place.
+
+    The mapping is unmapped once the last view of the array is dropped.
+    """
+    return np.frombuffer(mmap.mmap(-1, count * dim * 8), dtype=float).reshape(count, dim)
+
+
 def _vectorized_blocks(cfg: OracleConfig, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized correlation matrices and inverses of n_blocks independent blocks.
 
     Blocks are drawn in the chunks of `_chunks`, of n rows a block; chunk k
     comes from the auxiliary stream (cfg.seed, 3, k), a tag no other draw
-    uses. Each chunk is one job of `parallel.fork_map`, which spreads
-    the chunks over forked processes, and this process joins the returned
-    rows in chunk order.
+    uses. Each chunk is one job of `parallel.fork_map`, which spreads the
+    chunks over forked processes. Both arrays are `_shared_rows`, made before
+    the fork, and each job writes its chunk's rows into them in place and
+    returns nothing, so no block row is pickled, received or joined. A job
+    builds its chunk in tiles of `_tile` blocks, drawn from the chunk's one
+    stream in turn: the split draws give the values one draw would, and every
+    row is one block's own, so the rows do not depend on the tiling.
     """
     dim = cfg.d * cfg.d
+    mu_b, nu_b = _shared_rows(n_blocks, dim), _shared_rows(n_blocks, dim)
     starts = _chunks(n_blocks, cfg.n)
+    tile = _tile(cfg.n)
 
-    def chunk(k: int) -> tuple[np.ndarray, np.ndarray]:
-        count = min(starts.step, n_blocks - starts[k])
-        corrs, invs = _block_stats(cfg, [_aux_rng(cfg.seed, 3, k)], count)
-        return corrs.reshape(count, dim), invs.reshape(count, dim)
+    def chunk(k: int) -> None:
+        rng = _aux_rng(cfg.seed, 3, k)
+        stop = min(starts[k] + starts.step, n_blocks)
+        for lo in range(starts[k], stop, tile):
+            count = min(tile, stop - lo)
+            corrs, invs = _block_stats(cfg, [rng], count)
+            mu_b[lo : lo + count] = corrs.reshape(count, dim)
+            nu_b[lo : lo + count] = invs.reshape(count, dim)
 
-    chunks = parallel.fork_map(chunk, len(starts))
-    return np.concatenate([mu for mu, _ in chunks]), np.concatenate([nu for _, nu in chunks])
+    parallel.fork_map(chunk, len(starts))
+    return mu_b, nu_b
 
 
-def _moment_inputs_from(mu_b: np.ndarray, nu_b: np.ndarray) -> MomentInputs:
-    """Moment quantities of the vectorized block matrices `_vectorized_blocks` draws.
+def _side_moments(blocks: np.ndarray, bounds: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Mean and d^2 x d^2 covariance of one side's vectorized blocks, per group that `bounds` cuts, then of all blocks.
 
-    Materializes the d^2 x d^2 covariance matrices explicitly, which keeps
-    this route independent of the centered-trace shortcuts used by the block
+    The groups are read first, each through its own centered copy; then the
+    blocks are centered in place for the full-sample covariance, so no copy
+    of the whole side is made and `blocks` is left centered.
+    """
+    stats = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        mean = blocks[lo:hi].mean(axis=0)
+        u = blocks[lo:hi] - mean
+        stats.append((mean, u.T @ u / (hi - lo - 1)))
+    mean = blocks.mean(axis=0)
+    blocks -= mean
+    stats.append((mean, blocks.T @ blocks / (len(blocks) - 1)))
+    return stats
+
+
+def _moment_inputs(mu_side: tuple[np.ndarray, np.ndarray], nu_side: tuple[np.ndarray, np.ndarray]) -> MomentInputs:
+    """Moment quantities from one sample's (mean, covariance) of the block correlations and of their inverses.
+
+    The covariances are the explicit d^2 x d^2 matrices, which keeps this
+    route independent of the centered-trace shortcuts used by the block
     split rule.
     """
-    count = mu_b.shape[0]
-    mu = mu_b.mean(axis=0)
-    nu = nu_b.mean(axis=0)
-    # one centered copy at a time: each is as large as the blocks it centers
-    u = mu_b - mu
-    var_mu = u.T @ u / (count - 1)
-    del u
-    v = nu_b - nu
-    var_nu = v.T @ v / (count - 1)
+    (mu, var_mu), (nu, var_nu) = mu_side, nu_side
     return MomentInputs(
         tr_varmu_varnu=float(np.trace(var_mu @ var_nu)),
         tr_varnu_mumu=float(mu @ var_nu @ mu),
@@ -435,21 +477,27 @@ def mc_h1_variance_closed_form(
 
     The moment inputs come from n_blocks independent blocks; the standard
     error is the spread of the closed form recomputed on N_GROUPS disjoint
-    subsamples, scaled to the full sample size.
+    subsamples, scaled to the full sample size. The moments are taken one
+    side at a time: the correlations' group and full-sample statistics first,
+    and their array is dropped before the inverses' are read. So besides the
+    two shared block arrays this process holds at most one tile of blocks
+    being built or one group's centered copy.
     """
     B2 = B - B1
     if B2 < 1 or B1 < 1:
         raise ValueError("need 1 <= B1 <= B-1")
+    if not is_whole(n_blocks) or n_blocks < MIN_MOMENT_BLOCKS:
+        raise ValueError(f"n_blocks must be a whole number >= {MIN_MOMENT_BLOCKS}, got {n_blocks!r}")
+    n_blocks = int(n_blocks)
     check_moment_blocks(cfg, n_blocks)
-    mu_b, nu_b = _vectorized_blocks(cfg, n_blocks)
-    full = closed_form_h1_variance(_moment_inputs_from(mu_b, nu_b), B1, B2)
-    group_vals = []
     bounds = np.linspace(0, n_blocks, N_GROUPS + 1, dtype=int)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi - lo < 2:
-            continue
-        group_vals.append(
-            closed_form_h1_variance(_moment_inputs_from(mu_b[lo:hi], nu_b[lo:hi]), B1, B2)
-        )
+    mu_b, nu_b = _vectorized_blocks(cfg, n_blocks)
+    mu_stats = _side_moments(mu_b, bounds)
+    del mu_b
+    nu_stats = _side_moments(nu_b, bounds)
+    *group_vals, full = (
+        closed_form_h1_variance(_moment_inputs(mu_side, nu_side), B1, B2)
+        for mu_side, nu_side in zip(mu_stats, nu_stats)
+    )
     se = float(np.std(group_vals, ddof=1) / np.sqrt(len(group_vals)))
     return float(full), se

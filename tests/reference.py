@@ -10,7 +10,9 @@ the LU `dee_trace`, `mdee_trace` and `rmdee_trace`, under the package's
 names). The oracle routes (`block_moments`, `risk_ratio`) take one
 replication at a time and read the population rows once for C and once more
 for its sampling error; `vectorized_blocks` draws the closed form's block
-chunks one after another. The ingest routes (`load_csv_rows`, `standardized_split`) read a table row by
+chunks one after another, each in one draw, and `h1_variance_closed_form`
+takes the closed form's moments of both sides together from whole copies
+(`moment_inputs_from`). The ingest routes (`load_csv_rows`, `standardized_split`) read a table row by
 row with float() and standardize each part of a split on its own. Only tests
 call them, so they live beside the tests and not in the shipped package.
 Import them as `from reference import ...`; pytest puts this directory on the
@@ -53,7 +55,9 @@ from mdee.estimators import (
 )
 from mdee.ingest import STD_FLOOR, DatasetManifest, _resolve_columns
 from mdee.oracle import (
+    N_GROUPS,
     HMomentsResult,
+    MomentInputs,
     OracleConfig,
     RiskRatioResult,
     _aux_rng,
@@ -61,6 +65,7 @@ from mdee.oracle import (
     _design,
     _h_moments,
     _population_rows,
+    closed_form_h1_variance,
 )
 
 
@@ -458,6 +463,34 @@ def vectorized_blocks(cfg: OracleConfig, n_blocks: int) -> tuple[np.ndarray, np.
         done += count
         chunk_idx += 1
     return mu_b, nu_b
+
+
+def moment_inputs_from(mu_b: np.ndarray, nu_b: np.ndarray) -> MomentInputs:
+    """Moment quantities of the vectorized block matrices `vectorized_blocks` draws, both sides at once."""
+    count = mu_b.shape[0]
+    mu = mu_b.mean(axis=0)
+    nu = nu_b.mean(axis=0)
+    u = mu_b - mu
+    var_mu = u.T @ u / (count - 1)
+    v = nu_b - nu
+    var_nu = v.T @ v / (count - 1)
+    return MomentInputs(
+        tr_varmu_varnu=float(np.trace(var_mu @ var_nu)),
+        tr_varnu_mumu=float(mu @ var_nu @ mu),
+        tr_varmu_nunu=float(nu @ var_mu @ nu),
+    )
+
+
+def h1_variance_closed_form(cfg: OracleConfig, B: int, B1: int, n_blocks: int) -> tuple[float, float]:
+    """`oracle.mc_h1_variance_closed_form` from `vectorized_blocks`, each sample's moments from centered copies."""
+    mu_b, nu_b = vectorized_blocks(cfg, n_blocks)
+    full = closed_form_h1_variance(moment_inputs_from(mu_b, nu_b), B1, B - B1)
+    bounds = np.linspace(0, n_blocks, N_GROUPS + 1, dtype=int)
+    group_vals = [
+        closed_form_h1_variance(moment_inputs_from(mu_b[lo:hi], nu_b[lo:hi]), B1, B - B1)
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+    return float(full), float(np.std(group_vals, ddof=1) / np.sqrt(len(group_vals)))
 
 
 def block_moments(cfg: OracleConfig, variants, B: int, B1: int | None = None) -> dict[CriterionKind, HMomentsResult]:

@@ -9,7 +9,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from reference import _quadratic_form_var, block_moments, population_corr, risk_ratio, vectorized_blocks
+from reference import (
+    _quadratic_form_var,
+    block_moments,
+    h1_variance_closed_form,
+    moment_inputs_from,
+    population_corr,
+    risk_ratio,
+    vectorized_blocks,
+)
 from test_parallel import no_child_left
 
 import mdee
@@ -24,7 +32,7 @@ from mdee.oracle import (
     mc_h1_variance_closed_form,
     mc_risk_ratio,
 )
-from mdee.oracle import _moment_inputs_from, _population_pass, _vectorized_blocks
+from mdee.oracle import _population_pass, _vectorized_blocks
 
 BASIS = BasisSpec("fourier", 1)
 
@@ -97,6 +105,14 @@ class TestConfig:
             mc_block_moments(cfg, MOMENT_VARIANTS, B=10**8)
         with pytest.raises(ValueError, match="^n_blocks is too large"):
             mc_h1_variance_closed_form(cfg, 30, 10, n_blocks=10**8)
+
+    # -5 and 0 draw no block; 1, 2, 10 and 11 leave groups of the error bar with fewer than 2 blocks, whose variances
+    # are NaN; 99 is one below the floor; 100.5 and True are not whole numbers.
+    @pytest.mark.parametrize("n_blocks", [-5, 0, 1, 2, 10, 11, 99, 100.5, True])
+    def test_too_few_moment_blocks_rejected_before_any_draw(self, n_blocks, monkeypatch):
+        monkeypatch.setattr(oracle, "_block_stats", lambda *args: pytest.fail("blocks drawn"))
+        with pytest.raises(ValueError, match=r"^n_blocks must be a whole number >= 100, got"):
+            mc_h1_variance_closed_form(make_cfg(reps=100), 10, 4, n_blocks=n_blocks)
 
     def test_whole_float_counts_become_ints(self):
         cfg = make_cfg(reps=200.0, n_test=50.0, c_draws=np.int64(1000), n=20.0, d=np.int64(3), seed=11.0)
@@ -438,11 +454,18 @@ class TestChunkCaps:
         mc_block_moments(cfg, [CriterionKind.MDEE3], B)
         self.assert_cap_is(lambda: oracle.check_pool(cfg, B), max(design_cells), monkeypatch)
 
-    # n = 20 takes 25 blocks a chunk; n = 499 and 501 take one block, just below and just above the budget
-    @pytest.mark.parametrize("n", [20, 499, 501])
-    def test_moment_block_cap(self, n, design_cells, monkeypatch):
+    # n = 20 takes 25 blocks a chunk; n = 499 and 501 take one block, just below and just above the budget. With a
+    # 400-row tile, n = 20 builds 20 blocks at once, fewer than its chunk's 25.
+    @pytest.mark.parametrize(
+        "n, tile", [(20, None), (499, None), (501, None), (20, 400)], ids=["20", "499", "501", "20 in tiles"]
+    )
+    def test_moment_block_cap(self, n, tile, design_cells, monkeypatch):
+        if tile is not None:
+            monkeypatch.setattr(oracle, "_TILE", tile)
         cfg = make_cfg(n=n, reps=100, c_draws=1_000)
         _vectorized_blocks(cfg, 120)
+        if tile is not None:
+            assert max(design_cells) == tile * cfg.d < oracle._CHUNK * cfg.d
         self.assert_cap_is(lambda: oracle.check_moment_blocks(cfg, 120), max(design_cells), monkeypatch)
 
 
@@ -453,7 +476,8 @@ class TestChunkSpans:
     rows: 105 replications are 11 chunks, the last of 5. The closed form's
     2,100 blocks are 9 chunks of at most 250 blocks, and the 23k population
     rows 5 chunks, the last of 3k rows. So every loop has an uneven last chunk
-    and more chunks than 1, 2 or 3 processes.
+    and more chunks than 1, 2 or 3 processes. With a 2k-row tile a closed-form
+    chunk is built as 100, 100 and 50 blocks, and its last as 100 and 50.
     """
 
     @pytest.fixture(autouse=True)
@@ -492,18 +516,23 @@ class TestChunkSpans:
         assert (ran() > 1) == (cpus > 1)
         assert no_child_left()
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
-    def test_closed_form(self, cpus, processes, monkeypatch):
+    @pytest.mark.parametrize(
+        "cpus, tile",
+        [(cpus, None) for cpus in (1, 2, 3, 8)] + [(cpus, 2_000) for cpus in (1, 2, 3, 8)],
+        ids=["1", "2", "3", "8"] + [f"{cpus} in tiles of 100/100/50 blocks" for cpus in (1, 2, 3, 8)],
+    )
+    def test_closed_form(self, cpus, tile, processes, monkeypatch):
         cfg = self.cfg()
         mu_b, nu_b = vectorized_blocks(cfg, 2_100)
+        expected = h1_variance_closed_form(cfg, 10, 4, n_blocks=2_100)
+        if tile is not None:
+            monkeypatch.setattr(oracle, "_TILE", tile)
         ran = processes(cpus)
         got = _vectorized_blocks(cfg, 2_100)
         assert (ran() > 1) == (cpus > 1)
         np.testing.assert_array_equal(got[0], mu_b)
         np.testing.assert_array_equal(got[1], nu_b)
-        value = mc_h1_variance_closed_form(cfg, 10, 4, n_blocks=2_100)
-        monkeypatch.setattr(oracle, "_vectorized_blocks", vectorized_blocks)
-        assert value == mc_h1_variance_closed_form(cfg, 10, 4, n_blocks=2_100)
+        assert mc_h1_variance_closed_form(cfg, 10, 4, n_blocks=2_100) == expected
         assert no_child_left()
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
@@ -530,6 +559,22 @@ class TestChunkSpans:
         assert ran() == min(cpus, len(oracle._chunks(c_draws, 1)))
         np.testing.assert_array_equal(C, expected[0])
         assert spread == expected[1]
+        assert no_child_left()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_closed_form_holds_less_than_one_side(self, cpus, set_cpus):
+        # The blocks live in shared mappings, which tracemalloc does not trace; what it traces (a tile's rows, design
+        # and matrices, a group's centered copy) must stay below one side's n_blocks * d^2 floats. Joining the chunks'
+        # returned rows, or building a whole 5,000-block chunk's design at once, goes above it.
+        set_cpus(cpus)
+        cfg, n_blocks = make_cfg(reps=100), 23_456
+        tracemalloc.start()
+        try:
+            mc_h1_variance_closed_form(cfg, 10, 4, n_blocks=n_blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n_blocks * cfg.d**2 * 8
         assert no_child_left()
 
     def test_population_pass_holds_one_chunk(self, set_cpus):
@@ -644,15 +689,24 @@ print(loaded)
 
 class TestMomentInputs:
     def test_nonnegative_traces(self):
-        inputs = _moment_inputs_from(*_vectorized_blocks(make_cfg(d=2), 2000))
+        inputs = moment_inputs_from(*_vectorized_blocks(make_cfg(d=2), 2000))
         assert inputs.tr_varmu_varnu >= 0
         assert inputs.tr_varnu_mumu >= 0
         assert inputs.tr_varmu_nunu >= 0
 
     def test_closed_form_assembly(self):
-        inputs = _moment_inputs_from(*_vectorized_blocks(make_cfg(d=2), 500))
+        inputs = moment_inputs_from(*_vectorized_blocks(make_cfg(d=2), 500))
         value = closed_form_h1_variance(inputs, 2, 3)
         expected = (
             inputs.tr_varmu_varnu / 6 + inputs.tr_varnu_mumu / 3 + inputs.tr_varmu_nunu / 2
         )
         assert value == pytest.approx(expected)
+
+
+# 100 and 2,100 blocks cut into even groups of the error bar, 105 and 23,456 into groups of two sizes.
+@pytest.mark.parametrize("n_blocks", [100, 105, 2_100, 23_456])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_closed_form_one_side_at_a_time_matches_reference(d, m, n_blocks):
+    cfg = make_cfg(basis=BasisSpec("fourier", m), d=d, reps=100, seed=7)
+    assert mc_h1_variance_closed_form(cfg, 10, 4, n_blocks=n_blocks) == h1_variance_closed_form(cfg, 10, 4, n_blocks)
