@@ -15,8 +15,7 @@ import json
 import math
 import platform
 import re
-import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property, partial
 from pathlib import Path
 
@@ -60,6 +59,7 @@ SYNTHETIC_CAVEAT = (
 
 @dataclass
 class SyntheticScenario:
+    SECTION = "synthetic"  # its section of a config file; not a field
     target: str
     n_values: list[int]
     noise_vars: list[float]
@@ -77,6 +77,7 @@ class SyntheticScenario:
 
 @dataclass
 class RealScenario:
+    SECTION = "real"
     manifest: ingest.DatasetManifest
     n_values: list[int]
     n_unlabeled: int
@@ -106,35 +107,26 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self):
-        """Reject settings no run can use, and make whole numbers ints."""
+        """Check each field by its SCHEMA kind and make it that kind's type, then reject settings no run can use.
+
+        A field is named as a config file names it, so a file and a code-built config fail with the same messages.
+        """
+        for section, key, owner, attr, kind, many in _keys(self):
+            where = f"{section}.{key}" if section else key
+            must_be, test, convert = KINDS[kind]
+            value = getattr(owner, attr)
+            # a file's lists are lists by now, a code-built one may not be
+            if many and not isinstance(value, (list, tuple)):
+                raise ValueError(f"{where} must be a list, got {value!r}")
+            for item in value if many else [value]:
+                if not test(item):
+                    raise ValueError(f"{where} must be {must_be}, got {item!r}")
+            setattr(owner, attr, [convert(v) for v in value] if many else convert(value))
         scen = self.scenario
         synthetic = isinstance(scen, SyntheticScenario)
-        # each criterion and grid value is one summary row; a file's lists are lists by now, a code-built one may not be
         grids = {"criteria": self.criteria, "n": scen.n_values}
         if synthetic:
             grids["noise_var"] = scen.noise_vars
-        for name, values in grids.items():
-            if not isinstance(values, (list, tuple)):
-                raise ValueError(f"{name} must be a list, got {values!r}")
-        if not all(isinstance(c, str) for c in self.criteria):
-            raise ValueError(f"criteria must be criterion names, got {self.criteria!r}")
-        # d_max None is automatic, and a real scenario has no n_test
-        for owner, key in [(self, "repetitions"), (self, "d_max"), (self, "master_seed"),
-                           (scen, "n_unlabeled"), (scen, "n_test")]:
-            value = getattr(owner, key, None)
-            if value is not None:
-                if not is_whole(value):
-                    raise ValueError(f"{key} must be a whole number, got {value!r}")
-                setattr(owner, key, int(value))
-        if not all(map(is_whole, scen.n_values)):
-            raise ValueError(f"every n must be a whole number, got {scen.n_values}")
-        scen.n_values = grids["n"] = [int(n) for n in scen.n_values]
-        reals = [("ridge", self.ridge)]
-        if synthetic:
-            reals += [("covariate_var", scen.covariate_var)] + [("noise_var", value) for value in scen.noise_vars]
-        for key, value in reals:
-            if not is_real(value):
-                raise ValueError(f"{key} must be a number, got {value!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         unknown = [c for c in self.criteria if c not in CRITERIA]
@@ -602,12 +594,7 @@ def run_to_dir(cfg: ExperimentConfig, out_dir=None, table: np.ndarray | None = N
     write_summary_csv(out / "summary.csv", summaries)
     write_trials_csv(out / "trials.csv", trials, cfg.criteria)
     meta = {
-        "criteria": cfg.criteria,
-        "repetitions": cfg.repetitions,
-        "master_seed": cfg.master_seed,
-        "ridge": cfg.ridge,
-        "d_max": cfg.d_max,
-        "scenario": _scenario_dict(cfg.scenario),
+        "config": _config_dict(cfg),
         "versions": _versions(),
         "flag_counts": flag_counts(trials, cfg.criteria),
         "processes": processes,
@@ -652,27 +639,6 @@ def _versions() -> dict[str, str]:
     }
 
 
-def _scenario_dict(scenario) -> dict:
-    if isinstance(scenario, SyntheticScenario):
-        return {
-            "kind": "synthetic",
-            "target": scenario.target,
-            "n": scenario.n_values,
-            "noise_var": scenario.noise_vars,
-            "covariate_var": scenario.covariate_var,
-            "n_unlabeled": scenario.n_unlabeled,
-            "n_test": scenario.n_test,
-        }
-    return {
-        "kind": "real",
-        "dataset": scenario.manifest.name,
-        "path": scenario.manifest.path,
-        "n": scenario.n_values,
-        "n_unlabeled": scenario.n_unlabeled,
-        "standardize": scenario.standardize,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Config files
 
@@ -681,66 +647,86 @@ def _scenario_dict(scenario) -> dict:
 _EXPONENT_FORM = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
 
 # Each kind of config value: (what the error says a value must be, the test a value must pass, its conversion).
-# A number may be written in exponent form without a decimal point; an integer past the float range is not one. A
-# flag takes only YAML's booleans, so a quoted "false" is not read as true. A column index is below 2**63, the
-# largest the table parse can index with.
+# A number is not a bool, a string or None, and an integer past the float range is not one. A flag takes only
+# booleans, so a quoted "false" is not read as true. A column index is below 2**63, the largest the table parse can
+# index with.
 KINDS = {
     # 2.9 is rejected rather than truncated, and YAML's true is not 1
     "whole": ("a whole number", is_whole, int),
     "whole or auto": ("a whole number or auto", lambda v: v in ("auto", None) or is_whole(v),
                       lambda v: None if v in ("auto", None) else int(v)),
-    "real": ("a number", lambda v: type(v) is float or type(v) is int and abs(v) <= sys.float_info.max
-             or isinstance(v, str) and bool(_EXPONENT_FORM.fullmatch(v)), float),
+    "real": ("a number", is_real, float),
     "flag": ("true or false", lambda v: type(v) is bool, bool),
     "text": ("a string", lambda v: isinstance(v, str), str),
     "column": ("a column name or a zero-based index below 2**63",
                lambda v: isinstance(v, str) or type(v) is int and 0 <= v < 2**63, lambda v: v),
     "character": ("a one-character string", lambda v: isinstance(v, str) and len(v) == 1, str),
-    "section": ("a mapping", lambda v: isinstance(v, dict), dict),
 }
 
-# Per section, None being the top level: key -> (kind, required, takes a list). A key that takes a list takes a single
-# value too. Any other key is rejected, so a misspelled one cannot silently fall back to its default. The defaults are
-# the dataclasses': `ExperimentConfig`, `SyntheticScenario`, `RealScenario` and `ingest.DatasetManifest`.
+# Per section, None being the top level: key -> (the field that holds it, kind, takes a list). A section's fields are
+# those of its dataclasses: `ExperimentConfig` at the top level, `SyntheticScenario`, and `RealScenario` with its
+# `ingest.DatasetManifest`. A field without a default is a required key, and any other key is rejected, so a
+# misspelled one cannot silently fall back to its default. `scenario` and the sections have no kind: `load_config`
+# reads them.
 SCHEMA = {
     None: {
-        "scenario": ("text", True, False),
-        "criteria": ("text", True, True),
-        "repetitions": ("whole", True, False),  # in the file or from `mdee run --reps`
-        "d_max": ("whole or auto", False, False),
-        "ridge": ("real", False, False),
-        "master_seed": ("whole", False, False),
-        "output_dir": ("text", False, False),
-        "synthetic": ("section", False, False),
-        "real": ("section", False, False),
+        "scenario": ("scenario", None, False),
+        "criteria": ("criteria", "text", True),
+        "repetitions": ("repetitions", "whole", False),  # in the file or from `mdee run --reps`
+        "d_max": ("d_max", "whole or auto", False),
+        "ridge": ("ridge", "real", False),
+        "master_seed": ("master_seed", "whole", False),
+        "output_dir": ("output_dir", "text", False),
+        "synthetic": ("synthetic", None, False),
+        "real": ("real", None, False),
     },
     "synthetic": {
-        "target": ("text", True, False),
-        "n": ("whole", True, True),
-        "noise_var": ("real", True, True),
-        "covariate_var": ("real", False, False),
-        "n_unlabeled": ("whole", False, False),
-        "n_test": ("whole", False, False),
+        "target": ("target", "text", False),
+        "n": ("n_values", "whole", True),
+        "noise_var": ("noise_vars", "real", True),
+        "covariate_var": ("covariate_var", "real", False),
+        "n_unlabeled": ("n_unlabeled", "whole", False),
+        "n_test": ("n_test", "whole", False),
     },
     "real": {
-        "name": ("text", True, False),
-        "path": ("text", True, False),
-        "response_column": ("column", True, False),
-        "covariate_columns": ("column", True, True),
-        "delimiter": ("character", False, False),
-        "has_header": ("flag", False, False),
-        "n": ("whole", True, True),
-        "n_unlabeled": ("whole", True, False),
-        "standardize": ("flag", False, False),
+        "name": ("name", "text", False),
+        "path": ("path", "text", False),
+        "response_column": ("response_column", "column", False),
+        "covariate_columns": ("covariate_columns", "column", True),
+        "delimiter": ("delimiter", "character", False),
+        "has_header": ("has_header", "flag", False),
+        "n": ("n_values", "whole", True),
+        "n_unlabeled": ("n_unlabeled", "whole", False),
+        "standardize": ("standardize", "flag", False),
     },
 }
 
 
-def _read(section, name: str | None) -> dict:
-    """The keys config section `name` (None for the top level) sets, by SCHEMA: checked and converted.
+def _keys(cfg: ExperimentConfig):
+    """Each key of SCHEMA that `cfg` sets: (section, key, the object holding its field, field, kind, takes a list)."""
+    scen = cfg.scenario
+    for section, holders in [(None, [cfg]), (scen.SECTION, [scen, getattr(scen, "manifest", None)])]:
+        for key, (attr, kind, many) in SCHEMA[section].items():
+            for owner in holders:
+                if kind and hasattr(owner, attr):
+                    yield section, key, owner, attr, kind, many
 
-    A missing section, an unknown or missing key, and a value of the wrong kind raise ValueError naming it: a key by
-    its bare name at the top level, and as `section.key` inside a section.
+
+def _config_dict(cfg: ExperimentConfig) -> dict:
+    """`cfg` in a config file's keys, every default filled in and an automatic d_max `auto`; JSON is YAML, so
+    `load_config` reads its JSON back to an equal config."""
+    config = {"scenario": cfg.scenario.SECTION, cfg.scenario.SECTION: {}}
+    for section, key, owner, attr, _, _ in _keys(cfg):
+        value = getattr(owner, attr)
+        (config[section] if section else config)[key] = "auto" if value is None else value
+    return config
+
+
+def _read(section, name: str | None, *holders) -> dict:
+    """The fields config section `name` (None for the top level) of dataclasses `holders` sets, by SCHEMA, `_unspelled`.
+
+    A missing section and an unknown or missing key raise ValueError naming it. A key that takes a list takes a single
+    value too. `ExperimentConfig` checks the values' kinds.
     """
     if not isinstance(section, dict):
         raise ValueError(f"scenario {name!r} needs a {name!r} section" if name else "config must be a mapping")
@@ -748,19 +734,26 @@ def _read(section, name: str | None) -> dict:
     unknown = sorted(str(k) for k in section if k not in schema)
     if unknown:
         raise ValueError(f"unknown config key(s) {unknown} in {where}; valid: {sorted(schema)}")
-    missing = [k for k, (_, required, _) in schema.items() if required and k not in section]
+    required = {f.name for cls in holders for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
+    missing = [k for k, (attr, _, _) in schema.items() if attr in required and k not in section]
     if missing:
         raise ValueError(f"missing required config key(s) {missing} in {where}")
     values = {}
     for key, given in section.items():
-        kind, _, many = schema[key]
-        must_be, test, convert = KINDS[kind]
-        items = given if many and isinstance(given, list) else [given]
-        for value in items:
-            if not test(value):
-                raise ValueError(f"{f'{name}.{key}' if name else key} must be {must_be}, got {value!r}")
-        values[key] = [convert(v) for v in items] if many else convert(given)
+        attr, kind, many = schema[key]
+        items = [_unspelled(kind, v) for v in (given if many and isinstance(given, list) else [given])]
+        values[attr] = items if many else items[0]
     return values
+
+
+def _unspelled(kind: str | None, value):
+    """A YAML value as its field holds it: YAML 1.1 reads 1e-9 as a string, and PyYAML reads JSON's escape of a
+    character past U+FFFF as its two surrogates, which are joined."""
+    if not isinstance(value, str):
+        return value
+    if kind == "real" and _EXPONENT_FORM.fullmatch(value):
+        return float(value)
+    return value.encode("utf-16-le", "surrogatepass").decode("utf-16-le", "surrogatepass")
 
 
 def load_config(path, master_seed: int | None = None, repetitions: int | None = None) -> ExperimentConfig:
@@ -777,18 +770,16 @@ def load_config(path, master_seed: int | None = None, repetitions: int | None = 
             raise ValueError(f"{path}: not valid YAML: {' '.join(str(exc).split())}") from exc
     if isinstance(raw, dict):
         raw.update({k: v for k, v in [("master_seed", master_seed), ("repetitions", repetitions)] if v is not None})
-    top = _read(raw, None)
+    top = _read(raw, None, ExperimentConfig)
     kind = top.pop("scenario")
     if kind not in ("synthetic", "real"):
         raise ValueError("config needs scenario: synthetic or real")
-    field_names = {"n": "n_values", "noise_var": "noise_vars"}  # the YAML names that differ from the field names
-    s = {field_names.get(key, key): value for key, value in _read(top.get(kind), kind).items()}
     if kind == "synthetic":
-        scenario = SyntheticScenario(**s)
+        scenario = SyntheticScenario(**_read(top.get(kind), kind, SyntheticScenario))
     else:
+        s = _read(top.get(kind), kind, RealScenario, ingest.DatasetManifest)
         names = {f.name for f in fields(ingest.DatasetManifest)}
-        manifest = ingest.DatasetManifest(**{key: s.pop(key) for key in names & s.keys()})
-        scenario = RealScenario(manifest, **s)
+        scenario = RealScenario(ingest.DatasetManifest(**{key: s.pop(key) for key in names & s.keys()}), **s)
     return ExperimentConfig(scenario, **{key: value for key, value in top.items() if key not in ("synthetic", "real")})
 
 

@@ -43,6 +43,13 @@ NOISE_SD_RANGE = (1e-60, 1e60)
 NOISE_TO_TRUTH = 1e-6
 
 
+def _whole(name: str, value) -> int:
+    """`value` as an int; a ValueError naming `name` unless it is a whole number (`core.is_whole`)."""
+    if not is_whole(value):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class OracleConfig:
     """The inputs of every oracle call, checked here before any draw; only `mc_risk_ratio` reads `truth`."""
@@ -60,10 +67,7 @@ class OracleConfig:
 
     def __post_init__(self):
         for field in ("n", "d", "reps", "n_test", "c_draws", "seed"):
-            value = getattr(self, field)
-            if not is_whole(value):
-                raise ValueError(f"{field} must be a whole number, got {value!r}")
-            setattr(self, field, int(value))
+            setattr(self, field, _whole(field, getattr(self, field)))
         if not 1 <= self.d < self.n:
             raise ValueError(f"oracle needs 1 <= d < n, got d={self.d}, n={self.n}")
         for field in ("reps", "n_test", "c_draws"):
@@ -349,6 +353,7 @@ def mc_block_moments(
     """
     if cfg.reps < MIN_TRACE_REPS:
         raise ValueError(f"mc_block_moments needs reps >= {MIN_TRACE_REPS}")
+    B, B1 = _whole("B", B), None if B1 is None else _whole("B1", B1)
     if B < 2:
         raise ValueError("mc_block_moments needs B >= 2")
     check_pool(cfg, B)
@@ -483,6 +488,7 @@ def mc_h1_variance_closed_form(
     two shared block arrays this process holds at most one tile of blocks
     being built or one group's centered copy.
     """
+    B, B1 = _whole("B", B), _whole("B1", B1)
     B2 = B - B1
     if B2 < 1 or B1 < 1:
         raise ValueError("need 1 <= B1 <= B-1")

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 import scipy
 import yaml
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_ingest import mixed_line_ends
 from test_parallel import no_child_left
@@ -299,7 +300,16 @@ class TestOutputs:
         out = run_to_dir(small_config(), tmp_path / "run")
         meta = json.loads((out / "meta.json").read_text())
         assert "caveat" in meta
-        assert meta["scenario"]["kind"] == "synthetic"
+        assert meta["config"]["scenario"] == "synthetic"
+
+    def test_numpy_typed_reals_written_to_meta(self, tmp_path):
+        # json.dumps used to fail on a float32 after every trial ran, so meta.json was never written
+        scenario = SyntheticScenario("sinc", [10], [np.float32(0.1)], np.float32(2.0), 200, 100)
+        out = run_to_dir(small_config(scenario=scenario, ridge=np.float32(1e-9)), tmp_path / "run")
+        assert sorted(p.name for p in out.iterdir()) == ["meta.json", "summary.csv", "trials.csv"]
+        config = json.loads((out / "meta.json").read_text())["config"]
+        assert config["ridge"] == float(np.float32(1e-9)) and config["synthetic"]["covariate_var"] == 2.0
+        assert config["synthetic"]["noise_var"] == [float(np.float32(0.1))]
 
     def test_meta_flag_counts_match_trials_csv(self, tmp_path, monkeypatch):
         # An empty pool gives DEE inf@d at every d (all_infinite), a stand-in FPE
@@ -576,11 +586,18 @@ CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 class TestLibraryConfig:
     @staticmethod
     def config(**changes):
-        scenario = {"target": "step", "n_values": [10], "noise_vars": [0.1]}
-        scenario.update({f.name: changes.pop(f.name) for f in dataclasses.fields(SyntheticScenario) if f.name in changes})
+        """A one-cell synthetic config with `changes` made; a change to a `DatasetManifest` field makes it real."""
+        manifest = {f.name: changes.pop(f.name) for f in dataclasses.fields(DatasetManifest) if f.name in changes}
+        if manifest:
+            manifest = {"name": "toy", "path": "toy.csv", "response_column": "y", "covariate_columns": ["x"], **manifest}
+            scenario = RealScenario(DatasetManifest(**manifest), [20], 50)
+        else:
+            fields = {"target": "step", "n_values": [10], "noise_vars": [0.1]}
+            fields.update({f.name: changes.pop(f.name) for f in dataclasses.fields(SyntheticScenario) if f.name in changes})
+            scenario = SyntheticScenario(**fields)
         changes.setdefault("criteria", ["FPE"])
         changes.setdefault("repetitions", 2)
-        return ExperimentConfig(SyntheticScenario(**scenario), **changes)
+        return ExperimentConfig(scenario, **changes)
 
     @pytest.mark.parametrize(
         "change, needle",
@@ -589,9 +606,9 @@ class TestLibraryConfig:
             ({"d_max": 3.5}, "d_max must be a whole number"),
             ({"master_seed": 1.5}, "master_seed must be a whole number"),
             ({"master_seed": True}, "master_seed must be a whole number"),
-            ({"n_values": [10.5]}, "every n must be a whole number"),
-            ({"n_unlabeled": 100.5}, "n_unlabeled must be a whole number"),
-            ({"n_test": 50.5}, "n_test must be a whole number"),
+            ({"n_values": [10.5]}, "synthetic.n must be a whole number"),
+            ({"n_unlabeled": 100.5}, "synthetic.n_unlabeled must be a whole number"),
+            ({"n_test": 50.5}, "synthetic.n_test must be a whole number"),
         ],
         ids=["repetitions", "d_max", "master_seed", "master_seed bool", "n", "n_unlabeled", "n_test"],
     )
@@ -606,12 +623,12 @@ class TestLibraryConfig:
             ({"ridge": "1e-9"}, "ridge"),
             ({"ridge": True}, "ridge"),
             ({"ridge": None}, "ridge"),
-            ({"covariate_var": "1"}, "covariate_var"),
-            ({"covariate_var": True}, "covariate_var"),
-            ({"covariate_var": None}, "covariate_var"),
-            ({"noise_vars": ["0.1"]}, "noise_var"),
-            ({"noise_vars": [0.1, False]}, "noise_var"),
-            ({"noise_vars": [None]}, "noise_var"),
+            ({"covariate_var": "1"}, "synthetic.covariate_var"),
+            ({"covariate_var": True}, "synthetic.covariate_var"),
+            ({"covariate_var": None}, "synthetic.covariate_var"),
+            ({"noise_vars": ["0.1"]}, "synthetic.noise_var"),
+            ({"noise_vars": [0.1, False]}, "synthetic.noise_var"),
+            ({"noise_vars": [None]}, "synthetic.noise_var"),
             ({"ridge": 10**400}, "ridge"),
         ],
         ids=["ridge str", "ridge bool", "ridge None", "covariate_var str", "covariate_var bool", "covariate_var None",
@@ -625,6 +642,8 @@ class TestLibraryConfig:
     def test_numbers_of_any_numeric_type_accepted(self):
         cfg = self.config(ridge=0, covariate_var=np.float32(2.0), noise_vars=[1, np.int64(2), np.float64(0.5)])
         assert cfg.ridge == 0 and cfg.scenario.noise_vars == [1, 2, 0.5]
+        reals = [cfg.ridge, cfg.scenario.covariate_var, *cfg.scenario.noise_vars]
+        assert all(type(v) is float for v in reals)
 
     @pytest.mark.parametrize(
         "change, needle",
@@ -645,14 +664,29 @@ class TestLibraryConfig:
     @pytest.mark.parametrize(
         "change, needle",
         [
-            ({"n_values": 10}, "n must be a list, got 10"),
-            ({"noise_vars": 0.1}, "noise_var must be a list, got 0.1"),
-            ({"criteria": [["FPE"]]}, "criteria must be criterion names, got [['FPE']]"),
+            ({"n_values": 10}, "synthetic.n must be a list, got 10"),
+            ({"noise_vars": 0.1}, "synthetic.noise_var must be a list, got 0.1"),
+            ({"criteria": [["FPE"]]}, "criteria must be a string, got ['FPE']"),
+            ({"covariate_columns": "ab"}, "real.covariate_columns must be a list, got 'ab'"),
         ],
-        ids=["n", "noise_var", "criteria"],
+        ids=["n", "noise_var", "criteria", "covariate_columns"],
     )
     def test_grid_that_is_not_a_list_named(self, change, needle):
-        # each ended in a TypeError: 'int' or 'float' object is not iterable, or unhashable type: 'list'
+        # each ended in a TypeError: 'int' or 'float' object is not iterable, or unhashable type: 'list'; a string of
+        # covariate columns ran with one column per character
+        with pytest.raises(ValueError, match=f"^{re.escape(needle)}$"):
+            self.config(**change)
+
+    @pytest.mark.parametrize(
+        "change, needle",
+        [
+            ({"has_header": "false"}, "real.has_header must be true or false, got 'false'"),
+            ({"delimiter": ";;"}, "real.delimiter must be a one-character string, got ';;'"),
+        ],
+        ids=["has_header", "delimiter"],
+    )
+    def test_manifest_field_of_the_wrong_kind_named(self, change, needle):
+        # no check read these: "false" is truthy, so the table's first data row was dropped as a header
         with pytest.raises(ValueError, match=f"^{re.escape(needle)}$"):
             self.config(**change)
 
@@ -684,13 +718,18 @@ class TestConfigFile:
         ids=["synthetic", "real"],
     )
     def test_required_keys_alone_equal_the_code_built_config(self, tmp_path, text, built):
-        # the dataclasses hold the only defaults, so a file that sets none of the optional keys gets theirs
+        # the dataclasses hold the only defaults, so a file that sets none of the optional keys gets theirs, and each
+        # key of such a file is required
         raw = yaml.safe_load(text)
         kind = raw["scenario"]
-        for section, keys in [(None, raw), (kind, raw[kind])]:
-            required = {key for key, (_, needed, _) in harness.SCHEMA[section].items() if needed}
-            assert set(keys) - {kind} == required
         path = tmp_path / "cfg.yaml"
+        for section in (None, kind):
+            for key in [k for k in (raw[section] if section else raw) if k != kind]:
+                dropped = yaml.safe_load(text)
+                (dropped[section] if section else dropped).pop(key)
+                path.write_text(yaml.safe_dump(dropped))
+                with pytest.raises(ValueError, match=rf"^missing required config key\(s\) \['{key}'\] in {section or 'top'}"):
+                    load_config(path)
         path.write_text(text)
         assert load_config(path) == built
 
@@ -842,6 +881,72 @@ class TestConfigFile:
         path.write_text("scenario: magic\ncriteria: [FPE]\nrepetitions: 1\n")
         with pytest.raises(ValueError, match="scenario"):
             load_config(path)
+
+
+WHOLE_TYPES = (int, np.int64, float)  # a whole float is a whole number too
+REAL_TYPES = (float, np.float64, np.float32)
+
+
+def typed(values, types):
+    """`values`, each converted to one of `types`."""
+    return st.builds(lambda value, kind: kind(value), values, st.sampled_from(types))
+
+
+def grid(values):
+    # distinct as float32 too, so no two values meet once converted
+    return st.lists(values, min_size=1, max_size=3, unique_by=lambda v: float(np.float32(v)))
+
+
+@st.composite
+def code_built_configs(draw):
+    """A config built in code from valid values: synthetic or real, an automatic or explicit d_max, ridges that JSON
+    writes in exponent form, and numbers of any numeric type."""
+    d_max = draw(st.none() | typed(st.integers(1, 30), WHOLE_TYPES))
+    if draw(st.booleans()):
+        scenario = SyntheticScenario(
+            draw(st.sampled_from(harness.datagen.TARGETS)),
+            draw(grid(typed(st.sampled_from([10, 20, 50]) if d_max is None else st.integers(1, 60), WHOLE_TYPES))),
+            draw(grid(typed(st.floats(0, 10), REAL_TYPES))),
+            draw(typed(st.floats(1e-3, 1e3), REAL_TYPES)),
+            draw(typed(st.integers(0, 2000), WHOLE_TYPES)),
+            draw(typed(st.integers(1, 2000), WHOLE_TYPES)),
+        )
+    else:
+        column = st.text() | st.integers(0, 2**63 - 1)
+        manifest = DatasetManifest(
+            draw(st.text()), draw(st.text()), draw(column), draw(st.lists(column, min_size=1, max_size=3)),
+            draw(st.characters()), draw(st.booleans()),
+        )
+        n_values = draw(grid(typed(st.integers(2 if d_max is None else 1, 60), WHOLE_TYPES)))
+        scenario = RealScenario(manifest, n_values, draw(typed(st.integers(0, 2000), WHOLE_TYPES)), draw(st.booleans()))
+    ridge = st.sampled_from([0.0, 1e-9, 1e-12]) | st.floats(1e-30, 1e-5) | st.floats(0, 1e3)
+    return ExperimentConfig(
+        scenario, draw(st.lists(st.sampled_from(sorted(CRITERIA)), min_size=1, unique=True)),
+        draw(typed(st.integers(1, 1000), WHOLE_TYPES)), d_max, draw(typed(ridge, REAL_TYPES)),
+        draw(typed(st.integers(0, 2**63 - 1), WHOLE_TYPES)), draw(st.text()),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=code_built_configs())
+def test_meta_config_reloads_to_an_equal_config(cfg):
+    # meta.json's config is JSON, which is YAML, in the file's own keys
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(harness._config_dict(cfg), indent=2, sort_keys=True) + "\n")
+        assert load_config(path) == cfg
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS_DIR.glob("synthetic_*.yaml")), ids=lambda p: p.name)
+def test_shipped_config_reruns_from_its_meta(path, tmp_path):
+    cfg = load_config(path, repetitions=2)
+    first = run_to_dir(cfg, tmp_path / "first")
+    rerun = tmp_path / "rerun.json"
+    rerun.write_text(json.dumps(json.loads((first / "meta.json").read_text())["config"]))
+    assert load_config(rerun) == cfg
+    second = run_to_dir(load_config(rerun), tmp_path / "second")
+    for name in ("summary.csv", "trials.csv"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
 class TestTrialDataSharing:

@@ -114,6 +114,29 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"^n_blocks must be a whole number >= 100, got"):
             mc_h1_variance_closed_form(make_cfg(reps=100), 10, 4, n_blocks=n_blocks)
 
+    # B 4.5 and B1 2.5 ended in TypeErrors deep in the draws, and B1 1.5 gave a variance for B2 = 2.5
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda cfg: mc_block_moments(cfg, [CriterionKind.MDEE3], 4.5), "B"),
+            (lambda cfg: mc_block_moments(cfg, [CriterionKind.MDEE1], 4, 2.5), "B1"),
+            (lambda cfg: mc_h1_variance_closed_form(cfg, 4.5, 2, n_blocks=100), "B"),
+            (lambda cfg: mc_h1_variance_closed_form(cfg, 4, 1.5, n_blocks=100), "B1"),
+        ],
+        ids=["moments B", "moments B1", "closed form B", "closed form B1"],
+    )
+    def test_non_whole_block_counts_rejected_before_any_draw(self, call, name, monkeypatch):
+        monkeypatch.setattr(oracle, "_block_stats", lambda *args: pytest.fail("blocks drawn"))
+        with pytest.raises(ValueError, match=f"^{name} must be a whole number, got"):
+            call(make_cfg(reps=100))
+
+    def test_whole_float_block_counts_give_the_int_results(self):
+        cfg = make_cfg(reps=100, c_draws=1_000)
+        variants = [CriterionKind.MDEE1, CriterionKind.MDEE3]
+        assert mc_block_moments(cfg, variants, 4.0, 2.0) == mc_block_moments(cfg, variants, 4, 2)
+        closed_form = mc_h1_variance_closed_form(cfg, 4, 2, n_blocks=100)
+        assert mc_h1_variance_closed_form(cfg, 4.0, 2.0, n_blocks=100.0) == closed_form
+
     def test_whole_float_counts_become_ints(self):
         cfg = make_cfg(reps=200.0, n_test=50.0, c_draws=np.int64(1000), n=20.0, d=np.int64(3), seed=11.0)
         counts = cfg.reps, cfg.n_test, cfg.c_draws, cfg.n, cfg.d, cfg.seed
