@@ -9,12 +9,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import harness, ingest, oracle
+from . import harness, oracle
 from .core import BasisSpec
 from .estimators import CriterionKind
 
-# Fewest replications per oracle check: two for theorem 2's standard errors.
-MIN_REPS = {2: 2, 4: oracle.MIN_TRACE_REPS}
+# Fewest replications per oracle check.
+MIN_REPS = {2: oracle.MIN_RATIO_REPS, 4: oracle.MIN_TRACE_REPS}
 
 
 def _input_error(exc: Exception) -> int:
@@ -23,20 +23,10 @@ def _input_error(exc: Exception) -> int:
     return 2
 
 
-def _checked_table(scenario: harness.RealScenario) -> np.ndarray:
-    """Load a real-data table for the run, so an unreadable file or an n that leaves no test row fails before any output exists."""
-    try:
-        table = ingest.load_csv(scenario.manifest)
-    except OSError as exc:
-        raise ValueError(f"real.path {str(scenario.manifest.path)!r} cannot be read: {exc.strerror or exc}") from exc
-    scenario.check_rows(len(table))
-    return table
-
-
 def _cmd_run(args) -> int:
     try:
         cfg = harness.load_config(args.config, args.seed, args.reps)
-        table = _checked_table(cfg.scenario) if isinstance(cfg.scenario, harness.RealScenario) else None
+        table = cfg.scenario.table() if isinstance(cfg.scenario, harness.RealScenario) else None
         out = Path(args.out if args.out is not None else cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)  # after the checks, which leave no directory, and before any trial
     except (OSError, ValueError) as exc:

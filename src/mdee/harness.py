@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import os
 import platform
 import re
 from dataclasses import MISSING, dataclass, field, fields
@@ -77,23 +78,35 @@ class SyntheticScenario:
 
 @dataclass
 class RealScenario:
+    """A delimited numeric table, the columns `ingest.load_csv` reads from it, and the grid run on it."""
+
     SECTION = "real"
-    manifest: ingest.DatasetManifest
+    name: str
+    path: str
+    response_column: str | int
+    covariate_columns: list
     n_values: list[int]
     n_unlabeled: int
+    delimiter: str = ","
+    has_header: bool = True
     standardize: bool = True
 
     def cells(self) -> list[dict]:
-        return [{"dataset": self.manifest.name, "n": n} for n in self.n_values]
+        return [{"dataset": self.name, "n": n} for n in self.n_values]
 
-    def check_rows(self, rows: int) -> None:
-        """Raise ValueError unless every n plus n_unlabeled leaves a test row of a table of `rows` rows."""
+    def table(self) -> np.ndarray:
+        """The loaded table; an unreadable file or an n that leaves no test row raises ValueError, before any trial."""
+        try:
+            table = ingest.load_csv(self)
+        except OSError as exc:
+            raise ValueError(f"real.path {self.path!r} cannot be read: {exc.strerror or exc}") from exc
         for n in self.n_values:
-            if n + self.n_unlabeled >= rows:
+            if n + self.n_unlabeled >= len(table):
                 raise ValueError(
-                    f"n={n} plus n_unlabeled={self.n_unlabeled} leaves no test row of the {rows} rows in "
-                    f"{self.manifest.path}"
+                    f"n={n} plus n_unlabeled={self.n_unlabeled} leaves no test row of the {len(table)} rows in "
+                    f"{self.path}"
                 )
+        return table
 
 
 @dataclass
@@ -158,6 +171,8 @@ class ExperimentConfig:
                     raise ValueError(f"noise_var must be finite and nonnegative, got {noise_var}")
             if not 0 < scen.covariate_var < math.inf:
                 raise ValueError(f"covariate_var must be finite and positive, got {scen.covariate_var}")
+        elif not scen.covariate_columns:
+            raise ValueError("real.covariate_columns must be nonempty")
         elif scen.n_unlabeled < 0:
             raise ValueError(f"real n_unlabeled must be >= 0, got {scen.n_unlabeled}")
         elif self.d_max is None and min(scen.n_values) < 2:
@@ -223,7 +238,7 @@ def _check_cells(cfg: ExperimentConfig, n: int) -> None:
     """
     scen = cfg.scenario
     synthetic = isinstance(scen, SyntheticScenario)
-    d = _auto_d_max(cfg, n, 1 if synthetic else len(scen.manifest.covariate_columns))
+    d = _auto_d_max(cfg, n, 1 if synthetic else len(scen.covariate_columns))
     # rows of d_max cells: the normal matrix, the train design, the pool design or, where larger, its stack of
     # d_max x d_max block correlation matrices, and the test design
     rows = {"d_max": d, "n": n, "n_unlabeled": max(scen.n_unlabeled, scen.n_unlabeled // n * d)}
@@ -522,21 +537,13 @@ def run_experiment(
     on the trials run before it, nor on the process it runs in: the trials are
     spread over the usable CPUs (`parallel.process_count`, `parallel.fork_map`) and put back
     in order, and aggregation folds over trial index. A real scenario's table
-    is loaded here unless the caller passes it already loaded.
+    is loaded here (`RealScenario.table`) unless the caller passes it already loaded.
     """
-    trials, summaries, _ = _run(cfg, table)
-    return trials, summaries
-
-
-def _run(cfg: ExperimentConfig, table) -> tuple[list[TrialResult], list[CriterionSummary], int]:
-    """run_experiment's trials and summaries, and the number of processes the trials ran in (`parallel.process_count`)."""
     if table is None and isinstance(cfg.scenario, RealScenario):
-        table = ingest.load_csv(cfg.scenario.manifest)
-
+        table = cfg.scenario.table()
     cells = list(cfg.scenario.cells())
     reps = cfg.repetitions
     jobs = [(cell, cell_idx, t) for cell_idx, cell in enumerate(cells) for t in range(reps)]
-    processes = parallel.process_count(len(jobs))  # the count fork_map picks, for meta.json
     trials = parallel.fork_map(lambda i: _trial(cfg, table, *jobs[i]), len(jobs))
     # (cells, criteria, reps): one aggregate call summarizes every (cell, criterion)
     regrets = np.array([[t.regret[name] for name in cfg.criteria] for t in trials])
@@ -546,7 +553,7 @@ def _run(cfg: ExperimentConfig, table) -> tuple[list[TrialResult], list[Criterio
         for c, cell in enumerate(cells)
         for k, name in enumerate(cfg.criteria)
     ]
-    return trials, summaries, processes
+    return trials, summaries
 
 
 # ---------------------------------------------------------------------------
@@ -587,10 +594,16 @@ def write_trials_csv(path, trials: list[TrialResult], criteria: list[str]) -> No
 
 
 def run_to_dir(cfg: ExperimentConfig, out_dir=None, table: np.ndarray | None = None) -> Path:
-    """Run an experiment and write summary.csv, trials.csv and meta.json; `table` is as for run_experiment."""
+    """Run an experiment and write summary.csv, trials.csv and meta.json; `table` is as for run_experiment.
+
+    A real scenario's table is loaded and checked before the output directory is made, so a bad table leaves none.
+    """
+    if table is None and isinstance(cfg.scenario, RealScenario):
+        table = cfg.scenario.table()
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    trials, summaries, processes = _run(cfg, table)
+    processes = parallel.process_count(len(cfg.scenario.cells()) * cfg.repetitions)  # the count fork_map picks
+    trials, summaries = run_experiment(cfg, table)
     write_summary_csv(out / "summary.csv", summaries)
     write_trials_csv(out / "trials.csv", trials, cfg.criteria)
     meta = {
@@ -658,16 +671,17 @@ KINDS = {
     "real": ("a number", is_real, float),
     "flag": ("true or false", lambda v: type(v) is bool, bool),
     "text": ("a string", lambda v: isinstance(v, str), str),
+    # a relative path is resolved against the working directory here, so meta.json's config re-runs from any other
+    "path": ("a string", lambda v: isinstance(v, str), lambda v: os.path.join(os.getcwd(), v)),
     "column": ("a column name or a zero-based index below 2**63",
                lambda v: isinstance(v, str) or type(v) is int and 0 <= v < 2**63, lambda v: v),
     "character": ("a one-character string", lambda v: isinstance(v, str) and len(v) == 1, str),
 }
 
 # Per section, None being the top level: key -> (the field that holds it, kind, takes a list). A section's fields are
-# those of its dataclasses: `ExperimentConfig` at the top level, `SyntheticScenario`, and `RealScenario` with its
-# `ingest.DatasetManifest`. A field without a default is a required key, and any other key is rejected, so a
-# misspelled one cannot silently fall back to its default. `scenario` and the sections have no kind: `load_config`
-# reads them.
+# those of its dataclass: `ExperimentConfig` at the top level, `SyntheticScenario` or `RealScenario`. A field without
+# a default is a required key, and any other key is rejected, so a misspelled one cannot silently fall back to its
+# default. `scenario` and the sections have no kind: `load_config` reads them.
 SCHEMA = {
     None: {
         "scenario": ("scenario", None, False),
@@ -690,7 +704,7 @@ SCHEMA = {
     },
     "real": {
         "name": ("name", "text", False),
-        "path": ("path", "text", False),
+        "path": ("path", "path", False),
         "response_column": ("response_column", "column", False),
         "covariate_columns": ("covariate_columns", "column", True),
         "delimiter": ("delimiter", "character", False),
@@ -704,12 +718,10 @@ SCHEMA = {
 
 def _keys(cfg: ExperimentConfig):
     """Each key of SCHEMA that `cfg` sets: (section, key, the object holding its field, field, kind, takes a list)."""
-    scen = cfg.scenario
-    for section, holders in [(None, [cfg]), (scen.SECTION, [scen, getattr(scen, "manifest", None)])]:
+    for section, owner in [(None, cfg), (cfg.scenario.SECTION, cfg.scenario)]:
         for key, (attr, kind, many) in SCHEMA[section].items():
-            for owner in holders:
-                if kind and hasattr(owner, attr):
-                    yield section, key, owner, attr, kind, many
+            if kind:
+                yield section, key, owner, attr, kind, many
 
 
 def _config_dict(cfg: ExperimentConfig) -> dict:
@@ -722,8 +734,8 @@ def _config_dict(cfg: ExperimentConfig) -> dict:
     return config
 
 
-def _read(section, name: str | None, *holders) -> dict:
-    """The fields config section `name` (None for the top level) of dataclasses `holders` sets, by SCHEMA, `_unspelled`.
+def _read(section, name: str | None, cls) -> dict:
+    """The fields of dataclass `cls` config section `name` (None for the top level) sets, by SCHEMA, `_unspelled`.
 
     A missing section and an unknown or missing key raise ValueError naming it. A key that takes a list takes a single
     value too. `ExperimentConfig` checks the values' kinds.
@@ -734,7 +746,7 @@ def _read(section, name: str | None, *holders) -> dict:
     unknown = sorted(str(k) for k in section if k not in schema)
     if unknown:
         raise ValueError(f"unknown config key(s) {unknown} in {where}; valid: {sorted(schema)}")
-    required = {f.name for cls in holders for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
+    required = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
     missing = [k for k, (attr, _, _) in schema.items() if attr in required and k not in section]
     if missing:
         raise ValueError(f"missing required config key(s) {missing} in {where}")
@@ -774,12 +786,8 @@ def load_config(path, master_seed: int | None = None, repetitions: int | None = 
     kind = top.pop("scenario")
     if kind not in ("synthetic", "real"):
         raise ValueError("config needs scenario: synthetic or real")
-    if kind == "synthetic":
-        scenario = SyntheticScenario(**_read(top.get(kind), kind, SyntheticScenario))
-    else:
-        s = _read(top.get(kind), kind, RealScenario, ingest.DatasetManifest)
-        names = {f.name for f in fields(ingest.DatasetManifest)}
-        scenario = RealScenario(ingest.DatasetManifest(**{key: s.pop(key) for key in names & s.keys()}), **s)
+    cls = SyntheticScenario if kind == "synthetic" else RealScenario
+    scenario = cls(**_read(top.get(kind), kind, cls))
     return ExperimentConfig(scenario, **{key: value for key, value in top.items() if key not in ("synthetic", "real")})
 
 

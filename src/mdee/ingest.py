@@ -1,11 +1,16 @@
-"""Real-world dataset loading and the train/unlabeled/test split protocol."""
+"""Real-world dataset loading and the train/unlabeled/test split protocol.
+
+The loader reads where a table lives and which columns to use off a
+`harness.RealScenario`: its `name`, `path`, `response_column`,
+`covariate_columns`, `delimiter` and `has_header`. Columns may be named
+(requires a header) or zero-based integer indices.
+"""
 
 from __future__ import annotations
 
 import csv
 import io
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -15,30 +20,11 @@ from .core import LabeledSet, UnlabeledSet
 STD_FLOOR = 1e-12
 
 
-@dataclass
-class DatasetManifest:
-    """Where a delimited numeric dataset lives and which columns to use.
-
-    Columns may be named (requires a header) or zero-based integer indices.
-    """
-
-    name: str
-    path: str
-    response_column: str | int
-    covariate_columns: list
-    delimiter: str = ","
-    has_header: bool = True
-
-    def __post_init__(self):
-        if len(self.covariate_columns) < 1:
-            raise ValueError("need at least one covariate column")
-
-
-def _resolve_columns(manifest: DatasetManifest, header: list[str] | None) -> tuple[list[int], int]:
+def _resolve_columns(scenario, header: list[str] | None) -> tuple[list[int], int]:
     def resolve(col):
         # a bool is an int to isinstance, and a negative index would count from the row's end
         if isinstance(col, bool) or isinstance(col, int) and col < 0:
-            raise ValueError(f"{manifest.name}: column {col!r} is not a zero-based column index")
+            raise ValueError(f"{scenario.name}: column {col!r} is not a zero-based column index")
         if isinstance(col, int):
             return col
         if header is None:
@@ -50,16 +36,16 @@ def _resolve_columns(manifest: DatasetManifest, header: list[str] | None) -> tup
         except ValueError:
             raise ValueError(f"column {col!r} not found in header {header}") from None
 
-    cov_idx = [resolve(c) for c in manifest.covariate_columns]
-    resp_idx = resolve(manifest.response_column)
+    cov_idx = [resolve(c) for c in scenario.covariate_columns]
+    resp_idx = resolve(scenario.response_column)
     if len(set(cov_idx)) < len(cov_idx):
-        raise ValueError(f"{manifest.name}: covariate_columns {manifest.covariate_columns} name a column twice")
+        raise ValueError(f"{scenario.name}: covariate_columns {scenario.covariate_columns} name a column twice")
     if resp_idx in cov_idx:
         raise ValueError("response column cannot also be a covariate")
     return cov_idx, resp_idx
 
 
-def load_csv(manifest: DatasetManifest) -> np.ndarray:
+def load_csv(scenario) -> np.ndarray:
     """Load a delimited numeric file into a (rows, M+1) array, response last.
 
     Rows with missing, non-numeric or non-finite (nan, inf) cells, and blank
@@ -68,20 +54,20 @@ def load_csv(manifest: DatasetManifest) -> np.ndarray:
     numpy's parser reads the table; the row-by-row `_scan` runs only when
     that parse cannot vouch for the table, to name the failing line.
     """
-    path = Path(manifest.path)
+    path = Path(scenario.path)
     handle = io.StringIO(read_utf8(path), newline="")
     header = None
-    if manifest.has_header:
+    if scenario.has_header:
         try:
-            header = [cell.strip() for cell in next(csv.reader(handle, delimiter=manifest.delimiter))]
+            header = [cell.strip() for cell in next(csv.reader(handle, delimiter=scenario.delimiter))]
         except StopIteration:
-            raise ValueError(f"{manifest.name}: {str(path)!r} is empty, with no header row") from None
-    cov_idx, resp_idx = _resolve_columns(manifest, header)
+            raise ValueError(f"{scenario.name}: {str(path)!r} is empty, with no header row") from None
+    cov_idx, resp_idx = _resolve_columns(scenario, header)
     text = handle.read()
     columns = cov_idx + [resp_idx]
-    table = _parse(text, manifest.delimiter, columns)
+    table = _parse(text, scenario.delimiter, columns)
     if table is None:
-        table = _scan(manifest, text, columns, first_line=1 if header is None else 2)
+        table = _scan(scenario, text, columns, first_line=1 if header is None else 2)
     return table
 
 
@@ -125,7 +111,7 @@ def _parse(text: str, delimiter: str, columns: list[int]) -> np.ndarray | None:
     return table
 
 
-def _scan(manifest: DatasetManifest, text: str, columns: list[int], first_line: int) -> np.ndarray:
+def _scan(scenario, text: str, columns: list[int], first_line: int) -> np.ndarray:
     """Parse `text` row by row with csv and float(): the first faulty line raises, naming its number.
 
     This is the loader's reference semantics. It also reads what numpy's
@@ -134,18 +120,18 @@ def _scan(manifest: DatasetManifest, text: str, columns: list[int], first_line: 
     """
     needed = max(columns) + 1
     rows = []
-    for line_no, row in enumerate(csv.reader(io.StringIO(text, newline=""), delimiter=manifest.delimiter), start=first_line):
+    for line_no, row in enumerate(csv.reader(io.StringIO(text, newline=""), delimiter=scenario.delimiter), start=first_line):
         if len(row) < needed:
-            raise ValueError(f"{manifest.name}: line {line_no}: expected at least {needed} columns, got {len(row)}")
+            raise ValueError(f"{scenario.name}: line {line_no}: expected at least {needed} columns, got {len(row)}")
         try:
             values = [float(row[i]) for i in columns]
         except ValueError:
-            raise ValueError(f"{manifest.name}: line {line_no}: non-numeric cell") from None
+            raise ValueError(f"{scenario.name}: line {line_no}: non-numeric cell") from None
         if not all(map(math.isfinite, values)):
-            raise ValueError(f"{manifest.name}: line {line_no}: non-finite cell")
+            raise ValueError(f"{scenario.name}: line {line_no}: non-finite cell")
         rows.append(values)
     if not rows:
-        raise ValueError(f"{manifest.name}: no data rows")
+        raise ValueError(f"{scenario.name}: no data rows")
     return np.asarray(rows, dtype=float)
 
 

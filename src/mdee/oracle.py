@@ -32,6 +32,8 @@ N_GROUPS = 10
 # bound the closed form: with `mdee oracle --reps 100` the variance check failed
 # on 2 of seeds 0-19, and at 100 blocks (10 a group) and above on none.
 MIN_MOMENT_BLOCKS = 100
+# Fewest replications mc_risk_ratio accepts: two, for its standard errors.
+MIN_RATIO_REPS = 2
 # Fewest replications mc_block_moments accepts for its reference trace.
 MIN_TRACE_REPS = 100
 # The noise_sd range mc_risk_ratio's losses are computed in. The top keeps sigma^4 times the most replications a config
@@ -247,6 +249,8 @@ def mc_risk_ratio(cfg: OracleConfig) -> RiskRatioResult:
     processes. Every reduction runs in this process over the returned values,
     in replication order, so the result does not depend on the process count.
     """
+    if cfg.reps < MIN_RATIO_REPS:
+        raise ValueError(f"mc_risk_ratio needs reps >= {MIN_RATIO_REPS}")
     if len(cfg.truth) > cfg.d:
         raise ValueError(f"mc_risk_ratio needs a truth of at most d={cfg.d} coefficients, got {len(cfg.truth)}")
     alpha_star = np.zeros(cfg.d)

@@ -53,7 +53,8 @@ from mdee.estimators import (
     flagged_blocks,
     moment_split,
 )
-from mdee.ingest import STD_FLOOR, DatasetManifest, _resolve_columns
+from mdee.harness import RealScenario
+from mdee.ingest import STD_FLOOR, _resolve_columns
 from mdee.oracle import (
     N_GROUPS,
     HMomentsResult,
@@ -560,7 +561,7 @@ def risk_ratio(cfg: OracleConfig) -> RiskRatioResult:
     )
 
 
-def load_csv_rows(manifest: DatasetManifest) -> np.ndarray:
+def load_csv_rows(manifest: RealScenario) -> np.ndarray:
     """`ingest.load_csv` row by row: csv records, one float() and one isfinite per cell."""
     path = Path(manifest.path)
     with path.open(newline="", encoding="utf-8-sig") as handle:

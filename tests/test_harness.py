@@ -37,7 +37,6 @@ from mdee.harness import (
     write_summary_csv,
     write_trials_csv,
 )
-from mdee.ingest import DatasetManifest
 from reference import FittedModel
 from reference import test_error as model_test_error
 
@@ -413,8 +412,9 @@ def toy_table(path: Path) -> Path:
 
 def toy_real_config(table: Path) -> ExperimentConfig:
     """A real-table run of one cell, 6 trials."""
-    manifest = DatasetManifest(name="toy", path=str(table), response_column="y", covariate_columns=["x1", "x2"])
-    scenario = RealScenario(manifest=manifest, n_values=[20], n_unlabeled=60)
+    scenario = RealScenario(
+        name="toy", path=str(table), response_column="y", covariate_columns=["x1", "x2"], n_values=[20], n_unlabeled=60
+    )
     return ExperimentConfig(scenario=scenario, criteria=["mDEE3", "cAIC", "ADJ"], repetitions=6, master_seed=3)
 
 
@@ -533,12 +533,10 @@ class TestRealScenario:
     def test_real_run(self, dataset, tmp_path):
         cfg = ExperimentConfig(
             scenario=RealScenario(
-                manifest=DatasetManifest(
-                    name="toy",
-                    path=str(dataset),
-                    response_column="y",
-                    covariate_columns=["x1", "x2"],
-                ),
+                name="toy",
+                path=str(dataset),
+                response_column="y",
+                covariate_columns=["x1", "x2"],
                 n_values=[20],
                 n_unlabeled=60,
             ),
@@ -550,6 +548,24 @@ class TestRealScenario:
         assert len(trials) == 2
         assert len(trials[0].test_errors) == 10  # ceil(19/2)
         assert {s.criterion for s in summaries} == {"mDEE3", "cAIC"}
+
+    @pytest.mark.parametrize(
+        "table, n_unlabeled, needle",
+        [
+            ("absent.csv", 60, "real.path '{path}' cannot be read: No such file or directory"),
+            ("toy.csv", 100, "n=20 plus n_unlabeled=100 leaves no test row of the 120 rows in {path}"),
+        ],
+        ids=["missing table", "no test row"],
+    )
+    def test_bad_table_fails_before_any_output(self, dataset, tmp_path, table, n_unlabeled, needle):
+        # the missing table ended in a FileNotFoundError and the n in ingest.split's ValueError, both after the
+        # output directory was made
+        cfg = toy_real_config(tmp_path / table)
+        cfg.scenario.n_unlabeled = n_unlabeled
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=f"^{re.escape(needle.format(path=cfg.scenario.path))}$"):
+            run_to_dir(cfg, out)
+        assert not out.exists()
 
 
 SYNTHETIC_YAML = """
@@ -586,11 +602,13 @@ CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 class TestLibraryConfig:
     @staticmethod
     def config(**changes):
-        """A one-cell synthetic config with `changes` made; a change to a `DatasetManifest` field makes it real."""
-        manifest = {f.name: changes.pop(f.name) for f in dataclasses.fields(DatasetManifest) if f.name in changes}
+        """A one-cell synthetic config with `changes` made; a change to a field of the table `RealScenario` reads
+        (`ingest.load_csv`) makes it real."""
+        table_fields = ("name", "path", "response_column", "covariate_columns", "delimiter", "has_header")
+        manifest = {name: changes.pop(name) for name in table_fields if name in changes}
         if manifest:
             manifest = {"name": "toy", "path": "toy.csv", "response_column": "y", "covariate_columns": ["x"], **manifest}
-            scenario = RealScenario(DatasetManifest(**manifest), [20], 50)
+            scenario = RealScenario(**manifest, n_values=[20], n_unlabeled=50)
         else:
             fields = {"target": "step", "n_values": [10], "noise_vars": [0.1]}
             fields.update({f.name: changes.pop(f.name) for f in dataclasses.fields(SyntheticScenario) if f.name in changes})
@@ -654,8 +672,10 @@ class TestLibraryConfig:
             ({"covariate_var": 0.0}, "covariate_var must be finite and positive, got 0.0"),
             ({"covariate_var": math.nan}, "covariate_var must be finite and positive, got nan"),
             ({"n_unlabeled": -5}, "sample counts must be nonnegative"),
+            ({"covariate_columns": []}, "real.covariate_columns must be nonempty"),
         ],
-        ids=["target", "noise_var", "noise_var inf", "covariate_var", "covariate_var nan", "n_unlabeled"],
+        ids=["target", "noise_var", "noise_var inf", "covariate_var", "covariate_var nan", "n_unlabeled",
+             "covariate_columns empty"],
     )
     def test_values_no_draw_can_use_rejected(self, change, needle):
         with pytest.raises(ValueError, match=f"^{re.escape(needle)}"):
@@ -668,8 +688,9 @@ class TestLibraryConfig:
             ({"noise_vars": 0.1}, "synthetic.noise_var must be a list, got 0.1"),
             ({"criteria": [["FPE"]]}, "criteria must be a string, got ['FPE']"),
             ({"covariate_columns": "ab"}, "real.covariate_columns must be a list, got 'ab'"),
+            ({"covariate_columns": 5}, "real.covariate_columns must be a list, got 5"),
         ],
-        ids=["n", "noise_var", "criteria", "covariate_columns"],
+        ids=["n", "noise_var", "criteria", "covariate_columns", "covariate_columns int"],
     )
     def test_grid_that_is_not_a_list_named(self, change, needle):
         # each ended in a TypeError: 'int' or 'float' object is not iterable, or unhashable type: 'list'; a string of
@@ -713,7 +734,7 @@ class TestConfigFile:
         [
             (MINIMAL_SYNTHETIC_YAML, ExperimentConfig(SyntheticScenario("step", [10], [0.1]), ["FPE"], 2)),
             (REAL_YAML, ExperimentConfig(
-                RealScenario(DatasetManifest("toy", "data/toy.csv", "y", ["x1", "x2"]), [20], 50), ["rmDEE"], 2)),
+                RealScenario("toy", "data/toy.csv", "y", ["x1", "x2"], [20], 50), ["rmDEE"], 2)),
         ],
         ids=["synthetic", "real"],
     )
@@ -755,7 +776,7 @@ class TestConfigFile:
         path = tmp_path / "cfg.yaml"
         path.write_text(REAL_YAML)
         cfg = load_config(path)
-        assert cfg.scenario.manifest.name == "toy"
+        assert cfg.scenario.name == "toy"
         assert cfg.scenario.n_values == [20]
 
     def test_missing_criteria_named(self, tmp_path):
@@ -869,7 +890,7 @@ class TestConfigFile:
         path = tmp_path / "cfg.yaml"
         path.write_text(REAL_YAML + "  has_header: false\n  standardize: no\n")
         cfg = load_config(path)
-        assert cfg.scenario.manifest.has_header is False and cfg.scenario.standardize is False
+        assert cfg.scenario.has_header is False and cfg.scenario.standardize is False
 
     @pytest.mark.parametrize("path", sorted(CONFIGS_DIR.glob("*.yaml")), ids=lambda p: p.name)
     def test_shipped_configs_load(self, path):
@@ -913,12 +934,16 @@ def code_built_configs(draw):
         )
     else:
         column = st.text() | st.integers(0, 2**63 - 1)
-        manifest = DatasetManifest(
-            draw(st.text()), draw(st.text()), draw(column), draw(st.lists(column, min_size=1, max_size=3)),
-            draw(st.characters()), draw(st.booleans()),
+        manifest = dict(
+            name=draw(st.text()), path=draw(st.text()), response_column=draw(column),
+            covariate_columns=draw(st.lists(column, min_size=1, max_size=3)),
+            delimiter=draw(st.characters()), has_header=draw(st.booleans()),
         )
         n_values = draw(grid(typed(st.integers(2 if d_max is None else 1, 60), WHOLE_TYPES)))
-        scenario = RealScenario(manifest, n_values, draw(typed(st.integers(0, 2000), WHOLE_TYPES)), draw(st.booleans()))
+        scenario = RealScenario(
+            **manifest, n_values=n_values, n_unlabeled=draw(typed(st.integers(0, 2000), WHOLE_TYPES)),
+            standardize=draw(st.booleans()),
+        )
     ridge = st.sampled_from([0.0, 1e-9, 1e-12]) | st.floats(1e-30, 1e-5) | st.floats(0, 1e3)
     return ExperimentConfig(
         scenario, draw(st.lists(st.sampled_from(sorted(CRITERIA)), min_size=1, unique=True)),
@@ -943,6 +968,24 @@ def test_shipped_config_reruns_from_its_meta(path, tmp_path):
     first = run_to_dir(cfg, tmp_path / "first")
     rerun = tmp_path / "rerun.json"
     rerun.write_text(json.dumps(json.loads((first / "meta.json").read_text())["config"]))
+    assert load_config(rerun) == cfg
+    second = run_to_dir(load_config(rerun), tmp_path / "second")
+    for name in ("summary.csv", "trials.csv"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_relative_table_path_reruns_from_another_directory(tmp_path, monkeypatch):
+    # the path is resolved when the config is checked, so meta.json's config names the table from anywhere
+    toy_table(tmp_path / "toy.csv")
+    (tmp_path / "exp.yaml").write_text(REAL_YAML.replace("data/toy.csv", "toy.csv"))
+    monkeypatch.chdir(tmp_path)
+    cfg = load_config("exp.yaml")
+    assert cfg.scenario.path == str(tmp_path / "toy.csv")
+    first = run_to_dir(cfg, tmp_path / "first")
+    rerun = tmp_path / "rerun.json"
+    rerun.write_text(json.dumps(json.loads((first / "meta.json").read_text())["config"]))
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
     assert load_config(rerun) == cfg
     second = run_to_dir(load_config(rerun), tmp_path / "second")
     for name in ("summary.csv", "trials.csv"):

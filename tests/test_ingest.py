@@ -9,7 +9,8 @@ import pytest
 from reference import load_csv_rows, standardized_split
 
 from mdee import ingest
-from mdee.ingest import DatasetManifest, dbar_for, load_csv, split
+from mdee.harness import RealScenario
+from mdee.ingest import dbar_for, load_csv, split
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -38,7 +39,7 @@ def small_manifest(path, **kwargs):
         has_header=True,
     )
     base.update(kwargs)
-    return DatasetManifest(**base)
+    return RealScenario(**base, n_values=[2], n_unlabeled=0)
 
 
 class TestLoadCsv:

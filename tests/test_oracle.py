@@ -217,6 +217,12 @@ class TestMcRiskRatio:
         assert res.se_ratio == pytest.approx(unit.se_ratio, rel=1e-6)
         assert res.e_train_loss == pytest.approx(unit.e_train_loss * noise_sd**2, rel=1e-9)
 
+    def test_needs_two_reps(self, monkeypatch):
+        # one replication ended in numpy's "Degrees of freedom <= 0" warning and NaN standard errors
+        monkeypatch.setattr(parallel, "fork_map", no_draws)
+        with pytest.raises(ValueError, match=r"^mc_risk_ratio needs reps >= 2$"):
+            mc_risk_ratio(make_cfg(reps=1))
+
     def test_requires_inside_model_truth(self, monkeypatch):
         monkeypatch.setattr(parallel, "fork_map", no_draws)
         with pytest.raises(ValueError, match="at most d=3 coefficients, got 4"):
