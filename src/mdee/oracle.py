@@ -21,8 +21,9 @@ from . import parallel
 from .core import BasisSpec, build_design, check_cells, correlation_matrix, is_whole
 from .estimators import CriterionKind, block_sides, design_corrs, quadratic_forms
 
+# Rows of one oracle chunk, one `parallel.fork_map` job.
 _CHUNK = 100_000
-# Rows of the closed form's blocks one chunk job builds at once.
+# Rows a chunk job builds and reduces at once.
 _TILE = 10_000
 # The blocks of the theorem-4 closed form are cut into this many disjoint groups for its standard error.
 N_GROUPS = 10
@@ -88,12 +89,12 @@ class OracleConfig:
         if not low <= self.noise_sd <= high:
             raise ValueError(f"noise_sd must lie in [{low:g}, {high:g}] for this truth, got {self.noise_sd}")
         # the designs and their covariates, the stack of C_hat^{-1} (or reference inverses), and the population rows
-        # with one chunk's design
+        # with one tile's design
         d, m = self.d, self.basis.covariate_dim
         check_cells("n", self.n * max(d, m))
         check_cells("n_test", self.n_test * max(d, m))
         check_cells("reps", self.reps * d * d)
-        check_cells("c_draws", max(self.c_draws * m, min(self.c_draws, _chunks(self.c_draws, 1).step) * d))
+        check_cells("c_draws", max(self.c_draws * m, min(self.c_draws, _tile(1)) * d))
 
 
 @dataclass
@@ -133,27 +134,40 @@ class HMomentsResult:
 def _chunks(items: int, rows_each: int) -> range:
     """The first item of each chunk the oracle loops take `items` items of `rows_each` rows in.
 
-    A chunk holds at most `_CHUNK` rows and at least one item. The range's
-    step is the chunk size; the last chunk holds what is left.
+    A chunk holds at most `_CHUNK` rows and at least one item, and is one
+    `parallel.fork_map` job, which builds and reduces it in the tiles of
+    `_tiles`. The range's step is the chunk size; the last chunk holds what
+    is left.
     """
     return range(0, items, max(1, _CHUNK // rows_each))
 
 
+def _tile(rows_each: int) -> int:
+    """Items of `rows_each` rows in a full tile: at most `_TILE` rows, at least one item, and no more than a chunk."""
+    return min(max(1, _TILE // rows_each), max(1, _CHUNK // rows_each))
+
+
+def _tiles(chunks: range, k: int, rows_each: int) -> list[range]:
+    """The items of each tile that chunk k of `chunks` is built and reduced in, one tile at a time.
+
+    Each tile holds `_tile` items but the last, which holds what is left of
+    the chunk.
+    """
+    start, step = chunks[k], _tile(rows_each)
+    stop = min(start + chunks.step, chunks.stop)
+    return [range(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
+
+
 def check_pool(cfg: OracleConfig, B: int, name: str = "B") -> None:
-    """Turn away a block count B whose `mc_block_moments` chunk, at least one pool of B*n rows, passes MAX_CELLS."""
+    """Turn away a block count B whose `mc_block_moments` tile, at least one pool of B*n rows, passes MAX_CELLS."""
     pool = int(B) * cfg.n
-    check_cells(name, min(cfg.reps, _chunks(cfg.reps, pool).step) * pool * max(cfg.d, cfg.basis.covariate_dim))
-
-
-def _tile(n: int) -> int:
-    """Blocks of n rows that a closed-form chunk job builds at once: at most `_TILE` rows, at least one block."""
-    return max(1, _TILE // n)
+    check_cells(name, min(cfg.reps, _tile(pool)) * pool * max(cfg.d, cfg.basis.covariate_dim))
 
 
 def check_moment_blocks(cfg: OracleConfig, n_blocks: int, name: str = "n_blocks") -> None:
     """Turn away n_blocks moment blocks whose d^2 moment vectors, or whose tile of n-row blocks, pass MAX_CELLS."""
     n_blocks = int(n_blocks)
-    rows = min(n_blocks, _chunks(n_blocks, cfg.n).step, _tile(cfg.n)) * cfg.n
+    rows = min(n_blocks, _tile(cfg.n)) * cfg.n
     check_cells(name, max(n_blocks * cfg.d * cfg.d, rows * max(cfg.d, cfg.basis.covariate_dim)))
 
 
@@ -171,43 +185,56 @@ def _covariates(rng, count: int, cfg: OracleConfig) -> np.ndarray:
 
 
 def _population_rows(cfg: OracleConfig):
-    """The cfg.c_draws population rows' covariates, in the chunks of `_chunks`, from one fixed child of cfg.seed.
+    """The cfg.c_draws population rows' covariates, tile by tile, from one fixed child of cfg.seed.
 
-    A chunk is drawn only when the generator is advanced to it, so a caller
-    that drops each chunk before the next holds one chunk at a time.
+    The tiles are the `_tiles` of each chunk of `_chunks`, in stream order;
+    the split draws give the values one draw per chunk would. A tile is drawn
+    only when the generator is advanced to it, so a caller that drops each
+    tile before the next holds one tile at a time.
     """
     rng = _aux_rng(cfg.seed, 1)
     starts = _chunks(cfg.c_draws, 1)
-    for lo in starts:
-        yield _covariates(rng, min(starts.step, cfg.c_draws - lo), cfg)
+    for k in range(len(starts)):
+        for tile in _tiles(starts, k, 1):
+            yield _covariates(rng, len(tile), cfg)
+
+
+def _tile_sums(cfg: OracleConfig, X: np.ndarray, mat: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """V^T V, sum(t) and sum(t^2) of one tile's design V, t = phi(x)^T mat phi(x) per row."""
+    v = _design(cfg, X)
+    t = quadratic_forms(v, mat)
+    return v.T @ v, t.sum(), (t * t).sum()
 
 
 def _population_pass(cfg: OracleConfig, mat: np.ndarray) -> tuple[np.ndarray, float]:
     """C from the cfg.c_draws population rows, and the variance of phi(x)^T mat phi(x) over the same rows.
 
-    Each chunk's design and its partial sums V^T V, sum(t) and sum(t^2) are
-    one job of `parallel.fork_map`, and this process adds the partials in
-    chunk order, the running sum of a serial pass. The rows' generator is
-    built once, before the fork, and each process advances its own copy:
-    `fork_map` gives a process its jobs in increasing order, so before chunk k
-    it draws and drops the chunks since its last, which other processes take,
-    and then draws chunk k. Every process draws the one stream in the same
-    order, so the bits do not depend on the process count, and none holds
-    more than one chunk.
+    Each chunk of rows is one job of `parallel.fork_map`. A job draws,
+    designs and reduces its chunk tile by tile and returns one partial
+    (V^T V, sum(t), sum(t^2)) per tile; this process adds the partials in
+    stream order, so the pass is the running sum of a serial loop over
+    `_population_rows`, whatever the process count and the chunk size. The
+    rows' generator is built once, before the fork, and each process
+    advances its own copy: `fork_map` gives a process its jobs in increasing
+    order, so before chunk k it draws and drops the tiles since its last,
+    which other processes take, and then draws chunk k's. Every process draws
+    the one stream in the same order, and none holds more than one tile.
     """
+    starts = _chunks(cfg.c_draws, 1)
+    per_chunk = len(_tiles(starts, 0, 1))  # tiles in each chunk but the last
     rows = _population_rows(cfg)
-    drawn = 0  # the chunks this process has taken from `rows`
+    drawn = 0  # the tiles this process has taken from `rows`
 
-    def chunk_sums(k: int) -> tuple[np.ndarray, float, float]:
+    def chunk_sums(k: int) -> list[tuple[np.ndarray, float, float]]:
         nonlocal drawn
-        v = _design(cfg, next(itertools.islice(rows, k - drawn, None)))
-        drawn = k + 1
-        t = quadratic_forms(v, mat)
-        return v.T @ v, t.sum(), (t * t).sum()
+        first, count = k * per_chunk, len(_tiles(starts, k, 1))
+        sums = [_tile_sums(cfg, X, mat) for X in itertools.islice(rows, first - drawn, first - drawn + count)]
+        drawn = first + count
+        return sums
 
     total = np.zeros((cfg.d, cfg.d))
     acc_sum = acc_sq = 0.0
-    for gram, t_sum, t_sq in parallel.fork_map(chunk_sums, len(_chunks(cfg.c_draws, 1))):
+    for gram, t_sum, t_sq in itertools.chain.from_iterable(parallel.fork_map(chunk_sums, len(starts))):
         total += gram
         acc_sum += t_sum
         acc_sq += t_sq
@@ -345,15 +372,17 @@ def mc_block_moments(
     the same cfg, so the two references agree bit for bit, and `se_bias`
     reads the per-replication pairs.
 
-    Replications run in the chunks of `_chunks` (at most its row budget, at
-    least one replication each), stacked along a leading axis; every
-    reduction runs over one replication's blocks in the order a lone
-    replication uses, so the results do not depend on the chunking. Each
-    chunk is one job of `parallel.fork_map`, which spreads the chunks over
-    forked processes, and returns its replications' reference inverses and
-    traces; this process joins them in chunk order, so the results do not
-    depend on the process count either. C and its sampling error come from
-    one population pass after the replications.
+    Replications run in the chunks of `_chunks` (at most `_CHUNK` rows, at
+    least one replication each). Each chunk is one job of
+    `parallel.fork_map`, which spreads the chunks over forked processes; a
+    job builds its chunk in the tiles of `_tiles` (at most `_TILE` rows, at
+    least one replication each), a tile's replications stacked along a
+    leading axis. Every reduction runs over one replication's blocks in the
+    order a lone replication uses, so the results do not depend on the
+    chunking or the tiling. A job returns its replications' reference
+    inverses and traces; this process joins them in chunk order, so the
+    results do not depend on the process count either. C and its sampling
+    error come from one population pass after the replications.
     """
     if cfg.reps < MIN_TRACE_REPS:
         raise ValueError(f"mc_block_moments needs reps >= {MIN_TRACE_REPS}")
@@ -365,11 +394,9 @@ def mc_block_moments(
     d = cfg.d
     starts = _chunks(cfg.reps, B * cfg.n)
 
-    def chunk(k: int) -> tuple[np.ndarray, list[np.ndarray]]:
-        lo = starts[k]
-        hi = min(lo + starts.step, cfg.reps)
-        corrs, invs = _block_stats(cfg, (_aux_rng(cfg.seed, 0, rep) for rep in range(lo, hi)), B)
-        ref_invs = invs[::B].copy()  # a copy, so the chunk's other inverses are freed
+    def tile(reps: range) -> tuple[np.ndarray, list[np.ndarray]]:
+        corrs, invs = _block_stats(cfg, (_aux_rng(cfg.seed, 0, rep) for rep in reps), B)
+        ref_invs = invs[::B].copy()  # a copy, so the tile's other inverses are freed
         corrs, invs = corrs.reshape(-1, B, d, d), invs.reshape(-1, B, d, d)
         traces = []
         for c_stop, v_start in sides.values():
@@ -377,6 +404,10 @@ def mc_block_moments(
             v_hat = invs[:, v_start:].mean(axis=1)
             traces.append(np.trace(c_plus @ v_hat, axis1=1, axis2=2))
         return ref_invs, traces
+
+    def chunk(k: int) -> tuple[np.ndarray, list[np.ndarray]]:
+        ref_invs, traces = zip(*map(tile, _tiles(starts, k, B * cfg.n)))
+        return np.concatenate(ref_invs), [np.concatenate(variant) for variant in zip(*traces)]
 
     chunks = parallel.fork_map(chunk, len(starts))
     ref_trs, ref = _reference_traces(cfg, np.concatenate([ref_invs for ref_invs, _ in chunks]))
@@ -415,23 +446,20 @@ def _vectorized_blocks(cfg: OracleConfig, n_blocks: int) -> tuple[np.ndarray, np
     chunks over forked processes. Both arrays are `_shared_rows`, made before
     the fork, and each job writes its chunk's rows into them in place and
     returns nothing, so no block row is pickled, received or joined. A job
-    builds its chunk in tiles of `_tile` blocks, drawn from the chunk's one
+    builds its chunk in the tiles of `_tiles`, drawn from the chunk's one
     stream in turn: the split draws give the values one draw would, and every
     row is one block's own, so the rows do not depend on the tiling.
     """
     dim = cfg.d * cfg.d
     mu_b, nu_b = _shared_rows(n_blocks, dim), _shared_rows(n_blocks, dim)
     starts = _chunks(n_blocks, cfg.n)
-    tile = _tile(cfg.n)
 
     def chunk(k: int) -> None:
         rng = _aux_rng(cfg.seed, 3, k)
-        stop = min(starts[k] + starts.step, n_blocks)
-        for lo in range(starts[k], stop, tile):
-            count = min(tile, stop - lo)
-            corrs, invs = _block_stats(cfg, [rng], count)
-            mu_b[lo : lo + count] = corrs.reshape(count, dim)
-            nu_b[lo : lo + count] = invs.reshape(count, dim)
+        for tile in _tiles(starts, k, cfg.n):
+            corrs, invs = _block_stats(cfg, [rng], len(tile))
+            mu_b[tile.start : tile.stop] = corrs.reshape(len(tile), dim)
+            nu_b[tile.start : tile.stop] = invs.reshape(len(tile), dim)
 
     parallel.fork_map(chunk, len(starts))
     return mu_b, nu_b

@@ -9,10 +9,12 @@ solve or invert the labeled and block matrices by LU (`invert_blocks` and
 the LU `dee_trace`, `mdee_trace` and `rmdee_trace`, under the package's
 names). The oracle routes (`block_moments`, `risk_ratio`) take one
 replication at a time and read the population rows once for C and once more
-for its sampling error; `vectorized_blocks` draws the closed form's block
-chunks one after another, each in one draw, and `h1_variance_closed_form`
-takes the closed form's moments of both sides together from whole copies
-(`moment_inputs_from`). The ingest routes (`load_csv_rows`, `standardized_split`) read a table row by
+for its sampling error, a flat loop over `oracle._population_rows`' tiles;
+`whole_chunk_population` sums those rows per whole `_CHUNK`-row chunk, the
+yardstick for the tile route's last bits; `vectorized_blocks` draws the
+closed form's block chunks one after another, each in one draw, and
+`h1_variance_closed_form` takes the closed form's moments of both sides
+together from whole copies (`moment_inputs_from`). The ingest routes (`load_csv_rows`, `standardized_split`) read a table row by
 row with float() and standardize each part of a split on its own. Only tests
 call them, so they live beside the tests and not in the shipped package.
 Import them as `from reference import ...`; pytest puts this directory on the
@@ -423,6 +425,26 @@ def _quadratic_form_var(cfg: OracleConfig, mat: np.ndarray) -> float:
         acc_sq += (t * t).sum()
     mean = acc_sum / cfg.c_draws
     return max(acc_sq / cfg.c_draws - mean * mean, 0.0)
+
+
+def whole_chunk_population(cfg: OracleConfig, mat: np.ndarray) -> tuple[np.ndarray, float]:
+    """`oracle._population_pass` with each whole chunk of `_CHUNK` rows drawn, designed and summed at once.
+
+    The rows are the same values; only the grouping of the sums differs, so C
+    and the spread differ from the tile route in their last bits.
+    """
+    rng = _aux_rng(cfg.seed, 1)
+    total = np.zeros((cfg.d, cfg.d))
+    acc_sum = acc_sq = 0.0
+    for lo in range(0, cfg.c_draws, oracle._CHUNK):
+        v = _design(cfg, _covariates(rng, min(oracle._CHUNK, cfg.c_draws - lo), cfg))
+        total += v.T @ v
+        t = ((v @ mat) * v).sum(axis=1)
+        acc_sum += t.sum()
+        acc_sq += (t * t).sum()
+    C = total / cfg.c_draws
+    mean = acc_sum / cfg.c_draws
+    return 0.5 * (C + C.T), max(acc_sq / cfg.c_draws - mean * mean, 0.0)
 
 
 def _reference_trace(cfg: OracleConfig, C: np.ndarray, design: np.ndarray, inv_sum: np.ndarray) -> float:

@@ -17,6 +17,7 @@ from reference import (
     population_corr,
     risk_ratio,
     vectorized_blocks,
+    whole_chunk_population,
 )
 from test_parallel import no_child_left
 
@@ -476,11 +477,18 @@ class TestChunkCaps:
         with pytest.raises(ValueError, match="is too large"):
             check()
 
-    # B*n = 240, 480 and 520 rows: two pools a chunk, then one pool just below and just above the budget
-    @pytest.mark.parametrize("B", [12, 24, 26])
-    def test_pool_cap(self, B, design_cells, monkeypatch):
+    # B*n = 240, 480 and 520 rows: two pools a chunk, then one pool just below and just above the budget. With a
+    # 300-row tile, B*n = 240 builds one pool at once, fewer than its chunk's two.
+    @pytest.mark.parametrize(
+        "B, tile", [(12, None), (24, None), (26, None), (12, 300)], ids=["12", "24", "26", "12 in tiles"]
+    )
+    def test_pool_cap(self, B, tile, design_cells, monkeypatch):
+        if tile is not None:
+            monkeypatch.setattr(oracle, "_TILE", tile)
         cfg = make_cfg(reps=101, c_draws=1_000)
         mc_block_moments(cfg, [CriterionKind.MDEE3], B)
+        if tile is not None:
+            assert max(design_cells) == B * cfg.n * cfg.d < 2 * B * cfg.n * cfg.d
         self.assert_cap_is(lambda: oracle.check_pool(cfg, B), max(design_cells), monkeypatch)
 
     # n = 20 takes 25 blocks a chunk; n = 499 and 501 take one block, just below and just above the budget. With a
@@ -505,8 +513,14 @@ class TestChunkSpans:
     rows: 105 replications are 11 chunks, the last of 5. The closed form's
     2,100 blocks are 9 chunks of at most 250 blocks, and the 23k population
     rows 5 chunks, the last of 3k rows. So every loop has an uneven last chunk
-    and more chunks than 1, 2 or 3 processes. With a 2k-row tile a closed-form
-    chunk is built as 100, 100 and 50 blocks, and its last as 100 and 50.
+    and more chunks than 1, 2 or 3 processes. The default 10k-row tile is
+    larger than these chunks, so each chunk is one tile. With a 2k-row tile a
+    closed-form chunk is built as 100, 100 and 50 blocks, and its last as 100
+    and 50. With a 1.5k-row tile, which divides no chunk, a replication chunk
+    is built as 3, 3, 3 and 1 replications and its last as 3 and 2, and a
+    population chunk as 1.5k, 1.5k, 1.5k and 500 rows and its last as 1.5k
+    and 1.5k. An 8k-row tile is larger than a chunk and leaves each chunk one
+    tile.
     """
 
     @pytest.fixture(autouse=True)
@@ -537,8 +551,16 @@ class TestChunkSpans:
     def cfg():
         return make_cfg(reps=105, n_test=300, c_draws=23_000)
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
-    def test_block_moments(self, cpus, processes):
+    @pytest.mark.parametrize(
+        "cpus, tile",
+        [(cpus, tile) for tile in (None, 1_500, 8_000) for cpus in (1, 2, 3, 8)],
+        ids=[f"{cpus}{label}" for label in ("", " in tiles of 3/3/3/1 replications", " in tiles larger than a chunk")
+             for cpus in (1, 2, 3, 8)],
+    )
+    def test_block_moments(self, cpus, tile, processes, monkeypatch):
+        if tile is not None:
+            monkeypatch.setattr(oracle, "_TILE", tile)
+        # The reference takes one replication at a time; only its population rows come in the patched tiles.
         expected = block_moments(self.cfg(), MOMENT_VARIANTS, 25, 3)
         ran = processes(cpus)
         assert mc_block_moments(self.cfg(), MOMENT_VARIANTS, 25, 3) == expected
@@ -574,14 +596,22 @@ class TestChunkSpans:
 
     # Each process replays the one row stream up to its chunks. Beyond the class's 5 chunks: a single chunk, which no
     # child takes; as many chunks as processes, so each child skips to its one chunk; and 3 chunks at 2 processes, the
-    # last of 2k rows, so this process skips chunk 1 between its chunks 0 and 2.
+    # last of 2k rows, so this process skips chunk 1 between its chunks 0 and 2. Then the class's 5 chunks in tiles
+    # that divide no chunk, so a process skips a chunk's tiles of two sizes, and in tiles larger than a chunk.
     @pytest.mark.parametrize(
-        "cpus, c_draws",
-        [(1, 23_000), (2, 23_000), (3, 23_000), (8, 23_000), (3, 5_000), (3, 15_000), (2, 12_000)],
-        ids=["1", "2", "3", "8", "one chunk at 3 CPUs", "a chunk per process", "uneven last chunk at 2 processes"],
+        "cpus, c_draws, tile",
+        [(1, 23_000, None), (2, 23_000, None), (3, 23_000, None), (8, 23_000, None), (3, 5_000, None),
+         (3, 15_000, None), (2, 12_000, None)]
+        + [(cpus, 23_000, tile) for tile in (1_500, 8_000) for cpus in (1, 2, 3, 8)],
+        ids=["1", "2", "3", "8", "one chunk at 3 CPUs", "a chunk per process", "uneven last chunk at 2 processes"]
+        + [f"{cpus}{label}" for label in (" in tiles of 1.5k rows", " in tiles larger than a chunk")
+           for cpus in (1, 2, 3, 8)],
     )
-    def test_population_pass(self, cpus, c_draws, processes):
+    def test_population_pass(self, cpus, c_draws, tile, processes, monkeypatch):
+        if tile is not None:
+            monkeypatch.setattr(oracle, "_TILE", tile)
         cfg, mat = make_cfg(c_draws=c_draws), np.full((3, 3), 0.1) + np.eye(3)
+        # a flat serial loop over the tiles of `_population_rows`
         expected = population_corr(cfg), _quadratic_form_var(cfg, mat)
         ran = processes(cpus)
         C, spread = _population_pass(cfg, mat)
@@ -606,23 +636,62 @@ class TestChunkSpans:
         assert peak < n_blocks * cfg.d**2 * 8
         assert no_child_left()
 
-    def test_population_pass_holds_one_chunk(self, set_cpus):
-        # Drawn as one list, the rows of 5 chunks put the traced peak above 3 chunks' rows and designs, and 20 chunks
-        # add 15 chunks' rows to it.
+    # The float64 rows of M = 1 and their d = 3 design, for one tile of the default `_TILE` rows.
+    ONE_TILE = oracle._TILE * (1 + 3) * 8
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_population_pass_same_bits_at_any_chunk(self, cpus, set_cpus, monkeypatch):
+        # At a 1k-row tile, chunks of 5k and of 3k rows cut the 23k rows into the same tiles, so the pass adds the same
+        # partials in the same order. Summed per chunk, as before the tiles, the two chunk sizes differ in the last bits.
+        set_cpus(cpus)
+        monkeypatch.setattr(oracle, "_TILE", 1_000)
+        cfg, mat = make_cfg(c_draws=23_000), np.full((3, 3), 0.1) + np.eye(3)
+        passes = []
+        for chunk in (5_000, 3_000):
+            monkeypatch.setattr(oracle, "_CHUNK", chunk)
+            passes.append(_population_pass(cfg, mat))
+        np.testing.assert_array_equal(passes[0][0], passes[1][0])
+        assert passes[0][1] == passes[1][1]
+        assert no_child_left()
+
+    @staticmethod
+    def traced_peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_population_pass_holds_a_few_tiles(self, set_cpus, monkeypatch):
+        # A process draws, designs and reduces one tile at a time, so its traced peak stays below 3 tiles' rows and
+        # designs at 100k- and 400k-row chunks alike. A whole 100k-row chunk at once traces about 25 tiles' worth.
         set_cpus(1)
         mat = np.full((3, 3), 0.1) + np.eye(3)
-        one_chunk = oracle._CHUNK * (1 + 3) * 8  # the float64 rows of M = 1 and their d = 3 design
+        _population_pass(make_cfg(c_draws=1_000), mat)  # numpy.random's first import is traced too
+        for chunk in (100_000, 400_000):
+            monkeypatch.setattr(oracle, "_CHUNK", chunk)
+            assert self.traced_peak(lambda: _population_pass(make_cfg(c_draws=800_000), mat)) < 3 * self.ONE_TILE
+
+    def test_block_moments_chunk_holds_a_few_tiles(self, set_cpus, monkeypatch):
+        # At B*n = 500 rows a tile holds 20 replications. The chunk jobs, run in this process, and their joined
+        # results stay below 2 tiles' rows and designs at 100k- and 400k-row chunks alike, measured when the
+        # population pass starts. A whole 100k-row chunk of 200 replications at once traces about 15 tiles' worth.
+        set_cpus(1)
         peaks = []
-        for chunks in (5, 20):
-            cfg = make_cfg(c_draws=chunks * oracle._CHUNK)
-            tracemalloc.start()
-            try:
-                _population_pass(cfg, mat)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert max(peaks) < 3 * one_chunk
-        assert peaks[1] - peaks[0] < oracle._CHUNK * 8
+        reference_traces = oracle._reference_traces
+
+        def after_the_chunks(cfg, c_hat_invs):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return reference_traces(cfg, c_hat_invs)
+
+        monkeypatch.setattr(oracle, "_reference_traces", after_the_chunks)
+        cfg = make_cfg(reps=400, c_draws=1_000)
+        mc_block_moments(cfg, MOMENT_VARIANTS, 25, 3)  # numpy.random's first import is traced too
+        for chunk in (100_000, 400_000):
+            monkeypatch.setattr(oracle, "_CHUNK", chunk)
+            self.traced_peak(lambda: mc_block_moments(cfg, MOMENT_VARIANTS, 25, 3))
+            assert peaks[-1] < 2 * self.ONE_TILE
 
 
 # Each oracle loop, run on a config whose designs are the loop's jobs' first call.
@@ -730,6 +799,20 @@ class TestMomentInputs:
             inputs.tr_varmu_varnu / 6 + inputs.tr_varnu_mumu / 3 + inputs.tr_varmu_nunu / 2
         )
         assert value == pytest.approx(expected)
+
+
+# The tile route against the whole-chunk sums it replaced: the same rows, summed per tile instead of per chunk, at
+# 250k rows (two whole chunks and a half one, each of 10 tiles or 5). C moves in its last bits, and the spread, a
+# difference E[t^2] - E[t]^2, by a few roundings of E[t^2]; at d = 1, where t is constant, that is the whole spread.
+@pytest.mark.parametrize("d, m", [(1, 1), (1, 3), (3, 1), (3, 2), (5, 2), (4, 3)])
+def test_tiled_population_pass_against_whole_chunks(d, m):
+    cfg = make_cfg(basis=BasisSpec("fourier", m), d=d, n=50, c_draws=250_000, covariate_sd=0.8)
+    mat = np.full((d, d), 0.1) + np.eye(d)
+    C, spread = _population_pass(cfg, mat)
+    C_ref, spread_ref = whole_chunk_population(cfg, mat)
+    assert np.abs(C - C_ref).max() <= 1e-13 * np.abs(C_ref).max()
+    mean_square = spread_ref + float(np.sum(C_ref * mat)) ** 2  # E[t^2], E[t] being Tr(C mat)
+    assert abs(spread - spread_ref) <= 1e-12 * mean_square
 
 
 # 100 and 2,100 blocks cut into even groups of the error bar, 105 and 23,456 into groups of two sizes.
