@@ -26,12 +26,13 @@ def _input_error(exc: Exception) -> int:
 def _cmd_run(args) -> int:
     try:
         cfg = harness.load_config(args.config, args.seed, args.reps)
-        table = cfg.scenario.table() if isinstance(cfg.scenario, harness.RealScenario) else None
+        if isinstance(cfg.scenario, harness.RealScenario):
+            cfg.scenario.table  # read and checked once, here, so a bad table leaves no directory
         out = Path(args.out if args.out is not None else cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)  # after the checks, which leave no directory, and before any trial
     except (OSError, ValueError) as exc:
         return _input_error(exc)
-    out = harness.run_to_dir(cfg, out, table)
+    out = harness.run_to_dir(cfg, out)
     print(f"wrote {out / 'summary.csv'}, {out / 'trials.csv'}, {out / 'meta.json'}")
     return 0
 

@@ -94,8 +94,14 @@ class RealScenario:
     def cells(self) -> list[dict]:
         return [{"dataset": self.name, "n": n} for n in self.n_values]
 
+    @cached_property
     def table(self) -> np.ndarray:
-        """The loaded table; an unreadable file or an n that leaves no test row raises ValueError, before any trial."""
+        """The loaded table, read and checked once per scenario object, read-only.
+
+        An unreadable file or an n that leaves no test row raises ValueError,
+        before any trial; a read that raises is not kept, so the next access
+        reads the file again.
+        """
         try:
             table = ingest.load_csv(self)
         except OSError as exc:
@@ -106,6 +112,7 @@ class RealScenario:
                     f"n={n} plus n_unlabeled={self.n_unlabeled} leaves no test row of the {len(table)} rows in "
                     f"{self.path}"
                 )
+        table.flags.writeable = False  # every run of this scenario reads it
         return table
 
 
@@ -323,10 +330,15 @@ class TrialState:
         return estimators.design_corrs(self.pool_design[: B * n].reshape(B, n, -1))
 
     @cached_property
-    def block_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """The `estimators.inverse_factors` of the jittered blocks' leading `top` x `top` corners."""
+    def block_jittered(self) -> np.ndarray:
+        """The blocks' leading `top` x `top` corners plus ridge*I, which `block_factors` and `block_checks` read."""
         top = self.top
-        return estimators.inverse_factors(estimators._jittered(self.block_corrs[:, :top, :top], self.ridge))
+        return estimators._jittered(self.block_corrs[:, :top, :top], self.ridge)
+
+    @cached_property
+    def block_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The `estimators.inverse_factors` of `block_jittered`."""
+        return estimators.inverse_factors(self.block_jittered)
 
     @cached_property
     def block_checks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -337,12 +349,10 @@ class TrialState:
         mask of those above COND_LIMIT and a (d_max,) mask of the sizes whose
         check's SVD failed, both False above `top`.
         """
-        top = self.top
-        jittered = estimators._jittered(self.block_corrs[:, :top, :top], self.ridge)
-        gate = np.flatnonzero(interlacing_gate(jittered, *self.block_factors))
+        gate = np.flatnonzero(interlacing_gate(self.block_jittered, *self.block_factors))
         flagged = np.zeros((self.path.d_max, self.n_blocks), dtype=bool)
         failed = np.zeros(self.path.d_max, dtype=bool)
-        for d in range(1, top + 1) if gate.size else ():
+        for d in range(1, self.top + 1) if gate.size else ():
             try:
                 flagged[d - 1, list(estimators.flagged_blocks(self.block_corrs[:, :d, :d], self.ridge, gate))] = True
             except SingularDesignError:
@@ -513,38 +523,36 @@ def evaluate_trial(
     )
 
 
-def _trial(cfg, table, cell, cell_idx, trial) -> TrialResult:
-    """One trial of a grid cell: synthetic data when table is None, else a split of it."""
+def _trial(cfg, cell, cell_idx, trial) -> TrialResult:
+    """One trial of a grid cell: synthetic data, or a split of the real scenario's table."""
     data_seed = _seed_int(cfg.master_seed, cell_idx, trial, 0)
     scen = cfg.scenario
-    if table is None:
+    if isinstance(scen, SyntheticScenario):
         train, unlabeled, test = datagen.generate(
             scen.target, cell["n"], scen.n_unlabeled, scen.n_test, cell["noise_var"], scen.covariate_var, data_seed
         )
     else:
-        train, unlabeled, test = ingest.split(table, cell["n"], scen.n_unlabeled, data_seed, scen.standardize)
+        train, unlabeled, test = ingest.split(scen.table, cell["n"], scen.n_unlabeled, data_seed, scen.standardize)
     d_max = _auto_d_max(cfg, cell["n"], train.X.shape[1])
     cv_seed = _seed_int(cfg.master_seed, cell_idx, trial, 1)
     return evaluate_trial(trial, cell, train, unlabeled, test, d_max, cfg, cv_seed)
 
 
-def run_experiment(
-    cfg: ExperimentConfig, table: np.ndarray | None = None
-) -> tuple[list[TrialResult], list[CriterionSummary]]:
+def run_experiment(cfg: ExperimentConfig) -> tuple[list[TrialResult], list[CriterionSummary]]:
     """Run every (grid cell, repetition) pair and aggregate per criterion.
 
     Each trial draws from its own seed streams, so its result does not depend
     on the trials run before it, nor on the process it runs in: the trials are
     spread over the usable CPUs (`parallel.process_count`, `parallel.fork_map`) and put back
     in order, and aggregation folds over trial index. A real scenario's table
-    is loaded here (`RealScenario.table`) unless the caller passes it already loaded.
+    (`RealScenario.table`) is read here, before the fork, so no child reads it.
     """
-    if table is None and isinstance(cfg.scenario, RealScenario):
-        table = cfg.scenario.table()
+    if isinstance(cfg.scenario, RealScenario):
+        cfg.scenario.table  # read and checked in this process, before the fork
     cells = list(cfg.scenario.cells())
     reps = cfg.repetitions
     jobs = [(cell, cell_idx, t) for cell_idx, cell in enumerate(cells) for t in range(reps)]
-    trials = parallel.fork_map(lambda i: _trial(cfg, table, *jobs[i]), len(jobs))
+    trials = parallel.fork_map(lambda i: _trial(cfg, *jobs[i]), len(jobs))
     # (cells, criteria, reps): one aggregate call summarizes every (cell, criterion)
     regrets = np.array([[t.regret[name] for name in cfg.criteria] for t in trials])
     medians, iqrs = aggregate(regrets.reshape(len(cells), reps, -1).swapaxes(1, 2))
@@ -593,17 +601,17 @@ def write_trials_csv(path, trials: list[TrialResult], criteria: list[str]) -> No
                 writer.writerow(prefix + row)
 
 
-def run_to_dir(cfg: ExperimentConfig, out_dir=None, table: np.ndarray | None = None) -> Path:
-    """Run an experiment and write summary.csv, trials.csv and meta.json; `table` is as for run_experiment.
+def run_to_dir(cfg: ExperimentConfig, out_dir=None) -> Path:
+    """Run an experiment and write summary.csv, trials.csv and meta.json.
 
-    A real scenario's table is loaded and checked before the output directory is made, so a bad table leaves none.
+    A real scenario's table is read and checked before the output directory is made, so a bad table leaves none.
     """
-    if table is None and isinstance(cfg.scenario, RealScenario):
-        table = cfg.scenario.table()
+    if isinstance(cfg.scenario, RealScenario):
+        cfg.scenario.table  # read and checked before the mkdir
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     processes = parallel.process_count(len(cfg.scenario.cells()) * cfg.repetitions)  # the count fork_map picks
-    trials, summaries = run_experiment(cfg, table)
+    trials, summaries = run_experiment(cfg)
     write_summary_csv(out / "summary.csv", summaries)
     write_trials_csv(out / "trials.csv", trials, cfg.criteria)
     meta = {
@@ -661,8 +669,8 @@ _EXPONENT_FORM = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
 
 # Each kind of config value: (what the error says a value must be, the test a value must pass, its conversion).
 # A number is not a bool, a string or None, and an integer past the float range is not one. A flag takes only
-# booleans, so a quoted "false" is not read as true. A column index is below 2**63, the largest the table parse can
-# index with.
+# booleans, so a quoted "false" is not read as true. A column index is below 2**63, the largest index a row, a
+# Python list, takes.
 KINDS = {
     # 2.9 is rejected rather than truncated, and YAML's true is not 1
     "whole": ("a whole number", is_whole, int),

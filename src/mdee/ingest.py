@@ -3,7 +3,8 @@
 The loader reads where a table lives and which columns to use off a
 `harness.RealScenario`: its `name`, `path`, `response_column`,
 `covariate_columns`, `delimiter` and `has_header`. Columns may be named
-(requires a header) or zero-based integer indices.
+(requires a header) or zero-based integer indices. A table is read row by
+row with csv and float().
 """
 
 from __future__ import annotations
@@ -48,27 +49,21 @@ def _resolve_columns(scenario, header: list[str] | None) -> tuple[list[int], int
 def load_csv(scenario) -> np.ndarray:
     """Load a delimited numeric file into a (rows, M+1) array, response last.
 
-    Rows with missing, non-numeric or non-finite (nan, inf) cells, and blank
-    lines, are rejected with the offending line number; no imputation is
-    attempted. The file is read with `read_utf8`.
-    numpy's parser reads the table; the row-by-row `_scan` runs only when
-    that parse cannot vouch for the table, to name the failing line.
+    The file is read with `read_utf8`, its header (where `has_header`) with
+    csv, and its rows with `_scan`. Rows with missing, non-numeric or
+    non-finite (nan, inf) cells, and blank lines, are rejected with the
+    offending line number; no imputation is attempted.
     """
     path = Path(scenario.path)
-    handle = io.StringIO(read_utf8(path), newline="")
+    rows = csv.reader(io.StringIO(read_utf8(path), newline=""), delimiter=scenario.delimiter)
     header = None
     if scenario.has_header:
         try:
-            header = [cell.strip() for cell in next(csv.reader(handle, delimiter=scenario.delimiter))]
+            header = [cell.strip() for cell in next(rows)]
         except StopIteration:
             raise ValueError(f"{scenario.name}: {str(path)!r} is empty, with no header row") from None
     cov_idx, resp_idx = _resolve_columns(scenario, header)
-    text = handle.read()
-    columns = cov_idx + [resp_idx]
-    table = _parse(text, scenario.delimiter, columns)
-    if table is None:
-        table = _scan(scenario, text, columns, first_line=1 if header is None else 2)
-    return table
+    return _scan(scenario, rows, cov_idx + [resp_idx], first_line=1 if header is None else 2)
 
 
 def read_utf8(path) -> str:
@@ -80,59 +75,37 @@ def read_utf8(path) -> str:
     try:
         return Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        # the bytes before the bad one decode, and exc.object starts after the byte-order mark
-        line = _line_ends(exc.object[: exc.start].decode()) + 1
+        # the bytes before the bad one decode, and exc.object starts after the byte-order mark;
+        # csv ends a line at CR LF, CR or LF
+        text = exc.object[: exc.start].decode()
+        line = text.count("\n") + text.count("\r") - text.count("\r\n") + 1
         raise ValueError(f"{path}, line {line}: not UTF-8 text: {exc.reason}") from None
 
 
-def _line_ends(text: str) -> int:
-    """How many line ends `text` holds, where csv ends a line: at CR LF, CR or LF."""
-    return text.count("\n") + text.count("\r") - text.count("\r\n")
+def _scan(scenario, rows, columns: list[int], first_line: int) -> np.ndarray:
+    """Read the `columns` of csv records `rows` with float(), row by row: the first faulty line raises, naming its number.
 
-
-def _parse(text: str, delimiter: str, columns: list[int]) -> np.ndarray | None:
-    """The table numpy's parser reads from `text`, or None where it may differ from `_scan`'s.
-
-    The parser skips blank lines, which `_scan` rejects, so a table with
-    fewer rows than `text` has lines is not vouched for; nor is one with a
-    non-finite cell, text the parser rejects or warns has no data, or text
-    with a quote, which csv reads as quoting: a quoted cell may hold the
-    delimiter or span lines.
-    """
-    if '"' in text or not text.strip("\r\n"):
-        return None
-    try:
-        table = np.loadtxt(io.StringIO(text, newline=""), delimiter=delimiter, usecols=columns, comments=None, ndmin=2)
-    except (ValueError, TypeError):
-        return None
-    lines = _line_ends(text) + (text[-1] not in "\r\n")  # a last line needs no line end
-    if len(table) != lines or not np.isfinite(table).all():
-        return None
-    return table
-
-
-def _scan(scenario, text: str, columns: list[int], first_line: int) -> np.ndarray:
-    """Parse `text` row by row with csv and float(): the first faulty line raises, naming its number.
-
-    This is the loader's reference semantics. It also reads what numpy's
-    parser rejects but float() reads, such as `1_0`, so the set of accepted
-    files does not depend on which route read them.
+    This is what a table reads as. `np.fromiter` collects the cells into one
+    flat float buffer, which the returned (rows, len(columns)) array is.
     """
     needed = max(columns) + 1
-    rows = []
-    for line_no, row in enumerate(csv.reader(io.StringIO(text, newline=""), delimiter=scenario.delimiter), start=first_line):
-        if len(row) < needed:
-            raise ValueError(f"{scenario.name}: line {line_no}: expected at least {needed} columns, got {len(row)}")
-        try:
-            values = [float(row[i]) for i in columns]
-        except ValueError:
-            raise ValueError(f"{scenario.name}: line {line_no}: non-numeric cell") from None
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"{scenario.name}: line {line_no}: non-finite cell")
-        rows.append(values)
-    if not rows:
+
+    def cells():
+        for line_no, row in enumerate(rows, start=first_line):
+            if len(row) < needed:
+                raise ValueError(f"{scenario.name}: line {line_no}: expected at least {needed} columns, got {len(row)}")
+            try:
+                values = [float(row[i]) for i in columns]
+            except ValueError:
+                raise ValueError(f"{scenario.name}: line {line_no}: non-numeric cell") from None
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{scenario.name}: line {line_no}: non-finite cell")
+            yield from values
+
+    table = np.fromiter(cells(), dtype=float)
+    if not table.size:
         raise ValueError(f"{scenario.name}: no data rows")
-    return np.asarray(rows, dtype=float)
+    return table.reshape(-1, len(columns))
 
 
 def split(

@@ -19,10 +19,11 @@ from hypothesis import strategies as st
 from test_ingest import mixed_line_ends
 from test_parallel import no_child_left
 
-from mdee import __version__, baselines, harness, parallel
+from mdee import __version__, baselines, estimators, harness, ingest, parallel
 from mdee.cli import main
 from mdee.core import BasisSpec, LabeledSet, UnlabeledSet, build_design
 from mdee.harness import (
+    BLOCK_CRITERIA,
     CRITERIA,
     ExperimentConfig,
     RealScenario,
@@ -450,11 +451,11 @@ class TestTrialProcesses:
         cpus(2)
         trial = harness._trial
 
-        def failing_trial(cfg, table, cell, cell_idx, t):
+        def failing_trial(cfg, cell, cell_idx, t):
             job = cell_idx * cfg.repetitions + t
             if job in failing:
                 raise KeyError(f"job {job} failed")
-            return trial(cfg, table, cell, cell_idx, t)
+            return trial(cfg, cell, cell_idx, t)
 
         monkeypatch.setattr(harness, "_trial", failing_trial)
         with pytest.raises(KeyError, match=f"job {lowest} failed") as raised:
@@ -506,6 +507,27 @@ class TestTrialProcesses:
         with pytest.raises(KeyboardInterrupt):
             run_experiment(two_cell_config())
         assert time.perf_counter() - start < 30
+        assert no_child_left()
+
+    def test_a_real_table_is_read_once_in_the_parent(self, cpus, tmp_path, monkeypatch):
+        cpus(2)
+        log = tmp_path / "pids.txt"
+
+        def logged(name, func):
+            def call(*args):
+                with log.open("a") as handle:
+                    handle.write(f"{name} {os.getpid()}\n")
+                return func(*args)
+
+            return call
+
+        monkeypatch.setattr(ingest, "load_csv", logged("read", ingest.load_csv))
+        monkeypatch.setattr(harness, "_trial", logged("trial", harness._trial))
+        trials, _ = run_experiment(toy_real_config(toy_table(tmp_path / "toy.csv")))
+        assert len(trials) == 6
+        lines = [line.split() for line in log.read_text().splitlines()]
+        assert [pid for name, pid in lines if name == "read"] == [str(os.getpid())]
+        assert {pid for name, pid in lines if name == "trial"} - {str(os.getpid())}, "no trial ran in a child"
         assert no_child_left()
 
     def test_a_threaded_caller_runs_in_one_process(self, monkeypatch, tmp_path):
@@ -566,6 +588,29 @@ class TestRealScenario:
         with pytest.raises(ValueError, match=f"^{re.escape(needle.format(path=cfg.scenario.path))}$"):
             run_to_dir(cfg, out)
         assert not out.exists()
+
+    def test_runs_of_one_config_read_the_table_once(self, dataset, tmp_path, monkeypatch):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)  # `reads` counts only the reads of this process
+        reads = []
+        load_csv = ingest.load_csv
+        monkeypatch.setattr(ingest, "load_csv", lambda scenario: reads.append(scenario) or load_csv(scenario))
+        cfg = toy_real_config(dataset)
+        first, second = run_to_dir(cfg, tmp_path / "a"), run_to_dir(cfg, tmp_path / "b")
+        assert len(reads) == 1
+        for name in ("summary.csv", "trials.csv"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_a_table_that_failed_to_read_is_read_again(self, tmp_path):
+        cfg = toy_real_config(tmp_path / "toy.csv")
+        with pytest.raises(ValueError, match="cannot be read"):
+            run_to_dir(cfg, tmp_path / "out")
+        toy_table(tmp_path / "toy.csv")
+        assert (run_to_dir(cfg, tmp_path / "out") / "trials.csv").exists()
+
+    def test_the_loaded_table_is_read_only(self, dataset):
+        table = toy_real_config(dataset).scenario.table
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
 
 
 SYNTHETIC_YAML = """
@@ -993,6 +1038,14 @@ def test_relative_table_path_reruns_from_another_directory(tmp_path, monkeypatch
 
 
 class TestTrialDataSharing:
+    def test_block_criteria_jitter_the_block_stack_once(self, monkeypatch):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)  # `calls` counts only the calls of this process
+        calls = []
+        jittered = estimators._jittered
+        monkeypatch.setattr(estimators, "_jittered", lambda mats, ridge: calls.append(None) or jittered(mats, ridge))
+        run_experiment(small_config(criteria=sorted(BLOCK_CRITERIA), repetitions=1))
+        assert len(calls) == 1
+
     def test_all_criteria_see_same_path(self):
         # regenerate the trial inputs and check the shared per-d test errors
         cfg = small_config(criteria=["FPE", "cAIC"], repetitions=1)
